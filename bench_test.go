@@ -11,6 +11,7 @@ package speedest
 // b.ReportMetric so benchmark output doubles as a quality smoke check.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -26,10 +27,10 @@ import (
 	"repro/internal/seedsel"
 )
 
-// benchFixture is the shared, lazily-built benchmark dataset and model.
+// benchFixture is the shared, lazily-built benchmark dataset and frozen view.
 type benchFixture struct {
 	d     *dataset.Dataset
-	est   *core.Model
+	est   *core.View
 	seeds []roadnet.RoadID // 10% budget, prepared
 	snaps []benchSnap
 }
@@ -46,6 +47,7 @@ var (
 
 // getFixture builds the benchmark city once per process.
 func getFixture(b *testing.B) *benchFixture {
+	ctx := context.Background()
 	b.Helper()
 	fixtureOnce.Do(func() {
 		cfg := dataset.DefaultConfig()
@@ -55,11 +57,11 @@ func getFixture(b *testing.B) *benchFixture {
 		if err != nil {
 			panic(err)
 		}
-		est, err := core.New(d.Net, d.DB, core.DefaultOptions())
+		est, err := core.NewView(d.Net, d.DB, core.DefaultOptions())
 		if err != nil {
 			panic(err)
 		}
-		seeds, err := est.SelectSeeds(d.Net.NumRoads() / 10)
+		seeds, err := est.SelectSeeds(ctx, d.Net.NumRoads()/10)
 		if err != nil {
 			panic(err)
 		}
@@ -124,13 +126,14 @@ func BenchmarkTableT1DatasetBuild(b *testing.B) {
 // fusion), with allocs/op as the tracked regression number. Table/figure
 // benchmarks below add the quality metrics; this one stays a pure cost probe.
 func BenchmarkEstimate(b *testing.B) {
+	ctx := context.Background()
 	f := getFixture(b)
 	s := f.snaps[0]
 	reports := f.reports(s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.est.Estimate(s.slot, reports); err != nil {
+		if _, err := f.est.Estimate(ctx, s.slot, reports); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,14 +143,15 @@ func BenchmarkEstimate(b *testing.B) {
 // Store that already survived one ingest→rebuild→swap cycle: the lifecycle
 // layer's per-round overhead is one atomic pointer load, and this keeps the
 // post-swap model's estimate cost on the same regression track as the
-// frozen-model number above.
+// frozen-view number above.
 func BenchmarkEstimateStoreRebuilt(b *testing.B) {
+	ctx := context.Background()
 	f := getFixture(b)
 	st, err := core.NewStore(f.d.Net, f.d.DB, core.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := st.SelectSeeds(len(f.seeds)); err != nil {
+	if _, err := st.SelectSeeds(ctx, st.View(), len(f.seeds)); err != nil {
 		b.Fatal(err)
 	}
 	s := f.snaps[0]
@@ -159,16 +163,16 @@ func BenchmarkEstimateStoreRebuilt(b *testing.B) {
 	if _, err := st.Ingest(obsIn...); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := st.Rebuild(); err != nil {
+	if _, err := st.Rebuild(ctx); err != nil {
 		b.Fatal(err)
 	}
-	if v := st.Model().Version(); v != 2 {
+	if v := st.View().Version(); v != 2 {
 		b.Fatalf("store version %d, want 2", v)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := st.Estimate(s.slot, reports)
+		res, err := st.View().Estimate(ctx, s.slot, reports)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,12 +185,13 @@ func BenchmarkEstimateStoreRebuilt(b *testing.B) {
 // BenchmarkTableT2OverallComparison regenerates Table 2's core row: one full
 // TrendSpeed estimation round, reporting MAE.
 func BenchmarkTableT2OverallComparison(b *testing.B) {
+	ctx := context.Background()
 	f := getFixture(b)
 	b.ReportAllocs()
 	var lastMAE float64
 	for i := 0; i < b.N; i++ {
 		s := f.snaps[i%len(f.snaps)]
-		res, err := f.est.Estimate(s.slot, f.reports(s))
+		res, err := f.est.Estimate(ctx, s.slot, f.reports(s))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -198,6 +203,7 @@ func BenchmarkTableT2OverallComparison(b *testing.B) {
 // BenchmarkFigF6AccuracyVsBudget regenerates Figure 6's sweep axis: seed
 // selection plus estimation at three budgets.
 func BenchmarkFigF6AccuracyVsBudget(b *testing.B) {
+	ctx := context.Background()
 	f := getFixture(b)
 	budgets := []float64{0.02, 0.10, 0.20}
 	for _, budget := range budgets {
@@ -206,7 +212,7 @@ func BenchmarkFigF6AccuracyVsBudget(b *testing.B) {
 			if k < 1 {
 				k = 1
 			}
-			seeds, err := f.est.SelectSeeds(k)
+			seeds, err := f.est.SelectSeeds(ctx, k)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -217,14 +223,14 @@ func BenchmarkFigF6AccuracyVsBudget(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.est.Estimate(s.slot, reports); err != nil {
+				if _, err := f.est.Estimate(ctx, s.slot, reports); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
 	// Restore the fixture's prepared 10% seed set for later benchmarks.
-	if err := f.est.Prepare(f.seeds); err != nil {
+	if err := f.est.Prepare(ctx, f.seeds); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -253,11 +259,12 @@ func BenchmarkFigF6Baselines(b *testing.B) {
 // BenchmarkFigF7TimeOfDay regenerates Figure 7's axis: estimation cost per
 // slot including the per-slot setup (trend priors, evidence).
 func BenchmarkFigF7TimeOfDay(b *testing.B) {
+	ctx := context.Background()
 	f := getFixture(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := f.snaps[i%len(f.snaps)]
-		if _, err := f.est.Estimate(s.slot, f.reports(s)); err != nil {
+		if _, err := f.est.Estimate(ctx, s.slot, f.reports(s)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,7 +279,7 @@ func BenchmarkFigF8SeedQuality(b *testing.B) {
 		b.Run(sel.Name(), func(b *testing.B) {
 			var benefit float64
 			for i := 0; i < b.N; i++ {
-				seeds, err := sel.Select(f.est.Problem(), k)
+				seeds, err := sel.Select(f.est.Shard(0).Problem(), k)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -293,7 +300,7 @@ func BenchmarkFigF9SeedSelection(b *testing.B) {
 		b.Run(sel.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sel.Select(f.est.Problem(), k); err != nil {
+				if _, err := sel.Select(f.est.Shard(0).Problem(), k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -304,6 +311,7 @@ func BenchmarkFigF9SeedSelection(b *testing.B) {
 // BenchmarkFigF10InferenceScaling regenerates Figure 10's axis: training and
 // estimation at two network scales.
 func BenchmarkFigF10InferenceScaling(b *testing.B) {
+	ctx := context.Background()
 	for _, sz := range []struct{ bx, by int }{{6, 5}, {10, 8}} {
 		cfg := dataset.DefaultConfig()
 		cfg.Net.BlocksX, cfg.Net.BlocksY = sz.bx, sz.by
@@ -314,16 +322,16 @@ func BenchmarkFigF10InferenceScaling(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("train/roads=%d", d.Net.NumRoads()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.New(d.Net, d.DB, core.DefaultOptions()); err != nil {
+				if _, err := core.NewView(d.Net, d.DB, core.DefaultOptions()); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		est, err := core.New(d.Net, d.DB, core.DefaultOptions())
+		est, err := core.NewView(d.Net, d.DB, core.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
-		seeds, err := est.SelectSeeds(d.Net.NumRoads() / 10)
+		seeds, err := est.SelectSeeds(ctx, d.Net.NumRoads()/10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -335,7 +343,7 @@ func BenchmarkFigF10InferenceScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("estimate/roads=%d", d.Net.NumRoads()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := est.Estimate(slot, reports); err != nil {
+				if _, err := est.Estimate(ctx, slot, reports); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -346,6 +354,7 @@ func BenchmarkFigF10InferenceScaling(b *testing.B) {
 // BenchmarkFigF11TrendEngines regenerates Figure 11's rows: each trend
 // engine inside a full estimation round, reporting trend accuracy.
 func BenchmarkFigF11TrendEngines(b *testing.B) {
+	ctx := context.Background()
 	f := getFixture(b)
 	engines := map[string]mrf.Engine{
 		"bp":    nil, // default engine
@@ -359,7 +368,7 @@ func BenchmarkFigF11TrendEngines(b *testing.B) {
 			reports := f.reports(s)
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				res, err := f.est.EstimateWith(s.slot, reports, core.EstimateOptions{Engine: eng})
+				res, err := f.est.EstimateWith(ctx, s.slot, reports, core.EstimateOptions{Engine: eng})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -383,6 +392,7 @@ func BenchmarkFigF11TrendEngines(b *testing.B) {
 
 // BenchmarkAblationA1Trends regenerates ablation A1: full vs trend-free.
 func BenchmarkAblationA1Trends(b *testing.B) {
+	ctx := context.Background()
 	f := getFixture(b)
 	for _, tc := range []struct {
 		name string
@@ -396,7 +406,7 @@ func BenchmarkAblationA1Trends(b *testing.B) {
 			reports := f.reports(s)
 			var lastMAE float64
 			for i := 0; i < b.N; i++ {
-				res, err := f.est.EstimateWith(s.slot, reports, tc.opts)
+				res, err := f.est.EstimateWith(ctx, s.slot, reports, tc.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -410,6 +420,7 @@ func BenchmarkAblationA1Trends(b *testing.B) {
 // BenchmarkAblationA2Hierarchy regenerates ablation A2: hierarchical vs
 // flat schedule.
 func BenchmarkAblationA2Hierarchy(b *testing.B) {
+	ctx := context.Background()
 	f := getFixture(b)
 	for _, tc := range []struct {
 		name string
@@ -422,7 +433,7 @@ func BenchmarkAblationA2Hierarchy(b *testing.B) {
 			s := f.snaps[0]
 			reports := f.reports(s)
 			for i := 0; i < b.N; i++ {
-				if _, err := f.est.EstimateWith(s.slot, reports, tc.opts); err != nil {
+				if _, err := f.est.EstimateWith(ctx, s.slot, reports, tc.opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -440,7 +451,7 @@ func BenchmarkAblationA3CorrGraph(b *testing.B) {
 			opts.Corr.MinAgreement = tau
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.New(f.d.Net, f.d.DB, opts); err != nil {
+				if _, err := core.NewView(f.d.Net, f.d.DB, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -469,6 +480,7 @@ func BenchmarkAblationA4Crowd(b *testing.B) {
 // crowd query, trend inference, speed inference — the latency that must fit
 // inside one time slot.
 func BenchmarkRealtimeLoop(b *testing.B) {
+	ctx := context.Background()
 	f := getFixture(b)
 	platform, err := crowd.New(crowd.DefaultConfig())
 	if err != nil {
@@ -482,7 +494,7 @@ func BenchmarkRealtimeLoop(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := f.est.EstimateFromCrowd(s.slot, reports); err != nil {
+		if _, err := f.est.EstimateFromCrowd(ctx, s.slot, reports); err != nil {
 			b.Fatal(err)
 		}
 	}

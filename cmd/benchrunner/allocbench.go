@@ -50,12 +50,13 @@ func runAllocGate(baselinePath string, update bool) *allocRecord {
 	cfg := dataset.DefaultConfig()
 	cfg.Net.BlocksX, cfg.Net.BlocksY = 8, 6
 	cfg.HistoryDays = 4
-	log.Printf("alloc gate: building dataset and model...")
+	log.Printf("alloc gate: building dataset and view...")
 	d, err := dataset.Build(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := core.New(d.Net, d.DB, core.DefaultOptions())
+	// The served round: a one-district view, as speedserver runs by default.
+	v, err := core.NewView(d.Net, d.DB, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,13 +69,13 @@ func runAllocGate(baselinePath string, update bool) *allocRecord {
 	// Warm-up rounds fill the BP buffer pool and any lazily grown state, so
 	// the measurement sees the steady serving state, not first-run setup.
 	for i := 0; i < 3; i++ {
-		if _, err := m.EstimateCtx(ctx, slot, seedSpeeds); err != nil {
+		if _, err := v.Estimate(ctx, slot, seedSpeeds); err != nil {
 			log.Fatal(err)
 		}
 	}
 	var roundErr error
 	allocs := testing.AllocsPerRun(allocGateRounds, func() {
-		if _, err := m.EstimateCtx(ctx, slot, seedSpeeds); err != nil {
+		if _, err := v.Estimate(ctx, slot, seedSpeeds); err != nil {
 			roundErr = err
 		}
 	})

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -121,6 +122,7 @@ func runEngineBench(fast bool) *engineBenchRecord {
 // estimate the same slot from the same seed reports over the same shard
 // plan, so the divergence columns isolate the engine swap.
 func runEngineScale(cfg dataset.Config, rounds int) engineScaleRecord {
+	ctx := context.Background()
 	log.Printf("engine bench: building %d×%d-block dataset...", cfg.Net.BlocksX, cfg.Net.BlocksY)
 	d, err := dataset.Build(cfg)
 	if err != nil {
@@ -155,13 +157,13 @@ func runEngineScale(cfg dataset.Config, rounds int) engineScaleRecord {
 		sc.StitchRounds = v.StitchRounds()
 		// Warm-up round first: buffer pools fill, so the measured rounds see
 		// the steady state the server serves from.
-		if _, err := v.Estimate(slot, seedSpeeds); err != nil {
+		if _, err := v.Estimate(ctx, slot, seedSpeeds); err != nil {
 			log.Fatalf("engine bench: estimate: %v", err)
 		}
 		before := mrf.MessageUpdatesTotal()
 		for i := 0; i < rounds; i++ {
 			t0 := time.Now()
-			if res, err = v.Estimate(slot, seedSpeeds); err != nil {
+			if res, err = v.Estimate(ctx, slot, seedSpeeds); err != nil {
 				log.Fatalf("engine bench: estimate: %v", err)
 			}
 			if e := time.Since(t0).Seconds(); secs == 0 || e < secs {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -21,11 +22,11 @@ type Context struct {
 	cities map[string]*city
 }
 
-// city bundles one dataset with its trained model.
+// city bundles one dataset with its trained one-district view.
 type city struct {
 	name string
 	d    *dataset.Dataset
-	est  *core.Model
+	est  *core.View
 }
 
 // NewContext returns an empty context; cities build on first use.
@@ -34,7 +35,7 @@ func NewContext(fast bool) *Context {
 }
 
 // modelVersion reports the version of the trained models behind the run for
-// the -json report. Every city trains through core.New so the versions
+// the -json report. Every city trains through core.NewView so the versions
 // agree; 0 means no executed experiment needed a model.
 func (c *Context) modelVersion() uint64 {
 	var v uint64
@@ -82,7 +83,7 @@ func (c *Context) City(name string) *city {
 		log.Fatal(err)
 	}
 	log.Printf("  training estimator over %d roads...", d.Net.NumRoads())
-	est, err := core.New(d.Net, d.DB, core.DefaultOptions())
+	est, err := core.NewView(d.Net, d.DB, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func (ct *city) seedsAt(frac float64) []roadnet.RoadID {
 	if k < 1 {
 		k = 1
 	}
-	seeds, err := ct.est.SelectSeeds(k)
+	seeds, err := ct.est.SelectSeeds(context.Background(), k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func scoreTrendSpeed(ct *city, seeds []roadnet.RoadID, window []snapshot, opts c
 	}
 	var acc eval.Accumulator
 	for _, snap := range window {
-		res, err := ct.est.EstimateWith(snap.slot, perfectReports(seeds, snap.truth), opts)
+		res, err := ct.est.EstimateWith(context.Background(), snap.slot, perfectReports(seeds, snap.truth), opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -184,7 +185,7 @@ func runT1(ctx *Context) []*eval.Table {
 		tab.AddRowf(name+"-City",
 			ct.d.Net.NumRoads(), ct.d.Net.NumNodes(),
 			fmt.Sprintf("%.0f", ct.d.Net.TotalLength()/1000),
-			ct.est.Graph().NumEdges(), days,
+			ct.est.Shard(0).Graph().NumEdges(), days,
 			ct.d.DB.ObservationCount(),
 			fmt.Sprintf("%.0f%%", ct.d.DB.Coverage(10)*100))
 	}
@@ -274,7 +275,7 @@ func runF7(ctx *Context) []*eval.Table {
 				snap = snapshot{slot: slot, truth: cp}
 			}
 		}
-		res, err := ct.est.Estimate(snap.slot, perfectReports(seeds, snap.truth))
+		res, err := ct.est.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -318,11 +319,11 @@ func runF8(ctx *Context) []*eval.Table {
 	tab := eval.NewTable(fmt.Sprintf("T-City: seed quality at K = %d (benefit and downstream MAE)", k),
 		"selector", "benefit", "MAE (m/s)", "MAPE")
 	for _, sel := range selectors {
-		seeds, err := sel.Select(ct.est.Problem(), k)
+		seeds, err := sel.Select(ct.est.Shard(0).Problem(), k)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := ct.est.Prepare(seeds); err != nil {
+		if err := ct.est.Prepare(context.Background(), seeds); err != nil {
 			log.Fatal(err)
 		}
 		m := scoreTrendSpeed(ct, seeds, window, core.EstimateOptions{})
@@ -330,14 +331,14 @@ func runF8(ctx *Context) []*eval.Table {
 			m.MAE, fmt.Sprintf("%.1f%%", m.MAPE*100))
 	}
 	// Restore the default prepared seeds for later experiments.
-	if err := ct.est.Prepare(mustSelect(ct, k)); err != nil {
+	if err := ct.est.Prepare(context.Background(), mustSelect(ct, k)); err != nil {
 		log.Fatal(err)
 	}
 	return []*eval.Table{tab}
 }
 
 func mustSelect(ct *city, k int) []roadnet.RoadID {
-	seeds, err := seedsel.Lazy{}.Select(ct.est.Problem(), k)
+	seeds, err := seedsel.Lazy{}.Select(ct.est.Shard(0).Problem(), k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func runF9(ctx *Context) []*eval.Table {
 		}
 		timeIt := func(sel seedsel.Selector) (time.Duration, []roadnet.RoadID) {
 			t0 := time.Now()
-			seeds, err := sel.Select(ct.est.Problem(), k)
+			seeds, err := sel.Select(ct.est.Shard(0).Problem(), k)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -412,13 +413,13 @@ func runF10(ctx *Context) []*eval.Table {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		est, err := core.New(d.Net, d.DB, core.DefaultOptions())
+		est, err := core.NewView(d.Net, d.DB, core.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}
 		trainT := time.Since(t0)
 		t0 = time.Now()
-		seeds, err := est.SelectSeeds(d.Net.NumRoads() / 10)
+		seeds, err := est.SelectSeeds(context.Background(), d.Net.NumRoads()/10)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -428,7 +429,7 @@ func runF10(ctx *Context) []*eval.Table {
 		t0 = time.Now()
 		const rounds = 5
 		for i := 0; i < rounds; i++ {
-			if _, err := est.Estimate(slot, reports); err != nil {
+			if _, err := est.Estimate(context.Background(), slot, reports); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -459,7 +460,7 @@ func runF11(ctx *Context) []*eval.Table {
 		}
 		var sysOK, histOK, total int
 		for _, snap := range window {
-			res, err := ct.est.Estimate(snap.slot, perfectReports(seeds, snap.truth))
+			res, err := ct.est.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -516,7 +517,7 @@ func trendAccuracy(ct *city, seeds []roadnet.RoadID, window []snapshot) float64 
 	}
 	var ok, total int
 	for _, snap := range window {
-		res, err := ct.est.Estimate(snap.slot, perfectReports(seeds, snap.truth))
+		res, err := ct.est.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -566,11 +567,11 @@ func runA3(ctx *Context) []*eval.Table {
 	for _, tau := range taus {
 		opts := core.DefaultOptions()
 		opts.Corr.MinAgreement = tau
-		est, err := core.New(ct.d.Net, ct.d.DB, opts)
+		est, err := core.NewView(ct.d.Net, ct.d.DB, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		seeds, err := est.SelectSeeds(ct.d.Net.NumRoads() / 10)
+		seeds, err := est.SelectSeeds(context.Background(), ct.d.Net.NumRoads()/10)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -580,15 +581,15 @@ func runA3(ctx *Context) []*eval.Table {
 		}
 		var acc eval.Accumulator
 		for _, snap := range window {
-			res, err := est.Estimate(snap.slot, perfectReports(seeds, snap.truth))
+			res, err := est.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
 			if err != nil {
 				log.Fatal(err)
 			}
 			acc.AddSlice(res.Speeds, snap.truth, exclude)
 		}
 		m := acc.Metrics()
-		tab.AddRowf(fmt.Sprintf("%.2f", tau), est.Graph().NumEdges(),
-			fmt.Sprintf("%.1f", est.Graph().MeanDegree()), m.MAE)
+		tab.AddRowf(fmt.Sprintf("%.2f", tau), est.Shard(0).Graph().NumEdges(),
+			fmt.Sprintf("%.1f", est.Shard(0).Graph().MeanDegree()), m.MAE)
 	}
 	return []*eval.Table{tab}
 }
@@ -632,7 +633,7 @@ func runA4(ctx *Context) []*eval.Table {
 			}
 			answers += stats.Answers
 			queries += stats.Queries
-			res, err := ct.est.EstimateFromCrowd(snap.slot, reports)
+			res, err := ct.est.EstimateFromCrowd(context.Background(), snap.slot, reports)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -671,7 +672,7 @@ func runE1(ctx *Context) []*eval.Table {
 		seedShare[ct.d.Net.Road(s).Class]++
 	}
 	for _, snap := range window {
-		res, err := ct.est.Estimate(snap.slot, perfectReports(seeds, snap.truth))
+		res, err := ct.est.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -725,18 +726,18 @@ func runE2(ctx *Context) []*eval.Table {
 	tab := eval.NewTable("T-City: spending a money budget — cost-aware vs count-based lazy greedy",
 		"budget", "cost-aware seeds", "cost-aware MAE", "count-based seeds", "count-based MAE")
 	for _, budget := range []float64{100, 250, 500} {
-		ca, err := (seedsel.CostAware{Costs: costs, Budget: budget}).Select(ct.est.Problem(), n)
+		ca, err := (seedsel.CostAware{Costs: costs, Budget: budget}).Select(ct.est.Shard(0).Problem(), n)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := ct.est.Prepare(ca); err != nil {
+		if err := ct.est.Prepare(context.Background(), ca); err != nil {
 			log.Fatal(err)
 		}
 		caM := scoreTrendSpeed(ct, ca, window, core.EstimateOptions{})
 
 		// Count-based: pick seeds by plain lazy greedy until the same money
 		// runs out.
-		all, err := (seedsel.Lazy{}).Select(ct.est.Problem(), n/2)
+		all, err := (seedsel.Lazy{}).Select(ct.est.Shard(0).Problem(), n/2)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -752,14 +753,14 @@ func runE2(ctx *Context) []*eval.Table {
 		if len(cb) == 0 {
 			continue
 		}
-		if err := ct.est.Prepare(cb); err != nil {
+		if err := ct.est.Prepare(context.Background(), cb); err != nil {
 			log.Fatal(err)
 		}
 		cbM := scoreTrendSpeed(ct, cb, window, core.EstimateOptions{})
 		tab.AddRowf(fmt.Sprintf("%.0f", budget), len(ca), caM.MAE, len(cb), cbM.MAE)
 	}
 	// Restore a standard prepared seed set.
-	if err := ct.est.Prepare(mustSelect(ct, n/10)); err != nil {
+	if err := ct.est.Prepare(context.Background(), mustSelect(ct, n/10)); err != nil {
 		log.Fatal(err)
 	}
 	return []*eval.Table{tab}

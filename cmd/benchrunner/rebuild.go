@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -48,6 +49,7 @@ const (
 // beyond the equivalence bounds; the speedup is recorded, not gated, so CI
 // stays immune to shared-runner timing noise.
 func runRebuildBench(fast bool) *rebuildRecord {
+	ctx := context.Background()
 	cfg := dataset.DefaultConfig()
 	cfg.Net.BlocksX, cfg.Net.BlocksY = 14, 12
 	cfg.HistoryDays = 7
@@ -91,12 +93,11 @@ func runRebuildBench(fast bool) *rebuildRecord {
 	if dirtyRoads < 3 {
 		dirtyRoads = 3
 	}
-	delta := func(m *core.Model) []core.Observation {
-		db := m.DB()
+	delta := func(v *core.View) []core.Observation {
 		out := make([]core.Observation, 0, 3*dirtyRoads)
 		for r := 0; r < dirtyRoads; r++ {
 			id := roadnet.RoadID(r)
-			speed, ok := db.Mean(id, slot)
+			speed, ok := v.RoadMean(id, slot)
 			if !ok || speed <= 0 {
 				speed = 8.0
 			}
@@ -120,14 +121,15 @@ func runRebuildBench(fast bool) *rebuildRecord {
 		// An estimate before the rebuild gives the incremental store
 		// converged beliefs to warm-start its successor from — the serving
 		// pattern the delta path is built for.
-		if _, err := st.Estimate(slot, seedSpeeds); err != nil {
+		v := st.View()
+		if _, err := v.Estimate(ctx, slot, seedSpeeds); err != nil {
 			log.Fatal(err)
 		}
-		if _, err := st.Ingest(delta(st.Model())...); err != nil {
+		if _, err := st.Ingest(delta(v)...); err != nil {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		m, err := st.Rebuild()
+		m, err := st.Rebuild(ctx)
 		elapsed := time.Since(t0).Seconds()
 		if err != nil {
 			log.Fatal(err)
@@ -148,18 +150,18 @@ func runRebuildBench(fast bool) *rebuildRecord {
 		}
 		log.Printf("rebuild bench: round %d/%d incremental %.3fs, full %.3fs", i+1, rounds, inc, full)
 	}
-	rec.IncrementalMode = stInc.Model().RebuildMode()
+	rec.IncrementalMode = stInc.View().RebuildMode()
 	if rec.IncrementalSeconds > 0 {
 		rec.Speedup = rec.FullSeconds / rec.IncrementalSeconds
 	}
 
 	// Equivalence gate: both stores folded in the same observation stream,
 	// so their final models must agree within the property-test bounds.
-	resInc, err := stInc.Estimate(slot, seedSpeeds)
+	resInc, err := stInc.View().Estimate(ctx, slot, seedSpeeds)
 	if err != nil {
 		log.Fatal(err)
 	}
-	resFull, err := stFull.Estimate(slot, seedSpeeds)
+	resFull, err := stFull.View().Estimate(ctx, slot, seedSpeeds)
 	if err != nil {
 		log.Fatal(err)
 	}

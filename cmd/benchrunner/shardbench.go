@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -151,6 +152,7 @@ func runShardBench(fast bool, counts []int) *shardBenchRecord {
 // configuration estimates the same slot from the same seed reports, so the
 // divergence columns compare like with like.
 func runShardScale(cfg dataset.Config, counts []int, rounds int) shardScaleRecord {
+	ctx := context.Background()
 	log.Printf("shard bench: building %d×%d-block dataset...", cfg.Net.BlocksX, cfg.Net.BlocksY)
 	d, err := dataset.Build(cfg)
 	if err != nil {
@@ -188,12 +190,12 @@ func runShardScale(cfg dataset.Config, counts []int, rounds int) shardScaleRecor
 
 		// Warm-up round first: the serving steady state BP warm-starts from.
 		var res *core.Estimate
-		if res, err = st.Estimate(slot, seedSpeeds); err != nil {
+		if res, err = v.Estimate(ctx, slot, seedSpeeds); err != nil {
 			log.Fatalf("shard bench: K=%d estimate: %v", k, err)
 		}
 		for i := 0; i < rounds; i++ {
 			t0 = time.Now()
-			if res, err = st.Estimate(slot, seedSpeeds); err != nil {
+			if res, err = v.Estimate(ctx, slot, seedSpeeds); err != nil {
 				log.Fatalf("shard bench: K=%d estimate: %v", k, err)
 			}
 			if e := time.Since(t0).Seconds(); c.EstimateSeconds == 0 || e < c.EstimateSeconds {
@@ -239,7 +241,7 @@ func runShardScale(cfg dataset.Config, counts []int, rounds int) shardScaleRecor
 			log.Fatalf("shard bench: K=%d ingest: %v", k, err)
 		}
 		t0 = time.Now()
-		if _, err := st.Rebuild(); err != nil {
+		if _, err := st.Rebuild(ctx); err != nil {
 			log.Fatalf("shard bench: K=%d rebuild: %v", k, err)
 		}
 		c.LocalizedRebuildSeconds = time.Since(t0).Seconds()

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -28,6 +29,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	log.SetPrefix("trafficest: ")
 
@@ -64,18 +66,18 @@ func main() {
 
 	log.Printf("training estimator over %d roads...", d.Net.NumRoads())
 	t0 := time.Now()
-	est, err := core.New(d.Net, d.DB, core.DefaultOptions())
+	est, err := core.NewView(d.Net, d.DB, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("trained in %v (%d correlation edges)", time.Since(t0).Round(time.Millisecond), est.Graph().NumEdges())
+	log.Printf("trained in %v (%d correlation edges)", time.Since(t0).Round(time.Millisecond), est.Shard(0).Graph().NumEdges())
 
 	k := int(*budget * float64(d.Net.NumRoads()))
 	if k < 1 {
 		k = 1
 	}
 	t0 = time.Now()
-	seeds, err := est.SelectSeeds(k)
+	seeds, err := est.SelectSeeds(ctx, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func main() {
 		}
 		platform.Accumulate(stats)
 		t0 = time.Now()
-		res, err := est.EstimateFromCrowd(slot, reports)
+		res, err := est.EstimateFromCrowd(ctx, slot, reports)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -154,8 +156,9 @@ func main() {
 // there is no ground truth, so it reports seed selection and one estimation
 // round's summary statistics instead of accuracy.
 func runPersisted(dir string, budget float64) {
+	ctx := context.Background()
 	net, db := loadDataset(dir)
-	est, err := core.New(net, db, core.DefaultOptions())
+	est, err := core.NewView(net, db, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func runPersisted(dir string, budget float64) {
 	if k < 1 {
 		k = 1
 	}
-	seeds, err := est.SelectSeeds(k)
+	seeds, err := est.SelectSeeds(ctx, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -177,7 +180,7 @@ func runPersisted(dir string, budget float64) {
 			seedSpeeds[s] = m
 		}
 	}
-	res, err := est.Estimate(slot, seedSpeeds)
+	res, err := est.Estimate(ctx, slot, seedSpeeds)
 	if err != nil {
 		log.Fatal(err)
 	}

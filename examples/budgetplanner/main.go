@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	d, err := speedest.BuildDataset(speedest.DefaultDatasetConfig())
@@ -54,7 +56,7 @@ func main() {
 		if k < 1 {
 			k = 1
 		}
-		seeds, err := est.SelectSeeds(k)
+		seeds, err := est.SelectSeeds(ctx, k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -74,7 +76,7 @@ func main() {
 				log.Fatal(err)
 			}
 			cost += stats.Cost
-			res, err := est.EstimateFromCrowd(snap.slot, reports)
+			res, err := est.EstimateFromCrowd(ctx, snap.slot, reports)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,6 +28,7 @@ const incidentRel = 0.6
 var alertRels = []float64{0.60, 0.65, 0.70, 0.75}
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	cfg := speedest.DefaultDatasetConfig()
@@ -39,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seeds, err := est.SelectSeeds(d.Net.NumRoads() / 10)
+	seeds, err := est.SelectSeeds(ctx, d.Net.NumRoads()/10)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func main() {
 		for _, s := range seeds {
 			seedSpeeds[s] = truth[s]
 		}
-		res, err := est.Estimate(slot, seedSpeeds)
+		res, err := est.Estimate(ctx, slot, seedSpeeds)
 		if err != nil {
 			log.Fatal(err)
 		}

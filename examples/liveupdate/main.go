@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	// 1. Dataset + initial model, published as version 1 of a Store.
@@ -40,7 +42,7 @@ func main() {
 
 	// 2. Seed selection and a crowd round on version 1.
 	k := d.Net.NumRoads() / 10
-	seeds, err := st.SelectSeeds(k)
+	seeds, err := st.SelectSeeds(ctx, st.View(), k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := st.EstimateFromCrowd(slot, reports)
+	res, err := st.View().EstimateFromCrowd(ctx, slot, reports)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func main() {
 
 	// 4. Rebuild: retrains off to the side and hot-swaps. Rounds issued
 	//    meanwhile would keep resolving v1 until the swap lands.
-	if _, err := st.Rebuild(); err != nil {
+	if _, err := st.Rebuild(ctx); err != nil {
 		log.Fatal(err)
 	}
 
@@ -84,7 +86,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2, err := st.EstimateFromCrowd(slot2, reports2)
+	res2, err := st.View().EstimateFromCrowd(ctx, slot2, reports2)
 	if err != nil {
 		log.Fatal(err)
 	}

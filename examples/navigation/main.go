@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -25,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	d, err := speedest.BuildDataset(speedest.DefaultDatasetConfig())
@@ -35,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seeds, err := est.SelectSeeds(d.Net.NumRoads() / 10)
+	seeds, err := est.SelectSeeds(ctx, d.Net.NumRoads()/10)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 		for _, s := range seeds {
 			seedSpeeds[s] = truth[s]
 		}
-		res, err := est.Estimate(slot, seedSpeeds)
+		res, err := est.Estimate(ctx, slot, seedSpeeds)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	// 1. A benchmark dataset: ~900 road segments, 14 days of history.
@@ -33,12 +35,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("correlation graph: %d edges (mean degree %.1f)\n",
-		est.Graph().NumEdges(), est.Graph().MeanDegree())
+	g := est.Shard(0).Graph()
+	fmt.Printf("correlation graph: %d edges (mean degree %.1f)\n", g.NumEdges(), g.MeanDegree())
 
 	// 3. Pick a crowdsourcing budget: 10%% of roads become seeds.
 	k := d.Net.NumRoads() / 10
-	seeds, err := est.SelectSeeds(k)
+	seeds, err := est.SelectSeeds(ctx, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func main() {
 	fmt.Printf("crowd: %d answers from %d queries (cost %.0f)\n",
 		stats.Answers, stats.Queries, stats.Cost)
 
-	res, err := est.EstimateFromCrowd(slot, reports)
+	res, err := est.EstimateFromCrowd(ctx, slot, reports)
 	if err != nil {
 		log.Fatal(err)
 	}

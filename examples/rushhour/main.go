@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -21,6 +22,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	cfg := speedest.DefaultDatasetConfig()
@@ -33,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seeds, err := est.SelectSeeds(d.Net.NumRoads() / 10)
+	seeds, err := est.SelectSeeds(ctx, d.Net.NumRoads()/10)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func main() {
 		for _, s := range seeds {
 			seedSpeeds[s] = truth[s]
 		}
-		res, err := est.Estimate(slot, seedSpeeds)
+		res, err := est.Estimate(ctx, slot, seedSpeeds)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -297,12 +297,7 @@ var (
 			"HTTP requests served, by route pattern and status class.",
 			"route", route, "class", class)
 	}
-	httpLatency = func(route string) *obs.Histogram {
-		return obs.Default().Histogram("trendspeed_http_request_duration_seconds",
-			"HTTP request latency by route pattern.",
-			obs.DefBuckets, "route", route)
-	}
-	httpLatencyHDR = func(route string) *obs.HDRHistogram {
+	httpLatency = func(route string) *obs.HDRHistogram {
 		return obs.Default().HDRHistogram("trendspeed_http_request_duration_hdr_seconds",
 			"HTTP request latency by route pattern, HDR-bucketed for tail quantiles.",
 			"route", route)
@@ -376,7 +371,7 @@ func validRequestID(id string) bool {
 	return true
 }
 
-// instrument wraps a handler with the request counter, latency histograms
+// instrument wraps a handler with the request counter, latency histogram
 // and in-flight gauge, and threads the request correlation ID through: the
 // ID is echoed in the X-Request-Id response header, carried in the request
 // context (so spans and s.log records pick it up), and attached to the
@@ -413,7 +408,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			elapsed := time.Since(start).Seconds()
 			httpInFlight.Dec()
 			httpLatency(route).Observe(elapsed)
-			httpLatencyHDR(route).Observe(elapsed)
 			httpRequests(route, statusClass(sw.status)).Inc()
 			level := slog.LevelDebug
 			switch {
@@ -720,7 +714,7 @@ func (s *Server) seedsFor(ctx context.Context, v *core.View, k int) ([]roadnet.R
 	s.mu.Unlock()
 
 	seedCacheMisses.Inc()
-	c.seeds, c.err = s.store.SelectSeedsOnCtx(ctx, v, k)
+	c.seeds, c.err = s.store.SelectSeeds(ctx, v, k)
 	if s.onSeedSelected != nil {
 		s.onSeedSelected()
 	}
@@ -861,7 +855,7 @@ type roadEstimate struct {
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	res, ok := s.runEstimate(w, r)
+	res, ok := s.runEstimate(w, r, s.store.View())
 	if !ok {
 		return
 	}
@@ -885,9 +879,12 @@ type estimateResult struct {
 	seeded int
 }
 
-// runEstimate parses an estimateRequest and runs the round, writing the
-// error response itself on failure.
-func (s *Server) runEstimate(w http.ResponseWriter, r *http.Request) (estimateResult, bool) {
+// runEstimate parses an estimateRequest and runs the round on view v, writing
+// the error response itself on failure. Callers resolve v once per request
+// (one atomic load), so the whole round — and the model_version it reports,
+// and anything else the handler reads from v — is coherent even when a
+// rebuild swaps mid-request.
+func (s *Server) runEstimate(w http.ResponseWriter, r *http.Request, v *core.View) (estimateResult, bool) {
 	var req estimateRequest
 	if !decodeStrict(w, r, maxEstimateBody, &req) {
 		return estimateResult{}, false
@@ -906,11 +903,9 @@ func (s *Server) runEstimate(w http.ResponseWriter, r *http.Request) (estimateRe
 		}
 		seedSpeeds[rep.Road] = rep.Speed
 	}
-	// EstimateCtx resolves the published model with one atomic load, so the
-	// whole round — and the model_version it reports — is coherent even when
-	// a rebuild swaps mid-request; the request context cancels BP rounds the
-	// moment the client disconnects or the deadline set by gated expires.
-	res, err := s.store.EstimateCtx(r.Context(), req.Slot, seedSpeeds)
+	// The request context cancels BP rounds the moment the client
+	// disconnects or the deadline set by gated expires.
+	res, err := v.Estimate(r.Context(), req.Slot, seedSpeeds)
 	if err != nil {
 		status := estimateStatus(err)
 		if status == http.StatusServiceUnavailable {
@@ -1002,12 +997,13 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		}
 		width = v
 	}
-	res, ok := s.runEstimate(w, r)
+	view := s.store.View()
+	res, ok := s.runEstimate(w, r, view)
 	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, render.SpeedMap(s.store.View().Net(), res.Rels, width))
+	_, _ = io.WriteString(w, render.SpeedMap(view.Net(), res.Rels, width))
 	_, _ = io.WriteString(w, render.Legend()+"\n")
 }

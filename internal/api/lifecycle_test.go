@@ -125,7 +125,7 @@ func TestRebuildBumpsVersionAcrossAPI(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/observations", obsReq, nil); code != http.StatusAccepted {
 		t.Fatalf("observations status %d", code)
 	}
-	if _, err := st.Rebuild(); err != nil {
+	if _, err := st.Rebuild(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -189,7 +189,7 @@ func TestSeedCacheVersioned(t *testing.T) {
 	if _, err := st.Ingest(core.Observation{Road: roadnet.RoadID(1), Slot: d.Slot(), Speed: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Rebuild(); err != nil {
+	if _, err := st.Rebuild(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	m2 := st.View()

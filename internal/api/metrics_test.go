@@ -36,7 +36,14 @@ func TestMetricsReflectEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The middleware updates the metrics in a deferred block after the
+	// handler body; a large response is already streaming by then, so only
+	// reading it to EOF orders the assertions after the update.
+	_, err = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("estimate status %d", resp.StatusCode)
 	}
@@ -70,13 +77,12 @@ func TestMetricsReflectEstimate(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		`trendspeed_http_requests_total{class="2xx",route="/v1/estimate"}`,
-		`trendspeed_http_request_duration_seconds_bucket{route="/v1/estimate",le="+Inf"}`,
 		"trendspeed_http_in_flight",
 		"# TYPE trendspeed_bp_iterations histogram",
 		"trendspeed_bp_iterations_count",
 		`trendspeed_core_stage_duration_seconds_count{stage="corr_build"}`,
-		`trendspeed_core_estimate_duration_seconds_count{phase="trend"}`,
-		`trendspeed_core_estimate_duration_seconds_count{phase="speed"}`,
+		`trendspeed_core_estimate_duration_hdr_seconds_count{phase="trend"}`,
+		`trendspeed_core_estimate_duration_hdr_seconds_count{phase="speed"}`,
 		"trendspeed_core_estimate_rounds_total",
 		"trendspeed_seedsel_reevaluations_total",
 		// HDR families render as Prometheus summaries with tail quantiles.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -69,7 +70,14 @@ func TestRequestIDCorrelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	// The middleware logs the request in a deferred block after the handler
+	// body; a large response is already streaming by then, so only reading
+	// it to EOF orders the log assertions after the write.
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("estimate status = %d", resp.StatusCode)
 	}

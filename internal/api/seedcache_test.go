@@ -23,7 +23,7 @@ func TestSeedCacheNoStaleReinsertAfterSwap(t *testing.T) {
 	srv.onSeedSelected = func() {
 		// The rebuild lands exactly in the window between the selection
 		// finishing and its result being considered for the cache.
-		if _, err := st.Rebuild(); err != nil {
+		if _, err := st.Rebuild(context.Background()); err != nil {
 			t.Errorf("rebuild during selection: %v", err)
 		}
 		swapped = true
@@ -74,7 +74,7 @@ func TestSeedCacheSwapRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			if _, err := st.Rebuild(); err != nil {
+			if _, err := st.Rebuild(context.Background()); err != nil {
 				t.Errorf("rebuild %d: %v", i, err)
 				return
 			}

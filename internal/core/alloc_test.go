@@ -44,13 +44,13 @@ func BenchmarkEstimate(b *testing.B) {
 		seedSpeeds[roadnet.RoadID(r)] = truth[roadnet.RoadID(r)]
 	}
 	ctx := context.Background()
-	if _, err := est.EstimateCtx(ctx, slot, seedSpeeds); err != nil {
+	if _, err := est.Estimate(ctx, slot, seedSpeeds); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateCtx(ctx, slot, seedSpeeds); err != nil {
+		if _, err := est.Estimate(ctx, slot, seedSpeeds); err != nil {
 			b.Fatal(err)
 		}
 	}

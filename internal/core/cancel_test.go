@@ -49,7 +49,7 @@ func TestEstimateCtxCancelPromptReturn(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := st.EstimateWithCtx(ctx, d.Slot(), nil, EstimateOptions{Engine: eng})
+		res, err := st.View().EstimateWith(ctx, d.Slot(), nil, EstimateOptions{Engine: eng})
 		done <- outcome{res, err}
 	}()
 
@@ -93,7 +93,7 @@ func TestEstimateCtxDeadlineCountsCanceled(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := st.EstimateWithCtx(ctx, d.Slot(), nil, EstimateOptions{Engine: eng})
+	_, err := st.View().EstimateWith(ctx, d.Slot(), nil, EstimateOptions{Engine: eng})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -111,15 +111,15 @@ func TestRebuildCtxCancelled(t *testing.T) {
 	if _, err := st.Ingest(Observation{Road: 0, Slot: d.Slot(), Speed: 9.5}); err != nil {
 		t.Fatal(err)
 	}
-	v0 := st.Model().Version()
+	v0 := st.View().Version()
 	buffered0 := st.BufferedObservations()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := st.RebuildCtx(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := st.Rebuild(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RebuildCtx = %v, want context.Canceled", err)
 	}
-	if got := st.Model().Version(); got != v0 {
+	if got := st.View().Version(); got != v0 {
 		t.Errorf("model version changed %d → %d despite aborted rebuild", v0, got)
 	}
 	if got := st.BufferedObservations(); got != buffered0 {
@@ -128,7 +128,7 @@ func TestRebuildCtxCancelled(t *testing.T) {
 	// The store stays serviceable: a fresh rebuild with a live context works.
 	// Version numbers are allocated at publish, so the aborted attempt
 	// consumed nothing and the follow-up lands at exactly v0+1.
-	m, err := st.RebuildCtx(context.Background())
+	m, err := st.Rebuild(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRebuildCtxCancelled(t *testing.T) {
 func TestCloseCancelsStoreLifetime(t *testing.T) {
 	_, st := buildStore(t)
 	st.Close()
-	if _, err := st.RebuildCtx(context.Background()); err == nil {
+	if _, err := st.Rebuild(context.Background()); err == nil {
 		t.Fatal("RebuildCtx succeeded on a closed store")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -14,6 +15,7 @@ import (
 // Estimate and asserts each is rejected as invalid input (so the API layer
 // can map it to a 400 rather than a 500).
 func TestEstimateSeedSpeedValidation(t *testing.T) {
+	ctx := context.Background()
 	d, est := buildEstimator(t)
 	cases := []struct {
 		name  string
@@ -27,7 +29,7 @@ func TestEstimateSeedSpeedValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := est.Estimate(d.Slot(), map[roadnet.RoadID]float64{0: tc.speed})
+			_, err := est.Estimate(ctx, d.Slot(), map[roadnet.RoadID]float64{0: tc.speed})
 			if err == nil {
 				t.Fatalf("seed speed %v accepted", tc.speed)
 			}
@@ -37,12 +39,12 @@ func TestEstimateSeedSpeedValidation(t *testing.T) {
 		})
 	}
 	// Out-of-range seed roads are the caller's fault too.
-	_, err := est.Estimate(d.Slot(), map[roadnet.RoadID]float64{roadnet.RoadID(d.Net.NumRoads()): 5})
+	_, err := est.Estimate(ctx, d.Slot(), map[roadnet.RoadID]float64{roadnet.RoadID(d.Net.NumRoads()): 5})
 	if !errors.Is(err, ErrInvalidInput) {
 		t.Errorf("out-of-range seed: error %v is not ErrInvalidInput", err)
 	}
 	// A valid round must not be tainted by the sentinel.
-	if _, err := est.Estimate(d.Slot(), map[roadnet.RoadID]float64{0: 12}); err != nil {
+	if _, err := est.Estimate(ctx, d.Slot(), map[roadnet.RoadID]float64{0: 12}); err != nil {
 		t.Fatalf("valid round failed: %v", err)
 	}
 }
@@ -56,6 +58,7 @@ func TestEstimateSeedSpeedValidation(t *testing.T) {
 // window is a few instructions wide, and the incidental synchronisation in
 // the metrics layer hides it from the detector at low interleaving pressure.
 func TestConcurrentPrepareEstimate(t *testing.T) {
+	ctx := context.Background()
 	cfg := dataset.DefaultConfig()
 	cfg.Net.BlocksX, cfg.Net.BlocksY = 5, 4
 	cfg.HistoryDays = 4
@@ -63,12 +66,12 @@ func TestConcurrentPrepareEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := New(d.Net, d.DB, DefaultOptions())
+	est, err := NewView(d.Net, d.DB, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := d.Net.NumRoads()
-	setA, err := est.SelectSeeds(n / 10)
+	setA, err := est.SelectSeeds(ctx, n/10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestConcurrentPrepareEstimate(t *testing.T) {
 		defer wg.Done()
 		sets := [2][]roadnet.RoadID{setA, setB}
 		for i := 0; i < 40; i++ {
-			if err := est.Prepare(sets[i%2]); err != nil {
+			if err := est.Prepare(ctx, sets[i%2]); err != nil {
 				t.Errorf("Prepare: %v", err)
 				return
 			}
@@ -100,7 +103,7 @@ func TestConcurrentPrepareEstimate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := est.Estimate(slot, seedSpeeds); err != nil {
+				if _, err := est.Estimate(ctx, slot, seedSpeeds); err != nil {
 					t.Errorf("Estimate: %v", err)
 					return
 				}

@@ -1,21 +1,25 @@
 // Package core assembles the paper's complete system, called TrendSpeed in
 // this reproduction, as a versioned model lifecycle:
 //
-//   - Model (model.go) is one immutable training artifact: given a road
-//     network and a historical speed database, New builds the
-//     trend-correlation graph (internal/corr), trains the hierarchical
-//     linear model (internal/hlm), prepares the seed-selection problem
-//     (internal/seedsel) and the trend topology (internal/mrf), stamping
-//     the result with a version and build metadata.
-//   - Store (store.go) is the thin serving handle: it publishes the current
-//     Model through an atomic pointer, buffers crowd observations via
-//     Ingest, and rebuilds + hot-swaps successor model versions in the
-//     background without ever blocking an estimation round.
+//   - Model (model.go) is one immutable training artifact: the
+//     trend-correlation graph (internal/corr), the hierarchical linear model
+//     (internal/hlm), the seed-selection problem (internal/seedsel) and the
+//     trend topology (internal/mrf) trained on one road network and
+//     historical speed database, stamped with a version and build metadata,
+//     plus the phase methods an estimation round drives.
+//   - View (view.go) is one published generation: the district plan and one
+//     Model per district (a single Model when unsharded). NewView builds
+//     one, and View.Estimate runs the estimation round, the only code that
+//     sequences the phases.
+//   - Store (store.go) is the lifecycle handle: it publishes the current
+//     View through an atomic pointer, buffers crowd observations via Ingest,
+//     remembers the last selected seed set, and rebuilds + hot-swaps
+//     successor districts in the background without ever blocking a round.
 //
 // The real-time loop is SelectSeeds(K) → crowdsource the seeds' speeds →
 // Estimate(slot, seedSpeeds) → network-wide speeds, where Estimate runs the
 // two-step trend→speed inference (internal/mrf + internal/hlm). Every round
-// resolves exactly one model version at entry and reports it in its result.
+// resolves exactly one view version at entry and reports it in its result.
 package core
 
 import (
@@ -43,17 +47,11 @@ var (
 			"Offline build stage wall time: corr_build, hlm_train, seedsel_prepare, trend_topology, seed_specialize; incremental rebuilds run corr_rescore and hlm_retrain instead of the full stages.",
 			obs.DefBuckets, "stage", stage)
 	}
-	estimateSeconds = func(phase string) *obs.Histogram {
-		return obs.Default().Histogram("trendspeed_core_estimate_duration_seconds",
-			"Estimation round wall time split by phase: pre_pass, trend, speed, total.",
-			obs.DefBuckets, "phase", phase)
-	}
-	// estimateHDRSeconds shadows estimateSeconds with ~1% relative error up
-	// to p99.9; the fixed buckets stay for dashboard continuity, the HDR
-	// family is what SLO gates and loadgen comparisons read.
-	estimateHDRSeconds = func(phase string) *obs.HDRHistogram {
+	// estimateSeconds is HDR-bucketed (~1% relative error up to p99.9), so
+	// SLO gates and loadgen comparisons read tail quantiles from it directly.
+	estimateSeconds = func(phase string) *obs.HDRHistogram {
 		return obs.Default().HDRHistogram("trendspeed_core_estimate_duration_hdr_seconds",
-			"Estimation round wall time split by phase, HDR-bucketed for tail quantiles.",
+			"Estimation round wall time split by phase (pre_pass, trend, speed, total), HDR-bucketed for tail quantiles.",
 			"phase", phase)
 	}
 	estimateRounds = obs.Default().Counter("trendspeed_core_estimate_rounds_total",
@@ -83,9 +81,7 @@ func timePhase(ctx context.Context, phase string, fn func() error) error {
 	}
 	_, sp := obs.StartSpan(ctx, phase)
 	err := fn()
-	d := sp.End().Seconds()
-	estimateSeconds(phase).Observe(d)
-	estimateHDRSeconds(phase).Observe(d)
+	estimateSeconds(phase).Observe(sp.End().Seconds())
 	return err
 }
 
@@ -94,7 +90,7 @@ func timePhase(ctx context.Context, phase string, fn func() error) error {
 // embedding in benchmark reports comparable with cmd/loadgen output. Keys
 // are "p50", "p90", "p99", "p99.9"; all zero until the first round runs.
 func EstimateLatencyQuantiles() map[string]float64 {
-	snap := estimateHDRSeconds("total").Snapshot()
+	snap := estimateSeconds("total").Snapshot()
 	return map[string]float64{
 		"p50":   snap.Quantile(0.5),
 		"p90":   snap.Quantile(0.9),

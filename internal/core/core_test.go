@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 	"repro/internal/roadnet"
 )
 
-func buildEstimator(t testing.TB) (*dataset.Dataset, *Model) {
+func buildEstimator(t testing.TB) (*dataset.Dataset, *View) {
 	t.Helper()
 	cfg := dataset.DefaultConfig()
 	cfg.Net.BlocksX, cfg.Net.BlocksY = 8, 7
@@ -22,7 +23,7 @@ func buildEstimator(t testing.TB) (*dataset.Dataset, *Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := New(d.Net, d.DB, DefaultOptions())
+	est, err := NewView(d.Net, d.DB, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,42 +32,44 @@ func buildEstimator(t testing.TB) (*dataset.Dataset, *Model) {
 
 func TestNewValidation(t *testing.T) {
 	d, _ := buildEstimator(t)
-	if _, err := New(nil, d.DB, DefaultOptions()); err == nil {
+	if _, err := NewView(nil, d.DB, DefaultOptions()); err == nil {
 		t.Error("nil network accepted")
 	}
-	if _, err := New(d.Net, nil, DefaultOptions()); err == nil {
+	if _, err := NewView(d.Net, nil, DefaultOptions()); err == nil {
 		t.Error("nil history accepted")
 	}
 	bad := DefaultOptions()
 	bad.Corr.MaxHops = 0
-	if _, err := New(d.Net, d.DB, bad); err == nil {
+	if _, err := NewView(d.Net, d.DB, bad); err == nil {
 		t.Error("invalid corr config accepted")
 	}
 }
 
 func TestAccessors(t *testing.T) {
-	d, est := buildEstimator(t)
-	if est.Net() != d.Net || est.DB() != d.DB {
+	d, v := buildEstimator(t)
+	est := v.Shard(0)
+	if v.Net() != d.Net || est.Net() != d.Net || est.DB() != d.DB {
 		t.Error("accessors wrong")
 	}
 	if est.Graph() == nil || est.HLM() == nil || est.Problem() == nil {
 		t.Error("nil components")
 	}
-	if est.Version() != 1 {
-		t.Errorf("standalone model version = %d, want 1", est.Version())
+	if v.Version() != 1 || est.Version() != 1 {
+		t.Errorf("fresh view version = %d, model version = %d, want 1 and 1", v.Version(), est.Version())
 	}
-	if est.ObservationCount() != d.DB.ObservationCount() {
-		t.Errorf("observation count = %d, want %d", est.ObservationCount(), d.DB.ObservationCount())
+	if v.ObservationCount() != d.DB.ObservationCount() {
+		t.Errorf("observation count = %d, want %d", v.ObservationCount(), d.DB.ObservationCount())
 	}
-	if est.BuiltAt().IsZero() {
+	if v.BuiltAt().IsZero() {
 		t.Error("BuiltAt is zero")
 	}
 }
 
 func TestSelectSeeds(t *testing.T) {
+	ctx := context.Background()
 	_, est := buildEstimator(t)
 	k := 20
-	seeds, err := est.SelectSeeds(k)
+	seeds, err := est.SelectSeeds(ctx, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestSelectSeeds(t *testing.T) {
 // randomSelector picks k pseudo-random distinct roads for comparison.
 type randomSelector struct{ seed int64 }
 
-func (rs randomSelector) selectIDs(e *Model, k int) ([]roadnet.RoadID, error) {
+func (rs randomSelector) selectIDs(e *View, k int) ([]roadnet.RoadID, error) {
 	n := e.Net().NumRoads()
 	out := make([]roadnet.RoadID, 0, k)
 	step := n/k + 1
@@ -100,18 +103,20 @@ func (rs randomSelector) selectIDs(e *Model, k int) ([]roadnet.RoadID, error) {
 }
 
 func TestEstimateValidation(t *testing.T) {
+	ctx := context.Background()
 	d, est := buildEstimator(t)
-	if _, err := est.Estimate(d.Slot(), map[roadnet.RoadID]float64{roadnet.RoadID(d.Net.NumRoads()): 5}); err == nil {
+	if _, err := est.Estimate(ctx, d.Slot(), map[roadnet.RoadID]float64{roadnet.RoadID(d.Net.NumRoads()): 5}); err == nil {
 		t.Error("out-of-range seed accepted")
 	}
-	if _, err := est.Estimate(d.Slot(), map[roadnet.RoadID]float64{0: -1}); err == nil {
+	if _, err := est.Estimate(ctx, d.Slot(), map[roadnet.RoadID]float64{0: -1}); err == nil {
 		t.Error("negative seed speed accepted")
 	}
 }
 
 func TestEstimateShapes(t *testing.T) {
+	ctx := context.Background()
 	d, est := buildEstimator(t)
-	seeds, err := est.SelectSeeds(15)
+	seeds, err := est.SelectSeeds(ctx, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +125,7 @@ func TestEstimateShapes(t *testing.T) {
 	for _, s := range seeds {
 		seedSpeeds[s] = truth[s]
 	}
-	res, err := est.Estimate(slot, seedSpeeds)
+	res, err := est.Estimate(ctx, slot, seedSpeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +156,13 @@ func TestEstimateShapes(t *testing.T) {
 }
 
 func TestEstimateBeatsStaticAndKNN(t *testing.T) {
+	ctx := context.Background()
 	// The headline claim, scaled down: with 10% seeds over several slots,
 	// TrendSpeed's MAE must beat static and KNN baselines.
 	d, est := buildEstimator(t)
 	n := d.Net.NumRoads()
 	k := n / 10
-	seeds, err := est.SelectSeeds(k)
+	seeds, err := est.SelectSeeds(ctx, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +175,7 @@ func TestEstimateBeatsStaticAndKNN(t *testing.T) {
 			seedSpeeds[s] = truth[s]
 			exclude[s] = true
 		}
-		res, err := est.Estimate(slot, seedSpeeds)
+		res, err := est.Estimate(ctx, slot, seedSpeeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,9 +205,10 @@ func TestEstimateBeatsStaticAndKNN(t *testing.T) {
 }
 
 func TestTrendInferenceBeatsPriorOnly(t *testing.T) {
+	ctx := context.Background()
 	d, est := buildEstimator(t)
 	n := d.Net.NumRoads()
-	seeds, err := est.SelectSeeds(n / 10)
+	seeds, err := est.SelectSeeds(ctx, n/10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +224,11 @@ func TestTrendInferenceBeatsPriorOnly(t *testing.T) {
 		trueUp, okTrend := eval.TrueTrends(truth, func(r roadnet.RoadID) (float64, bool) {
 			return d.DB.Mean(r, slot)
 		})
-		resBP, err := est.Estimate(slot, seedSpeeds)
+		resBP, err := est.Estimate(ctx, slot, seedSpeeds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resPrior, err := est.EstimateWith(slot, seedSpeeds, EstimateOptions{Engine: mrf.PriorOnly{}})
+		resPrior, err := est.EstimateWith(ctx, slot, seedSpeeds, EstimateOptions{Engine: mrf.PriorOnly{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,11 +268,12 @@ func TestTrendInferenceBeatsPriorOnly(t *testing.T) {
 }
 
 func TestHierarchyAblation(t *testing.T) {
+	ctx := context.Background()
 	// Hierarchical propagation should not lose to flat mode over several
 	// slots (it usually wins; allow a tiny tolerance for noise).
 	d, est := buildEstimator(t)
 	n := d.Net.NumRoads()
-	seeds, err := est.SelectSeeds(n / 8)
+	seeds, err := est.SelectSeeds(ctx, n/8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +286,11 @@ func TestHierarchyAblation(t *testing.T) {
 			seedSpeeds[s] = truth[s]
 			exclude[s] = true
 		}
-		h, err := est.Estimate(slot, seedSpeeds)
+		h, err := est.Estimate(ctx, slot, seedSpeeds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := est.EstimateWith(slot, seedSpeeds, EstimateOptions{FlatHLM: true})
+		f, err := est.EstimateWith(ctx, slot, seedSpeeds, EstimateOptions{FlatHLM: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,8 +305,9 @@ func TestHierarchyAblation(t *testing.T) {
 }
 
 func TestEstimateFromCrowd(t *testing.T) {
+	ctx := context.Background()
 	d, est := buildEstimator(t)
-	seeds, err := est.SelectSeeds(12)
+	seeds, err := est.SelectSeeds(ctx, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +323,7 @@ func TestEstimateFromCrowd(t *testing.T) {
 	if stats.Queries == 0 {
 		t.Fatal("no crowd queries issued")
 	}
-	res, err := est.EstimateFromCrowd(slot, reports)
+	res, err := est.EstimateFromCrowd(ctx, slot, reports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,18 +333,19 @@ func TestEstimateFromCrowd(t *testing.T) {
 }
 
 func TestEstimatorDeterminism(t *testing.T) {
+	ctx := context.Background()
 	d, est := buildEstimator(t)
-	seeds, _ := est.SelectSeeds(10)
+	seeds, _ := est.SelectSeeds(ctx, 10)
 	slot, truth := d.NextTruth()
 	seedSpeeds := map[roadnet.RoadID]float64{}
 	for _, s := range seeds {
 		seedSpeeds[s] = truth[s]
 	}
-	a, err := est.Estimate(slot, seedSpeeds)
+	a, err := est.Estimate(ctx, slot, seedSpeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := est.Estimate(slot, seedSpeeds)
+	b, err := est.Estimate(ctx, slot, seedSpeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,10 +357,11 @@ func TestEstimatorDeterminism(t *testing.T) {
 }
 
 func TestTrendFreeOption(t *testing.T) {
+	ctx := context.Background()
 	d, est := buildEstimator(t)
 	slot, truth := d.NextTruth()
 	seedSpeeds := map[roadnet.RoadID]float64{0: truth[0], 40: truth[40]}
-	res, err := est.EstimateWith(slot, seedSpeeds, EstimateOptions{TrendFree: true})
+	res, err := est.EstimateWith(ctx, slot, seedSpeeds, EstimateOptions{TrendFree: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,8 +383,9 @@ func TestTrendFreeOption(t *testing.T) {
 }
 
 func TestNoSeedModelOption(t *testing.T) {
+	ctx := context.Background()
 	d, est := buildEstimator(t)
-	seeds, err := est.SelectSeeds(20)
+	seeds, err := est.SelectSeeds(ctx, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,11 +394,11 @@ func TestNoSeedModelOption(t *testing.T) {
 	for _, s := range seeds {
 		seedSpeeds[s] = truth[s]
 	}
-	with, err := est.Estimate(slot, seedSpeeds)
+	with, err := est.Estimate(ctx, slot, seedSpeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := est.EstimateWith(slot, seedSpeeds, EstimateOptions{NoSeedModel: true})
+	without, err := est.EstimateWith(ctx, slot, seedSpeeds, EstimateOptions{NoSeedModel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,11 +414,12 @@ func TestNoSeedModelOption(t *testing.T) {
 }
 
 func TestEstimateWithNoSeeds(t *testing.T) {
+	ctx := context.Background()
 	// An empty crowd round (every worker silent) must still produce a
 	// usable, history-driven estimate.
 	d, est := buildEstimator(t)
 	slot, _ := d.NextTruth()
-	res, err := est.Estimate(slot, nil)
+	res, err := est.Estimate(ctx, slot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +432,7 @@ func TestEstimateWithNoSeeds(t *testing.T) {
 	if nonzero < d.Net.NumRoads()*9/10 {
 		t.Errorf("only %d roads estimated with no seeds", nonzero)
 	}
-	res2, err := est.EstimateFromCrowd(slot, nil)
+	res2, err := est.EstimateFromCrowd(ctx, slot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,9 +442,10 @@ func TestEstimateWithNoSeeds(t *testing.T) {
 }
 
 func TestPrepareWithExplicitSeeds(t *testing.T) {
+	ctx := context.Background()
 	d, est := buildEstimator(t)
 	seeds := []roadnet.RoadID{1, 5, 9, 13, 17, 21}
-	if err := est.Prepare(seeds); err != nil {
+	if err := est.Prepare(ctx, seeds); err != nil {
 		t.Fatal(err)
 	}
 	slot, truth := d.NextTruth()
@@ -439,10 +453,10 @@ func TestPrepareWithExplicitSeeds(t *testing.T) {
 	for _, s := range seeds {
 		seedSpeeds[s] = truth[s]
 	}
-	if _, err := est.Estimate(slot, seedSpeeds); err != nil {
+	if _, err := est.Estimate(ctx, slot, seedSpeeds); err != nil {
 		t.Fatal(err)
 	}
-	if err := est.Prepare([]roadnet.RoadID{roadnet.RoadID(d.Net.NumRoads() + 1)}); err == nil {
+	if err := est.Prepare(ctx, []roadnet.RoadID{roadnet.RoadID(d.Net.NumRoads() + 1)}); err == nil {
 		t.Error("out-of-range seed accepted by Prepare")
 	}
 }

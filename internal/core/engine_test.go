@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/mrf"
@@ -16,23 +17,24 @@ func mustFastBPEngine(t *testing.T) mrf.Engine {
 }
 
 // TestFastBPEngineWithinBoundK1 is the system-level half of the FastBP
-// acceptance gate: on an unsharded city model, a round inferred with the
+// acceptance gate: on a one-district view, a round inferred with the
 // residual-scheduled engine must land within the serving bounds — 0.05 m/s
 // of speed and 0.01 of trend marginal — of the Jacobi reference round.
 func TestFastBPEngineWithinBoundK1(t *testing.T) {
+	ctx := context.Background()
 	d := buildViewDataset(t)
 	slot, truth := d.NextTruth()
 	seeds := spreadSeeds(d, truth, 10)
 
-	m, err := New(d.Net, d.DB, DefaultOptions())
+	v, err := NewView(d.Net, d.DB, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.Estimate(slot, seeds)
+	want, err := v.Estimate(ctx, slot, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.EstimateWith(slot, seeds, EstimateOptions{Engine: mustFastBPEngine(t)})
+	got, err := v.EstimateWith(ctx, slot, seeds, EstimateOptions{Engine: mustFastBPEngine(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +63,7 @@ func TestFastBPEngineWithinBoundK1(t *testing.T) {
 // engine-swap divergence must stay within the same bounds, district
 // boundaries included.
 func TestFastBPEngineWithinBoundK4Sharded(t *testing.T) {
+	ctx := context.Background()
 	d := buildViewDataset(t)
 	slot, truth := d.NextTruth()
 	seeds := spreadSeeds(d, truth, 8)
@@ -72,11 +75,11 @@ func TestFastBPEngineWithinBoundK4Sharded(t *testing.T) {
 	if !v.Sharded() || v.NumShards() != 4 {
 		t.Fatalf("expected a 4-district view, got %d districts", v.NumShards())
 	}
-	want, err := v.Estimate(slot, seeds)
+	want, err := v.Estimate(ctx, slot, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.EstimateWith(slot, seeds, EstimateOptions{Engine: mustFastBPEngine(t)})
+	got, err := v.EstimateWith(ctx, slot, seeds, EstimateOptions{Engine: mustFastBPEngine(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +105,7 @@ func TestFastBPEngineWithinBoundK4Sharded(t *testing.T) {
 // TestEngineOptionConstruction: Options.Engine built through the factory
 // replaces the default engine for every round of the model's life.
 func TestEngineOptionConstruction(t *testing.T) {
+	ctx := context.Background()
 	d := buildViewDataset(t)
 	slot, truth := d.NextTruth()
 	seeds := spreadSeeds(d, truth, 10)
@@ -112,20 +116,20 @@ func TestEngineOptionConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Engine = eng
-	m, err := New(d.Net, d.DB, opts)
+	v, err := NewView(d.Net, d.DB, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOpts, err := m.Estimate(slot, seeds)
+	viaOpts, err := v.Estimate(ctx, slot, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ref, err := New(d.Net, d.DB, DefaultOptions())
+	ref, err := NewView(d.Net, d.DB, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOverride, err := ref.EstimateWith(slot, seeds, EstimateOptions{Engine: eng})
+	viaOverride, err := ref.EstimateWith(ctx, slot, seeds, EstimateOptions{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}

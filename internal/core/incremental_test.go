@@ -87,6 +87,7 @@ func firstRoads(n int) []roadnet.RoadID {
 // changing float summation order) and the stale group-level predictors on
 // roads hlm.Retrain copied verbatim.
 func TestStoreIncrementalMatchesFull(t *testing.T) {
+	ctx := context.Background()
 	d, stInc, stFull := buildTwinStores(t)
 	stInc.Start(StoreConfig{IncrementalMaxDirtyFrac: 0.25}) // no triggers: records config only
 	defer stInc.Close()
@@ -101,11 +102,11 @@ func TestStoreIncrementalMatchesFull(t *testing.T) {
 	// Run one round on the incremental store before the rebuild so the
 	// predecessor has converged beliefs to hand to its successor: the rebuild
 	// below exercises the warm-start path, not just the topology patch.
-	if _, err := stInc.Estimate(slot, seedSpeeds); err != nil {
+	if _, err := stInc.View().Estimate(ctx, slot, seedSpeeds); err != nil {
 		t.Fatal(err)
 	}
 
-	delta := atMeanDelta(stInc.Model(), slot, firstRoads(5), 3)
+	delta := atMeanDelta(stInc.View().Shard(0), slot, firstRoads(5), 3)
 	if len(delta) == 0 {
 		t.Fatal("no road has a usable mean at the test slot")
 	}
@@ -115,11 +116,11 @@ func TestStoreIncrementalMatchesFull(t *testing.T) {
 	if _, err := stFull.Ingest(delta...); err != nil {
 		t.Fatal(err)
 	}
-	mInc, err := stInc.Rebuild()
+	mInc, err := stInc.Rebuild(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mFull, err := stFull.Rebuild()
+	mFull, err := stFull.Rebuild(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +158,11 @@ func TestStoreIncrementalMatchesFull(t *testing.T) {
 	}
 
 	// Estimates on the successors must agree within the equivalence bound.
-	resInc, err := mInc.Estimate(slot, seedSpeeds)
+	resInc, err := mInc.Estimate(ctx, slot, seedSpeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resFull, err := mFull.Estimate(slot, seedSpeeds)
+	resFull, err := mFull.Estimate(ctx, slot, seedSpeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +195,14 @@ func absDiff(a, b float64) float64 {
 // configured threshold falls back to a full rebuild, and a zero threshold
 // disables the delta path entirely.
 func TestStoreIncrementalDisabledByFraction(t *testing.T) {
+	ctx := context.Background()
 	d, st := buildStore(t)
 	st.Start(StoreConfig{IncrementalMaxDirtyFrac: 1e-9}) // threshold below any real delta
 	defer st.Close()
 	if _, err := st.Ingest(deltaObservations(d)...); err != nil {
 		t.Fatal(err)
 	}
-	m, err := st.Rebuild()
+	m, err := st.Rebuild(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +240,10 @@ func TestStoreLoopRetriesAfterFailedRebuild(t *testing.T) {
 	// No further Ingest and no timer: only the loop's post-rebuild re-check
 	// can recover from the injected failure.
 	deadline := time.Now().Add(30 * time.Second)
-	for st.Model().Version() < 2 {
+	for st.View().Version() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("observations stranded after failed rebuild: version still %d, %d buffered, %d attempts",
-				st.Model().Version(), st.BufferedObservations(), fails.Load())
+				st.View().Version(), st.BufferedObservations(), fails.Load())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -258,6 +260,7 @@ func TestStoreLoopRetriesAfterFailedRebuild(t *testing.T) {
 // never skip. Before the fix the stamp was taken before the build, leaving a
 // gap for every failed attempt.
 func TestStoreVersionContinuityAcrossFailedRebuild(t *testing.T) {
+	ctx := context.Background()
 	d, st := buildStore(t)
 	if _, err := st.Ingest(Observation{Road: 0, Slot: d.Slot(), Speed: 9}); err != nil {
 		t.Fatal(err)
@@ -265,16 +268,16 @@ func TestStoreVersionContinuityAcrossFailedRebuild(t *testing.T) {
 	st.mu.Lock()
 	st.failRebuild = func() error { return errors.New("injected rebuild failure") }
 	st.mu.Unlock()
-	if _, err := st.Rebuild(); err == nil {
+	if _, err := st.Rebuild(ctx); err == nil {
 		t.Fatal("rebuild succeeded despite injected failure")
 	}
-	if got := st.Model().Version(); got != 1 {
+	if got := st.View().Version(); got != 1 {
 		t.Fatalf("failed rebuild changed the published version to %d", got)
 	}
 	st.mu.Lock()
 	st.failRebuild = nil
 	st.mu.Unlock()
-	m, err := st.Rebuild()
+	m, err := st.Rebuild(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +293,7 @@ func TestStoreVersionContinuityAcrossFailedRebuild(t *testing.T) {
 // rebuild snapshots its pending prefix, so observations ingested inside it
 // are exactly the unconsumed remainder at publish time.
 func TestStoreRebuildReleasesConsumedBuffer(t *testing.T) {
+	ctx := context.Background()
 	d, st := buildStore(t)
 	slot := d.Slot()
 	big := make([]Observation, 2048)
@@ -309,7 +313,7 @@ func TestStoreRebuildReleasesConsumedBuffer(t *testing.T) {
 		return err
 	}
 	st.mu.Unlock()
-	if _, err := st.Rebuild(); err != nil {
+	if _, err := st.Rebuild(ctx); err != nil {
 		t.Fatal(err)
 	}
 	st.mu.Lock()
@@ -323,7 +327,7 @@ func TestStoreRebuildReleasesConsumedBuffer(t *testing.T) {
 		t.Errorf("buffer cap = %d for %d observations: the consumed prefix's backing array is still pinned", gotCap, gotLen)
 	}
 	// Fully consumed buffer drops to nil so even the remainder's array goes.
-	if _, err := st.Rebuild(); err != nil {
+	if _, err := st.Rebuild(ctx); err != nil {
 		t.Fatal(err)
 	}
 	st.mu.Lock()
@@ -341,10 +345,11 @@ func TestStoreRebuildReleasesConsumedBuffer(t *testing.T) {
 // ~10% of roads, under the 25% threshold), and rounds must overlap at least
 // one swap.
 func TestStoreIncrementalZeroDowntimeSwap(t *testing.T) {
+	ctx := context.Background()
 	d, st := buildStore(t)
 	st.Start(StoreConfig{IncrementalMaxDirtyFrac: 0.25})
 	defer st.Close()
-	seeds, err := st.SelectSeeds(d.Net.NumRoads() / 10)
+	seeds, err := st.SelectSeeds(ctx, st.View(), d.Net.NumRoads()/10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +386,7 @@ func TestStoreIncrementalZeroDowntimeSwap(t *testing.T) {
 		for i := 0; i < rebuilds; i++ {
 			// At-mean observations keep the correlation graph's shape, so
 			// every cycle stays on the incremental path (see atMeanDelta).
-			obsBatch := atMeanDelta(st.Model(), slot, seeds, 2)
+			obsBatch := atMeanDelta(st.View().Shard(0), slot, seeds, 2)
 			if len(obsBatch) == 0 {
 				t.Error("no seed road has a usable mean at the test slot")
 				return
@@ -390,7 +395,7 @@ func TestStoreIncrementalZeroDowntimeSwap(t *testing.T) {
 				t.Errorf("Ingest: %v", err)
 				return
 			}
-			if _, err := st.Rebuild(); err != nil {
+			if _, err := st.Rebuild(ctx); err != nil {
 				t.Errorf("Rebuild %d: %v", i, err)
 				return
 			}
@@ -408,9 +413,9 @@ func TestStoreIncrementalZeroDowntimeSwap(t *testing.T) {
 					default:
 					}
 				}
-				res, err := st.EstimateCtx(context.Background(), slot, seedSpeeds)
+				res, err := st.View().Estimate(context.Background(), slot, seedSpeeds)
 				if err != nil {
-					t.Errorf("EstimateCtx: %v", err)
+					t.Errorf("Estimate: %v", err)
 					return
 				}
 				v := res.ModelVersion
@@ -428,7 +433,7 @@ func TestStoreIncrementalZeroDowntimeSwap(t *testing.T) {
 	if got := roundsDone.Load(); got < workers*roundsPerWork {
 		t.Fatalf("only %d/%d rounds completed", got, workers*roundsPerWork)
 	}
-	if final := st.Model().Version(); final != uint64(1+rebuilds) {
+	if final := st.View().Version(); final != uint64(1+rebuilds) {
 		t.Fatalf("final version %d, want %d", final, 1+rebuilds)
 	}
 	var distinct int

@@ -2,15 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/corr"
-	"repro/internal/crowd"
 	"repro/internal/geo"
 	"repro/internal/history"
 	"repro/internal/hlm"
@@ -24,9 +21,9 @@ import (
 // graph, the hierarchical linear model, the seed-selection problem and the
 // trend topology, all derived from the history snapshot the model was
 // trained on, stamped with a monotonically increasing version and build
-// metadata. Everything built by New is immutable, so Estimate calls may run
-// concurrently with each other — and with a Store swapping in a successor
-// model, since a round in flight keeps the *Model it resolved at entry.
+// metadata. Everything build produces is immutable, so estimation rounds may
+// run concurrently with each other — and with a Store swapping in a successor
+// model, since a round in flight keeps the View it resolved at entry.
 //
 // The one piece of mutable state is the seed-conditional specialization
 // retrained by Prepare/SelectSeeds. It is published as an immutable snapshot
@@ -60,7 +57,7 @@ type Model struct {
 
 	// seedModel is the snapshot of the model specialised to the last
 	// Prepare'd seed set; nil until Prepare (or SelectSeeds) runs. Rounds
-	// load it once at entry (see estimateWith).
+	// load it once at entry (see View.estimateWith).
 	seedModel atomic.Pointer[hlm.SeedModel]
 	special   hlm.SpecializeConfig
 
@@ -72,7 +69,7 @@ type Model struct {
 	// warm is the BP belief snapshot inherited from the predecessor at an
 	// incremental rebuild; nil for full builds. It is fixed for the model's
 	// lifetime — every trend inference on this model sees the same warm
-	// input — so repeated identical Estimate calls stay bit-identical.
+	// input — so repeated identical rounds stay bit-identical.
 	warm *mrf.Beliefs
 	// lastBeliefs is the converged belief state of the most recent trend
 	// inference round on this model; the successor minted by an incremental
@@ -81,19 +78,12 @@ type Model struct {
 	lastBeliefs atomic.Pointer[mrf.Beliefs]
 }
 
-// New builds the correlation graph, trains the HLM and prepares seed
-// selection, returning a version-1 model. This is the expensive offline
-// phase; Estimate calls are cheap. Deployments that want to keep the model
-// fresh wrap it in a Store (NewStore), which rebuilds successor versions
-// from ingested observations and hot-swaps them.
-func New(net *roadnet.Network, db *history.DB, opts Options) (*Model, error) {
-	//lint:ignore ctxflow New is the documented ctx-less offline constructor; Store rebuilds pass their lifetime ctx through build directly
-	return build(context.Background(), net, db, opts, 1)
-}
-
-// build is New with an explicit version stamp and a context; the Store uses
-// it to mint successor models under its lifetime context, so Close aborts an
-// in-flight rebuild at the next stage boundary (via timeStage's ctx check).
+// build builds the correlation graph, trains the HLM and prepares seed
+// selection and the trend topology, returning a model stamped with version.
+// This is the expensive offline phase; rounds are cheap. NewView calls it per
+// district, and the Store mints successor models with it under its lifetime
+// context, so Close aborts an in-flight rebuild at the next stage boundary
+// (via timeStage's ctx check).
 func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Options, version uint64) (*Model, error) {
 	if net == nil || db == nil {
 		return nil, fmt.Errorf("core: network and history are required")
@@ -180,8 +170,8 @@ func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Optio
 	}, nil
 }
 
-// Version returns the model's monotonically increasing version stamp.
-// Standalone models built by New are version 1; a Store mints successors.
+// Version returns the model's monotonically increasing version stamp: 1 for
+// a freshly built view's districts; a Store mints successors.
 func (m *Model) Version() uint64 { return m.version }
 
 // BuiltAt returns the wall-clock time training started.
@@ -214,17 +204,12 @@ func (m *Model) HLM() *hlm.Model { return m.hlm }
 func (m *Model) Problem() *seedsel.Problem { return m.problem }
 
 // SelectSeeds chooses k seed roads with the configured selector and
-// prepares the seed-conditional inference model for them.
-func (m *Model) SelectSeeds(k int) ([]roadnet.RoadID, error) {
-	return m.SelectSeedsCtx(context.Background(), k)
-}
-
-// SelectSeedsCtx is SelectSeeds bounded by ctx: selectors implementing
-// seedsel.ContextSelector stop between marginal-gain evaluations once ctx is
-// cancelled, and the seed-conditional specialization is skipped entirely.
-// Plain selectors run to completion; ctx is still honoured at the stage
-// boundaries around them.
-func (m *Model) SelectSeedsCtx(ctx context.Context, k int) ([]roadnet.RoadID, error) {
+// prepares the seed-conditional inference model for them. Selectors
+// implementing seedsel.ContextSelector stop between marginal-gain
+// evaluations once ctx is cancelled, and the seed-conditional specialization
+// is skipped entirely. Plain selectors run to completion; ctx is still
+// honoured at the stage boundaries around them.
+func (m *Model) SelectSeeds(ctx context.Context, k int) ([]roadnet.RoadID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -238,30 +223,25 @@ func (m *Model) SelectSeedsCtx(ctx context.Context, k int) ([]roadnet.RoadID, er
 	if err != nil {
 		return nil, err
 	}
-	if err := m.PrepareCtx(ctx, seeds); err != nil {
+	if err := m.Prepare(ctx, seeds); err != nil {
 		return nil, err
 	}
 	return seeds, nil
 }
 
 // Prepare trains the seed-conditional regressions for a fixed seed set (the
-// online deployment step after seed selection). Estimate calls made before
-// Prepare — or with a seed set disjoint from the prepared one — use the
-// generic propagation model.
+// online deployment step after seed selection). Rounds run before Prepare —
+// or with a seed set disjoint from the prepared one — use the generic
+// propagation model.
 //
-// Prepare is safe to call while Estimate rounds are in flight: the new
-// specialization is trained entirely off to the side and published
-// atomically; rounds already running keep the snapshot they loaded at entry.
-// Concurrent Prepare calls are individually safe and last-write-wins,
-// matching the "model of the last Prepare'd seed set" contract.
-func (m *Model) Prepare(seeds []roadnet.RoadID) error {
-	return m.PrepareCtx(context.Background(), seeds)
-}
-
-// PrepareCtx is Prepare bounded by ctx, checked at the specialization stage
-// boundary. A cancelled Prepare publishes nothing: the previous snapshot
-// stays live.
-func (m *Model) PrepareCtx(ctx context.Context, seeds []roadnet.RoadID) error {
+// Prepare is safe to call while rounds are in flight: the new specialization
+// is trained entirely off to the side and published atomically; rounds
+// already running keep the snapshot they loaded at entry. Concurrent Prepare
+// calls are individually safe and last-write-wins, matching the "model of the
+// last Prepare'd seed set" contract. ctx is checked at the specialization
+// stage boundary; a cancelled Prepare publishes nothing, so the previous
+// snapshot stays live.
+func (m *Model) Prepare(ctx context.Context, seeds []roadnet.RoadID) error {
 	for _, s := range seeds {
 		if int(s) < 0 || int(s) >= m.net.NumRoads() {
 			return fmt.Errorf("core: seed road %d out of range [0,%d): %w", s, m.net.NumRoads(), ErrInvalidInput)
@@ -339,147 +319,6 @@ func (m *Model) SeedBenefit(seeds []roadnet.RoadID) float64 {
 	return m.problem.Benefit(seeds)
 }
 
-// Estimate is the result of one estimation round.
-type Estimate struct {
-	// Slot the estimate is for.
-	Slot int
-	// ModelVersion is the version of the exact model the round resolved at
-	// entry and ran on; under a Store it identifies which published model
-	// produced the estimate.
-	ModelVersion uint64
-	// Speeds holds per-road speed estimates in m/s; 0 means the road has no
-	// history and cannot be estimated.
-	Speeds []float64
-	// Rels holds the relative-speed estimates behind Speeds.
-	Rels []float64
-	// TrendUp holds the inferred trend per road.
-	TrendUp []bool
-	// PUp holds the trend marginals from the graphical model.
-	PUp []float64
-}
-
-// EstimateOptions tweak a single estimation round (ablations).
-type EstimateOptions struct {
-	// FlatHLM disables the hierarchical schedule (ablation A2).
-	FlatHLM bool
-	// TrendFree disables the trend step entirely: no graphical model, and
-	// every regression uses its trend-agnostic variant (ablation A1 — the
-	// paper's core "from trends to speeds" claim is the gap this opens).
-	TrendFree bool
-	// NoSeedModel disables the seed-conditional regressions, leaving only
-	// the generic propagation model (ablation A2: the value of the
-	// hierarchy's seed level).
-	NoSeedModel bool
-	// Engine overrides the trend engine for this call only.
-	Engine mrf.Engine
-}
-
-// Estimate runs the two-step inference for one slot given crowdsourced seed
-// speeds (absolute, m/s). Seeds with no historical mean are ignored — their
-// relative speed is undefined.
-func (m *Model) Estimate(slot int, seedSpeeds map[roadnet.RoadID]float64) (*Estimate, error) {
-	return m.EstimateCtx(context.Background(), slot, seedSpeeds)
-}
-
-// EstimateCtx is Estimate bounded by ctx: cancellation or deadline expiry is
-// observed between phases and between BP message rounds inside the trend
-// phase, aborting the round with an error satisfying errors.Is against the
-// context's error. Serving layers thread each request's context here so a
-// disconnected client stops paying for inference it will never read.
-func (m *Model) EstimateCtx(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64) (*Estimate, error) {
-	return m.EstimateWithCtx(ctx, slot, seedSpeeds, EstimateOptions{})
-}
-
-// EstimateWith is Estimate with per-call overrides.
-func (m *Model) EstimateWith(slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
-	return m.EstimateWithCtx(context.Background(), slot, seedSpeeds, opts)
-}
-
-// EstimateWithCtx is EstimateCtx with per-call overrides. The round span
-// nests under any span already on ctx and is ended on every path, including
-// cancellation.
-func (m *Model) EstimateWithCtx(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
-	ctx, roundSpan := obs.StartSpan(ctx, "core.estimate")
-	out, err := m.estimateWith(ctx, slot, seedSpeeds, opts)
-	roundSeconds := roundSpan.End().Seconds()
-	estimateSeconds("total").Observe(roundSeconds)
-	estimateHDRSeconds("total").Observe(roundSeconds)
-	if err == nil {
-		estimateRounds.Inc()
-	} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		estimateCanceled.Inc()
-	}
-	return out, err
-}
-
-// estimateWith is the uninstrumented round body; ctx carries the round span
-// so the per-phase spans nest under it. The seed-model snapshot is loaded
-// exactly once here and threaded through both regression passes, so a
-// concurrent Prepare cannot hand one round two different models.
-//
-// The body is a straight composition of the phase methods below; the sharded
-// pipeline (View.estimateWith) runs the same phases per district model with a
-// boundary-stitching exchange spliced between inferTrends rounds, so any
-// change to a phase's semantics must hold for both callers.
-func (m *Model) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
-	seedModel := m.seedModel.Load()
-	if err := validateSeedSpeeds(m.net.NumRoads(), seedSpeeds); err != nil {
-		return nil, err
-	}
-	seedRels := m.seedRels(slot, seedSpeeds)
-
-	if opts.TrendFree {
-		rels, err := m.trendFreeRels(ctx, slot, seedRels, seedModel, opts)
-		if err != nil {
-			return nil, err
-		}
-		pUp, trendUp := trendFreeTrends(rels)
-		return &Estimate{
-			Slot: slot, ModelVersion: m.version,
-			Speeds: hlm.SpeedsOf(m.db, slot, rels), Rels: rels,
-			TrendUp: trendUp, PUp: pUp,
-		}, nil
-	}
-
-	preRels, err := m.prePass(ctx, slot, seedRels, seedModel, opts.NoSeedModel)
-	if err != nil {
-		return nil, err
-	}
-	priors := m.trendPriors(slot, seedRels)
-	trends, err := m.inferTrends(ctx, priors, opts.Engine, m.warm)
-	if err != nil {
-		return nil, err
-	}
-	pUp, trendUp := m.fuseTrends(trends.PUp, preRels, seedRels)
-	rels, err := m.speedRels(ctx, slot, seedRels, trendUp, pUp, seedModel, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Estimate{
-		Slot:         slot,
-		ModelVersion: m.version,
-		Speeds:       hlm.SpeedsOf(m.db, slot, rels),
-		Rels:         rels,
-		TrendUp:      trendUp,
-		PUp:          pUp,
-	}, nil
-}
-
-// validateSeedSpeeds rejects out-of-range roads and unusable speeds up front.
-// Non-finite speeds must be rejected here: a single +Inf seed would otherwise
-// poison Rels/Speeds network-wide through the regressions.
-func validateSeedSpeeds(n int, seedSpeeds map[roadnet.RoadID]float64) error {
-	for road, speed := range seedSpeeds {
-		if int(road) < 0 || int(road) >= n {
-			return fmt.Errorf("core: seed road %d out of range: %w", road, ErrInvalidInput)
-		}
-		if speed <= 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
-			return fmt.Errorf("core: invalid seed speed %v on road %d: %w", speed, road, ErrInvalidInput)
-		}
-	}
-	return nil
-}
-
 // seedRels converts validated absolute seed speeds into relative speeds
 // against each road's historical mean; seeds without a usable mean are
 // dropped — their relative speed is undefined.
@@ -510,18 +349,6 @@ func (m *Model) trendFreeRels(ctx context.Context, slot int, seedRels map[roadne
 		return nil, fmt.Errorf("core: trend-free inference: %w", err)
 	}
 	return rels, nil
-}
-
-// trendFreeTrends derives the neutral trend outputs of a trend-free round
-// from its relative speeds.
-func trendFreeTrends(rels []float64) (pUp []float64, trendUp []bool) {
-	pUp = make([]float64, len(rels))
-	trendUp = make([]bool, len(rels))
-	for r := range rels {
-		pUp[r] = 0.5
-		trendUp[r] = rels[r] >= 1
-	}
-	return pUp, trendUp
 }
 
 // prePass is step 0: a trend-free magnitude pre-pass. Its relative-speed
@@ -657,19 +484,4 @@ func (m *Model) estimateRels(req *hlm.Request, seedModel *hlm.SeedModel, noSeedM
 		}
 	}
 	return m.hlm.Estimate(req)
-}
-
-// EstimateFromCrowd converts raw crowd reports into the seed-speed map and
-// runs Estimate; the convenience used by the real-time loop.
-func (m *Model) EstimateFromCrowd(slot int, reports []crowd.Report) (*Estimate, error) {
-	return m.EstimateFromCrowdCtx(context.Background(), slot, reports)
-}
-
-// EstimateFromCrowdCtx is EstimateFromCrowd bounded by ctx.
-func (m *Model) EstimateFromCrowdCtx(ctx context.Context, slot int, reports []crowd.Report) (*Estimate, error) {
-	seeds := make(map[roadnet.RoadID]float64, len(reports))
-	for _, r := range reports {
-		seeds[r.Road] = r.Speed
-	}
-	return m.EstimateCtx(ctx, slot, seeds)
 }

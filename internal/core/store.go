@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/crowd"
 	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
@@ -85,13 +84,14 @@ type StoreConfig struct {
 	IncrementalMaxDirtyFrac float64
 }
 
-// Store is the serving handle over a sequence of immutable view versions.
-// It publishes the current View through an atomic pointer, so Estimate,
-// SelectSeeds and View never block on a rebuild in progress: every call
-// resolves exactly one version at entry and runs entirely on it, and a
-// rebuild trains successor district models off to the side (on the same
+// Store is the lifecycle handle over a sequence of immutable view versions.
+// It publishes the current View through an atomic pointer, so View and the
+// rounds run on it never block on a rebuild in progress: a caller resolves
+// exactly one version with View and runs entirely on it, and a rebuild
+// trains successor district models off to the side (on the same
 // internal/par worker pool the round hot path uses) before swapping them in
-// last-write-wins.
+// last-write-wins. Estimation itself is View's job; the Store only adds
+// ingest, seed memory and the rebuild lifecycle.
 //
 // On a sharded store each rebuild is staggered per district: observations are
 // routed to the district owning their road, only districts with pending data
@@ -184,81 +184,19 @@ func publishShardMetrics(v *View, d int) {
 // selected against) should resolve the view once and use it throughout.
 func (s *Store) View() *View { return s.cur.Load() }
 
-// Model returns the single model of an unsharded store (Options.Shards ≤ 1),
-// or nil when the store is sharded — sharded callers work with View, which
-// has no single model to hand out.
-func (s *Store) Model() *Model {
-	v := s.cur.Load()
-	if v.Sharded() {
-		return nil
-	}
-	return v.Shard(0)
-}
-
-// Estimate runs one estimation round on the currently published view.
-func (s *Store) Estimate(slot int, seedSpeeds map[roadnet.RoadID]float64) (*Estimate, error) {
-	return s.cur.Load().Estimate(slot, seedSpeeds)
-}
-
-// EstimateCtx is Estimate bounded by ctx; see Model.EstimateCtx for the
-// cancellation contract.
-func (s *Store) EstimateCtx(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64) (*Estimate, error) {
-	return s.cur.Load().EstimateCtx(ctx, slot, seedSpeeds)
-}
-
-// EstimateWith is Estimate with per-call overrides.
-func (s *Store) EstimateWith(slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
-	return s.cur.Load().EstimateWith(slot, seedSpeeds, opts)
-}
-
-// EstimateWithCtx is EstimateCtx with per-call overrides.
-func (s *Store) EstimateWithCtx(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
-	return s.cur.Load().EstimateWithCtx(ctx, slot, seedSpeeds, opts)
-}
-
-// EstimateFromCrowd runs one estimation round from raw crowd reports on the
-// currently published view.
-func (s *Store) EstimateFromCrowd(slot int, reports []crowd.Report) (*Estimate, error) {
-	return s.cur.Load().EstimateFromCrowd(slot, reports)
-}
-
-// EstimateFromCrowdCtx is EstimateFromCrowd bounded by ctx.
-func (s *Store) EstimateFromCrowdCtx(ctx context.Context, slot int, reports []crowd.Report) (*Estimate, error) {
-	return s.cur.Load().EstimateFromCrowdCtx(ctx, slot, reports)
-}
-
-// SelectSeeds selects k seeds on the currently published view and records
-// the set so rebuilds re-specialize it on successor models.
-func (s *Store) SelectSeeds(k int) ([]roadnet.RoadID, error) {
-	return s.SelectSeedsOn(s.cur.Load(), k)
-}
-
-// SelectSeedsOn is SelectSeeds against an explicitly resolved view; API
-// layers use it so the seed set and the version they cache it under come
-// from the same view even if a swap lands mid-request.
-func (s *Store) SelectSeedsOn(v *View, k int) ([]roadnet.RoadID, error) {
-	return s.SelectSeedsOnCtx(context.Background(), v, k)
-}
-
-// SelectSeedsOnCtx is SelectSeedsOn bounded by ctx: a cancelled selection
-// records nothing, so rebuilds keep re-specializing the last complete set.
-func (s *Store) SelectSeedsOnCtx(ctx context.Context, v *View, k int) ([]roadnet.RoadID, error) {
-	seeds, err := v.SelectSeedsCtx(ctx, k)
+// SelectSeeds selects k seeds on view v and records the set so rebuilds
+// re-specialize it on successor models. API layers pass the view they
+// resolved for the request, so the seed set and the version they cache it
+// under come from the same view even if a swap lands mid-request. A
+// cancelled selection records nothing, so rebuilds keep re-specializing the
+// last complete set.
+func (s *Store) SelectSeeds(ctx context.Context, v *View, k int) ([]roadnet.RoadID, error) {
+	seeds, err := v.SelectSeeds(ctx, k)
 	if err != nil {
 		return nil, err
 	}
 	s.rememberSeeds(seeds)
 	return seeds, nil
-}
-
-// Prepare trains the seed-conditional model for an explicit seed set on the
-// currently published view and records the set for rebuilds.
-func (s *Store) Prepare(seeds []roadnet.RoadID) error {
-	if err := s.cur.Load().Prepare(seeds); err != nil {
-		return err
-	}
-	s.rememberSeeds(seeds)
-	return nil
 }
 
 func (s *Store) rememberSeeds(seeds []roadnet.RoadID) {
@@ -333,16 +271,13 @@ func (s *Store) OnSwap(fn func(old, new *View)) {
 // failed districts' models stay published and their observations are kept
 // for the next attempt; districts that finished before the error remain
 // swapped in. Returns the view published last.
-func (s *Store) Rebuild() (*View, error) {
-	return s.RebuildCtx(context.Background())
-}
-
-// RebuildCtx is Rebuild bounded by ctx in addition to the store lifetime:
-// whichever of the two is cancelled first aborts the retrain at its next
-// build-stage boundary. An aborted district rebuild publishes nothing — its
-// old model stays live and its buffered observations are kept for the next
-// attempt — and the rebuild is counted under rebuilds_total{outcome="canceled"}.
-func (s *Store) RebuildCtx(ctx context.Context) (*View, error) {
+//
+// The rebuild is bounded by ctx in addition to the store lifetime: whichever
+// of the two is cancelled first aborts the retrain at its next build-stage
+// boundary. An aborted district rebuild publishes nothing — its old model
+// stays live and its buffered observations are kept for the next attempt —
+// and the rebuild is counted under rebuilds_total{outcome="canceled"}.
+func (s *Store) Rebuild(ctx context.Context) (*View, error) {
 	ctx, cancelJoined := context.WithCancel(ctx)
 	defer cancelJoined()
 	// Join the store lifetime: Close cancels it, which cancels ctx here.
@@ -543,7 +478,7 @@ func (s *Store) rebuildShard(ctx context.Context, cur *View, d int, pending []Ob
 		}
 	}
 	if len(ls) > 0 {
-		if err := m.PrepareCtx(ctx, ls); err != nil {
+		if err := m.Prepare(ctx, ls); err != nil {
 			return nil, mode, fmt.Errorf("core: re-specializing seed set: %w", err)
 		}
 	}
@@ -593,7 +528,7 @@ func (s *Store) loop(cfg StoreConfig) {
 		}
 		// Errors keep the old models serving and their observations buffered;
 		// the rebuilds_total{outcome="error"} counter is the alert signal.
-		if _, err := s.Rebuild(); err != nil {
+		if _, err := s.Rebuild(s.lifetime); err != nil {
 			// Back off before the retry below re-arms: a persistently
 			// failing build must not spin the loop hot.
 			failures++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -30,12 +31,12 @@ func buildStore(t *testing.T) (*dataset.Dataset, *Store) {
 }
 
 func TestStorePublishesVersionOne(t *testing.T) {
+	ctx := context.Background()
 	d, st := buildStore(t)
-	m := st.Model()
-	if m == nil || m.Version() != 1 {
-		t.Fatalf("initial model = %v", m)
+	if v := st.View(); v.Version() != 1 {
+		t.Fatalf("initial view version = %d, want 1", v.Version())
 	}
-	res, err := st.Estimate(d.Slot(), nil)
+	res, err := st.View().Estimate(ctx, d.Slot(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +79,13 @@ func TestStoreIngestValidation(t *testing.T) {
 // higher version trained on the union of the old snapshot and the ingested
 // observations, and the prepared seed set survives the swap.
 func TestStoreRebuildSwapsVersionAndFoldsObservations(t *testing.T) {
+	ctx := context.Background()
 	d, st := buildStore(t)
-	seeds, err := st.SelectSeeds(d.Net.NumRoads() / 10)
+	seeds, err := st.SelectSeeds(ctx, st.View(), d.Net.NumRoads()/10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := st.Model()
+	before := st.View()
 	obsIn := []Observation{}
 	slot, truth := d.NextTruth()
 	for _, s := range seeds {
@@ -92,7 +94,7 @@ func TestStoreRebuildSwapsVersionAndFoldsObservations(t *testing.T) {
 	if _, err := st.Ingest(obsIn...); err != nil {
 		t.Fatal(err)
 	}
-	m, err := st.Rebuild()
+	m, err := st.Rebuild(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestStoreRebuildSwapsVersionAndFoldsObservations(t *testing.T) {
 	for _, s := range seeds {
 		seedSpeeds[s] = truth[s]
 	}
-	res, err := st.Estimate(slot, seedSpeeds)
+	res, err := st.View().Estimate(ctx, slot, seedSpeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +127,7 @@ func TestStoreRebuildSwapsVersionAndFoldsObservations(t *testing.T) {
 
 // TestStoreOnSwapHook: swap hooks see the replaced and published models.
 func TestStoreOnSwapHook(t *testing.T) {
+	ctx := context.Background()
 	d, st := buildStore(t)
 	var gotOld, gotNew uint64
 	st.OnSwap(func(old, new *View) {
@@ -133,7 +136,7 @@ func TestStoreOnSwapHook(t *testing.T) {
 	if _, err := st.Ingest(Observation{Road: 0, Slot: d.Slot(), Speed: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Rebuild(); err != nil {
+	if _, err := st.Rebuild(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if gotOld != 1 || gotNew != 2 {
@@ -154,9 +157,9 @@ func TestStoreAutoRebuildMinObs(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for st.Model().Version() < 2 {
+	for st.View().Version() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no rebuild after min-obs trigger; version still %d", st.Model().Version())
+			t.Fatalf("no rebuild after min-obs trigger; version still %d", st.View().Version())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -170,8 +173,9 @@ func TestStoreAutoRebuildMinObs(t *testing.T) {
 // model with a single atomic load). Run with -race: before the Model/Store
 // split this interleaving tears the frozen estimator state.
 func TestStoreZeroDowntimeSwap(t *testing.T) {
+	ctx := context.Background()
 	d, st := buildStore(t)
-	seeds, err := st.SelectSeeds(d.Net.NumRoads() / 10)
+	seeds, err := st.SelectSeeds(ctx, st.View(), d.Net.NumRoads()/10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +212,7 @@ func TestStoreZeroDowntimeSwap(t *testing.T) {
 				t.Errorf("Ingest: %v", err)
 				return
 			}
-			if _, err := st.Rebuild(); err != nil {
+			if _, err := st.Rebuild(ctx); err != nil {
 				t.Errorf("Rebuild %d: %v", i, err)
 				return
 			}
@@ -228,7 +232,7 @@ func TestStoreZeroDowntimeSwap(t *testing.T) {
 					default:
 					}
 				}
-				res, err := st.Estimate(slot, seedSpeeds)
+				res, err := st.View().Estimate(ctx, slot, seedSpeeds)
 				if err != nil {
 					t.Errorf("Estimate: %v", err)
 					return
@@ -248,7 +252,7 @@ func TestStoreZeroDowntimeSwap(t *testing.T) {
 	if got := roundsDone.Load(); got < workers*roundsPerWork {
 		t.Fatalf("only %d/%d rounds completed", got, workers*roundsPerWork)
 	}
-	final := st.Model().Version()
+	final := st.View().Version()
 	if final != uint64(1+rebuilds) {
 		t.Fatalf("final version %d, want %d", final, 1+rebuilds)
 	}
@@ -273,6 +277,7 @@ func TestStoreZeroDowntimeSwap(t *testing.T) {
 // TestStoreCloseDrainsRebuild: Close returns only after an in-flight
 // rebuild has finished its swap, and ingestion fails afterwards.
 func TestStoreCloseDrainsRebuild(t *testing.T) {
+	ctx := context.Background()
 	d, st := buildStore(t)
 	st.Start(StoreConfig{RebuildMinObs: 1})
 	if _, err := st.Ingest(Observation{Road: 1, Slot: d.Slot(), Speed: 7}); err != nil {
@@ -284,7 +289,7 @@ func TestStoreCloseDrainsRebuild(t *testing.T) {
 		t.Error("ingest accepted after Close")
 	}
 	// Whatever the loop managed before Close, the published model is intact.
-	if _, err := st.Estimate(d.Slot(), nil); err != nil {
+	if _, err := st.View().Estimate(ctx, d.Slot(), nil); err != nil {
 		t.Errorf("estimate after Close: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/crowd"
@@ -27,10 +28,11 @@ import (
 // so districts swap independently (enforced by cmd/tslint's modelmut
 // analyzer; newView is the only constructor).
 //
-// The degenerate one-district View (Options.Shards ≤ 1) wraps the original
-// unsharded Model unchanged: same sub-network pointer, same history snapshot,
-// same build — its estimates are bitwise-equal to the pre-sharding pipeline,
-// which the equivalence tests pin down.
+// The degenerate one-district View (Options.Shards ≤ 1) wraps one unsharded
+// Model: same network pointer, same history snapshot, no halo and no stitch
+// round — its estimates reproduce the pre-sharding pipeline, which the K=1
+// golden test pins down. Callers that need the trained artifacts (graph,
+// HLM, seed-selection problem) read them from Shard(0).
 //
 // An estimation round on a sharded View runs every phase per district in
 // parallel (par.EachCtx) and splices a bounded boundary-stitching exchange
@@ -60,9 +62,9 @@ func newView(version uint64, net *roadnet.Network, plan *shard.Plan, shards []*M
 }
 
 // NewView partitions the network per opts.Shards and trains every district
-// model, returning a version-1 view. With Shards ≤ 1 this is exactly New
-// wrapped in a one-district view. Deployments that want rebuilds wrap it in
-// a Store.
+// model, returning a version-1 view; with Shards ≤ 1 it trains one model over
+// the whole city. This is the expensive offline phase; rounds are cheap
+// enough for real-time use. Deployments that want rebuilds use a Store.
 func NewView(net *roadnet.Network, db *history.DB, opts Options) (*View, error) {
 	//lint:ignore ctxflow NewView is the documented ctx-less offline constructor; Store rebuilds pass their lifetime ctx through buildView directly
 	return buildView(context.Background(), net, db, opts, 1)
@@ -346,47 +348,86 @@ func (v *View) BoundaryEdges(d int) int {
 	return count
 }
 
-// Estimate runs one estimation round across all districts.
-func (v *View) Estimate(slot int, seedSpeeds map[roadnet.RoadID]float64) (*Estimate, error) {
-	return v.EstimateCtx(context.Background(), slot, seedSpeeds)
+// Estimate is the result of one estimation round.
+type Estimate struct {
+	// Slot the estimate is for.
+	Slot int
+	// ModelVersion is the version of the view the round resolved at entry
+	// and ran on; under a Store it identifies which published view produced
+	// the estimate.
+	ModelVersion uint64
+	// Speeds holds per-road speed estimates in m/s; 0 means the road has no
+	// history and cannot be estimated.
+	Speeds []float64
+	// Rels holds the relative-speed estimates behind Speeds.
+	Rels []float64
+	// TrendUp holds the inferred trend per road.
+	TrendUp []bool
+	// PUp holds the trend marginals from the graphical model.
+	PUp []float64
 }
 
-// EstimateCtx is Estimate bounded by ctx; see Model.EstimateCtx for the
-// cancellation contract, which holds per district here.
-func (v *View) EstimateCtx(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64) (*Estimate, error) {
-	return v.EstimateWithCtx(ctx, slot, seedSpeeds, EstimateOptions{})
+// EstimateOptions tweak a single estimation round (ablations).
+type EstimateOptions struct {
+	// FlatHLM disables the hierarchical schedule (ablation A2).
+	FlatHLM bool
+	// TrendFree disables the trend step entirely: no graphical model, and
+	// every regression uses its trend-agnostic variant (ablation A1 — the
+	// paper's core "from trends to speeds" claim is the gap this opens).
+	TrendFree bool
+	// NoSeedModel disables the seed-conditional regressions, leaving only
+	// the generic propagation model (ablation A2: the value of the
+	// hierarchy's seed level).
+	NoSeedModel bool
+	// Engine overrides the trend engine for this call only.
+	Engine mrf.Engine
 }
 
-// EstimateWith is Estimate with per-call overrides.
-func (v *View) EstimateWith(slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
-	return v.EstimateWithCtx(context.Background(), slot, seedSpeeds, opts)
+// validateSeedSpeeds rejects out-of-range roads and unusable speeds up front.
+// Non-finite speeds must be rejected here: a single +Inf seed would otherwise
+// poison Rels/Speeds network-wide through the regressions.
+func validateSeedSpeeds(n int, seedSpeeds map[roadnet.RoadID]float64) error {
+	for road, speed := range seedSpeeds {
+		if int(road) < 0 || int(road) >= n {
+			return fmt.Errorf("core: seed road %d out of range: %w", road, ErrInvalidInput)
+		}
+		if speed <= 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
+			return fmt.Errorf("core: invalid seed speed %v on road %d: %w", speed, road, ErrInvalidInput)
+		}
+	}
+	return nil
+}
+
+// Estimate runs one estimation round across all districts for one slot given
+// crowdsourced seed speeds (absolute, m/s). Seeds with no historical mean are
+// ignored — their relative speed is undefined. Cancellation or deadline
+// expiry of ctx is observed between phases and between BP message rounds
+// inside the trend phase (per district), aborting the round with an error
+// satisfying errors.Is against the context's error. Serving layers thread
+// each request's context here so a disconnected client stops paying for
+// inference it will never read.
+func (v *View) Estimate(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64) (*Estimate, error) {
+	return v.EstimateWith(ctx, slot, seedSpeeds, EstimateOptions{})
 }
 
 // EstimateFromCrowd converts raw crowd reports into the seed-speed map and
-// runs Estimate.
-func (v *View) EstimateFromCrowd(slot int, reports []crowd.Report) (*Estimate, error) {
-	return v.EstimateFromCrowdCtx(context.Background(), slot, reports)
-}
-
-// EstimateFromCrowdCtx is EstimateFromCrowd bounded by ctx.
-func (v *View) EstimateFromCrowdCtx(ctx context.Context, slot int, reports []crowd.Report) (*Estimate, error) {
+// runs Estimate; the convenience used by the real-time loop.
+func (v *View) EstimateFromCrowd(ctx context.Context, slot int, reports []crowd.Report) (*Estimate, error) {
 	seeds := make(map[roadnet.RoadID]float64, len(reports))
 	for _, r := range reports {
 		seeds[r.Road] = r.Speed
 	}
-	return v.EstimateCtx(ctx, slot, seeds)
+	return v.Estimate(ctx, slot, seeds)
 }
 
-// EstimateWithCtx is EstimateCtx with per-call overrides, instrumented
-// exactly like Model.EstimateWithCtx: the same round span, the same total
-// latency histograms, the same round/cancel counters — sharding changes the
-// execution plan, not the observability surface.
-func (v *View) EstimateWithCtx(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
+// EstimateWith is Estimate with per-call overrides. The round span nests
+// under any span already on ctx and is ended on every path, including
+// cancellation; the round latency and the round/cancel counters are recorded
+// here once per round, whatever the district count.
+func (v *View) EstimateWith(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
 	ctx, roundSpan := obs.StartSpan(ctx, "core.estimate")
 	out, err := v.estimateWith(ctx, slot, seedSpeeds, opts)
-	roundSeconds := roundSpan.End().Seconds()
-	estimateSeconds("total").Observe(roundSeconds)
-	estimateHDRSeconds("total").Observe(roundSeconds)
+	estimateSeconds("total").Observe(roundSpan.End().Seconds())
 	if err == nil {
 		estimateRounds.Inc()
 	} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -409,11 +450,16 @@ type shardRound struct {
 	rels      []float64
 }
 
-// estimateWith is the uninstrumented sharded round body: Model.estimateWith's
-// phase sequence fanned out per district, with the boundary-stitching
-// exchange spliced between trend-inference rounds. With one district the
-// fan-out is inline, no stitch round runs, and the phases execute exactly as
-// Model.estimateWith would — the bitwise K=1 equivalence the tests pin.
+// estimateWith is the uninstrumented round body and the only code that
+// sequences the phases: every district runs the Model phase methods —
+// seedRels, prePass, trendPriors, inferTrends, fuseTrends and speedRels, or
+// trendFreeRels alone — fanned out in parallel, with the boundary-stitching
+// exchange spliced between trend-inference rounds. ctx carries the round span
+// so the per-phase spans nest under it. Each district loads its seed-model
+// snapshot exactly once and threads it through both regression passes, so a
+// concurrent Prepare cannot hand one round two different models. With one
+// district the fan-out is inline, no stitch round runs and the district's
+// slices are the result (TestViewK1Golden pins that round).
 func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
 	n := v.net.NumRoads()
 	if err := validateSeedSpeeds(n, seedSpeeds); err != nil {
@@ -462,8 +508,16 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 		st.seedRels = st.m.seedRels(slot, localSpeeds[st.d])
 		if opts.TrendFree {
 			rels, err := st.m.trendFreeRels(ctx, slot, st.seedRels, st.seedModel, opts)
-			st.rels = rels
-			return err
+			if err != nil {
+				return err
+			}
+			// No graphical model: neutral marginals, trend bits from the rels.
+			st.rels, st.pUp, st.trendUp = rels, make([]float64, len(rels)), make([]bool, len(rels))
+			for l, rel := range rels {
+				st.pUp[l] = 0.5
+				st.trendUp[l] = rel >= 1
+			}
+			return nil
 		}
 		preRels, err := st.m.prePass(ctx, slot, st.seedRels, st.seedModel, opts.NoSeedModel)
 		if err != nil {
@@ -538,49 +592,36 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 		}
 	}
 
-	// Merge: each global road's estimate comes from its owning district.
-	speeds := make([]float64, n)
-	rels := make([]float64, n)
-	trendUp := make([]bool, n)
-	pUp := make([]float64, n)
+	// Merge: each global road's estimate comes from its owning district. The
+	// identity plan's one district owns every road under its global ID, so
+	// its slices are the result as they stand.
+	out := &Estimate{Slot: slot, ModelVersion: v.version}
+	if v.plan.Identity() && len(states) == 1 {
+		st := states[0]
+		out.Speeds, out.Rels, out.TrendUp, out.PUp = hlm.SpeedsOf(st.m.DB(), slot, st.rels), st.rels, st.trendUp, st.pUp
+		return out, nil
+	}
+	out.Speeds, out.Rels, out.TrendUp, out.PUp = make([]float64, n), make([]float64, n), make([]bool, n), make([]float64, n)
 	for _, st := range states {
-		members := v.plan.Members(st.d)
-		localSpeedsOut := hlm.SpeedsOf(st.m.DB(), slot, st.rels)
-		for l, g := range members {
-			if !v.plan.OwnsLocal(st.d, roadnet.RoadID(l)) {
-				continue
-			}
-			rels[g] = st.rels[l]
-			speeds[g] = localSpeedsOut[l]
-			if opts.TrendFree {
-				pUp[g] = 0.5
-				trendUp[g] = st.rels[l] >= 1
-			} else {
-				pUp[g] = st.pUp[l]
-				trendUp[g] = st.trendUp[l]
+		speeds := hlm.SpeedsOf(st.m.DB(), slot, st.rels)
+		for l, g := range v.plan.Members(st.d) {
+			if v.plan.OwnsLocal(st.d, roadnet.RoadID(l)) {
+				out.Speeds[g], out.Rels[g], out.TrendUp[g], out.PUp[g] = speeds[l], st.rels[l], st.trendUp[l], st.pUp[l]
 			}
 		}
 	}
-	return &Estimate{
-		Slot: slot, ModelVersion: v.version,
-		Speeds: speeds, Rels: rels, TrendUp: trendUp, PUp: pUp,
-	}, nil
+	return out, nil
 }
 
 // SelectSeeds chooses k seed roads across all districts and prepares each
-// district's seed-conditional model; returned IDs are global.
-func (v *View) SelectSeeds(k int) ([]roadnet.RoadID, error) {
-	return v.SelectSeedsCtx(context.Background(), k)
-}
-
-// SelectSeedsCtx is SelectSeeds bounded by ctx. On a one-district view the
-// configured selector runs unchanged; a sharded view always uses the merged
-// lazy greedy (seedsel.SelectShardedCtx) over per-district candidate heaps —
-// exact greedy on the block-diagonal objective, so the (1−1/e) guarantee is
-// preserved with respect to it.
-func (v *View) SelectSeedsCtx(ctx context.Context, k int) ([]roadnet.RoadID, error) {
+// district's seed-conditional model; returned IDs are global. On a
+// one-district view the configured selector runs unchanged; a sharded view
+// always uses the merged lazy greedy (seedsel.SelectShardedCtx) over
+// per-district candidate heaps — exact greedy on the block-diagonal
+// objective, so the (1−1/e) guarantee is preserved with respect to it.
+func (v *View) SelectSeeds(ctx context.Context, k int) ([]roadnet.RoadID, error) {
 	if v.plan.Identity() {
-		return v.shards[0].SelectSeedsCtx(ctx, k)
+		return v.shards[0].SelectSeeds(ctx, k)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -609,7 +650,7 @@ func (v *View) SelectSeedsCtx(ctx context.Context, k int) ([]roadnet.RoadID, err
 	for i, p := range picks {
 		seeds[i] = v.plan.Members(districts[p.Shard])[p.Road]
 	}
-	if err := v.PrepareCtx(ctx, seeds); err != nil {
+	if err := v.Prepare(ctx, seeds); err != nil {
 		return nil, err
 	}
 	return seeds, nil
@@ -617,16 +658,11 @@ func (v *View) SelectSeedsCtx(ctx context.Context, k int) ([]roadnet.RoadID, err
 
 // Prepare trains every district's seed-conditional regressions for a fixed
 // global seed set; districts holding none of the seeds are left untouched.
-func (v *View) Prepare(seeds []roadnet.RoadID) error {
-	return v.PrepareCtx(context.Background(), seeds)
-}
-
-// PrepareCtx is Prepare bounded by ctx. Each district specializes to the
-// subset of seeds it holds as members (its own plus halo seeds), matching
-// the routing an estimation round applies.
-func (v *View) PrepareCtx(ctx context.Context, seeds []roadnet.RoadID) error {
+// Each district specializes to the subset of seeds it holds as members (its
+// own plus halo seeds), matching the routing an estimation round applies.
+func (v *View) Prepare(ctx context.Context, seeds []roadnet.RoadID) error {
 	if v.plan.Identity() {
-		return v.shards[0].PrepareCtx(ctx, seeds)
+		return v.shards[0].Prepare(ctx, seeds)
 	}
 	for _, s := range seeds {
 		if int(s) < 0 || int(s) >= v.net.NumRoads() {
@@ -652,7 +688,7 @@ func (v *View) PrepareCtx(ctx context.Context, seeds []roadnet.RoadID) error {
 		local = append(local, ls)
 	}
 	return par.EachCtx(ctx, len(states), 0, func(i int) error {
-		return states[i].PrepareCtx(ctx, local[i])
+		return states[i].Prepare(ctx, local[i])
 	})
 }
 

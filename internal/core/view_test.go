@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,19 +38,40 @@ func spreadSeeds(d *dataset.Dataset, truth []float64, stride int) map[roadnet.Ro
 	return seeds
 }
 
-// TestViewUnshardedBitwiseEqual is the K=1 acceptance gate: a one-district
-// view must produce estimates bitwise-equal to the plain unsharded model —
-// the identity partition adds no halo, restricts nothing and runs no stitch
-// round, so every float must come out identical.
-func TestViewUnshardedBitwiseEqual(t *testing.T) {
-	d := buildViewDataset(t)
-	slot, truth := d.NextTruth()
-	seeds := spreadSeeds(d, truth, 10)
+// goldenRound is one recorded estimation round of testdata/k1_golden.json.
+type goldenRound struct {
+	Speeds  []float64 `json:"speeds"`
+	Rels    []float64 `json:"rels"`
+	PUp     []float64 `json:"p_up"`
+	TrendUp []bool    `json:"trend_up"`
+}
 
-	m, err := New(d.Net, d.DB, DefaultOptions())
+// TestViewK1Golden is the K=1 acceptance gate: a one-district view must
+// reproduce the recorded unsharded round on buildViewDataset's first truth
+// slot with spreadSeeds(…, 10), for the default and the trend-free round. The
+// fixture was recorded from the pre-sharding pipeline, so the identity
+// partition must add no halo, restrict nothing and run no stitch round.
+func TestViewK1Golden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/k1_golden.json")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var golden struct {
+		Slot      int         `json:"slot"`
+		Seeds     int         `json:"seeds"`
+		Default   goldenRound `json:"default"`
+		TrendFree goldenRound `json:"trend_free"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	d := buildViewDataset(t)
+	slot, truth := d.NextTruth()
+	seeds := spreadSeeds(d, truth, 10)
+	if slot != golden.Slot || len(seeds) != golden.Seeds {
+		t.Fatalf("dataset drifted from the fixture: slot %d with %d seeds, recorded %d with %d", slot, len(seeds), golden.Slot, golden.Seeds)
+	}
+	ctx := context.Background()
 	for _, shards := range []int{0, 1} {
 		opts := DefaultOptions()
 		opts.Shards = shards
@@ -59,57 +82,48 @@ func TestViewUnshardedBitwiseEqual(t *testing.T) {
 		if v.Sharded() || v.NumShards() != 1 {
 			t.Fatalf("Shards=%d built a sharded view with %d districts", shards, v.NumShards())
 		}
-		want, err := m.Estimate(slot, seeds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := v.Estimate(slot, seeds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range want.Speeds {
-			if got.Speeds[r] != want.Speeds[r] || got.Rels[r] != want.Rels[r] ||
-				got.PUp[r] != want.PUp[r] || got.TrendUp[r] != want.TrendUp[r] {
-				t.Fatalf("Shards=%d road %d diverges from unsharded: speed %v vs %v, rel %v vs %v, pUp %v vs %v, up %v vs %v",
-					shards, r, got.Speeds[r], want.Speeds[r], got.Rels[r], want.Rels[r],
-					got.PUp[r], want.PUp[r], got.TrendUp[r], want.TrendUp[r])
+		for _, tc := range []struct {
+			name string
+			opts EstimateOptions
+			want goldenRound
+		}{
+			{"default", EstimateOptions{}, golden.Default},
+			{"trend-free", EstimateOptions{TrendFree: true}, golden.TrendFree},
+		} {
+			got, err := v.EstimateWith(ctx, slot, seeds, tc.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// The trend-free path must be identical too (no stitch, pure HLM).
-		wantTF, err := m.EstimateWith(slot, seeds, EstimateOptions{TrendFree: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotTF, err := v.EstimateWith(slot, seeds, EstimateOptions{TrendFree: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range wantTF.Speeds {
-			if gotTF.Speeds[r] != wantTF.Speeds[r] || gotTF.Rels[r] != wantTF.Rels[r] {
-				t.Fatalf("Shards=%d trend-free road %d diverges: %v vs %v", shards, r, gotTF.Speeds[r], wantTF.Speeds[r])
+			if len(got.Speeds) != len(tc.want.Speeds) {
+				t.Fatalf("Shards=%d %s: %d roads, fixture has %d", shards, tc.name, len(got.Speeds), len(tc.want.Speeds))
+			}
+			for r := range tc.want.Speeds {
+				if absDiff(got.Speeds[r], tc.want.Speeds[r]) > 1e-9 || absDiff(got.Rels[r], tc.want.Rels[r]) > 1e-9 ||
+					absDiff(got.PUp[r], tc.want.PUp[r]) > 1e-9 || got.TrendUp[r] != tc.want.TrendUp[r] {
+					t.Fatalf("Shards=%d %s road %d diverges from the fixture: speed %v vs %v, rel %v vs %v, pUp %v vs %v, up %v vs %v",
+						shards, tc.name, r, got.Speeds[r], tc.want.Speeds[r], got.Rels[r], tc.want.Rels[r],
+						got.PUp[r], tc.want.PUp[r], got.TrendUp[r], tc.want.TrendUp[r])
+				}
 			}
 		}
 	}
 }
 
 // TestViewUnshardedSeedSelectionEqual: the K=1 view delegates seed selection
-// to its single model, so the picks match the unsharded selector exactly.
+// to its single model, so the picks match that model's selector exactly.
 func TestViewUnshardedSeedSelectionEqual(t *testing.T) {
+	ctx := context.Background()
 	d := buildViewDataset(t)
-	m, err := New(d.Net, d.DB, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	v, err := NewView(d.Net, d.DB, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := d.Net.NumRoads() / 10
-	want, err := m.SelectSeeds(k)
+	want, err := v.Shard(0).SelectSeeds(ctx, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.SelectSeeds(k)
+	got, err := v.SelectSeeds(ctx, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +150,14 @@ func shardedOptions(shards int) Options {
 
 // TestViewShardedWithinBound is the K=4 acceptance property: with pooling
 // pinned, boundary-stitched estimates must stay within 0.05 m/s of speed and
-// 0.01 of trend marginal of the unsharded build on every road.
+// 0.01 of trend marginal of the one-district view on every road.
 func TestViewShardedWithinBound(t *testing.T) {
+	ctx := context.Background()
 	d := buildViewDataset(t)
 	slot, truth := d.NextTruth()
 	seeds := spreadSeeds(d, truth, 8)
 
-	m, err := New(d.Net, d.DB, shardedOptions(0))
+	m, err := NewView(d.Net, d.DB, shardedOptions(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +174,11 @@ func TestViewShardedWithinBound(t *testing.T) {
 		}
 	}
 
-	want, err := m.Estimate(slot, seeds)
+	want, err := m.Estimate(ctx, slot, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.Estimate(slot, seeds)
+	got, err := v.Estimate(ctx, slot, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +204,14 @@ func TestViewShardedWithinBound(t *testing.T) {
 // roads spread over the districts, prepares every district holding one, and
 // reports a positive block-diagonal benefit.
 func TestViewShardedSeedSelection(t *testing.T) {
+	ctx := context.Background()
 	d := buildViewDataset(t)
 	v, err := NewView(d.Net, d.DB, shardedOptions(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := d.Net.NumRoads() / 10
-	seeds, err := v.SelectSeeds(k)
+	seeds, err := v.SelectSeeds(ctx, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +242,7 @@ func TestViewShardedSeedSelection(t *testing.T) {
 	for _, s := range seeds {
 		seedSpeeds[s] = truth[s]
 	}
-	if _, err := v.Estimate(slot, seedSpeeds); err != nil {
+	if _, err := v.Estimate(ctx, slot, seedSpeeds); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -235,15 +251,13 @@ func TestViewShardedSeedSelection(t *testing.T) {
 // rebuilds only that shard — the other districts' models (pointer identity
 // and version) survive the swap untouched, and exactly one swap hook runs.
 func TestShardedStoreLocalizedRebuild(t *testing.T) {
+	ctx := context.Background()
 	d := buildViewDataset(t)
 	st, err := NewStore(d.Net, d.DB, shardedOptions(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.Model() != nil {
-		t.Fatal("sharded store handed out a single model")
-	}
 	before := st.View()
 	target := before.Plan().Owner(0)
 	var swaps atomic.Int64
@@ -256,7 +270,7 @@ func TestShardedStoreLocalizedRebuild(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	after, err := st.Rebuild()
+	after, err := st.Rebuild(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +305,7 @@ func TestShardedStoreLocalizedRebuild(t *testing.T) {
 // versions must be monotonically non-decreasing per worker, and rounds must
 // overlap at least one swap.
 func TestShardedStoreZeroDowntimeSwap(t *testing.T) {
+	ctx := context.Background()
 	d := buildViewDataset(t)
 	st, err := NewStore(d.Net, d.DB, shardedOptions(4))
 	if err != nil {
@@ -330,7 +345,7 @@ func TestShardedStoreZeroDowntimeSwap(t *testing.T) {
 				t.Errorf("Ingest: %v", err)
 				return
 			}
-			if _, err := st.Rebuild(); err != nil {
+			if _, err := st.Rebuild(ctx); err != nil {
 				t.Errorf("Rebuild %d: %v", i, err)
 				return
 			}
@@ -356,9 +371,9 @@ func TestShardedStoreZeroDowntimeSwap(t *testing.T) {
 						return
 					}
 				}
-				res, err := st.EstimateCtx(context.Background(), slot, seedSpeeds)
+				res, err := st.View().Estimate(context.Background(), slot, seedSpeeds)
 				if err != nil {
-					t.Errorf("EstimateCtx: %v", err)
+					t.Errorf("Estimate: %v", err)
 					return
 				}
 				if res.ModelVersion < lastVersion {

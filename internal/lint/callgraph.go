@@ -34,7 +34,7 @@ import (
 type scope struct {
 	// fn is the declared function object; nil for literals.
 	fn *types.Func
-	// name is the display name: "Model.EstimateCtx" for methods,
+	// name is the display name: "View.Estimate" for methods,
 	// "estimateWith" for functions, "estimateWith$1" for the first literal
 	// nested in estimateWith.
 	name string
@@ -288,7 +288,7 @@ func recvTypeName(fn *types.Func) string {
 }
 
 // funcDisplayName renders a declared function for the hot-set manifest:
-// "Model.EstimateCtx" or "fuseTrends".
+// "View.Estimate" or "fuseTrends".
 func funcDisplayName(fn *types.Func) string {
 	if recv := recvTypeName(fn); recv != "" {
 		return recv + "." + fn.Name()

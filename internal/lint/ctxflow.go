@@ -22,18 +22,20 @@ import (
 //     callee's non-Ctx variant (Estimate instead of EstimateCtx) when the
 //     resolved callee has a ...Ctx sibling that accepts a context.
 //  2. Background()/TODO() in library packages — outside main packages, a
-//     scope with no context of its own may only mint one to implement the
-//     documented convenience-wrapper pattern: Estimate calling EstimateCtx.
-//     Anything else must take a ctx parameter or carry a justified
-//     suppression.
+//     scope with no context of its own may not mint one: it must take a ctx
+//     parameter or carry a justified suppression (the documented offline
+//     constructors do). There is no convenience-wrapper exemption: an
+//     Estimate that only forwards to EstimateCtx with a fresh Background is
+//     a ctx-less twin, which lets a caller drop its context by picking the
+//     wrong name.
 //  3. unpolled long loops — a for-loop with a constant trip count above 1024
 //     inside a ctx-bearing scope must poll cancellation on its path: mention
 //     ctx (or ctx.Err), or call something that accepts a context.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "require contexts to flow: no context.Background()/TODO() where a ctx is in scope or in library " +
-		"packages outside the X-calls-XCtx wrapper pattern, no calling a non-Ctx variant when a Ctx sibling " +
-		"exists, and no constant-bound loops >1024 iterations without a ctx poll",
+		"packages, no calling a non-Ctx variant when a Ctx sibling exists, and no constant-bound loops " +
+		">1024 iterations without a ctx poll",
 	Run: runCtxFlow,
 }
 
@@ -51,14 +53,14 @@ func runCtxFlow(p *Pass) error {
 			continue
 		}
 		if !isMain && s.parent == nil {
-			checkWrapperScope(p, s)
+			checkLibraryScope(p, s)
 		}
 	}
 	return nil
 }
 
 // ctxInScope collects the context.Context parameters visible to s: its own
-// and those of every enclosing scope (a literal inside EstimateCtx has the
+// and those of every enclosing scope (a literal inside View.Estimate has the
 // method's ctx available by capture).
 func ctxInScope(p *Pass, s *scope) map[*types.Var]bool {
 	out := map[*types.Var]bool{}
@@ -143,10 +145,9 @@ func ctxSibling(fn *types.Func) *types.Func {
 	return nil
 }
 
-// checkWrapperScope applies rule 2 to a library scope with no ctx of its
-// own: Background()/TODO() is only allowed when passed directly to the
-// scope's own ...Ctx sibling (the convenience-wrapper pattern).
-func checkWrapperScope(p *Pass, s *scope) {
+// checkLibraryScope applies rule 2 to a library scope with no ctx of its
+// own: any Background()/TODO() there is a finding.
+func checkLibraryScope(p *Pass, s *scope) {
 	inspectShallow(s.body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -156,10 +157,7 @@ func checkWrapperScope(p *Pass, s *scope) {
 		if !ok {
 			return true
 		}
-		if wrapperUse(p, s, call) {
-			return true
-		}
-		p.Reportf(call.Pos(), "context.%s() in library function %s; take a ctx parameter (the X-calls-XCtx wrapper pattern is the only exemption)", name, s.describe())
+		p.Reportf(call.Pos(), "context.%s() in library function %s; take a ctx parameter", name, s.describe())
 		return true
 	})
 	// Literals nested in a ctx-less declaration inherit no ctx; they are
@@ -167,48 +165,9 @@ func checkWrapperScope(p *Pass, s *scope) {
 	// for top-level scopes, so walk them here.
 	for _, child := range s.children {
 		if len(ctxInScope(p, child)) == 0 {
-			checkWrapperScope(p, child)
+			checkLibraryScope(p, child)
 		}
 	}
-}
-
-// wrapperUse reports whether mint (a context.Background/TODO call) is an
-// argument of a call to the enclosing declaration's own Ctx sibling:
-// Estimate forwarding to EstimateCtx.
-func wrapperUse(p *Pass, s *scope, mint *ast.CallExpr) bool {
-	wrapper := s.decl().name // "Model.Estimate" or "Estimate"
-	short := wrapper
-	if i := lastDot(wrapper); i >= 0 {
-		short = wrapper[i+1:]
-	}
-	found := false
-	inspectShallow(s.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || found {
-			return !found
-		}
-		for _, arg := range call.Args {
-			if ast.Unparen(arg) != mint {
-				continue
-			}
-			fn := calleeFunc(p, call)
-			if fn != nil && fn.Name() == short+"Ctx" {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// lastDot returns the index of the final '.' in s, or -1.
-func lastDot(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '.' {
-			return i
-		}
-	}
-	return -1
 }
 
 // contextMint reports whether call is context.Background() or context.TODO().

@@ -44,10 +44,8 @@ type rootSpec struct {
 // implicit additional roots (see parBodyRoots): the loop body handed to the
 // worker pool is the innermost hot code there is.
 var hotRoots = []rootSpec{
-	{"core", "Model", "EstimateCtx"},
-	{"core", "Model", "EstimateWithCtx"},
-	{"core", "View", "EstimateCtx"},
-	{"core", "View", "EstimateWithCtx"},
+	{"core", "View", "Estimate"},
+	{"core", "View", "EstimateWith"},
 	{"mrf", "Engine", "Infer"},
 	{"seedsel", "", "SelectShardedCtx"},
 	{"par", "", "ForCtx"},

@@ -1,12 +1,12 @@
 // Package ctxflow is the fixture for the context-propagation contract: a
 // scope handed a context must hand that same context on, library code may
-// only mint a context to implement the X-calls-XCtx wrapper pattern, and
-// constant-bound loops past the poll threshold must observe cancellation.
+// not mint a context at all, and constant-bound loops past the poll
+// threshold must observe cancellation.
 package ctxflow
 
 import "context"
 
-// EstimateCtx is the cancellable entrypoint the wrapper pattern targets.
+// EstimateCtx is the cancellable entrypoint.
 func EstimateCtx(ctx context.Context, n int) float64 {
 	total := 0.0
 	for i := 0; i < n; i++ {
@@ -15,10 +15,10 @@ func EstimateCtx(ctx context.Context, n int) float64 {
 	return total
 }
 
-// Estimate is the documented convenience wrapper: minting Background to feed
-// the Ctx sibling directly is the one allowed library mint.
+// Estimate is a ctx-less convenience wrapper: minting Background to feed the
+// Ctx sibling is a library mint like any other.
 func Estimate(n int) float64 {
-	return EstimateCtx(context.Background(), n)
+	return EstimateCtx(context.Background(), n) // want `context\.Background\(\) in library function Estimate; take a ctx parameter`
 }
 
 // DroppedMint discards the caller's cancellation by minting a fresh context.
@@ -80,9 +80,9 @@ type Methodful struct{ bias float64 }
 // RunCtx is the cancellable variant.
 func (m *Methodful) RunCtx(ctx context.Context) float64 { return m.bias }
 
-// Run is the allowed wrapper for RunCtx.
+// Run is a ctx-less wrapper for RunCtx, flagged like Estimate.
 func (m *Methodful) Run() float64 {
-	return m.RunCtx(context.Background())
+	return m.RunCtx(context.Background()) // want `context\.Background\(\) in library function Methodful\.Run; take a ctx parameter`
 }
 
 // Relay must forward its context to the method's Ctx variant.

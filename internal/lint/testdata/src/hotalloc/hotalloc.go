@@ -1,5 +1,5 @@
 // Package core mirrors the shape of repro/internal/core for the hotalloc
-// fixture: an EstimateCtx hot root, the helpers it reaches through the
+// fixture: an Estimate hot root, the helpers it reaches through the
 // callgraph, the allocation constructs the analyzer must flag there, and the
 // cold paths and unreachable declarations it must leave alone.
 package core
@@ -11,13 +11,13 @@ import (
 	"repro/internal/par"
 )
 
-// Model mirrors the published snapshot whose EstimateCtx is a hot root.
-type Model struct {
+// View mirrors the published snapshot whose Estimate is a hot root.
+type View struct {
 	rels []float64
 }
 
-// EstimateCtx is a registered hot root; everything it reaches is hot.
-func (m *Model) EstimateCtx(ctx context.Context, n int) ([]float64, error) {
+// Estimate is a registered hot root; everything it reaches is hot.
+func (m *View) Estimate(ctx context.Context, n int) ([]float64, error) {
 	if err := m.validate(n); err != nil {
 		return nil, err
 	}
@@ -25,7 +25,7 @@ func (m *Model) EstimateCtx(ctx context.Context, n int) ([]float64, error) {
 	for i := 0; i < n && i < len(m.rels); i++ {
 		out = append(out, m.rels[i]) // sized by the 3-arg make above: no finding
 	}
-	tags := map[string]int{"roads": n} // want `map literal allocates on the hot path \(Model\.EstimateCtx\)`
+	tags := map[string]int{"roads": n} // want `map literal allocates on the hot path \(View\.Estimate\)`
 	_ = tags
 	m.fanOut(ctx, n)
 	m.logStats(float64(n))
@@ -37,7 +37,7 @@ func (m *Model) EstimateCtx(ctx context.Context, n int) ([]float64, error) {
 }
 
 // validate allocates only on its failure exit, which is cold by definition.
-func (m *Model) validate(n int) error {
+func (m *View) validate(n int) error {
 	if n < 0 {
 		return fmt.Errorf("core: n must be non-negative, got %d", n)
 	}
@@ -45,10 +45,10 @@ func (m *Model) validate(n int) error {
 }
 
 // scale is hot by reachability; its unsized append is a violation.
-func (m *Model) scale(out []float64) []float64 {
+func (m *View) scale(out []float64) []float64 {
 	var doubled []float64
 	for _, v := range out {
-		doubled = append(doubled, 2*v) // want `append without capacity evidence on the hot path \(Model\.scale\)`
+		doubled = append(doubled, 2*v) // want `append without capacity evidence on the hot path \(View\.scale\)`
 	}
 	return doubled
 }
@@ -56,7 +56,7 @@ func (m *Model) scale(out []float64) []float64 {
 // fanOut hands a literal to the ctx-aware worker pool: the body is an
 // implicit hot root, so its fmt call is flagged even though the literal
 // captures nothing.
-func (m *Model) fanOut(ctx context.Context, n int) {
+func (m *View) fanOut(ctx context.Context, n int) {
 	_ = par.ForCtx(ctx, n, 0, func(start, end int) {
 		for i := start; i < end; i++ {
 			s := fmt.Sprintf("road-%d", i) // want `fmt\.Sprintf allocates on the hot path`
@@ -69,23 +69,23 @@ func (m *Model) fanOut(ctx context.Context, n int) {
 func sink(v any) { _ = v }
 
 // logStats boxes its argument into sink's interface parameter.
-func (m *Model) logStats(v float64) {
-	sink(v) // want `passing float64 as interface any boxes the value on the hot path \(Model\.logStats\)`
+func (m *View) logStats(v float64) {
+	sink(v) // want `passing float64 as interface any boxes the value on the hot path \(View\.logStats\)`
 }
 
 // label concatenates non-constant strings on the hot path.
-func (m *Model) label(name string) string {
-	return "road:" + name // want `string concatenation allocates on the hot path \(Model\.label\)`
+func (m *View) label(name string) string {
+	return "road:" + name // want `string concatenation allocates on the hot path \(View\.label\)`
 }
 
 // retry builds a capturing closure; if it escapes it is a heap allocation.
-func (m *Model) retry(n int) int {
-	f := func() int { return n + 1 } // want `closure captures n and may escape on the hot path \(Model\.retry\)`
+func (m *View) retry(n int) int {
+	f := func() int { return n + 1 } // want `closure captures n and may escape on the hot path \(View\.retry\)`
 	return f()
 }
 
 // consume allocates only inside the taken branch of an err-nil check: cold.
-func (m *Model) consume(err error) {
+func (m *View) consume(err error) {
 	if err != nil {
 		msg := fmt.Sprintf("core: estimate failed: %v", err)
 		_ = msg
@@ -94,7 +94,7 @@ func (m *Model) consume(err error) {
 
 // snapshot documents the suppression path: a once-per-run allocation with a
 // recorded justification produces no surviving diagnostic.
-func (m *Model) snapshot() []string {
+func (m *View) snapshot() []string {
 	//lint:hotpath-ok fixture: once-per-run allocation outside the round loop
 	names := []string{"district-a"}
 	return names
@@ -102,7 +102,7 @@ func (m *Model) snapshot() []string {
 
 // rebuild is reachable from no hot root: its allocations are off the hot
 // path and must not be flagged.
-func (m *Model) rebuild(labels []string) map[string]int {
+func (m *View) rebuild(labels []string) map[string]int {
 	out := map[string]int{}
 	for _, l := range labels {
 		out[fmt.Sprintf("label:%s", l)]++

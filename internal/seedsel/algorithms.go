@@ -38,7 +38,7 @@ type Selector interface {
 // early when the caller's context is cancelled. Selection over a city-scale
 // candidate set is the slowest online operation after a model swap, so
 // serving layers prefer this interface when the selector offers it (see
-// core.Model.SelectSeedsCtx); Select remains the uncancellable fallback.
+// core.Model.SelectSeeds); Select remains the uncancellable fallback.
 type ContextSelector interface {
 	Selector
 	// SelectCtx is Select bounded by ctx: it returns an error wrapping
@@ -130,6 +130,7 @@ func (h *lazyHeap) ReplaceTop(it lazyItem) {
 
 // Select implements Selector.
 func (l Lazy) Select(p *Problem, k int) ([]roadnet.RoadID, error) {
+	//lint:ignore ctxflow Selector.Select has no ctx by design: every selector implements it, including ones outside this package; cancellable callers use SelectCtx
 	return l.SelectCtx(context.Background(), p, k)
 }
 

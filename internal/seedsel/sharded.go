@@ -29,11 +29,6 @@ type ShardedPick struct {
 	Road  roadnet.RoadID
 }
 
-// SelectSharded is SelectShardedCtx without cancellation.
-func SelectSharded(shards []ShardProblem, k int) ([]ShardedPick, error) {
-	return SelectShardedCtx(context.Background(), shards, k)
-}
-
 // SelectShardedCtx runs lazy greedy (CELF) across district shards: each shard
 // keeps its own max-heap of (possibly stale) marginal gains over its
 // candidates, filled in parallel, and the outer loop repeatedly takes the

@@ -23,7 +23,7 @@ func TestShardedSingleShardMatchesLazy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lazy: %v", err)
 	}
-	picks, err := SelectSharded([]ShardProblem{{Problem: p, Candidates: allCandidates(p)}}, k)
+	picks, err := SelectShardedCtx(context.Background(), []ShardProblem{{Problem: p, Candidates: allCandidates(p)}}, k)
 	if err != nil {
 		t.Fatalf("SelectSharded: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestShardedMatchesReferenceGreedy(t *testing.T) {
 		shards[i].Candidates = allCandidates(shards[i].Problem)
 	}
 	const k = 12
-	got, err := SelectSharded(shards, k)
+	got, err := SelectShardedCtx(context.Background(), shards, k)
 	if err != nil {
 		t.Fatalf("SelectSharded: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestShardedMatchesReferenceGreedy(t *testing.T) {
 func TestShardedRestrictsToCandidates(t *testing.T) {
 	p := randomProblem(t, 5, 40)
 	cands := []roadnet.RoadID{3, 7, 11, 19}
-	picks, err := SelectSharded([]ShardProblem{{Problem: p, Candidates: cands}}, 3)
+	picks, err := SelectShardedCtx(context.Background(), []ShardProblem{{Problem: p, Candidates: cands}}, 3)
 	if err != nil {
 		t.Fatalf("SelectSharded: %v", err)
 	}
@@ -122,19 +122,19 @@ func TestShardedRestrictsToCandidates(t *testing.T) {
 func TestShardedValidation(t *testing.T) {
 	p := randomProblem(t, 1, 10)
 	sp := []ShardProblem{{Problem: p, Candidates: allCandidates(p)}}
-	if _, err := SelectSharded(nil, 1); err == nil {
+	if _, err := SelectShardedCtx(context.Background(), nil, 1); err == nil {
 		t.Fatal("no shards accepted")
 	}
-	if _, err := SelectSharded([]ShardProblem{{Problem: nil}}, 1); err == nil {
+	if _, err := SelectShardedCtx(context.Background(), []ShardProblem{{Problem: nil}}, 1); err == nil {
 		t.Fatal("nil problem accepted")
 	}
-	if _, err := SelectSharded(sp, 0); err == nil {
+	if _, err := SelectShardedCtx(context.Background(), sp, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := SelectSharded(sp, 11); err == nil {
+	if _, err := SelectShardedCtx(context.Background(), sp, 11); err == nil {
 		t.Fatal("k beyond candidates accepted")
 	}
-	if _, err := SelectSharded([]ShardProblem{{Problem: p, Candidates: []roadnet.RoadID{99}}}, 1); err == nil {
+	if _, err := SelectShardedCtx(context.Background(), []ShardProblem{{Problem: p, Candidates: []roadnet.RoadID{99}}}, 1); err == nil {
 		t.Fatal("out-of-range candidate accepted")
 	}
 }

@@ -3,22 +3,24 @@
 // to speeds (Hu, Li, Bao, Cui, Feng — ICDE 2016).
 //
 // The package re-exports the high-level API from the internal packages so a
-// downstream user needs a single import:
+// downstream user needs a single import. Every call that does real work takes
+// a context, which bounds it:
+//
+//	v, err := speedest.New(net, db, speedest.DefaultOptions())
+//	seeds, err := v.SelectSeeds(ctx, k)                 // budget-K seed selection
+//	reports := askYourCrowd(seeds)                      // crowdsource seed speeds
+//	res, err := v.EstimateFromCrowd(ctx, slot, reports) // network-wide speeds
+//
+// New returns a frozen View: one trained version, no lifecycle. A Store
+// publishes a versioned View and can fold new crowd observations into a
+// rebuilt successor without interrupting estimation; each round runs on the
+// View resolved at entry:
 //
 //	st, err := speedest.NewStore(net, db, speedest.DefaultOptions())
-//	seeds, err := st.SelectSeeds(k)            // budget-K seed selection
-//	reports := askYourCrowd(seeds)             // crowdsource seed speeds
-//	res, err := st.Estimate(slot, reports)     // network-wide speeds
-//
-// A Store publishes an immutable, versioned Model and can fold new crowd
-// observations into a rebuilt successor without interrupting estimation:
-//
 //	st.Ingest(speedest.Observation{Road: 12, Slot: slot, Speed: 8.5})
 //	st.Start(speedest.StoreConfig{RebuildMinObs: 1000}) // background rebuilds
 //	defer st.Close()
-//
-// For a frozen, single-version deployment, New returns the bare Model and
-// skips the lifecycle machinery entirely.
+//	res, err := st.View().Estimate(ctx, slot, seedSpeeds)
 //
 // Use BuildDataset (or the GPS pipeline in internal/gps via cmd/datagen) to
 // create synthetic benchmark datasets; see examples/ for runnable
@@ -34,18 +36,15 @@ import (
 	"repro/internal/timeslot"
 )
 
-// Model is the trained end-to-end system, built as one immutable artifact:
-// correlation graph, trend model, hierarchical linear model and seed
-// selection, stamped with a monotonic version.
+// Model is one district's trained artifact: correlation graph, trend model,
+// hierarchical linear model and seed selection, stamped with a monotonic
+// version. View.Shard(0) is the whole city's Model when unsharded.
 type Model = core.Model
 
-// Estimator is the pre-lifecycle name for Model.
-//
-// Deprecated: use Model (or a Store, which manages versioned Models).
-type Estimator = core.Model
-
-// View is the published snapshot a Store serves: one Model when unsharded,
-// or K district Models stitched at their boundaries when Options.Shards > 1.
+// View is one trained version of the system and the estimation round that
+// runs on it: one Model when unsharded, or K district Models stitched at
+// their boundaries when Options.Shards > 1. A Store publishes successive
+// Views.
 type View = core.View
 
 // Store publishes the current View and rebuilds successors from ingested
@@ -87,14 +86,14 @@ type Dataset = dataset.Dataset
 // DatasetConfig parameterises BuildDataset.
 type DatasetConfig = dataset.Config
 
-// New builds a frozen version-1 Model from a network and its historical
-// database. This is the expensive offline phase; Estimate calls are cheap
+// New builds a frozen version-1 View from a network and its historical
+// database. This is the expensive offline phase; estimation rounds are cheap
 // enough for real-time use.
-func New(net *Network, db *HistoryDB, opts Options) (*Model, error) {
-	return core.New(net, db, opts)
+func New(net *Network, db *HistoryDB, opts Options) (*View, error) {
+	return core.NewView(net, db, opts)
 }
 
-// NewStore builds the initial Model and wraps it in a Store ready for
+// NewStore builds the initial View and wraps it in a Store ready for
 // observation ingestion and zero-downtime background rebuilds.
 func NewStore(net *Network, db *HistoryDB, opts Options) (*Store, error) {
 	return core.NewStore(net, db, opts)

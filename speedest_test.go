@@ -1,6 +1,7 @@
 package speedest
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -8,6 +9,7 @@ import (
 // TestFacadeEndToEnd exercises the whole public API surface: dataset
 // assembly, training, seed selection, estimation and scoring.
 func TestFacadeEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	cfg := DefaultDatasetConfig()
 	cfg.Net.BlocksX, cfg.Net.BlocksY = 7, 6
 	cfg.HistoryDays = 6
@@ -20,7 +22,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := d.Net.NumRoads() / 10
-	seeds, err := est.SelectSeeds(k)
+	seeds, err := est.SelectSeeds(ctx, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		for _, s := range seeds {
 			seedSpeeds[s] = truth[s]
 		}
-		res, err := est.Estimate(slot, seedSpeeds)
+		res, err := est.Estimate(ctx, slot, seedSpeeds)
 		if err != nil {
 			t.Fatal(err)
 		}
