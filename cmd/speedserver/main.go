@@ -95,7 +95,11 @@ func main() {
 
 	var net *roadnet.Network
 	var db *history.DB
+	// dataWhat/dataTook describe the first half of set-up, so a slow start
+	// splits into the dataset and the model build in the log.
+	dataWhat, tData := "built", time.Now()
 	if *data != "" {
+		dataWhat = "loaded"
 		var err error
 		net, db, err = load(*data)
 		if err != nil {
@@ -120,6 +124,7 @@ func main() {
 		}
 		net, db = d.Net, d.DB
 	}
+	dataTook := time.Since(tData)
 
 	opts := core.DefaultOptions()
 	opts.Shards = *shards
@@ -142,7 +147,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("model v%d trained in %v", store.View().Version(), time.Since(t0).Round(time.Millisecond))
+	log.Printf("model v%d trained in %v (dataset %s in %v)", store.View().Version(), time.Since(t0).Round(time.Millisecond),
+		dataWhat, dataTook.Round(time.Millisecond))
 	store.OnSwap(func(old, v *core.View) {
 		log.Printf("model v%d → v%d (%d observations, rebuilt in %v)",
 			old.Version(), v.Version(), v.ObservationCount(), v.BuildDuration().Round(time.Millisecond))

@@ -11,9 +11,11 @@
 package history
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -215,10 +217,12 @@ type Builder struct {
 	numRoads int
 
 	mu sync.Mutex
-	// agg[road] maps absolute slot → (speed sum, count). In a roll-forward
-	// builder, nil means the road is untouched and its base data is reused
-	// verbatim.
-	agg []map[int32]sumCount
+	// log[road] lists the road's observations in arrival order; Finalize
+	// sorts it by slot and sums each slot's speeds in that order. In a
+	// roll-forward builder, nil means the road is untouched and its base
+	// data is reused verbatim, and a touched road's log starts with its
+	// recovered base series.
+	log [][]observation
 	// base is the DB this builder rolls forward, nil for fresh builders.
 	base *DB
 	// dirty[road] is the set of slots with new observations since base;
@@ -226,10 +230,16 @@ type Builder struct {
 	dirty []map[int32]struct{}
 }
 
-type sumCount struct {
-	sum float64
-	n   uint32
+// observation is one logged speed. Finalize reuses a road's log in place
+// for its slot means: v becomes the mean speed of slot and class caches the
+// slot's profile class.
+type observation struct {
+	slot  int32
+	class int32
+	v     float64
 }
+
+func bySlot(a, b observation) int { return cmp.Compare(a.slot, b.slot) }
 
 // NewBuilder returns an empty Builder for numRoads roads.
 func NewBuilder(cal *timeslot.Calendar, numRoads int) (*Builder, error) {
@@ -237,7 +247,7 @@ func NewBuilder(cal *timeslot.Calendar, numRoads int) (*Builder, error) {
 		//lint:ignore errwrap builder misconfiguration at construction time, not request input; no API-boundary sentinel applies
 		return nil, fmt.Errorf("history: numRoads must be positive, got %d", numRoads)
 	}
-	b := &Builder{cal: cal, numRoads: numRoads, agg: make([]map[int32]sumCount, numRoads)}
+	b := &Builder{cal: cal, numRoads: numRoads, log: make([][]observation, numRoads)}
 	return b, nil
 }
 
@@ -255,17 +265,11 @@ func (b *Builder) Add(road roadnet.RoadID, slot int, speed float64) error {
 		return fmt.Errorf("history: invalid speed %v for road %d: %w", speed, road, ErrInvalidObservation)
 	}
 	b.mu.Lock()
-	if b.agg[road] == nil {
-		if b.base != nil {
-			b.agg[road] = recoverRoad(b.base, road)
-		} else {
-			b.agg[road] = make(map[int32]sumCount)
-		}
+	log := b.log[road]
+	if log == nil && b.base != nil {
+		log = recoverRoad(b.base, road)
 	}
-	sc := b.agg[road][int32(slot)]
-	sc.sum += speed
-	sc.n++
-	b.agg[road][int32(slot)] = sc
+	b.log[road] = append(log, observation{slot: int32(slot), v: speed})
 	if b.dirty != nil {
 		if b.dirty[road] == nil {
 			b.dirty[road] = make(map[int32]struct{})
@@ -307,60 +311,72 @@ func (b *Builder) Finalize() *DB {
 		series:   make([][]Sample, b.numRoads),
 	}
 
-	// Pass 1: slot-level means per road, then per-class mean/std and the
-	// road-overall mean.
-	type slotMean struct {
-		slot int32
-		v    float64
-	}
-	perRoad := make([][]slotMean, b.numRoads)
-	for road, cells := range b.agg {
-		if len(cells) == 0 {
+	classSum := make([]float64, spw)
+	classSq := make([]float64, spw)
+	classN := make([]uint32, spw)
+	for road, log := range b.log {
+		if log == nil && b.base != nil {
+			// Untouched roll-forward road: per-road statistics depend only
+			// on the road's own observations, so it finalises to exactly
+			// its base values, which are shared verbatim.
+			copy(db.profile[road*spw:(road+1)*spw], b.base.profile[road*spw:(road+1)*spw])
+			db.overall[road] = b.base.overall[road]
+			db.series[road] = b.base.series[road]
 			continue
 		}
-		sm := make([]slotMean, 0, len(cells))
-		for slot, sc := range cells {
-			sm = append(sm, slotMean{slot: slot, v: sc.sum / float64(sc.n)})
+		if len(log) == 0 {
+			continue
 		}
-		sort.Slice(sm, func(i, j int) bool { return sm[i].slot < sm[j].slot })
-		perRoad[road] = sm
+		b.log[road] = nil // the log is consumed below; let it be collected
+		// Slot-level means: a stable sort keeps each slot's observations in
+		// arrival order, and they are summed in that order.
+		if !slices.IsSortedFunc(log, bySlot) {
+			slices.SortStableFunc(log, bySlot)
+		}
+		means := log[:0]
+		for i := 0; i < len(log); {
+			slot := log[i].slot
+			var sum float64
+			var n uint32
+			for ; i < len(log) && log[i].slot == slot; i++ {
+				sum += log[i].v
+				n++
+			}
+			means = append(means, observation{slot: slot, class: int32(b.cal.ProfileClass(int(slot))), v: sum / float64(n)})
+		}
 
+		// Per-class mean/std and the road-overall mean.
 		var overallSum float64
-		classSum := make(map[int]float64)
-		classSq := make(map[int]float64)
-		classN := make(map[int]uint32)
-		for _, s := range sm {
-			cls := b.cal.ProfileClass(int(s.slot))
-			classSum[cls] += s.v
-			classSq[cls] += s.v * s.v
-			classN[cls]++
+		for _, s := range means {
+			classSum[s.class] += s.v
+			classSq[s.class] += s.v * s.v
+			classN[s.class]++
 			overallSum += s.v
 		}
-		db.overall[road] = float32(overallSum / float64(len(sm)))
-		base := road * spw
+		db.overall[road] = float32(overallSum / float64(len(means)))
+		cells := db.profile[road*spw : (road+1)*spw]
 		for cls, n := range classN {
+			if n == 0 {
+				continue
+			}
 			mean := classSum[cls] / float64(n)
 			variance := classSq[cls]/float64(n) - mean*mean
 			if variance < 0 {
 				variance = 0
 			}
-			cell := &db.profile[base+cls]
+			cell := &cells[cls]
 			cell.mean = float32(mean)
 			cell.std = float32(math.Sqrt(variance))
 			cell.n = n
 		}
-	}
+		clear(classSum)
+		clear(classSq)
+		clear(classN)
 
-	// Pass 2: relative series and up-counts against the finished profiles.
-	for road, sm := range perRoad {
-		if len(sm) == 0 {
-			continue
-		}
-		series := make([]Sample, 0, len(sm))
-		base := road * spw
-		for _, s := range sm {
-			cls := b.cal.ProfileClass(int(s.slot))
-			cell := &db.profile[base+cls]
+		// Relative series and up-counts against the finished profiles.
+		series := make([]Sample, 0, len(means))
+		for _, s := range means {
+			cell := &cells[s.class]
 			mean := float64(cell.mean)
 			if cell.n == 0 || mean <= 0 {
 				mean = float64(db.overall[road])
@@ -377,20 +393,7 @@ func (b *Builder) Finalize() *DB {
 		db.series[road] = series
 	}
 
-	// Roll-forward: untouched roads reuse the base DB's data verbatim.
-	// Per-road statistics depend only on that road's own aggregates, so a
-	// road with no new observations finalises to exactly its base values.
-	if b.base != nil {
-		for road := 0; road < b.numRoads; road++ {
-			if b.agg[road] != nil {
-				continue
-			}
-			copy(db.profile[road*spw:(road+1)*spw], b.base.profile[road*spw:(road+1)*spw])
-			db.overall[road] = b.base.overall[road]
-			db.series[road] = b.base.series[road]
-		}
-	}
-	b.agg = nil
+	b.log = nil
 	return db
 }
 
@@ -446,13 +449,13 @@ func (b *Builder) Dirty() *Dirty {
 	return d
 }
 
-// recoverRoad rebuilds one road's slot aggregates from a finalised DB,
+// recoverRoad rebuilds one road's observation log from a finalised DB,
 // recovering each stored sample as one observation at its recorded mean
-// speed (see NewBuilderFrom for why that reconstruction is sound). The
-// caller holds the builder lock or owns the builder exclusively.
-func recoverRoad(db *DB, road roadnet.RoadID) map[int32]sumCount {
+// speed (see NewBuilderFrom for why that reconstruction is sound), in slot
+// order. The caller holds the builder lock or owns the builder exclusively.
+func recoverRoad(db *DB, road roadnet.RoadID) []observation {
 	series := db.series[road]
-	agg := make(map[int32]sumCount, len(series))
+	log := make([]observation, 0, len(series)+1)
 	for _, s := range series {
 		mean, ok := db.Mean(road, int(s.Slot))
 		if !ok || mean <= 0 {
@@ -462,12 +465,9 @@ func recoverRoad(db *DB, road roadnet.RoadID) map[int32]sumCount {
 		if speed <= 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
 			continue
 		}
-		sc := agg[s.Slot]
-		sc.sum += speed
-		sc.n++
-		agg[s.Slot] = sc
+		log = append(log, observation{slot: s.Slot, v: speed})
 	}
-	return agg
+	return log
 }
 
 // NewBuilderFrom returns a roll-forward Builder over an existing database,

@@ -172,187 +172,20 @@ func Train(graph *corr.Graph, db *history.DB, cfg Config) (*Model, error) {
 	if graph.NumRoads() != db.NumRoads() {
 		return nil, fmt.Errorf("hlm: graph has %d roads, history has %d", graph.NumRoads(), db.NumRoads())
 	}
-	n := graph.NumRoads()
+	if err := checkLevels(cfg, graph.NumRoads()); err != nil {
+		return nil, err
+	}
+	return fit(nil, graph, db, cfg, nil), nil
+}
+
+// checkLevels rejects pooling levels that do not assign every road a group.
+func checkLevels(cfg Config, n int) error {
 	for l, groups := range cfg.Levels {
 		if len(groups) != n {
-			return nil, fmt.Errorf("hlm: level %d has %d group assignments for %d roads", l, len(groups), n)
+			return fmt.Errorf("hlm: level %d has %d group assignments for %d roads", l, len(groups), n)
 		}
 	}
-	m := &Model{cfg: cfg, graph: graph, roads: make([]roadModel, n), levels: cfg.Levels}
-	gds := make([]*groupDevs, len(cfg.Levels))
-	for l, groups := range cfg.Levels {
-		gds[l] = newGroupDevs(db, groups)
-	}
-	for r := 0; r < n; r++ {
-		m.roads[r] = trainRoad(graph, db, roadnet.RoadID(r), cfg, gds)
-	}
-	return m, nil
-}
-
-// groupDevs aggregates, per history slot and group, the sum and count of
-// observed rel deviations, enabling leave-one-out group means.
-type groupDevs struct {
-	groups []int
-	sum    map[int64]float64
-	cnt    map[int64]int
-}
-
-func groupKey(slot int32, group int) int64 { return int64(slot)<<16 | int64(group&0xffff) }
-
-func newGroupDevs(db *history.DB, groups []int) *groupDevs {
-	gd := &groupDevs{groups: groups, sum: make(map[int64]float64), cnt: make(map[int64]int)}
-	for r := 0; r < db.NumRoads(); r++ {
-		g := groups[r]
-		for _, s := range db.Series(roadnet.RoadID(r)) {
-			k := groupKey(s.Slot, g)
-			gd.sum[k] += float64(s.Rel) - 1
-			gd.cnt[k]++
-		}
-	}
-	return gd
-}
-
-// leaveOneOut returns the mean deviation of the group in the slot excluding
-// the given sample; ok is false with fewer than 3 other members.
-func (gd *groupDevs) leaveOneOut(slot int32, group int, ownDev float64) (float64, bool) {
-	k := groupKey(slot, group)
-	n := gd.cnt[k]
-	if n < 4 {
-		return 0, false
-	}
-	return (gd.sum[k] - ownDev) / float64(n-1), true
-}
-
-// trainRoad fits one road's prior, pairwise and pooled regressions.
-func trainRoad(graph *corr.Graph, db *history.DB, r roadnet.RoadID, cfg Config, gds []*groupDevs) roadModel {
-	rm := roadModel{expRelUp: 1, expRelDown: 1, expRelAll: 1, varUp: 0.02, varDown: 0.02, varAll: 0.04}
-
-	// Trend-conditioned prior moments from the road's own series.
-	var upSum, upSq, downSum, downSq float64
-	var upN, downN int
-	for _, s := range db.Series(r) {
-		v := float64(s.Rel)
-		if s.Up() {
-			upSum += v
-			upSq += v * v
-			upN++
-		} else {
-			downSum += v
-			downSq += v * v
-			downN++
-		}
-	}
-	if upN+downN > 1 {
-		total := float64(upN + downN)
-		rm.expRelAll = (upSum + downSum) / total
-		rm.varAll = math.Max((upSq+downSq)/total-rm.expRelAll*rm.expRelAll, 1e-4)
-	}
-	if upN > 1 {
-		rm.expRelUp = upSum / float64(upN)
-		rm.varUp = math.Max(upSq/float64(upN)-rm.expRelUp*rm.expRelUp, 1e-4)
-	}
-	if downN > 1 {
-		rm.expRelDown = downSum / float64(downN)
-		rm.varDown = math.Max(downSq/float64(downN)-rm.expRelDown*rm.expRelDown, 1e-4)
-	}
-
-	// Pairwise regressions against the strongest-agreeing neighbours.
-	candidates := graph.Neighbors(r)
-	k := cfg.MaxNeighbors
-	if k > len(candidates) {
-		k = len(candidates)
-	}
-	for i := 0; i < k; i++ {
-		nb := candidates[i].To
-		var rows [][]float64
-		var resp []float64
-		db.CoObserved(r, nb, func(_ int32, relR, relNb float32) {
-			rows = append(rows, []float64{float64(relNb)})
-			resp = append(resp, float64(relR))
-		})
-		if len(rows) < cfg.MinSamples {
-			continue
-		}
-		pm := pairModel{pooled: fitOrNil(rows, resp, cfg.Lambda)}
-		if pm.pooled == nil {
-			continue
-		}
-		var upRows, downRows [][]float64
-		var upResp, downResp []float64
-		for j, y := range resp {
-			if y >= 1 {
-				upRows = append(upRows, rows[j])
-				upResp = append(upResp, y)
-			} else {
-				downRows = append(downRows, rows[j])
-				downResp = append(downResp, y)
-			}
-		}
-		if len(upRows) >= cfg.MinSamples/2 {
-			pm.up = fitOrNil(upRows, upResp, cfg.Lambda)
-		}
-		if len(downRows) >= cfg.MinSamples/2 {
-			pm.down = fitOrNil(downRows, downResp, cfg.Lambda)
-		}
-		rm.neighbors = append(rm.neighbors, nb)
-		rm.pairs = append(rm.pairs, pm)
-	}
-
-	rm.levelPairs = make([]*pairModel, len(gds))
-	for l, gd := range gds {
-		rm.levelPairs[l] = trainGroupPair(db, r, gd, cfg)
-	}
-	return rm
-}
-
-// trainGroupPair fits the group-level predictor: rel_r from the mean
-// deviation of the other observed roads in r's group.
-func trainGroupPair(db *history.DB, r roadnet.RoadID, gd *groupDevs, cfg Config) *pairModel {
-	g := gd.groups[r]
-	var rows [][]float64
-	var resp []float64
-	for _, s := range db.Series(r) {
-		dev := float64(s.Rel) - 1
-		x, ok := gd.leaveOneOut(s.Slot, g, dev)
-		if !ok {
-			continue
-		}
-		rows = append(rows, []float64{x})
-		resp = append(resp, float64(s.Rel))
-	}
-	if len(rows) < cfg.MinSamples {
-		return nil
-	}
-	pm := pairModel{pooled: fitOrNil(rows, resp, cfg.Lambda)}
-	if pm.pooled == nil {
-		return nil
-	}
-	var upRows, downRows [][]float64
-	var upResp, downResp []float64
-	for j, y := range resp {
-		if y >= 1 {
-			upRows = append(upRows, rows[j])
-			upResp = append(upResp, y)
-		} else {
-			downRows = append(downRows, rows[j])
-			downResp = append(downResp, y)
-		}
-	}
-	if len(upRows) >= cfg.MinSamples/2 {
-		pm.up = fitOrNil(upRows, upResp, cfg.Lambda)
-	}
-	if len(downRows) >= cfg.MinSamples/2 {
-		pm.down = fitOrNil(downRows, downResp, cfg.Lambda)
-	}
-	return &pm
-}
-
-func fitOrNil(rows [][]float64, resp []float64, lambda float64) *linalg.RidgeModel {
-	m, err := linalg.RidgeFit(rows, resp, lambda)
-	if err != nil {
-		return nil
-	}
-	return m
+	return nil
 }
 
 // Request carries the per-slot inputs for estimation.

@@ -2,11 +2,9 @@ package hlm
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/corr"
 	"repro/internal/history"
-	"repro/internal/par"
 	"repro/internal/roadnet"
 )
 
@@ -36,9 +34,8 @@ import (
 // and is what core's incremental-vs-full equivalence bound covers.
 //
 // Cost: the per-level group aggregates are recomputed from the new history
-// (unavoidable — a dirty road perturbs its groups' means for everyone) but
-// in parallel across levels, and road fitting is proportional to the
-// affected set, not the city.
+// (unavoidable — a dirty road perturbs its groups' means for everyone), and
+// road fitting is proportional to the affected set, not the city.
 func Retrain(old *Model, graph *corr.Graph, db *history.DB, dirty []bool) (*Model, error) {
 	cfg := old.cfg
 	n := old.NumRoads()
@@ -72,31 +69,8 @@ func Retrain(old *Model, graph *corr.Graph, db *history.DB, dirty []bool) (*Mode
 		}
 	}
 
-	// Group aggregates over the new history, one goroutine per level: the
-	// levels are few (par.For would run them inline) and equally heavy.
-	gds := make([]*groupDevs, len(cfg.Levels))
-	var wg sync.WaitGroup
-	for l, groups := range cfg.Levels {
-		if len(groups) != n {
-			return nil, fmt.Errorf("hlm: level %d has %d group assignments for %d roads", l, len(groups), n)
-		}
-		wg.Add(1)
-		go func(l int, groups []int) {
-			defer wg.Done()
-			gds[l] = newGroupDevs(db, groups)
-		}(l, groups)
+	if err := checkLevels(cfg, n); err != nil {
+		return nil, err
 	}
-	wg.Wait()
-
-	m := &Model{cfg: cfg, graph: graph, roads: make([]roadModel, n), levels: cfg.Levels}
-	par.For(n, 0, func(start, end int) {
-		for r := start; r < end; r++ {
-			if affected[r] {
-				m.roads[r] = trainRoad(graph, db, roadnet.RoadID(r), cfg, gds)
-			} else {
-				m.roads[r] = old.roads[r]
-			}
-		}
-	})
-	return m, nil
+	return fit(old, graph, db, cfg, affected), nil
 }

@@ -114,6 +114,7 @@ func (m *Model) Specialize(db *history.DB, seeds []roadnet.RoadID, candidates fu
 		}
 		sm.seedSet[s] = true
 	}
+	var buf fitBuf
 	for r := 0; r < n; r++ {
 		id := roadnet.RoadID(r)
 		if sm.seedSet[id] {
@@ -123,7 +124,7 @@ func (m *Model) Specialize(db *history.DB, seeds []roadnet.RoadID, candidates fu
 		if len(cands) > cfg.MaxCandidates {
 			cands = cands[:cfg.MaxCandidates]
 		}
-		sm.roads[r] = trainSeedRoad(db, id, cands, sm.seedSet, cfg)
+		sm.roads[r] = trainSeedRoad(db, id, cands, sm.seedSet, cfg, &buf)
 	}
 	return sm, nil
 }
@@ -137,7 +138,7 @@ type corrStat struct {
 
 // trainSeedRoad scores candidates, keeps the strongest, and fits the
 // trend-conditioned regressions on aligned history.
-func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, seedSet map[roadnet.RoadID]bool, cfg SpecializeConfig) seedRoadModel {
+func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, seedSet map[roadnet.RoadID]bool, cfg SpecializeConfig, buf *fitBuf) seedRoadModel {
 	var scored []corrStat
 	for _, c := range cands {
 		if !seedSet[c] || c == r {
@@ -196,31 +197,12 @@ func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, see
 			srm.feats[i] = scored[i].seed
 			srm.impute[i] = scored[i].mean
 		}
-		rows, resp := alignedSeedRows(db, r, srm.feats)
-		if len(rows) < cfg.MinSamples {
+		buf.x, buf.y = alignedSeedRows(db, r, srm.feats, buf.x[:0], buf.y[:0])
+		pm, ok := buf.fitTrend(buf.x, k, buf.y, cfg.MinSamples, cfg.Lambda)
+		if !ok {
 			continue
 		}
-		srm.pooled = fitOrNil(rows, resp, cfg.Lambda)
-		if srm.pooled == nil {
-			continue
-		}
-		var upRows, downRows [][]float64
-		var upResp, downResp []float64
-		for j, y := range resp {
-			if y >= 1 {
-				upRows = append(upRows, rows[j])
-				upResp = append(upResp, y)
-			} else {
-				downRows = append(downRows, rows[j])
-				downResp = append(downResp, y)
-			}
-		}
-		if len(upRows) >= cfg.MinSamples/2 {
-			srm.up = fitOrNil(upRows, upResp, cfg.Lambda)
-		}
-		if len(downRows) >= cfg.MinSamples/2 {
-			srm.down = fitOrNil(downRows, downResp, cfg.Lambda)
-		}
+		srm.up, srm.down, srm.pooled = pm.up, pm.down, pm.pooled
 		return srm
 	}
 	return seedRoadModel{}
@@ -235,33 +217,28 @@ func lookupRel(series []history.Sample, slot int32) (float64, bool) {
 	return 0, false
 }
 
-// alignedSeedRows extracts rows where the road and every feature seed were
-// co-observed.
-func alignedSeedRows(db *history.DB, r roadnet.RoadID, feats []roadnet.RoadID) ([][]float64, []float64) {
+// alignedSeedRows appends to x (row-major, one column per feature seed) and
+// y the slots where the road and every feature seed were co-observed.
+func alignedSeedRows(db *history.DB, r roadnet.RoadID, feats []roadnet.RoadID, x, y []float64) ([]float64, []float64) {
 	featSeries := make([][]history.Sample, len(feats))
 	for i, f := range feats {
 		featSeries[i] = db.Series(f)
 	}
-	var rows [][]float64
-	var resp []float64
-	row := make([]float64, len(feats))
 	for _, s := range db.Series(r) {
-		complete := true
-		for i := range featSeries {
-			v, ok := lookupRel(featSeries[i], s.Slot)
+		row := len(x)
+		for _, fs := range featSeries {
+			v, ok := lookupRel(fs, s.Slot)
 			if !ok {
-				complete = false
+				x = x[:row]
 				break
 			}
-			row[i] = v
+			x = append(x, v)
 		}
-		if !complete {
-			continue
+		if len(x) == row+len(feats) {
+			y = append(y, float64(s.Rel))
 		}
-		rows = append(rows, append([]float64(nil), row...))
-		resp = append(resp, float64(s.Rel))
 	}
-	return rows, resp
+	return x, y
 }
 
 // Estimate runs seed-conditional estimation: roads with seed regressions

@@ -193,17 +193,16 @@ func TestRidgeRecoversExactLinearModel(t *testing.T) {
 	n, p := 200, 3
 	wTrue := []float64{2.5, -1.0, 0.5}
 	const intercept = 4.0
-	x := make([][]float64, n)
+	x := make([]float64, n*p)
 	y := make([]float64, n)
-	for i := range x {
-		row := make([]float64, p)
+	for i := range y {
+		row := x[i*p : (i+1)*p]
 		for j := range row {
 			row[j] = rng.NormFloat64()
 		}
-		x[i] = row
 		y[i] = intercept + Dot(wTrue, row)
 	}
-	m, err := RidgeFit(x, y, 0)
+	m, err := RidgeFit(x, p, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,15 +226,15 @@ func TestRidgeShrinksCoefficients(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(5))
 	n := 100
-	x := make([][]float64, n)
+	x := make([]float64, n)
 	y := make([]float64, n)
 	for i := range x {
 		v := rng.NormFloat64()
-		x[i] = []float64{v}
+		x[i] = v
 		y[i] = 3*v + rng.NormFloat64()*0.1
 	}
-	loose, _ := RidgeFit(x, y, 0)
-	tight, _ := RidgeFit(x, y, 1000)
+	loose, _ := RidgeFit(x, 1, y, 0)
+	tight, _ := RidgeFit(x, 1, y, 1000)
 	if math.Abs(tight.Coef[0]) >= math.Abs(loose.Coef[0]) {
 		t.Errorf("lambda=1000 coef %v not shrunk vs %v", tight.Coef[0], loose.Coef[0])
 	}
@@ -244,9 +243,9 @@ func TestRidgeShrinksCoefficients(t *testing.T) {
 func TestRidgeHandlesCollinearFeatures(t *testing.T) {
 	t.Parallel()
 	// Two identical columns would make OLS singular; ridge must cope.
-	x := [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
+	x := []float64{1, 1, 2, 2, 3, 3, 4, 4}
 	y := []float64{2, 4, 6, 8}
-	m, err := RidgeFit(x, y, 1e-6)
+	m, err := RidgeFit(x, 2, y, 1e-6)
 	if err != nil {
 		t.Fatalf("collinear fit failed: %v", err)
 	}
@@ -258,7 +257,7 @@ func TestRidgeHandlesCollinearFeatures(t *testing.T) {
 
 func TestRidgeInterceptOnly(t *testing.T) {
 	t.Parallel()
-	m, err := RidgeFit([][]float64{{}, {}, {}}, []float64{1, 2, 3}, 0)
+	m, err := RidgeFit(nil, 0, []float64{1, 2, 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,19 +271,26 @@ func TestRidgeInterceptOnly(t *testing.T) {
 
 func TestRidgeErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := RidgeFit(nil, nil, 0); !errors.Is(err, ErrNoSamples) {
+	if _, err := RidgeFit(nil, 1, nil, 0); !errors.Is(err, ErrNoSamples) {
 		t.Error("empty fit accepted")
 	}
-	if _, err := RidgeFit([][]float64{{1}}, []float64{1, 2}, 0); !errors.Is(err, ErrShape) {
+	if _, err := RidgeFit([]float64{1}, 1, []float64{1, 2}, 0); !errors.Is(err, ErrShape) {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := RidgeFit([][]float64{{1}, {1, 2}}, []float64{1, 2}, 0); !errors.Is(err, ErrShape) {
+	// Ragged rows: three design values for two one-feature responses.
+	if _, err := RidgeFit([]float64{1, 1, 2}, 1, []float64{1, 2}, 0); !errors.Is(err, ErrShape) {
 		t.Error("ragged design accepted")
 	}
-	if _, err := RidgeFit([][]float64{{1}}, []float64{1}, -1); err == nil {
+	if _, err := RidgeFit([]float64{1, 1, 2}, 2, []float64{1, 2}, 0); !errors.Is(err, ErrShape) {
+		t.Error("short design accepted")
+	}
+	if _, err := RidgeFit(nil, -1, []float64{1}, 0); !errors.Is(err, ErrShape) {
+		t.Error("negative feature count accepted")
+	}
+	if _, err := RidgeFit([]float64{1}, 1, []float64{1}, -1); err == nil {
 		t.Error("negative lambda accepted")
 	}
-	m, _ := RidgeFit([][]float64{{1}, {2}}, []float64{1, 2}, 0)
+	m, _ := RidgeFit([]float64{1, 2}, 1, []float64{1, 2}, 0)
 	if _, err := m.Predict([]float64{1, 2}); !errors.Is(err, ErrShape) {
 		t.Error("Predict with wrong feature count accepted")
 	}
@@ -297,25 +303,25 @@ func TestOLSResidualOrthogonality(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n, p := 40, 2
-		x := make([][]float64, n)
+		x := make([]float64, n*p)
 		y := make([]float64, n)
-		for i := range x {
-			x[i] = []float64{r.NormFloat64(), r.NormFloat64()}
-			y[i] = 1 + 2*x[i][0] - x[i][1] + r.NormFloat64()
+		for i := range y {
+			x[i*p], x[i*p+1] = r.NormFloat64(), r.NormFloat64()
+			y[i] = 1 + 2*x[i*p] - x[i*p+1] + r.NormFloat64()
 		}
-		m, err := RidgeFit(x, y, 0)
+		m, err := RidgeFit(x, p, y, 0)
 		if err != nil {
 			return false
 		}
 		for j := 0; j < p; j++ {
 			var dot, mean float64
-			for i := range x {
-				mean += x[i][j]
+			for i := range y {
+				mean += x[i*p+j]
 			}
 			mean /= float64(n)
-			for i := range x {
-				pred, _ := m.Predict(x[i])
-				dot += (y[i] - pred) * (x[i][j] - mean)
+			for i := range y {
+				pred, _ := m.Predict(x[i*p : (i+1)*p])
+				dot += (y[i] - pred) * (x[i*p+j] - mean)
 			}
 			if math.Abs(dot) > 1e-5 {
 				return false

@@ -39,28 +39,31 @@ func (m *RidgeModel) Predict1(x float64) (float64, error) {
 }
 
 // RidgeFit fits y ≈ w₀ + Σ wⱼ xⱼ with an L2 penalty lambda on the weights
-// (the intercept is not penalised, implemented by centring). X is the n×p
-// design matrix as row slices; y has n responses. lambda must be ≥ 0; a
-// small positive lambda also guarantees the normal equations are solvable
-// when features are collinear, which happens constantly with neighbouring
-// road speeds.
-func RidgeFit(x [][]float64, y []float64, lambda float64) (*RidgeModel, error) {
-	n := len(x)
+// (the intercept is not penalised, implemented by centring). x is the n×p
+// design matrix, row-major and flat (row i is x[i*p:(i+1)*p]); y has n
+// responses. lambda must be ≥ 0; a small positive lambda also guarantees the
+// normal equations are solvable when features are collinear, which happens
+// constantly with neighbouring road speeds.
+func RidgeFit(x []float64, p int, y []float64, lambda float64) (*RidgeModel, error) {
+	n := len(y)
+	if p < 0 || len(x) != n*p {
+		return nil, fmt.Errorf("%w: %d design values for %d responses of %d features", ErrShape, len(x), n, p)
+	}
 	if n == 0 {
 		return nil, ErrNoSamples
-	}
-	if len(y) != n {
-		return nil, fmt.Errorf("%w: %d rows but %d responses", ErrShape, n, len(y))
 	}
 	if lambda < 0 {
 		return nil, fmt.Errorf("linalg: negative ridge penalty %v", lambda)
 	}
-	p := len(x[0])
-	for i, row := range x {
-		if len(row) != p {
-			return nil, fmt.Errorf("%w: row %d has %d features, want %d", ErrShape, i, len(row), p)
-		}
+	if p == 1 {
+		return ridgeFit1(x, y, lambda)
 	}
+	return ridgeFit(x, p, y, lambda)
+}
+
+// ridgeFit is the general path of RidgeFit over validated inputs.
+func ridgeFit(x []float64, p int, y []float64, lambda float64) (*RidgeModel, error) {
+	n := len(y)
 	if p == 0 {
 		// Intercept-only model.
 		m := &RidgeModel{Intercept: Mean(y), Coef: nil, N: n}
@@ -76,8 +79,8 @@ func RidgeFit(x [][]float64, y []float64, lambda float64) (*RidgeModel, error) {
 	// Centre features and response so the intercept absorbs the means and
 	// stays unpenalised.
 	xMean := make([]float64, p)
-	for _, row := range x {
-		for j, v := range row {
+	for i := 0; i < n; i++ {
+		for j, v := range x[i*p : (i+1)*p] {
 			xMean[j] += v
 		}
 	}
@@ -90,9 +93,9 @@ func RidgeFit(x [][]float64, y []float64, lambda float64) (*RidgeModel, error) {
 	xtx := NewMatrix(p, p)
 	xty := make([]float64, p)
 	cr := make([]float64, p)
-	for i, row := range x {
-		for j := range row {
-			cr[j] = row[j] - xMean[j]
+	for i := 0; i < n; i++ {
+		for j, v := range x[i*p : (i+1)*p] {
+			cr[j] = v - xMean[j]
 		}
 		cy := y[i] - yMean
 		for a := 0; a < p; a++ {
@@ -125,13 +128,68 @@ func RidgeFit(x [][]float64, y []float64, lambda float64) (*RidgeModel, error) {
 		N:         n,
 	}
 	var sse float64
-	for i, row := range x {
-		pred, _ := m.Predict(row)
+	for i := 0; i < n; i++ {
+		pred, _ := m.Predict(x[i*p : (i+1)*p])
 		d := y[i] - pred
 		sse += d * d
 	}
 	m.RMSE = rmseOf(sse, n)
 	return m, nil
+}
+
+// ridge1 carries a one-feature model and its coefficient in one allocation.
+type ridge1 struct {
+	m    RidgeModel
+	coef [1]float64
+}
+
+// ridgeFit1 is ridgeFit for p = 1 — every pairwise and pooled regression the
+// HLM trains — without the matrix and vector scaffolding. It performs the
+// general path's floating-point operations in the general path's order, so
+// both return bit-identical models: the 1×1 Cholesky solve divides by
+// √(Sxx+λ+1e-9) twice rather than once by Sxx+λ+1e-9, and every Dot starts
+// from a zero accumulator.
+func ridgeFit1(x, y []float64, lambda float64) (*RidgeModel, error) {
+	n := len(y)
+	var xMean float64
+	for _, v := range x {
+		xMean += v
+	}
+	xMean /= float64(n)
+	yMean := Mean(y)
+
+	var sxx, sxy float64
+	for i, v := range x {
+		c := v - xMean
+		cy := y[i] - yMean
+		//lint:ignore floateq exact-zero sparsity skip, as in ridgeFit: only terms contributing exactly nothing are skipped
+		if c == 0 {
+			continue
+		}
+		sxy += c * cy
+		sxx += c * c
+	}
+	sxx += lambda + 1e-9
+	if sxx <= 0 || math.IsNaN(sxx) {
+		return nil, fmt.Errorf("linalg: ridge solve failed: %w", ErrNotPositiveDefinite)
+	}
+	l := math.Sqrt(sxx)
+	w := sxy / l / l
+
+	r := &ridge1{}
+	r.coef[0] = w
+	var dot float64
+	dot += w * xMean
+	r.m = RidgeModel{Intercept: yMean - dot, Coef: r.coef[:], N: n}
+	var sse float64
+	for i, v := range x {
+		var wx float64
+		wx += w * v
+		d := y[i] - (r.m.Intercept + wx)
+		sse += d * d
+	}
+	r.m.RMSE = rmseOf(sse, n)
+	return &r.m, nil
 }
 
 func rmseOf(sse float64, n int) float64 {

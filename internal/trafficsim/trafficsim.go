@@ -356,10 +356,15 @@ func (s *Simulator) computeSpeeds() {
 			mult[id] *= inc.hitFactor[j]
 		}
 	}
+	h, weekend := diurnalClock(s.cal, s.slot)
+	var diurnal [4]float64
+	for c := range diurnal {
+		diurnal[c] = diurnalFactor(h, weekend, roadnet.RoadClass(c))
+	}
 	roads := s.net.Roads()
 	for i := range roads {
 		class := roads[i].Class
-		base := class.FreeFlowSpeed() * s.baseline[i] * DiurnalFactor(s.cal, s.slot, class)
+		base := class.FreeFlowSpeed() * s.baseline[i] * diurnal[class]
 		noise := math.Exp(s.rng.NormFloat64() * s.cfg.NoiseScale)
 		speed := base * math.Exp(s.response(i, s.field[i]+s.classFactor[class])) * mult[i] * noise
 		// Physical ceiling and floor: free-flowing traffic exceeds the
@@ -393,18 +398,38 @@ func (s *Simulator) response(i int, f float64) float64 {
 // dips at the weekday rush hours, a gentler midday dip at weekends. Major
 // roads suffer deeper rush-hour dips, matching urban reality.
 func DiurnalFactor(cal *timeslot.Calendar, slot int, class roadnet.RoadClass) float64 {
+	h, weekend := diurnalClock(cal, slot)
+	return diurnalFactor(h, weekend, class)
+}
+
+// diurnalClock returns the hour of day at the slot's start, fractional, and
+// whether the slot falls on a weekend.
+func diurnalClock(cal *timeslot.Calendar, slot int) (h float64, weekend bool) {
 	start := cal.Start(slot)
-	h := float64(start.Hour()) + float64(start.Minute())/60
+	h = float64(start.Hour()) + float64(start.Minute())/60
 	wd := start.Weekday()
-	weekend := wd == 0 || wd == 6 // Sunday or Saturday
+	return h, wd == 0 || wd == 6 // Sunday or Saturday
+}
 
-	depth := map[roadnet.RoadClass]float64{
-		roadnet.Highway:   0.45,
-		roadnet.Arterial:  0.40,
-		roadnet.Collector: 0.30,
-		roadnet.Local:     0.22,
-	}[class]
+// rushDepth returns the class's peak fractional speed loss at rush hour.
+func rushDepth(class roadnet.RoadClass) float64 {
+	switch class {
+	case roadnet.Highway:
+		return 0.45
+	case roadnet.Arterial:
+		return 0.40
+	case roadnet.Collector:
+		return 0.30
+	case roadnet.Local:
+		return 0.22
+	default:
+		return 0
+	}
+}
 
+// diurnalFactor is DiurnalFactor at a clock reading.
+func diurnalFactor(h float64, weekend bool, class roadnet.RoadClass) float64 {
+	depth := rushDepth(class)
 	dip := func(center, width float64) float64 {
 		d := (h - center) / width
 		return math.Exp(-d * d)

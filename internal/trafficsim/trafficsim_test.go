@@ -148,6 +148,23 @@ func TestDiurnalFactorShape(t *testing.T) {
 	}
 }
 
+// TestDiurnalFactorAllocs: the simulator evaluates the diurnal profile for
+// every road at every step, so it must not allocate.
+func TestDiurnalFactorAllocs(t *testing.T) {
+	cal := testCal(t)
+	slot := cal.Slot(time.Date(2016, 3, 7, 8, 15, 0, 0, time.UTC))
+	var sink float64
+	allocs := testing.AllocsPerRun(100, func() {
+		sink += DiurnalFactor(cal, slot, roadnet.Collector)
+	})
+	if allocs != 0 {
+		t.Errorf("DiurnalFactor allocates %v times per call", allocs)
+	}
+	if sink <= 0 {
+		t.Error("DiurnalFactor returned no factor")
+	}
+}
+
 func TestSpatialTrendCorrelation(t *testing.T) {
 	// The core property: adjacent roads' deviations from their own running
 	// means must be positively correlated, and much more so than distant
