@@ -55,8 +55,8 @@ type engineScaleRecord struct {
 }
 
 // Engine-swap equivalence bounds — the same values the core property tests
-// (TestFastBPEngineWithinBoundK1/K4Sharded) pin: schedule and float32
-// round-off divergence on top of the BP convergence tolerance.
+// (TestFastBPEngineWithinBoundK1/K4Sharded) pin: schedule divergence on
+// top of the BP convergence tolerance.
 const (
 	engineSpeedBound = 0.05 // m/s
 	engineTrendBound = 0.01 // P(up)

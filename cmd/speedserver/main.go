@@ -73,7 +73,7 @@ func main() {
 		maxEst      = flag.Int("max-inflight-estimates", 2*runtime.GOMAXPROCS(0), "max concurrent estimation rounds before excess requests are shed with 429 (0 disables admission control)")
 		shards      = flag.Int("shards", 1, "partition the network into this many district shards with boundary stitching (1 = unsharded)")
 		stitchRnds  = flag.Int("stitch-rounds", 0, "BP/stitch exchange rounds per estimate on sharded deployments (0 = default)")
-		engine      = flag.String("engine", "bp", "trend-inference engine: bp (Jacobi reference), fastbp (residual-scheduled float32), icm, gibbs, exact or prior")
+		engine      = flag.String("engine", "bp", "trend-inference engine: bp (Jacobi reference), fastbp (residual-scheduled), icm, gibbs, exact or prior")
 		logFormat   = flag.String("log-format", "json", "per-request structured log encoding on stderr: json or text")
 		logLevel    = flag.String("log-level", "info", "minimum structured log level: debug, info, warn or error")
 	)

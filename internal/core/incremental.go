@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -14,25 +13,14 @@ import (
 	"repro/internal/seedsel"
 )
 
-// errTopologyChanged marks an incremental rebuild abandoned because the
-// re-scored correlation graph could not be turned into a BP topology at all
-// (NewTopology refused it). The store treats it as "fall back to a full
-// build", not as a failure.
-var errTopologyChanged = errors.New("core: correlation graph unusable for topology patch")
-
 // buildIncremental mints a successor model from old for the rolled-forward
 // history db, at a cost proportional to the dirty set rather than the city:
 //
 //   - the correlation graph is re-scored only around the dirty roads
 //     (corr.Rescore; exactly equal to a full corr.Build over db),
-//   - the BP topology is the old one patched with the new agreements when
-//     the edge set is unchanged (mrf.Topology.WithAgreements shares the CSR
-//     shape arrays, keeping the predecessor's converged beliefs directly
-//     usable as a warm start); when the delta moved an edge in or out of
-//     the MaxNeighbors-pruned set — a global rank decision, so even a tiny
-//     delta can flip it — the topology is rebuilt fresh (O(E·deg), cheap
-//     next to re-scoring) and the beliefs are remapped onto it by
-//     directed-edge identity (mrf.Beliefs.Remap),
+//   - the BP topology is built fresh, exactly as a full build does it
+//     (mrf.NewTopology; O(E·deg), cheap next to re-scoring), so it matches
+//     the full build's slot for slot,
 //   - the HLM re-fits only the roads the delta can reach (hlm.Retrain;
 //     copied roads' group-level predictors go stale, the one approximation
 //     of the whole path — see the Retrain doc and the equivalence property
@@ -40,10 +28,10 @@ var errTopologyChanged = errors.New("core: correlation graph unusable for topolo
 //   - seed selection re-derives its problem in full (it is the cheapest
 //     stage and its benefit weights shift with every dirty road).
 //
-// The successor inherits the predecessor's latest converged BP beliefs as
-// its fixed warm start, cutting trend-inference rounds right after a swap.
-// Returns errTopologyChanged (wrapped) when no topology can be built over
-// the re-scored graph at all; the caller must fall back to build.
+// The successor inherits the predecessor's latest converged BP beliefs,
+// re-keyed onto its topology by directed-edge identity (mrf.Beliefs.Remap),
+// as its fixed warm start, cutting trend-inference rounds right after a
+// swap.
 func buildIncremental(ctx context.Context, old *Model, db *history.DB, dirty *history.Dirty, opts Options, version uint64) (*Model, error) {
 	start := time.Now()
 	ctx, buildSpan := obs.StartSpan(ctx, "core.rebuild_incremental")
@@ -58,22 +46,11 @@ func buildIncremental(ctx context.Context, old *Model, db *history.DB, dirty *hi
 	}
 
 	var trendTopo *mrf.Topology
-	reshaped := false
 	if err := timeStage(ctx, "trend_topology", func() (err error) {
-		trendTopo, err = old.trendTopo.WithAgreements(graph)
-		if err == nil {
-			return nil
-		}
-		// Edge-set drift: rebuild the CSR fresh; beliefs are remapped onto
-		// it below instead of being discarded.
-		reshaped = true
 		trendTopo, err = mrf.NewTopology(graph)
 		return err
 	}); err != nil {
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %v", errTopologyChanged, err)
+		return nil, fmt.Errorf("core: building trend topology: %w", err)
 	}
 
 	dirtyMask := make([]bool, db.NumRoads())
@@ -97,16 +74,12 @@ func buildIncremental(ctx context.Context, old *Model, db *history.DB, dirty *hi
 	}
 
 	// Warm start: the predecessor's most recent converged beliefs, or —
-	// when it never ran a trend inference — whatever it inherited itself.
-	// Across an edge-set change the beliefs are re-keyed by edge identity:
-	// surviving edges keep their converged messages, new edges start
-	// uniform.
+	// when it never ran a trend inference — whatever it inherited itself,
+	// re-keyed by edge identity: surviving edges keep their converged
+	// messages, new edges start uniform.
 	warm := old.lastBeliefs.Load()
 	if warm == nil {
 		warm = old.warm
-	}
-	if reshaped {
-		warm = warm.Remap(trendTopo)
 	}
 
 	return &Model{
@@ -116,6 +89,6 @@ func buildIncremental(ctx context.Context, old *Model, db *history.DB, dirty *hi
 		problem: problem, selector: old.selector, engine: old.engine,
 		seedTrendNoise: old.seedTrendNoise, preTrendNoise: old.preTrendNoise, trendTemper: old.trendTemper,
 		trendTopo: trendTopo, special: old.special,
-		rebuildMode: "incremental", warm: warm,
+		rebuildMode: "incremental", warm: warm.Remap(trendTopo),
 	}, nil
 }

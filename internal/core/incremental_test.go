@@ -81,11 +81,12 @@ func firstRoads(n int) []roadnet.RoadID {
 // TestStoreIncrementalMatchesFull is the equivalence property test behind the
 // delta path: the same observation stream folded in by an incremental rebuild
 // and by a full rebuild must yield the exact same correlation-graph topology
-// and estimates within a tight bound. The only tolerated divergences are BP's
+// and estimates within a tight bound. Both build their BP topology the same
+// way, so it matches slot for slot. The only tolerated divergences are BP's
 // convergence tolerance (the incremental model warm-starts from the
-// predecessor's beliefs and its patched topology keeps the old slot order,
-// changing float summation order) and the stale group-level predictors on
-// roads hlm.Retrain copied verbatim.
+// predecessor's beliefs, remapped onto its topology, so it stops at a
+// different point within Tolerance of the fixed point) and the stale
+// group-level predictors on roads hlm.Retrain copied verbatim.
 func TestStoreIncrementalMatchesFull(t *testing.T) {
 	ctx := context.Background()
 	d, stInc, stFull := buildTwinStores(t)
@@ -101,7 +102,7 @@ func TestStoreIncrementalMatchesFull(t *testing.T) {
 
 	// Run one round on the incremental store before the rebuild so the
 	// predecessor has converged beliefs to hand to its successor: the rebuild
-	// below exercises the warm-start path, not just the topology patch.
+	// below exercises the warm-start path, not just the topology build.
 	if _, err := stInc.View().Estimate(ctx, slot, seedSpeeds); err != nil {
 		t.Fatal(err)
 	}

@@ -449,8 +449,8 @@ func (s *Store) rebuildShard(ctx context.Context, cur *View, d int, pending []Ob
 	version := old.Version() + 1
 
 	// Delta path: when the district's dirty fraction is small enough,
-	// rebuild around the delta; only a re-scored graph no topology can be
-	// built over at all falls back to a full build.
+	// rebuild around the delta. Its graph equals a full build's, so a
+	// failure there would fail a full build too: there is no fallback.
 	mode := "full"
 	var m *Model
 	dirty := builder.Dirty()
@@ -458,10 +458,6 @@ func (s *Store) rebuildShard(ctx context.Context, cur *View, d int, pending []Ob
 		float64(len(dirty.Roads)) <= maxDirtyFrac*float64(db.NumRoads()) {
 		mode = "incremental"
 		m, err = buildIncremental(ctx, old, db, dirty, sopts, version)
-		if err != nil && errors.Is(err, errTopologyChanged) {
-			mode = "full"
-			m, err = build(ctx, old.Net(), db, sopts, version)
-		}
 	} else {
 		m, err = build(ctx, old.Net(), db, sopts, version)
 	}

@@ -54,7 +54,7 @@ var hotRoots = []rootSpec{
 
 // parLoopFuncs are the worker-pool entry points whose function-literal
 // arguments are implicitly hot: the ctx-aware index loops run once per chunk
-// per inference round. par.For/ForMax/EachCtx bodies are deliberately NOT
+// per inference round. par.For/EachCtx bodies are deliberately NOT
 // implicit roots — training and rebuild fan-outs use them off the serving
 // path, and sweeping those in would drown the signal (rebuild-path functions
 // still go hot when an explicit root reaches them).

@@ -7,7 +7,7 @@ import (
 
 // TestBPRoundAllocs pins the hot-path claim the hotalloc analyzer and the
 // //lint:hotpath-ok waivers in par rest on: once a run's state is set up
-// (pooled buffers bound, the sweep method value created), one BP message
+// (pooled run bound, the sweep method value created), one BP message
 // round allocates nothing on the serial path. Workers is forced to 1 so the
 // measurement stays on the inline path regardless of GOMAXPROCS; at city
 // scale the parallel path adds only the per-round worker closures.
@@ -46,11 +46,11 @@ func TestBPRoundAllocs(t *testing.T) {
 	}
 }
 
-// TestBPInferWarmPathAllocs bounds the full warm-path Infer: with the buffer
+// TestBPInferWarmPathAllocs bounds the full warm-path Infer: with the run
 // pool warm and beliefs compatible, an Infer allocates only its fixed
-// per-run state (run struct, sweep binding, readout output, exported
-// beliefs) — independent of the round count. A per-round allocation would
-// scale with MaxIterations and blow the bound.
+// per-run state (readout binding and output, exported beliefs) —
+// independent of the round count. A per-round allocation would scale with
+// MaxIterations and blow the bound.
 func TestBPInferWarmPathAllocs(t *testing.T) {
 	const n = 64
 	bp, err := NewBP(BPConfig{MaxIterations: 40, Damping: 0.3, Tolerance: 1e-12, Workers: 1})
@@ -73,11 +73,10 @@ func TestBPInferWarmPathAllocs(t *testing.T) {
 	if inferErr != nil {
 		t.Fatal(inferErr)
 	}
-	// Fixed per-run state, counted: evidence map, topology access, run
-	// struct, two pool gets (headers), sweep method value, readout slice,
-	// exported beliefs + struct, result struct, release boxing. The bound
-	// is deliberately loose on the fixed cost and tight on scaling: 40
-	// rounds with even one allocation each would need ≥ 40.
+	// Fixed per-run state, counted: evidence map, readout method value and
+	// slice, exported beliefs + struct, result struct. The bound is
+	// deliberately loose on the fixed cost and tight on scaling: 40 rounds
+	// with even one allocation each would need ≥ 40.
 	const maxFixed = 20
 	if allocs > maxFixed {
 		t.Fatalf("warm BP Infer allocates %.1f times per run, want ≤ %d fixed (independent of %d rounds)",
@@ -85,11 +84,11 @@ func TestBPInferWarmPathAllocs(t *testing.T) {
 	}
 }
 
-// TestFastBPInferWarmPathAllocs extends the alloc pins to the float32 path:
-// with the run pool warm and compatible beliefs, a FastBP Infer allocates
-// only its fixed per-run state — independent of how many node updates the
-// schedule performs. The bucket queue is intrusive (pooled prev/next/head
-// arrays), so scheduling itself must contribute nothing.
+// TestFastBPInferWarmPathAllocs extends the alloc pins to the residual
+// schedule: with the run pool warm and compatible beliefs, a FastBP Infer
+// allocates only its fixed per-run state — independent of how many node
+// updates the schedule performs. The bucket queue is intrusive (pooled
+// prev/next/head arrays), so scheduling itself must contribute nothing.
 func TestFastBPInferWarmPathAllocs(t *testing.T) {
 	const n = 64
 	fast, err := NewFastBP(BPConfig{MaxIterations: 40, Damping: 0.3, Tolerance: 1e-6, Workers: 1})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -65,6 +64,20 @@ func accountCancelledRun(effectiveRounds, messageUpdates float64) {
 	bpCancelled.Inc()
 }
 
+// accountCompletedRun records the telemetry of a run that finished its
+// schedule, converged or not: the run, its effective rounds (Jacobi sweeps
+// or their equivalent), its message updates and its final residual, plus a
+// non-convergence count when the budget ran out above Tolerance.
+func accountCompletedRun(effectiveRounds, messageUpdates, finalResidual float64, converged bool) {
+	bpRuns.Inc()
+	bpIterations.Observe(effectiveRounds)
+	bpMessageUpdates.Add(messageUpdates)
+	bpFinalResidual.Observe(finalResidual)
+	if !converged {
+		bpNonConverged.Inc()
+	}
+}
+
 // BPConfig parameterises loopy belief propagation.
 type BPConfig struct {
 	// MaxIterations bounds the message-passing rounds.
@@ -103,11 +116,11 @@ func (c *BPConfig) Validate() error {
 }
 
 // BP is the loopy sum-product engine: the default trend-inference engine of
-// the reproduction. It is safe for concurrent Infer calls; the message
-// buffers are pooled across runs.
+// the reproduction. It is safe for concurrent Infer calls; each run's state
+// comes from a pool.
 type BP struct {
 	cfg  BPConfig
-	pool sync.Pool // of []float64 message buffers
+	pool runPool // of *bpRun
 }
 
 // NewBP returns a BP engine.
@@ -120,18 +133,6 @@ func NewBP(cfg BPConfig) (*BP, error) {
 
 // Name implements Engine.
 func (*BP) Name() string { return "bp" }
-
-// getBuf returns a pooled message buffer of the given length, allocating
-// when the pool is empty or holds a smaller graph's buffer.
-func (b *BP) getBuf(size int) []float64 {
-	if v := b.pool.Get(); v != nil {
-		if s := v.([]float64); cap(s) >= size {
-			bpBufReuse.Inc()
-			return s[:size]
-		}
-	}
-	return make([]float64, size)
-}
 
 // bpRun is one Infer invocation's mutable state. The message-sweep and
 // marginal-readout loop bodies are methods on this struct rather than
@@ -146,10 +147,9 @@ type bpRun struct {
 	topo *Topology
 	ev   []int8
 	n    int
-	// Directed-edge message storage in the topology's CSR layout: slot i in
-	// [off[u], off[u+1]) is the message from neighbour to[i] into u, as
-	// P(up). Every slot is rewritten each round (its sender always has ≥ 1
-	// neighbour), so the round boundary is a pointer swap, not a copy.
+	// The Jacobi buffer pair over the shared message store layout (see
+	// kernel.go). Every slot is rewritten each round (its sender always has
+	// ≥ 1 neighbour), so the round boundary is a pointer swap, not a copy.
 	msg  []float64 // previous round's messages (read)
 	next []float64 // this round's messages (written)
 	out  []float64 // marginal readout destination
@@ -158,42 +158,22 @@ type bpRun struct {
 	sweep func(start, end int) float64
 }
 
-// newBPRun assembles the run state over pooled message buffers, seeding the
+// newBPRun binds run state for one inference, reusing a pooled run unless
+// the pool is empty or holds a smaller graph's buffers, and seeds the
 // messages from warm beliefs when compatible and uniform 0.5 otherwise.
 func newBPRun(b *BP, m *Model, topo *Topology, ev []int8, warm *Beliefs) *bpRun {
 	nEdges := topo.NumDirectedEdges()
-	r := &bpRun{
-		cfg:  &b.cfg,
-		m:    m,
-		topo: topo,
-		ev:   ev,
-		n:    m.NumRoads(),
-		msg:  b.getBuf(nEdges),
-		next: b.getBuf(nEdges),
-	}
-	r.sweep = r.sweepRange
-	if warm.Compatible(topo) {
-		copy(r.msg, warm.msg)
-		bpWarmStarts.Inc()
+	r, _ := b.pool.get().(*bpRun)
+	if r != nil && cap(r.msg) >= nEdges && cap(r.next) >= nEdges {
+		bpBufReuse.Inc()
 	} else {
-		for i := range r.msg {
-			r.msg[i] = 0.5
-		}
+		r = &bpRun{msg: make([]float64, nEdges), next: make([]float64, nEdges)}
+		r.sweep = r.sweepRange
 	}
+	r.cfg, r.m, r.topo, r.ev, r.n = &b.cfg, m, topo, ev, m.NumRoads()
+	r.msg, r.next = r.msg[:nEdges], r.next[:nEdges]
+	seedMessages(r.msg, topo, warm)
 	return r
-}
-
-// nodePot returns the unnormalised (up, down) potential of u given
-// evidence, excluding incoming messages.
-func (r *bpRun) nodePot(u int) (up, down float64) {
-	switch r.ev[u] {
-	case 1:
-		return 1, 0
-	case 0:
-		return 0, 1
-	default:
-		return r.m.prior[u], 1 - r.m.prior[u]
-	}
 }
 
 // sweepRange is one Jacobi message update over nodes [start, end),
@@ -207,29 +187,10 @@ func (r *bpRun) sweepRange(start, end int) float64 {
 		if lo == hi {
 			continue
 		}
-		phiUp, phiDown := r.nodePot(u)
-		// Product of all incoming messages, in log space for stability.
-		var logUp, logDown float64
+		phiUp, phiDown := nodePotential(r.ev[u], r.m.prior[u])
+		logUp, logDown := logProduct(0, 0, r.msg[lo:hi])
 		for i := lo; i < hi; i++ {
-			p := r.msg[i]
-			logUp += math.Log(clamp01(p))
-			logDown += math.Log(clamp01(1 - p))
-		}
-		for i := lo; i < hi; i++ {
-			// Cavity: remove the receiving neighbour's own message.
-			cUp := logUp - math.Log(clamp01(r.msg[i]))
-			cDown := logDown - math.Log(clamp01(1-r.msg[i]))
-			hUp := phiUp * math.Exp(cUp)
-			hDown := phiDown * math.Exp(cDown)
-			// Marginalise over x_u for each x_v.
-			a := r.m.agreement(r.topo.agree[i])
-			mUp := hUp*edgePotential(a, true) + hDown*edgePotential(a, false)
-			mDown := hUp*edgePotential(a, false) + hDown*edgePotential(a, true)
-			z := mUp + mDown
-			if z <= 0 || math.IsNaN(z) {
-				mUp, mDown, z = 0.5, 0.5, 1
-			}
-			newMsg := mUp / z
+			newMsg := cavityMessage(phiUp, phiDown, logUp, logDown, r.msg[i], r.m.agreement(r.topo.agree[i]))
 			slot := r.topo.rev[i]
 			old := r.msg[slot]
 			r.next[slot] = (1-damping)*newMsg + damping*old
@@ -260,34 +221,16 @@ func (r *bpRun) round(ctx context.Context) (float64, error) {
 // converged messages into r.out.
 func (r *bpRun) readoutRange(start, end int) {
 	for u := start; u < end; u++ {
-		phiUp, phiDown := r.nodePot(u)
-		logUp, logDown := math.Log(clamp01(phiUp)), math.Log(clamp01(phiDown))
-		//lint:ignore floateq exact zero is the log-domain sentinel: a clamped potential of 0 must map to -Inf
-		if phiUp == 0 {
-			logUp = math.Inf(-1)
-		}
-		//lint:ignore floateq exact zero is the log-domain sentinel: a clamped potential of 0 must map to -Inf
-		if phiDown == 0 {
-			logDown = math.Inf(-1)
-		}
-		for i := int(r.topo.off[u]); i < int(r.topo.off[u+1]); i++ {
-			logUp += math.Log(clamp01(r.msg[i]))
-			logDown += math.Log(clamp01(1 - r.msg[i]))
-		}
-		mx := math.Max(logUp, logDown)
-		pu := math.Exp(logUp - mx)
-		pd := math.Exp(logDown - mx)
-		r.out[u] = pu / (pu + pd)
+		r.out[u] = marginal(r.ev[u], r.m.prior[u], r.msg[r.topo.off[u]:r.topo.off[u+1]])
 	}
 }
 
-// release returns the pooled message buffers. par joins all workers before
-// reporting cancellation, so no goroutine still writes to them.
+// release hands the run state back to the pool, dropping its references to
+// this run's model and output. par joins all workers before reporting
+// cancellation, so no goroutine still writes to the buffers.
 func (r *bpRun) release(b *BP) {
-	//lint:hotpath-ok sync.Pool.Put takes any, so the slice header is boxed; pooling a *[]float64 instead costs the same one allocation with extra indirection
-	b.pool.Put(r.msg[:cap(r.msg)])
-	//lint:hotpath-ok sync.Pool.Put takes any, so the slice header is boxed; pooling a *[]float64 instead costs the same one allocation with extra indirection
-	b.pool.Put(r.next[:cap(r.next)])
+	r.m, r.topo, r.ev, r.out = nil, nil, nil, nil
+	b.pool.put(r)
 }
 
 // Infer implements Engine. Messages are represented by their "up"
@@ -300,7 +243,7 @@ func (r *bpRun) release(b *BP) {
 //
 // Cancellation is observed between message rounds (and, through par's
 // ctx-aware loops, between chunks inside a round): a cancelled ctx aborts
-// the run with an error wrapping ctx.Err(). The pooled message buffers are
+// the run with an error wrapping ctx.Err(). The pooled run state is
 // returned on every exit path.
 //
 // When warm holds beliefs compatible with the model's topology, messages
@@ -336,13 +279,7 @@ func (b *BP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Bel
 			break
 		}
 	}
-	bpRuns.Inc()
-	bpIterations.Observe(float64(iters))
-	bpMessageUpdates.Add(float64(iters) * nEdges)
-	bpFinalResidual.Observe(lastDelta)
-	if lastDelta >= b.cfg.Tolerance {
-		bpNonConverged.Inc()
-	}
+	accountCompletedRun(float64(iters), float64(iters)*nEdges, lastDelta, lastDelta < b.cfg.Tolerance)
 
 	r.out = make([]float64, r.n)
 	if readErr := par.ForCtx(ctx, r.n, b.cfg.Workers, r.readoutRange); readErr != nil {
@@ -351,12 +288,7 @@ func (b *BP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Bel
 		bpCancelled.Inc()
 		return nil, fmt.Errorf("mrf: bp marginal readout cancelled: %w", readErr)
 	}
-	// Export the converged messages (r.msg is pooled, so copy) for callers
-	// that warm-start a successor model over the same topology shape.
-	exported := make([]float64, len(r.msg))
-	copy(exported, r.msg)
-	beliefs := &Beliefs{topo: topo, msg: exported}
-	return &Result{PUp: r.out, Beliefs: beliefs}, nil
+	return &Result{PUp: r.out, Beliefs: exportBeliefs(topo, r.msg)}, nil
 }
 
 // clamp01 keeps probabilities strictly inside (0, 1) for log safety.

@@ -46,16 +46,22 @@ func TestEnginesCancelledAtEntry(t *testing.T) {
 // TestBPCancelMidInference cancels deterministically after a handful of
 // context polls — i.e. a few Jacobi rounds in — and asserts BP abandons the
 // schedule with an error chaining to context.Canceled rather than running to
-// convergence.
+// convergence, and still releases its pooled run state, exactly once.
 func TestBPCancelMidInference(t *testing.T) {
 	m := mustModel(t, chainGraph(t, 40, 0.9), uniformPriors(40, 0.5))
+	bp := mustBP(t)
+	releasedBefore := bp.pool.released.Load()
 	ctx := &countdownCtx{Context: context.Background(), after: 3}
-	res, err := mustBP(t).Infer(ctx, m, []Evidence{{Road: 0, Up: true}}, nil)
+	res, err := bp.Infer(ctx, m, []Evidence{{Road: 0, Up: true}}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if res != nil {
 		t.Fatal("BP returned a result despite mid-run cancellation")
+	}
+	// Counted at the teardown: see TestFastBPCancelMidSchedule.
+	if got := bp.pool.released.Load() - releasedBefore; got != 1 {
+		t.Errorf("cancelled run released its state %d times, want exactly 1", got)
 	}
 }
 

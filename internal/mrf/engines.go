@@ -106,6 +106,20 @@ func (e Exact) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *B
 	return &Result{PUp: out}, nil
 }
 
+// localConditional returns the unnormalised log-probabilities of road u
+// being up and down given its prior and its neighbours' current states: the
+// local conditional ICM maximises and Gibbs samples from.
+func localConditional(m *Model, state []bool, u int) (logUp, logDown float64) {
+	logUp = math.Log(clamp01(m.prior[u]))
+	logDown = math.Log(clamp01(1 - m.prior[u]))
+	for _, e := range m.graph.Neighbors(roadnet.RoadID(u)) {
+		a := m.agreement(e.Agreement)
+		logUp += math.Log(edgePotential(a, state[e.To]))
+		logDown += math.Log(edgePotential(a, !state[e.To]))
+	}
+	return logUp, logDown
+}
+
 // ICM is iterated conditional modes: greedy coordinate-wise MAP refinement
 // starting from the prior assignment. It returns hard labels encoded as
 // probabilities pushed to the model's clipping bounds, and is the fastest
@@ -145,21 +159,6 @@ func (ic ICM) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Be
 			state[i] = m.prior[i] >= 0.5
 		}
 	}
-	g := m.graph
-	//lint:hotpath-ok ICM is an ablation engine, not the serving default; one scoring closure per Infer, not per sweep
-	scoreOf := func(u int, up bool) float64 {
-		p := m.prior[u]
-		var s float64
-		if up {
-			s = math.Log(clamp01(p))
-		} else {
-			s = math.Log(clamp01(1 - p))
-		}
-		for _, e := range g.Neighbors(roadnet.RoadID(u)) {
-			s += math.Log(edgePotential(m.agreement(e.Agreement), state[e.To] == up))
-		}
-		return s
-	}
 	for sweep := 0; sweep < sweeps; sweep++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mrf: icm interrupted at sweep %d: %w", sweep, err)
@@ -169,7 +168,8 @@ func (ic ICM) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Be
 			if ev[u] != -1 {
 				continue
 			}
-			best := scoreOf(u, true) >= scoreOf(u, false)
+			logUp, logDown := localConditional(m, state, u)
+			best := logUp >= logDown
 			if best != state[u] {
 				state[u] = best
 				changed = true
@@ -239,19 +239,6 @@ func (gb Gibbs) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *
 			state[i] = rng.Float64() < m.prior[i]
 		}
 	}
-	g := m.graph
-	//lint:hotpath-ok Gibbs is an ablation engine, not the serving default; one conditional closure per Infer, not per sweep
-	condUp := func(u int) float64 {
-		logUp := math.Log(clamp01(m.prior[u]))
-		logDown := math.Log(clamp01(1 - m.prior[u]))
-		for _, e := range g.Neighbors(roadnet.RoadID(u)) {
-			logUp += math.Log(edgePotential(m.agreement(e.Agreement), state[e.To]))
-			logDown += math.Log(edgePotential(m.agreement(e.Agreement), !state[e.To]))
-		}
-		mx := math.Max(logUp, logDown)
-		pu := math.Exp(logUp - mx)
-		return pu / (pu + math.Exp(logDown-mx))
-	}
 	upCount := make([]int, n)
 	for sweep := 0; sweep < burn+samples; sweep++ {
 		if err := ctx.Err(); err != nil {
@@ -261,7 +248,7 @@ func (gb Gibbs) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *
 			if ev[u] != -1 {
 				continue
 			}
-			state[u] = rng.Float64() < condUp(u)
+			state[u] = rng.Float64() < probUp(localConditional(m, state, u))
 		}
 		if sweep >= burn {
 			for u := 0; u < n; u++ {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // FastBP is the residual-scheduled belief-propagation engine (ROADMAP item
@@ -18,10 +17,9 @@ import (
 // touches only the neighbourhood that actually changed, collapsing the
 // effective round count.
 //
-// Messages are stored in one flat float32 array in the Topology's CSR
-// layout; the update arithmetic stays float64, so float32 only bounds the
-// *stored* precision (2⁻²⁴ ≈ 6e-8, well under the default Tolerance of
-// 1e-4). FastBP trades the Jacobi engine's bit-reproducibility for speed:
+// FastBP shares the Jacobi engine's float64 message store layout and its
+// per-node arithmetic (kernel.go); only the schedule differs. That schedule
+// trades the Jacobi engine's bit-reproducibility for speed:
 // its marginals agree with BP to well under the serving bounds (0.05 m/s /
 // 0.01 P(up) — see TestFastBPMatchesJacobi* and the benchrunner
 // -engine-bench gate) but are not bitwise equal, so Jacobi remains the
@@ -34,7 +32,7 @@ import (
 // from a pool.
 type FastBP struct {
 	cfg  BPConfig
-	pool sync.Pool // of *fastRun
+	pool runPool // of *fastRun
 }
 
 // NewFastBP returns a residual-scheduled BP engine. Tolerance keeps its
@@ -55,27 +53,26 @@ func NewFastBP(cfg BPConfig) (*FastBP, error) {
 // Name implements Engine.
 func (*FastBP) Name() string { return "fastbp" }
 
-// fastRun is one FastBP Infer invocation's pooled state: the flat float32
-// message array plus the residual bucket queue. The queue is intrusive —
-// per-node prev/next links into per-bucket doubly-linked lists — so
-// scheduling allocates nothing after setup.
+// fastRun is one FastBP Infer invocation's pooled state: the message store
+// plus the residual bucket queue. The queue is intrusive — per-node
+// prev/next links into per-bucket doubly-linked lists — so scheduling
+// allocates nothing after setup.
 type fastRun struct {
 	m    *Model
 	topo *Topology
 	ev   []int8
 	n    int
 
-	// msg is the directed-edge message store in the topology's CSR layout:
-	// slot i in [off[u], off[u+1]) is the message from neighbour to[i] into
-	// u, as P(up). Unlike the Jacobi engine's read/write pair, there is one
-	// array and updates land in place.
-	msg []float32
+	// msg is the directed-edge message store (see kernel.go). Unlike the
+	// Jacobi engine's read/write pair, there is one array and updates land
+	// in place.
+	msg []float64
 
 	// residual[u] is the summed undamped change of u's incoming messages
 	// since u's outgoing messages were last recomputed. Summing (not max)
 	// lets many sub-Tolerance nudges accumulate into a visible residual, so
 	// convergence is not declared while drift is still flowing.
-	residual []float32
+	residual []float64
 	// bucketOf[u] is the queue bucket currently holding u, -1 when idle.
 	bucketOf []int32
 	// next/prev are the intrusive list links; head[b] is bucket b's first
@@ -89,7 +86,6 @@ type fastRun struct {
 
 	processed int   // node recomputations so far
 	updates   int64 // directed-edge message writes so far
-	out       []float64
 }
 
 // fastBuckets is the queue depth: bucket indices follow the residual's
@@ -115,21 +111,18 @@ func bucketIndex(r float64) int {
 // getRun returns a pooled run sized for the given graph, allocating only
 // when the pool is empty or holds a smaller graph's arrays.
 func (b *FastBP) getRun(nEdges, n int) *fastRun {
-	if v := b.pool.Get(); v != nil {
-		r := v.(*fastRun)
-		if cap(r.msg) >= nEdges && cap(r.residual) >= n {
-			bpBufReuse.Inc()
-			r.msg = r.msg[:nEdges]
-			r.residual = r.residual[:n]
-			r.bucketOf = r.bucketOf[:n]
-			r.next = r.next[:n]
-			r.prev = r.prev[:n]
-			return r
-		}
+	if r, _ := b.pool.get().(*fastRun); r != nil && cap(r.msg) >= nEdges && cap(r.residual) >= n {
+		bpBufReuse.Inc()
+		r.msg = r.msg[:nEdges]
+		r.residual = r.residual[:n]
+		r.bucketOf = r.bucketOf[:n]
+		r.next = r.next[:n]
+		r.prev = r.prev[:n]
+		return r
 	}
 	return &fastRun{
-		msg:      make([]float32, nEdges),
-		residual: make([]float32, n),
+		msg:      make([]float64, nEdges),
+		residual: make([]float64, n),
 		bucketOf: make([]int32, n),
 		next:     make([]int32, n),
 		prev:     make([]int32, n),
@@ -137,14 +130,12 @@ func (b *FastBP) getRun(nEdges, n int) *fastRun {
 	}
 }
 
-// release returns the run state to the pool on every Infer exit path; the
-// engine is sequential, so no other goroutine can still touch it.
+// release hands the run state back to the pool on every Infer exit path,
+// dropping its references to this run's model; the engine is sequential, so
+// no other goroutine can still touch it.
 func (b *FastBP) release(r *fastRun) {
-	r.m = nil
-	r.topo = nil
-	r.ev = nil
-	r.out = nil
-	b.pool.Put(r)
+	r.m, r.topo, r.ev = nil, nil, nil
+	b.pool.put(r)
 }
 
 // link inserts u at the head of bucket b.
@@ -196,8 +187,8 @@ func (r *fastRun) popMin() (int, bool) {
 // the accumulated residual crosses Tolerance. Residuals only grow between
 // recomputations, so a queued node only ever moves to a more urgent bucket.
 func (r *fastRun) bump(v int, d, tol float64) {
-	acc := float64(r.residual[v]) + d
-	r.residual[v] = float32(acc)
+	acc := r.residual[v] + d
+	r.residual[v] = acc
 	if acc < tol {
 		return
 	}
@@ -215,23 +206,9 @@ func (r *fastRun) bump(v int, d, tol float64) {
 	r.link(v, b)
 }
 
-// nodePotential returns the unnormalised (up, down) potential of a node
-// given its evidence state and prior, excluding incoming messages.
-func nodePotential(ev int8, prior float64) (up, down float64) {
-	switch ev {
-	case 1:
-		return 1, 0
-	case 0:
-		return 0, 1
-	default:
-		return prior, 1 - prior
-	}
-}
-
 // processNode recomputes every outgoing message of u from the current
-// in-place message state — the same cavity arithmetic as the Jacobi
-// engine's sweepRange, in float64 — stores the damped results as float32,
-// and propagates each undamped change onto the receiving node's residual.
+// in-place message state, stores the damped results, and propagates each
+// undamped change onto the receiving node's residual.
 func (r *fastRun) processNode(u int, damping, tol float64) {
 	lo, hi := int(r.topo.off[u]), int(r.topo.off[u+1])
 	r.residual[u] = 0
@@ -239,32 +216,13 @@ func (r *fastRun) processNode(u int, damping, tol float64) {
 		return
 	}
 	phiUp, phiDown := nodePotential(r.ev[u], r.m.prior[u])
+	logUp, logDown := logProduct(0, 0, r.msg[lo:hi])
 	var maxD float64
-	// Product of all incoming messages, in log space for stability.
-	var logUp, logDown float64
 	for i := lo; i < hi; i++ {
-		p := float64(r.msg[i])
-		logUp += math.Log(clamp01(p))
-		logDown += math.Log(clamp01(1 - p))
-	}
-	for i := lo; i < hi; i++ {
-		// Cavity: remove the receiving neighbour's own message.
-		p := float64(r.msg[i])
-		cUp := logUp - math.Log(clamp01(p))
-		cDown := logDown - math.Log(clamp01(1-p))
-		hUp := phiUp * math.Exp(cUp)
-		hDown := phiDown * math.Exp(cDown)
-		a := r.m.agreement(r.topo.agree[i])
-		mUp := hUp*edgePotential(a, true) + hDown*edgePotential(a, false)
-		mDown := hUp*edgePotential(a, false) + hDown*edgePotential(a, true)
-		z := mUp + mDown
-		if z <= 0 || math.IsNaN(z) {
-			mUp, mDown, z = 0.5, 0.5, 1
-		}
-		newMsg := mUp / z
-		slot := int(r.topo.rev[i])
-		old := float64(r.msg[slot])
-		r.msg[slot] = float32((1-damping)*newMsg + damping*old)
+		newMsg := cavityMessage(phiUp, phiDown, logUp, logDown, r.msg[i], r.m.agreement(r.topo.agree[i]))
+		slot := r.topo.rev[i]
+		old := r.msg[slot]
+		r.msg[slot] = (1-damping)*newMsg + damping*old
 		r.updates++
 		// The undamped delta drives both scheduling and convergence — the
 		// same criterion the Jacobi engine uses (see sweepRange). The slot
@@ -285,50 +243,23 @@ func (r *fastRun) processNode(u int, damping, tol float64) {
 	// step into their approach. The factor is < 1, so self-requeueing always
 	// terminates geometrically.
 	if self := damping * maxD; self > 0 {
-		r.residual[u] = float32(self)
+		r.residual[u] = self
 		if self >= tol {
 			r.link(u, bucketIndex(self))
 		}
 	}
 }
 
-// readout computes the final marginals from the converged messages —
-// identical arithmetic to the Jacobi engine's readoutRange, reading the
-// float32 store.
-func (r *fastRun) readout() {
-	for u := 0; u < r.n; u++ {
-		phiUp, phiDown := nodePotential(r.ev[u], r.m.prior[u])
-		logUp, logDown := math.Log(clamp01(phiUp)), math.Log(clamp01(phiDown))
-		//lint:ignore floateq exact zero is the log-domain sentinel: a clamped potential of 0 must map to -Inf
-		if phiUp == 0 {
-			logUp = math.Inf(-1)
-		}
-		//lint:ignore floateq exact zero is the log-domain sentinel: a clamped potential of 0 must map to -Inf
-		if phiDown == 0 {
-			logDown = math.Inf(-1)
-		}
-		for i := int(r.topo.off[u]); i < int(r.topo.off[u+1]); i++ {
-			p := float64(r.msg[i])
-			logUp += math.Log(clamp01(p))
-			logDown += math.Log(clamp01(1 - p))
-		}
-		mx := math.Max(logUp, logDown)
-		pu := math.Exp(logUp - mx)
-		pd := math.Exp(logDown - mx)
-		r.out[u] = pu / (pu + pd)
-	}
-}
-
 // maxResidual scans the remaining per-node residuals; after a converged run
 // it is the engine's analogue of the Jacobi final-round delta.
 func (r *fastRun) maxResidual() float64 {
-	var mx float32
+	var mx float64
 	for _, v := range r.residual {
 		if v > mx {
 			mx = v
 		}
 	}
-	return float64(mx)
+	return mx
 }
 
 // effectiveRounds expresses schedule progress in Jacobi-sweep units so both
@@ -342,7 +273,7 @@ func (r *fastRun) effectiveRounds() float64 {
 
 // Infer implements Engine. See the type comment for the schedule; the
 // engine honours the same warm-start and cancellation contracts as BP:
-// compatible warm beliefs seed the float32 store (incompatible or nil warm
+// compatible warm beliefs seed the message store (incompatible or nil warm
 // starts uniform, no miss counted), ctx is polled every 1024 node updates,
 // and the pooled run state is returned on every exit path.
 func (b *FastBP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error) {
@@ -365,16 +296,7 @@ func (b *FastBP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm 
 	for u := 0; u < n; u++ {
 		r.bucketOf[u] = -1
 	}
-	if warm.Compatible(topo) {
-		for i, v := range warm.msg {
-			r.msg[i] = float32(v)
-		}
-		bpWarmStarts.Inc()
-	} else {
-		for i := range r.msg {
-			r.msg[i] = 0.5
-		}
-	}
+	seedMessages(r.msg, topo, warm)
 	// Seed the schedule: every connected node enters the top bucket with a
 	// saturated residual, so the first pass is one Gauss-Seidel sweep in
 	// node order (linked in reverse: head insertion pops low IDs first).
@@ -402,7 +324,6 @@ func (b *FastBP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm 
 	budget := b.cfg.MaxIterations * n
 	stabilizeAt := budget / 2
 	damping, tol := 0.0, b.cfg.Tolerance
-	converged := true
 	for r.processed < budget {
 		if r.processed&1023 == 0 {
 			if ctxErr := ctx.Err(); ctxErr != nil {
@@ -420,25 +341,12 @@ func (b *FastBP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm 
 		r.processNode(u, damping, tol)
 		r.processed++
 	}
-	if _, pending := r.popMin(); pending {
-		converged = false
-	}
+	_, pending := r.popMin()
+	accountCompletedRun(r.effectiveRounds(), float64(r.updates), r.maxResidual(), !pending)
 
-	bpRuns.Inc()
-	bpIterations.Observe(r.effectiveRounds())
-	bpMessageUpdates.Add(float64(r.updates))
-	bpFinalResidual.Observe(r.maxResidual())
-	if !converged {
-		bpNonConverged.Inc()
+	out := make([]float64, n)
+	for u := range out {
+		out[u] = marginal(ev[u], m.prior[u], r.msg[topo.off[u]:topo.off[u+1]])
 	}
-
-	r.out = make([]float64, n)
-	r.readout()
-	// Export the converged messages as float64 so the result warm-starts
-	// either engine over the same topology shape.
-	exported := make([]float64, len(r.msg))
-	for i, v := range r.msg {
-		exported[i] = float64(v)
-	}
-	return &Result{PUp: r.out, Beliefs: &Beliefs{topo: topo, msg: exported}}, nil
+	return &Result{PUp: out, Beliefs: exportBeliefs(topo, r.msg)}, nil
 }

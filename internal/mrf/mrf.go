@@ -8,10 +8,13 @@
 // observed trend. Inference yields, for every non-seed road, the posterior
 // probability that its trend is up.
 //
-// Four inference engines are provided: exact enumeration (a test oracle for
-// tiny graphs), loopy belief propagation (the default, matching the paper's
-// use of approximate graphical-model inference), iterated conditional modes
-// and Gibbs sampling (ablation baselines).
+// Six inference engines are provided (EngineNames): loopy belief
+// propagation with a Jacobi schedule (BP, the default and the reference,
+// matching the paper's use of approximate graphical-model inference), the
+// same message kernel under a residual-priority schedule (FastBP), exact
+// enumeration (a test oracle for tiny graphs), iterated conditional modes
+// and Gibbs sampling (ablation baselines), and the history-only prior
+// (PriorOnly).
 package mrf
 
 import (
@@ -129,8 +132,9 @@ type Result struct {
 	// PUp[r] is the posterior probability that road r's trend is up.
 	PUp []float64
 	// Beliefs is the converged message state of the run, usable to
-	// warm-start a later run over a compatible topology. Only
-	// message-passing engines (BP) produce it; others leave it nil.
+	// warm-start a later run over a compatible topology. Only the
+	// message-passing engines (BP and FastBP) produce it; others leave it
+	// nil.
 	Beliefs *Beliefs
 }
 

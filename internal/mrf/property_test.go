@@ -27,6 +27,33 @@ func randomSmallGraph(rng *rand.Rand, n int) (*corr.Graph, error) {
 	return corr.NewGraph(n, es)
 }
 
+// randomEquivalenceCase draws the seed-th random model of the engine
+// property suites: a 4–13 node graph, priors in [0.1, 0.9], an edge temper
+// between the serving configuration's 0.2 and the raw 1.0, and up to two
+// evidence clamps.
+func randomEquivalenceCase(t *testing.T, seed int64) (*Model, []Evidence) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	n := 4 + rng.Intn(10)
+	g, err := randomSmallGraph(rng, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	priors := make([]float64, n)
+	for i := range priors {
+		priors[i] = 0.1 + 0.8*rng.Float64()
+	}
+	m := mustModel(t, g, priors)
+	if err := m.SetEdgeTemper(0.2 + 0.8*rng.Float64()); err != nil {
+		t.Fatal(err)
+	}
+	var ev []Evidence
+	for e := rng.Intn(3); e > 0; e-- {
+		ev = append(ev, Evidence{Road: roadnet.RoadID(rng.Intn(n)), Up: rng.Intn(2) == 0})
+	}
+	return m, ev
+}
+
 // Property: BP marginals are valid probabilities on random graphs and
 // priors, with and without evidence.
 func TestBPMarginalsAreProbabilities(t *testing.T) {

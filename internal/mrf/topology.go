@@ -68,45 +68,6 @@ func NewTopology(g *corr.Graph) (*Topology, error) {
 	return t, nil
 }
 
-// WithAgreements returns a topology with the same CSR shape as t — sharing
-// the off/to/rev arrays — with edge agreements taken from g. It is the
-// incremental-rebuild patch path: a Rescore that changed only edge weights
-// yields a graph whose edge *set* matches t's, and sharing the shape arrays
-// is what keeps a prior run's Beliefs compatible with the patched topology
-// (see Beliefs.Compatible). It fails when g's adjacency differs from t's
-// shape in any way — node count, a degree, or a neighbour set — in which
-// case the caller must rebuild with NewTopology (Beliefs.Remap can then
-// carry the surviving edges' messages over to the fresh topology).
-//
-// g's neighbour lists may order edges differently from t (Neighbors sorts
-// by the new agreements), so matching is by neighbour ID — unique within a
-// list — which preserves each message slot's meaning.
-func (t *Topology) WithAgreements(g *corr.Graph) (*Topology, error) {
-	n := len(t.off) - 1
-	if g.NumRoads() != n {
-		return nil, fmt.Errorf("mrf: graph has %d roads but topology covers %d", g.NumRoads(), n)
-	}
-	agree := make([]float64, len(t.to))
-	for u := 0; u < n; u++ {
-		lo, hi := t.off[u], t.off[u+1]
-		es := g.Neighbors(roadnet.RoadID(u))
-		if int(hi-lo) != len(es) {
-			return nil, fmt.Errorf("mrf: road %d degree changed: topology has %d, graph %d", u, hi-lo, len(es))
-		}
-	edges:
-		for _, e := range es {
-			for i := lo; i < hi; i++ {
-				if t.to[i] == int32(e.To) {
-					agree[i] = e.Agreement
-					continue edges
-				}
-			}
-			return nil, fmt.Errorf("mrf: road %d edge to %d absent from topology", u, e.To)
-		}
-	}
-	return &Topology{graph: g, off: t.off, to: t.to, agree: agree, rev: t.rev}, nil
-}
-
 // Graph returns the graph the topology was built from.
 func (t *Topology) Graph() *corr.Graph { return t.graph }
 

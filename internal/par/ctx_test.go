@@ -35,20 +35,6 @@ func TestForPanicSurfacesOnCaller(t *testing.T) {
 	})
 }
 
-// TestForMaxPanicSurfacesOnCaller mirrors the For panic contract for the
-// reducing variant.
-func TestForMaxPanicSurfacesOnCaller(t *testing.T) {
-	n := 4 * SerialCutoff
-	defer func() {
-		if _, ok := recover().(*PanicError); !ok {
-			t.Fatal("expected ForMax to re-panic with *PanicError")
-		}
-	}()
-	ForMax(n, 4, func(start, end int) float64 {
-		panic("boom")
-	})
-}
-
 // TestForCtxCoversRange asserts the ctx-aware loop with a live context visits
 // every index exactly once across serial and parallel paths.
 func TestForCtxCoversRange(t *testing.T) {
@@ -131,8 +117,8 @@ func TestForCtxPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestForMaxCtxReduces asserts the ctx-aware reduction matches ForMax on a
-// live context.
+// TestForMaxCtxReduces asserts the ctx-aware reduction returns the global
+// maximum on a live context.
 func TestForMaxCtxReduces(t *testing.T) {
 	n := 8 * SerialCutoff
 	vals := make([]float64, n)

@@ -9,17 +9,19 @@
 //
 // Two execution families exist:
 //
-//   - For / ForMax: the original fire-and-join loops. A panic in a worker is
+//   - For: the original fire-and-join loop. A panic in a worker is
 //     recovered, counted, and re-raised as a *PanicError on the calling
 //     goroutine after the join, so a crashing work item surfaces where the
 //     loop was invoked instead of killing the process from an anonymous
 //     goroutine.
-//   - ForCtx / ForMaxCtx: cancellation-aware variants. Work is split finer
-//     than one chunk per worker and claimed from a shared atomic cursor, so
-//     a context cancelled mid-loop stops further dispatch at the next chunk
-//     boundary. Panics are converted to an error on the join path. Both
-//     variants always join every started chunk before returning — even on
-//     cancellation — so callers may recycle buffers immediately.
+//   - ForCtx / ForMaxCtx: cancellation-aware variants, the second with a
+//     per-chunk float64 reduction by maximum (the BP Jacobi round's
+//     convergence check). Work is split finer than one chunk per worker
+//     and claimed from a shared atomic cursor, so a context cancelled
+//     mid-loop stops further dispatch at the next chunk boundary. Panics
+//     are converted to an error on the join path. Both variants always
+//     join every started chunk before returning — even on cancellation —
+//     so callers may recycle buffers immediately.
 //
 // EachCtx is the task-level sibling: body(i) per item with no serial cutoff,
 // for fan-out over a handful of coarse tasks (per-shard inference and
@@ -154,54 +156,6 @@ func For(n, workers int, body func(start, end int)) {
 	}
 }
 
-// ForMax is For with a per-chunk float64 reduction by maximum: each chunk
-// returns its local maximum and ForMax returns the global one. Used by the
-// BP Jacobi round, whose convergence check needs the largest message change.
-// Worker panics surface exactly as in For.
-func ForMax(n, workers int, body func(start, end int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if n < SerialCutoff || workers == 1 {
-		parRunsSerial.Inc()
-		return body(0, n)
-	}
-	parRunsParallel.Inc()
-	parWorkers.Set(float64(workers))
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	maxes := make([]float64, nChunks)
-	var box panicBox
-	var wg sync.WaitGroup
-	for i := 0; i < nChunks; i++ {
-		start := i * chunk
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(idx, s, e int) {
-			defer wg.Done()
-			box.capture(func() { maxes[idx] = body(s, e) })
-		}(i, start, end)
-	}
-	wg.Wait()
-	if pe := box.load(); pe != nil {
-		panic(pe)
-	}
-	max := maxes[0]
-	for _, m := range maxes[1:] {
-		if m > max {
-			max = m
-		}
-	}
-	return max
-}
-
 // ForCtx is the cancellation-aware For. Chunks are claimed from a shared
 // cursor; once ctx is cancelled no further chunk is dispatched, already
 // running chunks finish, and every worker joins before ForCtx returns.
@@ -220,8 +174,11 @@ func ForCtx(ctx context.Context, n, workers int, body func(start, end int)) erro
 	return err
 }
 
-// ForMaxCtx is the cancellation-aware ForMax. The reduced maximum is only
-// meaningful when the returned error is nil.
+// ForMaxCtx is ForCtx with a per-chunk float64 reduction by maximum: each
+// chunk returns its local maximum and ForMaxCtx returns the global one. Used
+// by the BP Jacobi round, whose convergence check needs the largest message
+// change. The reduced maximum is only meaningful when the returned error is
+// nil.
 func ForMaxCtx(ctx context.Context, n, workers int, body func(start, end int) float64) (float64, error) {
 	return forCtx(ctx, n, workers, body)
 }

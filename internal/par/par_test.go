@@ -1,7 +1,6 @@
 package par
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 )
@@ -40,36 +39,6 @@ func TestForDisjointWrites(t *testing.T) {
 		if out[i] != i*i {
 			t.Fatalf("out[%d] = %d", i, out[i])
 		}
-	}
-}
-
-// TestForMax asserts the reduction returns the global maximum regardless of
-// which chunk holds it.
-func TestForMax(t *testing.T) {
-	n := 4 * SerialCutoff
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = float64(i % 97)
-	}
-	vals[n-3] = 1e6 // spike in the last chunk
-	got := ForMax(n, 4, func(start, end int) float64 {
-		m := math.Inf(-1)
-		for i := start; i < end; i++ {
-			if vals[i] > m {
-				m = vals[i]
-			}
-		}
-		return m
-	})
-	if got != 1e6 {
-		t.Fatalf("ForMax = %v, want 1e6", got)
-	}
-	// Serial path.
-	if got := ForMax(3, 0, func(start, end int) float64 { return 42 }); got != 42 {
-		t.Fatalf("serial ForMax = %v", got)
-	}
-	if got := ForMax(0, 0, func(start, end int) float64 { return 42 }); got != 0 {
-		t.Fatalf("empty ForMax = %v", got)
 	}
 }
 
