@@ -242,7 +242,7 @@ func (v *View) ObservationCount() int {
 		}
 		for l := range v.plan.Members(d) {
 			if v.plan.OwnsLocal(d, roadnet.RoadID(l)) {
-				total += len(m.DB().Series(roadnet.RoadID(l)))
+				total += len(m.DB().Rels(roadnet.RoadID(l)))
 			}
 		}
 	}

@@ -133,7 +133,7 @@ func NewGraph(numRoads int, edges []EdgeSpec) (*Graph, error) {
 		if e.U == e.V {
 			return nil, fmt.Errorf("corr: self-edge at road %d", e.U)
 		}
-		if e.Agreement <= 0 || e.Agreement >= 1 {
+		if !(e.Agreement > 0 && e.Agreement < 1) { // false for NaN too
 			return nil, fmt.Errorf("corr: edge %d-%d agreement %v outside (0,1)", e.U, e.V, e.Agreement)
 		}
 		key := [2]roadnet.RoadID{e.U, e.V}
@@ -228,22 +228,11 @@ func Build(net *roadnet.Network, db *history.DB, cfg Config) (*Graph, error) {
 }
 
 // scorePair computes the trend agreement and relative-speed correlation of a
-// pair, returning ok=false when the pair does not qualify for an edge.
+// pair, returning ok=false when the pair does not qualify for an edge. The
+// thresholds are decided from the history's co-observation counts; only a
+// qualifying pair reads its samples for the correlation sums.
 func scorePair(db *history.DB, u, v roadnet.RoadID, cfg Config) (Edge, bool) {
-	var n, agree int
-	var sumU, sumV, sumUU, sumVV, sumUV float64
-	db.CoObserved(u, v, func(_ int32, relU, relV float32) {
-		n++
-		if (relU >= 1) == (relV >= 1) {
-			agree++
-		}
-		x, y := float64(relU), float64(relV)
-		sumU += x
-		sumV += y
-		sumUU += x * x
-		sumVV += y * y
-		sumUV += x * y
-	})
+	n, agree := db.CoCounts(u, v)
 	if n < cfg.MinCoObserved {
 		return Edge{}, false
 	}
@@ -251,6 +240,15 @@ func scorePair(db *history.DB, u, v roadnet.RoadID, cfg Config) (Edge, bool) {
 	if agreement < cfg.MinAgreement {
 		return Edge{}, false
 	}
+	var sumU, sumV, sumUU, sumVV, sumUV float64
+	db.CoObserved(u, v, func(_ int32, relU, relV float32) {
+		x, y := float64(relU), float64(relV)
+		sumU += x
+		sumV += y
+		sumUU += x * x
+		sumVV += y * y
+		sumUV += x * y
+	})
 	fn := float64(n)
 	cov := sumUV/fn - (sumU/fn)*(sumV/fn)
 	varU := sumUU/fn - (sumU/fn)*(sumU/fn)

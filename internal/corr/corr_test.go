@@ -202,3 +202,42 @@ func TestAdjacentRoadsAgreeMoreThanThreshold(t *testing.T) {
 		t.Errorf("mean correlation degree %v < 1; trend correlation too weak", mean)
 	}
 }
+
+// BenchmarkCorrBuild builds the correlation graph of the 6×5-block, 4-day
+// city hlm's golden test trains on. candidate-pairs/op counts the road
+// pairs within MaxHops that Build scores; scored-pairs/op counts those that
+// clear the co-observation and agreement thresholds, the only ones whose
+// samples are read for the correlation sums.
+func BenchmarkCorrBuild(b *testing.B) {
+	cfg := dataset.DefaultConfig()
+	cfg.Net.BlocksX, cfg.Net.BlocksY = 6, 5
+	cfg.HistoryDays = 4
+	d, err := dataset.Build(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cc := DefaultConfig()
+	candidates := 0
+	for u := 0; u < d.Net.NumRoads(); u++ {
+		hops := d.Net.Hops([]roadnet.RoadID{roadnet.RoadID(u)}, cc.MaxHops)
+		for v := u + 1; v < len(hops); v++ {
+			if hops[v] >= 0 {
+				candidates++
+			}
+		}
+	}
+	b.ResetTimer()
+	var g *Graph
+	for i := 0; i < b.N; i++ {
+		if g, err = Build(d.Net, d.DB, cc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	scored := 0
+	for _, es := range g.raw {
+		scored += len(es)
+	}
+	b.ReportMetric(float64(candidates), "candidate-pairs/op")
+	b.ReportMetric(float64(scored/2), "scored-pairs/op")
+}

@@ -1,6 +1,7 @@
 package corr
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,6 +21,7 @@ func TestNewGraphValidation(t *testing.T) {
 		{"self edge", 2, []EdgeSpec{{U: 1, V: 1, Agreement: 0.8}}},
 		{"agreement 0", 2, []EdgeSpec{{U: 0, V: 1, Agreement: 0}}},
 		{"agreement 1", 2, []EdgeSpec{{U: 0, V: 1, Agreement: 1}}},
+		{"agreement NaN", 3, []EdgeSpec{{U: 0, V: 1, Agreement: math.NaN()}, {U: 0, V: 2, Agreement: 0.8}}},
 		{"duplicate", 3, []EdgeSpec{{U: 0, V: 1, Agreement: 0.7}, {U: 1, V: 0, Agreement: 0.8}}},
 	}
 	for _, tc := range bad {

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
+	"repro/internal/roadnet"
 	"repro/internal/timeslot"
 )
 
@@ -16,6 +18,9 @@ import (
 //	profile cells (mean f32, std f32, n u32, nUp u32) × numRoads×numProfileClasses |
 //	overall f32 × numRoads |
 //	per road: seriesLen u32 then (slot i32, rel f32) × seriesLen
+//
+// A series lists its samples in strictly increasing slot order, slots are
+// non-negative and rels are never NaN; ReadDB rejects anything else.
 const (
 	codecMagic   = "THDB"
 	codecVersion = 1
@@ -64,13 +69,17 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 	if err := write(db.overall); err != nil {
 		return n, err
 	}
-	for _, s := range db.series {
-		if err := write(uint32(len(s))); err != nil {
+	var rec []byte
+	for r, s := range db.series {
+		rec = binary.LittleEndian.AppendUint32(rec[:0], uint32(len(s.rel)))
+		db.EachSample(roadnet.RoadID(r), func(slot int32, rel float32) {
+			rec = binary.LittleEndian.AppendUint32(rec, uint32(slot))
+			rec = binary.LittleEndian.AppendUint32(rec, math.Float32bits(rel))
+		})
+		if _, err := bw.Write(rec); err != nil {
 			return n, err
 		}
-		if err := write(s); err != nil {
-			return n, err
-		}
+		n += int64(len(rec))
 	}
 	return n, bw.Flush()
 }
@@ -117,7 +126,7 @@ func ReadDB(r io.Reader) (*DB, error) {
 		numRoads: int(numRoads),
 		profile:  make([]profileCell, 0, min(profCount, codecMaxPrealloc)),
 		overall:  make([]float32, 0, min(int(numRoads), codecMaxPrealloc)),
-		series:   make([][]Sample, 0, min(int(numRoads), codecMaxPrealloc)),
+		series:   make([]roadSeries, 0, min(int(numRoads), codecMaxPrealloc)),
 	}
 	for i := 0; i < profCount; i++ {
 		var c profileCell
@@ -144,8 +153,8 @@ func ReadDB(r io.Reader) (*DB, error) {
 		db.overall = append(db.overall, fbuf[:n]...)
 		got += n
 	}
-	var sbuf [2048]Sample
-	for i := 0; i < int(numRoads); i++ {
+	var rec [8 * 2048]byte
+	for road := 0; road < int(numRoads); road++ {
 		var sl uint32
 		if err := read(&sl); err != nil {
 			return nil, err
@@ -153,13 +162,27 @@ func ReadDB(r io.Reader) (*DB, error) {
 		if sl > 1<<26 {
 			return nil, fmt.Errorf("history: implausible series length %d", sl)
 		}
-		s := make([]Sample, 0, min(int(sl), codecMaxPrealloc))
+		s := roadSeries{rel: make([]float32, 0, min(int(sl), codecMaxPrealloc))}
+		last := int32(-1)
 		for got := 0; got < int(sl); {
-			n := min(int(sl)-got, len(sbuf))
-			if err := read(sbuf[:n]); err != nil {
+			n := min(int(sl)-got, len(rec)/8)
+			if _, err := io.ReadFull(br, rec[:8*n]); err != nil {
 				return nil, err
 			}
-			s = append(s, sbuf[:n]...)
+			for k := 0; k < n; k++ {
+				slot := int32(binary.LittleEndian.Uint32(rec[8*k:]))
+				rel := math.Float32frombits(binary.LittleEndian.Uint32(rec[8*k+4:]))
+				switch {
+				case slot < 0:
+					return nil, fmt.Errorf("history: road %d has negative slot %d", road, slot)
+				case slot <= last:
+					return nil, fmt.Errorf("history: road %d lists slot %d after slot %d", road, slot, last)
+				case math.IsNaN(float64(rel)):
+					return nil, fmt.Errorf("history: road %d has a NaN rel at slot %d", road, slot)
+				}
+				s.add(slot, rel)
+				last = slot
+			}
 			got += n
 		}
 		db.series = append(db.series, s)

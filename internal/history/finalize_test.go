@@ -18,11 +18,32 @@ type refAdd struct {
 	speed float64
 }
 
+// sample is one (slot, rel) pair of a road's series, as the tests read it.
+type sample struct {
+	slot int32
+	rel  float32
+}
+
+// samplesOf lists the road's samples in the order EachSample calls with them.
+func samplesOf(db *DB, road roadnet.RoadID) []sample {
+	var out []sample
+	db.EachSample(road, func(slot int32, rel float32) { out = append(out, sample{slot, rel}) })
+	return out
+}
+
+// refDB is what refFinalize produces: a DB's profiles and overall means, and
+// each road's series as a plain sample list.
+type refDB struct {
+	profile []profileCell
+	overall []float32
+	series  [][]sample
+}
+
 // refFinalize is the map-based builder the append log replaced, kept as the
 // reference Finalize must match bit for bit: per-road maps of slot →
 // (sum, count), roll-forward roads recovered from base before their first
 // new observation, and per-class statistics accumulated in slot order.
-func refFinalize(cal *timeslot.Calendar, numRoads int, base *DB, adds []refAdd) *DB {
+func refFinalize(cal *timeslot.Calendar, numRoads int, base *DB, adds []refAdd) *refDB {
 	type sumCount struct {
 		sum float64
 		n   uint32
@@ -32,19 +53,19 @@ func refFinalize(cal *timeslot.Calendar, numRoads int, base *DB, adds []refAdd) 
 		if agg[a.road] == nil {
 			agg[a.road] = make(map[int32]sumCount)
 			if base != nil {
-				for _, s := range base.series[a.road] {
-					mean, ok := base.Mean(a.road, int(s.Slot))
+				for _, s := range samplesOf(base, a.road) {
+					mean, ok := base.Mean(a.road, int(s.slot))
 					if !ok || mean <= 0 {
 						continue
 					}
-					speed := float64(s.Rel) * mean
+					speed := float64(s.rel) * mean
 					if speed <= 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
 						continue
 					}
-					sc := agg[a.road][s.Slot]
+					sc := agg[a.road][s.slot]
 					sc.sum += speed
 					sc.n++
-					agg[a.road][s.Slot] = sc
+					agg[a.road][s.slot] = sc
 				}
 			}
 		}
@@ -55,12 +76,10 @@ func refFinalize(cal *timeslot.Calendar, numRoads int, base *DB, adds []refAdd) 
 	}
 
 	spw := cal.NumProfileClasses()
-	db := &DB{
-		cal:      cal,
-		numRoads: numRoads,
-		profile:  make([]profileCell, numRoads*spw),
-		overall:  make([]float32, numRoads),
-		series:   make([][]Sample, numRoads),
+	db := &refDB{
+		profile: make([]profileCell, numRoads*spw),
+		overall: make([]float32, numRoads),
+		series:  make([][]sample, numRoads),
 	}
 	type slotMean struct {
 		slot int32
@@ -98,7 +117,7 @@ func refFinalize(cal *timeslot.Calendar, numRoads int, base *DB, adds []refAdd) 
 			cell.std = float32(math.Sqrt(variance))
 			cell.n = n
 		}
-		var series []Sample
+		var series []sample
 		for _, s := range sm {
 			cell := &db.profile[road*spw+cal.ProfileClass(int(s.slot))]
 			mean := float64(cell.mean)
@@ -109,7 +128,7 @@ func refFinalize(cal *timeslot.Calendar, numRoads int, base *DB, adds []refAdd) 
 				continue
 			}
 			rel := float32(s.v / mean)
-			series = append(series, Sample{Slot: s.slot, Rel: rel})
+			series = append(series, sample{slot: s.slot, rel: rel})
 			if rel >= 1 {
 				cell.nUp++
 			}
@@ -123,7 +142,7 @@ func refFinalize(cal *timeslot.Calendar, numRoads int, base *DB, adds []refAdd) 
 			}
 			copy(db.profile[road*spw:(road+1)*spw], base.profile[road*spw:(road+1)*spw])
 			db.overall[road] = base.overall[road]
-			db.series[road] = base.series[road]
+			db.series[road] = samplesOf(base, roadnet.RoadID(road))
 		}
 	}
 	return db
@@ -177,8 +196,8 @@ func randomAdds(rng *rand.Rand, cal *timeslot.Calendar, roads []roadnet.RoadID, 
 	return adds
 }
 
-// sameDB compares two databases bit for bit.
-func sameDB(t *testing.T, label string, got, want *DB) {
+// sameDB compares a database with the reference bit for bit.
+func sameDB(t *testing.T, label string, got *DB, want *refDB) {
 	t.Helper()
 	for i := range want.profile {
 		g, w := got.profile[i], want.profile[i]
@@ -191,12 +210,12 @@ func sameDB(t *testing.T, label string, got, want *DB) {
 		if math.Float32bits(got.overall[r]) != math.Float32bits(want.overall[r]) {
 			t.Fatalf("%s: road %d overall mean %v, reference %v", label, r, got.overall[r], want.overall[r])
 		}
-		gs, ws := got.series[r], want.series[r]
+		gs, ws := samplesOf(got, roadnet.RoadID(r)), want.series[r]
 		if len(gs) != len(ws) {
 			t.Fatalf("%s: road %d has %d samples, reference %d", label, r, len(gs), len(ws))
 		}
 		for k := range ws {
-			if gs[k].Slot != ws[k].Slot || math.Float32bits(gs[k].Rel) != math.Float32bits(ws[k].Rel) {
+			if gs[k].slot != ws[k].slot || math.Float32bits(gs[k].rel) != math.Float32bits(ws[k].rel) {
 				t.Fatalf("%s: road %d sample %d is %+v, reference %+v", label, r, k, gs[k], ws[k])
 			}
 		}

@@ -2,9 +2,12 @@ package history
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/roadnet"
 	"repro/internal/timeslot"
 )
 
@@ -35,9 +38,10 @@ func fuzzSeedDB(f *testing.F) []byte {
 
 // FuzzReadDB drives the binary decoder with arbitrary bytes. The properties:
 // ReadDB never panics and never allocates proportionally to declared (rather
-// than delivered) lengths — the decompression-bomb guard — and anything it
-// accepts must round-trip: re-encoding the decoded DB and decoding that must
-// yield a byte-identical encoding (the codec is canonical).
+// than delivered) lengths — the decompression-bomb guard — every series it
+// accepts lists strictly increasing slots, and anything it accepts must
+// round-trip: re-encoding the decoded DB and decoding that must yield a
+// byte-identical encoding (the codec is canonical).
 func FuzzReadDB(f *testing.F) {
 	valid := fuzzSeedDB(f)
 	f.Add(valid)
@@ -53,6 +57,7 @@ func FuzzReadDB(f *testing.F) {
 	bomb := append([]byte(nil), valid[:28]...)
 	bomb[24], bomb[25], bomb[26], bomb[27] = 0xff, 0xff, 0xff, 0x00
 	f.Add(bomb)
+	f.Add(encodeSeries(f, [][]sample{{{3, 1}, {1, 1}, {1, float32(math.NaN())}}, {{1, 1}, {2, 1}, {3, 1}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := ReadDB(bytes.NewReader(data))
@@ -61,6 +66,15 @@ func FuzzReadDB(f *testing.F) {
 		}
 		if db.NumRoads() <= 0 {
 			t.Fatalf("accepted a DB with %d roads", db.NumRoads())
+		}
+		for r := 0; r < db.NumRoads(); r++ {
+			last := int32(-1)
+			db.EachSample(roadnet.RoadID(r), func(slot int32, _ float32) {
+				if slot <= last {
+					t.Fatalf("accepted road %d with slot %d after slot %d", r, slot, last)
+				}
+				last = slot
+			})
 		}
 		var first bytes.Buffer
 		if _, err := db.WriteTo(&first); err != nil {
@@ -76,6 +90,60 @@ func FuzzReadDB(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("encoding is not canonical: round-trip changed %d bytes", len(first.Bytes()))
+		}
+	})
+}
+
+// fuzzSeries decodes two roads' series from fuzz bytes, three bytes a
+// sample: which road, how far past the road's previous slot (a few slots, a
+// few blocks, or most of the slot range) and the rel, a multiple of 1/128
+// so that rels at exactly 1 occur. Slots stay below 2³¹, strictly
+// increasing per road.
+func fuzzSeries(data []byte) [][]sample {
+	series := make([][]sample, 2)
+	next := []int64{0, 0}
+	for ; len(data) >= 3; data = data[3:] {
+		r := data[0] & 1
+		gap := int64(data[1])
+		switch data[0] >> 1 & 3 {
+		case 0:
+			gap %= 4
+		case 2:
+			gap <<= 6
+		case 3:
+			gap <<= 23
+		}
+		slot := next[r] + gap
+		if slot > math.MaxInt32 {
+			continue
+		}
+		series[r] = append(series[r], sample{int32(slot), float32(data[2]) / 128})
+		next[r] = slot + 1
+	}
+	return series
+}
+
+// FuzzCoObserved checks CoObserved's callbacks and CoCounts against the
+// per-sample merge join on two fuzz-decoded series, which ReadDB must
+// accept, in both argument orders and for each road with itself.
+func FuzzCoObserved(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 3, 60, 300} {
+		seed := make([]byte, 3*n)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Add([]byte{0, 63, 128, 1, 64, 128, 4, 0, 127, 5, 1, 129, 6, 255, 64, 7, 255, 200})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		series := fuzzSeries(data)
+		db, err := ReadDB(bytes.NewReader(encodeSeries(t, series)))
+		if err != nil {
+			t.Fatalf("well-formed series %v rejected: %v", series, err)
+		}
+		for u := range series {
+			for v := range series {
+				checkCoObserved(t, "fuzz", db, roadnet.RoadID(u), roadnet.RoadID(v), series[u], series[v])
+			}
 		}
 	})
 }

@@ -5,6 +5,12 @@
 // used to estimate trend correlations and to train the hierarchical linear
 // model.
 //
+// A road's series holds at most one sample per slot, in strictly increasing
+// slot order. It is stored as a column of rels plus one bitmap pair per
+// 64-slot window — which slots were observed, and which of those trended up
+// — so two roads' co-observed slots and trend agreements are counted with
+// word operations, without reading a sample.
+//
 // The database is built from (road, slot, speed) observations — produced
 // either by the GPS pipeline or by direct probe sampling of the traffic
 // simulator — via a Builder, and is immutable once finalised.
@@ -15,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -33,18 +40,6 @@ import (
 // every downstream estimate is computed from.
 var ErrInvalidObservation = errors.New("invalid observation")
 
-// Sample is one historical data point for a road: the mean observed speed in
-// an absolute slot, expressed relative to the road's historical mean for
-// the slot’s profile class. Rel ≥ 1 means the trend was "up" in that slot.
-type Sample struct {
-	Slot int32
-	Rel  float32
-}
-
-// Up reports whether the sample's trend is up (at or above the historical
-// mean).
-func (s Sample) Up() bool { return s.Rel >= 1 }
-
 // profileCell holds the per-(road, profile-class) statistics.
 type profileCell struct {
 	mean float32 // mean observed speed, m/s
@@ -53,13 +48,56 @@ type profileCell struct {
 	nUp  uint32  // samples at or above the mean
 }
 
-// DB is the immutable historical database.
+// DB is the immutable historical database. Each road's series has at most
+// one sample per slot: a rel, the mean observed speed in an absolute slot
+// relative to the road's historical mean for the slot's profile class, where
+// rel ≥ 1 means the trend was "up". Samples are kept in strictly increasing
+// slot order, and every reader relies on that.
 type DB struct {
 	cal      *timeslot.Calendar
 	numRoads int
 	profile  []profileCell // numRoads × NumProfileClasses, road-major
 	overall  []float32     // per-road overall mean speed (fallback)
-	series   [][]Sample    // per-road samples sorted by slot
+	series   []roadSeries
+}
+
+// roadSeries is one road's samples. rel holds the rels in ascending slot
+// order; blocks, ascending by key, says which slots they belong to.
+type roadSeries struct {
+	rel    []float32
+	blocks []block
+}
+
+// block is the part of a series in the 64-slot window key·64 … key·64+63.
+// Bit i of obs is set when slot key·64+i was observed, and bit i of up when
+// that sample's rel is ≥ 1. The window's rels sit in the rel column from
+// off on, one per set bit of obs in ascending bit order, so the rel of an
+// observed slot is at off + popcount(obs below its bit).
+type block struct {
+	key int32
+	off int32
+	obs uint64
+	up  uint64
+}
+
+// add appends a sample whose slot is above every slot s holds.
+func (s *roadSeries) add(slot int32, rel float32) {
+	key := slot >> 6
+	if n := len(s.blocks); n == 0 || s.blocks[n-1].key != key {
+		s.blocks = append(s.blocks, block{key: key, off: int32(len(s.rel))})
+	}
+	b := &s.blocks[len(s.blocks)-1]
+	bit := uint64(1) << (slot & 63)
+	b.obs |= bit
+	if rel >= 1 {
+		b.up |= bit
+	}
+	s.rel = append(s.rel, rel)
+}
+
+// relOf returns the rel of the slot at bit of b, which must be set in b.obs.
+func (s *roadSeries) relOf(b *block, bit int) float32 {
+	return s.rel[int(b.off)+bits.OnesCount64(b.obs&(1<<bit-1))]
 }
 
 // Cal returns the calendar the database is keyed by.
@@ -107,15 +145,43 @@ func (db *DB) PUp(road roadnet.RoadID, slot int) float64 {
 	return (float64(c.nUp) + 1) / (float64(c.n) + 2)
 }
 
-// Series returns the road's historical samples sorted by slot; callers must
-// not modify the slice.
-func (db *DB) Series(road roadnet.RoadID) []Sample { return db.series[road] }
+// Rels returns the road's rels in ascending slot order; callers must not
+// modify the slice.
+func (db *DB) Rels(road roadnet.RoadID) []float32 { return db.series[road].rel }
+
+// EachSample calls fn with every sample of the road, in ascending slot order.
+func (db *DB) EachSample(road roadnet.RoadID, fn func(slot int32, rel float32)) {
+	s := &db.series[road]
+	for _, b := range s.blocks {
+		k := b.off
+		for m := b.obs; m != 0; m &= m - 1 {
+			fn(b.key<<6|int32(bits.TrailingZeros64(m)), s.rel[k])
+			k++
+		}
+	}
+}
+
+// RelAt returns the road's rel at slot, and whether the road has a sample
+// there.
+func (db *DB) RelAt(road roadnet.RoadID, slot int32) (float32, bool) {
+	s := &db.series[road]
+	i, ok := slices.BinarySearchFunc(s.blocks, slot>>6, func(b block, key int32) int { return cmp.Compare(b.key, key) })
+	if !ok {
+		return 0, false
+	}
+	b := &s.blocks[i]
+	bit := int(slot & 63)
+	if b.obs&(1<<bit) == 0 {
+		return 0, false
+	}
+	return s.relOf(b, bit), true
+}
 
 // ObservationCount returns the total number of slot-level samples stored.
 func (db *DB) ObservationCount() int {
 	var total int
 	for _, s := range db.series {
-		total += len(s)
+		total += len(s.rel)
 	}
 	return total
 }
@@ -124,7 +190,7 @@ func (db *DB) ObservationCount() int {
 func (db *DB) Coverage(minSamples int) float64 {
 	covered := 0
 	for _, s := range db.series {
-		if len(s) >= minSamples {
+		if len(s.rel) >= minSamples {
 			covered++
 		}
 	}
@@ -161,7 +227,7 @@ func (db *DB) Restrict(roads []roadnet.RoadID) (*DB, error) {
 		numRoads: len(roads),
 		profile:  make([]profileCell, len(roads)*nc),
 		overall:  make([]float32, len(roads)),
-		series:   make([][]Sample, len(roads)),
+		series:   make([]roadSeries, len(roads)),
 	}
 	seen := make(map[roadnet.RoadID]bool, len(roads))
 	for i, r := range roads {
@@ -184,20 +250,116 @@ func (db *DB) Restrict(roads []roadnet.RoadID) (*DB, error) {
 // in increasing slot order. It is the primitive the correlation graph is
 // estimated from.
 func (db *DB) CoObserved(u, v roadnet.RoadID, fn func(slot int32, relU, relV float32)) {
-	a, b := db.series[u], db.series[v]
+	a, b := &db.series[u], &db.series[v]
 	i, j := 0, 0
-	for i < len(a) && j < len(b) {
+	for i < len(a.blocks) && j < len(b.blocks) {
+		x, y := &a.blocks[i], &b.blocks[j]
 		switch {
-		case a[i].Slot < b[j].Slot:
+		case x.key < y.key:
 			i++
-		case a[i].Slot > b[j].Slot:
+		case x.key > y.key:
 			j++
 		default:
-			fn(a[i].Slot, a[i].Rel, b[j].Rel)
+			for m := x.obs & y.obs; m != 0; m &= m - 1 {
+				bit := bits.TrailingZeros64(m)
+				fn(x.key<<6|int32(bit), a.relOf(x, bit), b.relOf(y, bit))
+			}
 			i++
 			j++
 		}
 	}
+}
+
+// CoCounts returns the number of slots in which both roads have a sample,
+// and in how many of those their trends agree (both rels ≥ 1, or both
+// below) — the counts CoObserved's callbacks would add up, from the bitmaps
+// alone.
+func (db *DB) CoCounts(u, v roadnet.RoadID) (n, agree int) {
+	a, b := db.series[u].blocks, db.series[v].blocks
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].key < b[j].key:
+			i++
+		case a[i].key > b[j].key:
+			j++
+		default:
+			both := a[i].obs & b[j].obs
+			n += bits.OnesCount64(both)
+			agree += bits.OnesCount64(both &^ (a[i].up ^ b[j].up))
+			i++
+			j++
+		}
+	}
+	return n, agree
+}
+
+// SlotRanks numbers the distinct slots a database holds, 0 for the lowest,
+// and gives every sample the number of its slot. Per-slot tables indexed by
+// it stay as small as the history, wherever below 2³¹ its slots sit.
+type SlotRanks struct {
+	numSlots int
+	rank     []int32 // rank[start[r]+k] numbers road r's k-th sample's slot
+	start    []int
+}
+
+// NumSlots returns the number of distinct slots.
+func (sr *SlotRanks) NumSlots() int { return sr.numSlots }
+
+// Road returns the slot numbers of the road's samples, in the order of Rels.
+func (sr *SlotRanks) Road(road roadnet.RoadID) []int32 {
+	return sr.rank[sr.start[road]:sr.start[road+1]]
+}
+
+// SlotRanks ORs every road's blocks into the set of distinct slots and
+// numbers each sample by the count of that set's slots below its own.
+func (db *DB) SlotRanks() *SlotRanks {
+	start := make([]int, db.numRoads+1)
+	var numBlocks int
+	for r, s := range db.series {
+		start[r+1] = start[r] + len(s.rel)
+		numBlocks += len(s.blocks)
+	}
+	keys := make([]int32, 0, numBlocks)
+	for _, s := range db.series {
+		for _, b := range s.blocks {
+			keys = append(keys, b.key)
+		}
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	// held[j] is the set of slots in window keys[j], and first[j] the
+	// number of distinct slots in the windows before it. Each road's blocks
+	// are ascending, so each search resumes where the previous one ended.
+	held := make([]uint64, len(keys))
+	for _, s := range db.series {
+		lo := 0
+		for _, b := range s.blocks {
+			i, _ := slices.BinarySearch(keys[lo:], b.key)
+			lo += i
+			held[lo] |= b.obs
+		}
+	}
+	first := make([]int32, len(keys))
+	var numSlots int32
+	for j, m := range held {
+		first[j] = numSlots
+		numSlots += int32(bits.OnesCount64(m))
+	}
+	rank := make([]int32, start[db.numRoads])
+	for r, s := range db.series {
+		k, lo := start[r], 0
+		for _, b := range s.blocks {
+			i, _ := slices.BinarySearch(keys[lo:], b.key)
+			lo += i
+			for m := b.obs; m != 0; m &= m - 1 {
+				below := uint64(1)<<bits.TrailingZeros64(m) - 1
+				rank[k] = first[lo] + int32(bits.OnesCount64(held[lo]&below))
+				k++
+			}
+		}
+	}
+	return &SlotRanks{numSlots: int(numSlots), rank: rank, start: start}
 }
 
 // Builder accumulates observations and produces a DB. Add and
@@ -308,7 +470,7 @@ func (b *Builder) Finalize() *DB {
 		numRoads: b.numRoads,
 		profile:  make([]profileCell, b.numRoads*spw),
 		overall:  make([]float32, b.numRoads),
-		series:   make([][]Sample, b.numRoads),
+		series:   make([]roadSeries, b.numRoads),
 	}
 
 	classSum := make([]float64, spw)
@@ -334,6 +496,7 @@ func (b *Builder) Finalize() *DB {
 			slices.SortStableFunc(log, bySlot)
 		}
 		means := log[:0]
+		numBlocks := 0
 		for i := 0; i < len(log); {
 			slot := log[i].slot
 			var sum float64
@@ -341,6 +504,9 @@ func (b *Builder) Finalize() *DB {
 			for ; i < len(log) && log[i].slot == slot; i++ {
 				sum += log[i].v
 				n++
+			}
+			if len(means) == 0 || means[len(means)-1].slot>>6 != slot>>6 {
+				numBlocks++
 			}
 			means = append(means, observation{slot: slot, class: int32(b.cal.ProfileClass(int(slot))), v: sum / float64(n)})
 		}
@@ -374,7 +540,7 @@ func (b *Builder) Finalize() *DB {
 		clear(classN)
 
 		// Relative series and up-counts against the finished profiles.
-		series := make([]Sample, 0, len(means))
+		series := roadSeries{rel: make([]float32, 0, len(means)), blocks: make([]block, 0, numBlocks)}
 		for _, s := range means {
 			cell := &cells[s.class]
 			mean := float64(cell.mean)
@@ -385,7 +551,7 @@ func (b *Builder) Finalize() *DB {
 				continue
 			}
 			rel := float32(s.v / mean)
-			series = append(series, Sample{Slot: s.slot, Rel: rel})
+			series.add(s.slot, rel)
 			if rel >= 1 {
 				cell.nUp++
 			}
@@ -454,19 +620,18 @@ func (b *Builder) Dirty() *Dirty {
 // speed (see NewBuilderFrom for why that reconstruction is sound), in slot
 // order. The caller holds the builder lock or owns the builder exclusively.
 func recoverRoad(db *DB, road roadnet.RoadID) []observation {
-	series := db.series[road]
-	log := make([]observation, 0, len(series)+1)
-	for _, s := range series {
-		mean, ok := db.Mean(road, int(s.Slot))
+	log := make([]observation, 0, len(db.series[road].rel)+1)
+	db.EachSample(road, func(slot int32, rel float32) {
+		mean, ok := db.Mean(road, int(slot))
 		if !ok || mean <= 0 {
-			continue
+			return
 		}
-		speed := float64(s.Rel) * mean
+		speed := float64(rel) * mean
 		if speed <= 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
-			continue
+			return
 		}
-		log = append(log, observation{slot: s.Slot, v: speed})
-	}
+		log = append(log, observation{slot: slot, v: speed})
+	})
 	return log
 }
 

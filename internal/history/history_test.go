@@ -2,6 +2,7 @@ package history
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -149,20 +150,21 @@ func TestSeriesSortedAndRelative(t *testing.T) {
 		}
 	}
 	db := b.Finalize()
-	s := db.Series(0)
+	s := samplesOf(db, 0)
 	if len(s) != 3 {
 		t.Fatalf("series length %d", len(s))
 	}
 	for i := 1; i < len(s); i++ {
-		if s[i-1].Slot >= s[i].Slot {
+		if s[i-1].slot >= s[i].slot {
 			t.Error("series not sorted")
 		}
 	}
 	// Mean is 11; samples 10, 11, 12 → rel ≈ 0.909, 1.0, 1.091.
-	if math.Abs(float64(s[0].Rel)-10.0/11) > 1e-6 {
-		t.Errorf("rel[0] = %v", s[0].Rel)
+	if math.Abs(float64(s[0].rel)-10.0/11) > 1e-6 {
+		t.Errorf("rel[0] = %v", s[0].rel)
 	}
-	if !s[1].Up() || s[0].Up() {
+	// Up is rel ≥ 1, so the sample exactly at the mean counts as up.
+	if s[1].rel < 1 || s[0].rel >= 1 || db.PUp(0, 0) != (2.0+1)/(3.0+2) {
 		t.Error("Up classification wrong")
 	}
 }
@@ -265,7 +267,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if aok != bok || math.Abs(a-bm) > 1e-6 {
 			t.Errorf("road %d mean %v/%v vs %v/%v", road, a, aok, bm, bok)
 		}
-		if got, want := len(back.Series(id)), len(db.Series(id)); got != want {
+		if got, want := len(back.Rels(id)), len(db.Rels(id)); got != want {
 			t.Errorf("road %d series %d vs %d", road, got, want)
 		}
 		if db.PUp(id, 3) != back.PUp(id, 3) {
@@ -302,6 +304,54 @@ func TestReadDBRejectsGarbage(t *testing.T) {
 	trunc := full.Bytes()[:full.Len()/2]
 	if _, err := ReadDB(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated stream accepted")
+	}
+}
+
+// encodeSeries returns a database file with one road per entry of series:
+// empty profiles, then each road's samples exactly as given, valid or not.
+func encodeSeries(t testing.TB, series [][]sample) []byte {
+	t.Helper()
+	b, err := NewBuilder(timeslot.MustCalendar(time.Date(2016, 3, 7, 0, 0, 0, 0, time.UTC), 10*time.Minute), len(series))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := b.Finalize().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()[:buf.Len()-4*len(series)] // drop the empty series
+	for _, s := range series {
+		raw = binary.LittleEndian.AppendUint32(raw, uint32(len(s)))
+		for _, x := range s {
+			raw = binary.LittleEndian.AppendUint32(raw, uint32(x.slot))
+			raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(x.rel))
+		}
+	}
+	return raw
+}
+
+// TestReadDBRejectsMalformedSeries: a series whose slots are negative or not
+// strictly increasing, or which holds a NaN rel, cannot come out of Finalize
+// and breaks every reader's slot-order assumption, so ReadDB refuses it.
+func TestReadDBRejectsMalformedSeries(t *testing.T) {
+	good := []sample{{1, 0.9}, {2, 1.1}, {3, 1}}
+	if db, err := ReadDB(bytes.NewReader(encodeSeries(t, [][]sample{good, {{1, 1}, {3, 0.5}}}))); err != nil {
+		t.Fatalf("well-formed series rejected: %v", err)
+	} else if got := samplesOf(db, 1); len(got) != 2 || got[1] != (sample{3, 0.5}) {
+		t.Fatalf("well-formed series decoded as %v", got)
+	}
+	for _, tc := range []struct {
+		name   string
+		series []sample
+	}{
+		{"out of order", []sample{{3, 1}, {1, 1.2}}},
+		{"duplicate", []sample{{1, 1}, {1, 1.2}}},
+		{"negative slot", []sample{{-1, 1}, {2, 1.2}}},
+		{"NaN rel", []sample{{1, float32(math.NaN())}, {3, 1}}},
+	} {
+		if _, err := ReadDB(bytes.NewReader(encodeSeries(t, [][]sample{good, tc.series}))); err == nil {
+			t.Errorf("%s: series %v accepted", tc.name, tc.series)
+		}
 	}
 }
 

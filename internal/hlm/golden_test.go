@@ -120,12 +120,12 @@ func goldenDelta(t testing.TB, db *history.DB) (*history.DB, *history.Dirty) {
 	rng := rand.New(rand.NewSource(13))
 	end := int(db.Cal().SlotsPerDay()) * 4
 	for _, r := range []roadnet.RoadID{3, 17, 29, 64, 101, 150} {
-		series := db.Series(r)
-		if len(series) == 0 {
+		slots := seriesSlots(db, r)
+		if len(slots) == 0 {
 			t.Fatalf("road %d has no history to perturb", r)
 		}
 		for k := 0; k < 12; k++ {
-			slot := int(series[rng.Intn(len(series))].Slot)
+			slot := int(slots[rng.Intn(len(slots))])
 			if k%3 == 2 {
 				slot = end + 40 - 3*k // new slots, descending
 			}
@@ -193,12 +193,21 @@ func roadDumps(n int, dump func(d *goldenDump, r int)) []string {
 	return out
 }
 
+// seriesSlots lists the road's history slots in ascending order.
+func seriesSlots(db *history.DB, r roadnet.RoadID) []int32 {
+	var slots []int32
+	db.EachSample(r, func(slot int32, _ float32) { slots = append(slots, slot) })
+	return slots
+}
+
 func seriesDumps(db *history.DB) []string {
 	return roadDumps(db.NumRoads(), func(d *goldenDump, r int) {
-		for k, s := range db.Series(roadnet.RoadID(r)) {
-			d.i(fmt.Sprintf("sample%d slot", k), int(s.Slot))
-			d.f(fmt.Sprintf("sample%d rel", k), float64(s.Rel))
-		}
+		k := 0
+		db.EachSample(roadnet.RoadID(r), func(slot int32, rel float32) {
+			d.i(fmt.Sprintf("sample%d slot", k), int(slot))
+			d.f(fmt.Sprintf("sample%d rel", k), float64(rel))
+			k++
+		})
 	})
 }
 

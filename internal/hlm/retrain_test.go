@@ -32,12 +32,12 @@ func TestRetrainMatchesTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []roadnet.RoadID{3, 17, 29} {
-		series := d.DB.Series(r)
-		if len(series) == 0 {
+		slots := seriesSlots(d.DB, r)
+		if len(slots) == 0 {
 			t.Fatalf("road %d has no history to perturb", r)
 		}
 		for k := 0; k < 5; k++ {
-			slot := int(series[k%len(series)].Slot)
+			slot := int(slots[k%len(slots)])
 			mean, ok := d.DB.Mean(r, slot)
 			if !ok {
 				t.Fatalf("road %d slot %d has no mean", r, slot)

@@ -208,36 +208,21 @@ func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, see
 	return seedRoadModel{}
 }
 
-// lookupRel binary-searches a sorted series for a slot.
-func lookupRel(series []history.Sample, slot int32) (float64, bool) {
-	i := sort.Search(len(series), func(i int) bool { return series[i].Slot >= slot })
-	if i < len(series) && series[i].Slot == slot {
-		return float64(series[i].Rel), true
-	}
-	return 0, false
-}
-
 // alignedSeedRows appends to x (row-major, one column per feature seed) and
 // y the slots where the road and every feature seed were co-observed.
 func alignedSeedRows(db *history.DB, r roadnet.RoadID, feats []roadnet.RoadID, x, y []float64) ([]float64, []float64) {
-	featSeries := make([][]history.Sample, len(feats))
-	for i, f := range feats {
-		featSeries[i] = db.Series(f)
-	}
-	for _, s := range db.Series(r) {
+	db.EachSample(r, func(slot int32, rel float32) {
 		row := len(x)
-		for _, fs := range featSeries {
-			v, ok := lookupRel(fs, s.Slot)
+		for _, f := range feats {
+			v, ok := db.RelAt(f, slot)
 			if !ok {
 				x = x[:row]
-				break
+				return
 			}
-			x = append(x, v)
+			x = append(x, float64(v))
 		}
-		if len(x) == row+len(feats) {
-			y = append(y, float64(s.Rel))
-		}
-	}
+		y = append(y, float64(rel))
+	})
 	return x, y
 }
 

@@ -15,9 +15,9 @@ import (
 // derives lives in flat arrays built once per Train or Retrain call, so
 // fitting does no hashing and no allocation per history sample:
 //
-//   - slotIndex places every history sample among the distinct slots the
-//     history holds (a sort, not a hash), so slots may sit anywhere below
-//     2³¹ without the index growing with the slot range;
+//   - history.SlotRanks places every history sample among the distinct
+//     slots the history holds, so slots may sit anywhere below 2³¹ without
+//     the per-slot tables growing with the slot range;
 //   - a levelTable renumbers one pooling level's group IDs densely and sums
 //     the rel deviations per (group, slot), reused level after level;
 //   - regressions fill the trainer's reusable x/y buffers.
@@ -38,13 +38,13 @@ func fit(old *Model, graph *corr.Graph, db *history.DB, cfg Config, refit []bool
 	if len(cfg.Levels) == 0 {
 		return m
 	}
-	idx := newSlotIndex(db)
+	ranks := db.SlotRanks()
 	var lt levelTable
 	for l, groups := range cfg.Levels {
-		lt.aggregate(db, &idx, groups)
+		lt.aggregate(db, ranks, groups)
 		for r := range m.roads {
 			if refit == nil || refit[r] {
-				m.roads[r].levelPairs[l] = t.levelPair(db, &idx, &lt, r)
+				m.roads[r].levelPairs[l] = t.levelPair(db, ranks, &lt, roadnet.RoadID(r))
 			}
 		}
 	}
@@ -65,9 +65,9 @@ func (t *trainer) road(graph *corr.Graph, db *history.DB, r roadnet.RoadID) road
 	// Trend-conditioned prior moments from the road's own series.
 	var upSum, upSq, downSum, downSq float64
 	var upN, downN int
-	for _, s := range db.Series(r) {
-		v := float64(s.Rel)
-		if s.Up() {
+	for _, rel := range db.Rels(r) {
+		v := float64(rel)
+		if rel >= 1 {
 			upSum += v
 			upSq += v * v
 			upN++
@@ -119,18 +119,18 @@ func (t *trainer) road(graph *corr.Graph, db *history.DB, r roadnet.RoadID) road
 // levelPair fits road r's group-level predictor: its rel from the mean
 // deviation of the other observed roads in its group, per slot. Slots where
 // fewer than three other group members were observed are skipped.
-func (t *trainer) levelPair(db *history.DB, idx *slotIndex, lt *levelTable, r int) *pairModel {
-	base, ranks := int(lt.group[r])*lt.numSlots, idx.ranks(r)
+func (t *trainer) levelPair(db *history.DB, ranks *history.SlotRanks, lt *levelTable, r roadnet.RoadID) *pairModel {
+	base, rank := int(lt.group[r])*lt.numSlots, ranks.Road(r)
 	x, y := t.x[:0], t.y[:0]
-	for k, s := range db.Series(roadnet.RoadID(r)) {
-		cell := base + int(ranks[k])
+	for k, rel := range db.Rels(r) {
+		cell := base + int(rank[k])
 		n := lt.cnt[cell]
 		if n < 4 {
 			continue
 		}
-		dev := float64(s.Rel) - 1
+		dev := float64(rel) - 1
 		x = append(x, (lt.sum[cell]-dev)/float64(n-1))
-		y = append(y, float64(s.Rel))
+		y = append(y, float64(rel))
 	}
 	t.x, t.y = x, y
 	pm, ok := t.fitTrend(x, 1, y, t.cfg.MinSamples, t.cfg.Lambda)
@@ -192,47 +192,6 @@ func fitOrNil(x []float64, p int, y []float64, lambda float64) *linalg.RidgeMode
 	return m
 }
 
-// slotIndex places every history sample among the distinct slots the
-// history holds.
-type slotIndex struct {
-	numSlots int
-	// pos[start[r]+k] is the rank of road r's k-th sample's slot among the
-	// distinct slots, ascending.
-	pos   []int32
-	start []int
-}
-
-func newSlotIndex(db *history.DB) slotIndex {
-	n := db.NumRoads()
-	start := make([]int, n+1)
-	for r := 0; r < n; r++ {
-		start[r+1] = start[r] + len(db.Series(roadnet.RoadID(r)))
-	}
-	// Sort every sample's slot in the buffer that then holds the ranks.
-	pos := make([]int32, 0, start[n])
-	for r := 0; r < n; r++ {
-		for _, s := range db.Series(roadnet.RoadID(r)) {
-			pos = append(pos, s.Slot)
-		}
-	}
-	slices.Sort(pos)
-	slots := slices.Clone(slices.Compact(pos))
-	for r := 0; r < n; r++ {
-		// Series are sorted by slot, so each search resumes where the
-		// previous sample's ended.
-		lo := 0
-		for k, s := range db.Series(roadnet.RoadID(r)) {
-			i, _ := slices.BinarySearch(slots[lo:], s.Slot)
-			lo += i
-			pos[start[r]+k] = int32(lo)
-		}
-	}
-	return slotIndex{numSlots: len(slots), pos: pos, start: start}
-}
-
-// ranks returns the slot ranks of road r's samples, in series order.
-func (idx *slotIndex) ranks(r int) []int32 { return idx.pos[idx.start[r]:idx.start[r+1]] }
-
 // levelTable aggregates one pooling level: the sum and count of observed
 // rel deviations per (group, slot), at cell group·numSlots + slot rank.
 // Groups are the level's distinct IDs renumbered densely in ascending
@@ -247,7 +206,7 @@ type levelTable struct {
 }
 
 // aggregate rebuilds the table for one level's group assignment.
-func (lt *levelTable) aggregate(db *history.DB, idx *slotIndex, groups []int) {
+func (lt *levelTable) aggregate(db *history.DB, ranks *history.SlotRanks, groups []int) {
 	lt.ids = append(lt.ids[:0], groups...)
 	slices.Sort(lt.ids)
 	lt.ids = slices.Compact(lt.ids)
@@ -256,7 +215,7 @@ func (lt *levelTable) aggregate(db *history.DB, idx *slotIndex, groups []int) {
 		i, _ := slices.BinarySearch(lt.ids, g)
 		lt.group = append(lt.group, int32(i))
 	}
-	lt.numSlots = idx.numSlots
+	lt.numSlots = ranks.NumSlots()
 	size := len(lt.ids) * lt.numSlots
 	if cap(lt.sum) < size {
 		lt.sum, lt.cnt = make([]float64, size), make([]int32, size)
@@ -266,10 +225,10 @@ func (lt *levelTable) aggregate(db *history.DB, idx *slotIndex, groups []int) {
 		clear(lt.cnt)
 	}
 	for r := range groups {
-		base, ranks := int(lt.group[r])*lt.numSlots, idx.ranks(r)
-		for k, s := range db.Series(roadnet.RoadID(r)) {
-			cell := base + int(ranks[k])
-			lt.sum[cell] += float64(s.Rel) - 1
+		base, rank := int(lt.group[r])*lt.numSlots, ranks.Road(roadnet.RoadID(r))
+		for k, rel := range db.Rels(roadnet.RoadID(r)) {
+			cell := base + int(rank[k])
+			lt.sum[cell] += float64(rel) - 1
 			lt.cnt[cell]++
 		}
 	}

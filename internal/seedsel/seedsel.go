@@ -220,13 +220,13 @@ func BenefitWeights(net *roadnet.Network, db *history.DB) []float64 {
 		mean, okM := db.Mean(id, 0)
 		// Volatility across the whole series, not just one class.
 		var sumSq float64
-		series := db.Series(id)
-		for _, s := range series {
-			d := float64(s.Rel) - 1
+		rels := db.Rels(id)
+		for _, rel := range rels {
+			d := float64(rel) - 1
 			sumSq += d * d
 		}
-		if okM && mean > 0 && len(series) > 1 {
-			vol := math.Sqrt(sumSq / float64(len(series)))
+		if okM && mean > 0 && len(rels) > 1 {
+			vol := math.Sqrt(sumSq / float64(len(rels)))
 			w *= 0.5 + vol // volatility floor keeps stable roads relevant
 		} else {
 			w *= 0.5
