@@ -279,7 +279,7 @@ func BenchmarkFigF8SeedQuality(b *testing.B) {
 		b.Run(sel.Name(), func(b *testing.B) {
 			var benefit float64
 			for i := 0; i < b.N; i++ {
-				seeds, err := sel.Select(f.est.Shard(0).Problem(), k)
+				seeds, err := sel.Select(f.est.Problem(), k)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -300,7 +300,7 @@ func BenchmarkFigF9SeedSelection(b *testing.B) {
 		b.Run(sel.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sel.Select(f.est.Shard(0).Problem(), k); err != nil {
+				if _, err := sel.Select(f.est.Problem(), k); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -55,7 +55,7 @@ func runAllocGate(baselinePath string, update bool) *allocRecord {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The served round: a one-district view, as speedserver runs by default.
+	// The served round: the view speedserver runs by default.
 	v, err := core.NewView(d.Net, d.DB, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)

@@ -13,15 +13,13 @@ import (
 )
 
 // engineBenchRecord is the -json report of one Jacobi-vs-FastBP comparison on
-// the serving estimate path: the same K=4 sharded deployment (per-district
-// inference, boundary stitching warm-starting each round from the previous
-// one's beliefs) run once with each engine at two network sizes. Estimate
-// divergence is gated at every size with the serving equivalence bounds; the
-// effective message-update ratio — full Jacobi sweeps versus FastBP's
-// residual schedule for the same fixed point — is gated at the larger size,
-// where the schedule's advantage is structural rather than
-// constant-dominated. Wall-clock ratios are recorded, not gated, so CI stays
-// immune to shared-runner timing noise.
+// the serving estimate path: speedserver's default options run once with
+// each engine at two network sizes. Estimate divergence is gated at every
+// size with the serving equivalence bounds; the effective message-update
+// ratio — full Jacobi sweeps versus FastBP's residual schedule for the same
+// fixed point — is gated at the larger size, where the schedule's advantage
+// is structural rather than constant-dominated. Wall-clock ratios are
+// recorded, not gated, so CI stays immune to shared-runner timing noise.
 type engineBenchRecord struct {
 	Engines          []string            `json:"engines"`
 	SpeedBound       float64             `json:"speed_equivalence_bound_ms"`
@@ -32,10 +30,8 @@ type engineBenchRecord struct {
 
 // engineScaleRecord is one network size's engine comparison.
 type engineScaleRecord struct {
-	NumRoads     int `json:"num_roads"`
-	Shards       int `json:"shards"`
-	StitchRounds int `json:"stitch_rounds"`
-	Rounds       int `json:"rounds"`
+	NumRoads int `json:"num_roads"`
+	Rounds   int `json:"rounds"`
 	// *Seconds is the per-round estimate latency (minimum over the measured
 	// rounds, the usual bench convention); *Updates is the effective
 	// trend-message updates one estimate round costs (mean over the measured
@@ -49,14 +45,14 @@ type engineScaleRecord struct {
 	UpdateRatio    float64 `json:"update_ratio"`
 	WallClockRatio float64 `json:"wall_clock_ratio"`
 	// Divergence of the FastBP estimates from the Jacobi estimates on the
-	// same seeds, truth and stitching schedule.
+	// same seeds and truth.
 	MaxSpeedDivergence float64 `json:"max_speed_divergence_ms"`
 	MaxTrendDivergence float64 `json:"max_trend_divergence_pup"`
 }
 
-// Engine-swap equivalence bounds — the same values the core property tests
-// (TestFastBPEngineWithinBoundK1/K4Sharded) pin: schedule divergence on
-// top of the BP convergence tolerance.
+// Engine-swap equivalence bounds — the same values the core property test
+// TestFastBPEngineWithinBoundK1 pins: schedule divergence on top of the BP
+// convergence tolerance.
 const (
 	engineSpeedBound = 0.05 // m/s
 	engineTrendBound = 0.01 // P(up)
@@ -68,11 +64,8 @@ const (
 // runEngineBench measures the Jacobi reference against the
 // residual-scheduled FastBP engine on the serving estimate path at a base
 // network size and again at ~4× the road count (both grid dimensions
-// doubled). The deployment is the K=4 sharded configuration: per-district
-// inference fans out in parallel and the stitch rounds warm-start from the
-// previous round's beliefs — the pattern residual scheduling is built for,
-// since a warm-started shard re-converges after touching only the roads the
-// refreshed halo priors actually moved.
+// doubled), on the options speedserver serves: what `speedserver -engine
+// fastbp` would run against the Jacobi default.
 func runEngineBench(fast bool) *engineBenchRecord {
 	base := dataset.DefaultConfig()
 	base.Net.BlocksX, base.Net.BlocksY = 10, 8
@@ -109,7 +102,7 @@ func runEngineBench(fast bool) *engineBenchRecord {
 		}
 	}
 
-	fmt.Printf("\n== engine bench (K=4 sharded serving path) ==\n")
+	fmt.Printf("\n== engine bench (served options) ==\n")
 	for _, sc := range rec.Scales {
 		fmt.Printf("  %5d roads: bp %.4fs/round (%.0f msg updates) vs fastbp %.4fs/round (%.0f) — %.1f× fewer updates, %.1f× wall clock, |Δspeed| ≤ %.3g m/s, |ΔPUp| ≤ %.3g\n",
 			sc.NumRoads, sc.JacobiSeconds, sc.JacobiUpdates, sc.FastBPSeconds, sc.FastBPUpdates,
@@ -119,8 +112,8 @@ func runEngineBench(fast bool) *engineBenchRecord {
 }
 
 // runEngineScale compares the two engines on one dataset. Both deployments
-// estimate the same slot from the same seed reports over the same shard
-// plan, so the divergence columns isolate the engine swap.
+// estimate the same slot from the same seed reports, so the divergence
+// columns isolate the engine swap.
 func runEngineScale(cfg dataset.Config, rounds int) engineScaleRecord {
 	ctx := context.Background()
 	log.Printf("engine bench: building %d×%d-block dataset...", cfg.Net.BlocksX, cfg.Net.BlocksY)
@@ -135,17 +128,7 @@ func runEngineScale(cfg dataset.Config, rounds int) engineScaleRecord {
 	}
 
 	opts := core.DefaultOptions()
-	opts.Shards = 4
-	// Districts train per-road regressions only, as in the shard bench:
-	// cross-group pooling is the one divergence source the stitching bound
-	// does not cover (DESIGN.md §13).
-	opts.HLM.Levels = [][]int{}
-
-	sc := engineScaleRecord{
-		NumRoads: d.Net.NumRoads(),
-		Shards:   opts.Shards,
-		Rounds:   rounds,
-	}
+	sc := engineScaleRecord{NumRoads: d.Net.NumRoads(), Rounds: rounds}
 
 	measure := func(eng mrf.Engine) (secs, updates float64, res *core.Estimate) {
 		o := opts
@@ -154,7 +137,6 @@ func runEngineScale(cfg dataset.Config, rounds int) engineScaleRecord {
 		if err != nil {
 			log.Fatalf("engine bench: building view: %v", err)
 		}
-		sc.StitchRounds = v.StitchRounds()
 		// Warm-up round first: buffer pools fill, so the measured rounds see
 		// the steady state the server serves from.
 		if _, err := v.Estimate(ctx, slot, seedSpeeds); err != nil {

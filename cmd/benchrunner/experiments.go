@@ -22,7 +22,7 @@ type Context struct {
 	cities map[string]*city
 }
 
-// city bundles one dataset with its trained one-district view.
+// city bundles one dataset with its trained view.
 type city struct {
 	name string
 	d    *dataset.Dataset
@@ -185,7 +185,7 @@ func runT1(ctx *Context) []*eval.Table {
 		tab.AddRowf(name+"-City",
 			ct.d.Net.NumRoads(), ct.d.Net.NumNodes(),
 			fmt.Sprintf("%.0f", ct.d.Net.TotalLength()/1000),
-			ct.est.Shard(0).Graph().NumEdges(), days,
+			ct.est.Graph().NumEdges(), days,
 			ct.d.DB.ObservationCount(),
 			fmt.Sprintf("%.0f%%", ct.d.DB.Coverage(10)*100))
 	}
@@ -319,7 +319,7 @@ func runF8(ctx *Context) []*eval.Table {
 	tab := eval.NewTable(fmt.Sprintf("T-City: seed quality at K = %d (benefit and downstream MAE)", k),
 		"selector", "benefit", "MAE (m/s)", "MAPE")
 	for _, sel := range selectors {
-		seeds, err := sel.Select(ct.est.Shard(0).Problem(), k)
+		seeds, err := sel.Select(ct.est.Problem(), k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func runF8(ctx *Context) []*eval.Table {
 }
 
 func mustSelect(ct *city, k int) []roadnet.RoadID {
-	seeds, err := seedsel.Lazy{}.Select(ct.est.Shard(0).Problem(), k)
+	seeds, err := seedsel.Lazy{}.Select(ct.est.Problem(), k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func runF9(ctx *Context) []*eval.Table {
 		}
 		timeIt := func(sel seedsel.Selector) (time.Duration, []roadnet.RoadID) {
 			t0 := time.Now()
-			seeds, err := sel.Select(ct.est.Shard(0).Problem(), k)
+			seeds, err := sel.Select(ct.est.Problem(), k)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -588,8 +588,8 @@ func runA3(ctx *Context) []*eval.Table {
 			acc.AddSlice(res.Speeds, snap.truth, exclude)
 		}
 		m := acc.Metrics()
-		tab.AddRowf(fmt.Sprintf("%.2f", tau), est.Shard(0).Graph().NumEdges(),
-			fmt.Sprintf("%.1f", est.Shard(0).Graph().MeanDegree()), m.MAE)
+		tab.AddRowf(fmt.Sprintf("%.2f", tau), est.Graph().NumEdges(),
+			fmt.Sprintf("%.1f", est.Graph().MeanDegree()), m.MAE)
 	}
 	return []*eval.Table{tab}
 }
@@ -726,7 +726,7 @@ func runE2(ctx *Context) []*eval.Table {
 	tab := eval.NewTable("T-City: spending a money budget — cost-aware vs count-based lazy greedy",
 		"budget", "cost-aware seeds", "cost-aware MAE", "count-based seeds", "count-based MAE")
 	for _, budget := range []float64{100, 250, 500} {
-		ca, err := (seedsel.CostAware{Costs: costs, Budget: budget}).Select(ct.est.Shard(0).Problem(), n)
+		ca, err := (seedsel.CostAware{Costs: costs, Budget: budget}).Select(ct.est.Problem(), n)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -737,7 +737,7 @@ func runE2(ctx *Context) []*eval.Table {
 
 		// Count-based: pick seeds by plain lazy greedy until the same money
 		// runs out.
-		all, err := (seedsel.Lazy{}).Select(ct.est.Shard(0).Problem(), n/2)
+		all, err := (seedsel.Lazy{}).Select(ct.est.Problem(), n/2)
 		if err != nil {
 			log.Fatal(err)
 		}

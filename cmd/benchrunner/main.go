@@ -53,9 +53,7 @@ func main() {
 		out         = flag.String("out", "", "write a markdown report to this path")
 		jsonOut     = flag.String("json", "", "write a JSON report (experiment timings + metrics registry snapshot) to this path")
 		rebuild     = flag.Bool("rebuild-bench", false, "measure an incremental vs full model rebuild on the same delta and gate on the equivalence bound (recorded under rebuild_incremental in -json)")
-		shardBench  = flag.Bool("shard-bench", false, "sweep the shard counts from -shards at two network sizes, gate K=4 boundary stitching on the equivalence bound, and record build/estimate/localized-rebuild timings (under shard_scale in -json)")
-		engineBench = flag.Bool("engine-bench", false, "compare the Jacobi bp engine against the residual-scheduled fastbp engine on the K=4 serving path at two network sizes, gating estimate equivalence and the message-update ratio (recorded under bp_residual in -json)")
-		shards      = flag.String("shards", "1,4,16", "comma-separated shard counts compared by -shard-bench")
+		engineBench = flag.Bool("engine-bench", false, "compare the Jacobi bp engine against the residual-scheduled fastbp engine on the served options at two network sizes, gating estimate equivalence and the message-update ratio (recorded under bp_residual in -json)")
 		allocGate   = flag.String("alloc-gate", "", "measure steady-state allocations per estimate round and fail if they regress >10% over the baseline JSON at this path (recorded under estimate_allocs in -json)")
 		allocUpdate = flag.Bool("update-alloc-baseline", false, "with -alloc-gate, rewrite the baseline file from this run's measurement instead of gating against it")
 	)
@@ -131,11 +129,6 @@ func main() {
 		rebuildRec = runRebuildBench(*fast)
 	}
 
-	var shardRec *shardBenchRecord
-	if *shardBench {
-		shardRec = runShardBench(*fast, parseShardCounts(*shards))
-	}
-
 	var engineRec *engineBenchRecord
 	if *engineBench {
 		engineRec = runEngineBench(*fast)
@@ -168,12 +161,8 @@ func main() {
 			// -rebuild-bench: duration per mode, speedup, and the estimate
 			// divergence against the equivalence bounds.
 			Rebuild *rebuildRecord `json:"rebuild_incremental,omitempty"`
-			// ShardScale carries the -shard-bench sweep: per shard count and
-			// network size, the cold build, per-round estimate and localized
-			// rebuild timings plus the stitching divergence against K=1.
-			ShardScale *shardBenchRecord `json:"shard_scale,omitempty"`
 			// EngineBench carries the -engine-bench comparison: Jacobi vs
-			// residual-scheduled FastBP on the sharded serving path — message
+			// residual-scheduled FastBP on the served options — message
 			// updates, wall clock and the engine-swap divergence per size.
 			EngineBench *engineBenchRecord `json:"bp_residual,omitempty"`
 			// Alloc carries the -alloc-gate measurement: exact steady-state
@@ -188,7 +177,6 @@ func main() {
 			Experiments:     runs,
 			EstimateLatency: core.EstimateLatencyQuantiles(),
 			Rebuild:         rebuildRec,
-			ShardScale:      shardRec,
 			EngineBench:     engineRec,
 			Alloc:           allocRec,
 			Metrics:         obs.Default().Snapshot(),

@@ -97,7 +97,7 @@ func runRebuildBench(fast bool) *rebuildRecord {
 		out := make([]core.Observation, 0, 3*dirtyRoads)
 		for r := 0; r < dirtyRoads; r++ {
 			id := roadnet.RoadID(r)
-			speed, ok := v.RoadMean(id, slot)
+			speed, ok := v.DB().Mean(id, slot)
 			if !ok || speed <= 0 {
 				speed = 8.0
 			}

@@ -68,7 +68,6 @@ type options struct {
 	sloShed  float64
 	sloErr   float64
 	seed     int64
-	shards   int
 }
 
 func main() {
@@ -79,7 +78,7 @@ func main() {
 	flag.StringVar(&opt.addr, "addr", "http://localhost:8080", "base URL of a live speedserver (ignored with -smoke)")
 	flag.BoolVar(&opt.smoke, "smoke", false, "run against an in-process httptest server instead of a live one")
 	flag.StringVar(&opt.city, "city", "default", "dataset preset used to generate requests (and, with -smoke, to build the target): b, t or default")
-	flag.StringVar(&opt.workload, "workload", "all", "built-in workload to run: estimate-heavy, ingest-heavy, seeds-churn, rush-hour or all")
+	flag.StringVar(&opt.workload, "workload", "all", "built-in workload to run: estimate-heavy, ingest-heavy, seeds-churn, rush-hour, localized-ingest or all")
 	flag.StringVar(&opt.script, "script", "", "path to a custom workload script (overrides -workload)")
 	flag.DurationVar(&opt.duration, "duration", 10*time.Second, "run time per workload")
 	flag.IntVar(&opt.workers, "workers", 8, "concurrent workers")
@@ -91,7 +90,6 @@ func main() {
 	flag.Float64Var(&opt.sloShed, "slo-shed", 0, "SLO gate: max estimate shed+deadline rate in [0,1] (0 disables)")
 	flag.Float64Var(&opt.sloErr, "slo-error", 0, "SLO gate: max estimate error rate in [0,1] (0 disables)")
 	flag.Int64Var(&opt.seed, "seed", 1, "base PRNG seed for request generation")
-	flag.IntVar(&opt.shards, "shards", 1, "district shard count for the -smoke store (1 = unsharded; ignored with a live target)")
 	flag.Parse()
 
 	report, err := execute(&opt, log.Printf)
@@ -142,14 +140,8 @@ func execute(opt *options, logf func(string, ...any)) (*Report, error) {
 	mode := "live"
 	if opt.smoke {
 		mode = "smoke"
-		copts := core.DefaultOptions()
-		copts.Shards = opt.shards
-		if opt.shards > 1 {
-			logf("training %d in-process district shards over %d roads...", opt.shards, ds.Net.NumRoads())
-		} else {
-			logf("training in-process model over %d roads...", ds.Net.NumRoads())
-		}
-		store, err := core.NewStore(ds.Net, ds.DB, copts)
+		logf("training in-process model over %d roads...", ds.Net.NumRoads())
+		store, err := core.NewStore(ds.Net, ds.DB, core.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +182,6 @@ func execute(opt *options, logf func(string, ...any)) (*Report, error) {
 		Target:      target,
 		City:        opt.city,
 		Workers:     opt.workers,
-		Shards:      opt.shards,
 		RatePerSec:  opt.rate,
 		DurationSec: opt.duration.Seconds(),
 	}

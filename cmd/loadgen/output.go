@@ -13,14 +13,11 @@ import (
 
 // Report is the top-level BENCH_loadgen_*.json document.
 type Report struct {
-	GeneratedAt string `json:"generated_at"`
-	Mode        string `json:"mode"` // "smoke" (in-process httptest) or "live"
-	Target      string `json:"target"`
-	City        string `json:"city"`
-	Workers     int    `json:"workers"`
-	// Shards is the -smoke store's district count (1 for unsharded or live
-	// targets, which manage their own sharding).
-	Shards      int     `json:"shards,omitempty"`
+	GeneratedAt string  `json:"generated_at"`
+	Mode        string  `json:"mode"` // "smoke" (in-process httptest) or "live"
+	Target      string  `json:"target"`
+	City        string  `json:"city"`
+	Workers     int     `json:"workers"`
 	RatePerSec  float64 `json:"rate_per_sec"` // 0 = closed loop
 	DurationSec float64 `json:"duration_sec"` // per workload
 

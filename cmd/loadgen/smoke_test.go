@@ -33,19 +33,19 @@ func TestParseScriptBuiltins(t *testing.T) {
 	if w.Estimate.Reports != 60 || w.Estimate.Noise != 0.05 {
 		t.Errorf("rush-hour estimate params = %+v", w.Estimate)
 	}
-	w, err = ParseScript("shard-skew", scriptShardSkew)
+	w, err = ParseScript("localized-ingest", scriptLocalizedIngest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.Skew == nil || w.Skew.HotLoPct != 0 || w.Skew.HotHiPct != 10 || w.Skew.Frac != 0.9 {
-		t.Errorf("shard-skew skew = %+v, want hot 0..10 frac 0.9", w.Skew)
+		t.Errorf("localized-ingest skew = %+v, want hot 0..10 frac 0.9", w.Skew)
 	}
 }
 
 // TestIngestRoadSkew draws from a skewed generator and checks the hot slice
 // actually receives ~frac of the traffic.
 func TestIngestRoadSkew(t *testing.T) {
-	w, err := ParseScript("shard-skew", scriptShardSkew)
+	w, err := ParseScript("localized-ingest", scriptLocalizedIngest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +108,6 @@ func TestSmokeRun(t *testing.T) {
 		timeout:  10 * time.Second,
 		sloErr:   0.01,
 		seed:     1,
-		// Two districts: the whole HTTP serving path runs against a sharded
-		// store, so stitching, per-shard metrics and the staggered rebuilds
-		// the ingest workloads trigger all get end-to-end coverage.
-		shards: 2,
 	}
 	report, err := execute(opt, t.Logf)
 	if err != nil {

@@ -28,8 +28,7 @@ type Workload struct {
 	// Skew, when set, concentrates ingest traffic on a hot slice of the
 	// road-ID space (road IDs are spatially ordered in the grid datasets, so
 	// a contiguous slice approximates one district). Estimate seeds keep
-	// sampling the whole network, so a sharded target must stitch across the
-	// hot district's boundary while rebuilding only the hot district.
+	// sampling the whole network.
 	Skew *SkewParams
 }
 
@@ -85,9 +84,9 @@ mix estimate=100
 estimate reports=60 noise=0.05
 replay hours=7..10
 `
-	scriptShardSkew = `# Hot-district ingest with network-wide estimate seeds: a sharded target
-# should keep rebuilding only the hot district while boundary stitching
-# serves the cross-district estimates (run the smoke store with -shards).
+	scriptLocalizedIngest = `# Hot-district ingest with network-wide estimate seeds: most observations
+# land on one tenth of the city, the localized delta incremental rebuilds
+# are built for.
 mix ingest=60 estimate=40
 ingest batch=120 noise=0.10
 skew hot=0..10 frac=0.9
@@ -97,15 +96,15 @@ estimate reports=40 noise=0.15
 
 // builtinScripts maps -workload names to their scripts.
 var builtinScripts = map[string]string{
-	"estimate-heavy": scriptEstimateHeavy,
-	"ingest-heavy":   scriptIngestHeavy,
-	"seeds-churn":    scriptSeedsChurn,
-	"rush-hour":      scriptRushHour,
-	"shard-skew":     scriptShardSkew,
+	"estimate-heavy":   scriptEstimateHeavy,
+	"ingest-heavy":     scriptIngestHeavy,
+	"seeds-churn":      scriptSeedsChurn,
+	"rush-hour":        scriptRushHour,
+	"localized-ingest": scriptLocalizedIngest,
 }
 
 // workloadOrder is the -workload all execution order.
-var workloadOrder = []string{"estimate-heavy", "ingest-heavy", "seeds-churn", "rush-hour", "shard-skew"}
+var workloadOrder = []string{"estimate-heavy", "ingest-heavy", "seeds-churn", "rush-hour", "localized-ingest"}
 
 // ParseScript parses a workload script. The format is line-based: blank
 // lines and #-comments are skipped, every other line is a directive followed

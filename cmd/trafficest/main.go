@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("trained in %v (%d correlation edges)", time.Since(t0).Round(time.Millisecond), est.Shard(0).Graph().NumEdges())
+	log.Printf("trained in %v (%d correlation edges)", time.Since(t0).Round(time.Millisecond), est.Graph().NumEdges())
 
 	k := int(*budget * float64(d.Net.NumRoads()))
 	if k < 1 {

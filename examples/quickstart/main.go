@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := est.Shard(0).Graph()
+	g := est.Graph()
 	fmt.Printf("correlation graph: %d edges (mean degree %.1f)\n", g.NumEdges(), g.MeanDegree())
 
 	// 3. Pick a crowdsourcing budget: 10%% of roads become seeds.

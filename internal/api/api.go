@@ -206,8 +206,7 @@ func NewServerWith(store *core.Store, cfg Config) (*Server, error) {
 	}
 	// Drop seed sets selected against superseded views as soon as a
 	// rebuild swaps; lookups are version-keyed anyway, so this is purely
-	// reclaiming memory and keeping the entries gauge honest. A staggered
-	// sharded rebuild fires this once per district swap.
+	// reclaiming memory and keeping the entries gauge honest.
 	store.OnSwap(func(_, v *core.View) { s.dropStaleSeeds(v.Version()) })
 	s.handle("GET", "/health", s.handleHealth)
 	s.handle("GET", "/v1/info", s.handleInfo)
@@ -530,17 +529,12 @@ type infoResponse struct {
 	CorrMeanDegree float64 `json:"corr_mean_degree"`
 	SlotMinutes    float64 `json:"slot_minutes"`
 	ModelVersion   uint64  `json:"model_version"`
-	// Shards is the district count; 1 for an unsharded deployment.
-	Shards int `json:"shards"`
-	// BoundaryEdges counts correlation edges crossing a district boundary;
-	// 0 when unsharded.
-	BoundaryEdges int `json:"boundary_edges"`
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	v := s.store.View()
 	net := v.Net()
-	edges, boundary := v.CorrEdges()
+	edges := v.Graph().NumEdges()
 	meanDeg := 0.0
 	if net.NumRoads() > 0 {
 		meanDeg = 2 * float64(edges) / float64(net.NumRoads())
@@ -551,16 +545,13 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 		LengthKM:       net.TotalLength() / 1000,
 		CorrEdges:      edges,
 		CorrMeanDegree: meanDeg,
-		SlotMinutes:    v.Calendar().Width().Minutes(),
+		SlotMinutes:    v.DB().Cal().Width().Minutes(),
 		ModelVersion:   v.Version(),
-		Shards:         v.NumShards(),
-		BoundaryEdges:  boundary,
 	})
 }
 
-// modelResponse describes the currently published view: the aggregate
-// lifecycle fields every deployment has, plus one shardStatus per district
-// on sharded deployments.
+// modelResponse describes the currently published view's version and build
+// metadata.
 type modelResponse struct {
 	Version          uint64  `json:"version"`
 	BuiltAt          string  `json:"built_at"`
@@ -568,33 +559,16 @@ type modelResponse struct {
 	Observations     int     `json:"observations"`
 	BufferedPending  int     `json:"buffered_observations"`
 	StalenessSeconds float64 `json:"staleness_seconds"`
-	// RebuildMode is how the most recently rebuilt district was built:
-	// "full" or "incremental".
+	// RebuildMode is how the view was built: "full" or "incremental".
 	RebuildMode string `json:"rebuild_mode"`
-	// Shards lists every district of a sharded deployment; omitted when
-	// unsharded.
-	Shards []shardStatus `json:"shards,omitempty"`
-}
-
-// shardStatus is one district's slice of the published view.
-type shardStatus struct {
-	Index int `json:"index"`
-	// Version is the district model's own version; districts rebuild and
-	// bump independently of the view version.
-	Version       uint64 `json:"version"`
-	Roads         int    `json:"roads"`
-	HaloRoads     int    `json:"halo_roads"`
-	BoundaryEdges int    `json:"boundary_edges"`
-	BuiltAt       string `json:"built_at"`
-	RebuildMode   string `json:"rebuild_mode"`
 }
 
 // handleModel reports the published view's version and build metadata —
 // the endpoint an operator polls to confirm ingested observations actually
-// turned into a rebuild (and, when sharded, which district they landed in).
+// turned into a rebuild.
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 	v := s.store.View()
-	resp := modelResponse{
+	writeJSON(w, http.StatusOK, modelResponse{
 		Version:          v.Version(),
 		BuiltAt:          v.BuiltAt().UTC().Format(time.RFC3339Nano),
 		BuildSeconds:     v.BuildDuration().Seconds(),
@@ -602,26 +576,7 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 		BufferedPending:  s.store.BufferedObservations(),
 		StalenessSeconds: time.Since(v.BuiltAt()).Seconds(),
 		RebuildMode:      v.RebuildMode(),
-	}
-	if v.Sharded() {
-		plan := v.Plan()
-		for d := 0; d < v.NumShards(); d++ {
-			m := v.Shard(d)
-			if m == nil {
-				continue // empty district: no model to report
-			}
-			resp.Shards = append(resp.Shards, shardStatus{
-				Index:         d,
-				Version:       m.Version(),
-				Roads:         len(plan.Owned(d)),
-				HaloRoads:     len(plan.Members(d)) - len(plan.Owned(d)),
-				BoundaryEdges: v.BoundaryEdges(d),
-				BuiltAt:       m.BuiltAt().UTC().Format(time.RFC3339Nano),
-				RebuildMode:   m.RebuildMode(),
-			})
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // seedsResponse lists a selected seed set.
@@ -818,9 +773,9 @@ func (s *Server) handleRoad(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "slot must be an integer")
 			return
 		}
-		if mean, ok := v.RoadMean(road.ID, slot); ok {
+		if mean, ok := v.DB().Mean(road.ID, slot); ok {
 			resp.HistoricalMean = &mean
-			p := v.RoadPUp(road.ID, slot)
+			p := v.DB().PUp(road.ID, slot)
 			resp.TrendPriorUp = &p
 		}
 	}

@@ -123,6 +123,61 @@ func TestInfo(t *testing.T) {
 	}
 }
 
+// TestInfoAndModelWireShape pins the JSON shape of /v1/info and /v1/model to
+// the fields README documents: each body must decode into exactly those
+// fields, with no unknown field and none missing.
+func TestInfoAndModelWireShape(t *testing.T) {
+	ts, _ := newTestServer(t)
+	var info struct {
+		Roads          int     `json:"roads"`
+		Junctions      int     `json:"junctions"`
+		LengthKM       float64 `json:"length_km"`
+		CorrEdges      int     `json:"corr_edges"`
+		CorrMeanDegree float64 `json:"corr_mean_degree"`
+		SlotMinutes    float64 `json:"slot_minutes"`
+		ModelVersion   uint64  `json:"model_version"`
+	}
+	var model struct {
+		Version          uint64  `json:"version"`
+		BuiltAt          string  `json:"built_at"`
+		BuildSeconds     float64 `json:"build_seconds"`
+		Observations     int     `json:"observations"`
+		BufferedPending  int     `json:"buffered_observations"`
+		StalenessSeconds float64 `json:"staleness_seconds"`
+		RebuildMode      string  `json:"rebuild_mode"`
+	}
+	for _, tc := range []struct {
+		path   string
+		into   any
+		fields int
+	}{
+		{"/v1/info", &info, 7},
+		{"/v1/model", &model, 7},
+	} {
+		resp, err := http.Get(ts.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(tc.into); err != nil {
+			t.Errorf("%s: %v in %s", tc.path, err, raw)
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &keys); err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) != tc.fields {
+			t.Errorf("%s has %d fields, want the %d documented: %s", tc.path, len(keys), tc.fields, raw)
+		}
+	}
+}
+
 func TestModelEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var body modelResponse

@@ -14,7 +14,7 @@ import (
 // allocation here becomes O(requests) garbage.
 func TestFuseTrendsAllocs(t *testing.T) {
 	const n = 256
-	m := &Model{preTrendNoise: 0.2, seedTrendNoise: 0.1}
+	v := &View{preTrendNoise: 0.2, seedTrendNoise: 0.1}
 	pUp := make([]float64, n)
 	trendUp := make([]bool, n)
 	trendPUp := make([]float64, n)
@@ -25,7 +25,7 @@ func TestFuseTrendsAllocs(t *testing.T) {
 	}
 	seedRels := map[roadnet.RoadID]float64{3: 0.8, 77: -0.4, 200: 0.1}
 	allocs := testing.AllocsPerRun(100, func() {
-		m.fuseTrendsInto(pUp, trendUp, trendPUp, preRels, seedRels)
+		v.fuseTrendsInto(pUp, trendUp, trendPUp, preRels, seedRels)
 	})
 	if allocs != 0 {
 		t.Fatalf("seed-fusion loop allocates %.1f times per round, want 0", allocs)

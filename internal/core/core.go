@@ -1,20 +1,17 @@
 // Package core assembles the paper's complete system, called TrendSpeed in
 // this reproduction, as a versioned model lifecycle:
 //
-//   - Model (model.go) is one immutable training artifact: the
+//   - View (view.go) is one immutable, versioned training artifact: the
 //     trend-correlation graph (internal/corr), the hierarchical linear model
 //     (internal/hlm), the seed-selection problem (internal/seedsel) and the
 //     trend topology (internal/mrf) trained on one road network and
-//     historical speed database, stamped with a version and build metadata,
-//     plus the phase methods an estimation round drives.
-//   - View (view.go) is one published generation: the district plan and one
-//     Model per district (a single Model when unsharded). NewView builds
-//     one, and View.Estimate runs the estimation round, the only code that
-//     sequences the phases.
+//     historical speed database, stamped with a version and build metadata.
+//     NewView builds one, and View.Estimate (round.go) runs the estimation
+//     round, the only code that sequences the phases.
 //   - Store (store.go) is the lifecycle handle: it publishes the current
 //     View through an atomic pointer, buffers crowd observations via Ingest,
-//     remembers the last selected seed set, and rebuilds + hot-swaps
-//     successor districts in the background without ever blocking a round.
+//     remembers the last selected seed set, and rebuilds + hot-swaps a
+//     successor View in the background without ever blocking a round.
 //
 // The real-time loop is SelectSeeds(K) → crowdsource the seeds' speeds →
 // Estimate(slot, seedSpeeds) → network-wide speeds, where Estimate runs the
@@ -28,7 +25,6 @@ import (
 	"math"
 
 	"repro/internal/corr"
-	"repro/internal/history"
 	"repro/internal/hlm"
 	"repro/internal/mrf"
 	"repro/internal/obs"
@@ -130,33 +126,6 @@ type Options struct {
 	// Specialize configures seed-conditional training (hlm.SeedModel);
 	// the zero value means hlm.DefaultSpecializeConfig.
 	Specialize hlm.SpecializeConfig
-
-	// Shards partitions the city into this many district models with halo
-	// roads and boundary stitching (see View): each district trains, rebuilds
-	// and swaps independently, and estimation runs per-district BP in
-	// parallel with a bounded message exchange across boundaries. 0 or 1
-	// means the single unsharded model, which is bitwise-identical to the
-	// pre-sharding pipeline.
-	Shards int
-	// StitchRounds bounds the boundary-stitching exchanges of a sharded
-	// estimation round: after each per-district trend inference, halo roads'
-	// priors are refreshed from their owning district's marginals and the
-	// inference re-runs warm-started. 0 means the default of 2; ignored when
-	// Shards ≤ 1.
-	StitchRounds int
-	// HaloHops is the halo ring width of a sharded partition, in road-graph
-	// hops. It must be at least Corr.MaxHops — otherwise districts would miss
-	// correlation edges incident to their owned roads — and every hop beyond
-	// that shrinks the boundary truncation error of per-district trend
-	// inference (loopy BP's influence radius exceeds the edge radius). 0
-	// means the default of 3×Corr.MaxHops; ignored when Shards ≤ 1.
-	HaloHops int
-
-	// benefitMask, when non-nil, multiplies each road's seed-selection
-	// benefit weight. The sharded build zeroes halo roads so every district's
-	// selection objective counts only the roads it owns — the decomposition
-	// SelectShardedCtx relies on. Internal: set only by shardOptions.
-	benefitMask []float64
 }
 
 // DefaultOptions returns the configuration used by the experiments.
@@ -167,19 +136,6 @@ func DefaultOptions() Options {
 		SeedSel: seedsel.DefaultConfig(),
 		BP:      mrf.DefaultBPConfig(),
 	}
-}
-
-// benefitWeightsFor derives the seed-selection weights for a (possibly
-// sharded) build: the standard class-and-volatility weights, multiplied by
-// the options' benefit mask when one is set.
-func benefitWeightsFor(net *roadnet.Network, db *history.DB, opts Options) []float64 {
-	w := seedsel.BenefitWeights(net, db)
-	if opts.benefitMask != nil {
-		for i := range w {
-			w[i] *= opts.benefitMask[i]
-		}
-	}
-	return w
 }
 
 // ErrInvalidInput marks estimation and ingestion failures caused by the

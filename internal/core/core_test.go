@@ -47,15 +47,14 @@ func TestNewValidation(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	d, v := buildEstimator(t)
-	est := v.Shard(0)
-	if v.Net() != d.Net || est.Net() != d.Net || est.DB() != d.DB {
+	if v.Net() != d.Net || v.DB() != d.DB {
 		t.Error("accessors wrong")
 	}
-	if est.Graph() == nil || est.HLM() == nil || est.Problem() == nil {
+	if v.Graph() == nil || v.HLM() == nil || v.Problem() == nil {
 		t.Error("nil components")
 	}
-	if v.Version() != 1 || est.Version() != 1 {
-		t.Errorf("fresh view version = %d, model version = %d, want 1 and 1", v.Version(), est.Version())
+	if v.Version() != 1 {
+		t.Errorf("fresh view version = %d, want 1", v.Version())
 	}
 	if v.ObservationCount() != d.DB.ObservationCount() {
 		t.Errorf("observation count = %d, want %d", v.ObservationCount(), d.DB.ObservationCount())

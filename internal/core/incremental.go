@@ -13,7 +13,7 @@ import (
 	"repro/internal/seedsel"
 )
 
-// buildIncremental mints a successor model from old for the rolled-forward
+// buildIncremental mints a successor view from old for the rolled-forward
 // history db, at a cost proportional to the dirty set rather than the city:
 //
 //   - the correlation graph is re-scored only around the dirty roads
@@ -32,7 +32,7 @@ import (
 // re-keyed onto its topology by directed-edge identity (mrf.Beliefs.Remap),
 // as its fixed warm start, cutting trend-inference rounds right after a
 // swap.
-func buildIncremental(ctx context.Context, old *Model, db *history.DB, dirty *history.Dirty, opts Options, version uint64) (*Model, error) {
+func buildIncremental(ctx context.Context, old *View, db *history.DB, dirty *history.Dirty, opts Options, version uint64) (*View, error) {
 	start := time.Now()
 	ctx, buildSpan := obs.StartSpan(ctx, "core.rebuild_incremental")
 	defer buildSpan.End()
@@ -67,7 +67,7 @@ func buildIncremental(ctx context.Context, old *Model, db *history.DB, dirty *hi
 
 	var problem *seedsel.Problem
 	if err := timeStage(ctx, "seedsel_prepare", func() (err error) {
-		problem, err = seedsel.NewProblem(graph, benefitWeightsFor(old.net, db, opts), opts.SeedSel)
+		problem, err = seedsel.NewProblem(graph, seedsel.BenefitWeights(old.net, db), opts.SeedSel)
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("core: preparing seed selection: %w", err)
@@ -82,7 +82,7 @@ func buildIncremental(ctx context.Context, old *Model, db *history.DB, dirty *hi
 		warm = old.warm
 	}
 
-	return &Model{
+	return &View{
 		version: version, builtAt: start, buildDur: time.Since(start),
 		obsCount: db.ObservationCount(),
 		net:      old.net, db: db, graph: graph, hlm: model,

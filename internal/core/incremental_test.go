@@ -54,8 +54,8 @@ func deltaObservations(d *dataset.Dataset) []Observation {
 // exactly the kind of delta the incremental path is built for — while the
 // per-slot aggregates (counts, variance) still go dirty and retrain. Roads
 // without a usable mean at the slot are skipped.
-func atMeanDelta(m *Model, slot int, roads []roadnet.RoadID, per int) []Observation {
-	db := m.DB()
+func atMeanDelta(v *View, slot int, roads []roadnet.RoadID, per int) []Observation {
+	db := v.DB()
 	var out []Observation
 	for _, r := range roads {
 		mean, ok := db.Mean(r, slot)
@@ -107,7 +107,7 @@ func TestStoreIncrementalMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	delta := atMeanDelta(stInc.View().Shard(0), slot, firstRoads(5), 3)
+	delta := atMeanDelta(stInc.View(), slot, firstRoads(5), 3)
 	if len(delta) == 0 {
 		t.Fatal("no road has a usable mean at the test slot")
 	}
@@ -141,7 +141,7 @@ func TestStoreIncrementalMatchesFull(t *testing.T) {
 
 	// Graph topology must agree exactly: corr.Rescore promises bitwise
 	// equality with a full corr.Build over the same rolled-forward history.
-	gi, gf := mInc.Shard(0).Graph(), mFull.Shard(0).Graph()
+	gi, gf := mInc.Graph(), mFull.Graph()
 	if gi.NumRoads() != gf.NumRoads() || gi.NumEdges() != gf.NumEdges() {
 		t.Fatalf("graph shape diverges: incremental %d roads / %d edges, full %d roads / %d edges",
 			gi.NumRoads(), gi.NumEdges(), gf.NumRoads(), gf.NumEdges())
@@ -209,6 +209,31 @@ func TestStoreIncrementalDisabledByFraction(t *testing.T) {
 	}
 	if got := m.RebuildMode(); got != "full" {
 		t.Errorf("rebuild mode with sub-delta threshold = %q, want full", got)
+	}
+}
+
+// TestStoreAutoRebuildIncremental: a rebuild the background loop triggers
+// takes the delta path too, not only an explicit Rebuild call.
+func TestStoreAutoRebuildIncremental(t *testing.T) {
+	d, st := buildStore(t)
+	delta := atMeanDelta(st.View(), d.Slot(), firstRoads(5), 3)
+	if len(delta) == 0 {
+		t.Fatal("no road has a usable mean at the test slot")
+	}
+	st.Start(StoreConfig{RebuildMinObs: len(delta), IncrementalMaxDirtyFrac: 0.25})
+	defer st.Close()
+	if _, err := st.Ingest(delta...); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for st.View().Version() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no rebuild after min-obs trigger; version still %d", st.View().Version())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := st.View().RebuildMode(); got != "incremental" {
+		t.Errorf("loop-triggered rebuild mode = %q, want incremental", got)
 	}
 }
 
@@ -387,7 +412,7 @@ func TestStoreIncrementalZeroDowntimeSwap(t *testing.T) {
 		for i := 0; i < rebuilds; i++ {
 			// At-mean observations keep the correlation graph's shape, so
 			// every cycle stays on the incremental path (see atMeanDelta).
-			obsBatch := atMeanDelta(st.View().Shard(0), slot, seeds, 2)
+			obsBatch := atMeanDelta(st.View(), slot, seeds, 2)
 			if len(obsBatch) == 0 {
 				t.Error("no seed road has a usable mean at the test slot")
 				return

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,11 +15,10 @@ import (
 )
 
 // Model-lifecycle observability: which version is serving, how often and how
-// long rebuilds run, how much ingested data is waiting to be folded in, and —
-// on sharded stores — each district's version and footprint.
+// long rebuilds run, and how much ingested data is waiting to be folded in.
 var (
 	modelVersionGauge = obs.Default().Gauge("trendspeed_model_version",
-		"Version of the view currently published by the store (bumped on every district swap).")
+		"Version of the view currently published by the store (bumped on every swap).")
 	modelRebuilds = func(outcome, mode string) *obs.Counter {
 		return obs.Default().Counter("trendspeed_model_rebuilds_total",
 			"Model rebuilds by outcome (success publishes a new version; error keeps the old model and the buffered observations) and mode (full retrain vs incremental delta rebuild).",
@@ -33,27 +31,6 @@ var (
 	}
 	ingestBuffered = obs.Default().Gauge("trendspeed_ingest_buffered_observations",
 		"Observations ingested but not yet folded into a published model.")
-
-	shardVersionGauge = func(d int) *obs.Gauge {
-		return obs.Default().Gauge("trendspeed_shard_version",
-			"Version of each district model in the published view; districts rebuild and bump independently.",
-			"shard", strconv.Itoa(d))
-	}
-	shardRoadsGauge = func(d int) *obs.Gauge {
-		return obs.Default().Gauge("trendspeed_shard_roads",
-			"Roads owned by each district.",
-			"shard", strconv.Itoa(d))
-	}
-	shardHaloGauge = func(d int) *obs.Gauge {
-		return obs.Default().Gauge("trendspeed_shard_halo_roads",
-			"Halo roads each district model carries beyond the ones it owns (its view of the correlation neighbourhood across the boundary).",
-			"shard", strconv.Itoa(d))
-	}
-	shardBoundaryGauge = func(d int) *obs.Gauge {
-		return obs.Default().Gauge("trendspeed_shard_boundary_edges",
-			"Owned↔halo correlation edges inside each district graph — the edges boundary stitching carries information across.",
-			"shard", strconv.Itoa(d))
-	}
 )
 
 // Observation is one crowd-sourced speed report to fold into the historical
@@ -75,12 +52,11 @@ type StoreConfig struct {
 	// buffered; 0 disables the count trigger.
 	RebuildMinObs int
 	// IncrementalMaxDirtyFrac enables incremental (delta) rebuilds: when the
-	// fraction of a district's roads whose history changed since its
-	// published model is at or below this value, that district's rebuild
-	// re-scores and retrains only around the delta and warm-starts trend
-	// inference from the predecessor's converged beliefs (see
-	// buildIncremental). Larger deltas fall back to a full retrain. 0 (or
-	// negative) disables incremental rebuilds entirely.
+	// fraction of roads whose history changed since the published view is
+	// at or below this value, the rebuild re-scores and retrains only around
+	// the delta and warm-starts trend inference from the predecessor's
+	// converged beliefs (see buildIncremental). Larger deltas fall back to a
+	// full retrain. 0 (or negative) disables incremental rebuilds entirely.
 	IncrementalMaxDirtyFrac float64
 }
 
@@ -88,26 +64,18 @@ type StoreConfig struct {
 // It publishes the current View through an atomic pointer, so View and the
 // rounds run on it never block on a rebuild in progress: a caller resolves
 // exactly one version with View and runs entirely on it, and a rebuild
-// trains successor district models off to the side (on the same
-// internal/par worker pool the round hot path uses) before swapping them in
-// last-write-wins. Estimation itself is View's job; the Store only adds
-// ingest, seed memory and the rebuild lifecycle.
-//
-// On a sharded store each rebuild is staggered per district: observations are
-// routed to the district owning their road, only districts with pending data
-// retrain, and every finished district is published immediately as its own
-// view version — the city is never torn down wholesale, and an ingest delta
-// confined to one district rebuilds exactly one shard.
+// trains the successor view off to the side before swapping it in. Estimation
+// itself is View's job; the Store only adds ingest, seed memory and the
+// rebuild lifecycle.
 //
 // Ingest buffers observations; Rebuild (or the background loop started by
-// Start) rolls them into the per-district history snapshots via
-// history.NewBuilderFrom, retrains, re-specializes the last prepared seed set
-// so rounds do not regress to the generic propagation model after a swap, and
-// publishes the new versions. All methods are safe for concurrent use.
+// Start) rolls them into the history snapshot via history.NewBuilderFrom,
+// retrains, re-specializes the last prepared seed set so rounds do not
+// regress to the generic propagation model after a swap, and publishes the
+// new version. All methods are safe for concurrent use.
 type Store struct {
-	opts    Options
-	cur     atomic.Pointer[View]
-	version atomic.Uint64 // last view version stamp handed out
+	opts Options
+	cur  atomic.Pointer[View]
 
 	// mu guards the ingest buffer, the last prepared seed set, the swap
 	// hooks and the loop bookkeeping; it is never held across a rebuild.
@@ -139,11 +107,10 @@ type Store struct {
 	done chan struct{}
 }
 
-// NewStore trains the version-1 view (opts.Shards district models; one
-// unsharded model by default) and returns a store publishing it.
+// NewStore trains the version-1 view and returns a store publishing it.
 func NewStore(net *roadnet.Network, db *history.DB, opts Options) (*Store, error) {
 	//lint:ignore ctxflow NewStore is the documented ctx-less constructor; the initial build is offline and bounded by input size
-	v, err := buildView(context.Background(), net, db, opts, 1)
+	v, err := build(context.Background(), net, db, opts, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -157,26 +124,9 @@ func NewStore(net *roadnet.Network, db *history.DB, opts Options) (*Store, error
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	s.version.Store(v.Version())
 	s.cur.Store(v)
 	modelVersionGauge.Set(float64(v.Version()))
-	for d := 0; d < v.NumShards(); d++ {
-		publishShardMetrics(v, d)
-	}
 	return s, nil
-}
-
-// publishShardMetrics refreshes district d's gauges against view v.
-func publishShardMetrics(v *View, d int) {
-	m := v.Shard(d)
-	if m == nil {
-		return
-	}
-	plan := v.Plan()
-	shardVersionGauge(d).Set(float64(m.Version()))
-	shardRoadsGauge(d).Set(float64(len(plan.Owned(d))))
-	shardHaloGauge(d).Set(float64(len(plan.Members(d)) - len(plan.Owned(d))))
-	shardBoundaryGauge(d).Set(float64(v.BoundaryEdges(d)))
 }
 
 // View returns the currently published view. Callers that make several
@@ -250,33 +200,30 @@ func (s *Store) BufferedObservations() int {
 	return len(s.buf)
 }
 
-// OnSwap registers a hook called after each successful district swap with
-// the view that was replaced and the one now published (caches keyed by view
-// version use it to drop stale entries). A staggered sharded rebuild runs the
-// hooks once per district published. Hooks run on the rebuilding goroutine
-// and must not block.
+// OnSwap registers a hook called after each successful swap with the view
+// that was replaced and the one now published (caches keyed by view version
+// use it to drop stale entries). Hooks run on the rebuilding goroutine and
+// must not block.
 func (s *Store) OnSwap(fn func(old, new *View)) {
 	s.mu.Lock()
 	s.onSwap = append(s.onSwap, fn)
 	s.mu.Unlock()
 }
 
-// Rebuild retrains immediately: it drains the buffered observations into
-// roll-forwards of the affected districts' history snapshots, rebuilds each
-// such district model off to the side, re-specializes the last prepared seed
-// set, and swaps each finished district in last-write-wins as its own view
-// version. Estimation rounds in flight keep the view they resolved at entry;
-// new rounds see each new version as soon as its swap lands. With an empty
-// buffer every district rebuilds (a forced full refresh). On error the
-// failed districts' models stay published and their observations are kept
-// for the next attempt; districts that finished before the error remain
-// swapped in. Returns the view published last.
+// Rebuild retrains immediately: it drains the buffered observations into a
+// roll-forward of the published history snapshot, builds the successor view
+// off to the side, re-specializes the last prepared seed set, and swaps the
+// successor in last-write-wins. Estimation rounds in flight keep the view
+// they resolved at entry; new rounds see the new version as soon as the swap
+// lands. With an empty buffer the rebuild still runs (a forced full
+// refresh). On error the old view stays published and the observations stay
+// buffered for the next attempt. Returns the view published.
 //
 // The rebuild is bounded by ctx in addition to the store lifetime: whichever
 // of the two is cancelled first aborts the retrain at its next build-stage
-// boundary. An aborted district rebuild publishes nothing — its old model
-// stays live and its buffered observations are kept for the next attempt —
-// and the rebuild is counted under rebuilds_total{outcome="canceled"}.
+// boundary. An aborted rebuild publishes nothing — the old view stays live
+// and the buffered observations are kept for the next attempt — and the
+// rebuild is counted under rebuilds_total{outcome="canceled"}.
 func (s *Store) Rebuild(ctx context.Context) (*View, error) {
 	ctx, cancelJoined := context.WithCancel(ctx)
 	defer cancelJoined()
@@ -301,10 +248,9 @@ func (s *Store) Rebuild(ctx context.Context) (*View, error) {
 	return v, nil
 }
 
-// rebuild runs one staggered retrain under rebuildMu and returns the last
-// published view and the aggregate mode it was built in ("incremental" only
-// when every rebuilt district took the delta path; on error, the mode that
-// was being attempted when the first district failed, for metric labels).
+// rebuild runs one retrain under rebuildMu and returns the published view and
+// the mode it was built in (on error, the mode that was attempted, for metric
+// labels).
 func (s *Store) rebuild(ctx context.Context) (*View, string, error) {
 	s.mu.Lock()
 	pending := append([]Observation(nil), s.buf...)
@@ -319,123 +265,41 @@ func (s *Store) rebuild(ctx context.Context) (*View, string, error) {
 		}
 	}
 
-	// Route every pending observation to the district owning its road; the
-	// observation becomes local evidence there at local road IDs. (Districts
-	// holding the road in their halo keep their stale copy until their own
-	// next rebuild — the documented staleness bound of sharding.) The plan is
-	// shared by every view this store ever publishes, so routing against the
-	// current one is stable across the staggered swaps below.
-	first := s.cur.Load()
-	plan := first.Plan()
-	k := plan.NumDistricts()
-	local := make([][]Observation, k)
-	districtOf := make([]int, len(pending))
-	for i, o := range pending {
-		d := plan.Owner(o.Road)
-		l, _ := plan.Local(d, o.Road)
-		local[d] = append(local[d], Observation{Road: l, Slot: o.Slot, Speed: o.Speed})
-		districtOf[i] = d
+	old := s.cur.Load()
+	v, mode, err := s.successor(ctx, old, pending, seeds, maxDirtyFrac)
+	if err == nil {
+		// A cancellation that raced the last stage must not publish: Close
+		// has already begun draining, and the caller asked for the work to
+		// stop.
+		if cerr := ctx.Err(); cerr != nil {
+			err = fmt.Errorf("core: rebuild aborted before publish: %w", cerr)
+		}
+	}
+	if err != nil {
+		return nil, mode, err
+	}
+	s.cur.Store(v)
+	modelVersionGauge.Set(float64(v.Version()))
+	for _, h := range hooks {
+		h(old, v)
 	}
 
-	allIncremental := true
-	rebuiltAny := false
-	var firstErr error
-	firstErrMode := "full"
-	failed := make([]bool, k)
-	published := first
-	for d := 0; d < k; d++ {
-		if first.Shard(d) == nil {
-			continue // empty district: nothing to rebuild
-		}
-		if len(pending) > 0 && len(local[d]) == 0 {
-			continue // delta untouched this district; its model stays as-is
-		}
-		if firstErr != nil {
-			// A cancellation aborts the whole stagger; a build error skips
-			// only its district so the rest of the city still refreshes.
-			if errors.Is(firstErr, context.Canceled) || errors.Is(firstErr, context.DeadlineExceeded) {
-				failed[d] = true
-				continue
-			}
-		}
-		// Every district must chain off the view the previous district's
-		// swap just published, not a pre-loop snapshot that would drop
-		// those swaps on the floor.
-		//lint:ignore atomicload staggered publish re-reads the freshest view per district
-		cur := s.cur.Load()
-		m, mode, err := s.rebuildShard(ctx, cur, d, local[d], seeds, maxDirtyFrac)
-		if err == nil {
-			// A cancellation that raced the last stage must not publish:
-			// Close has already begun draining, and the caller asked for the
-			// work to stop.
-			if cerr := ctx.Err(); cerr != nil {
-				err = fmt.Errorf("core: rebuild aborted before publish: %w", cerr)
-			}
-		}
-		if err != nil {
-			failed[d] = true
-			if firstErr == nil {
-				firstErr = err
-				firstErrMode = mode
-			}
-			continue
-		}
-		if mode != "incremental" {
-			allIncremental = false
-		}
-		rebuiltAny = true
-
-		// Staggered publish: mint the successor view with just this district
-		// swapped, bump the view version, refresh the gauges and run the
-		// hooks — all before the next district starts training.
-		next := s.version.Load() + 1
-		shards := append([]*Model(nil), cur.shards...)
-		shards[d] = m
-		nv := newView(next, cur.net, plan, shards, cur.stitchRounds, cur.frontierHops, d)
-		s.version.Store(next)
-		s.cur.Store(nv)
-		modelVersionGauge.Set(float64(next))
-		publishShardMetrics(nv, d)
-		for _, h := range hooks {
-			h(cur, nv)
-		}
-		published = nv
-	}
-
-	// Drop the consumed prefix of the buffer (Ingest only appends, so the
-	// first len(pending) entries are exactly what the stagger handled),
-	// keeping observations whose district failed for the next attempt.
+	// Drop the consumed prefix of the buffer: Ingest only appends, so the
+	// first len(pending) entries are exactly what this rebuild folded in.
 	s.mu.Lock()
-	var kept []Observation
-	for i, o := range pending {
-		if failed[districtOf[i]] {
-			kept = append(kept, o)
-		}
-	}
-	s.buf = append(kept, s.buf[len(pending):]...)
+	s.buf = append([]Observation(nil), s.buf[len(pending):]...)
 	buffered := len(s.buf)
 	s.mu.Unlock()
 	ingestBuffered.Set(float64(buffered))
-
-	if firstErr != nil {
-		return nil, firstErrMode, firstErr
-	}
-	mode := "full"
-	if rebuiltAny && allIncremental {
-		mode = "incremental"
-	}
-	return published, mode, nil
+	return v, mode, nil
 }
 
-// rebuildShard retrains district d of view cur with its routed observations
-// folded in (local road IDs), returning the successor model and the mode it
-// was built in. The district version advances independently of the view
-// version; on an unsharded store the two stay in lockstep.
-func (s *Store) rebuildShard(ctx context.Context, cur *View, d int, pending []Observation, seeds []roadnet.RoadID, maxDirtyFrac float64) (*Model, string, error) {
-	old := cur.Shard(d)
+// successor trains the view that follows old with the pending observations
+// folded in, returning it and the mode it was built in.
+func (s *Store) successor(ctx context.Context, old *View, pending []Observation, seeds []roadnet.RoadID, maxDirtyFrac float64) (*View, string, error) {
 	builder, err := history.NewBuilderFrom(old.DB())
 	if err != nil {
-		return nil, "full", fmt.Errorf("core: rolling district %d history forward: %w", d, err)
+		return nil, "full", fmt.Errorf("core: rolling history forward: %w", err)
 	}
 	for _, o := range pending {
 		// Validated at Ingest; a failure here means the builder and store
@@ -445,40 +309,30 @@ func (s *Store) rebuildShard(ctx context.Context, cur *View, d int, pending []Ob
 		}
 	}
 	db := builder.Finalize()
-	sopts := shardOptions(s.opts, cur.Plan(), d)
 	version := old.Version() + 1
 
-	// Delta path: when the district's dirty fraction is small enough,
-	// rebuild around the delta. Its graph equals a full build's, so a
-	// failure there would fail a full build too: there is no fallback.
+	// Delta path: when the dirty fraction is small enough, rebuild around
+	// the delta. Its graph equals a full build's, so a failure there would
+	// fail a full build too: there is no fallback.
 	mode := "full"
-	var m *Model
+	var v *View
 	dirty := builder.Dirty()
 	if dirty != nil && maxDirtyFrac > 0 &&
 		float64(len(dirty.Roads)) <= maxDirtyFrac*float64(db.NumRoads()) {
 		mode = "incremental"
-		m, err = buildIncremental(ctx, old, db, dirty, sopts, version)
+		v, err = buildIncremental(ctx, old, db, dirty, s.opts, version)
 	} else {
-		m, err = build(ctx, old.Net(), db, sopts, version)
+		v, err = build(ctx, old.Net(), db, s.opts, version)
 	}
 	if err != nil {
-		return nil, mode, fmt.Errorf("core: rebuilding district %d: %w", d, err)
+		return nil, mode, fmt.Errorf("core: rebuilding model: %w", err)
 	}
-	ls := seeds
-	if cur.Sharded() {
-		ls = nil
-		for _, g := range seeds {
-			if l, ok := cur.Plan().Local(d, g); ok {
-				ls = append(ls, l)
-			}
-		}
-	}
-	if len(ls) > 0 {
-		if err := m.Prepare(ctx, ls); err != nil {
+	if len(seeds) > 0 {
+		if err := v.Prepare(ctx, seeds); err != nil {
 			return nil, mode, fmt.Errorf("core: re-specializing seed set: %w", err)
 		}
 	}
-	return m, mode, nil
+	return v, mode, nil
 }
 
 // Start configures the store and launches the background rebuild loop when

@@ -274,6 +274,106 @@ func TestStoreZeroDowntimeSwap(t *testing.T) {
 	}
 }
 
+// TestStoreConcurrentIngestSwap is the -race hammer with writers on the
+// round side: estimation rounds interleave with their own Ingest calls while
+// rebuild/swap cycles run. Every round must succeed, versions must never go
+// backwards within a worker, every swap must fire OnSwap exactly once, and
+// rounds must overlap at least one swap.
+func TestStoreConcurrentIngestSwap(t *testing.T) {
+	ctx := context.Background()
+	d, st := buildStore(t)
+	st.Start(StoreConfig{IncrementalMaxDirtyFrac: 0.25}) // no triggers: records config only
+	defer st.Close()
+	slot, truth := d.NextTruth()
+	seedSpeeds := spreadSeeds(d, truth, 8)
+
+	const (
+		workers       = 4
+		roundsPerWork = 12
+		rebuilds      = 3
+	)
+	var (
+		wg         sync.WaitGroup
+		roundsDone atomic.Int64
+		swaps      atomic.Int64
+		maxVersion atomic.Uint64
+	)
+	st.OnSwap(func(old, new *View) { swaps.Add(1) })
+	rebuildsDone := make(chan struct{})
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(rebuildsDone)
+		for i := 0; i < rebuilds; i++ {
+			batch := make([]Observation, 0, len(seedSpeeds))
+			for r, sp := range seedSpeeds {
+				batch = append(batch, Observation{Road: r, Slot: slot, Speed: sp * (1 + 0.01*float64(i))})
+			}
+			if _, err := st.Ingest(batch...); err != nil {
+				t.Errorf("Ingest: %v", err)
+				return
+			}
+			if _, err := st.Rebuild(ctx); err != nil {
+				t.Errorf("Rebuild %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var lastVersion uint64
+			for i := 0; ; i++ {
+				if i >= roundsPerWork {
+					select {
+					case <-rebuildsDone:
+						return
+					default:
+					}
+				}
+				if i%4 == g%4 {
+					if _, err := st.Ingest(Observation{Road: roadnet.RoadID(i % d.Net.NumRoads()), Slot: slot, Speed: 8}); err != nil {
+						t.Errorf("Ingest: %v", err)
+						return
+					}
+				}
+				res, err := st.View().Estimate(ctx, slot, seedSpeeds)
+				if err != nil {
+					t.Errorf("Estimate: %v", err)
+					return
+				}
+				if res.ModelVersion < lastVersion {
+					t.Errorf("version went backwards: %d after %d", res.ModelVersion, lastVersion)
+					return
+				}
+				lastVersion = res.ModelVersion
+				for v := maxVersion.Load(); res.ModelVersion > v; v = maxVersion.Load() {
+					if maxVersion.CompareAndSwap(v, res.ModelVersion) {
+						break
+					}
+				}
+				roundsDone.Add(1)
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if got := roundsDone.Load(); got < workers*roundsPerWork {
+		t.Fatalf("only %d/%d rounds completed", got, workers*roundsPerWork)
+	}
+	if got := swaps.Load(); got != rebuilds {
+		t.Fatalf("%d swaps observed, want %d", got, rebuilds)
+	}
+	if final := st.View().Version(); final != uint64(1+rebuilds) {
+		t.Fatalf("final version %d, want %d (one bump per swap)", final, 1+rebuilds)
+	}
+	if maxVersion.Load() < 2 {
+		t.Errorf("no round ever saw a swapped-in version; the hammer never overlapped a swap")
+	}
+}
+
 // TestStoreCloseDrainsRebuild: Close returns only after an in-flight
 // rebuild has finished its swap, and ingestion fails afterwards.
 func TestStoreCloseDrainsRebuild(t *testing.T) {

@@ -206,7 +206,7 @@ func probeSlots(ref [][]sample) []int32 {
 // TestCoObservedMatchesMergeJoin checks the block index against per-sample
 // references on random histories built through Builder — slots on both
 // sides of block edges, sparse slots up to 2³¹−1, empty and one-sample
-// roads — as finalised, after Restrict, and after a roll-forward Finalize.
+// roads — as finalised and after a roll-forward Finalize.
 func TestCoObservedMatchesMergeJoin(t *testing.T) {
 	c := cal(t)
 	rng := rand.New(rand.NewSource(15))
@@ -223,18 +223,6 @@ func TestCoObservedMatchesMergeJoin(t *testing.T) {
 		db := b.Finalize()
 		ref := zipSeries(t, db, slots)
 		checkBlockIndex(t, "finalized", db, ref, probeSlots(ref))
-
-		perm := rng.Perm(n)[:1+rng.Intn(n)]
-		roads := make([]roadnet.RoadID, len(perm))
-		sub := make([][]sample, len(perm))
-		for i, r := range perm {
-			roads[i], sub[i] = roadnet.RoadID(r), ref[r]
-		}
-		restricted, err := db.Restrict(roads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkBlockIndex(t, "restricted", restricted, sub, probeSlots(sub))
 
 		rb, err := NewBuilderFrom(db)
 		if err != nil {

@@ -197,55 +197,6 @@ func (db *DB) Coverage(minSamples int) float64 {
 	return float64(covered) / float64(db.numRoads)
 }
 
-// Restrict returns a database over only the given roads, re-indexed densely:
-// local road i of the result is global road roads[i] of db, carrying exactly
-// the same profile cells, overall mean and sample series (series slices are
-// shared, not copied, so restriction is cheap and every pairwise statistic —
-// CoObserved, Mean, PUp — over two retained roads is identical to the
-// unrestricted database's). Restricting to every road in order returns db
-// itself, so a degenerate single-shard restriction stays bitwise-equal to
-// the unsharded database. Roads must be in-range and free of duplicates.
-func (db *DB) Restrict(roads []roadnet.RoadID) (*DB, error) {
-	if len(roads) == db.numRoads {
-		identity := true
-		for i, r := range roads {
-			if int(r) != i {
-				identity = false
-				break
-			}
-		}
-		if identity {
-			return db, nil
-		}
-	}
-	if len(roads) == 0 {
-		return nil, fmt.Errorf("history: Restrict needs at least one road")
-	}
-	nc := db.cal.NumProfileClasses()
-	out := &DB{
-		cal:      db.cal,
-		numRoads: len(roads),
-		profile:  make([]profileCell, len(roads)*nc),
-		overall:  make([]float32, len(roads)),
-		series:   make([]roadSeries, len(roads)),
-	}
-	seen := make(map[roadnet.RoadID]bool, len(roads))
-	for i, r := range roads {
-		if int(r) < 0 || int(r) >= db.numRoads {
-			//lint:ignore errwrap shard-plan misconfiguration, not request input; no API-boundary sentinel applies
-			return nil, fmt.Errorf("history: Restrict road %d out of range [0,%d)", r, db.numRoads)
-		}
-		if seen[r] {
-			return nil, fmt.Errorf("history: Restrict road %d listed twice", r)
-		}
-		seen[r] = true
-		copy(out.profile[i*nc:(i+1)*nc], db.profile[int(r)*nc:(int(r)+1)*nc])
-		out.overall[i] = db.overall[r]
-		out.series[i] = db.series[r]
-	}
-	return out, nil
-}
-
 // CoObserved invokes fn for every slot in which both roads have a sample,
 // in increasing slot order. It is the primitive the correlation graph is
 // estimated from.

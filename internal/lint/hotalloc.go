@@ -47,17 +47,16 @@ var hotRoots = []rootSpec{
 	{"core", "View", "Estimate"},
 	{"core", "View", "EstimateWith"},
 	{"mrf", "Engine", "Infer"},
-	{"seedsel", "", "SelectShardedCtx"},
 	{"par", "", "ForCtx"},
 	{"par", "", "ForMaxCtx"},
 }
 
 // parLoopFuncs are the worker-pool entry points whose function-literal
 // arguments are implicitly hot: the ctx-aware index loops run once per chunk
-// per inference round. par.For/EachCtx bodies are deliberately NOT
-// implicit roots — training and rebuild fan-outs use them off the serving
-// path, and sweeping those in would drown the signal (rebuild-path functions
-// still go hot when an explicit root reaches them).
+// per inference round. par.For bodies are deliberately NOT implicit roots —
+// training and rebuild fan-outs use them off the serving path, and sweeping
+// those in would drown the signal (rebuild-path functions still go hot when
+// an explicit root reaches them).
 var parLoopFuncs = map[string]bool{
 	"ForCtx": true, "ForMaxCtx": true,
 }

@@ -5,7 +5,7 @@
 // conventions into compiler-enforced invariants.
 //
 // PRs 1–3 made the serving system's correctness rest on conventions that
-// `go vet` and staticcheck cannot see: core.Model is an immutable snapshot
+// `go vet` and staticcheck cannot see: core.View is an immutable snapshot
 // (modelmut), an estimation round loads a published atomic.Pointer exactly
 // once (atomicload), every obs span started is ended on all paths (spanend),
 // metric names are trendspeed_-prefixed and registered at one site

@@ -18,7 +18,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		dir      string
 	}{
 		{ModelMut, "modelmut"},
-		{ModelMut, "modelmut_shard"},
 		{AtomicLoad, "atomicload"},
 		{SpanEnd, "spanend"},
 		{MetricName, "metricname"},

@@ -7,15 +7,14 @@ import (
 )
 
 // ModelMut enforces the snapshot contract on the pipeline's shared immutable
-// artifacts: core.Model (PR 3), and since the sharding refactor core.View and
-// shard.Plan. All three are published across concurrent estimation rounds, so
-// no code may assign to their fields outside the constructor path of their
+// artifact, core.View: it is published across concurrent estimation rounds,
+// so no code may assign to its fields outside the constructor path of its
 // own package. Everything else must publish state by minting a successor
 // (method calls, not field writes).
 var ModelMut = &Analyzer{
 	Name: "modelmut",
-	Doc: "disallow writes to core.Model, core.View and shard.Plan fields outside their constructors; " +
-		"all three are immutable snapshots shared across concurrent estimation rounds",
+	Doc: "disallow writes to core.View fields outside its constructors; " +
+		"a View is an immutable snapshot shared across concurrent estimation rounds",
 	Run: runModelMut,
 }
 
@@ -26,12 +25,10 @@ type protectedType struct {
 	constructors map[string]bool
 }
 
-// protectedTypes is the snapshot registry: the public constructors and the
-// version-stamping builders each type shares with the Store.
+// protectedTypes is the snapshot registry: the version-stamping builders
+// each type shares with the Store.
 var protectedTypes = []protectedType{
-	{"core", "Model", map[string]bool{"New": true, "build": true, "buildIncremental": true}},
-	{"core", "View", map[string]bool{"newView": true}},
-	{"shard", "Plan", map[string]bool{"Partition": true}},
+	{"core", "View", map[string]bool{"build": true, "buildIncremental": true}},
 }
 
 func runModelMut(p *Pass) error {

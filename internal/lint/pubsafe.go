@@ -8,12 +8,11 @@ import (
 
 // PubSafe generalizes modelmut from "no field writes outside constructors"
 // to "no writes after publication, interprocedurally". The pipeline's shared
-// artifacts — core.Model, core.View, shard.Plan, mrf.Beliefs — become
-// visible to concurrent readers the instant they are stored into an
-// atomic.Pointer; from that statement on, *any* write through a retained
-// alias is a data race, even inside the constructor path that modelmut
-// exempts (a Store staggering per-district publishes must not touch a view
-// it already swapped in).
+// artifacts — core.View and mrf.Beliefs — become visible to concurrent
+// readers the instant they are stored into an atomic.Pointer; from that
+// statement on, *any* write through a retained alias is a data race, even
+// inside the constructor path that modelmut exempts (a Store must not touch
+// a view it already swapped in).
 //
 // The analysis is flow-sensitive within one declaration and summary-based
 // across calls: per-function "mutates pointer parameter i" summaries are
@@ -25,7 +24,7 @@ import (
 // soundness caveat).
 var PubSafe = &Analyzer{
 	Name: "pubsafe",
-	Doc: "flag writes to core.Model/core.View/shard.Plan/mrf.Beliefs values after they were published " +
+	Doc: "flag writes to core.View/mrf.Beliefs values after they were published " +
 		"through an atomic.Pointer, including writes reached through same-package calls on a retained alias",
 	Run: runPubSafe,
 }
@@ -33,9 +32,7 @@ var PubSafe = &Analyzer{
 // pubProtected lists the published artifact types pubsafe tracks; matching
 // is by package name so fixtures can mirror the real packages.
 var pubProtected = [][2]string{
-	{"core", "Model"},
 	{"core", "View"},
-	{"shard", "Plan"},
 	{"mrf", "Beliefs"},
 }
 

@@ -1,78 +1,49 @@
 // Package core mirrors the shape of repro/internal/core for the modelmut
-// fixture: a Model struct, its constructor path, and the writes the
-// analyzer must reject.
+// fixture: a View struct, its constructor path, and the writes the analyzer
+// must reject.
 package core
 
-// Model mirrors the immutable-snapshot contract of the real core.Model.
-type Model struct {
+// View mirrors the immutable-snapshot contract of the real core.View.
+type View struct {
 	Version uint64
 	Speeds  []float64
 }
 
-// New is the allowed constructor path.
-func New() *Model {
-	m := &Model{}
-	m.Version = 1
-	return m
-}
-
 // build is the allowed version-stamping builder path.
-func build(version uint64) *Model {
-	m := New()
-	m.Version = version
-	return m
+func build(version uint64) *View {
+	v := &View{}
+	v.Version = version
+	return v
 }
 
-// Mutate holds the violations: writes outside the constructor.
-func Mutate(m *Model) []float64 {
-	m.Version = 2    // want `write to core\.Model field Version outside its constructor`
-	m.Version++      // want `write to core\.Model field Version outside its constructor`
-	ptr := &m.Speeds // want `taking the address of core\.Model field Speeds`
+// buildIncremental is the allowed delta-rebuild builder path.
+func buildIncremental(old *View) *View {
+	v := build(old.Version + 1)
+	v.Speeds = old.Speeds
+	return v
+}
+
+// Mutate holds the violations: writes outside the constructors.
+func Mutate(v *View) []float64 {
+	v.Version = 2    // want `write to core\.View field Version outside its constructor`
+	v.Version++      // want `write to core\.View field Version outside its constructor`
+	ptr := &v.Speeds // want `taking the address of core\.View field Speeds`
 	return *ptr
 }
 
 // Rebuild is the blessed alternative: construct a successor.
-func Rebuild(m *Model) *Model {
-	return build(m.Version + 1)
+func Rebuild(v *View) *View {
+	return build(v.Version + 1)
 }
 
 // Suppressed documents the escape hatch.
-func Suppressed(m *Model) {
+func Suppressed(v *View) {
 	//lint:ignore modelmut fixture: exercising the suppression path
-	m.Version = 3
+	v.Version = 3
 }
 
-// View mirrors the sharded snapshot added by the sharding refactor: a
-// federation of Models published through the same atomic-swap discipline.
-type View struct {
-	Version uint64
-	Shards  []*Model
-}
-
-// newView is View's only allowed constructor.
-func newView(version uint64, shards []*Model) *View {
-	v := &View{}
-	v.Version = version
-	v.Shards = shards
-	return v
-}
-
-// MutateView holds the View violations: writes outside newView.
-func MutateView(v *View) []*Model {
-	v.Version = 2    // want `write to core\.View field Version outside its constructor`
-	ptr := &v.Shards // want `taking the address of core\.View field Shards`
-	return *ptr
-}
-
-// SwapView is the blessed alternative: mint a successor view.
-func SwapView(v *View, m *Model) *View {
-	shards := append([]*Model(nil), v.Shards...)
-	shards[0] = m
-	return newView(v.Version+1, shards)
-}
-
-// BuildMayNotWriteView: Model's constructors have no licence over View —
-// the allow-list is per type, not per package.
-func build2(v *View) { // named like a constructor, but not one of View's
+// newView is named like a constructor, but the allow-list names exactly
+// build and buildIncremental.
+func newView(v *View) {
 	v.Version = 9 // want `write to core\.View field Version outside its constructor`
 }

@@ -57,10 +57,10 @@ func TestBPConvergenceResidualUndamped(t *testing.T) {
 
 // TestBPFinalResidualObservedPerRun pins the final-residual metric as a
 // per-run histogram: K concurrent Infer calls must record K observations.
-// The metric used to be a single gauge written by every run; with the
-// sharded serving path running K district inferences concurrently, the
-// exported value was whichever shard happened to write last. Run under
-// -race this also proves the observation path is data-race free.
+// The metric used to be a single gauge written by every run; with K
+// inferences running concurrently, the exported value was whichever run
+// happened to write last. Run under -race this also proves the observation
+// path is data-race free.
 func TestBPFinalResidualObservedPerRun(t *testing.T) {
 	const k = 8
 	models := make([]*Model, k)

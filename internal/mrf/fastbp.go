@@ -13,9 +13,8 @@ import (
 // and the node whose incoming messages have accumulated the largest change
 // since it last recomputed its outgoing messages is processed first, via a
 // bucketed priority queue. On nearly-converged inputs — warm-started
-// incremental rebuilds, stitch rounds on shard boundaries — the schedule
-// touches only the neighbourhood that actually changed, collapsing the
-// effective round count.
+// incremental rebuilds — the schedule touches only the neighbourhood that
+// actually changed, collapsing the effective round count.
 //
 // FastBP shares the Jacobi engine's float64 message store layout and its
 // per-node arithmetic (kernel.go); only the schedule differs. That schedule
@@ -25,9 +24,9 @@ import (
 // -engine-bench gate) but are not bitwise equal, so Jacobi remains the
 // authoritative reference wherever exact reproducibility is asserted.
 //
-// A FastBP run is deliberately sequential: the serving layers already run K
-// shard inferences concurrently (core.View), which is where the cores go;
-// a deterministic serial schedule keeps the engine reproducible for a given
+// A FastBP run is deliberately sequential: the serving layers run
+// concurrent requests' rounds side by side, which is where the cores go; a
+// deterministic serial schedule keeps the engine reproducible for a given
 // input. FastBP is safe for concurrent Infer calls — each run's state comes
 // from a pool.
 type FastBP struct {

@@ -97,7 +97,7 @@ func TestFastBPMarginalsAreProbabilities(t *testing.T) {
 
 // TestFastBPDeterministic: the schedule is serial and the bucket queue
 // breaks ties deterministically, so identical inputs give bitwise-identical
-// marginals run to run — the property that lets per-shard results stay
+// marginals run to run — the property that keeps served results
 // reproducible even though FastBP is not bitwise-equal to Jacobi.
 func TestFastBPDeterministic(t *testing.T) {
 	m := mustModel(t, loopGraph(t, 0.9), uniformPriors(4, 0.3))

@@ -22,10 +22,6 @@
 //     are converted to an error on the join path. Both variants always
 //     join every started chunk before returning — even on cancellation —
 //     so callers may recycle buffers immediately.
-//
-// EachCtx is the task-level sibling: body(i) per item with no serial cutoff,
-// for fan-out over a handful of coarse tasks (per-shard inference and
-// rebuilds) rather than a large index range.
 package par
 
 import (
@@ -181,79 +177,6 @@ func ForCtx(ctx context.Context, n, workers int, body func(start, end int)) erro
 // nil.
 func ForMaxCtx(ctx context.Context, n, workers int, body func(start, end int) float64) (float64, error) {
 	return forCtx(ctx, n, workers, body)
-}
-
-// EachCtx runs body(i) for every i in [0, n) across up to workers goroutines
-// and joins them all before returning. Unlike ForCtx there is no serial
-// cutoff: items are whole tasks (one shard's trend inference, one shard's
-// rebuild), not index ranges, so even two items are worth a goroutine each.
-// n == 1 runs inline on the calling goroutine.
-//
-// The returned error is the first body error observed, a *PanicError if a
-// body panicked, or ctx.Err(). Once ctx is cancelled or any body fails, no
-// further item is dispatched; items already running finish, and every worker
-// joins before EachCtx returns, so callers may reuse per-item state
-// immediately.
-func EachCtx(ctx context.Context, n, workers int, body func(i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if n == 1 || workers == 1 {
-		parRunsSerial.Inc()
-		var box panicBox
-		var firstErr error
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			box.capture(func() { firstErr = body(i) })
-			if pe := box.load(); pe != nil {
-				return pe
-			}
-			if firstErr != nil {
-				return firstErr
-			}
-		}
-		return ctx.Err()
-	}
-	parRunsParallel.Inc()
-	parWorkers.Set(float64(workers))
-	var cursor atomic.Int64
-	var box panicBox
-	var firstErr atomic.Pointer[error]
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil && box.load() == nil && firstErr.Load() == nil {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				box.capture(func() {
-					if err := body(i); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-					}
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	if pe := box.load(); pe != nil {
-		return pe
-	}
-	if ep := firstErr.Load(); ep != nil {
-		return *ep
-	}
-	return ctx.Err()
 }
 
 // runSerial is forCtx's inline path: body(0, n) on the calling goroutine with

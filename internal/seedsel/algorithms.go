@@ -38,7 +38,7 @@ type Selector interface {
 // early when the caller's context is cancelled. Selection over a city-scale
 // candidate set is the slowest online operation after a model swap, so
 // serving layers prefer this interface when the selector offers it (see
-// core.Model.SelectSeeds); Select remains the uncancellable fallback.
+// core.View.SelectSeeds); Select remains the uncancellable fallback.
 type ContextSelector interface {
 	Selector
 	// SelectCtx is Select bounded by ctx: it returns an error wrapping

@@ -36,20 +36,14 @@ import (
 	"repro/internal/timeslot"
 )
 
-// Model is one district's trained artifact: correlation graph, trend model,
-// hierarchical linear model and seed selection, stamped with a monotonic
-// version. View.Shard(0) is the whole city's Model when unsharded.
-type Model = core.Model
-
-// View is one trained version of the system and the estimation round that
-// runs on it: one Model when unsharded, or K district Models stitched at
-// their boundaries when Options.Shards > 1. A Store publishes successive
-// Views.
+// View is one trained version of the system — correlation graph, trend
+// model, hierarchical linear model and seed selection, stamped with a
+// monotonic version — and the estimation round that runs on it. A Store
+// publishes successive Views.
 type View = core.View
 
 // Store publishes the current View and rebuilds successors from ingested
-// observations without blocking estimation; on sharded deployments each
-// district rebuilds and swaps independently.
+// observations without blocking estimation.
 type Store = core.Store
 
 // StoreConfig arms a Store's background rebuild triggers.
