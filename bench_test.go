@@ -121,6 +121,24 @@ func BenchmarkTableT1DatasetBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkServerSetup times what speedserver -city default does before it
+// listens: build the 884-road, 14-day default dataset, then the store's
+// first model (correlation graph, HLM, seed-selection preparation).
+func BenchmarkServerSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d, err := dataset.Build(dataset.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		store, err := core.NewStore(d.Net, d.DB, core.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		store.Close()
+	}
+}
+
 // BenchmarkEstimate is the hot-path headline: one full estimation round on
 // the prepared fixture (trend inference + hierarchical regression + seed
 // fusion), with allocs/op as the tracked regression number. Table/figure

@@ -48,6 +48,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -471,10 +472,24 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// jsonBufs recycles writeJSON's encode buffers.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v before it sends the status, so a value encoding/json
+// refuses — a non-finite float — answers 500 with an error body rather than
+// the status it was meant for and an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(errorBody{Error: fmt.Sprintf("encoding the response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
+	jsonBufs.Put(buf)
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {

@@ -169,7 +169,9 @@ func (s *Store) Ingest(observations ...Observation) (int, error) {
 		if o.Slot < 0 || o.Slot > math.MaxInt32 {
 			return 0, fmt.Errorf("core: observation slot %d out of range: %w", o.Slot, ErrInvalidInput)
 		}
-		if o.Speed <= 0 || math.IsNaN(o.Speed) || math.IsInf(o.Speed, 0) {
+		// The history's profiles are float32, and Builder.Add rejects a
+		// larger speed: buffering one would fail every later rebuild.
+		if !(o.Speed > 0 && o.Speed <= math.MaxFloat32) {
 			return 0, fmt.Errorf("core: invalid observation speed %v on road %d: %w", o.Speed, o.Road, ErrInvalidInput)
 		}
 	}

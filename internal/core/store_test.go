@@ -75,6 +75,36 @@ func TestStoreIngestValidation(t *testing.T) {
 	}
 }
 
+// TestStoreIngestRejectsSpeedBeyondFloat32: the history keeps float32
+// profiles, so one huge but finite report used to become a +Inf profile
+// mean after the next rebuild, and the round then served its road at +Inf
+// m/s. Ingest rejects such a speed as invalid input; the largest speed the
+// history can hold is accepted and keeps every estimate finite.
+func TestStoreIngestRejectsSpeedBeyondFloat32(t *testing.T) {
+	ctx := context.Background()
+	d, st := buildStore(t)
+	defer st.Close()
+	const road = 7
+	if _, err := st.Ingest(Observation{Road: road, Slot: d.Slot(), Speed: 1e300}); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("Ingest of 1e300 m/s: error %v, want ErrInvalidInput", err)
+	}
+	if _, err := st.Ingest(Observation{Road: road, Slot: d.Slot(), Speed: math.MaxFloat32}); err != nil {
+		t.Fatalf("Ingest of math.MaxFloat32 m/s: %v", err)
+	}
+	if _, err := st.Rebuild(ctx); err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.View().Estimate(ctx, d.Slot(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, v := range res.Speeds {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Errorf("road %d served at %v m/s", r, v)
+		}
+	}
+}
+
 // TestStoreRebuildSwapsVersionAndFoldsObservations: a rebuild publishes a
 // higher version trained on the union of the old snapshot and the ingested
 // observations, and the prepared seed set survives the swap.

@@ -135,8 +135,9 @@ func Build(cfg Config) (*Dataset, error) {
 	historySlots := cfg.HistoryDays * cal.SlotsPerDay()
 	roads := net.Roads()
 	for slot := 0; slot < historySlots; slot++ {
-		speeds := sim.Speeds()
-		for i := range speeds {
+		// The coverage draw comes first, so the simulator evaluates only
+		// the roads the history samples.
+		for i := range roads {
 			p := cfg.CoveragePerSlot * classCoverageBoost(roads[i].Class)
 			if p > 1 {
 				p = 1
@@ -144,7 +145,7 @@ func Build(cfg Config) (*Dataset, error) {
 			if rng.Float64() >= p {
 				continue
 			}
-			observed := speeds[i] * math.Exp(rng.NormFloat64()*cfg.ObsNoise)
+			observed := sim.Speed(roadnet.RoadID(i)) * math.Exp(rng.NormFloat64()*cfg.ObsNoise)
 			if err := builder.Add(roadnet.RoadID(i), slot, observed); err != nil {
 				return nil, err
 			}

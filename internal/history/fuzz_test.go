@@ -2,6 +2,7 @@ package history
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -143,6 +144,77 @@ func FuzzCoObserved(f *testing.F) {
 		for u := range series {
 			for v := range series {
 				checkCoObserved(t, "fuzz", db, roadnet.RoadID(u), roadnet.RoadID(v), series[u], series[v])
+			}
+		}
+	})
+}
+
+// builderRecord is one FuzzBuilderFinite input record: a road byte, a
+// little-endian uint16 slot and the speed's little-endian float64 bits.
+const builderRecord = 11
+
+// builderTriples encodes (road, slot, speed) triples as FuzzBuilderFinite
+// decodes them.
+func builderTriples(triples ...[3]float64) []byte {
+	var out []byte
+	for _, tr := range triples {
+		rec := make([]byte, builderRecord)
+		rec[0] = byte(tr[0])
+		binary.LittleEndian.PutUint16(rec[1:], uint16(tr[1]))
+		binary.LittleEndian.PutUint64(rec[3:], math.Float64bits(tr[2]))
+		out = append(out, rec...)
+	}
+	return out
+}
+
+// FuzzBuilderFinite adds fuzz-decoded observations to a three-road builder.
+// The property: whatever Add accepts leaves the finalized DB finite — every
+// accepted observation's Mean, Std and PUp, and every road's rels. The DB
+// stores float32 profiles, so Add must reject the finite speeds float32
+// cannot hold.
+func FuzzBuilderFinite(f *testing.F) {
+	f.Add(builderTriples([3]float64{0, 0, 10.5}, [3]float64{0, 1008, 1e300}, [3]float64{0, 2016, 9}))
+	f.Add(builderTriples([3]float64{1, 5, math.MaxFloat64}, [3]float64{1, 5, 12}))
+	f.Add(builderTriples([3]float64{2, 7, math.MaxFloat32}, [3]float64{2, 7, math.MaxFloat32}, [3]float64{2, 1015, 3}))
+	f.Add(builderTriples([3]float64{0, 3, math.Nextafter(math.MaxFloat32, math.Inf(1))}, [3]float64{0, 1011, 8}))
+	f.Add(builderTriples([3]float64{1, 9, 1e-300}, [3]float64{1, 1017, 5e-324}, [3]float64{1, 9, 14}))
+	c := timeslot.MustCalendar(time.Date(2016, 3, 7, 0, 0, 0, 0, time.UTC), 10*time.Minute)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const roads = 3
+		b, err := NewBuilder(c, roads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type obs struct {
+			road  roadnet.RoadID
+			slot  int
+			speed float64
+		}
+		var accepted []obs
+		for ; len(data) >= builderRecord; data = data[builderRecord:] {
+			o := obs{
+				road:  roadnet.RoadID(data[0] % roads),
+				slot:  int(binary.LittleEndian.Uint16(data[1:])),
+				speed: math.Float64frombits(binary.LittleEndian.Uint64(data[3:])),
+			}
+			if b.Add(o.road, o.slot, o.speed) == nil {
+				accepted = append(accepted, o)
+			}
+		}
+		db := b.Finalize()
+		finite := func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
+		for _, o := range accepted {
+			mean, _ := db.Mean(o.road, o.slot)
+			std, _ := db.Std(o.road, o.slot)
+			if pUp := db.PUp(o.road, o.slot); !finite(mean) || !finite(std) || !finite(pUp) {
+				t.Fatalf("after %v m/s on road %d slot %d: mean %v, std %v, p_up %v", o.speed, o.road, o.slot, mean, std, pUp)
+			}
+		}
+		for r := range roadnet.RoadID(roads) {
+			for k, rel := range db.Rels(r) {
+				if !finite(float64(rel)) {
+					t.Fatalf("road %d sample %d: rel %v", r, k, rel)
+				}
 			}
 		}
 	})

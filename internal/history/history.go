@@ -365,8 +365,9 @@ func NewBuilder(cal *timeslot.Calendar, numRoads int) (*Builder, error) {
 }
 
 // Add records one speed observation. Out-of-range road IDs, slots that do
-// not fit the database encoding, and non-positive or non-finite speeds are
-// rejected with an error matching ErrInvalidObservation.
+// not fit the database encoding, and speeds that are not positive or do not
+// fit the database's float32 profiles (above math.MaxFloat32, non-finite)
+// are rejected with an error matching ErrInvalidObservation.
 func (b *Builder) Add(road roadnet.RoadID, slot int, speed float64) error {
 	if int(road) < 0 || int(road) >= b.numRoads {
 		return fmt.Errorf("history: road %d out of range [0,%d): %w", road, b.numRoads, ErrInvalidObservation)
@@ -374,7 +375,7 @@ func (b *Builder) Add(road roadnet.RoadID, slot int, speed float64) error {
 	if slot < 0 || slot > math.MaxInt32 {
 		return fmt.Errorf("history: slot %d outside [0, 2^31): %w", slot, ErrInvalidObservation)
 	}
-	if speed <= 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
+	if !(speed > 0 && speed <= math.MaxFloat32) {
 		return fmt.Errorf("history: invalid speed %v for road %d: %w", speed, road, ErrInvalidObservation)
 	}
 	b.mu.Lock()

@@ -487,6 +487,30 @@ func TestBuilderValidationSentinel(t *testing.T) {
 	}
 }
 
+// TestBuilderRejectsSpeedBeyondFloat32: the DB stores float32 profiles, so
+// a finite speed above math.MaxFloat32 would become a +Inf mean and a NaN
+// std. Add rejects it as an invalid observation and accepts the largest
+// speed the DB can hold.
+func TestBuilderRejectsSpeedBeyondFloat32(t *testing.T) {
+	b, err := NewBuilder(cal(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{1e300, math.MaxFloat64, math.Nextafter(math.MaxFloat32, math.Inf(1))} {
+		if err := b.Add(0, 0, v); !errors.Is(err, ErrInvalidObservation) {
+			t.Errorf("Add(%v): error %v, want ErrInvalidObservation", v, err)
+		}
+	}
+	if err := b.Add(0, 1, math.MaxFloat32); err != nil {
+		t.Fatalf("Add(math.MaxFloat32): %v", err)
+	}
+	db := b.Finalize()
+	mean, ok := db.Mean(0, 1)
+	if !ok || math.IsInf(mean, 0) || math.IsNaN(mean) {
+		t.Errorf("mean %v (ok %v) after the largest accepted speed", mean, ok)
+	}
+}
+
 // TestBuilderConcurrentAdd races many goroutines into one builder (run with
 // -race) and checks the final database matches a serial build: the server's
 // ingestion path folds crowd reports in from concurrent request handlers.

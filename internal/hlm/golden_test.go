@@ -52,6 +52,17 @@ type trainGolden struct {
 
 	// Specialize is the seed-conditional model over every tenth road.
 	Specialize []string `json:"specialize"`
+
+	servedGolden
+}
+
+// servedGolden is TestTrainGoldenServedCity's share of the fixture: the
+// served city's history DB codec digest and every road's trained numbers.
+type servedGolden struct {
+	ServedRoads   int      `json:"served_roads"`
+	ServedSamples int      `json:"served_samples"`
+	ServedDB      string   `json:"served_db"`
+	ServedTrain   []string `json:"served_train"`
 }
 
 var (
@@ -352,6 +363,63 @@ func recordGolden(t *testing.T) (trainGolden, map[string][]string) {
 	}, dumps
 }
 
+// readGolden loads the recorded fixture.
+func readGolden(t *testing.T) trainGolden {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g trainGolden
+	if err := json.Unmarshal(raw, &g); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// writeGolden rewrites the fields set rewrites, keeping the others as
+// recorded, so each golden test re-records only its own city.
+func writeGolden(t *testing.T, set func(g *trainGolden)) {
+	t.Helper()
+	var g trainGolden
+	if raw, err := os.ReadFile(goldenPath); err == nil {
+		if err := json.Unmarshal(raw, &g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set(&g)
+	raw, err := json.MarshalIndent(g, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// compareDigests reports every road whose digest differs from the fixture,
+// printing the first one's live dump.
+func compareDigests(t *testing.T, key string, got, want, dumps []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d roads, recorded %d", key, len(got), len(want))
+		return
+	}
+	bad := 0
+	for r := range got {
+		if got[r] == want[r] {
+			continue
+		}
+		if bad == 0 {
+			t.Errorf("%s road %d: digest %s, recorded %s; live dump:\n%s", key, r, got[r], want[r], dumps[r])
+		}
+		bad++
+	}
+	if bad > 0 {
+		t.Errorf("%s: %d of %d roads differ from the fixture", key, bad, len(got))
+	}
+}
+
 // TestTrainGolden pins the offline phase bit for bit against a fixture
 // recorded before training moved to flat arrays: the history DB, the
 // correlation graph, Train, one Retrain over a roll-forward delta, and one
@@ -360,23 +428,10 @@ func recordGolden(t *testing.T) (trainGolden, map[string][]string) {
 func TestTrainGolden(t *testing.T) {
 	got, dumps := recordGolden(t)
 	if *updateGolden {
-		raw, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeGolden(t, func(g *trainGolden) { got.servedGolden, *g = g.servedGolden, got })
 		return
 	}
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want trainGolden
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readGolden(t)
 	if got.Roads != want.Roads || got.Samples != want.Samples || got.RolledSamples != want.RolledSamples {
 		t.Fatalf("golden city drifted: %d roads, %d/%d samples; recorded %d roads, %d/%d samples",
 			got.Roads, got.Samples, got.RolledSamples, want.Roads, want.Samples, want.RolledSamples)
@@ -402,22 +457,55 @@ func TestTrainGolden(t *testing.T) {
 		{"retrain", got.Retrain, want.Retrain},
 		{"specialize", got.Specialize, want.Specialize},
 	} {
-		if len(s.got) != len(s.want) {
-			t.Errorf("%s: %d roads, recorded %d", s.key, len(s.got), len(s.want))
-			continue
-		}
-		bad := 0
-		for r := range s.got {
-			if s.got[r] == s.want[r] {
-				continue
-			}
-			if bad == 0 {
-				t.Errorf("%s road %d: digest %s, recorded %s; live dump:\n%s", s.key, r, s.got[r], s.want[r], dumps[s.key][r])
-			}
-			bad++
-		}
-		if bad > 0 {
-			t.Errorf("%s: %d of %d roads differ from the fixture", s.key, bad, len(s.got))
-		}
+		compareDigests(t, s.key, s.got, s.want, dumps[s.key])
 	}
+}
+
+// TestTrainGoldenServedCity pins the city speedserver builds and the bench
+// scores: dataset.DefaultConfig() (884 roads, 14 days of history), its
+// history DB and every road's trained numbers under the default correlation
+// and HLM configs with core's pooling levels. It takes about a second, ten
+// times that under the race detector, so it is skipped there; CI runs it in
+// a non-race step.
+func TestTrainGoldenServedCity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("slow under the race detector; CI runs it without -race")
+	}
+	d, err := dataset.Build(dataset.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := corr.Build(d.Net, d.DB, corr.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Levels = defaultLevels(d.Net)
+	m, err := Train(g, d.DB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dumps := modelDumps(m)
+	got := servedGolden{
+		ServedRoads:   d.Net.NumRoads(),
+		ServedSamples: d.DB.ObservationCount(),
+		ServedDB:      dbDigest(t, d.DB),
+		ServedTrain:   make([]string, len(dumps)),
+	}
+	for r, s := range dumps {
+		got.ServedTrain[r] = digest(s)
+	}
+	if *updateGolden {
+		writeGolden(t, func(g *trainGolden) { g.servedGolden = got })
+		return
+	}
+	want := readGolden(t)
+	if got.ServedRoads != want.ServedRoads || got.ServedSamples != want.ServedSamples {
+		t.Fatalf("served city drifted: %d roads, %d samples; recorded %d roads, %d samples",
+			got.ServedRoads, got.ServedSamples, want.ServedRoads, want.ServedSamples)
+	}
+	if got.ServedDB != want.ServedDB {
+		t.Errorf("history DB digest %s, recorded %s", got.ServedDB, want.ServedDB)
+	}
+	compareDigests(t, "served_train", got.ServedTrain, want.ServedTrain, dumps)
 }

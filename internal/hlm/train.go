@@ -155,6 +155,9 @@ func (b *fitBuf) fitTrend(x []float64, p int, y []float64, minSamples int, lambd
 	if len(y) < minSamples {
 		return pairModel{}, false
 	}
+	if p == 1 {
+		return b.fitTrend1(x, y, minSamples, lambda)
+	}
 	if pm.pooled = fitOrNil(x, p, y, lambda); pm.pooled == nil {
 		return pairModel{}, false
 	}
@@ -182,6 +185,66 @@ func (b *fitBuf) fitTrend(x []float64, p int, y []float64, minSamples int, lambd
 		pm.down = fitOrNil(downX, p, downY, lambda)
 	}
 	return pm, true
+}
+
+// trendFits holds one pair's three one-feature regressions in a single
+// allocation.
+type trendFits struct{ pooled, up, down linalg.Ridge1 }
+
+// fitTrend1 is fitTrend for one feature, which covers every fit Train and
+// Retrain make. Which class a row joins is a coin flip, so the rows are
+// partitioned once without branches: each row is written to both the up
+// and the down buffer, and only its class's cursor advances. The partition
+// is stable, so each class fits its rows in the order fitTrend's copy loop
+// would, and the models are bit-identical.
+func (b *fitBuf) fitTrend1(x, y []float64, minSamples int, lambda float64) (pairModel, bool) {
+	fits := new(trendFits)
+	pooled, err := fits.pooled.Fit(x, y, lambda)
+	if err != nil {
+		return pairModel{}, false
+	}
+	n := len(y)
+	grow := func(buf []float64) []float64 { return slices.Grow(buf[:0], n)[:n] }
+	b.upX, b.upY, b.downX, b.downY = grow(b.upX), grow(b.upY), grow(b.downX), grow(b.downY)
+	up := partition(x, y, b.upX, b.upY, b.downX, b.downY)
+	pm := pairModel{pooled: pooled}
+	if up >= minSamples/2 {
+		pm.up = fit1OrNil(&fits.up, b.upX[:up], b.upY[:up], lambda)
+	}
+	if n-up >= minSamples/2 {
+		pm.down = fit1OrNil(&fits.down, b.downX[:n-up], b.downY[:n-up], lambda)
+	}
+	return pm, true
+}
+
+// partition writes the rows with y ≥ 1 to the front of upX and upY and the
+// others to the front of downX and downY, each class in row order, and
+// returns the number of up rows. Every buffer must hold len(y) rows.
+func partition(x, y, upX, upY, downX, downY []float64) (up int) {
+	x = x[:len(y)]
+	for i, v := range y {
+		upX[up], upY[up] = x[i], v
+		downX[i-up], downY[i-up] = x[i], v
+		up += b2i(v >= 1)
+	}
+	return up
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func fit1OrNil(r *linalg.Ridge1, x, y []float64, lambda float64) *linalg.RidgeModel {
+	m, err := r.Fit(x, y, lambda)
+	if err != nil {
+		return nil
+	}
+	return m
 }
 
 func fitOrNil(x []float64, p int, y []float64, lambda float64) *linalg.RidgeModel {

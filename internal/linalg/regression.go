@@ -45,20 +45,28 @@ func (m *RidgeModel) Predict1(x float64) (float64, error) {
 // normal equations are solvable when features are collinear, which happens
 // constantly with neighbouring road speeds.
 func RidgeFit(x []float64, p int, y []float64, lambda float64) (*RidgeModel, error) {
-	n := len(y)
-	if p < 0 || len(x) != n*p {
-		return nil, fmt.Errorf("%w: %d design values for %d responses of %d features", ErrShape, len(x), n, p)
-	}
-	if n == 0 {
-		return nil, ErrNoSamples
-	}
-	if lambda < 0 {
-		return nil, fmt.Errorf("linalg: negative ridge penalty %v", lambda)
+	if err := checkFit(x, p, y, lambda); err != nil {
+		return nil, err
 	}
 	if p == 1 {
-		return ridgeFit1(x, y, lambda)
+		return new(Ridge1).fit(x, y, lambda)
 	}
 	return ridgeFit(x, p, y, lambda)
+}
+
+// checkFit validates RidgeFit's inputs.
+func checkFit(x []float64, p int, y []float64, lambda float64) error {
+	n := len(y)
+	if p < 0 || len(x) != n*p {
+		return fmt.Errorf("%w: %d design values for %d responses of %d features", ErrShape, len(x), n, p)
+	}
+	if n == 0 {
+		return ErrNoSamples
+	}
+	if lambda < 0 {
+		return fmt.Errorf("linalg: negative ridge penalty %v", lambda)
+	}
+	return nil
 }
 
 // ridgeFit is the general path of RidgeFit over validated inputs.
@@ -137,26 +145,40 @@ func ridgeFit(x []float64, p int, y []float64, lambda float64) (*RidgeModel, err
 	return m, nil
 }
 
-// ridge1 carries a one-feature model and its coefficient in one allocation.
-type ridge1 struct {
+// Ridge1 holds a one-feature ridge model and its coefficient in one value,
+// so a caller fitting several models can allocate them together. The model
+// Fit returns lives in the Ridge1, which must not be copied afterwards.
+type Ridge1 struct {
 	m    RidgeModel
 	coef [1]float64
 }
 
-// ridgeFit1 is ridgeFit for p = 1 — every pairwise and pooled regression the
-// HLM trains — without the matrix and vector scaffolding. It performs the
+// Fit is RidgeFit(x, 1, y, lambda) fitted into r: the same model, bit for
+// bit, and the same errors.
+func (r *Ridge1) Fit(x, y []float64, lambda float64) (*RidgeModel, error) {
+	if err := checkFit(x, 1, y, lambda); err != nil {
+		return nil, err
+	}
+	return r.fit(x, y, lambda)
+}
+
+// fit is ridgeFit for p = 1 — every pairwise and pooled regression the HLM
+// trains — without the matrix and vector scaffolding. It performs the
 // general path's floating-point operations in the general path's order, so
-// both return bit-identical models: the 1×1 Cholesky solve divides by
+// both return bit-identical models: the means sum x and y in one loop but
+// each in its own accumulator, the 1×1 Cholesky solve divides by
 // √(Sxx+λ+1e-9) twice rather than once by Sxx+λ+1e-9, and every Dot starts
 // from a zero accumulator.
-func ridgeFit1(x, y []float64, lambda float64) (*RidgeModel, error) {
+func (r *Ridge1) fit(x, y []float64, lambda float64) (*RidgeModel, error) {
 	n := len(y)
-	var xMean float64
-	for _, v := range x {
-		xMean += v
+	y = y[:len(x)]
+	var xSum, ySum float64
+	for i, v := range x {
+		xSum += v
+		ySum += y[i]
 	}
-	xMean /= float64(n)
-	yMean := Mean(y)
+	xMean := xSum / float64(n)
+	yMean := ySum / float64(n)
 
 	var sxx, sxy float64
 	for i, v := range x {
@@ -176,7 +198,6 @@ func ridgeFit1(x, y []float64, lambda float64) (*RidgeModel, error) {
 	l := math.Sqrt(sxx)
 	w := sxy / l / l
 
-	r := &ridge1{}
 	r.coef[0] = w
 	var dot float64
 	dot += w * xMean

@@ -19,7 +19,10 @@
 //   - per-road idiosyncratic noise, bounding achievable accuracy.
 //
 // The simulator is deterministic for a given seed and advances one time slot
-// at a time.
+// at a time. Step advances the congestion field, the incidents and the
+// per-road noise draws; speeds are evaluated on first read after Step, the
+// whole slot by Speeds and one road by Speed, so a caller that samples a
+// subset of roads pays only for the roads it reads.
 package trafficsim
 
 import (
@@ -115,22 +118,27 @@ type Simulator struct {
 
 	slot      int       // next slot to be produced by Step
 	field     []float64 // AR(1) congestion field, log-speed units
-	speeds    []float64 // current true speeds, m/s
 	baseline  []float64 // per-road static factor (chronically slow roads)
 	sens      []float64 // per-road congestion sensitivity (response amplitude)
-	gamma     []float64 // per-road response exponent (nonlinearity)
+	gamma     []power   // per-road response exponent (nonlinearity)
 	incidents []incident
 
 	// classFactor is a per-road-class AR(1) common congestion factor:
 	// highways city-wide slow together when the city fills up.
 	classFactor [4]float64
 
-	// diffWeights[r][k] weighs road r's k-th adjacent road in the diffusion
-	// pass. Weights encode the paper's motivating observation: congestion
-	// propagates along roads of the same class and direction; a side street
-	// tells little about the arterial it touches, and the opposite
-	// carriageway can behave differently.
-	diffWeights [][]float64
+	// diffusion is the congestion innovations' smoothing stencil.
+	diffusion stencil
+
+	// The current slot's speed inputs, set by Step: every road's noise
+	// draw (standard normal), its incident multiplier, and each class's
+	// diurnal factor. speeds holds every road's speed once evaluated is
+	// set.
+	noise     []float64
+	mult      []float64
+	diurnal   [4]float64
+	speeds    []float64
+	evaluated bool
 
 	// scratch buffers reused across steps
 	innov, smooth []float64
@@ -146,13 +154,15 @@ func New(net *roadnet.Network, cal *timeslot.Calendar, cfg Config) (*Simulator, 
 		net: net, cal: cal, cfg: cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		field:    make([]float64, n),
-		speeds:   make([]float64, n),
 		baseline: make([]float64, n),
+		sens:     make([]float64, n),
+		gamma:    make([]power, n),
+		noise:    make([]float64, n),
+		mult:     make([]float64, n),
+		speeds:   make([]float64, n),
 		innov:    make([]float64, n),
 		smooth:   make([]float64, n),
 	}
-	s.sens = make([]float64, n)
-	s.gamma = make([]float64, n)
 	for i := range s.baseline {
 		// Chronic per-road factor in roughly [0.85, 1.05].
 		s.baseline[i] = math.Exp(s.rng.NormFloat64() * 0.05)
@@ -163,16 +173,19 @@ func New(net *roadnet.Network, cal *timeslot.Calendar, cfg Config) (*Simulator, 
 		// and nonlinear magnitudes — a wide arterial absorbs demand that
 		// jams a narrow street. This is the reason the paper transfers
 		// trends between roads rather than raw speeds.
-		s.sens[i] = math.Exp(s.rng.NormFloat64() * 0.45)               // amplitude ~ lognormal around 1
-		s.gamma[i] = math.Exp((s.rng.Float64()*2 - 1) * math.Log(1.8)) // exponent in [1/1.8, 1.8]
+		s.sens[i] = math.Exp(s.rng.NormFloat64() * 0.45)                           // amplitude ~ lognormal around 1
+		s.gamma[i] = splitPower(math.Exp((s.rng.Float64()*2 - 1) * math.Log(1.8))) // exponent in [1/1.8, 1.8]
 	}
-	s.diffWeights = buildDiffusionWeights(net)
-	s.computeSpeeds()
+	s.diffusion = newStencil(net, buildDiffusionWeights(net))
+	s.drawSlot()
 	return s, nil
 }
 
 // buildDiffusionWeights precomputes, for each road, the diffusion weight of
-// each of its adjacent roads.
+// each of its adjacent roads, in adjacency order. Weights encode the paper's
+// motivating observation: congestion propagates along roads of the same
+// class and direction; a side street tells little about the arterial it
+// touches, and the opposite carriageway can behave differently.
 func buildDiffusionWeights(net *roadnet.Network) [][]float64 {
 	roads := net.Roads()
 	out := make([][]float64, len(roads))
@@ -213,20 +226,36 @@ func classDistance(a, b roadnet.RoadClass) int {
 // Slot returns the slot index of the speeds currently exposed by Speeds.
 func (s *Simulator) Slot() int { return s.slot }
 
-// Speeds returns the current true speed of every road in m/s. The slice is
-// reused across steps; callers that retain it must copy.
-func (s *Simulator) Speeds() []float64 { return s.speeds }
+// Speeds returns the current true speed of every road in m/s, evaluating
+// the slot on its first read after Step. The slice is reused across steps;
+// callers that retain it must copy.
+func (s *Simulator) Speeds() []float64 {
+	if !s.evaluated {
+		for i := range s.speeds {
+			s.speeds[i] = s.speedOf(i)
+		}
+		s.evaluated = true
+	}
+	return s.speeds
+}
 
-// Speed returns the current true speed of one road in m/s.
-func (s *Simulator) Speed(id roadnet.RoadID) float64 { return s.speeds[id] }
+// Speed returns the current true speed of one road in m/s. Until Speeds
+// evaluates the slot, it evaluates this road alone.
+func (s *Simulator) Speed(id roadnet.RoadID) float64 {
+	if s.evaluated {
+		return s.speeds[id]
+	}
+	return s.speedOf(int(id))
+}
 
-// Step advances the simulator to the next slot and recomputes all speeds.
+// Step advances the simulator to the next slot. It draws the slot's
+// randomness but evaluates no speed; Speeds and Speed do that on demand.
 func (s *Simulator) Step() {
 	s.slot++
 	s.advanceField()
 	s.spawnIncidents()
 	s.expireIncidents()
-	s.computeSpeeds()
+	s.drawSlot()
 }
 
 // Run advances through n slots, invoking fn after each step with the slot
@@ -234,7 +263,7 @@ func (s *Simulator) Step() {
 func (s *Simulator) Run(n int, fn func(slot int, speeds []float64)) {
 	for i := 0; i < n; i++ {
 		if fn != nil {
-			fn(s.slot, s.speeds)
+			fn(s.slot, s.Speeds())
 		}
 		s.Step()
 	}
@@ -253,17 +282,7 @@ func (s *Simulator) advanceField() {
 	// the heterogeneous correlation structure the paper exploits and plain
 	// spatial interpolation cannot.
 	for pass := 0; pass < s.cfg.DiffusionPasses; pass++ {
-		for i := 0; i < n; i++ {
-			adj := s.net.Adjacent(roadnet.RoadID(i))
-			ws := s.diffWeights[i]
-			sum := s.innov[i]
-			wsum := 1.0
-			for k, nb := range adj {
-				sum += ws[k] * s.innov[nb]
-				wsum += ws[k]
-			}
-			s.smooth[i] = sum / wsum
-		}
+		s.diffusion.sweep(s.smooth, s.innov)
 		s.innov, s.smooth = s.smooth, s.innov
 	}
 	// Smoothing shrinks the variance; rescale so the stationary field keeps
@@ -344,40 +363,46 @@ func (s *Simulator) expireIncidents() {
 // ActiveIncidents returns the number of incidents currently in effect.
 func (s *Simulator) ActiveIncidents() int { return len(s.incidents) }
 
-// computeSpeeds recomputes every road's speed for the current slot.
-func (s *Simulator) computeSpeeds() {
+// drawSlot prepares the current slot's speed inputs: the incident
+// multipliers, the diurnal factors and one noise draw per road, in road
+// order. The draws are the slot's last use of the RNG, so evaluating speeds
+// later, in any order or not at all, leaves the random stream untouched.
+func (s *Simulator) drawSlot() {
 	// Incident multipliers (multiplicative across overlapping incidents).
-	mult := s.smooth // reuse scratch
-	for i := range mult {
-		mult[i] = 1
+	for i := range s.mult {
+		s.mult[i] = 1
 	}
 	for _, inc := range s.incidents {
 		for j, id := range inc.hitRoads {
-			mult[id] *= inc.hitFactor[j]
+			s.mult[id] *= inc.hitFactor[j]
 		}
 	}
 	h, weekend := diurnalClock(s.cal, s.slot)
-	var diurnal [4]float64
-	for c := range diurnal {
-		diurnal[c] = diurnalFactor(h, weekend, roadnet.RoadClass(c))
+	for c := range s.diurnal {
+		s.diurnal[c] = diurnalFactor(h, weekend, roadnet.RoadClass(c))
 	}
-	roads := s.net.Roads()
-	for i := range roads {
-		class := roads[i].Class
-		base := class.FreeFlowSpeed() * s.baseline[i] * diurnal[class]
-		noise := math.Exp(s.rng.NormFloat64() * s.cfg.NoiseScale)
-		speed := base * math.Exp(s.response(i, s.field[i]+s.classFactor[class])) * mult[i] * noise
-		// Physical ceiling and floor: free-flowing traffic exceeds the
-		// nominal free-flow speed only slightly, and jams crawl rather than
-		// stopping forever.
-		if ceiling := class.FreeFlowSpeed() * 1.25; speed > ceiling {
-			speed = ceiling
-		}
-		if floor := 1.5; speed < floor { // ≈ 5.4 km/h
-			speed = floor
-		}
-		s.speeds[i] = speed
+	for i := range s.noise {
+		s.noise[i] = s.rng.NormFloat64()
 	}
+	s.evaluated = false
+}
+
+// speedOf evaluates road i's speed for the current slot.
+func (s *Simulator) speedOf(i int) float64 {
+	class := s.net.Road(roadnet.RoadID(i)).Class
+	base := class.FreeFlowSpeed() * s.baseline[i] * s.diurnal[class]
+	noise := math.Exp(s.noise[i] * s.cfg.NoiseScale)
+	speed := base * math.Exp(s.response(i, s.field[i]+s.classFactor[class])) * s.mult[i] * noise
+	// Physical ceiling and floor: free-flowing traffic exceeds the nominal
+	// free-flow speed only slightly, and jams crawl rather than stopping
+	// forever.
+	if ceiling := class.FreeFlowSpeed() * 1.25; speed > ceiling {
+		speed = ceiling
+	}
+	if floor := 1.5; speed < floor { // ≈ 5.4 km/h
+		speed = floor
+	}
+	return speed
 }
 
 // response maps the shared congestion signal f to road i's log-speed
@@ -390,7 +415,7 @@ func (s *Simulator) response(i int, f float64) float64 {
 		return f * s.sens[i]
 	}
 	norm := math.Abs(f) / sigma
-	return math.Copysign(math.Pow(norm, s.gamma[i])*sigma*s.sens[i], f)
+	return math.Copysign(s.gamma[i].of(norm)*sigma*s.sens[i], f)
 }
 
 // DiurnalFactor returns the deterministic time-of-day speed multiplier for a

@@ -259,7 +259,7 @@ func TestIncidentsDepressLocalSpeed(t *testing.T) {
 		road: 0, endsSlot: sim.slot + 10, severity: 0.5,
 		hitRoads: []roadnet.RoadID{0}, hitFactor: []float64{0.5},
 	})
-	sim.computeSpeeds()
+	sim.drawSlot()
 	after := sim.Speed(0)
 	if after > before*0.6 {
 		t.Errorf("incident speed %v not clearly below %v", after, before)
