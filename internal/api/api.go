@@ -48,7 +48,6 @@
 package api
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -472,24 +471,19 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// jsonBufs recycles writeJSON's encode buffers.
-var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // writeJSON encodes v before it sends the status, so a value encoding/json
 // refuses — a non-finite float — answers 500 with an error body rather than
-// the status it was meant for and an empty body.
+// the status it was meant for and an empty body. Bodies end in a newline, as
+// json.Encoder writes them.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		buf.Reset()
+	body, err := json.Marshal(v)
+	if err != nil {
 		status = http.StatusInternalServerError
-		_ = json.NewEncoder(buf).Encode(errorBody{Error: fmt.Sprintf("encoding the response: %v", err)})
+		body, _ = json.Marshal(errorBody{Error: fmt.Sprintf("encoding the response: %v", err)})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
-	jsonBufs.Put(buf)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {

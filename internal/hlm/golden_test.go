@@ -428,7 +428,10 @@ func compareDigests(t *testing.T, key string, got, want, dumps []string) {
 func TestTrainGolden(t *testing.T) {
 	got, dumps := recordGolden(t)
 	if *updateGolden {
-		writeGolden(t, func(g *trainGolden) { got.servedGolden, *g = g.servedGolden, got })
+		writeGolden(t, func(g *trainGolden) {
+			got.servedGolden = g.servedGolden
+			*g = got
+		})
 		return
 	}
 	want := readGolden(t)

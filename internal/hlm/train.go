@@ -152,37 +152,28 @@ type fitBuf struct {
 // matching rows when each class holds at least minSamples/2 of them. ok is
 // false when fewer than minSamples rows exist or the pooled fit fails.
 func (b *fitBuf) fitTrend(x []float64, p int, y []float64, minSamples int, lambda float64) (pm pairModel, ok bool) {
-	if len(y) < minSamples {
+	n := len(y)
+	if n < minSamples {
 		return pairModel{}, false
 	}
+	// One feature, which covers every fit Train and Retrain make, fits the
+	// three models into one allocation.
+	var pooled, up, down *linalg.Ridge1
 	if p == 1 {
-		return b.fitTrend1(x, y, minSamples, lambda)
+		fits := new(trendFits)
+		pooled, up, down = &fits.pooled, &fits.up, &fits.down
 	}
-	if pm.pooled = fitOrNil(x, p, y, lambda); pm.pooled == nil {
+	if pm.pooled = fitOrNil(pooled, x, p, y, lambda); pm.pooled == nil {
 		return pairModel{}, false
 	}
-	upX, upY, downX, downY := b.upX[:0], b.upY[:0], b.downX[:0], b.downY[:0]
-	for i, v := range y {
-		// Element-wise copies: the rows are a few values long, too short
-		// for a memmove call to pay.
-		if v >= 1 {
-			for _, xv := range x[i*p : (i+1)*p] {
-				upX = append(upX, xv)
-			}
-			upY = append(upY, v)
-		} else {
-			for _, xv := range x[i*p : (i+1)*p] {
-				downX = append(downX, xv)
-			}
-			downY = append(downY, v)
-		}
+	b.upX, b.downX = resize(b.upX, n*p), resize(b.downX, n*p)
+	b.upY, b.downY = resize(b.upY, n), resize(b.downY, n)
+	nUp := partition(x, p, y, b.upX, b.upY, b.downX, b.downY)
+	if nUp >= minSamples/2 {
+		pm.up = fitOrNil(up, b.upX[:nUp*p], p, b.upY[:nUp], lambda)
 	}
-	b.upX, b.upY, b.downX, b.downY = upX, upY, downX, downY
-	if len(upY) >= minSamples/2 {
-		pm.up = fitOrNil(upX, p, upY, lambda)
-	}
-	if len(downY) >= minSamples/2 {
-		pm.down = fitOrNil(downX, p, downY, lambda)
+	if n-nUp >= minSamples/2 {
+		pm.down = fitOrNil(down, b.downX[:(n-nUp)*p], p, b.downY[:n-nUp], lambda)
 	}
 	return pm, true
 }
@@ -191,40 +182,32 @@ func (b *fitBuf) fitTrend(x []float64, p int, y []float64, minSamples int, lambd
 // allocation.
 type trendFits struct{ pooled, up, down linalg.Ridge1 }
 
-// fitTrend1 is fitTrend for one feature, which covers every fit Train and
-// Retrain make. Which class a row joins is a coin flip, so the rows are
-// partitioned once without branches: each row is written to both the up
-// and the down buffer, and only its class's cursor advances. The partition
-// is stable, so each class fits its rows in the order fitTrend's copy loop
-// would, and the models are bit-identical.
-func (b *fitBuf) fitTrend1(x, y []float64, minSamples int, lambda float64) (pairModel, bool) {
-	fits := new(trendFits)
-	pooled, err := fits.pooled.Fit(x, y, lambda)
-	if err != nil {
-		return pairModel{}, false
-	}
-	n := len(y)
-	grow := func(buf []float64) []float64 { return slices.Grow(buf[:0], n)[:n] }
-	b.upX, b.upY, b.downX, b.downY = grow(b.upX), grow(b.upY), grow(b.downX), grow(b.downY)
-	up := partition(x, y, b.upX, b.upY, b.downX, b.downY)
-	pm := pairModel{pooled: pooled}
-	if up >= minSamples/2 {
-		pm.up = fit1OrNil(&fits.up, b.upX[:up], b.upY[:up], lambda)
-	}
-	if n-up >= minSamples/2 {
-		pm.down = fit1OrNil(&fits.down, b.downX[:n-up], b.downY[:n-up], lambda)
-	}
-	return pm, true
-}
-
 // partition writes the rows with y ≥ 1 to the front of upX and upY and the
-// others to the front of downX and downY, each class in row order, and
-// returns the number of up rows. Every buffer must hold len(y) rows.
-func partition(x, y, upX, upY, downX, downY []float64) (up int) {
-	x = x[:len(y)]
+// others to the front of downX and downY, and returns the number of up rows.
+// Which class a row joins is a coin flip, so there is no branch on it: each
+// row is written to both classes and only its own class's cursor advances.
+// The partition is stable, so each class fits its rows in row order. Every
+// buffer must hold len(y) rows.
+func partition(x []float64, p int, y, upX, upY, downX, downY []float64) (up int) {
+	if p == 1 {
+		// The loop below for one feature, without its column loop, which
+		// doubles its cost there.
+		x = x[:len(y)]
+		for i, v := range y {
+			upX[up], upY[up] = x[i], v
+			downX[i-up], downY[i-up] = x[i], v
+			up += b2i(v >= 1)
+		}
+		return up
+	}
+	x = x[:len(y)*p]
 	for i, v := range y {
-		upX[up], upY[up] = x[i], v
-		downX[i-up], downY[i-up] = x[i], v
+		row := x[i*p : (i+1)*p]
+		u, d := upX[up*p:(up+1)*p], downX[(i-up)*p:(i-up+1)*p]
+		for k, xv := range row {
+			u[k], d[k] = xv, xv
+		}
+		upY[up], downY[i-up] = v, v
 		up += b2i(v >= 1)
 	}
 	return up
@@ -239,16 +222,19 @@ func b2i(b bool) int {
 	return 0
 }
 
-func fit1OrNil(r *linalg.Ridge1, x, y []float64, lambda float64) *linalg.RidgeModel {
-	m, err := r.Fit(x, y, lambda)
-	if err != nil {
-		return nil
-	}
-	return m
-}
+// resize returns buf with length n, reallocating only when it is too short.
+func resize(buf []float64, n int) []float64 { return slices.Grow(buf[:0], n)[:n] }
 
-func fitOrNil(x []float64, p int, y []float64, lambda float64) *linalg.RidgeModel {
-	m, err := linalg.RidgeFit(x, p, y, lambda)
+// fitOrNil fits y on the n×p design x, into r when r is not nil (one
+// feature), and returns nil when the fit fails.
+func fitOrNil(r *linalg.Ridge1, x []float64, p int, y []float64, lambda float64) *linalg.RidgeModel {
+	var m *linalg.RidgeModel
+	var err error
+	if r != nil {
+		m, err = r.Fit(x, y, lambda)
+	} else {
+		m, err = linalg.RidgeFit(x, p, y, lambda)
+	}
 	if err != nil {
 		return nil
 	}

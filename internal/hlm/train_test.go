@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/corr"
 	"repro/internal/history"
+	"repro/internal/roadnet"
 	"repro/internal/timeslot"
 )
 
@@ -42,6 +43,33 @@ func BenchmarkTrain(b *testing.B) {
 			b.Fatal(err)
 		}
 		trainSink = m
+	}
+}
+
+var seedModelSink *SeedModel
+
+// BenchmarkSpecialize times Specialize on the golden city with every tenth
+// road a seed, as TestTrainGolden specializes it: regressions of up to four
+// features, which core fits at request time when the seed set changes.
+func BenchmarkSpecialize(b *testing.B) {
+	d, g, cfg := goldenCity(b)
+	m, err := Train(g, d.DB, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var seeds []roadnet.RoadID
+	for r := 0; r < m.NumRoads(); r += 10 {
+		seeds = append(seeds, roadnet.RoadID(r))
+	}
+	candidates := nearestSeeds(seeds)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sm, err := m.Specialize(d.DB, seeds, candidates, DefaultSpecializeConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		seedModelSink = sm
 	}
 }
 

@@ -2,7 +2,6 @@ package trafficsim
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/roadnet"
 )
@@ -55,75 +54,26 @@ func (p power) of(x float64) float64 {
 }
 
 // stencil is the diffusion pass in flat form: each road's adjacent roads
-// and their weights in adjacency order, with roads grouped by degree so a
-// sweep runs four roads' sums side by side. Each road's sum keeps its own
-// order, which is all its result depends on; the order of roads is free.
+// and their weights in adjacency order, one road after another.
 type stencil struct {
-	order []int32   // roads grouped by ascending degree, by ID within a group
-	wsum  []float64 // per position in order: 1 + Σw, summed in adjacency order
-	// A group's leading multiple of four positions is swept in quads:
-	// quadNbr[q·deg+k] holds the k-th adjacent road of each of quad q's
-	// four roads, quadW the matching weights. The rest of the group's
-	// positions list theirs one road after another in nbr and w.
-	quadNbr [][4]int32
-	quadW   [][4]float64
-	nbr     []int32
-	w       []float64
-	// groups[g] covers positions [groups[g].start, groups[g+1].start) of
-	// order, every road of degree groups[g].deg; the last entry is a
-	// sentinel holding len(order).
-	groups []degreeGroup
-}
-
-type degreeGroup struct {
-	start, deg int
+	start []int32 // road r's entries are nbr[start[r]:start[r+1]], w likewise
+	nbr   []int32
+	w     []float64
+	wsum  []float64 // per road: 1 + Σw, summed in adjacency order
 }
 
 // newStencil flattens the per-road weights buildDiffusionWeights returns.
 func newStencil(net *roadnet.Network, weights [][]float64) stencil {
 	n := net.NumRoads()
-	st := stencil{order: make([]int32, n), wsum: make([]float64, n)}
-	for i := range st.order {
-		st.order[i] = int32(i)
-	}
-	slices.SortStableFunc(st.order, func(a, b int32) int { return len(weights[a]) - len(weights[b]) })
-	for j, r := range st.order {
-		if j == 0 || len(weights[r]) != st.groups[len(st.groups)-1].deg {
-			st.groups = append(st.groups, degreeGroup{start: j, deg: len(weights[r])})
-		}
+	st := stencil{start: make([]int32, n+1), wsum: make([]float64, n)}
+	for r, ws := range weights {
 		wsum := 1.0
-		for _, w := range weights[r] {
-			wsum += w
+		for k, nb := range net.Adjacent(roadnet.RoadID(r)) {
+			st.nbr, st.w = append(st.nbr, int32(nb)), append(st.w, ws[k])
+			wsum += ws[k]
 		}
-		st.wsum[j] = wsum
-	}
-	st.groups = append(st.groups, degreeGroup{start: n})
-	var quads, singles int
-	for g := 0; g+1 < len(st.groups); g++ {
-		d, size := st.groups[g].deg, st.groups[g+1].start-st.groups[g].start
-		quads += size / 4 * d
-		singles += size % 4 * d
-	}
-	st.quadNbr, st.quadW = make([][4]int32, 0, quads), make([][4]float64, 0, quads)
-	st.nbr, st.w = make([]int32, 0, singles), make([]float64, 0, singles)
-	for g := 0; g+1 < len(st.groups); g++ {
-		d, j, end := st.groups[g].deg, st.groups[g].start, st.groups[g+1].start
-		for ; j+4 <= end; j += 4 {
-			for k := 0; k < d; k++ {
-				var nb [4]int32
-				var w [4]float64
-				for q, r := range st.order[j : j+4] {
-					nb[q], w[q] = int32(net.Adjacent(roadnet.RoadID(r))[k]), weights[r][k]
-				}
-				st.quadNbr, st.quadW = append(st.quadNbr, nb), append(st.quadW, w)
-			}
-		}
-		for ; j < end; j++ {
-			r := st.order[j]
-			for k, nb := range net.Adjacent(roadnet.RoadID(r)) {
-				st.nbr, st.w = append(st.nbr, int32(nb)), append(st.w, weights[r][k])
-			}
-		}
+		st.wsum[r] = wsum
+		st.start[r+1] = int32(len(st.nbr))
 	}
 	return st
 }
@@ -131,39 +81,13 @@ func newStencil(net *roadnet.Network, weights [][]float64) stencil {
 // sweep writes one diffusion pass over src to dst: every road's value plus
 // the weighted values of its adjacent roads, over 1 + Σw.
 func (st *stencil) sweep(dst, src []float64) {
-	qo, o := 0, 0 // offsets into quadNbr/quadW and nbr/w
-	for g := 0; g+1 < len(st.groups); g++ {
-		d, j, end := st.groups[g].deg, st.groups[g].start, st.groups[g+1].start
-		// Four roads at a time: four independent add chains overlap where
-		// one road's chain would wait on each add.
-		for ; j+4 <= end; j += 4 {
-			r, wsum := (*[4]int32)(st.order[j:j+4]), (*[4]float64)(st.wsum[j:j+4])
-			s0, s1, s2, s3 := src[r[0]], src[r[1]], src[r[2]], src[r[3]]
-			nq := st.quadNbr[qo : qo+d]
-			wq := st.quadW[qo : qo+len(nq)]
-			for k := range nq {
-				nb, w := &nq[k], &wq[k]
-				s0 += w[0] * src[nb[0]]
-				s1 += w[1] * src[nb[1]]
-				s2 += w[2] * src[nb[2]]
-				s3 += w[3] * src[nb[3]]
-			}
-			dst[r[0]] = s0 / wsum[0]
-			dst[r[1]] = s1 / wsum[1]
-			dst[r[2]] = s2 / wsum[2]
-			dst[r[3]] = s3 / wsum[3]
-			qo += d
+	for r, wsum := range st.wsum {
+		sum := src[r]
+		nbs := st.nbr[st.start[r]:st.start[r+1]]
+		ws := st.w[st.start[r]:st.start[r+1]]
+		for k, nb := range nbs {
+			sum += ws[k] * src[nb]
 		}
-		for ; j < end; j++ {
-			r := st.order[j]
-			sum := src[r]
-			nbs := st.nbr[o : o+d]
-			ws := st.w[o : o+len(nbs)]
-			for k, nb := range nbs {
-				sum += ws[k] * src[nb]
-			}
-			dst[r] = sum / st.wsum[j]
-			o += d
-		}
+		dst[r] = sum / wsum
 	}
 }

@@ -352,7 +352,7 @@ func TestPowerMatchesMathPow(t *testing.T) {
 }
 
 // randomNetwork builds a network of random roads between random junctions,
-// some of them isolated (degree 0), so degree groups take every size.
+// some of them isolated (degree 0).
 func randomNetwork(t *testing.T, rng *rand.Rand) *roadnet.Network {
 	t.Helper()
 	b := roadnet.NewBuilder()
@@ -380,23 +380,19 @@ func randomNetwork(t *testing.T, rng *rand.Rand) *roadnet.Network {
 	return net
 }
 
-// TestStencilMatchesAdjacencyLoop: the grouped, four-wide sweep writes the
-// adjacency loop's pass bit for bit on random networks with degree-0 roads
-// and degree groups whose sizes are not multiples of four, and on the
-// default city.
+// TestStencilMatchesAdjacencyLoop: the flat sweep writes the adjacency
+// loop's pass bit for bit on random networks with degree-0 roads, and on
+// the default city.
 func TestStencilMatchesAdjacencyLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	isolated, ragged := 0, 0
+	isolated := 0
 	check := func(net *roadnet.Network) {
 		t.Helper()
 		weights := buildDiffusionWeights(net)
 		st := newStencil(net, weights)
-		for g := 0; g+1 < len(st.groups); g++ {
-			if st.groups[g].deg == 0 {
+		for r := range weights {
+			if len(weights[r]) == 0 {
 				isolated++
-			}
-			if (st.groups[g+1].start-st.groups[g].start)%4 != 0 {
-				ragged++
 			}
 		}
 		n := net.NumRoads()
@@ -423,7 +419,7 @@ func TestStencilMatchesAdjacencyLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(net)
-	if isolated == 0 || ragged == 0 {
-		t.Errorf("random networks gave %d degree-0 groups and %d groups of a size not divisible by four", isolated, ragged)
+	if isolated == 0 {
+		t.Error("random networks gave no degree-0 road")
 	}
 }
