@@ -34,19 +34,6 @@ func NewContext(fast bool) *Context {
 	return &Context{fast: fast, cities: map[string]*city{}}
 }
 
-// modelVersion reports the version of the trained models behind the run for
-// the -json report. Every city trains through core.NewView so the versions
-// agree; 0 means no executed experiment needed a model.
-func (c *Context) modelVersion() uint64 {
-	var v uint64
-	for _, ct := range c.cities {
-		if mv := ct.est.Version(); mv > v {
-			v = mv
-		}
-	}
-	return v
-}
-
 // evalSlots is the number of evaluation slots per experiment.
 func (c *Context) evalSlots() int {
 	if c.fast {

@@ -8,31 +8,19 @@
 //	benchrunner -exp F6,F9          # selected experiments
 //	benchrunner -fast               # reduced scale for smoke runs
 //	benchrunner -out EXPERIMENTS.md # also write the markdown report
-//	benchrunner -json BENCH.json    # timings + internal/obs registry snapshot
 //
-// The -json report embeds the full metrics registry (BP convergence
-// counters, stage latencies, lazy-greedy reevaluation counts, plus the
-// parallelism telemetry: trendspeed_par_runs_total/trendspeed_par_workers
-// from the worker pool and trendspeed_bp_buffer_reuse_total from the BP
-// message-buffer pool), so archived BENCH files carry the telemetry behind
-// each number — including how much of a run was actually parallel — not
-// just the number.
+// An unknown experiment ID exits with status 2 before any city is built.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/lint"
-	"repro/internal/obs"
 )
 
 // experiment is one reproducible table/figure.
@@ -42,46 +30,69 @@ type experiment struct {
 	run   func(ctx *Context) []*eval.Table
 }
 
+// experiments lists every experiment in report order.
+var experiments = []experiment{
+	{"T1", "Table 1 — dataset statistics", runT1},
+	{"T2", "Table 2 — overall comparison (K = 10% of roads)", runT2},
+	{"F6", "Figure 6 — accuracy vs seed budget K", runF6},
+	{"F7", "Figure 7 — accuracy vs time of day", runF7},
+	{"F8", "Figure 8 — seed-selection quality", runF8},
+	{"F9", "Figure 9 — seed-selection efficiency", runF9},
+	{"F10", "Figure 10 — inference efficiency vs network size", runF10},
+	{"F11", "Figure 11 — trend-inference accuracy by engine", runF11},
+	{"A1", "Ablation A1 — trends on/off", runA1},
+	{"A2", "Ablation A2 — hierarchy on/off", runA2},
+	{"A3", "Ablation A3 — correlation threshold τ", runA3},
+	{"A4", "Ablation A4 — crowd noise and malice", runA4},
+	{"E1", "Extension E1 — error by road class", runE1},
+	{"E2", "Extension E2 — cost-aware seed selection", runE2},
+}
+
+// selectExperiments resolves a -exp spec: "all", or comma-separated
+// experiment IDs in any case. It returns the chosen experiments in report
+// order, or an error naming the valid IDs when an ID is unknown or empty.
+func selectExperiments(spec string) ([]experiment, error) {
+	if strings.EqualFold(spec, "all") {
+		return experiments, nil
+	}
+	valid := map[string]bool{}
+	ids := make([]string, len(experiments))
+	for i, ex := range experiments {
+		valid[ex.id] = true
+		ids[i] = ex.id
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !valid[id] {
+			return nil, fmt.Errorf("unknown experiment %q in -exp %q; valid IDs are %s, or all", id, spec, strings.Join(ids, ","))
+		}
+		want[id] = true
+	}
+	var out []experiment
+	for _, ex := range experiments {
+		if want[ex.id] {
+			out = append(out, ex)
+		}
+	}
+	return out, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchrunner: ")
-	obs.RegisterBuildInfo(obs.Default())
 
 	var (
-		expFlag     = flag.String("exp", "all", "comma-separated experiment IDs (T1,T2,F6,F7,F8,F9,F10,F11,A1,A2,A3,A4,E1,E2), all, or none")
-		fast        = flag.Bool("fast", false, "reduced dataset scale for smoke runs")
-		out         = flag.String("out", "", "write a markdown report to this path")
-		jsonOut     = flag.String("json", "", "write a JSON report (experiment timings + metrics registry snapshot) to this path")
-		rebuild     = flag.Bool("rebuild-bench", false, "measure an incremental vs full model rebuild on the same delta and gate on the equivalence bound (recorded under rebuild_incremental in -json)")
-		engineBench = flag.Bool("engine-bench", false, "compare the Jacobi bp engine against the residual-scheduled fastbp engine on the served options at two network sizes, gating estimate equivalence and the message-update ratio (recorded under bp_residual in -json)")
-		allocGate   = flag.String("alloc-gate", "", "measure steady-state allocations per estimate round and fail if they regress >10% over the baseline JSON at this path (recorded under estimate_allocs in -json)")
-		allocUpdate = flag.Bool("update-alloc-baseline", false, "with -alloc-gate, rewrite the baseline file from this run's measurement instead of gating against it")
+		expFlag = flag.String("exp", "all", "comma-separated experiment IDs (T1,T2,F6,F7,F8,F9,F10,F11,A1,A2,A3,A4,E1,E2), or all")
+		fast    = flag.Bool("fast", false, "reduced dataset scale for smoke runs")
+		out     = flag.String("out", "", "write a markdown report to this path")
 	)
 	flag.Parse()
 
-	experiments := []experiment{
-		{"T1", "Table 1 — dataset statistics", runT1},
-		{"T2", "Table 2 — overall comparison (K = 10% of roads)", runT2},
-		{"F6", "Figure 6 — accuracy vs seed budget K", runF6},
-		{"F7", "Figure 7 — accuracy vs time of day", runF7},
-		{"F8", "Figure 8 — seed-selection quality", runF8},
-		{"F9", "Figure 9 — seed-selection efficiency", runF9},
-		{"F10", "Figure 10 — inference efficiency vs network size", runF10},
-		{"F11", "Figure 11 — trend-inference accuracy by engine", runF11},
-		{"A1", "Ablation A1 — trends on/off", runA1},
-		{"A2", "Ablation A2 — hierarchy on/off", runA2},
-		{"A3", "Ablation A3 — correlation threshold τ", runA3},
-		{"A4", "Ablation A4 — crowd noise and malice", runA4},
-		{"E1", "Extension E1 — error by road class", runE1},
-		{"E2", "Extension E2 — cost-aware seed selection", runE2},
-	}
-
-	// -exp none runs no experiment at all — the -rebuild-bench-only
-	// invocation CI's smoke step uses.
-	runAll := *expFlag == "all"
-	want := map[string]bool{}
-	for _, id := range strings.Split(*expFlag, ",") {
-		want[strings.ToUpper(strings.TrimSpace(id))] = true
+	selected, err := selectExperiments(*expFlag)
+	if err != nil {
+		log.Print(err)
+		os.Exit(2)
 	}
 
 	ctx := NewContext(*fast)
@@ -89,23 +100,11 @@ func main() {
 	report.WriteString("# EXPERIMENTS — paper vs measured\n\n")
 	report.WriteString(preamble(*fast))
 
-	// runRecord feeds the -json report: one entry per executed experiment.
-	type runRecord struct {
-		ID             string  `json:"id"`
-		Title          string  `json:"title"`
-		ElapsedSeconds float64 `json:"elapsed_seconds"`
-	}
-	var runs []runRecord
-
-	for _, ex := range experiments {
-		if !runAll && !want[ex.id] {
-			continue
-		}
+	for _, ex := range selected {
 		log.Printf("running %s: %s", ex.id, ex.title)
 		t0 := time.Now()
 		tables := ex.run(ctx)
 		elapsed := time.Since(t0).Round(time.Millisecond)
-		runs = append(runs, runRecord{ID: ex.id, Title: ex.title, ElapsedSeconds: elapsed.Seconds()})
 		fmt.Printf("\n== %s: %s (%v) ==\n", ex.id, ex.title, elapsed)
 		fmt.Fprintf(&report, "## %s — %s\n\n", ex.id, ex.title)
 		if claim, ok := claims[ex.id]; ok {
@@ -124,92 +123,11 @@ func main() {
 
 	report.WriteString(postscript)
 
-	var rebuildRec *rebuildRecord
-	if *rebuild {
-		rebuildRec = runRebuildBench(*fast)
-	}
-
-	var engineRec *engineBenchRecord
-	if *engineBench {
-		engineRec = runEngineBench(*fast)
-	}
-
-	var allocRec *allocRecord
-	if *allocGate != "" {
-		allocRec = runAllocGate(*allocGate, *allocUpdate)
-	}
-
 	if *out != "" {
 		if err := os.WriteFile(*out, []byte(report.String()), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("wrote %s", *out)
-	}
-
-	if *jsonOut != "" {
-		doc := struct {
-			GeneratedAt  string          `json:"generated_at"`
-			Fast         bool            `json:"fast"`
-			ModelVersion uint64          `json:"model_version"`
-			Toolchain    toolchainRecord `json:"toolchain"`
-			Experiments  []runRecord     `json:"experiments"`
-			// EstimateLatency carries the HDR quantiles of every estimate
-			// round this run performed, in the same shape loadgen reports
-			// them, so BENCH_*.json files from both tools are comparable.
-			EstimateLatency map[string]float64 `json:"estimate_latency_hdr_seconds"`
-			// Rebuild carries the incremental-vs-full rebuild comparison of
-			// -rebuild-bench: duration per mode, speedup, and the estimate
-			// divergence against the equivalence bounds.
-			Rebuild *rebuildRecord `json:"rebuild_incremental,omitempty"`
-			// EngineBench carries the -engine-bench comparison: Jacobi vs
-			// residual-scheduled FastBP on the served options — message
-			// updates, wall clock and the engine-swap divergence per size.
-			EngineBench *engineBenchRecord `json:"bp_residual,omitempty"`
-			// Alloc carries the -alloc-gate measurement: exact steady-state
-			// allocations per estimate round against the checked-in baseline.
-			Alloc   *allocRecord                  `json:"estimate_allocs,omitempty"`
-			Metrics map[string]obs.FamilySnapshot `json:"metrics"`
-		}{
-			GeneratedAt:     time.Now().UTC().Format(time.RFC3339),
-			Fast:            *fast,
-			ModelVersion:    ctx.modelVersion(),
-			Toolchain:       toolchainVersions(),
-			Experiments:     runs,
-			EstimateLatency: core.EstimateLatencyQuantiles(),
-			Rebuild:         rebuildRec,
-			EngineBench:     engineRec,
-			Alloc:           allocRec,
-			Metrics:         obs.Default().Snapshot(),
-		}
-		raw, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*jsonOut, append(raw, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *jsonOut)
-	}
-}
-
-// staticcheckVersion is the staticcheck release CI pins (see
-// .github/workflows/ci.yml); recorded in -json reports so archived numbers
-// state which lint toolchain vetted the tree that produced them.
-const staticcheckVersion = "2025.1.1"
-
-// toolchainRecord attributes a -json report to the toolchain that produced
-// and vetted it.
-type toolchainRecord struct {
-	Go          string `json:"go"`
-	Tslint      string `json:"tslint"`
-	Staticcheck string `json:"staticcheck"`
-}
-
-func toolchainVersions() toolchainRecord {
-	return toolchainRecord{
-		Go:          runtime.Version(),
-		Tslint:      lint.Version,
-		Staticcheck: staticcheckVersion,
 	}
 }
 

@@ -32,10 +32,58 @@ func TestFuseTrendsAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEstimate is the allocs/op reference the benchrunner -alloc-gate
-// tracks exactly (via testing.AllocsPerRun) against BENCH_alloc_baseline.json.
-// ReportAllocs keeps allocs/op in the CI bench-smoke output so a regression is
-// visible there even before the gate runs.
+// The estimate round's allocation budget on the 8×6-block city:
+// estimateAllocsBaseline allocations, the count recorded when the budget was
+// set, plus estimateAllocsHeadroom. Allocation counts are near-deterministic,
+// unlike timings, so 10% absorbs map-growth jitter without letting a
+// per-road allocation slip through.
+const (
+	estimateAllocsBaseline = 180
+	estimateAllocsHeadroom = 0.10
+)
+
+// TestEstimateRoundAllocs caps the allocations of one warm estimate round on
+// the served options, with every 10th road of the 8×6-block city a seed. It
+// catches what the hotalloc lint pass and TestBPRoundAllocs cannot see:
+// allocations added through interfaces, stdlib calls or map growth. The
+// city is small, so the worker pool stays on its serial path and the count
+// is the same on every machine.
+func TestEstimateRoundAllocs(t *testing.T) {
+	ctx := context.Background()
+	d := buildCity(t, 8, 6)
+	v, err := NewView(d.Net, d.DB, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot, truth := d.NextTruth()
+	seeds := spreadSeeds(d, truth, 10)
+	// Warm-up rounds fill the BP buffer pool and any lazily grown state, so
+	// the count is the steady serving state's, not first-run setup's.
+	for i := 0; i < 3; i++ {
+		if _, err := v.Estimate(ctx, slot, seeds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var roundErr error
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := v.Estimate(ctx, slot, seeds); err != nil {
+			roundErr = err
+		}
+	})
+	if roundErr != nil {
+		t.Fatal(roundErr)
+	}
+	limit := estimateAllocsBaseline * (1 + estimateAllocsHeadroom)
+	t.Logf("%d roads: %.0f allocations per round (limit %.0f)", d.Net.NumRoads(), allocs, limit)
+	if allocs > limit {
+		t.Errorf("estimate round allocates %.0f times, over the %d baseline +%.0f%% (%.0f)",
+			allocs, estimateAllocsBaseline, estimateAllocsHeadroom*100, limit)
+	}
+}
+
+// BenchmarkEstimate reports the warm estimate round's time and allocs/op on
+// a larger city than TestEstimateRoundAllocs gates; the CI bench-smoke run
+// prints both.
 func BenchmarkEstimate(b *testing.B) {
 	d, est := buildEstimator(b)
 	slot, truth := d.NextTruth()

@@ -81,20 +81,6 @@ func timePhase(ctx context.Context, phase string, fn func() error) error {
 	return err
 }
 
-// EstimateLatencyQuantiles reports p50/p90/p99/p99.9 of the end-to-end
-// estimation round latency ("total" phase) from the HDR histogram, for
-// embedding in benchmark reports comparable with cmd/loadgen output. Keys
-// are "p50", "p90", "p99", "p99.9"; all zero until the first round runs.
-func EstimateLatencyQuantiles() map[string]float64 {
-	snap := estimateSeconds("total").Snapshot()
-	return map[string]float64{
-		"p50":   snap.Quantile(0.5),
-		"p90":   snap.Quantile(0.9),
-		"p99":   snap.Quantile(0.99),
-		"p99.9": snap.Quantile(0.999),
-	}
-}
-
 // Options configures model construction. The zero value is NOT valid;
 // start from DefaultOptions.
 type Options struct {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/mrf"
@@ -16,44 +17,56 @@ func mustFastBPEngine(t *testing.T) mrf.Engine {
 	return eng
 }
 
+// engineUpdateRatioFloor is how many times FastBP's message updates Jacobi
+// must spend on the 12×10-block city, where the residual schedule's advantage
+// is structural rather than constant-dominated.
+const engineUpdateRatioFloor = 3.0
+
 // TestFastBPEngineWithinBoundK1 is the system-level FastBP acceptance gate:
 // on the default options, a round inferred with the residual-scheduled
-// engine must land within the serving bounds — 0.05 m/s of speed and 0.01 of
-// trend marginal — of the Jacobi reference round.
+// engine must land within the serving bounds of the Jacobi reference round,
+// on the 6×5-block city and on the 12×10-block one, where Jacobi must also
+// need at least engineUpdateRatioFloor times FastBP's message updates.
 func TestFastBPEngineWithinBoundK1(t *testing.T) {
-	ctx := context.Background()
-	d := buildViewDataset(t)
-	slot, truth := d.NextTruth()
-	seeds := spreadSeeds(d, truth, 10)
+	for _, tc := range []struct {
+		blocksX, blocksY int
+		gateUpdates      bool
+	}{
+		{6, 5, false},
+		{12, 10, true},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", tc.blocksX, tc.blocksY), func(t *testing.T) {
+			ctx := context.Background()
+			d := buildCity(t, tc.blocksX, tc.blocksY)
+			slot, truth := d.NextTruth()
+			seeds := spreadSeeds(d, truth, 10)
 
-	v, err := NewView(d.Net, d.DB, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := v.Estimate(ctx, slot, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := v.EstimateWith(ctx, slot, seeds, EstimateOptions{Engine: mustFastBPEngine(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
+			v, err := NewView(d.Net, d.DB, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := mrf.MessageUpdatesTotal()
+			want, err := v.Estimate(ctx, slot, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jacobiUpdates := mrf.MessageUpdatesTotal() - before
+			before = mrf.MessageUpdatesTotal()
+			got, err := v.EstimateWith(ctx, slot, seeds, EstimateOptions{Engine: mustFastBPEngine(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fastUpdates := mrf.MessageUpdatesTotal() - before
 
-	var maxSpeed, maxPUp float64
-	for r := range want.Speeds {
-		if diff := absDiff(got.Speeds[r], want.Speeds[r]); diff > maxSpeed {
-			maxSpeed = diff
-		}
-		if diff := absDiff(got.PUp[r], want.PUp[r]); diff > maxPUp {
-			maxPUp = diff
-		}
-	}
-	t.Logf("K=1 fastbp vs bp: max |Δspeed| = %.3g m/s, max |ΔPUp| = %.3g", maxSpeed, maxPUp)
-	if maxSpeed > 0.05 {
-		t.Errorf("max speed divergence %.4g m/s exceeds the 0.05 engine bound", maxSpeed)
-	}
-	if maxPUp > 0.01 {
-		t.Errorf("max trend-marginal divergence %.4g exceeds the 0.01 engine bound", maxPUp)
+			checkServingBounds(t, got, want)
+			ratio := jacobiUpdates / fastUpdates
+			t.Logf("%d roads: Jacobi spends %.0f message updates, FastBP %.0f (%.4f×)",
+				d.Net.NumRoads(), jacobiUpdates, fastUpdates, ratio)
+			if tc.gateUpdates && !(ratio >= engineUpdateRatioFloor) {
+				t.Errorf("Jacobi spends %.4f× FastBP's message updates (%.0f vs %.0f), below the %.1f× floor",
+					ratio, jacobiUpdates, fastUpdates, engineUpdateRatioFloor)
+			}
+		})
 	}
 }
 
@@ -61,7 +74,7 @@ func TestFastBPEngineWithinBoundK1(t *testing.T) {
 // replaces the default engine for every round of the model's life.
 func TestEngineOptionConstruction(t *testing.T) {
 	ctx := context.Background()
-	d := buildViewDataset(t)
+	d := buildCity(t, 6, 5)
 	slot, truth := d.NextTruth()
 	seeds := spreadSeeds(d, truth, 10)
 

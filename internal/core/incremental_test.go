@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,29 +12,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/roadnet"
 )
-
-// buildTwinStores builds one dataset and two independent stores over the same
-// network and history snapshot, so incremental and full rebuilds can be
-// compared on identical inputs.
-func buildTwinStores(t *testing.T) (*dataset.Dataset, *Store, *Store) {
-	t.Helper()
-	cfg := dataset.DefaultConfig()
-	cfg.Net.BlocksX, cfg.Net.BlocksY = 5, 4
-	cfg.HistoryDays = 4
-	d, err := dataset.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := NewStore(d.Net, d.DB, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := NewStore(d.Net, d.DB, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d, inc, full
-}
 
 // deltaObservations is a small observation stream touching a handful of
 // roads — well under any reasonable dirty-fraction threshold.
@@ -79,117 +57,221 @@ func firstRoads(n int) []roadnet.RoadID {
 }
 
 // TestStoreIncrementalMatchesFull is the equivalence property test behind the
-// delta path: the same observation stream folded in by an incremental rebuild
-// and by a full rebuild must yield the exact same correlation-graph topology
-// and estimates within a tight bound. Both build their BP topology the same
-// way, so it matches slot for slot. The only tolerated divergences are BP's
-// convergence tolerance (the incremental model warm-starts from the
+// delta path: the same observation stream folded in by incremental rebuilds
+// and by full rebuilds must yield the exact same correlation-graph topology
+// and estimates within the serving bounds. Both build their BP topology the
+// same way, so it matches slot for slot. The only tolerated divergences are
+// BP's convergence tolerance (the incremental model warm-starts from the
 // predecessor's beliefs, remapped onto its topology, so it stops at a
 // different point within Tolerance of the fixed point) and the stale
 // group-level predictors on roads hlm.Retrain copied verbatim.
+//
+// The 8×6-block city chains two rebuilds, each after an at-mean delta on 5
+// of its 254 roads (2%), so the second one warm-starts from an incrementally
+// built predecessor and inherits its stale predictors.
 func TestStoreIncrementalMatchesFull(t *testing.T) {
-	ctx := context.Background()
-	d, stInc, stFull := buildTwinStores(t)
-	stInc.Start(StoreConfig{IncrementalMaxDirtyFrac: 0.25}) // no triggers: records config only
-	defer stInc.Close()
-	defer stFull.Close()
-
-	slot, truth := d.NextTruth()
-	seedSpeeds := map[roadnet.RoadID]float64{}
-	for r := 0; r < d.Net.NumRoads(); r += 10 {
-		seedSpeeds[roadnet.RoadID(r)] = truth[roadnet.RoadID(r)]
-	}
-
-	// Run one round on the incremental store before the rebuild so the
-	// predecessor has converged beliefs to hand to its successor: the rebuild
-	// below exercises the warm-start path, not just the topology build.
-	if _, err := stInc.View().Estimate(ctx, slot, seedSpeeds); err != nil {
-		t.Fatal(err)
-	}
-
-	delta := atMeanDelta(stInc.View(), slot, firstRoads(5), 3)
-	if len(delta) == 0 {
-		t.Fatal("no road has a usable mean at the test slot")
-	}
-	if _, err := stInc.Ingest(delta...); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stFull.Ingest(delta...); err != nil {
-		t.Fatal(err)
-	}
-	mInc, err := stInc.Rebuild(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mFull, err := stFull.Rebuild(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got := mInc.RebuildMode(); got != "incremental" {
-		t.Fatalf("delta rebuild mode = %q, want incremental", got)
-	}
-	if got := mFull.RebuildMode(); got != "full" {
-		t.Fatalf("full store rebuild mode = %q, want full", got)
-	}
-	if mInc.Version() != 2 || mFull.Version() != 2 {
-		t.Fatalf("versions after one rebuild: incremental=%d full=%d, want 2 and 2", mInc.Version(), mFull.Version())
-	}
-	if mInc.ObservationCount() != mFull.ObservationCount() {
-		t.Errorf("observation counts diverge: incremental=%d full=%d", mInc.ObservationCount(), mFull.ObservationCount())
-	}
-
-	// Graph topology must agree exactly: corr.Rescore promises bitwise
-	// equality with a full corr.Build over the same rolled-forward history.
-	gi, gf := mInc.Graph(), mFull.Graph()
-	if gi.NumRoads() != gf.NumRoads() || gi.NumEdges() != gf.NumEdges() {
-		t.Fatalf("graph shape diverges: incremental %d roads / %d edges, full %d roads / %d edges",
-			gi.NumRoads(), gi.NumEdges(), gf.NumRoads(), gf.NumEdges())
-	}
-	for r := 0; r < gi.NumRoads(); r++ {
-		ei, ef := gi.Neighbors(roadnet.RoadID(r)), gf.Neighbors(roadnet.RoadID(r))
-		if len(ei) != len(ef) {
-			t.Fatalf("road %d: degree %d (incremental) vs %d (full)", r, len(ei), len(ef))
-		}
-		for k := range ei {
-			if ei[k] != ef[k] {
-				t.Fatalf("road %d edge %d: %+v (incremental) vs %+v (full)", r, k, ei[k], ef[k])
+	for _, tc := range []struct {
+		blocksX, blocksY int
+		rebuilds         int
+	}{
+		{5, 4, 1},
+		{8, 6, 2},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", tc.blocksX, tc.blocksY), func(t *testing.T) {
+			ctx := context.Background()
+			d := buildCity(t, tc.blocksX, tc.blocksY)
+			stInc, err := NewStore(d.Net, d.DB, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
+			defer stInc.Close()
+			stFull, err := NewStore(d.Net, d.DB, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stFull.Close()
+			stInc.Start(StoreConfig{IncrementalMaxDirtyFrac: 0.25}) // no triggers: records config only
 
-	// Estimates on the successors must agree within the equivalence bound.
-	resInc, err := mInc.Estimate(ctx, slot, seedSpeeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resFull, err := mFull.Estimate(ctx, slot, seedSpeeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxSpeed, maxPUp float64
-	for r := range resInc.Speeds {
-		if d := absDiff(resInc.Speeds[r], resFull.Speeds[r]); d > maxSpeed {
-			maxSpeed = d
-		}
-		if d := absDiff(resInc.PUp[r], resFull.PUp[r]); d > maxPUp {
-			maxPUp = d
-		}
-	}
-	t.Logf("incremental vs full: max |Δspeed| = %.3g m/s, max |ΔPUp| = %.3g", maxSpeed, maxPUp)
-	if maxSpeed > 0.05 {
-		t.Errorf("max speed divergence %.4g m/s exceeds the 0.05 equivalence bound", maxSpeed)
-	}
-	if maxPUp > 0.01 {
-		t.Errorf("max trend-marginal divergence %.4g exceeds the 0.01 equivalence bound", maxPUp)
+			slot, truth := d.NextTruth()
+			seedSpeeds := spreadSeeds(d, truth, 10)
+
+			// Run one round on the incremental store before the first rebuild
+			// so the predecessor has converged beliefs to hand to its
+			// successor: the rebuild exercises the warm-start path, not just
+			// the topology build. Each later rebuild warm-starts from the
+			// comparison round run on its predecessor.
+			if _, err := stInc.View().Estimate(ctx, slot, seedSpeeds); err != nil {
+				t.Fatal(err)
+			}
+			roads := firstRoads(5)
+			for i := 0; i < tc.rebuilds; i++ {
+				delta := atMeanDelta(stInc.View(), slot, roads, 3)
+				if len(delta) != 3*len(roads) {
+					t.Fatalf("rebuild %d: %d of %d delta roads have a usable mean at the test slot", i+1, len(delta)/3, len(roads))
+				}
+				if _, err := stInc.Ingest(delta...); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := stFull.Ingest(delta...); err != nil {
+					t.Fatal(err)
+				}
+				mInc, err := stInc.Rebuild(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mFull, err := stFull.Rebuild(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				if got := mInc.RebuildMode(); got != "incremental" {
+					t.Fatalf("rebuild %d: delta rebuild mode = %q, want incremental", i+1, got)
+				}
+				if got := mFull.RebuildMode(); got != "full" {
+					t.Fatalf("rebuild %d: full store rebuild mode = %q, want full", i+1, got)
+				}
+				if want := uint64(i + 2); mInc.Version() != want || mFull.Version() != want {
+					t.Fatalf("versions after rebuild %d: incremental=%d full=%d, want %d", i+1, mInc.Version(), mFull.Version(), want)
+				}
+				if mInc.ObservationCount() != mFull.ObservationCount() {
+					t.Errorf("observation counts diverge: incremental=%d full=%d", mInc.ObservationCount(), mFull.ObservationCount())
+				}
+
+				// Graph topology must agree exactly: corr.Rescore promises
+				// bitwise equality with a full corr.Build over the same
+				// rolled-forward history.
+				gi, gf := mInc.Graph(), mFull.Graph()
+				if gi.NumRoads() != gf.NumRoads() || gi.NumEdges() != gf.NumEdges() {
+					t.Fatalf("graph shape diverges: incremental %d roads / %d edges, full %d roads / %d edges",
+						gi.NumRoads(), gi.NumEdges(), gf.NumRoads(), gf.NumEdges())
+				}
+				for r := 0; r < gi.NumRoads(); r++ {
+					ei, ef := gi.Neighbors(roadnet.RoadID(r)), gf.Neighbors(roadnet.RoadID(r))
+					if len(ei) != len(ef) {
+						t.Fatalf("road %d: degree %d (incremental) vs %d (full)", r, len(ei), len(ef))
+					}
+					for k := range ei {
+						if ei[k] != ef[k] {
+							t.Fatalf("road %d edge %d: %+v (incremental) vs %+v (full)", r, k, ei[k], ef[k])
+						}
+					}
+				}
+
+				// Estimates on the successors must agree within the serving
+				// bounds.
+				resInc, err := mInc.Estimate(ctx, slot, seedSpeeds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resFull, err := mFull.Estimate(ctx, slot, seedSpeeds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkServingBounds(t, resInc, resFull)
+			}
+		})
 	}
 }
 
-func absDiff(a, b float64) float64 {
-	if a > b {
-		return a - b
+// TestStoreEmptyRebuildIsFull: a rebuild with nothing buffered is the forced
+// full refresh Rebuild documents, even with incremental rebuilds enabled, so
+// it clears the stale group-level predictors an earlier incremental rebuild
+// left behind and serves exactly what a fresh view over the same history
+// serves. An empty delta has no dirty roads, so it passes any dirty-fraction
+// threshold; the mode choice must not read that as a small delta.
+func TestStoreEmptyRebuildIsFull(t *testing.T) {
+	ctx := context.Background()
+	d, st := buildStore(t)
+	st.Start(StoreConfig{IncrementalMaxDirtyFrac: 0.25})
+	defer st.Close()
+	slot, truth := d.NextTruth()
+	seeds := spreadSeeds(d, truth, 10)
+
+	if _, err := st.Ingest(atMeanDelta(st.View(), slot, firstRoads(5), 3)...); err != nil {
+		t.Fatal(err)
 	}
-	return b - a
+	v, err := st.Rebuild(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.RebuildMode(); got != "incremental" {
+		t.Fatalf("delta rebuild mode = %q, want incremental", got)
+	}
+	if v, err = st.Rebuild(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := v.RebuildMode(); got != "full" {
+		t.Errorf("empty rebuild mode = %q, want full", got)
+	}
+
+	ref, err := NewView(d.Net, v.DB(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := v.Estimate(ctx, slot, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Estimate(ctx, slot, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var differ int
+	for r := range want.Speeds {
+		if got.Speeds[r] != want.Speeds[r] || got.Rels[r] != want.Rels[r] ||
+			got.PUp[r] != want.PUp[r] || got.TrendUp[r] != want.TrendUp[r] {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d roads differ from a fresh view over the same history", differ, len(want.Speeds))
+	}
+}
+
+// BenchmarkStoreRebuild times one Rebuild of the 8×6-block city after an
+// at-mean delta on 5 of its 254 roads (2%), in each mode. Before every
+// rebuild a round runs on the published view, so the incremental successor
+// warm-starts from converged beliefs as it does in serving; that round and
+// the ingest are not timed.
+func BenchmarkStoreRebuild(b *testing.B) {
+	d := buildCity(b, 8, 6)
+	slot, truth := d.NextTruth()
+	seeds := spreadSeeds(d, truth, 10)
+	for _, tc := range []struct {
+		mode         string
+		maxDirtyFrac float64
+	}{
+		{"full", 0},
+		{"incremental", 0.25},
+	} {
+		b.Run(tc.mode, func(b *testing.B) {
+			ctx := context.Background()
+			st, err := NewStore(d.Net, d.DB, DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			st.Start(StoreConfig{IncrementalMaxDirtyFrac: tc.maxDirtyFrac})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				v := st.View()
+				if _, err := v.Estimate(ctx, slot, seeds); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := st.Ingest(atMeanDelta(v, slot, firstRoads(5), 3)...); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if v, err = st.Rebuild(ctx); err != nil {
+					b.Fatal(err)
+				}
+				if got := v.RebuildMode(); got != tc.mode {
+					b.Fatalf("rebuild mode = %q, want %q", got, tc.mode)
+				}
+			}
+		})
+	}
 }
 
 // TestStoreIncrementalDisabledByFraction: a dirty fraction above the

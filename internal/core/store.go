@@ -51,8 +51,8 @@ type StoreConfig struct {
 	// RebuildMinObs rebuilds as soon as this many observations are
 	// buffered; 0 disables the count trigger.
 	RebuildMinObs int
-	// IncrementalMaxDirtyFrac enables incremental (delta) rebuilds: when the
-	// fraction of roads whose history changed since the published view is
+	// IncrementalMaxDirtyFrac enables incremental (delta) rebuilds: when some
+	// roads' history changed since the published view and their fraction is
 	// at or below this value, the rebuild re-scores and retrains only around
 	// the delta and warm-starts trend inference from the predecessor's
 	// converged beliefs (see buildIncremental). Larger deltas fall back to a
@@ -315,11 +315,13 @@ func (s *Store) successor(ctx context.Context, old *View, pending []Observation,
 
 	// Delta path: when the dirty fraction is small enough, rebuild around
 	// the delta. Its graph equals a full build's, so a failure there would
-	// fail a full build too: there is no fallback.
+	// fail a full build too: there is no fallback. An empty delta is the
+	// forced full refresh, which must also clear the stale group-level
+	// predictors earlier delta rebuilds copied.
 	mode := "full"
 	var v *View
 	dirty := builder.Dirty()
-	if dirty != nil && maxDirtyFrac > 0 &&
+	if dirty != nil && len(dirty.Roads) > 0 && maxDirtyFrac > 0 &&
 		float64(len(dirty.Roads)) <= maxDirtyFrac*float64(db.NumRoads()) {
 		mode = "incremental"
 		v, err = buildIncremental(ctx, old, db, dirty, s.opts, version)

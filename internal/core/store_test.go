@@ -16,13 +16,7 @@ import (
 // buildStore makes a small dataset and a store over it.
 func buildStore(t *testing.T) (*dataset.Dataset, *Store) {
 	t.Helper()
-	cfg := dataset.DefaultConfig()
-	cfg.Net.BlocksX, cfg.Net.BlocksY = 5, 4
-	cfg.HistoryDays = 4
-	d, err := dataset.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildCity(t, 5, 4)
 	st, err := NewStore(d.Net, d.DB, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"testing"
 
@@ -11,11 +12,13 @@ import (
 	"repro/internal/seedsel"
 )
 
-// buildViewDataset makes the small city the golden and engine tests share.
-func buildViewDataset(t *testing.T) *dataset.Dataset {
+// buildCity builds the default city at blocksX×blocksY blocks with four days
+// of history. The golden and engine tests share the 6×5-block city, the store
+// tests the 5×4 one, and the rebuild and allocation gates the 8×6 one.
+func buildCity(t testing.TB, blocksX, blocksY int) *dataset.Dataset {
 	t.Helper()
 	cfg := dataset.DefaultConfig()
-	cfg.Net.BlocksX, cfg.Net.BlocksY = 6, 5
+	cfg.Net.BlocksX, cfg.Net.BlocksY = blocksX, blocksY
 	cfg.HistoryDays = 4
 	d, err := dataset.Build(cfg)
 	if err != nil {
@@ -34,6 +37,33 @@ func spreadSeeds(d *dataset.Dataset, truth []float64, stride int) map[roadnet.Ro
 	return seeds
 }
 
+// Serving bounds: how far a served variant's round (FastBP instead of Jacobi,
+// an incremental instead of a full rebuild) may move any road's estimate from
+// the reference round's: BP's convergence tolerance plus the variant's own
+// approximation.
+const (
+	servingSpeedBound = 0.05 // m/s
+	servingTrendBound = 0.01 // P(up)
+)
+
+// checkServingBounds fails t when any road's estimate in got is further from
+// want's than the serving bounds allow.
+func checkServingBounds(t *testing.T, got, want *Estimate) {
+	t.Helper()
+	var maxSpeed, maxPUp float64
+	for r := range want.Speeds {
+		maxSpeed = math.Max(maxSpeed, math.Abs(got.Speeds[r]-want.Speeds[r]))
+		maxPUp = math.Max(maxPUp, math.Abs(got.PUp[r]-want.PUp[r]))
+	}
+	t.Logf("max |Δspeed| = %.3g m/s, max |ΔPUp| = %.3g", maxSpeed, maxPUp)
+	if !(maxSpeed <= servingSpeedBound) {
+		t.Errorf("max speed divergence %.4g m/s exceeds the %g m/s serving bound", maxSpeed, servingSpeedBound)
+	}
+	if !(maxPUp <= servingTrendBound) {
+		t.Errorf("max trend-marginal divergence %.4g exceeds the %g serving bound", maxPUp, servingTrendBound)
+	}
+}
+
 // goldenRound is one recorded estimation round of testdata/k1_golden.json.
 type goldenRound struct {
 	Speeds  []float64 `json:"speeds"`
@@ -43,7 +73,7 @@ type goldenRound struct {
 }
 
 // TestViewK1Golden pins the estimation round bit for bit: a view must
-// reproduce the recorded round on buildViewDataset's first truth slot with
+// reproduce the recorded round on the 6×5-block city's first truth slot with
 // spreadSeeds(…, 10), for the default and the trend-free round. Every float
 // is compared exactly: a change to the round's arithmetic must re-record the
 // fixture on purpose.
@@ -61,7 +91,7 @@ func TestViewK1Golden(t *testing.T) {
 	if err := json.Unmarshal(raw, &golden); err != nil {
 		t.Fatal(err)
 	}
-	d := buildViewDataset(t)
+	d := buildCity(t, 6, 5)
 	slot, truth := d.NextTruth()
 	seeds := spreadSeeds(d, truth, 10)
 	if slot != golden.Slot || len(seeds) != golden.Seeds {
@@ -102,7 +132,7 @@ func TestViewK1Golden(t *testing.T) {
 // that selector's exactly.
 func TestViewSeedSelectionEqual(t *testing.T) {
 	ctx := context.Background()
-	d := buildViewDataset(t)
+	d := buildCity(t, 6, 5)
 	v, err := NewView(d.Net, d.DB, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -41,9 +41,8 @@ import (
 	"strings"
 )
 
-// Version identifies the analyzer suite in tooling reports (for example
-// cmd/benchrunner's -json snapshot), so archived results are attributable to
-// the exact invariant set that was enforced when they were produced.
+// Version identifies the analyzer suite (cmd/tslint -version prints it), so
+// a lint run is attributable to the exact invariant set it enforced.
 const Version = "1.0.0"
 
 // Analyzer is one named check. Run inspects a type-checked package through

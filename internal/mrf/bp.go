@@ -47,9 +47,10 @@ var (
 )
 
 // MessageUpdatesTotal reports the process-wide directed-edge message-update
-// count (trendspeed_bp_message_updates_total). cmd/benchrunner reads deltas
-// of it around engine runs to compare effective work between the Jacobi and
-// residual-scheduled engines without scraping the metrics registry.
+// count (trendspeed_bp_message_updates_total). Tests and benchmarks read
+// deltas of it around engine runs to compare effective work between the
+// Jacobi and residual-scheduled engines without scraping the metrics
+// registry.
 func MessageUpdatesTotal() float64 { return bpMessageUpdates.Value() }
 
 // accountCancelledRun records the telemetry of a run abandoned mid-schedule:
@@ -140,7 +141,8 @@ func (*BP) Name() string { return "bp" }
 // per round (its captures escape into par's workers), while a method value
 // bound once in newBPRun makes every subsequent round pass the same func
 // value — the message round itself then allocates nothing on the serial
-// path, which TestBPRoundAllocs pins and the benchrunner alloc gate guards.
+// path, which TestBPRoundAllocs pins and core's TestEstimateRoundAllocs
+// guards.
 type bpRun struct {
 	cfg  *BPConfig
 	m    *Model

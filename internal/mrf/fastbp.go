@@ -20,9 +20,10 @@ import (
 // per-node arithmetic (kernel.go); only the schedule differs. That schedule
 // trades the Jacobi engine's bit-reproducibility for speed:
 // its marginals agree with BP to well under the serving bounds (0.05 m/s /
-// 0.01 P(up) — see TestFastBPMatchesJacobi* and the benchrunner
-// -engine-bench gate) but are not bitwise equal, so Jacobi remains the
-// authoritative reference wherever exact reproducibility is asserted.
+// 0.01 P(up) — see TestFastBPMatchesJacobi* and core's
+// TestFastBPEngineWithinBoundK1) but are not bitwise equal, so Jacobi
+// remains the authoritative reference wherever exact reproducibility is
+// asserted.
 //
 // A FastBP run is deliberately sequential: the serving layers run
 // concurrent requests' rounds side by side, which is where the cores go; a

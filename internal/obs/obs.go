@@ -6,7 +6,7 @@
 // The paper's headline claim is efficiency, so every hot path — loopy-BP
 // trend inference, lazy-greedy seed selection, HLM solves, HTTP serving —
 // reports into the package-level Default registry, which internal/api
-// exposes at GET /metrics and cmd/benchrunner snapshots into its JSON
+// exposes at GET /metrics and bench/tracedserver snapshots into its JSON
 // report. Metric names follow trendspeed_<subsystem>_<name>_<unit>.
 //
 // The API is modelled on the Prometheus client but kept deliberately small:
@@ -443,7 +443,7 @@ type FamilySnapshot struct {
 }
 
 // Snapshot captures the whole registry as plain data, for embedding in JSON
-// reports (cmd/benchrunner) and for tests.
+// reports (bench/tracedserver) and for tests.
 func (r *Registry) Snapshot() map[string]FamilySnapshot {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))

@@ -46,8 +46,8 @@ const ctxChunksPerWorker = 4
 
 // Pool observability: how often the hot loops actually fan out, the fan-out
 // width, and recovered worker panics. Exposed through the obs default
-// registry so benchrunner's -json report captures the parallelism behind
-// each timing.
+// registry, so /metrics and bench/tracedserver's snapshot show the
+// parallelism behind each timing.
 // The two mode-labelled counters are resolved once at init: Registry.Counter
 // is a mutex-guarded map lookup that builds a label key per call, which would
 // put an allocation into every serial loop run — the exact path the
