@@ -50,7 +50,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/history"
-	"repro/internal/mrf"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
 )
@@ -71,7 +70,6 @@ func main() {
 		incFrac     = flag.Float64("incremental-max-dirty-frac", 0.25, "rebuild incrementally when the buffered delta touches at most this fraction of roads (0 forces full rebuilds)")
 		estTimeout  = flag.Duration("estimate-timeout", 10*time.Second, "per-request inference deadline on /v1/estimate and /v1/map; expiry cancels the round and answers 503 (0 disables)")
 		maxEst      = flag.Int("max-inflight-estimates", 2*runtime.GOMAXPROCS(0), "max concurrent estimation rounds before excess requests are shed with 429 (0 disables admission control)")
-		engine      = flag.String("engine", "bp", "trend-inference engine: bp (Jacobi reference), fastbp (residual-scheduled), icm, gibbs, exact or prior")
 		logFormat   = flag.String("log-format", "json", "per-request structured log encoding on stderr: json or text")
 		logLevel    = flag.String("log-level", "info", "minimum structured log level: debug, info, warn or error")
 	)
@@ -124,18 +122,9 @@ func main() {
 	}
 	dataTook := time.Since(tData)
 
-	opts := core.DefaultOptions()
-	if *engine != "bp" { // "bp" is core's default; leaving Engine nil keeps its construction path
-		eng, err := mrf.NewEngine(*engine, opts.BP)
-		if err != nil {
-			log.Fatalf("bad -engine: %v", err)
-		}
-		opts.Engine = eng
-		log.Printf("trend engine: %s", eng.Name())
-	}
 	log.Printf("training model over %d roads...", net.NumRoads())
 	t0 := time.Now()
-	store, err := core.NewStore(net, db, opts)
+	store, err := core.NewStore(net, db, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -177,8 +177,8 @@ func TestRequestIDGenerated(t *testing.T) {
 }
 
 // TestShedLogCarriesRequestID forces a shed 429 and checks the warn-level
-// records carry the loadgen-style request ID, so an operator can chase one
-// shed request from a loadgen report into the server's logs.
+// records carry the client's request ID, so an operator can chase one shed
+// request from a load client's record into the server's logs.
 func TestShedLogCarriesRequestID(t *testing.T) {
 	_, st := freshStore(t)
 	var logBuf bytes.Buffer

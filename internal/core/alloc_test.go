@@ -14,7 +14,7 @@ import (
 // allocation here becomes O(requests) garbage.
 func TestFuseTrendsAllocs(t *testing.T) {
 	const n = 256
-	v := &View{preTrendNoise: 0.2, seedTrendNoise: 0.1}
+	v := &View{}
 	pUp := make([]float64, n)
 	trendUp := make([]bool, n)
 	trendPUp := make([]float64, n)

@@ -44,7 +44,7 @@ var (
 			obs.DefBuckets, "stage", stage)
 	}
 	// estimateSeconds is HDR-bucketed (~1% relative error up to p99.9), so
-	// SLO gates and loadgen comparisons read tail quantiles from it directly.
+	// tail quantiles read from it directly.
 	estimateSeconds = func(phase string) *obs.HDRHistogram {
 		return obs.Default().HDRHistogram("trendspeed_core_estimate_duration_hdr_seconds",
 			"Estimation round wall time split by phase (pre_pass, trend, speed, total), HDR-bucketed for tail quantiles.",
@@ -95,24 +95,22 @@ type Options struct {
 	// Selector overrides the seed-selection algorithm (default: lazy
 	// greedy).
 	Selector seedsel.Selector
+}
 
-	// SeedTrendNoise is the assumed relative-speed noise of crowdsourced
+// The estimation round's trend-evidence constants.
+const (
+	// seedTrendNoise is the assumed relative-speed noise of crowdsourced
 	// seed reports, used to soften seed trend evidence: a seed observed at
 	// 1.01× its historical mean is weak evidence of an "up" trend, one at
-	// 1.3× is near-certain. 0 means the default of 0.08.
-	SeedTrendNoise float64
-	// PreTrendNoise is the assumed residual noise of the magnitude
-	// pre-pass when converting its estimates to trend priors. 0 means the
-	// default of 0.12.
-	PreTrendNoise float64
-	// TrendTemper scales the MRF edge potentials toward neutrality to
-	// compensate loopy BP's evidence double-counting; in (0, 1], 0 means
-	// the default of 0.2.
-	TrendTemper float64
-	// Specialize configures seed-conditional training (hlm.SeedModel);
-	// the zero value means hlm.DefaultSpecializeConfig.
-	Specialize hlm.SpecializeConfig
-}
+	// 1.3× is near-certain.
+	seedTrendNoise = 0.08
+	// preTrendNoise is the assumed residual noise of the magnitude pre-pass
+	// when converting its estimates to trend priors.
+	preTrendNoise = 0.12
+	// trendTemper scales the MRF edge potentials toward neutrality to
+	// compensate loopy BP's evidence double-counting.
+	trendTemper = 0.2
+)
 
 // DefaultOptions returns the configuration used by the experiments.
 func DefaultOptions() Options {

@@ -87,8 +87,6 @@ func buildIncremental(ctx context.Context, old *View, db *history.DB, dirty *his
 		obsCount: db.ObservationCount(),
 		net:      old.net, db: db, graph: graph, hlm: model,
 		problem: problem, selector: old.selector, engine: old.engine,
-		seedTrendNoise: old.seedTrendNoise, preTrendNoise: old.preTrendNoise, trendTemper: old.trendTemper,
-		trendTopo: trendTopo, special: old.special,
-		rebuildMode: "incremental", warm: warm.Remap(trendTopo),
+		trendTopo: trendTopo, rebuildMode: "incremental", warm: warm.Remap(trendTopo),
 	}, nil
 }

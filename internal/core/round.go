@@ -208,7 +208,7 @@ func (v *View) trendPriors(slot int, seedRels map[roadnet.RoadID]float64) []floa
 		priors[r] = v.db.PUp(roadnet.RoadID(r), slot)
 	}
 	for road, rel := range seedRels {
-		priors[road] = trendEvidence(rel, v.seedTrendNoise)
+		priors[road] = trendEvidence(rel, seedTrendNoise)
 	}
 	return priors
 }
@@ -225,7 +225,7 @@ func (v *View) inferTrends(ctx context.Context, priors []float64, engineOverride
 		if err != nil {
 			return fmt.Errorf("building trend model: %w", err)
 		}
-		if err := model.SetEdgeTemper(v.trendTemper); err != nil {
+		if err := model.SetEdgeTemper(trendTemper); err != nil {
 			return fmt.Errorf("tempering trend model: %w", err)
 		}
 		engine := engineOverride
@@ -260,11 +260,11 @@ func (v *View) fuseTrends(trendPUp, preRels []float64, seedRels map[roadnet.Road
 // per-road fusion loop itself allocates nothing (TestFuseTrendsAllocs).
 func (v *View) fuseTrendsInto(pUp []float64, trendUp []bool, trendPUp, preRels []float64, seedRels map[roadnet.RoadID]float64) {
 	for r := range trendPUp {
-		pUp[r] = combineOdds(trendPUp[r], trendEvidence(preRels[r], v.preTrendNoise))
+		pUp[r] = combineOdds(trendPUp[r], trendEvidence(preRels[r], preTrendNoise))
 		trendUp[r] = pUp[r] >= 0.5
 	}
 	for road, rel := range seedRels {
-		p := trendEvidence(rel, v.seedTrendNoise)
+		p := trendEvidence(rel, seedTrendNoise)
 		pUp[road] = p
 		trendUp[road] = p >= 0.5
 	}

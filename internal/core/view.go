@@ -46,12 +46,9 @@ type View struct {
 	graph *corr.Graph
 	hlm   *hlm.Model
 
-	problem        *seedsel.Problem
-	selector       seedsel.Selector
-	engine         mrf.Engine
-	seedTrendNoise float64
-	preTrendNoise  float64
-	trendTemper    float64
+	problem  *seedsel.Problem
+	selector seedsel.Selector
+	engine   mrf.Engine
 
 	// trendTopo is the BP message-passing structure of the correlation
 	// graph, built once here so per-round trend models skip the O(E·deg)
@@ -62,7 +59,6 @@ type View struct {
 	// Prepare'd seed set; nil until Prepare (or SelectSeeds) runs. Rounds
 	// load it once at entry (see estimateWith).
 	seedModel atomic.Pointer[hlm.SeedModel]
-	special   hlm.SpecializeConfig
 
 	// rebuildMode records how this view was built: "full" (from-scratch
 	// training, including version 1) or "incremental" (delta rebuild, see
@@ -151,32 +147,12 @@ func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Optio
 	if selector == nil {
 		selector = seedsel.Lazy{}
 	}
-	noise := opts.SeedTrendNoise
-	if noise == 0 {
-		noise = 0.08
-	}
-	preNoise := opts.PreTrendNoise
-	if preNoise == 0 {
-		preNoise = 0.12
-	}
-	temper := opts.TrendTemper
-	if temper == 0 {
-		temper = 0.2
-	}
-	if temper < 0 || temper > 1 {
-		return nil, fmt.Errorf("core: TrendTemper must be in (0, 1], got %v: %w", temper, ErrInvalidInput)
-	}
-	special := opts.Specialize
-	if special == (hlm.SpecializeConfig{}) {
-		special = hlm.DefaultSpecializeConfig()
-	}
 	return &View{
 		version: version, builtAt: start, buildDur: time.Since(start),
 		obsCount: db.ObservationCount(),
 		net:      net, db: db, graph: graph, hlm: model,
 		problem: problem, selector: selector, engine: engine,
-		seedTrendNoise: noise, preTrendNoise: preNoise, trendTemper: temper,
-		trendTopo: trendTopo, special: special, rebuildMode: "full",
+		trendTopo: trendTopo, rebuildMode: "full",
 	}, nil
 }
 
@@ -259,7 +235,7 @@ func (v *View) Prepare(ctx context.Context, seeds []roadnet.RoadID) error {
 	}
 	var sm *hlm.SeedModel
 	if err := timeStage(ctx, "seed_specialize", func() (err error) {
-		sm, err = v.hlm.Specialize(v.db, seeds, v.seedCandidates(seeds), v.special)
+		sm, err = v.hlm.Specialize(v.db, seeds, v.seedCandidates(seeds), hlm.DefaultSpecializeConfig())
 		return err
 	}); err != nil {
 		return fmt.Errorf("core: specialising to seed set: %w", err)

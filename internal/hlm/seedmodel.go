@@ -261,47 +261,48 @@ func (sm *SeedModel) Estimate(req *Request) ([]float64, error) {
 			if reported == 0 {
 				continue // nothing observed: keep the generic estimate
 			}
-			pred, w, ok := sm.predictWith(srm, x, req, roadnet.RoadID(r))
+			pred, ok := sm.predictWith(srm, x, req, roadnet.RoadID(r))
 			if !ok {
 				continue
 			}
-			// Blend with the generic estimate by the regression's precision so
-			// weak seed regressions do not override a strong generic estimate.
-			_ = w
+			// A fitted seed regression replaces the generic estimate outright.
 			base[r] = clampRel(pred)
 		}
 	})
 	return base, nil
 }
 
-// predictWith evaluates the trend-appropriate regression.
-func (sm *SeedModel) predictWith(srm *seedRoadModel, x []float64, req *Request, r roadnet.RoadID) (float64, float64, bool) {
-	eval := func(reg *linalg.RidgeModel) (float64, float64, bool) {
+// predictWith evaluates the trend-appropriate regression: the pooled one
+// for trend-free requests, the up and down regressions mixed by P(up) when
+// the request carries marginals, and otherwise the regression of the
+// road's trend bit.
+func (sm *SeedModel) predictWith(srm *seedRoadModel, x []float64, req *Request, r roadnet.RoadID) (float64, bool) {
+	eval := func(reg *linalg.RidgeModel) (float64, bool) {
 		if reg == nil {
-			return 0, 0, false
+			return 0, false
 		}
 		v, err := reg.Predict(x)
 		if err != nil {
-			return 0, 0, false
+			return 0, false
 		}
-		return v, 1 / (reg.RMSE*reg.RMSE + 1e-4), true
+		return v, true
 	}
 	if req.TrendFree {
 		return eval(srm.pooled)
 	}
 	if req.PUp != nil {
 		p := req.PUp[r]
-		upPred, upW, upOK := eval(pickReg(srm.up, srm.pooled))
-		downPred, downW, downOK := eval(pickReg(srm.down, srm.pooled))
+		upPred, upOK := eval(pickReg(srm.up, srm.pooled))
+		downPred, downOK := eval(pickReg(srm.down, srm.pooled))
 		switch {
 		case upOK && downOK:
-			return p*upPred + (1-p)*downPred, p*upW + (1-p)*downW, true
+			return p*upPred + (1-p)*downPred, true
 		case upOK:
-			return upPred, upW, true
+			return upPred, true
 		case downOK:
-			return downPred, downW, true
+			return downPred, true
 		default:
-			return 0, 0, false
+			return 0, false
 		}
 	}
 	if req.TrendUp[r] {

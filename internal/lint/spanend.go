@@ -9,8 +9,7 @@ import (
 // SpanEnd enforces the PR 1 tracing contract: every span returned by an obs
 // StartSpan must be ended on all paths. A span that is never ended (or whose
 // End a panic or early return can skip) silently drops the stage from
-// /debug/trace and from the trendspeed_trace_span_duration_seconds
-// histogram, which is how slow-round investigations go blind.
+// /debug/trace, which is how slow-round investigations go blind.
 var SpanEnd = &Analyzer{
 	Name: "spanend",
 	Doc: "every obs span started must be ended on all paths: " +

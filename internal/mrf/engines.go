@@ -280,8 +280,7 @@ func EngineNames() []string {
 // NewEngine returns the trend-inference engine registered under name. The
 // message-passing engines (bp, fastbp) take their parameters from cfg; the
 // ablation engines (icm, gibbs, exact, prior) use their zero-value defaults.
-// It is the single construction point for operator-facing engine selection
-// (speedserver -engine, benchrunner sweeps).
+// Tests and comparison harnesses use it to build engines by name.
 func NewEngine(name string, cfg BPConfig) (Engine, error) {
 	switch name {
 	case "bp":

@@ -14,13 +14,11 @@ import (
 // the tail, which is exactly where p99.9 lives.
 //
 // Observe is lock-free: one atomic add on the value's bucket plus atomic
-// sum/count/max updates, so hot serving paths and load-generator workers can
-// record into it without contention. Snapshot reads the buckets without a
-// lock, so a snapshot taken while writers are active may be torn by a few
-// in-flight observations; quantiles are computed from the snapshot's own
-// bucket total, so they are always internally consistent. Snapshots of
-// same-shaped histograms merge losslessly (per-worker recording, merged
-// reporting — see cmd/loadgen).
+// sum/count/max updates, so hot serving paths can record into it without
+// contention. Snapshot reads the buckets without a lock, so a snapshot taken
+// while writers are active may be torn by a few in-flight observations;
+// quantiles are computed from the snapshot's own bucket total, so they are
+// always internally consistent.
 //
 // With the default growth of 1.02 the geometric bucket midpoint is at most
 // √1.02−1 ≈ 1.0% away from any value in the bucket, which is the "~1%
@@ -131,7 +129,7 @@ func (h *HDRHistogram) Sum() float64 { return h.sum.Load() }
 // HDRSnapshot.Quantile for the semantics.
 func (h *HDRHistogram) Quantile(p float64) float64 { return h.Snapshot().Quantile(p) }
 
-// Snapshot captures the histogram as plain mergeable data.
+// Snapshot captures the histogram as plain data.
 func (h *HDRHistogram) Snapshot() HDRSnapshot {
 	s := HDRSnapshot{
 		Min: h.min, Max: h.max, Growth: h.growth,
@@ -145,10 +143,9 @@ func (h *HDRHistogram) Snapshot() HDRSnapshot {
 	return s
 }
 
-// HDRSnapshot is one histogram's state as plain data: JSON-serialisable,
-// mergeable with same-shaped snapshots, and the unit quantiles are computed
-// from. Counts[0] is the underflow bucket and Counts[len−1] the overflow
-// bucket (see HDRHistogram).
+// HDRSnapshot is one histogram's state as plain data: JSON-serialisable, and
+// the unit quantiles are computed from. Counts[0] is the underflow bucket and
+// Counts[len−1] the overflow bucket (see HDRHistogram).
 type HDRSnapshot struct {
 	Min     float64  `json:"min"`
 	Max     float64  `json:"max"`
@@ -165,15 +162,6 @@ func (s HDRSnapshot) Count() uint64 {
 		total += c
 	}
 	return total
-}
-
-// Mean returns the arithmetic mean of the observations, 0 when empty.
-func (s HDRSnapshot) Mean() float64 {
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	return s.Sum / float64(n)
 }
 
 // Quantile returns the p-quantile: the geometric midpoint of the bucket
@@ -222,26 +210,4 @@ func (s HDRSnapshot) representative(i int) float64 {
 		return s.Max
 	}
 	return s.Min * math.Pow(s.Growth, float64(i-1)+0.5)
-}
-
-// Merge returns the combination of two same-shaped snapshots: bucket-wise
-// count addition, summed sums, and the larger maximum. Shapes must agree —
-// merging histograms with different ranges or growth factors would silently
-// misassign every bucket.
-func (s HDRSnapshot) Merge(o HDRSnapshot) (HDRSnapshot, error) {
-	if s.Min != o.Min || s.Max != o.Max || s.Growth != o.Growth || len(s.Counts) != len(o.Counts) {
-		return HDRSnapshot{}, fmt.Errorf(
-			"obs: merging incompatible HDR snapshots: [%v,%v]×%v/%d vs [%v,%v]×%v/%d",
-			s.Min, s.Max, s.Growth, len(s.Counts), o.Min, o.Max, o.Growth, len(o.Counts))
-	}
-	out := HDRSnapshot{
-		Min: s.Min, Max: s.Max, Growth: s.Growth,
-		Counts:  make([]uint64, len(s.Counts)),
-		Sum:     s.Sum + o.Sum,
-		MaxSeen: math.Max(s.MaxSeen, o.MaxSeen),
-	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return out, nil
 }

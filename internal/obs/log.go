@@ -11,8 +11,8 @@ type requestIDKey struct{}
 
 // WithRequestID returns a context carrying the given request ID. The API
 // middleware calls this once per request; spans and loggers downstream pick
-// the ID up automatically, so one grep over logs, /debug/trace output and
-// loadgen reports correlates a single slow or shed request across all three.
+// the ID up automatically, so one grep over the logs and the /debug/trace
+// output correlates a single slow or shed request across both.
 func WithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey{}, id)
 }

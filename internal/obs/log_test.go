@@ -93,7 +93,7 @@ func TestRequestIDFromEmpty(t *testing.T) {
 }
 
 func TestSpanCarriesRequestID(t *testing.T) {
-	tr := NewTracer(NewRegistry(), 8)
+	tr := NewTracer(8)
 	ctx := WithRequestID(context.Background(), "req-span-1")
 	ctx, parent := tr.StartSpan(ctx, "estimate")
 	_, child := tr.StartSpan(ctx, "knn")

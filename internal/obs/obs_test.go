@@ -141,7 +141,7 @@ func TestSnapshot(t *testing.T) {
 func TestConcurrency(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
-	tr := NewTracer(r, 64)
+	tr := NewTracer(64)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

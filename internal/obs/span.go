@@ -19,13 +19,12 @@ type SpanRecord struct {
 	RequestID       string    `json:"request_id,omitempty"`
 }
 
-// Tracer records the last-N finished spans in a ring buffer and mirrors
-// every span duration into a histogram family on its registry
-// (trendspeed_trace_span_duration_seconds{span="…"}), so stage timings show
-// up both in /metrics and in the JSON dump at /debug/trace.
+// Tracer records the last-N finished spans in a ring buffer, dumped as JSON
+// at /debug/trace. Span durations reach /metrics only through the callers
+// that time them, each into its own family (for example
+// trendspeed_core_stage_duration_seconds and
+// trendspeed_core_estimate_duration_hdr_seconds).
 type Tracer struct {
-	reg *Registry
-
 	// started counts StartSpan calls; ended mirrors the ring's total under
 	// its own atomic so leak checks (started == ended once work drains) do
 	// not contend on mu.
@@ -38,25 +37,21 @@ type Tracer struct {
 	total uint64
 }
 
-// NewTracer returns a tracer keeping the last capacity spans and reporting
-// durations into reg.
-func NewTracer(reg *Registry, capacity int) *Tracer {
+// NewTracer returns a tracer keeping the last capacity spans.
+func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{reg: reg, ring: make([]SpanRecord, 0, capacity)}
+	return &Tracer{ring: make([]SpanRecord, 0, capacity)}
 }
 
-var defaultTracer = NewTracer(defaultRegistry, 256)
+var defaultTracer = NewTracer(256)
 
 // DefaultTracer returns the process-wide tracer used by StartSpan.
 func DefaultTracer() *Tracer { return defaultTracer }
 
-// record stores one finished span and observes its duration metric.
+// record stores one finished span in the ring.
 func (t *Tracer) record(rec SpanRecord) {
-	t.reg.Histogram("trendspeed_trace_span_duration_seconds",
-		"Wall-clock duration of traced pipeline stages.",
-		DefBuckets, "span", rec.Name).Observe(rec.DurationSeconds)
 	t.mu.Lock()
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, rec)
