@@ -12,9 +12,8 @@
 //	POST /v1/map              estimation round rendered as an ASCII congestion map
 //	GET  /metrics             Prometheus text exposition of internal/obs (Config.Metrics)
 //
-// With Config.Debug (or via DebugMux for a separate listener) the server
-// also mounts /debug/pprof/*, /debug/vars (expvar) and /debug/trace (the
-// obs span ring as JSON).
+// DebugMux serves /debug/pprof/*, /debug/vars (expvar) and /debug/trace (the
+// obs span ring as JSON) beside /metrics, for a separate private listener.
 //
 // Every route passes through an instrumentation middleware that reports a
 // per-route request counter (split by status class), a latency histogram
@@ -39,8 +38,8 @@
 // EstimateTimeout) cancels BP message rounds mid-flight instead of running
 // them to completion for nobody. The estimate path (/v1/estimate, /v1/map)
 // additionally passes an admission semaphore (Config.MaxInflightEstimates):
-// a request that finds it full waits at most Config.EstimateAdmitWait and is
-// then shed with 429 + Retry-After — admission control *before* the
+// a request that finds it full waits at most defaultAdmitWait and is then
+// shed with 429 + Retry-After — admission control *before* the
 // expensive work, so overload degrades into fast, explicit rejections
 // rather than a growing convoy of slow successes. Deadline expiry
 // mid-inference answers 503 + Retry-After; a client that went away answers
@@ -115,12 +114,9 @@ type Config struct {
 	// Metrics mounts GET /metrics (Prometheus text exposition of the obs
 	// default registry).
 	Metrics bool
-	// Debug mounts /debug/pprof/*, /debug/vars and /debug/trace on the main
-	// handler. Prefer a separate listener (DebugMux) on shared networks.
-	Debug bool
 
 	// MaxInflightEstimates bounds concurrent estimation rounds across
-	// /v1/estimate and /v1/map; excess requests wait EstimateAdmitWait for a
+	// /v1/estimate and /v1/map; excess requests wait defaultAdmitWait for a
 	// slot and are then shed with 429 + Retry-After. 0 disables admission
 	// control (every request runs immediately).
 	MaxInflightEstimates int
@@ -128,9 +124,6 @@ type Config struct {
 	// path; a round still running when it expires is cancelled and answered
 	// with 503 + Retry-After. 0 means no deadline beyond the client's own.
 	EstimateTimeout time.Duration
-	// EstimateAdmitWait overrides how long a request may wait for an
-	// admission slot before being shed; 0 means defaultAdmitWait.
-	EstimateAdmitWait time.Duration
 
 	// Logger receives one structured record per request (level by status:
 	// warn ≥ 500, info ≥ 400, debug otherwise) plus shed/deadline events,
@@ -147,7 +140,9 @@ type Server struct {
 
 	// estSem is the estimate-path admission semaphore (nil = unbounded):
 	// a buffered channel whose capacity is Config.MaxInflightEstimates.
-	estSem     chan struct{}
+	estSem chan struct{}
+	// admitWait is how long a request may wait for an admission slot before
+	// being shed: defaultAdmitWait, which tests may reset before serving.
 	admitWait  time.Duration
 	estTimeout time.Duration
 
@@ -173,8 +168,8 @@ type seedCall struct {
 	err   error
 }
 
-// NewServer returns a Server for a model store with metrics exposed and
-// debug endpoints off; use NewServerWith to choose.
+// NewServer returns a Server for a model store with metrics exposed; use
+// NewServerWith to choose.
 func NewServer(store *core.Store) (*Server, error) {
 	return NewServerWith(store, Config{Metrics: true})
 }
@@ -188,7 +183,7 @@ func NewServerWith(store *core.Store, cfg Config) (*Server, error) {
 		store:        store,
 		mux:          http.NewServeMux(),
 		log:          cfg.Logger,
-		admitWait:    cfg.EstimateAdmitWait,
+		admitWait:    defaultAdmitWait,
 		estTimeout:   cfg.EstimateTimeout,
 		seedCache:    map[seedKey][]roadnet.RoadID{},
 		seedInflight: map[seedKey]*seedCall{},
@@ -196,9 +191,6 @@ func NewServerWith(store *core.Store, cfg Config) (*Server, error) {
 	}
 	if s.log == nil {
 		s.log = obs.NopLogger()
-	}
-	if s.admitWait <= 0 {
-		s.admitWait = defaultAdmitWait
 	}
 	obs.RegisterBuildInfo(obs.Default())
 	if cfg.MaxInflightEstimates > 0 {
@@ -218,9 +210,6 @@ func NewServerWith(store *core.Store, cfg Config) (*Server, error) {
 	s.handle("POST", "/v1/map", s.gated("/v1/map", s.handleMap))
 	if cfg.Metrics {
 		s.handle("GET", "/metrics", handleMetrics)
-	}
-	if cfg.Debug {
-		mountDebug(s.mux)
 	}
 	return s, nil
 }
@@ -443,8 +432,11 @@ func handleTrace(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write(raw)
 }
 
-// mountDebug registers the profiling and introspection endpoints on a mux.
-func mountDebug(mux *http.ServeMux) {
+// DebugMux returns a standalone handler with the metrics, pprof, expvar and
+// trace endpoints, for serving on a private -debug-addr listener.
+func DebugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /metrics", handleMetrics)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -452,14 +444,6 @@ func mountDebug(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/trace", handleTrace)
-}
-
-// DebugMux returns a standalone handler with the metrics, pprof, expvar and
-// trace endpoints, for serving on a private -debug-addr listener.
-func DebugMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", handleMetrics)
-	mountDebug(mux)
 	return mux
 }
 

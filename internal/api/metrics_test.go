@@ -202,18 +202,20 @@ func (r *recorder) Write(b []byte) (int, error) {
 	return r.body.Write(b)
 }
 
+// TestDebugEndpoints reads the debug surface speedserver serves on
+// -debug-addr through DebugMux.
 func TestDebugEndpoints(t *testing.T) {
-	_, st := fixtures(t)
-	srv, err := NewServerWith(st, Config{Metrics: true, Debug: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fixtures(t)
+	dbg := DebugMux()
 	get := func(path string) *recorder {
 		t.Helper()
 		req, _ := http.NewRequest("GET", path, nil)
 		rw := newRecorder()
-		srv.ServeHTTP(rw, req)
+		dbg.ServeHTTP(rw, req)
 		return rw
+	}
+	if rw := get("/metrics"); rw.status != http.StatusOK || !strings.Contains(rw.body.String(), "trendspeed_") {
+		t.Errorf("/metrics → %d", rw.status)
 	}
 	if rw := get("/debug/vars"); rw.status != http.StatusOK || !strings.Contains(rw.body.String(), "memstats") {
 		t.Errorf("/debug/vars → %d", rw.status)
@@ -234,19 +236,9 @@ func TestDebugEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rw.body.Bytes(), &doc); err != nil {
 		t.Fatalf("trace dump not JSON: %v", err)
 	}
-	// The fixture estimator was built through core.New, so build-stage spans
-	// are in the ring.
+	// Building the fixture store put its build-stage spans in the ring.
 	if doc.TotalSpans == 0 {
 		t.Error("trace dump has no spans")
-	}
-
-	// The standalone DebugMux serves the same surface for -debug-addr.
-	dbg := DebugMux()
-	req, _ := http.NewRequest("GET", "/metrics", nil)
-	drw := newRecorder()
-	dbg.ServeHTTP(drw, req)
-	if drw.status != http.StatusOK || !strings.Contains(drw.body.String(), "trendspeed_") {
-		t.Errorf("DebugMux /metrics → %d", drw.status)
 	}
 }
 

@@ -41,15 +41,14 @@ func decodeLogLines(t *testing.T, buf *bytes.Buffer) []logLine {
 }
 
 // TestRequestIDCorrelation drives one estimate through a server with logging
-// and debug endpoints on, then checks the same request ID shows up in all
-// three places the issue demands: the X-Request-Id response header, the
-// structured log line, and the span dump at /debug/trace.
+// on, then checks the same request ID shows up in all three places an
+// operator looks: the X-Request-Id response header, the structured log line,
+// and the span dump at DebugMux's /debug/trace.
 func TestRequestIDCorrelation(t *testing.T) {
 	_, st := fixtures(t)
 	var logBuf bytes.Buffer
 	srv, err := NewServerWith(st, Config{
 		Metrics: true,
-		Debug:   true,
 		Logger:  obs.NewLogger(&logBuf, slog.LevelDebug),
 	})
 	if err != nil {
@@ -103,7 +102,9 @@ func TestRequestIDCorrelation(t *testing.T) {
 	}
 
 	// 3. The span dump correlates the inference spans to the same ID.
-	traceResp, err := http.Get(ts.URL + "/debug/trace")
+	dbg := httptest.NewServer(DebugMux())
+	defer dbg.Close()
+	traceResp, err := http.Get(dbg.URL + "/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +186,11 @@ func TestShedLogCarriesRequestID(t *testing.T) {
 	srv, err := NewServerWith(st, Config{
 		Logger:               obs.NewLogger(&logBuf, slog.LevelDebug),
 		MaxInflightEstimates: 1,
-		EstimateAdmitWait:    1, // nanosecond: whoever loses the race sheds instantly
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.admitWait = 1 // nanosecond: whoever loses the race sheds instantly
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -46,8 +46,8 @@ func (e gateEngine) Infer(ctx context.Context, m *mrf.Model, ev []mrf.Evidence, 
 }
 
 // newGatedServer builds a private store whose trend engine is eng and serves
-// it with the given admission config.
-func newGatedServer(t *testing.T, cfg Config, eng mrf.Engine) (*httptest.Server, *dataset.Dataset) {
+// it with the given config, waiting admitWait for an admission slot.
+func newGatedServer(t *testing.T, cfg Config, admitWait time.Duration, eng mrf.Engine) (*httptest.Server, *dataset.Dataset) {
 	t.Helper()
 	dcfg := dataset.DefaultConfig()
 	dcfg.Net.BlocksX, dcfg.Net.BlocksY = 5, 4
@@ -68,6 +68,7 @@ func newGatedServer(t *testing.T, cfg Config, eng mrf.Engine) (*httptest.Server,
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.admitWait = admitWait
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, d
@@ -92,7 +93,7 @@ func postEstimate(t *testing.T, ts *httptest.Server, body string) *http.Response
 // releases the gate and asserts the parked request still completes with 200.
 func TestEstimateShed429(t *testing.T) {
 	eng := newGateEngine()
-	ts, d := newGatedServer(t, Config{MaxInflightEstimates: 1, EstimateAdmitWait: 20 * time.Millisecond}, eng)
+	ts, d := newGatedServer(t, Config{MaxInflightEstimates: 1}, 20*time.Millisecond, eng)
 
 	shed0 := apiShed("/v1/estimate").Value()
 	first := make(chan int, 1)
@@ -135,7 +136,7 @@ func TestEstimateShed429(t *testing.T) {
 // retry.
 func TestEstimateTimeout503(t *testing.T) {
 	eng := newGateEngine()
-	ts, d := newGatedServer(t, Config{EstimateTimeout: 50 * time.Millisecond}, eng)
+	ts, d := newGatedServer(t, Config{EstimateTimeout: 50 * time.Millisecond}, defaultAdmitWait, eng)
 	resp := postEstimate(t, ts, estBody(d))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -151,7 +152,7 @@ func TestEstimateTimeout503(t *testing.T) {
 // admission slot: a follow-up request must be admitted and succeed.
 func TestEstimateClientCancelUnwinds(t *testing.T) {
 	eng := newGateEngine()
-	ts, d := newGatedServer(t, Config{MaxInflightEstimates: 1, EstimateAdmitWait: 20 * time.Millisecond}, eng)
+	ts, d := newGatedServer(t, Config{MaxInflightEstimates: 1}, 20*time.Millisecond, eng)
 
 	s0, e0 := obs.DefaultTracer().Counts()
 	open0 := s0 - e0
@@ -225,7 +226,7 @@ func TestEstimateClientCancelUnwinds(t *testing.T) {
 // 5xx, never a hang — with at least one of each outcome class possible but
 // only 200 guaranteed.
 func TestEstimateBurstShedsCleanly(t *testing.T) {
-	ts, d := newGatedServer(t, Config{MaxInflightEstimates: 2, EstimateAdmitWait: time.Millisecond}, nil)
+	ts, d := newGatedServer(t, Config{MaxInflightEstimates: 2}, time.Millisecond, nil)
 	body := estBody(d)
 
 	const burst = 16

@@ -186,7 +186,3 @@ func poolingLevels(net *roadnet.Network) [][]int {
 	}
 	return levels
 }
-
-// ExportPoolingLevels exposes the default pooling construction for
-// diagnostics and experiments.
-func ExportPoolingLevels(net *roadnet.Network) [][]int { return poolingLevels(net) }

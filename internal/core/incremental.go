@@ -28,10 +28,8 @@ import (
 //   - seed selection re-derives its problem in full (it is the cheapest
 //     stage and its benefit weights shift with every dirty road).
 //
-// The successor inherits the predecessor's latest converged BP beliefs,
-// re-keyed onto its topology by directed-edge identity (mrf.Beliefs.Remap),
-// as its fixed warm start, cutting trend-inference rounds right after a
-// swap.
+// The successor inherits nothing from the traffic its predecessor served:
+// like every view, it is a function of its history alone.
 func buildIncremental(ctx context.Context, old *View, db *history.DB, dirty *history.Dirty, opts Options, version uint64) (*View, error) {
 	start := time.Now()
 	ctx, buildSpan := obs.StartSpan(ctx, "core.rebuild_incremental")
@@ -73,20 +71,11 @@ func buildIncremental(ctx context.Context, old *View, db *history.DB, dirty *his
 		return nil, fmt.Errorf("core: preparing seed selection: %w", err)
 	}
 
-	// Warm start: the predecessor's most recent converged beliefs, or —
-	// when it never ran a trend inference — whatever it inherited itself,
-	// re-keyed by edge identity: surviving edges keep their converged
-	// messages, new edges start uniform.
-	warm := old.lastBeliefs.Load()
-	if warm == nil {
-		warm = old.warm
-	}
-
 	return &View{
 		version: version, builtAt: start, buildDur: time.Since(start),
 		obsCount: db.ObservationCount(),
 		net:      old.net, db: db, graph: graph, hlm: model,
 		problem: problem, selector: old.selector, engine: old.engine,
-		trendTopo: trendTopo, rebuildMode: "incremental", warm: warm.Remap(trendTopo),
+		trendTopo: trendTopo, rebuildMode: "incremental",
 	}, nil
 }

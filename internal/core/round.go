@@ -214,9 +214,7 @@ func (v *View) trendPriors(slot int, seedRels map[roadnet.RoadID]float64) []floa
 }
 
 // inferTrends is step 1: trend inference over the MRF with the given node
-// priors, warm-started from the beliefs the view inherited at an incremental
-// rebuild. The converged beliefs are snapshotted for the successor's warm
-// start; rounds never read lastBeliefs, so the store cannot perturb them.
+// priors, started cold like every other inference.
 func (v *View) inferTrends(ctx context.Context, priors []float64, engineOverride mrf.Engine) (*mrf.Result, error) {
 	var trends *mrf.Result
 	//lint:hotpath-ok one span-bracketing thunk per phase per round (not per index); timePhase needs a closure to time and the round does O(roads) work inside it
@@ -232,13 +230,10 @@ func (v *View) inferTrends(ctx context.Context, priors []float64, engineOverride
 		if engine == nil {
 			engine = v.engine
 		}
-		trends, err = engine.Infer(ctx, model, nil, v.warm)
+		trends, err = engine.Infer(ctx, model, nil, nil)
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("core: trend inference: %w", err)
-	}
-	if trends.Beliefs != nil {
-		v.lastBeliefs.Store(trends.Beliefs)
 	}
 	return trends, nil
 }

@@ -54,9 +54,8 @@ type StoreConfig struct {
 	// IncrementalMaxDirtyFrac enables incremental (delta) rebuilds: when some
 	// roads' history changed since the published view and their fraction is
 	// at or below this value, the rebuild re-scores and retrains only around
-	// the delta and warm-starts trend inference from the predecessor's
-	// converged beliefs (see buildIncremental). Larger deltas fall back to a
-	// full retrain. 0 (or negative) disables incremental rebuilds entirely.
+	// the delta (see buildIncremental). Larger deltas fall back to a full
+	// retrain. 0 (or negative) disables incremental rebuilds entirely.
 	IncrementalMaxDirtyFrac float64
 }
 

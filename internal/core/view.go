@@ -32,9 +32,11 @@ import (
 // retrained by Prepare/SelectSeeds. It is published as an immutable snapshot
 // through an atomic pointer: Prepare builds the new specialization off to
 // the side and swaps it in, and every estimation round loads exactly one
-// snapshot at entry and uses only that. The remaining caveat is
-// caller-configured engines with internal randomness (e.g. Gibbs), which
-// are only as safe as the engine itself.
+// snapshot at entry and uses only that. Rounds leave nothing behind, so a
+// view, and any successor an incremental rebuild mints from it, answers as
+// a function of its history and seed set alone, never of the traffic it
+// served. The remaining caveat is caller-configured engines with internal
+// randomness (e.g. Gibbs), which are only as safe as the engine itself.
 type View struct {
 	version  uint64
 	builtAt  time.Time
@@ -64,17 +66,6 @@ type View struct {
 	// training, including version 1) or "incremental" (delta rebuild, see
 	// buildIncremental).
 	rebuildMode string
-
-	// warm is the BP belief snapshot inherited from the predecessor at an
-	// incremental rebuild; nil for full builds. It is fixed for the view's
-	// lifetime — every trend inference on this view sees the same warm
-	// input — so repeated identical rounds stay bit-identical.
-	warm *mrf.Beliefs
-	// lastBeliefs is the converged belief state of the most recent trend
-	// inference round on this view; the successor minted by an incremental
-	// rebuild adopts it as its warm start. Rounds only store here, never
-	// read, which keeps them deterministic.
-	lastBeliefs atomic.Pointer[mrf.Beliefs]
 }
 
 // NewView trains a version-1 view over the whole city. This is the expensive

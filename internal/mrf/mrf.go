@@ -23,18 +23,8 @@ import (
 	"math"
 
 	"repro/internal/corr"
-	"repro/internal/obs"
 	"repro/internal/roadnet"
 )
-
-// warmStartMisses counts warm belief snapshots handed to engines that cannot
-// consume them. Serving layers thread the predecessor's converged beliefs
-// into every trend inference expecting a convergence speedup; when the
-// configured engine is not message-passing (Exact, ICM, Gibbs, PriorOnly)
-// that speedup silently never materialises — this counter is the signal that
-// a deployment pays for warm-start plumbing it cannot use.
-var warmStartMisses = obs.Default().Counter("trendspeed_bp_warm_start_misses_total",
-	"Warm belief snapshots passed to trend engines that cannot use them (non-message-passing engines discard the warm argument and start cold).")
 
 // Evidence clamps one road's trend to an observed value.
 type Evidence struct {
@@ -131,11 +121,6 @@ func (m *Model) Prior(id roadnet.RoadID) float64 { return m.prior[id] }
 type Result struct {
 	// PUp[r] is the posterior probability that road r's trend is up.
 	PUp []float64
-	// Beliefs is the converged message state of the run, usable to
-	// warm-start a later run over a compatible topology. Only the
-	// message-passing engines (BP and FastBP) produce it; others leave it
-	// nil.
-	Beliefs *Beliefs
 }
 
 // Up reports the MAP trend of road r under the marginals.
@@ -149,19 +134,15 @@ type Engine interface {
 	// wrapped — once it is cancelled, so an abandoned estimation round stops
 	// burning CPU mid-inference instead of running to completion.
 	//
-	// warm optionally seeds the engine with a prior run's converged state
-	// (see Beliefs). Only message-passing engines can consume it; an engine
-	// without message state (Exact, ICM, Gibbs, PriorOnly) MUST count a
-	// non-nil warm in trendspeed_bp_warm_start_misses_total before starting
-	// cold, so operators can see warm-start plumbing that never pays off —
-	// discarding it silently is a contract violation. Beliefs incompatible
-	// with the model's topology fall back to a cold start without counting
-	// a miss (the caller supplied usable state; the topology just moved).
-	// Passing nil always yields the engine's cold-start behaviour.
+	// Every engine ignores warm and starts cold; callers pass nil.
 	Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error)
 	// Name identifies the engine in experiment output.
 	Name() string
 }
+
+// Beliefs is the type of Engine.Infer's warm argument, which every engine
+// ignores: each trend inference starts from uniform messages.
+type Beliefs struct{}
 
 // evidenceMap validates evidence and converts it to a lookup table:
 // -1 unobserved, 0 down, 1 up.
@@ -204,14 +185,10 @@ type PriorOnly struct{}
 func (PriorOnly) Name() string { return "prior" }
 
 // Infer implements Engine. The prior readout is a single pass, so ctx is
-// only consulted at entry; a non-nil warm is counted as a warm-start miss
-// (there is no iterative state to seed).
-func (PriorOnly) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error) {
+// only consulted at entry.
+func (PriorOnly) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beliefs) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if warm != nil {
-		warmStartMisses.Inc()
 	}
 	ev, err := evidenceMap(m, evidence)
 	if err != nil {

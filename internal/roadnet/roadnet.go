@@ -11,7 +11,6 @@ package roadnet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/geo"
@@ -113,8 +112,6 @@ type Network struct {
 	in  [][]RoadID // incoming road IDs per node
 
 	adj [][]RoadID // road-level adjacency: roads sharing a junction
-
-	grid *geo.GridIndex
 }
 
 // NumRoads returns the number of road segments.
@@ -160,34 +157,6 @@ func (n *Network) TotalLength() float64 {
 		total += n.roads[i].length
 	}
 	return total
-}
-
-// RoadsNear appends to dst the IDs of roads whose geometry bounding box
-// intersects the disc of the given radius around p. Used by map matching.
-func (n *Network) RoadsNear(dst []RoadID, p geo.Point, radius float64) []RoadID {
-	ids := n.grid.Query(nil, p, radius)
-	for _, id := range ids {
-		dst = append(dst, RoadID(id))
-	}
-	return dst
-}
-
-// NearestRoad returns the road whose geometry is closest to p within
-// maxDist, along with the projection onto it. ok is false when no road is
-// within maxDist.
-func (n *Network) NearestRoad(p geo.Point, maxDist float64) (id RoadID, along, perp float64, ok bool) {
-	best := maxDist
-	found := false
-	for _, cand := range n.grid.Query(nil, p, maxDist) {
-		_, a, d := n.roads[cand].Geometry.Project(p)
-		if d <= best {
-			best, id, along, found = d, RoadID(cand), a, true
-		}
-	}
-	if !found {
-		return 0, 0, 0, false
-	}
-	return id, along, best, true
 }
 
 // Hops runs a breadth-first search over road-level adjacency from each of
@@ -307,17 +276,5 @@ func (b *Builder) Build() (*Network, error) {
 		sort.Slice(nbs, func(a, b int) bool { return nbs[a] < nbs[b] })
 		n.adj[i] = nbs
 	}
-	n.grid = geo.NewGridIndex(len(n.roads), gridCellFor(n), func(i int) geo.Rect {
-		return n.roads[i].Geometry.Bounds()
-	})
 	return n, nil
-}
-
-// gridCellFor picks a grid cell size proportional to the mean segment length.
-func gridCellFor(n *Network) float64 {
-	mean := n.TotalLength() / float64(len(n.roads))
-	if mean < 50 {
-		mean = 50
-	}
-	return math.Min(mean*2, 1000)
 }

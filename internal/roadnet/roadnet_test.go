@@ -118,32 +118,6 @@ func TestHops(t *testing.T) {
 	}
 }
 
-func TestNearestRoad(t *testing.T) {
-	n := tinyNetwork(t)
-	// A point near the midpoint of road 0 (0,0)->(100,100).
-	id, along, perp, ok := n.NearestRoad(geo.Pt(49, 53), 50)
-	if !ok {
-		t.Fatal("no road found")
-	}
-	if r := n.Road(id); !(r.From == 0 && r.To == 1 || r.From == 1 && r.To == 0) {
-		t.Errorf("nearest road is %d (%d->%d)", id, r.From, r.To)
-	}
-	if along <= 0 || perp > 5 {
-		t.Errorf("along=%v perp=%v", along, perp)
-	}
-	if _, _, _, ok := n.NearestRoad(geo.Pt(10000, 10000), 50); ok {
-		t.Error("found a road far outside the network")
-	}
-}
-
-func TestRoadsNear(t *testing.T) {
-	n := tinyNetwork(t)
-	got := n.RoadsNear(nil, geo.Pt(0, 0), 10)
-	if len(got) == 0 {
-		t.Error("no roads near the origin junction")
-	}
-}
-
 func TestGenerateDefault(t *testing.T) {
 	n, err := Generate(DefaultGenerateConfig())
 	if err != nil {

@@ -11,12 +11,6 @@ import (
 // as impassable.
 type SpeedFunc func(RoadID) float64
 
-// FreeFlowSpeeds returns a SpeedFunc using each road's class free-flow
-// speed; the static router used by the taxi simulator's trip planning.
-func FreeFlowSpeeds(n *Network) SpeedFunc {
-	return func(id RoadID) float64 { return n.Road(id).Class.FreeFlowSpeed() }
-}
-
 // Route is a shortest-travel-time path between two junctions.
 type Route struct {
 	// Roads is the ordered sequence of road segments to traverse.

@@ -56,7 +56,7 @@ func TestRouteAlongChain(t *testing.T) {
 func TestRouteSameNode(t *testing.T) {
 	net := lineNetwork(t, 3)
 	rt := NewRouter(net)
-	route, err := rt.Route(2, 2, FreeFlowSpeeds(net))
+	route, err := rt.Route(2, 2, func(RoadID) float64 { return 10 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +68,10 @@ func TestRouteSameNode(t *testing.T) {
 func TestRouteValidation(t *testing.T) {
 	net := lineNetwork(t, 3)
 	rt := NewRouter(net)
-	if _, err := rt.Route(-1, 2, FreeFlowSpeeds(net)); err == nil {
+	if _, err := rt.Route(-1, 2, func(RoadID) float64 { return 10 }); err == nil {
 		t.Error("negative src accepted")
 	}
-	if _, err := rt.Route(0, 99, FreeFlowSpeeds(net)); err == nil {
+	if _, err := rt.Route(0, 99, func(RoadID) float64 { return 10 }); err == nil {
 		t.Error("out-of-range dst accepted")
 	}
 }

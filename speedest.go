@@ -22,9 +22,9 @@
 //	defer st.Close()
 //	res, err := st.View().Estimate(ctx, slot, seedSpeeds)
 //
-// Use BuildDataset (or the GPS pipeline in internal/gps via cmd/datagen) to
-// create synthetic benchmark datasets; see examples/ for runnable
-// walkthroughs and DESIGN.md for the system architecture.
+// Use BuildDataset (or cmd/datagen, which persists one) to create synthetic
+// benchmark datasets; see examples/ for runnable walkthroughs and DESIGN.md
+// for the system architecture.
 package speedest
 
 import (
