@@ -44,6 +44,8 @@
 // rather than a growing convoy of slow successes. Deadline expiry
 // mid-inference answers 503 + Retry-After; a client that went away answers
 // the nginx-convention 499 (nobody reads it, but the metrics stay honest).
+// /v1/observations answers 429 + Retry-After when the store's ingest
+// buffer is full (core.ErrBufferFull) and buffers nothing of the batch.
 package api
 
 import (
@@ -888,7 +890,8 @@ type observationsResponse struct {
 // whole POST with 400 and buffers nothing — and an accepted batch answers
 // 202: the data is durable in the buffer but only folds into the published
 // model at the next rebuild (whose trigger the response's buffered count
-// lets the client reason about).
+// lets the client reason about). A batch the full buffer cannot take
+// answers 429 with Retry-After, and the client sends it again later.
 func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	var req observationsRequest
 	if !decodeStrict(w, r, maxObservationsBody, &req) {
@@ -903,6 +906,11 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 		batch[i] = core.Observation{Road: o.Road, Slot: o.Slot, Speed: o.Speed}
 	}
 	buffered, err := s.store.Ingest(batch...)
+	if errors.Is(err, core.ErrBufferFull) {
+		w.Header().Set("Retry-After", "1")
+		writeErr(w, http.StatusTooManyRequests, "ingesting observations: %v", err)
+		return
+	}
 	if err != nil {
 		writeErr(w, estimateStatus(err), "ingesting observations: %v", err)
 		return

@@ -101,6 +101,39 @@ func TestObservationsValidation(t *testing.T) {
 	}
 }
 
+// TestObservationsBufferFull: once the store's ingest buffer holds as many
+// observations as the published view's history has samples, a batch
+// answers 429 with Retry-After and buffers nothing: no rebuild is armed, so
+// the buffer would otherwise grow with every POST.
+func TestObservationsBufferFull(t *testing.T) {
+	ts, _, d, st := newLifecycleServer(t)
+	limit := st.View().ObservationCount()
+	fill := make([]core.Observation, limit)
+	for i := range fill {
+		fill[i] = core.Observation{Road: roadnet.RoadID(i % d.Net.NumRoads()), Slot: d.Slot(), Speed: 9.5}
+	}
+	if _, err := st.Ingest(fill...); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"observations":[{"road":0,"slot":%d,"speed_mps":9.5}]}`, d.Slot())
+	resp, err := http.Post(ts.URL+"/v1/observations", "application/json", bytes.NewBufferString(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("batch past a full buffer → %d, Retry-After %q (%q); want 429 with Retry-After 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"), e.Error)
+	}
+	if got := st.BufferedObservations(); got != limit {
+		t.Errorf("store buffered %d observations, want the limit %d", got, limit)
+	}
+}
+
 // TestRebuildBumpsVersionAcrossAPI: ingest via the API, rebuild, and watch
 // every surface agree on the new version — /v1/model, /v1/estimate's
 // model_version, and /v1/seeds recomputed for the new artifact.

@@ -388,21 +388,26 @@ func TestStoreEmptyRebuildIsFull(t *testing.T) {
 }
 
 // BenchmarkStoreRebuild times one Rebuild of the 8×6-block city after an
-// at-mean delta on 5 of its 254 roads (2%), in each mode. Before every
-// rebuild a round runs on the published view, as in serving; that round and
-// the ingest are not timed.
+// at-mean delta, and reports its allocations. The delta touches 5 of the
+// 254 roads (2%) in each mode, and half of them in full-wide: past the
+// 25% incremental threshold, the shape of a served city's rebuild under
+// steady ingest. Before every rebuild a round runs on the published view,
+// as in serving; that round and the ingest are not timed.
 func BenchmarkStoreRebuild(b *testing.B) {
 	d := buildCity(b, 8, 6)
 	slot, truth := d.NextTruth()
 	seeds := spreadSeeds(d, truth, 10)
 	for _, tc := range []struct {
-		mode         string
+		name         string
+		roads        int // roads the delta touches
 		maxDirtyFrac float64
+		mode         string
 	}{
-		{"full", 0},
-		{"incremental", 0.25},
+		{"full", 5, 0, "full"},
+		{"incremental", 5, 0.25, "incremental"},
+		{"full-wide", d.Net.NumRoads() / 2, 0.25, "full"},
 	} {
-		b.Run(tc.mode, func(b *testing.B) {
+		b.Run(tc.name, func(b *testing.B) {
 			ctx := context.Background()
 			st, err := NewStore(d.Net, d.DB, DefaultOptions())
 			if err != nil {
@@ -410,6 +415,7 @@ func BenchmarkStoreRebuild(b *testing.B) {
 			}
 			defer st.Close()
 			st.Start(StoreConfig{IncrementalMaxDirtyFrac: tc.maxDirtyFrac})
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -417,7 +423,7 @@ func BenchmarkStoreRebuild(b *testing.B) {
 				if _, err := v.Estimate(ctx, slot, seeds); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := st.Ingest(atMeanDelta(v, slot, firstRoads(5), 3)...); err != nil {
+				if _, err := st.Ingest(atMeanDelta(v, slot, firstRoads(tc.roads), 3)...); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()

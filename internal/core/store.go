@@ -31,7 +31,15 @@ var (
 	}
 	ingestBuffered = obs.Default().Gauge("trendspeed_ingest_buffered_observations",
 		"Observations ingested but not yet folded into a published model.")
+	ingestRefused = obs.Default().Counter("trendspeed_ingest_refused_batches_total",
+		"Observation batches Ingest refused because the buffer was full (ErrBufferFull).")
 )
+
+// ErrBufferFull marks an Ingest refused because the batch would overfill
+// the buffer (see Store.Ingest). Nothing of the batch is buffered; it may
+// be sent again once a rebuild has drained the buffer, so HTTP layers
+// answer 429 with Retry-After.
+var ErrBufferFull = errors.New("ingest buffer full")
 
 // Observation is one crowd-sourced speed report to fold into the historical
 // database at the next rebuild: the road, the absolute slot the speed was
@@ -159,8 +167,15 @@ func (s *Store) rememberSeeds(seeds []roadnet.RoadID) {
 // batch is rejected on the first invalid observation (the error matches
 // ErrInvalidInput, so HTTP layers answer 400). It returns the number of
 // observations buffered after the append and never blocks on a rebuild.
+//
+// The buffer holds at most as many observations as the published view's
+// history holds samples, or one per road when the history holds fewer, so
+// it stays within a constant factor of the view it feeds even when no
+// rebuild drains it — none is armed, or every one fails. A batch that
+// would overfill it is refused whole with an error matching ErrBufferFull.
 func (s *Store) Ingest(observations ...Observation) (int, error) {
-	n := s.cur.Load().Net().NumRoads()
+	v := s.cur.Load()
+	n := v.Net().NumRoads()
 	for _, o := range observations {
 		if int(o.Road) < 0 || int(o.Road) >= n {
 			return 0, fmt.Errorf("core: observation road %d out of range [0,%d): %w", o.Road, n, ErrInvalidInput)
@@ -174,10 +189,16 @@ func (s *Store) Ingest(observations ...Observation) (int, error) {
 			return 0, fmt.Errorf("core: invalid observation speed %v on road %d: %w", o.Speed, o.Road, ErrInvalidInput)
 		}
 	}
+	limit := max(v.ObservationCount(), n)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("core: store is closed")
+	}
+	if held := len(s.buf); len(observations) > limit-held {
+		s.mu.Unlock()
+		ingestRefused.Inc()
+		return 0, fmt.Errorf("core: %d observations buffered, %d more would pass the limit of %d: %w", held, len(observations), limit, ErrBufferFull)
 	}
 	s.buf = append(s.buf, observations...)
 	buffered := len(s.buf)

@@ -69,6 +69,54 @@ func TestStoreIngestValidation(t *testing.T) {
 	}
 }
 
+// TestStoreIngestBufferBounded: with no rebuild draining it — none armed,
+// or every one failing — the ingest buffer stops at the published view's
+// history size. A batch that would pass it is refused whole with
+// ErrBufferFull and counted once, and a successful rebuild makes room.
+func TestStoreIngestBufferBounded(t *testing.T) {
+	ctx := context.Background()
+	d, st := buildStore(t)
+	defer st.Close()
+	batch := func(n int) []Observation {
+		out := make([]Observation, n)
+		for i := range out {
+			out[i] = Observation{Road: roadnet.RoadID(i % d.Net.NumRoads()), Slot: d.Slot(), Speed: 8}
+		}
+		return out
+	}
+	limit := st.View().ObservationCount()
+	if n, err := st.Ingest(batch(limit - 1)...); err != nil || n != limit-1 {
+		t.Fatalf("filling to one below the limit %d: buffered=%d err=%v", limit, n, err)
+	}
+	refused := ingestRefused.Value()
+	if _, err := st.Ingest(batch(2)...); !errors.Is(err, ErrBufferFull) {
+		t.Fatalf("batch past the limit: error %v, want ErrBufferFull", err)
+	}
+	if got := ingestRefused.Value() - refused; got != 1 {
+		t.Errorf("refused-batch counter moved by %v, want 1", got)
+	}
+	if n, err := st.Ingest(batch(1)...); err != nil || n != limit {
+		t.Fatalf("batch reaching the limit: buffered=%d err=%v", n, err)
+	}
+	st.failRebuild = func() error { return errors.New("injected rebuild failure") }
+	if _, err := st.Rebuild(ctx); err == nil {
+		t.Fatal("injected failure did not fail the rebuild")
+	}
+	if _, err := st.Ingest(batch(1)...); !errors.Is(err, ErrBufferFull) {
+		t.Fatalf("after a failed rebuild: error %v, want ErrBufferFull", err)
+	}
+	if got := st.BufferedObservations(); got != limit {
+		t.Fatalf("%d observations buffered, want the limit %d", got, limit)
+	}
+	st.failRebuild = nil
+	if _, err := st.Rebuild(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := st.Ingest(batch(1)...); err != nil || n != 1 {
+		t.Fatalf("after a rebuild drained the buffer: buffered=%d err=%v", n, err)
+	}
+}
+
 // TestStoreIngestRejectsSpeedBeyondFloat32: the history keeps float32
 // profiles, so one huge but finite report used to become a +Inf profile
 // mean after the next rebuild, and the round then served its road at +Inf

@@ -1,0 +1,104 @@
+package history
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"repro/internal/roadnet"
+)
+
+// denseHistory builds two weeks of 10-minute history over numRoads roads,
+// seven slots in ten observed on each road, some slots twice.
+func denseHistory(t *testing.T, rng *rand.Rand, numRoads int) *DB {
+	t.Helper()
+	c := cal(t)
+	b, err := NewBuilder(c, numRoads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for road := range numRoads {
+		for slot := range 2 * c.SlotsPerWeek() {
+			if rng.Float64() >= 0.7 {
+				continue
+			}
+			for rep := 0; rep <= rng.Intn(2); rep++ {
+				if err := b.Add(roadnet.RoadID(road), slot, 5+10*rng.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return b.Finalize()
+}
+
+// allocated returns the bytes fn allocates on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRollForwardAllocatesWhatItCreates: a roll-forward whose delta touches
+// every road must create every road's series and profile cells anew, and
+// NewBuilderFrom, Add and Finalize together allocate at most a quarter more
+// than those bytes. The rest is per-road headers, the delta's logs and
+// Dirty's sets, and one scratch log for recovering a road's base samples —
+// not a recovered copy of every touched road's history.
+func TestRollForwardAllocatesWhatItCreates(t *testing.T) {
+	const numRoads = 40
+	rng := rand.New(rand.NewSource(9))
+	base := denseHistory(t, rng, numRoads)
+	span := 2 * base.Cal().SlotsPerWeek()
+	var delta []refAdd
+	for road := range numRoads {
+		for _, slot := range []int{rng.Intn(span), rng.Intn(span), span + rng.Intn(6)} {
+			delta = append(delta, refAdd{road: roadnet.RoadID(road), slot: int32(slot), speed: 5 + 10*rng.Float64()})
+		}
+	}
+
+	var next *DB
+	got := allocated(func() {
+		b, err := NewBuilderFrom(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range delta {
+			if err := b.Add(a.road, int(a.slot), a.speed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next = b.Finalize()
+	})
+	need := uint64(numRoads*next.Cal().NumProfileClasses()) * uint64(unsafe.Sizeof(profileCell{}))
+	for _, s := range next.series {
+		need += uint64(len(s.rel))*uint64(unsafe.Sizeof(s.rel[0])) + uint64(len(s.blocks))*uint64(unsafe.Sizeof(s.blocks[0]))
+	}
+	t.Logf("roll-forward of %d observations over %d roads allocated %d B for %d B of new series and cells (%.2f×)",
+		len(delta), numRoads, got, need, float64(got)/float64(need))
+	if float64(got) > 1.25*float64(need) {
+		t.Errorf("roll-forward allocated %d B, more than 1.25 × the %d B of series and cells it creates", got, need)
+	}
+}
+
+// TestSlotRanksAllocatesPerWindow: SlotRanks keeps tables per 64-slot
+// window, not per sample, so on a dense history — about 45 samples a window
+// — it allocates at most 16 B per road-window.
+func TestSlotRanksAllocatesPerWindow(t *testing.T) {
+	db := denseHistory(t, rand.New(rand.NewSource(4)), 40)
+	var blocks, samples int
+	for _, s := range db.series {
+		blocks += len(s.blocks)
+		samples += len(s.rel)
+	}
+	var sr *SlotRanks
+	got := allocated(func() { sr = db.SlotRanks() })
+	t.Logf("SlotRanks over %d samples in %d road-windows (%d distinct slots) allocated %d B",
+		samples, blocks, sr.NumSlots(), got)
+	if limit := 16 * uint64(blocks); got > limit {
+		t.Errorf("SlotRanks allocated %d B for %d road-windows holding %d samples, over %d B", got, blocks, samples, limit)
+	}
+}

@@ -121,9 +121,10 @@ func checkBlockIndex(t *testing.T, label string, db *DB, ref [][]sample, probes 
 	if sr.NumSlots() != numSlots {
 		t.Fatalf("%s: SlotRanks holds %d slots, reference %d", label, sr.NumSlots(), numSlots)
 	}
+	var buf []int32
 	for r := range ref {
-		if got := sr.Road(roadnet.RoadID(r)); !slices.Equal(got, ranks[r]) {
-			t.Fatalf("%s: road %d slot ranks %v, reference %v", label, r, got, ranks[r])
+		if buf = sr.Road(roadnet.RoadID(r), buf); !slices.Equal(buf, ranks[r]) {
+			t.Fatalf("%s: road %d slot ranks %v, reference %v", label, r, buf, ranks[r])
 		}
 	}
 }

@@ -26,6 +26,13 @@ const (
 	codecVersion = 1
 )
 
+// codecMaxProfileCells bounds a header's profile table, numRoads ×
+// NumProfileClasses cells. A million roads at 10-minute slots need 2.9·10⁸;
+// a header past the bound (a 1 ns slot width, say, whose 1.7·10¹⁴ classes
+// per road overflow an int at 53,376 roads) is refused before any count is
+// multiplied.
+const codecMaxProfileCells = 1 << 30
+
 // codecMaxPrealloc caps any single up-front slice allocation while decoding.
 // Declared lengths beyond it must be paid for with actual input bytes — the
 // decoder grows the slices incrementally and fails on the first missing
@@ -59,10 +66,12 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 			return n, err
 		}
 	}
-	for _, c := range db.profile {
-		for _, v := range []any{c.mean, c.std, c.n, c.nUp} {
-			if err := write(v); err != nil {
-				return n, err
+	for _, cells := range db.profile {
+		for _, c := range cells {
+			for _, v := range []any{c.mean, c.std, c.n, c.nUp} {
+				if err := write(v); err != nil {
+					return n, err
+				}
 			}
 		}
 	}
@@ -120,29 +129,38 @@ func ReadDB(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("history: reconstructing calendar: %w", err)
 	}
-	profCount := int(numRoads) * cal.NumProfileClasses()
+	classes := cal.NumProfileClasses()
+	if classes > codecMaxProfileCells/int(numRoads) {
+		return nil, fmt.Errorf("history: implausible profile table of %d roads × %d classes", numRoads, classes)
+	}
 	db := &DB{
 		cal:      cal,
 		numRoads: int(numRoads),
-		profile:  make([]profileCell, 0, min(profCount, codecMaxPrealloc)),
+		profile:  make([][]profileCell, 0, min(int(numRoads), codecMaxPrealloc)),
 		overall:  make([]float32, 0, min(int(numRoads), codecMaxPrealloc)),
 		series:   make([]roadSeries, 0, min(int(numRoads), codecMaxPrealloc)),
 	}
-	for i := 0; i < profCount; i++ {
-		var c profileCell
-		if err := read(&c.mean); err != nil {
-			return nil, err
+	// Each road's cells are allocated on their own, as Finalize allocates
+	// them.
+	for road := 0; road < int(numRoads); road++ {
+		cells := make([]profileCell, 0, min(classes, codecMaxPrealloc))
+		for range classes {
+			var c profileCell
+			if err := read(&c.mean); err != nil {
+				return nil, err
+			}
+			if err := read(&c.std); err != nil {
+				return nil, err
+			}
+			if err := read(&c.n); err != nil {
+				return nil, err
+			}
+			if err := read(&c.nUp); err != nil {
+				return nil, err
+			}
+			cells = append(cells, c)
 		}
-		if err := read(&c.std); err != nil {
-			return nil, err
-		}
-		if err := read(&c.n); err != nil {
-			return nil, err
-		}
-		if err := read(&c.nUp); err != nil {
-			return nil, err
-		}
-		db.profile = append(db.profile, c)
+		db.profile = append(db.profile, cells)
 	}
 	var fbuf [4096]float32
 	for got := 0; got < int(numRoads); {

@@ -140,7 +140,7 @@ func refFinalize(cal *timeslot.Calendar, numRoads int, base *DB, adds []refAdd) 
 			if agg[road] != nil {
 				continue
 			}
-			copy(db.profile[road*spw:(road+1)*spw], base.profile[road*spw:(road+1)*spw])
+			copy(db.profile[road*spw:(road+1)*spw], base.profile[road])
 			db.overall[road] = base.overall[road]
 			db.series[road] = samplesOf(base, roadnet.RoadID(road))
 		}
@@ -199,8 +199,9 @@ func randomAdds(rng *rand.Rand, cal *timeslot.Calendar, roads []roadnet.RoadID, 
 // sameDB compares a database with the reference bit for bit.
 func sameDB(t *testing.T, label string, got *DB, want *refDB) {
 	t.Helper()
+	spw := got.cal.NumProfileClasses()
 	for i := range want.profile {
-		g, w := got.profile[i], want.profile[i]
+		g, w := got.profile[i/spw][i%spw], want.profile[i]
 		if math.Float32bits(g.mean) != math.Float32bits(w.mean) || math.Float32bits(g.std) != math.Float32bits(w.std) ||
 			g.n != w.n || g.nUp != w.nUp {
 			t.Fatalf("%s: profile cell %d is %+v, reference %+v", label, i, g, w)

@@ -3,8 +3,10 @@ package history
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -37,6 +39,15 @@ func fuzzSeedDB(f *testing.F) []byte {
 	return buf.Bytes()
 }
 
+// overflowHeader returns the 28-byte header of valid with the slot width set
+// to 1 ns and 53,376 roads: 1.728·10¹⁴ profile classes per road, so the
+// profile table's cell count overflows an int.
+func overflowHeader(valid []byte) []byte {
+	hdr := append([]byte(nil), valid[:16]...) // magic, version, epoch
+	hdr = binary.LittleEndian.AppendUint64(hdr, 1)
+	return binary.LittleEndian.AppendUint32(hdr, 53376)
+}
+
 // FuzzReadDB drives the binary decoder with arbitrary bytes. The properties:
 // ReadDB never panics and never allocates proportionally to declared (rather
 // than delivered) lengths — the decompression-bomb guard — every series it
@@ -58,6 +69,7 @@ func FuzzReadDB(f *testing.F) {
 	bomb := append([]byte(nil), valid[:28]...)
 	bomb[24], bomb[25], bomb[26], bomb[27] = 0xff, 0xff, 0xff, 0x00
 	f.Add(bomb)
+	f.Add(overflowHeader(valid))
 	f.Add(encodeSeries(f, [][]sample{{{3, 1}, {1, 1}, {1, float32(math.NaN())}}, {{1, 1}, {2, 1}, {3, 1}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -216,6 +228,84 @@ func FuzzBuilderFinite(f *testing.F) {
 					t.Fatalf("road %d sample %d: rel %v", r, k, rel)
 				}
 			}
+		}
+	})
+}
+
+// rollRecord is one FuzzRollForward input record: the road (low six bits)
+// and the builder it goes to (top two bits: 0 the base, 1 the first delta,
+// 2 or 3 the second), a little-endian uint16 slot and a speed byte.
+const rollRecord = 4
+
+// rollRecords encodes (builder, road, slot, speed byte) records as
+// FuzzRollForward decodes them.
+func rollRecords(recs ...[4]int) []byte {
+	var out []byte
+	for _, r := range recs {
+		out = append(out, byte(r[0]<<6|r[1]), byte(r[2]), byte(r[2]>>8), byte(r[3]))
+	}
+	return out
+}
+
+// FuzzRollForward builds a base from fuzz-decoded observations, rolls it
+// forward by a delta and rolls the result forward by another. Each of the
+// three databases must match refFinalize bit for bit, and each roll-forward's
+// Dirty must report exactly its delta. The first byte sets the road count,
+// one to four; slots span 65,536 and speeds 0.25 to 64 m/s.
+func FuzzRollForward(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 8, 60, 400} {
+		seed := make([]byte, 1+rollRecord*n)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	// Repeated slots in every phase, window edges, and midnight on a
+	// Saturday (slot 720) and on a Monday (slot 1008).
+	f.Add(append([]byte{2}, rollRecords(
+		[4]int{0, 0, 63, 40}, [4]int{0, 0, 63, 41}, [4]int{0, 0, 64, 39}, [4]int{0, 1, 720, 60},
+		[4]int{1, 0, 63, 80}, [4]int{1, 0, 64, 20}, [4]int{1, 0, 63, 81}, [4]int{1, 0, 128, 7},
+		[4]int{2, 1, 720, 61}, [4]int{2, 0, 63, 200}, [4]int{2, 1, 1008, 33}, [4]int{3, 1, 65535, 255},
+	)...))
+	c := timeslot.MustCalendar(time.Date(2016, 3, 7, 0, 0, 0, 0, time.UTC), 10*time.Minute)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		numRoads := 1 + int(data[0]%4)
+		var phases [3][]refAdd
+		for data = data[1:]; len(data) >= rollRecord; data = data[rollRecord:] {
+			phase := min(int(data[0]>>6), 2)
+			phases[phase] = append(phases[phase], refAdd{
+				road:  roadnet.RoadID(int(data[0]&63) % numRoads),
+				slot:  int32(binary.LittleEndian.Uint16(data[1:])),
+				speed: 0.25 + float64(data[3])/4,
+			})
+		}
+		var base *DB
+		for phase, adds := range phases {
+			var b *Builder
+			var err error
+			if base == nil {
+				b, err = NewBuilder(c, numRoads)
+			} else {
+				b, err = NewBuilderFrom(base)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range adds {
+				if err := b.Add(a.road, int(a.slot), a.speed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db := b.Finalize()
+			sameDB(t, fmt.Sprintf("phase %d", phase), db, refFinalize(c, numRoads, base, adds))
+			if base != nil {
+				if got, want := b.Dirty(), refDirty(adds); !reflect.DeepEqual(got, want) {
+					t.Fatalf("phase %d: Dirty = %+v, reference %+v", phase, got, want)
+				}
+			}
+			base = db
 		}
 	})
 }

@@ -52,11 +52,18 @@ type profileCell struct {
 // relative to the road's historical mean for the slot's profile class, where
 // rel ≥ 1 means the trend was "up". Samples are kept in strictly increasing
 // slot order, and every reader relies on that.
+//
+// Each road's profile cells and series are allocated on their own, so a
+// roll-forward shares an untouched road's with its base, and a road's are
+// collected as soon as no database holds the road's version. Cells cut
+// from one array per build would keep the whole array alive while any one
+// road still shared it: on a city whose rebuilds each touch half the roads,
+// about ten generations of arrays, mostly dead.
 type DB struct {
 	cal      *timeslot.Calendar
 	numRoads int
-	profile  []profileCell // numRoads × NumProfileClasses, road-major
-	overall  []float32     // per-road overall mean speed (fallback)
+	profile  [][]profileCell // per road, NumProfileClasses cells
+	overall  []float32       // per-road overall mean speed (fallback)
 	series   []roadSeries
 }
 
@@ -107,7 +114,7 @@ func (db *DB) NumRoads() int { return db.numRoads }
 
 // cell returns the profile cell for a road and absolute slot.
 func (db *DB) cell(road roadnet.RoadID, slot int) *profileCell {
-	return &db.profile[int(road)*db.cal.NumProfileClasses()+db.cal.ProfileClass(slot)]
+	return &db.profile[road][db.cal.ProfileClass(slot)]
 }
 
 // Mean returns the historical mean speed of the road for the slot's
@@ -244,30 +251,45 @@ func (db *DB) CoCounts(u, v roadnet.RoadID) (n, agree int) {
 	return n, agree
 }
 
-// SlotRanks numbers the distinct slots a database holds, 0 for the lowest,
-// and gives every sample the number of its slot. Per-slot tables indexed by
-// it stay as small as the history, wherever below 2³¹ its slots sit.
+// SlotRanks numbers the distinct slots a database holds, 0 for the lowest.
+// Per-slot tables indexed by it stay as small as the history, wherever below
+// 2³¹ its slots sit. It keeps one entry per 64-slot window any road holds,
+// not one per sample: Road computes a road's numbers on demand.
 type SlotRanks struct {
+	db       *DB
 	numSlots int
-	rank     []int32 // rank[start[r]+k] numbers road r's k-th sample's slot
-	start    []int
+	keys     []int32  // the windows any road holds, ascending
+	held     []uint64 // held[j] is the set of slots held in window keys[j]
+	first    []int32  // first[j] counts the distinct slots in windows before keys[j]
 }
 
 // NumSlots returns the number of distinct slots.
 func (sr *SlotRanks) NumSlots() int { return sr.numSlots }
 
-// Road returns the slot numbers of the road's samples, in the order of Rels.
-func (sr *SlotRanks) Road(road roadnet.RoadID) []int32 {
-	return sr.rank[sr.start[road]:sr.start[road+1]]
+// Road writes the slot numbers of the road's samples, in the order of Rels,
+// to buf and returns it, grown if it was too short.
+func (sr *SlotRanks) Road(road roadnet.RoadID, buf []int32) []int32 {
+	s := &sr.db.series[road]
+	buf = slices.Grow(buf[:0], len(s.rel))
+	lo := 0
+	for _, b := range s.blocks {
+		// Each road's blocks are ascending, so each search resumes where the
+		// previous one ended.
+		i, _ := slices.BinarySearch(sr.keys[lo:], b.key)
+		lo += i
+		for m := b.obs; m != 0; m &= m - 1 {
+			below := uint64(1)<<bits.TrailingZeros64(m) - 1
+			buf = append(buf, sr.first[lo]+int32(bits.OnesCount64(sr.held[lo]&below)))
+		}
+	}
+	return buf
 }
 
-// SlotRanks ORs every road's blocks into the set of distinct slots and
-// numbers each sample by the count of that set's slots below its own.
+// SlotRanks ORs every road's blocks into the set of distinct slots, so a
+// sample's number is the count of that set's slots below its own.
 func (db *DB) SlotRanks() *SlotRanks {
-	start := make([]int, db.numRoads+1)
 	var numBlocks int
-	for r, s := range db.series {
-		start[r+1] = start[r] + len(s.rel)
+	for _, s := range db.series {
 		numBlocks += len(s.blocks)
 	}
 	keys := make([]int32, 0, numBlocks)
@@ -277,10 +299,7 @@ func (db *DB) SlotRanks() *SlotRanks {
 		}
 	}
 	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	// held[j] is the set of slots in window keys[j], and first[j] the
-	// number of distinct slots in the windows before it. Each road's blocks
-	// are ascending, so each search resumes where the previous one ended.
+	keys = slices.Clone(slices.Compact(keys))
 	held := make([]uint64, len(keys))
 	for _, s := range db.series {
 		lo := 0
@@ -296,20 +315,7 @@ func (db *DB) SlotRanks() *SlotRanks {
 		first[j] = numSlots
 		numSlots += int32(bits.OnesCount64(m))
 	}
-	rank := make([]int32, start[db.numRoads])
-	for r, s := range db.series {
-		k, lo := start[r], 0
-		for _, b := range s.blocks {
-			i, _ := slices.BinarySearch(keys[lo:], b.key)
-			lo += i
-			for m := b.obs; m != 0; m &= m - 1 {
-				below := uint64(1)<<bits.TrailingZeros64(m) - 1
-				rank[k] = first[lo] + int32(bits.OnesCount64(held[lo]&below))
-				k++
-			}
-		}
-	}
-	return &SlotRanks{numSlots: int(numSlots), rank: rank, start: start}
+	return &SlotRanks{db: db, numSlots: int(numSlots), keys: keys, held: held, first: first}
 }
 
 // Builder accumulates observations and produces a DB. Add is safe for
@@ -317,22 +323,23 @@ func (db *DB) SlotRanks() *SlotRanks {
 // goroutines; Finalize must not run concurrently with further Adds.
 //
 // A Builder made by NewBuilderFrom is a *roll-forward* builder: it carries
-// its base DB and recovers a road's aggregates from it lazily, the first
-// time the road receives a new observation. Roads never touched stay
-// untouched — Finalize shares their profile cells and series with the base
-// — and the set of touched (road, slot) aggregates is exposed through
-// Dirty, so downstream consumers (correlation rescoring, incremental
-// retraining) can work on the delta instead of the whole city.
+// its base DB and logs only the new observations. Finalize recovers a
+// touched road's base samples just before it finalises that road, into one
+// buffer it reuses road after road, so a rebuild holds no copy of the
+// history beside the base. Roads never touched are not recomputed —
+// Finalize shares their profile cells and series with the base — and the
+// set of touched (road, slot) aggregates is exposed through Dirty, so
+// downstream consumers (correlation rescoring, incremental retraining) can
+// work on the delta instead of the whole city.
 type Builder struct {
 	cal      *timeslot.Calendar
 	numRoads int
 
 	mu sync.Mutex
-	// log[road] lists the road's observations in arrival order; Finalize
-	// sorts it by slot and sums each slot's speeds in that order. In a
-	// roll-forward builder, nil means the road is untouched and its base
-	// data is reused verbatim, and a touched road's log starts with its
-	// recovered base series.
+	// log[road] lists the road's new observations in arrival order;
+	// Finalize sorts it by slot and sums each slot's speeds in that order.
+	// nil means the road received none, which in a roll-forward builder
+	// means its base data is reused verbatim.
 	log [][]observation
 	// base is the DB this builder rolls forward, nil for fresh builders.
 	base *DB
@@ -377,11 +384,7 @@ func (b *Builder) Add(road roadnet.RoadID, slot int, speed float64) error {
 		return fmt.Errorf("history: invalid speed %v for road %d: %w", speed, road, ErrInvalidObservation)
 	}
 	b.mu.Lock()
-	log := b.log[road]
-	if log == nil && b.base != nil {
-		log = recoverRoad(b.base, road)
-	}
-	b.log[road] = append(log, observation{slot: int32(slot), v: speed})
+	b.log[road] = append(b.log[road], observation{slot: int32(slot), v: speed})
 	if b.dirty != nil {
 		if b.dirty[road] == nil {
 			b.dirty[road] = make(map[int32]struct{})
@@ -399,7 +402,9 @@ func (b *Builder) Add(road roadnet.RoadID, slot int, speed float64) error {
 // A roll-forward builder recomputes only the roads that received new
 // observations; every clean road's profile cells and series are shared with
 // the base DB (both are immutable), so finalisation cost is proportional to
-// the delta, not the city.
+// the delta, not the city. What it allocates is what the new DB holds —
+// the touched roads' cells and series and a header per road — plus one
+// scratch log it recovers each touched road into in turn.
 func (b *Builder) Finalize() *DB {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -407,11 +412,11 @@ func (b *Builder) Finalize() *DB {
 	db := &DB{
 		cal:      b.cal,
 		numRoads: b.numRoads,
-		profile:  make([]profileCell, b.numRoads*spw),
+		profile:  make([][]profileCell, b.numRoads),
 		overall:  make([]float32, b.numRoads),
 		series:   make([]roadSeries, b.numRoads),
 	}
-
+	var scratch []observation // a touched road's recovered samples and arrivals
 	classSum := make([]float64, spw)
 	classSq := make([]float64, spw)
 	classN := make([]uint32, spw)
@@ -420,19 +425,25 @@ func (b *Builder) Finalize() *DB {
 			// Untouched roll-forward road: per-road statistics depend only
 			// on the road's own observations, so it finalises to exactly
 			// its base values, which are shared verbatim.
-			copy(db.profile[road*spw:(road+1)*spw], b.base.profile[road*spw:(road+1)*spw])
+			db.profile[road] = b.base.profile[road]
 			db.overall[road] = b.base.overall[road]
 			db.series[road] = b.base.series[road]
 			continue
 		}
+		db.profile[road] = make([]profileCell, spw)
 		if len(log) == 0 {
 			continue
 		}
 		b.log[road] = nil // the log is consumed below; let it be collected
 		// Slot-level means: a stable sort keeps each slot's observations in
-		// arrival order, and they are summed in that order.
+		// arrival order, and they are summed in that order, after the
+		// slot's recovered base mean in a roll-forward.
 		if !slices.IsSortedFunc(log, bySlot) {
 			slices.SortStableFunc(log, bySlot)
+		}
+		if b.base != nil {
+			scratch = recoverRoad(scratch[:0], b.base, roadnet.RoadID(road), log)
+			log = scratch
 		}
 		means := log[:0]
 		numBlocks := 0
@@ -459,7 +470,7 @@ func (b *Builder) Finalize() *DB {
 			overallSum += s.v
 		}
 		db.overall[road] = float32(overallSum / float64(len(means)))
-		cells := db.profile[road*spw : (road+1)*spw]
+		cells := db.profile[road]
 		for cls, n := range classN {
 			if n == 0 {
 				continue
@@ -545,13 +556,19 @@ func (b *Builder) Dirty() *Dirty {
 	return d
 }
 
-// recoverRoad rebuilds one road's observation log from a finalised DB,
-// recovering each stored sample as one observation at its recorded mean
-// speed (see NewBuilderFrom for why that reconstruction is sound), in slot
-// order. The caller holds the builder lock or owns the builder exclusively.
-func recoverRoad(db *DB, road roadnet.RoadID) []observation {
-	log := make([]observation, 0, len(db.series[road].rel)+1)
+// recoverRoad appends to dst the road's samples in db, each as one
+// observation at its recorded mean speed (see NewBuilderFrom for why that
+// reconstruction is sound), merged in slot order with arrivals, which must
+// be sorted by slot. A slot's recovered sample comes before its arrivals,
+// and the arrivals keep their order. The caller holds the builder lock or
+// owns the builder exclusively.
+func recoverRoad(dst []observation, db *DB, road roadnet.RoadID, arrivals []observation) []observation {
+	dst = slices.Grow(dst, len(db.Rels(road))+len(arrivals))
+	i := 0
 	db.EachSample(road, func(slot int32, rel float32) {
+		for ; i < len(arrivals) && arrivals[i].slot < slot; i++ {
+			dst = append(dst, arrivals[i])
+		}
 		mean, ok := db.Mean(road, int(slot))
 		if !ok || mean <= 0 {
 			return
@@ -560,24 +577,24 @@ func recoverRoad(db *DB, road roadnet.RoadID) []observation {
 		if speed <= 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
 			return
 		}
-		log = append(log, observation{slot: slot, v: speed})
+		dst = append(dst, observation{slot: slot, v: speed})
 	})
-	return log
+	return append(dst, arrivals[i:]...)
 }
 
 // NewBuilderFrom returns a roll-forward Builder over an existing database,
 // so new observations can be appended and the database re-finalised — the
 // rolling update a continuously running deployment performs on every model
-// rebuild. Construction is O(roads) regardless of history size: a road's
-// aggregates are recovered from the base lazily, the first time Add touches
-// it, by replaying each stored slot-level sample as one observation at its
-// recorded mean speed. Profiles recomputed over the union of recovered and
-// new data match a from-scratch build over the combined observations
-// (slot-level means are preserved exactly; per-slot observation counts
-// inside a slot are not, and are not used by any consumer). Roads never
-// touched are not recomputed at all: Finalize shares their profile cells
-// and series with the base DB, and Dirty reports exactly the (road, slot)
-// aggregates that changed.
+// rebuild. Construction is O(roads) regardless of history size, and Add
+// logs only the new observations. Finalize recovers a touched road's
+// aggregates from the base just before finalising it, by replaying each
+// stored slot-level sample as one observation at its recorded mean speed.
+// Profiles recomputed over the union of recovered and new data match a
+// from-scratch build over the combined observations (slot-level means are
+// preserved exactly; per-slot observation counts inside a slot are not, and
+// are not used by any consumer). Roads never touched are not recomputed at
+// all: Finalize shares their profile cells and series with the base DB, and
+// Dirty reports exactly the (road, slot) aggregates that changed.
 func NewBuilderFrom(db *DB) (*Builder, error) {
 	b, err := NewBuilder(db.cal, db.numRoads)
 	if err != nil {

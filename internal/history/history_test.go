@@ -285,6 +285,10 @@ func TestReadDBRejectsGarbage(t *testing.T) {
 	if _, err := ReadDB(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated stream accepted")
 	}
+	// A header whose profile-cell count overflows an int.
+	if _, err := ReadDB(bytes.NewReader(overflowHeader(full.Bytes()))); err == nil {
+		t.Error("overflowing profile table accepted")
+	}
 }
 
 // encodeSeries returns a database file with one road per entry of series:

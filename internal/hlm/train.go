@@ -17,9 +17,13 @@ import (
 //
 //   - history.SlotRanks places every history sample among the distinct
 //     slots the history holds, so slots may sit anywhere below 2³¹ without
-//     the per-slot tables growing with the slot range;
-//   - a levelTable renumbers one pooling level's group IDs densely and sums
-//     the rel deviations per (group, slot), reused level after level;
+//     the per-slot tables growing with the slot range. It holds one entry
+//     per 64-slot window, and a road's ranks are computed into the
+//     trainer's reusable buffer when needed: once per road to aggregate,
+//     and once per re-fit road to fit all its level predictors;
+//   - a levelTable renumbers every pooling level's group IDs densely and
+//     sums the rel deviations per (level, group, slot), all levels in one
+//     road-major pass;
 //   - regressions fill the trainer's reusable x/y buffers.
 
 // fit trains the roads marked in refit, every road when refit is nil, and
@@ -28,24 +32,25 @@ import (
 func fit(old *Model, graph *corr.Graph, db *history.DB, cfg Config, refit []bool) *Model {
 	m := &Model{cfg: cfg, graph: graph, roads: make([]roadModel, graph.NumRoads()), levels: cfg.Levels}
 	t := trainer{cfg: cfg}
+	var ranks *history.SlotRanks
+	var lt levelTable
+	if len(cfg.Levels) > 0 {
+		ranks = db.SlotRanks()
+		t.rank = lt.aggregate(db, ranks, cfg.Levels, t.rank)
+	}
 	for r := range m.roads {
 		if refit != nil && !refit[r] {
 			m.roads[r] = old.roads[r]
 			continue
 		}
-		m.roads[r] = t.road(graph, db, roadnet.RoadID(r))
-	}
-	if len(cfg.Levels) == 0 {
-		return m
-	}
-	ranks := db.SlotRanks()
-	var lt levelTable
-	for l, groups := range cfg.Levels {
-		lt.aggregate(db, ranks, groups)
-		for r := range m.roads {
-			if refit == nil || refit[r] {
-				m.roads[r].levelPairs[l] = t.levelPair(db, ranks, &lt, roadnet.RoadID(r))
-			}
+		rid := roadnet.RoadID(r)
+		m.roads[r] = t.road(graph, db, rid)
+		if ranks == nil {
+			continue
+		}
+		t.rank = ranks.Road(rid, t.rank)
+		for l := range cfg.Levels {
+			m.roads[r].levelPairs[l] = t.levelPair(db, &lt, l, rid)
 		}
 	}
 	return m
@@ -53,7 +58,8 @@ func fit(old *Model, graph *corr.Graph, db *history.DB, cfg Config, refit []bool
 
 // trainer carries the training configuration and its reusable buffers.
 type trainer struct {
-	cfg Config
+	cfg  Config
+	rank []int32 // the slot ranks of the road being fit
 	fitBuf
 }
 
@@ -116,14 +122,15 @@ func (t *trainer) road(graph *corr.Graph, db *history.DB, r roadnet.RoadID) road
 	return rm
 }
 
-// levelPair fits road r's group-level predictor: its rel from the mean
-// deviation of the other observed roads in its group, per slot. Slots where
-// fewer than three other group members were observed are skipped.
-func (t *trainer) levelPair(db *history.DB, ranks *history.SlotRanks, lt *levelTable, r roadnet.RoadID) *pairModel {
-	base, rank := int(lt.group[r])*lt.numSlots, ranks.Road(r)
+// levelPair fits road r's level-l group predictor: its rel from the mean
+// deviation of the other observed roads in its group, per slot. t.rank must
+// hold r's slot ranks. Slots where fewer than three other group members were
+// observed are skipped.
+func (t *trainer) levelPair(db *history.DB, lt *levelTable, l int, r roadnet.RoadID) *pairModel {
+	base := lt.base(l, r)
 	x, y := t.x[:0], t.y[:0]
 	for k, rel := range db.Rels(r) {
-		cell := base + int(rank[k])
+		cell := base + int(t.rank[k])
 		n := lt.cnt[cell]
 		if n < 4 {
 			continue
@@ -241,44 +248,54 @@ func fitOrNil(r *linalg.Ridge1, x []float64, p int, y []float64, lambda float64)
 	return m
 }
 
-// levelTable aggregates one pooling level: the sum and count of observed
-// rel deviations per (group, slot), at cell group·numSlots + slot rank.
-// Groups are the level's distinct IDs renumbered densely in ascending
-// order, so any group ID an int holds is its own group. Memory is distinct
-// slots × groups; the buffers are reused from level to level.
+// levelTable aggregates every pooling level: the sum and count of observed
+// rel deviations per (level, group, slot). A level's groups are its distinct
+// IDs renumbered densely in ascending order, so any group ID an int holds is
+// its own group, and road r's cells at level l start at bases[l·numRoads+r]
+// and run over the slot ranks. Memory is distinct slots × the levels' groups
+// summed.
 type levelTable struct {
-	numSlots int
-	group    []int32 // dense group of every road
-	ids      []int   // the level's distinct group IDs, ascending
+	numRoads int
+	bases    []int // first cell of each (level, road)
 	sum      []float64
 	cnt      []int32
 }
 
-// aggregate rebuilds the table for one level's group assignment.
-func (lt *levelTable) aggregate(db *history.DB, ranks *history.SlotRanks, groups []int) {
-	lt.ids = append(lt.ids[:0], groups...)
-	slices.Sort(lt.ids)
-	lt.ids = slices.Compact(lt.ids)
-	lt.group = lt.group[:0]
-	for _, g := range groups {
-		i, _ := slices.BinarySearch(lt.ids, g)
-		lt.group = append(lt.group, int32(i))
+// base returns the first cell of road r's group at level l.
+func (lt *levelTable) base(l int, r roadnet.RoadID) int { return lt.bases[l*lt.numRoads+int(r)] }
+
+// aggregate builds the table for the levels' group assignments in one pass
+// over the roads, each cell summed in ascending road order. It computes
+// each road's slot ranks in rank and returns the buffer.
+func (lt *levelTable) aggregate(db *history.DB, ranks *history.SlotRanks, levels [][]int, rank []int32) []int32 {
+	numSlots := ranks.NumSlots()
+	lt.numRoads = db.NumRoads()
+	lt.bases = make([]int, 0, len(levels)*lt.numRoads)
+	var ids []int
+	size := 0
+	for _, groups := range levels {
+		ids = append(ids[:0], groups...)
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		for _, g := range groups {
+			i, _ := slices.BinarySearch(ids, g)
+			lt.bases = append(lt.bases, size+i*numSlots)
+		}
+		size += len(ids) * numSlots
 	}
-	lt.numSlots = ranks.NumSlots()
-	size := len(lt.ids) * lt.numSlots
-	if cap(lt.sum) < size {
-		lt.sum, lt.cnt = make([]float64, size), make([]int32, size)
-	} else {
-		lt.sum, lt.cnt = lt.sum[:size], lt.cnt[:size]
-		clear(lt.sum)
-		clear(lt.cnt)
-	}
-	for r := range groups {
-		base, rank := int(lt.group[r])*lt.numSlots, ranks.Road(roadnet.RoadID(r))
-		for k, rel := range db.Rels(roadnet.RoadID(r)) {
-			cell := base + int(rank[k])
-			lt.sum[cell] += float64(rel) - 1
-			lt.cnt[cell]++
+	lt.sum, lt.cnt = make([]float64, size), make([]int32, size)
+	for r := range lt.numRoads {
+		rid := roadnet.RoadID(r)
+		rels := db.Rels(rid)
+		rank = ranks.Road(rid, rank)
+		for l := range levels {
+			base := lt.base(l, rid)
+			for k, rel := range rels {
+				cell := base + int(rank[k])
+				lt.sum[cell] += float64(rel) - 1
+				lt.cnt[cell]++
+			}
 		}
 	}
+	return rank
 }
