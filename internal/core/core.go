@@ -25,7 +25,6 @@ import (
 	"math"
 
 	"repro/internal/corr"
-	"repro/internal/hlm"
 	"repro/internal/mrf"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
@@ -85,7 +84,6 @@ func timePhase(ctx context.Context, phase string, fn func() error) error {
 // start from DefaultOptions.
 type Options struct {
 	Corr    corr.Config
-	HLM     hlm.Config
 	SeedSel seedsel.Config
 	BP      mrf.BPConfig
 
@@ -116,7 +114,6 @@ const (
 func DefaultOptions() Options {
 	return Options{
 		Corr:    corr.DefaultConfig(),
-		HLM:     hlm.DefaultConfig(),
 		SeedSel: seedsel.DefaultConfig(),
 		BP:      mrf.DefaultBPConfig(),
 	}

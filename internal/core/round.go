@@ -101,21 +101,27 @@ func (v *View) EstimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 }
 
 // estimateWith is the uninstrumented round body and the only code that
-// sequences the phases: seedRels, prePass, trendPriors, inferTrends,
-// fuseTrends and speedRels, or trendFreeRels alone. ctx carries the round
-// span so the per-phase spans nest under it. The round loads the seed-model
-// snapshot exactly once and threads it through both regression passes, so a
-// concurrent Prepare cannot hand one round two different models
-// (TestViewK1Golden pins the round bit for bit).
+// sequences the phases: seedRels, the trend-free pre-pass, trendPriors,
+// inferTrends, fuseTrends and the speed regression, or the trend-free
+// regression alone. ctx carries the round span so the per-phase spans nest
+// under it. The round loads the seed-model snapshot exactly once and
+// threads it through both regression passes, so a concurrent Prepare cannot
+// hand one round two different models (TestViewK1Golden pins the round bit
+// for bit).
 func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
 	if err := validateSeedSpeeds(v.net.NumRoads(), seedSpeeds); err != nil {
 		return nil, err
 	}
 	seedModel := v.seedModel.Load()
+	if opts.NoSeedModel {
+		seedModel = nil
+	}
 	seedRels := v.seedRels(slot, seedSpeeds)
 	out := &Estimate{Slot: slot, ModelVersion: v.version}
 	if opts.TrendFree {
-		rels, err := v.trendFreeRels(ctx, slot, seedRels, seedModel, opts)
+		// Ablation A1: one trend-agnostic regression, timed as the speed
+		// phase.
+		rels, err := v.regress(ctx, "speed", &hlm.Request{Slot: slot, SeedRels: seedRels, Flat: opts.FlatHLM}, seedModel)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +132,11 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 			out.TrendUp[r] = rel >= 1
 		}
 	} else {
-		preRels, err := v.prePass(ctx, slot, seedRels, seedModel, opts.NoSeedModel)
+		// Step 0, the magnitude pre-pass: a trend-free regression whose
+		// rels carry trend evidence no binary propagation can recover (a
+		// road estimated at 0.8× its mean is almost surely trending down).
+		// It is fused with the graphical posterior after inference.
+		preRels, err := v.regress(ctx, "pre_pass", &hlm.Request{Slot: slot, SeedRels: seedRels}, seedModel)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +145,9 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 			return nil, err
 		}
 		out.PUp, out.TrendUp = v.fuseTrends(trends.PUp, preRels, seedRels)
-		if out.Rels, err = v.speedRels(ctx, slot, seedRels, out.TrendUp, out.PUp, seedModel, opts); err != nil {
+		// Step 2: the speed regression, conditioned on the fused marginals.
+		req := &hlm.Request{Slot: slot, SeedRels: seedRels, PUp: out.PUp, Flat: opts.FlatHLM}
+		if out.Rels, err = v.regress(ctx, "speed", req, seedModel); err != nil {
 			return nil, err
 		}
 	}
@@ -158,40 +170,18 @@ func (v *View) seedRels(slot int, seedSpeeds map[roadnet.RoadID]float64) map[roa
 	return seedRels
 }
 
-// trendFreeRels runs the single trend-agnostic regression of the ablation-A1
-// path (no graphical model at all).
-func (v *View) trendFreeRels(ctx context.Context, slot int, seedRels map[roadnet.RoadID]float64, seedModel *hlm.SeedModel, opts EstimateOptions) ([]float64, error) {
+// regress runs one HLM pass as the round phase named phase ("pre_pass" or
+// "speed") and wraps its error with the phase.
+func (v *View) regress(ctx context.Context, phase string, req *hlm.Request, seedModel *hlm.SeedModel) ([]float64, error) {
 	var rels []float64
 	//lint:hotpath-ok one span-bracketing thunk per phase per round (not per index); timePhase needs a closure to time and the round does O(roads) work inside it
-	if err := timePhase(ctx, "speed", func() (err error) {
-		rels, err = v.estimateRels(&hlm.Request{
-			Slot: slot, SeedRels: seedRels, TrendUp: make([]bool, v.net.NumRoads()),
-			TrendFree: true, Flat: opts.FlatHLM,
-		}, seedModel, opts.NoSeedModel)
+	if err := timePhase(ctx, phase, func() (err error) {
+		rels, err = v.estimateRels(req, seedModel)
 		return err
 	}); err != nil {
-		return nil, fmt.Errorf("core: trend-free inference: %w", err)
+		return nil, fmt.Errorf("core: %s regression: %w", phase, err)
 	}
 	return rels, nil
-}
-
-// prePass is step 0: a trend-free magnitude pre-pass. Its relative-speed
-// estimates carry trend information no binary propagation can recover (a
-// road estimated at 0.8× its mean is almost surely trending down), so they
-// become fusion evidence after the graphical model runs.
-func (v *View) prePass(ctx context.Context, slot int, seedRels map[roadnet.RoadID]float64, seedModel *hlm.SeedModel, noSeedModel bool) ([]float64, error) {
-	preTrend := make([]bool, v.net.NumRoads()) // ignored in trend-free mode
-	var preRels []float64
-	//lint:hotpath-ok one span-bracketing thunk per phase per round (not per index); timePhase needs a closure to time and the round does O(roads) work inside it
-	if err := timePhase(ctx, "pre_pass", func() (err error) {
-		preRels, err = v.estimateRels(&hlm.Request{
-			Slot: slot, SeedRels: seedRels, TrendUp: preTrend, TrendFree: true,
-		}, seedModel, noSeedModel)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: magnitude pre-pass: %w", err)
-	}
-	return preRels, nil
 }
 
 // trendPriors builds the MRF node priors. They carry only *local* evidence —
@@ -265,31 +255,13 @@ func (v *View) fuseTrendsInto(pUp []float64, trendUp []bool, trendPUp, preRels [
 	}
 }
 
-// speedRels is step 2: the trend-conditioned hierarchical regression.
-func (v *View) speedRels(ctx context.Context, slot int, seedRels map[roadnet.RoadID]float64, trendUp []bool, pUp []float64, seedModel *hlm.SeedModel, opts EstimateOptions) ([]float64, error) {
-	var rels []float64
-	//lint:hotpath-ok one span-bracketing thunk per phase per round (not per index); timePhase needs a closure to time and the round does O(roads) work inside it
-	if err := timePhase(ctx, "speed", func() (err error) {
-		rels, err = v.estimateRels(&hlm.Request{
-			Slot:     slot,
-			SeedRels: seedRels,
-			TrendUp:  trendUp,
-			PUp:      pUp,
-			Flat:     opts.FlatHLM,
-		}, seedModel, opts.NoSeedModel)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: speed inference: %w", err)
-	}
-	return rels, nil
-}
-
 // estimateRels routes an HLM request through the given seed-conditional
-// snapshot when the request's seeds overlap it; otherwise the generic
-// propagation model runs. The snapshot is the one the round loaded at entry,
-// never re-read, so both regression passes of a round agree on the model.
-func (v *View) estimateRels(req *hlm.Request, seedModel *hlm.SeedModel, noSeedModel bool) ([]float64, error) {
-	if seedModel != nil && !noSeedModel {
+// snapshot when the request's seeds overlap it; otherwise (or when the
+// snapshot is nil) the generic propagation model runs. The snapshot is the
+// one the round loaded at entry, never re-read, so both regression passes of
+// a round agree on the model.
+func (v *View) estimateRels(req *hlm.Request, seedModel *hlm.SeedModel) ([]float64, error) {
+	if seedModel != nil {
 		overlap := 0
 		for r := range req.SeedRels {
 			if seedModel.SeedSet(r) {

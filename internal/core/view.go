@@ -101,10 +101,7 @@ func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Optio
 	// The HLM's pooled levels: road class (same-class roads co-move
 	// city-wide), local area (congestion is spatially smooth) and the whole
 	// city (global demand swings).
-	hlmCfg := opts.HLM
-	if hlmCfg.Levels == nil {
-		hlmCfg.Levels = poolingLevels(net)
-	}
+	hlmCfg := hlm.Config{Levels: poolingLevels(net)}
 	var model *hlm.Model
 	if err := timeStage(ctx, "hlm_train", func() (err error) {
 		model, err = hlm.Train(graph, db, hlmCfg)
@@ -226,7 +223,7 @@ func (v *View) Prepare(ctx context.Context, seeds []roadnet.RoadID) error {
 	}
 	var sm *hlm.SeedModel
 	if err := timeStage(ctx, "seed_specialize", func() (err error) {
-		sm, err = v.hlm.Specialize(v.db, seeds, v.seedCandidates(seeds), hlm.DefaultSpecializeConfig())
+		sm, err = v.hlm.Specialize(v.db, seeds, v.seedCandidates(seeds))
 		return err
 	}); err != nil {
 		return fmt.Errorf("core: specialising to seed set: %w", err)

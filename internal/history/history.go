@@ -131,8 +131,9 @@ func (db *DB) Mean(road roadnet.RoadID, slot int) (mean float64, ok bool) {
 	return 0, false
 }
 
-// Std returns the historical standard deviation for the slot’s profile class, or the
-// road-overall deviation when the class is unobserved. ok mirrors Mean.
+// Std returns the historical standard deviation for the slot's profile
+// class. It is 0 when the class holds fewer than two samples: there is no
+// road-overall fallback, unlike Mean's. ok mirrors Mean.
 func (db *DB) Std(road roadnet.RoadID, slot int) (std float64, ok bool) {
 	c := db.cell(road, slot)
 	if c.n > 1 {

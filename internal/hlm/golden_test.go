@@ -89,7 +89,7 @@ func goldenCity(t testing.TB) (*dataset.Dataset, *corr.Graph, Config) {
 		if err != nil {
 			panic(err)
 		}
-		hc := DefaultConfig()
+		hc := Config{}
 		hc.Levels = defaultLevels(d.Net)
 		goldenData, goldenGraph, goldenCfg = d, g, hc
 	})
@@ -325,7 +325,7 @@ func recordGolden(t *testing.T) (trainGolden, map[string][]string) {
 	for r := 0; r < n; r += 10 {
 		seeds = append(seeds, roadnet.RoadID(r))
 	}
-	sm, err := m.Specialize(d.DB, seeds, nearestSeeds(seeds), DefaultSpecializeConfig())
+	sm, err := m.Specialize(d.DB, seeds, nearestSeeds(seeds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestTrainGoldenServedCity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Levels = defaultLevels(d.Net)
 	m, err := Train(g, d.DB, cfg)
 	if err != nil {

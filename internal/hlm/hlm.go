@@ -16,11 +16,18 @@
 //     each road regresses on neighbour values that are already estimates —
 //     observed magnitudes propagate outward with learned shrinkage.
 //
+// Step 1 reaches the model as one input, every road's trend marginal P(up)
+// (Request.PUp). Each trend-conditioned predictor — pairwise, level, prior
+// and seed-conditional — has an up and a down variant, and blend mixes the
+// two by the marginal. A request without marginals is trend-free: every
+// predictor reads its pooled, trend-agnostic variant instead.
+//
 // The fallback chain is pairwise regressions → trend-conditioned historical
 // rel → 1.0 (the historical mean).
 package hlm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -32,16 +39,21 @@ import (
 	"repro/internal/roadnet"
 )
 
+// Training constants of the generic model.
+const (
+	// maxNeighbors caps the number of correlated neighbours with pairwise
+	// regressions per road.
+	maxNeighbors = 5
+	// minSamples is the fewest co-observed history slots a pairwise or
+	// level regression is trusted with.
+	minSamples = 30
+	// lambda is the ridge penalty of every regression the package fits,
+	// generic and seed-conditional.
+	lambda = 0.1
+)
+
 // Config parameterises training.
 type Config struct {
-	// MaxNeighbors caps the number of correlated neighbours with pairwise
-	// regressions per road.
-	MaxNeighbors int
-	// MinSamples is the minimum number of co-observed history slots for a
-	// pairwise regression to be trusted.
-	MinSamples int
-	// Lambda is the ridge penalty.
-	Lambda float64
 	// Levels optionally adds pooled predictors. Each level assigns every
 	// road to a group (len must equal the number of roads); the road then
 	// gains one regression of its rel on the mean rel-deviation of the
@@ -51,70 +63,29 @@ type Config struct {
 	Levels [][]int
 }
 
-// DefaultConfig returns training settings used by the experiments.
-func DefaultConfig() Config {
-	return Config{MaxNeighbors: 5, MinSamples: 30, Lambda: 0.1}
-}
-
-// Validate rejects unusable configurations.
-func (c *Config) Validate() error {
-	if c.MaxNeighbors < 1 {
-		return fmt.Errorf("hlm: MaxNeighbors must be ≥ 1, got %d", c.MaxNeighbors)
-	}
-	if c.MinSamples < 2 {
-		return fmt.Errorf("hlm: MinSamples must be ≥ 2, got %d", c.MinSamples)
-	}
-	if c.Lambda < 0 {
-		return fmt.Errorf("hlm: Lambda must be ≥ 0, got %v", c.Lambda)
-	}
-	return nil
-}
-
-// pairModel holds the trend-conditioned regressions predicting a road's rel
-// from one neighbour's rel.
+// pairModel holds a road's trend-conditioned regressions: pooled over every
+// training row, and up and down over the rows of each trend.
 type pairModel struct {
 	up, down *linalg.RidgeModel // may be nil when one trend class is scarce
-	pooled   *linalg.RidgeModel
+	pooled   *linalg.RidgeModel // never nil in a fitted pair
 }
 
-// pick returns the regression for the trend, falling back to pooled.
-func (pm *pairModel) pick(up bool) *linalg.RidgeModel {
-	if up && pm.up != nil {
-		return pm.up
+// mix evaluates the regressions through eval, which returns one
+// regression's prediction and combination weight, for road r of req. A
+// trend-free request reads the pooled regression. Otherwise the up and down
+// regressions, each falling back to pooled, are blended by the road's
+// marginal: committing to the likelier trend would amplify step-1 mistakes.
+// ok is false when no regression evaluates.
+func (pm *pairModel) mix(req *Request, r roadnet.RoadID, eval func(*linalg.RidgeModel) (pred, weight float64, ok bool)) (pred, weight float64, ok bool) {
+	if req.PUp == nil {
+		return eval(pm.pooled)
 	}
-	if !up && pm.down != nil {
-		return pm.down
-	}
-	return pm.pooled
-}
-
-// predict evaluates the pair at x. With a trend marginal p available it
-// blends the up and down regressions by p — committing to the harder bit
-// would amplify step-1 mistakes — and returns the blended prediction with
-// its combination weight (inverse residual variance). ok is false when no
-// usable regression exists.
-func (pm *pairModel) predict(x, p float64, hardUp, soft, trendFree bool) (pred, weight float64, ok bool) {
-	evalReg := func(reg *linalg.RidgeModel) (float64, float64, bool) {
-		if reg == nil {
-			return 0, 0, false
-		}
-		v, err := reg.Predict1(x)
-		if err != nil {
-			return 0, 0, false
-		}
-		return v, 1 / (reg.RMSE*reg.RMSE + 1e-4), true
-	}
-	if trendFree {
-		return evalReg(pm.pooled)
-	}
-	if !soft {
-		return evalReg(pm.pick(hardUp))
-	}
-	upPred, upW, upOK := evalReg(pm.pick(true))
-	downPred, downW, downOK := evalReg(pm.pick(false))
+	upPred, upW, upOK := eval(cmp.Or(pm.up, pm.pooled))
+	downPred, downW, downOK := eval(cmp.Or(pm.down, pm.pooled))
 	switch {
 	case upOK && downOK:
-		return p*upPred + (1-p)*downPred, p*upW + (1-p)*downW, true
+		p := req.PUp[r]
+		return blend(p, upPred, downPred), blend(p, upW, downW), true
 	case upOK:
 		return upPred, upW, true
 	case downOK:
@@ -123,6 +94,22 @@ func (pm *pairModel) predict(x, p float64, hardUp, soft, trendFree bool) (pred, 
 		return 0, 0, false
 	}
 }
+
+// predict evaluates a one-feature pair at x for road r of req, with its
+// combination weight: inverse residual variance.
+func (pm *pairModel) predict(req *Request, r roadnet.RoadID, x float64) (pred, weight float64, ok bool) {
+	return pm.mix(req, r, func(reg *linalg.RidgeModel) (float64, float64, bool) {
+		v, err := reg.Predict1(x)
+		if err != nil {
+			return 0, 0, false
+		}
+		return v, 1 / (reg.RMSE*reg.RMSE + 1e-4), true
+	})
+}
+
+// blend mixes a road's up and down predictions by its trend marginal p. At
+// p = 1 it returns up exactly and at p = 0 down exactly.
+func blend(p, up, down float64) float64 { return p*up + (1-p)*down }
 
 // roadModel holds one road's trained estimators.
 type roadModel struct {
@@ -143,7 +130,6 @@ type roadModel struct {
 
 // Model is the trained hierarchical linear model.
 type Model struct {
-	cfg    Config
 	graph  *corr.Graph
 	roads  []roadModel
 	levels [][]int // nil when pooling is disabled
@@ -166,26 +152,16 @@ func (m *Model) RegressionCoverage() float64 {
 
 // Train fits the model from history over the correlation graph.
 func Train(graph *corr.Graph, db *history.DB, cfg Config) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	n := graph.NumRoads()
+	if n != db.NumRoads() {
+		return nil, fmt.Errorf("hlm: graph has %d roads, history has %d", n, db.NumRoads())
 	}
-	if graph.NumRoads() != db.NumRoads() {
-		return nil, fmt.Errorf("hlm: graph has %d roads, history has %d", graph.NumRoads(), db.NumRoads())
-	}
-	if err := checkLevels(cfg, graph.NumRoads()); err != nil {
-		return nil, err
-	}
-	return fit(nil, graph, db, cfg, nil), nil
-}
-
-// checkLevels rejects pooling levels that do not assign every road a group.
-func checkLevels(cfg Config, n int) error {
 	for l, groups := range cfg.Levels {
 		if len(groups) != n {
-			return fmt.Errorf("hlm: level %d has %d group assignments for %d roads", l, len(groups), n)
+			return nil, fmt.Errorf("hlm: level %d has %d group assignments for %d roads", l, len(groups), n)
 		}
 	}
-	return nil
+	return fit(nil, graph, db, cfg.Levels, nil), nil
 }
 
 // Request carries the per-slot inputs for estimation.
@@ -195,30 +171,21 @@ type Request struct {
 	// SeedRels maps seed roads to their crowdsourced relative speeds
 	// (observed speed / historical mean).
 	SeedRels map[roadnet.RoadID]float64
-	// TrendUp[r] is the step-1 inferred trend for every road (seeds should
-	// carry their observed trend).
-	TrendUp []bool
-	// PUp optionally carries the step-1 trend marginals. When present, the
-	// prior predictor blends the up/down expected rels by the marginal
-	// instead of committing to the harder TrendUp bit, preserving the
-	// graphical model's uncertainty.
+	// PUp is step 1's output: every road's trend marginal P(up), by which
+	// each trend-conditioned predictor blends its up and down variants. nil
+	// makes the request trend-free: every predictor reads its pooled
+	// (trend-agnostic) variant. Core's magnitude pre-pass and the "no
+	// trends" ablation (A1) are trend-free.
 	PUp []float64
 	// Flat disables the hierarchical schedule: every road is predicted from
 	// its neighbours' trend-expected rels in a single pass (ablation A2).
 	Flat bool
-	// TrendFree restricts every predictor to its pooled (trend-agnostic)
-	// regression. Used for the magnitude pre-pass that seeds the trend
-	// model's node priors, and as the "no trends" ablation (A1).
-	TrendFree bool
 }
 
 // Estimate produces relative speed estimates for every road. Use SpeedsOf to
 // convert to absolute speeds.
 func (m *Model) Estimate(req *Request) ([]float64, error) {
 	n := m.NumRoads()
-	if len(req.TrendUp) != n {
-		return nil, fmt.Errorf("hlm: TrendUp has %d entries, want %d", len(req.TrendUp), n)
-	}
 	if req.PUp != nil && len(req.PUp) != n {
 		return nil, fmt.Errorf("hlm: PUp has %d entries, want %d", len(req.PUp), n)
 	}
@@ -345,13 +312,6 @@ func (m *Model) seedGroupDevs(req *Request) []map[int]float64 {
 // trend-expected rel).
 func (m *Model) predictRoad(r roadnet.RoadID, req *Request, rel []float64, known []bool, groupDev []map[int]float64) float64 {
 	rm := &m.roads[r]
-	up := req.TrendUp[r]
-	p := 0.0
-	soft := req.PUp != nil
-	if soft {
-		p = req.PUp[r]
-	}
-
 	var wsum, acc float64
 
 	for i, nb := range rm.neighbors {
@@ -364,7 +324,7 @@ func (m *Model) predictRoad(r roadnet.RoadID, req *Request, rel []float64, known
 		default:
 			continue
 		}
-		pred, w, ok := rm.pairs[i].predict(x, p, up, soft, req.TrendFree)
+		pred, w, ok := rm.pairs[i].predict(req, r, x)
 		if !ok {
 			continue
 		}
@@ -382,7 +342,7 @@ func (m *Model) predictRoad(r roadnet.RoadID, req *Request, rel []float64, known
 		if !okDev {
 			continue
 		}
-		pred, w, ok := pm.predict(x, p, up, soft, req.TrendFree)
+		pred, w, ok := pm.predict(req, r, x)
 		if !ok {
 			continue
 		}
@@ -397,21 +357,15 @@ func (m *Model) predictRoad(r roadnet.RoadID, req *Request, rel []float64, known
 	return clampRel(acc / wsum)
 }
 
-// priorRel returns the road's trend-conditioned expected rel: a soft blend
-// by the trend marginal when PUp is available, the hard trend bit otherwise.
+// priorRel returns the road's expected historical rel: unconditional for a
+// trend-free request, otherwise its trend-conditioned expectations blended
+// by the road's marginal.
 func (m *Model) priorRel(r roadnet.RoadID, req *Request) float64 {
 	rm := &m.roads[r]
-	if req.TrendFree {
+	if req.PUp == nil {
 		return clampRel(rm.expRelAll)
 	}
-	if req.PUp != nil {
-		p := req.PUp[r]
-		return clampRel(p*rm.expRelUp + (1-p)*rm.expRelDown)
-	}
-	if req.TrendUp[r] {
-		return clampRel(rm.expRelUp)
-	}
-	return clampRel(rm.expRelDown)
+	return clampRel(blend(req.PUp[r], rm.expRelUp, rm.expRelDown))
 }
 
 // clampRel keeps relative speeds in a physical envelope: a road rarely runs

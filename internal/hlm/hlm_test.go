@@ -36,7 +36,7 @@ func buildFixtures(t *testing.T) (*dataset.Dataset, *corr.Graph) {
 		if err != nil {
 			panic(err)
 		}
-		m, err := Train(g, d.DB, DefaultConfig())
+		m, err := Train(g, d.DB, Config{})
 		if err != nil {
 			panic(err)
 		}
@@ -52,26 +52,13 @@ func sharedModel(t *testing.T) *Model {
 	return fixtureModel
 }
 
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{MaxNeighbors: 0, MinSamples: 10, Lambda: 0.1},
-		{MaxNeighbors: 3, MinSamples: 1, Lambda: 0.1},
-		{MaxNeighbors: 3, MinSamples: 10, Lambda: -1},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %d accepted", i)
-		}
-	}
-}
-
 func TestTrainRejectsMismatch(t *testing.T) {
 	d, _ := buildFixtures(t)
 	small, err := corr.NewGraph(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Train(small, d.DB, DefaultConfig()); err == nil {
+	if _, err := Train(small, d.DB, Config{}); err == nil {
 		t.Error("mismatched sizes accepted")
 	}
 	// Bad level length.
@@ -79,7 +66,7 @@ func TestTrainRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Levels = [][]int{{1, 2, 3}}
 	if _, err := Train(g, d.DB, cfg); err == nil {
 		t.Error("mismatched level length accepted")
@@ -102,17 +89,13 @@ func TestTrainProducesRegressions(t *testing.T) {
 
 func TestEstimateValidatesInputs(t *testing.T) {
 	m := sharedModel(t)
-	if _, err := m.Estimate(&Request{TrendUp: make([]bool, 1)}); err == nil {
-		t.Error("wrong TrendUp length accepted")
-	}
 	if _, err := m.Estimate(&Request{
-		TrendUp: make([]bool, m.NumRoads()),
-		PUp:     make([]float64, 2),
+		PUp: make([]float64, 2),
 	}); err == nil {
 		t.Error("wrong PUp length accepted")
 	}
 	if _, err := m.Estimate(&Request{
-		TrendUp:  make([]bool, m.NumRoads()),
+		PUp:      make([]float64, m.NumRoads()),
 		SeedRels: map[roadnet.RoadID]float64{roadnet.RoadID(m.NumRoads() + 5): 1},
 	}); err == nil {
 		t.Error("out-of-range seed accepted")
@@ -124,7 +107,7 @@ func TestSeedRelsPassThrough(t *testing.T) {
 	m := sharedModel(t)
 	seeds := map[roadnet.RoadID]float64{3: 1.2, 10: 0.7}
 	rel, err := m.Estimate(&Request{
-		Slot: d.Slot(), SeedRels: seeds, TrendUp: make([]bool, m.NumRoads()),
+		Slot: d.Slot(), SeedRels: seeds, PUp: make([]float64, m.NumRoads()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +117,7 @@ func TestSeedRelsPassThrough(t *testing.T) {
 	}
 	// Out-of-envelope seed observations are clamped.
 	rel, err = m.Estimate(&Request{
-		Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{0: 99}, TrendUp: make([]bool, m.NumRoads()),
+		Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{0: 99}, PUp: make([]float64, m.NumRoads()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,14 +130,16 @@ func TestSeedRelsPassThrough(t *testing.T) {
 func TestAllRelsPhysical(t *testing.T) {
 	d, _ := buildFixtures(t)
 	m := sharedModel(t)
-	trend := make([]bool, m.NumRoads())
+	trend := make([]float64, m.NumRoads())
 	for i := range trend {
-		trend[i] = i%3 == 0
+		if i%3 == 0 {
+			trend[i] = 1
+		}
 	}
 	rel, err := m.Estimate(&Request{
 		Slot:     d.Slot(),
 		SeedRels: map[roadnet.RoadID]float64{0: 1.1, 50: 0.8},
-		TrendUp:  trend,
+		PUp:      trend,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,16 +157,16 @@ func TestTrendChangesEstimates(t *testing.T) {
 	d, _ := buildFixtures(t)
 	m := sharedModel(t)
 	n := m.NumRoads()
-	allUp, allDown := make([]bool, n), make([]bool, n)
+	allUp, allDown := make([]float64, n), make([]float64, n)
 	for i := range allUp {
-		allUp[i] = true
+		allUp[i] = 1
 	}
 	seeds := map[roadnet.RoadID]float64{0: 1.0}
-	relUp, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, TrendUp: allUp})
+	relUp, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, PUp: allUp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	relDown, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, TrendUp: allDown})
+	relDown, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, PUp: allDown})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +188,6 @@ func TestSoftPUpInterpolates(t *testing.T) {
 	d, _ := buildFixtures(t)
 	m := sharedModel(t)
 	n := m.NumRoads()
-	allUp := make([]bool, n)
-	for i := range allUp {
-		allUp[i] = true
-	}
 	mk := func(p float64) []float64 {
 		pup := make([]float64, n)
 		for i := range pup {
@@ -215,8 +196,8 @@ func TestSoftPUpInterpolates(t *testing.T) {
 		return pup
 	}
 	seeds := map[roadnet.RoadID]float64{0: 1.0}
-	mean := func(pup []float64, tu []bool) float64 {
-		rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, TrendUp: tu, PUp: pup})
+	mean := func(pup []float64) float64 {
+		rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, PUp: pup})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,9 +207,9 @@ func TestSoftPUpInterpolates(t *testing.T) {
 		}
 		return s / float64(n)
 	}
-	up := mean(mk(0.95), allUp)
-	half := mean(mk(0.5), allUp)
-	down := mean(mk(0.05), make([]bool, n))
+	up := mean(mk(0.95))
+	half := mean(mk(0.5))
+	down := mean(mk(0.05))
 	if !(down < half && half < up) {
 		t.Errorf("soft blend not monotone: down=%v half=%v up=%v", down, half, up)
 	}
@@ -256,12 +237,12 @@ func TestHierarchyPropagatesSeedInformation(t *testing.T) {
 	if seed < 0 {
 		t.Skip("no road is a pair feature of a neighbour")
 	}
-	trend := make([]bool, m.NumRoads())
-	relHigh, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{seed: 1.5}, TrendUp: trend})
+	trend := make([]float64, m.NumRoads())
+	relHigh, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{seed: 1.5}, PUp: trend})
 	if err != nil {
 		t.Fatal(err)
 	}
-	relLow, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{seed: 0.5}, TrendUp: trend})
+	relLow, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{seed: 0.5}, PUp: trend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,9 +260,9 @@ func TestHierarchyPropagatesSeedInformation(t *testing.T) {
 func TestFlatModeIgnoresSeedPropagation(t *testing.T) {
 	d, _ := buildFixtures(t)
 	m := sharedModel(t)
-	trend := make([]bool, m.NumRoads())
+	trend := make([]float64, m.NumRoads())
 	seeds := map[roadnet.RoadID]float64{5: 1.6}
-	flat, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, TrendUp: trend, Flat: true})
+	flat, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, PUp: trend, Flat: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +272,7 @@ func TestFlatModeIgnoresSeedPropagation(t *testing.T) {
 	// Flat estimates of non-seeds depend only on trends (no levels are
 	// configured in this test fixture), so two different seed values give
 	// identical non-seed estimates.
-	flat2, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{5: 0.5}, TrendUp: trend, Flat: true})
+	flat2, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{5: 0.5}, PUp: trend, Flat: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +296,7 @@ func TestLevelsUseSeedGroupMeans(t *testing.T) {
 	// With a city-wide level, flat estimates must respond to the seeds'
 	// overall deviation.
 	d, g := buildFixtures(t)
-	cfg := DefaultConfig()
+	cfg := Config{}
 	city := make([]int, d.Net.NumRoads())
 	cfg.Levels = [][]int{city}
 	m, err := Train(g, d.DB, cfg)
@@ -323,18 +304,17 @@ func TestLevelsUseSeedGroupMeans(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := m.NumRoads()
-	trend := make([]bool, n)
 	seedsHigh := map[roadnet.RoadID]float64{}
 	seedsLow := map[roadnet.RoadID]float64{}
 	for r := 0; r < n; r += 10 {
 		seedsHigh[roadnet.RoadID(r)] = 1.3
 		seedsLow[roadnet.RoadID(r)] = 0.7
 	}
-	relHigh, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seedsHigh, TrendUp: trend, Flat: true, TrendFree: true})
+	relHigh, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seedsHigh, Flat: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	relLow, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seedsLow, TrendUp: trend, Flat: true, TrendFree: true})
+	relLow, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seedsLow, Flat: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +335,7 @@ func TestLevelsUseSeedGroupMeans(t *testing.T) {
 func TestNoSeedsFallsBackEverywhere(t *testing.T) {
 	d, _ := buildFixtures(t)
 	m := sharedModel(t)
-	rel, err := m.Estimate(&Request{Slot: d.Slot(), TrendUp: make([]bool, m.NumRoads())})
+	rel, err := m.Estimate(&Request{Slot: d.Slot(), PUp: make([]float64, m.NumRoads())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +349,7 @@ func TestNoSeedsFallsBackEverywhere(t *testing.T) {
 func TestSpeedsOf(t *testing.T) {
 	d, _ := buildFixtures(t)
 	m := sharedModel(t)
-	rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{0: 1}, TrendUp: make([]bool, m.NumRoads())})
+	rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{0: 1}, PUp: make([]float64, m.NumRoads())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,19 +378,21 @@ func TestEstimationAccuracyBeatsHistoricalMean(t *testing.T) {
 	var count int
 	for step := 0; step < 10; step++ {
 		slot, truth := d.NextTruth()
-		trend := make([]bool, n)
+		trend := make([]float64, n)
 		seedRels := map[roadnet.RoadID]float64{}
 		for r := 0; r < n; r++ {
 			mean, ok := d.DB.Mean(roadnet.RoadID(r), slot)
 			if !ok || mean <= 0 {
 				continue
 			}
-			trend[r] = truth[r] >= mean
+			if truth[r] >= mean {
+				trend[r] = 1
+			}
 			if r%5 == 0 { // every 5th road is a seed
 				seedRels[roadnet.RoadID(r)] = truth[r] / mean
 			}
 		}
-		rel, err := m.Estimate(&Request{Slot: slot, SeedRels: seedRels, TrendUp: trend})
+		rel, err := m.Estimate(&Request{Slot: slot, SeedRels: seedRels, PUp: trend})
 		if err != nil {
 			t.Fatal(err)
 		}

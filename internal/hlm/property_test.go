@@ -14,7 +14,7 @@ import (
 // seed inputs and trend assignments.
 func TestEstimateEnvelopeProperty(t *testing.T) {
 	d, g := buildFixtures(t)
-	m, err := Train(g, d.DB, DefaultConfig())
+	m, err := Train(g, d.DB, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,13 +25,11 @@ func TestEstimateEnvelopeProperty(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(20); i++ {
 			seeds[roadnet.RoadID(rng.Intn(n))] = rng.Float64() * 5 // wild inputs
 		}
-		trend := make([]bool, n)
 		pup := make([]float64, n)
-		for i := range trend {
-			trend[i] = rng.Intn(2) == 0
+		for i := range pup {
 			pup[i] = rng.Float64()
 		}
-		rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, TrendUp: trend, PUp: pup})
+		rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, PUp: pup})
 		if err != nil {
 			return false
 		}
@@ -68,18 +66,18 @@ func TestClampRelProperty(t *testing.T) {
 // produce models with identical predictions.
 func TestTrainDeterministic(t *testing.T) {
 	d, g := buildFixtures(t)
-	m1, err := Train(g, d.DB, DefaultConfig())
+	m1, err := Train(g, d.DB, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Train(g, d.DB, DefaultConfig())
+	m2, err := Train(g, d.DB, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := &Request{
 		Slot:     d.Slot(),
 		SeedRels: map[roadnet.RoadID]float64{3: 1.3, 17: 0.6},
-		TrendUp:  make([]bool, m1.NumRoads()),
+		PUp:      make([]float64, m1.NumRoads()),
 	}
 	r1, err := m1.Estimate(req)
 	if err != nil {
@@ -103,14 +101,14 @@ func TestTrainOnEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Train(empty, d.DB, DefaultConfig())
+	m, err := Train(empty, d.DB, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.RegressionCoverage() != 0 {
 		t.Errorf("coverage %v on an empty graph", m.RegressionCoverage())
 	}
-	rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{0: 1.4}, TrendUp: make([]bool, m.NumRoads())})
+	rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{0: 1.4}, PUp: make([]float64, m.NumRoads())})
 	if err != nil {
 		t.Fatal(err)
 	}

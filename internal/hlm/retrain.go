@@ -18,7 +18,7 @@ import (
 //
 //   - it is dirty (its own series feeds the prior moments, every pairwise
 //     regression response, and the level predictors), or
-//   - its regression neighbour list — the first MaxNeighbors entries of its
+//   - its regression neighbour list — the first maxNeighbors entries of its
 //     correlation list — differs from old's (re-scored agreements can
 //     reorder or replace them), or
 //   - any regression neighbour is dirty (the pair's co-observed samples
@@ -37,7 +37,6 @@ import (
 // (unavoidable — a dirty road perturbs its groups' means for everyone), and
 // road fitting is proportional to the affected set, not the city.
 func Retrain(old *Model, graph *corr.Graph, db *history.DB, dirty []bool) (*Model, error) {
-	cfg := old.cfg
 	n := old.NumRoads()
 	if graph.NumRoads() != n || db.NumRoads() != n {
 		return nil, fmt.Errorf("hlm: retrain over %d-road model, %d-road graph, %d-road history", n, graph.NumRoads(), db.NumRoads())
@@ -55,8 +54,8 @@ func Retrain(old *Model, graph *corr.Graph, db *history.DB, dirty []bool) (*Mode
 		rid := roadnet.RoadID(r)
 		oldNbs := old.graph.Neighbors(rid)
 		newNbs := graph.Neighbors(rid)
-		kOld := min(cfg.MaxNeighbors, len(oldNbs))
-		kNew := min(cfg.MaxNeighbors, len(newNbs))
+		kOld := min(maxNeighbors, len(oldNbs))
+		kNew := min(maxNeighbors, len(newNbs))
 		if kOld != kNew {
 			affected[r] = true
 			continue
@@ -68,9 +67,5 @@ func Retrain(old *Model, graph *corr.Graph, db *history.DB, dirty []bool) (*Mode
 			}
 		}
 	}
-
-	if err := checkLevels(cfg, n); err != nil {
-		return nil, err
-	}
-	return fit(old, graph, db, cfg, affected), nil
+	return fit(old, graph, db, old.levels, affected), nil
 }

@@ -16,7 +16,7 @@ import (
 func TestRetrainMatchesTrain(t *testing.T) {
 	d, g := buildFixtures(t)
 	n := d.Net.NumRoads()
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Levels = [][]int{make([]int, n), make([]int, n)}
 	for r := 0; r < n; r++ {
 		cfg.Levels[1][r] = r % 5

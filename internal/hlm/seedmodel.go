@@ -11,55 +11,29 @@ import (
 	"repro/internal/roadnet"
 )
 
-// SpecializeConfig parameterises seed-conditional training.
-type SpecializeConfig struct {
-	// MaxFeatures caps the number of seed roads used as regressors per
+// Seed-conditional training constants. The ridge penalty is lambda, as in
+// the generic model.
+const (
+	// maxSeedFeatures caps the number of seed roads used as regressors per
 	// road.
-	MaxFeatures int
-	// MaxCandidates caps how many candidate seeds are correlation-scored
-	// per road before the top MaxFeatures are kept.
-	MaxCandidates int
-	// MinSamples is the minimum number of aligned history rows for a
-	// regression to be trusted; roads with fewer keep the generic model.
-	MinSamples int
-	// MinAbsCorr drops candidate seeds whose historical correlation with
+	maxSeedFeatures = 4
+	// maxSeedCandidates caps how many candidate seeds are correlation-scored
+	// per road before the top maxSeedFeatures are kept.
+	maxSeedCandidates = 12
+	// minSeedSamples is the fewest aligned history rows a seed regression
+	// is trusted with; roads with fewer keep the generic model.
+	minSeedSamples = 40
+	// minSeedCorr drops candidate seeds whose historical correlation with
 	// the road is weaker than this.
-	MinAbsCorr float64
-	// Lambda is the ridge penalty.
-	Lambda float64
-}
+	minSeedCorr = 0.15
+)
 
-// DefaultSpecializeConfig returns the settings used by the experiments.
-func DefaultSpecializeConfig() SpecializeConfig {
-	return SpecializeConfig{MaxFeatures: 4, MaxCandidates: 12, MinSamples: 40, MinAbsCorr: 0.15, Lambda: 0.1}
-}
-
-// Validate rejects unusable configurations.
-func (c *SpecializeConfig) Validate() error {
-	if c.MaxFeatures < 1 {
-		return fmt.Errorf("hlm: MaxFeatures must be ≥ 1, got %d", c.MaxFeatures)
-	}
-	if c.MaxCandidates < c.MaxFeatures {
-		return fmt.Errorf("hlm: MaxCandidates %d below MaxFeatures %d", c.MaxCandidates, c.MaxFeatures)
-	}
-	if c.MinSamples < 2 {
-		return fmt.Errorf("hlm: MinSamples must be ≥ 2, got %d", c.MinSamples)
-	}
-	if c.MinAbsCorr < 0 || c.MinAbsCorr >= 1 {
-		return fmt.Errorf("hlm: MinAbsCorr must be in [0,1), got %v", c.MinAbsCorr)
-	}
-	if c.Lambda < 0 {
-		return fmt.Errorf("hlm: Lambda must be ≥ 0, got %v", c.Lambda)
-	}
-	return nil
-}
-
-// seedRoadModel is one road's seed-conditional regression.
+// seedRoadModel is one road's seed-conditional regressions: a pairModel
+// whose regressions take one feature per seed in feats.
 type seedRoadModel struct {
-	feats    []roadnet.RoadID // seed roads used as features
-	impute   []float64        // fallback feature value per seed (its mean rel)
-	up, down *linalg.RidgeModel
-	pooled   *linalg.RidgeModel
+	feats  []roadnet.RoadID // seed roads used as features
+	impute []float64        // fallback feature value per seed (its mean rel)
+	pairModel
 }
 
 // SeedModel is a Model specialised to a fixed seed set: every road that has
@@ -71,7 +45,6 @@ type seedRoadModel struct {
 // tolerates missing seed reports by imputing the seed's historical mean.
 type SeedModel struct {
 	base    *Model
-	cfg     SpecializeConfig
 	seedSet map[roadnet.RoadID]bool
 	roads   []seedRoadModel // empty feats → fall back to base
 }
@@ -94,17 +67,13 @@ func (sm *SeedModel) Coverage() float64 {
 // must return, for a road, the seed roads worth correlation-scoring for it —
 // typically the spatially nearest seeds plus the nearest same-class seeds;
 // it may return any subset of seeds (others are ignored).
-func (m *Model) Specialize(db *history.DB, seeds []roadnet.RoadID, candidates func(roadnet.RoadID) []roadnet.RoadID, cfg SpecializeConfig) (*SeedModel, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func (m *Model) Specialize(db *history.DB, seeds []roadnet.RoadID, candidates func(roadnet.RoadID) []roadnet.RoadID) (*SeedModel, error) {
 	if candidates == nil {
 		return nil, fmt.Errorf("hlm: Specialize requires a candidate provider")
 	}
 	n := m.NumRoads()
 	sm := &SeedModel{
 		base:    m,
-		cfg:     cfg,
 		seedSet: make(map[roadnet.RoadID]bool, len(seeds)),
 		roads:   make([]seedRoadModel, n),
 	}
@@ -121,10 +90,10 @@ func (m *Model) Specialize(db *history.DB, seeds []roadnet.RoadID, candidates fu
 			continue // seeds are observed directly
 		}
 		cands := candidates(id)
-		if len(cands) > cfg.MaxCandidates {
-			cands = cands[:cfg.MaxCandidates]
+		if len(cands) > maxSeedCandidates {
+			cands = cands[:maxSeedCandidates]
 		}
-		sm.roads[r] = trainSeedRoad(db, id, cands, sm.seedSet, cfg, &buf)
+		sm.roads[r] = trainSeedRoad(db, id, cands, sm.seedSet, &buf)
 	}
 	return sm, nil
 }
@@ -138,7 +107,7 @@ type corrStat struct {
 
 // trainSeedRoad scores candidates, keeps the strongest, and fits the
 // trend-conditioned regressions on aligned history.
-func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, seedSet map[roadnet.RoadID]bool, cfg SpecializeConfig, buf *fitBuf) seedRoadModel {
+func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, seedSet map[roadnet.RoadID]bool, buf *fitBuf) seedRoadModel {
 	var scored []corrStat
 	for _, c := range cands {
 		if !seedSet[c] || c == r {
@@ -155,7 +124,7 @@ func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, see
 			syy += y * y
 			sxy += x * y
 		})
-		if n < cfg.MinSamples {
+		if n < minSeedSamples {
 			continue
 		}
 		fn := float64(n)
@@ -166,7 +135,7 @@ func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, see
 			continue
 		}
 		corr := cov / math.Sqrt(vx*vy)
-		if math.Abs(corr) < cfg.MinAbsCorr {
+		if math.Abs(corr) < minSeedCorr {
 			continue
 		}
 		scored = append(scored, corrStat{seed: c, corr: corr, mean: sx / fn})
@@ -184,11 +153,7 @@ func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, see
 
 	// Adaptive feature count: aligned rows need all features co-observed
 	// with the road, so shrink until enough rows exist.
-	k := cfg.MaxFeatures
-	if k > len(scored) {
-		k = len(scored)
-	}
-	for ; k >= 1; k-- {
+	for k := min(maxSeedFeatures, len(scored)); k >= 1; k-- {
 		srm := seedRoadModel{
 			feats:  make([]roadnet.RoadID, k),
 			impute: make([]float64, k),
@@ -198,12 +163,10 @@ func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, see
 			srm.impute[i] = scored[i].mean
 		}
 		buf.x, buf.y = alignedSeedRows(db, r, srm.feats, buf.x[:0], buf.y[:0])
-		pm, ok := buf.fitTrend(buf.x, k, buf.y, cfg.MinSamples, cfg.Lambda)
-		if !ok {
-			continue
+		var ok bool
+		if srm.pairModel, ok = buf.fitTrend(buf.x, k, buf.y, minSeedSamples, lambda); ok {
+			return srm
 		}
-		srm.up, srm.down, srm.pooled = pm.up, pm.down, pm.pooled
-		return srm
 	}
 	return seedRoadModel{}
 }
@@ -239,7 +202,7 @@ func (sm *SeedModel) Estimate(req *Request) ([]float64, error) {
 	// Each road's seed regression reads only the request and writes only its
 	// own slot, so the fusion loop fans out across the worker pool.
 	par.For(n, 0, func(start, end int) {
-		x := make([]float64, sm.cfg.MaxFeatures) // per-chunk scratch
+		x := make([]float64, maxSeedFeatures) // per-chunk scratch
 		for r := start; r < end; r++ {
 			srm := &sm.roads[r]
 			if len(srm.feats) == 0 {
@@ -261,7 +224,10 @@ func (sm *SeedModel) Estimate(req *Request) ([]float64, error) {
 			if reported == 0 {
 				continue // nothing observed: keep the generic estimate
 			}
-			pred, ok := sm.predictWith(srm, x, req, roadnet.RoadID(r))
+			pred, _, ok := srm.mix(req, roadnet.RoadID(r), func(reg *linalg.RidgeModel) (float64, float64, bool) {
+				v, err := reg.Predict(x)
+				return v, 0, err == nil
+			})
 			if !ok {
 				continue
 			}
@@ -270,50 +236,4 @@ func (sm *SeedModel) Estimate(req *Request) ([]float64, error) {
 		}
 	})
 	return base, nil
-}
-
-// predictWith evaluates the trend-appropriate regression: the pooled one
-// for trend-free requests, the up and down regressions mixed by P(up) when
-// the request carries marginals, and otherwise the regression of the
-// road's trend bit.
-func (sm *SeedModel) predictWith(srm *seedRoadModel, x []float64, req *Request, r roadnet.RoadID) (float64, bool) {
-	eval := func(reg *linalg.RidgeModel) (float64, bool) {
-		if reg == nil {
-			return 0, false
-		}
-		v, err := reg.Predict(x)
-		if err != nil {
-			return 0, false
-		}
-		return v, true
-	}
-	if req.TrendFree {
-		return eval(srm.pooled)
-	}
-	if req.PUp != nil {
-		p := req.PUp[r]
-		upPred, upOK := eval(pickReg(srm.up, srm.pooled))
-		downPred, downOK := eval(pickReg(srm.down, srm.pooled))
-		switch {
-		case upOK && downOK:
-			return p*upPred + (1-p)*downPred, true
-		case upOK:
-			return upPred, true
-		case downOK:
-			return downPred, true
-		default:
-			return 0, false
-		}
-	}
-	if req.TrendUp[r] {
-		return eval(pickReg(srm.up, srm.pooled))
-	}
-	return eval(pickReg(srm.down, srm.pooled))
-}
-
-func pickReg(preferred, fallback *linalg.RidgeModel) *linalg.RidgeModel {
-	if preferred != nil {
-		return preferred
-	}
-	return fallback
 }

@@ -13,43 +13,24 @@ func allSeedsProvider(seeds []roadnet.RoadID) func(roadnet.RoadID) []roadnet.Roa
 	return func(roadnet.RoadID) []roadnet.RoadID { return seeds }
 }
 
-func TestSpecializeConfigValidation(t *testing.T) {
-	bad := []SpecializeConfig{
-		{MaxFeatures: 0, MaxCandidates: 5, MinSamples: 10, Lambda: 0.1},
-		{MaxFeatures: 4, MaxCandidates: 2, MinSamples: 10, Lambda: 0.1},
-		{MaxFeatures: 2, MaxCandidates: 5, MinSamples: 1, Lambda: 0.1},
-		{MaxFeatures: 2, MaxCandidates: 5, MinSamples: 10, MinAbsCorr: 1.0, Lambda: 0.1},
-		{MaxFeatures: 2, MaxCandidates: 5, MinSamples: 10, Lambda: -1},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %d accepted", i)
-		}
-	}
-	good := DefaultSpecializeConfig()
-	if err := good.Validate(); err != nil {
-		t.Errorf("default rejected: %v", err)
-	}
-}
-
 func TestSpecializeValidation(t *testing.T) {
 	d, g := buildFixtures(t)
-	m, err := Train(g, d.DB, DefaultConfig())
+	m, err := Train(g, d.DB, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Specialize(d.DB, []roadnet.RoadID{0}, nil, DefaultSpecializeConfig()); err == nil {
+	if _, err := m.Specialize(d.DB, []roadnet.RoadID{0}, nil); err == nil {
 		t.Error("nil candidate provider accepted")
 	}
 	if _, err := m.Specialize(d.DB, []roadnet.RoadID{roadnet.RoadID(m.NumRoads() + 1)},
-		allSeedsProvider(nil), DefaultSpecializeConfig()); err == nil {
+		allSeedsProvider(nil)); err == nil {
 		t.Error("out-of-range seed accepted")
 	}
 }
 
 func TestSpecializeCoversRoads(t *testing.T) {
 	d, g := buildFixtures(t)
-	m, err := Train(g, d.DB, DefaultConfig())
+	m, err := Train(g, d.DB, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +38,7 @@ func TestSpecializeCoversRoads(t *testing.T) {
 	for r := 0; r < m.NumRoads(); r += 8 {
 		seeds = append(seeds, roadnet.RoadID(r))
 	}
-	sm, err := m.Specialize(d.DB, seeds, allSeedsProvider(seeds), DefaultSpecializeConfig())
+	sm, err := m.Specialize(d.DB, seeds, allSeedsProvider(seeds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +59,7 @@ func TestSeedModelBeatsGenericModel(t *testing.T) {
 	// model's trend-truncated regressions leak the answer's sign, masking
 	// the propagation error.)
 	d, g := buildFixtures(t)
-	m, err := Train(g, d.DB, DefaultConfig())
+	m, err := Train(g, d.DB, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +67,7 @@ func TestSeedModelBeatsGenericModel(t *testing.T) {
 	for r := 0; r < m.NumRoads(); r += 8 {
 		seeds = append(seeds, roadnet.RoadID(r))
 	}
-	sm, err := m.Specialize(d.DB, seeds, allSeedsProvider(seeds), DefaultSpecializeConfig())
+	sm, err := m.Specialize(d.DB, seeds, allSeedsProvider(seeds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +82,7 @@ func TestSeedModelBeatsGenericModel(t *testing.T) {
 				seedRels[s] = truth[s] / mean
 			}
 		}
-		req := &Request{Slot: slot, SeedRels: seedRels, TrendUp: make([]bool, n), TrendFree: true}
+		req := &Request{Slot: slot, SeedRels: seedRels}
 		gen, err := m.Estimate(req)
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +117,7 @@ func TestSeedModelBeatsGenericModel(t *testing.T) {
 
 func TestSeedModelToleratesMissingReports(t *testing.T) {
 	d, g := buildFixtures(t)
-	m, err := Train(g, d.DB, DefaultConfig())
+	m, err := Train(g, d.DB, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +125,7 @@ func TestSeedModelToleratesMissingReports(t *testing.T) {
 	for r := 0; r < m.NumRoads(); r += 8 {
 		seeds = append(seeds, roadnet.RoadID(r))
 	}
-	sm, err := m.Specialize(d.DB, seeds, allSeedsProvider(seeds), DefaultSpecializeConfig())
+	sm, err := m.Specialize(d.DB, seeds, allSeedsProvider(seeds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +136,7 @@ func TestSeedModelToleratesMissingReports(t *testing.T) {
 			seedRels[s] = 1.2
 		}
 	}
-	rel, err := sm.Estimate(&Request{Slot: d.Slot(), SeedRels: seedRels, TrendUp: make([]bool, m.NumRoads())})
+	rel, err := sm.Estimate(&Request{Slot: d.Slot(), SeedRels: seedRels, PUp: make([]float64, m.NumRoads())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,19 +149,19 @@ func TestSeedModelToleratesMissingReports(t *testing.T) {
 
 func TestSeedModelPassesSeedsThrough(t *testing.T) {
 	d, g := buildFixtures(t)
-	m, err := Train(g, d.DB, DefaultConfig())
+	m, err := Train(g, d.DB, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seeds := []roadnet.RoadID{0, 16, 32}
-	sm, err := m.Specialize(d.DB, seeds, allSeedsProvider(seeds), DefaultSpecializeConfig())
+	sm, err := m.Specialize(d.DB, seeds, allSeedsProvider(seeds))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel, err := sm.Estimate(&Request{
 		Slot:     d.Slot(),
 		SeedRels: map[roadnet.RoadID]float64{0: 1.3, 16: 0.8},
-		TrendUp:  make([]bool, m.NumRoads()),
+		PUp:      make([]float64, m.NumRoads()),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,14 +29,14 @@ import (
 // fit trains the roads marked in refit, every road when refit is nil, and
 // takes the others' trained state from old. Train and Retrain share it, so a
 // re-fit road trains exactly as Train would train it.
-func fit(old *Model, graph *corr.Graph, db *history.DB, cfg Config, refit []bool) *Model {
-	m := &Model{cfg: cfg, graph: graph, roads: make([]roadModel, graph.NumRoads()), levels: cfg.Levels}
-	t := trainer{cfg: cfg}
+func fit(old *Model, graph *corr.Graph, db *history.DB, levels [][]int, refit []bool) *Model {
+	m := &Model{graph: graph, roads: make([]roadModel, graph.NumRoads()), levels: levels}
+	t := trainer{numLevels: len(levels)}
 	var ranks *history.SlotRanks
 	var lt levelTable
-	if len(cfg.Levels) > 0 {
+	if len(levels) > 0 {
 		ranks = db.SlotRanks()
-		t.rank = lt.aggregate(db, ranks, cfg.Levels, t.rank)
+		t.rank = lt.aggregate(db, ranks, levels, t.rank)
 	}
 	for r := range m.roads {
 		if refit != nil && !refit[r] {
@@ -49,17 +49,17 @@ func fit(old *Model, graph *corr.Graph, db *history.DB, cfg Config, refit []bool
 			continue
 		}
 		t.rank = ranks.Road(rid, t.rank)
-		for l := range cfg.Levels {
+		for l := range levels {
 			m.roads[r].levelPairs[l] = t.levelPair(db, &lt, l, rid)
 		}
 	}
 	return m
 }
 
-// trainer carries the training configuration and its reusable buffers.
+// trainer carries one training loop's reusable buffers.
 type trainer struct {
-	cfg  Config
-	rank []int32 // the slot ranks of the road being fit
+	numLevels int
+	rank      []int32 // the slot ranks of the road being fit
 	fitBuf
 }
 
@@ -99,7 +99,7 @@ func (t *trainer) road(graph *corr.Graph, db *history.DB, r roadnet.RoadID) road
 
 	// Pairwise regressions against the strongest-agreeing neighbours.
 	candidates := graph.Neighbors(r)
-	k := min(t.cfg.MaxNeighbors, len(candidates))
+	k := min(maxNeighbors, len(candidates))
 	if k > 0 {
 		rm.neighbors = make([]roadnet.RoadID, 0, k)
 		rm.pairs = make([]pairModel, 0, k)
@@ -111,14 +111,14 @@ func (t *trainer) road(graph *corr.Graph, db *history.DB, r roadnet.RoadID) road
 			y = append(y, float64(relR))
 		})
 		t.x, t.y = x, y
-		pm, ok := t.fitTrend(x, 1, y, t.cfg.MinSamples, t.cfg.Lambda)
+		pm, ok := t.fitTrend(x, 1, y, minSamples, lambda)
 		if !ok {
 			continue
 		}
 		rm.neighbors = append(rm.neighbors, e.To)
 		rm.pairs = append(rm.pairs, pm)
 	}
-	rm.levelPairs = make([]*pairModel, len(t.cfg.Levels))
+	rm.levelPairs = make([]*pairModel, t.numLevels)
 	return rm
 }
 
@@ -140,7 +140,7 @@ func (t *trainer) levelPair(db *history.DB, lt *levelTable, l int, r roadnet.Roa
 		y = append(y, float64(rel))
 	}
 	t.x, t.y = x, y
-	pm, ok := t.fitTrend(x, 1, y, t.cfg.MinSamples, t.cfg.Lambda)
+	pm, ok := t.fitTrend(x, 1, y, minSamples, lambda)
 	if !ok {
 		return nil
 	}

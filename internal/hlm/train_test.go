@@ -65,7 +65,7 @@ func BenchmarkSpecialize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sm, err := m.Specialize(d.DB, seeds, candidates, DefaultSpecializeConfig())
+		sm, err := m.Specialize(d.DB, seeds, candidates)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestTrainMemoryIndependentOfSlotRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Levels = [][]int{{0, 0, 1, 1}, {0, 0, 0, 0}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

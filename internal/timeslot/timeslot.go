@@ -19,6 +19,9 @@ import (
 type Calendar struct {
 	epoch time.Time
 	width time.Duration
+	// epochWeekday is the epoch day's weekday, from which ProfileClass
+	// counts.
+	epochWeekday time.Weekday
 }
 
 // DefaultSlotWidth is the slot width used throughout the reproduction,
@@ -36,7 +39,7 @@ func NewCalendar(epoch time.Time, width time.Duration) (*Calendar, error) {
 		return nil, fmt.Errorf("timeslot: width %v must divide 24h evenly", width)
 	}
 	midnight := time.Date(epoch.Year(), epoch.Month(), epoch.Day(), 0, 0, 0, 0, epoch.Location())
-	return &Calendar{epoch: midnight, width: width}, nil
+	return &Calendar{epoch: midnight, width: width, epochWeekday: midnight.Weekday()}, nil
 }
 
 // MustCalendar is NewCalendar that panics on error; for tests and fixed
@@ -124,22 +127,26 @@ func (c *Calendar) HourOfSlot(s int) int {
 // Tuesday 08:30 pools with every other weekday at 08:30. Pooling weekdays
 // (rather than keying by full slot-of-week) gives each class several samples
 // per fortnight of history, which slot-of-week keying cannot.
+//
+// The weekday is counted from the epoch's weekday in 24-hour days, as
+// SlotOfDay counts the time of day, so the class repeats every week for
+// every int slot, negative ones included, and no time.Time is built. That
+// is the wall-clock weekday in any zone without daylight-saving shifts;
+// every calendar this repository builds is UTC.
 func (c *Calendar) ProfileClass(s int) int {
-	day := c.SlotOfDay(s)
-	if c.isWeekend(s) {
-		return c.SlotsPerDay() + day
+	n := c.SlotsPerDay()
+	day, slot := s/n, s%n
+	if slot < 0 { // floor division for negative slots
+		day, slot = day-1, slot+n
 	}
-	return day
+	if wd := time.Weekday((int(c.epochWeekday) + day%7 + 7) % 7); wd == time.Saturday || wd == time.Sunday {
+		return n + slot
+	}
+	return slot
 }
 
 // NumProfileClasses returns the number of distinct ProfileClass values.
 func (c *Calendar) NumProfileClasses() int { return 2 * c.SlotsPerDay() }
-
-// isWeekend reports whether slot s falls on a Saturday or Sunday.
-func (c *Calendar) isWeekend(s int) bool {
-	wd := c.Start(s).Weekday()
-	return wd == time.Saturday || wd == time.Sunday
-}
 
 // PeakKind classifies a slot as morning peak, evening peak or off-peak.
 type PeakKind int

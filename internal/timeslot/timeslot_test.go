@@ -1,6 +1,7 @@
 package timeslot
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -207,5 +208,42 @@ func TestProfileClass(t *testing.T) {
 	// The next Monday is weekday again.
 	if got := c.ProfileClass(7 * 144); got != 0 {
 		t.Errorf("ProfileClass(next Mon) = %d", got)
+	}
+}
+
+// TestProfileClassWeekly: histories accept any slot below 2³¹, so the
+// profile class must repeat every week over that whole range and before
+// the epoch. Where a slot's start fits in a time.Time the class must also
+// match the wall-clock weekday, for a Monday and a Saturday epoch.
+func TestProfileClassWeekly(t *testing.T) {
+	t.Parallel()
+	for _, e := range []time.Time{epoch, time.Date(2016, 3, 12, 0, 0, 0, 0, time.UTC)} {
+		c := MustCalendar(e, 10*time.Minute)
+		perDay := c.SlotsPerDay()
+		wallClass := func(s int) int {
+			if wd := c.Start(s).Weekday(); wd == time.Saturday || wd == time.Sunday {
+				return perDay + c.SlotOfDay(s)
+			}
+			return c.SlotOfDay(s)
+		}
+		for s := -20000; s < 200000; s++ {
+			if got, want := c.ProfileClass(s), wallClass(s); got != want {
+				t.Fatalf("epoch %v: ProfileClass(%d) = %d, wall-clock class %d", e, s, got, want)
+			}
+		}
+		week := c.SlotsPerWeek()
+		starts := []int{
+			-3 * week,
+			15252 * week,                    // past 2⁶³ ns after the epoch
+			(math.MaxInt32/week - 1) * week, // the last whole week below 2³¹
+		}
+		for _, start := range starts {
+			for k := 0; k < week; k++ {
+				if got, want := c.ProfileClass(start+k), c.ProfileClass(k); got != want {
+					t.Fatalf("epoch %v: ProfileClass(%d) = %d, a whole number of weeks after slot %d (class %d)",
+						e, start+k, got, k, want)
+				}
+			}
+		}
 	}
 }
