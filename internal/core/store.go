@@ -29,6 +29,8 @@ var (
 			"Wall time of one model rebuild — history roll-forward, retrain, seed re-specialization and swap — by mode (full vs incremental).",
 			obs.DefBuckets, "mode", mode)
 	}
+	rebuildFailures = obs.Default().Gauge("trendspeed_model_rebuild_consecutive_failures",
+		"Rebuilds that failed with an error since the last successful one; a success zeroes it and a cancelled rebuild leaves it unchanged.")
 	ingestBuffered = obs.Default().Gauge("trendspeed_ingest_buffered_observations",
 		"Observations ingested but not yet folded into a published model.")
 	ingestRefused = obs.Default().Counter("trendspeed_ingest_refused_batches_total",
@@ -100,8 +102,10 @@ type Store struct {
 	failRebuild func() error
 
 	// rebuildMu serializes rebuilds: concurrent Rebuild calls queue, and
-	// Close drains an in-flight one by acquiring it.
+	// Close drains an in-flight one by acquiring it. It guards failures,
+	// the rebuild errors since the last success.
 	rebuildMu sync.Mutex
+	failures  int
 
 	// lifetime is cancelled by Close; every rebuild runs under a context
 	// joined to it, so shutdown aborts an in-flight retrain at its next
@@ -262,11 +266,15 @@ func (s *Store) Rebuild(ctx context.Context) (*View, error) {
 			modelRebuilds("canceled", mode).Inc()
 		} else {
 			modelRebuilds("error", mode).Inc()
+			s.failures++
+			rebuildFailures.Set(float64(s.failures))
 		}
 		return nil, err
 	}
 	rebuildSeconds(mode).Observe(time.Since(start).Seconds())
 	modelRebuilds("success", mode).Inc()
+	s.failures = 0
+	rebuildFailures.Set(0)
 	return v, nil
 }
 

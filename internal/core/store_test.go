@@ -72,7 +72,9 @@ func TestStoreIngestValidation(t *testing.T) {
 // TestStoreIngestBufferBounded: with no rebuild draining it — none armed,
 // or every one failing — the ingest buffer stops at the published view's
 // history size. A batch that would pass it is refused whole with
-// ErrBufferFull and counted once, and a successful rebuild makes room.
+// ErrBufferFull and counted once, and a successful rebuild makes room. The
+// consecutive-failure gauge counts the failed rebuilds, ignores a cancelled
+// one and reads 0 after the success.
 func TestStoreIngestBufferBounded(t *testing.T) {
 	ctx := context.Background()
 	d, st := buildStore(t)
@@ -99,8 +101,13 @@ func TestStoreIngestBufferBounded(t *testing.T) {
 		t.Fatalf("batch reaching the limit: buffered=%d err=%v", n, err)
 	}
 	st.failRebuild = func() error { return errors.New("injected rebuild failure") }
-	if _, err := st.Rebuild(ctx); err == nil {
-		t.Fatal("injected failure did not fail the rebuild")
+	for want := 1.0; want <= 2; want++ {
+		if _, err := st.Rebuild(ctx); err == nil {
+			t.Fatal("injected failure did not fail the rebuild")
+		}
+		if got := rebuildFailures.Value(); got != want {
+			t.Errorf("consecutive-failure gauge %v after %v failed rebuilds", got, want)
+		}
 	}
 	if _, err := st.Ingest(batch(1)...); !errors.Is(err, ErrBufferFull) {
 		t.Fatalf("after a failed rebuild: error %v, want ErrBufferFull", err)
@@ -109,8 +116,19 @@ func TestStoreIngestBufferBounded(t *testing.T) {
 		t.Fatalf("%d observations buffered, want the limit %d", got, limit)
 	}
 	st.failRebuild = nil
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := st.Rebuild(canceled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("rebuild under a cancelled context: error %v, want context.Canceled", err)
+	}
+	if got := rebuildFailures.Value(); got != 2 {
+		t.Errorf("consecutive-failure gauge %v after a cancelled rebuild, want 2", got)
+	}
 	if _, err := st.Rebuild(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if got := rebuildFailures.Value(); got != 0 {
+		t.Errorf("consecutive-failure gauge %v after a successful rebuild, want 0", got)
 	}
 	if n, err := st.Ingest(batch(1)...); err != nil || n != 1 {
 		t.Fatalf("after a rebuild drained the buffer: buffered=%d err=%v", n, err)

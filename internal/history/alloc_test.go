@@ -84,6 +84,52 @@ func TestRollForwardAllocatesWhatItCreates(t *testing.T) {
 	}
 }
 
+// TestProfileCellsOneSizeClass: a profile cell is 8 bytes, so on the
+// served 10-minute calendar Finalize gives each road's 288 cells one
+// 2,304 B object, an exact size class. With 16-byte cells each road's
+// 4,608 B rounded up to a 4,864 B object.
+func TestProfileCellsOneSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(profileCell{}); got != 8 {
+		t.Fatalf("a profile cell is %d bytes, want 8", got)
+	}
+	const numRoads, objSize = 50, 2304
+	c := cal(t)
+	if got := uintptr(c.NumProfileClasses()) * unsafe.Sizeof(profileCell{}); got != objSize {
+		t.Fatalf("a road's cells take %d B, want %d", got, objSize)
+	}
+	b, err := NewBuilder(c, numRoads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for road := range roadnet.RoadID(numRoads) {
+		if err := b.Add(road, int(road), 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mallocs := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		for _, class := range ms.BySize {
+			if class.Size == objSize {
+				return class.Mallocs
+			}
+		}
+		t.Fatalf("no %d B size class", objSize)
+		return 0
+	}
+	before := mallocs()
+	db := b.Finalize()
+	got := mallocs() - before
+	if got < numRoads {
+		t.Errorf("Finalize made %d objects of %d B for %d roads' cells", got, objSize, numRoads)
+	}
+	for road, cells := range db.profile {
+		if len(cells) != c.NumProfileClasses() || cap(cells) != len(cells) {
+			t.Fatalf("road %d: %d cells in a slice of capacity %d", road, len(cells), cap(cells))
+		}
+	}
+}
+
 // TestSlotRanksAllocatesPerWindow: SlotRanks keeps tables per 64-slot
 // window, not per sample, so on a dense history — about 45 samples a window
 // — it allocates at most 16 B per road-window.

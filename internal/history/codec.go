@@ -12,18 +12,23 @@ import (
 	"repro/internal/timeslot"
 )
 
-// Binary format (little-endian):
+// Binary format (little-endian), version 2:
 //
 //	magic "THDB" | version u32 | epochUnix i64 | slotWidthNs i64 | numRoads u32 |
-//	profile cells (mean f32, std f32, n u32, nUp u32) × numRoads×numProfileClasses |
+//	profile cells (mean f32, n u16, nUp u16) × numRoads×numProfileClasses |
 //	overall f32 × numRoads |
 //	per road: seriesLen u32 then (slot i32, rel f32) × seriesLen
 //
-// A series lists its samples in strictly increasing slot order, slots are
-// non-negative and rels are never NaN; ReadDB rejects anything else.
+// A road's cells are consecutive, in profile-class order. A series lists
+// its samples in strictly increasing slot order, slots are non-negative and
+// rels are never NaN; ReadDB rejects anything else.
+//
+// ReadDB also reads version 1, whose cells are (mean f32, std f32, n u32,
+// nUp u32): it skips std, which nothing reads, and saturates the counts at
+// math.MaxUint16 as Finalize does.
 const (
 	codecMagic   = "THDB"
-	codecVersion = 1
+	codecVersion = 2
 )
 
 // codecMaxProfileCells bounds a header's profile table, numRoads ×
@@ -40,88 +45,100 @@ const codecMaxProfileCells = 1 << 30
 // gigabytes of memory before the truncation is noticed.
 const codecMaxPrealloc = 1 << 16
 
-// WriteTo serialises the database; the returned count is bytes written.
+// WriteTo serialises the database in the current version; the returned
+// count is bytes written. It encodes a record at a time — the header, one
+// road's cells, the overall means, one road's series — into one buffer.
 func (db *DB) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
+	put := func(rec []byte) error {
+		m, err := bw.Write(rec)
+		n += int64(m)
+		return err
 	}
-	if _, err := bw.WriteString(codecMagic); err != nil {
+	rec := []byte(codecMagic)
+	rec = binary.LittleEndian.AppendUint32(rec, codecVersion)
+	rec = binary.LittleEndian.AppendUint64(rec, uint64(db.cal.Epoch().Unix()))
+	rec = binary.LittleEndian.AppendUint64(rec, uint64(db.cal.Width()))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(db.numRoads))
+	if err := put(rec); err != nil {
 		return n, err
 	}
-	n += int64(len(codecMagic))
-	hdr := []any{
-		uint32(codecVersion),
-		db.cal.Epoch().Unix(),
-		int64(db.cal.Width()),
-		uint32(db.numRoads),
-	}
-	for _, v := range hdr {
-		if err := write(v); err != nil {
+	for _, cells := range db.profile {
+		rec = rec[:0]
+		for _, c := range cells {
+			rec = binary.LittleEndian.AppendUint32(rec, math.Float32bits(c.mean))
+			rec = binary.LittleEndian.AppendUint16(rec, c.n)
+			rec = binary.LittleEndian.AppendUint16(rec, c.nUp)
+		}
+		if err := put(rec); err != nil {
 			return n, err
 		}
 	}
-	for _, cells := range db.profile {
-		for _, c := range cells {
-			for _, v := range []any{c.mean, c.std, c.n, c.nUp} {
-				if err := write(v); err != nil {
-					return n, err
-				}
-			}
-		}
+	rec = rec[:0]
+	for _, m := range db.overall {
+		rec = binary.LittleEndian.AppendUint32(rec, math.Float32bits(m))
 	}
-	if err := write(db.overall); err != nil {
+	if err := put(rec); err != nil {
 		return n, err
 	}
-	var rec []byte
 	for r, s := range db.series {
 		rec = binary.LittleEndian.AppendUint32(rec[:0], uint32(len(s.rel)))
 		db.EachSample(roadnet.RoadID(r), func(slot int32, rel float32) {
 			rec = binary.LittleEndian.AppendUint32(rec, uint32(slot))
 			rec = binary.LittleEndian.AppendUint32(rec, math.Float32bits(rel))
 		})
-		if _, err := bw.Write(rec); err != nil {
+		if err := put(rec); err != nil {
 			return n, err
 		}
-		n += int64(len(rec))
 	}
 	return n, bw.Flush()
 }
 
-// ReadDB deserialises a database written by WriteTo.
+// decodeCell decodes one profile cell encoded in the given version.
+func decodeCell(version uint32, b []byte) profileCell {
+	c := profileCell{mean: math.Float32frombits(binary.LittleEndian.Uint32(b))}
+	if version == 1 { // mean, std, n u32, nUp u32
+		c.n = saturate16(binary.LittleEndian.Uint32(b[8:]))
+		c.nUp = saturate16(binary.LittleEndian.Uint32(b[12:]))
+	} else {
+		c.n = binary.LittleEndian.Uint16(b[4:])
+		c.nUp = binary.LittleEndian.Uint16(b[6:])
+	}
+	return c
+}
+
+// ReadDB deserialises a database written by WriteTo, in the current
+// version or version 1.
 func ReadDB(r io.Reader) (*DB, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(codecMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	var rec [8 * 2048]byte
+	// The header: magic, version, epoch, slot width and road count.
+	if _, err := io.ReadFull(br, rec[:len(codecMagic)]); err != nil {
 		return nil, fmt.Errorf("history: reading magic: %w", err)
 	}
-	if string(magic) != codecMagic {
+	if magic := rec[:len(codecMagic)]; string(magic) != codecMagic {
 		return nil, fmt.Errorf("history: bad magic %q", magic)
 	}
-	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
-	var version uint32
-	if err := read(&version); err != nil {
+	if _, err := io.ReadFull(br, rec[:4]); err != nil {
 		return nil, err
 	}
-	if version != codecVersion {
+	version := binary.LittleEndian.Uint32(rec[:])
+	var size int // an encoded profile cell's bytes
+	switch version {
+	case 1:
+		size = 16
+	case codecVersion:
+		size = 8
+	default:
 		return nil, fmt.Errorf("history: unsupported version %d", version)
 	}
-	var epochUnix, widthNs int64
-	var numRoads uint32
-	if err := read(&epochUnix); err != nil {
+	if _, err := io.ReadFull(br, rec[:20]); err != nil {
 		return nil, err
 	}
-	if err := read(&widthNs); err != nil {
-		return nil, err
-	}
-	if err := read(&numRoads); err != nil {
-		return nil, err
-	}
+	epochUnix := int64(binary.LittleEndian.Uint64(rec[:]))
+	widthNs := int64(binary.LittleEndian.Uint64(rec[8:]))
+	numRoads := binary.LittleEndian.Uint32(rec[16:])
 	if numRoads == 0 || numRoads > 1<<24 {
 		return nil, fmt.Errorf("history: implausible road count %d", numRoads)
 	}
@@ -141,42 +158,36 @@ func ReadDB(r io.Reader) (*DB, error) {
 		series:   make([]roadSeries, 0, min(int(numRoads), codecMaxPrealloc)),
 	}
 	// Each road's cells are allocated on their own, as Finalize allocates
-	// them.
+	// them, and read a buffer at a time: one read a road on the served
+	// calendar's 288 classes.
 	for road := 0; road < int(numRoads); road++ {
 		cells := make([]profileCell, 0, min(classes, codecMaxPrealloc))
-		for range classes {
-			var c profileCell
-			if err := read(&c.mean); err != nil {
+		for len(cells) < classes {
+			n := min(classes-len(cells), len(rec)/size)
+			if _, err := io.ReadFull(br, rec[:size*n]); err != nil {
 				return nil, err
 			}
-			if err := read(&c.std); err != nil {
-				return nil, err
+			for k := range n {
+				cells = append(cells, decodeCell(version, rec[size*k:]))
 			}
-			if err := read(&c.n); err != nil {
-				return nil, err
-			}
-			if err := read(&c.nUp); err != nil {
-				return nil, err
-			}
-			cells = append(cells, c)
 		}
 		db.profile = append(db.profile, cells)
 	}
-	var fbuf [4096]float32
 	for got := 0; got < int(numRoads); {
-		n := min(int(numRoads)-got, len(fbuf))
-		if err := read(fbuf[:n]); err != nil {
+		n := min(int(numRoads)-got, len(rec)/4)
+		if _, err := io.ReadFull(br, rec[:4*n]); err != nil {
 			return nil, err
 		}
-		db.overall = append(db.overall, fbuf[:n]...)
+		for k := range n {
+			db.overall = append(db.overall, math.Float32frombits(binary.LittleEndian.Uint32(rec[4*k:])))
+		}
 		got += n
 	}
-	var rec [8 * 2048]byte
 	for road := 0; road < int(numRoads); road++ {
-		var sl uint32
-		if err := read(&sl); err != nil {
+		if _, err := io.ReadFull(br, rec[:4]); err != nil {
 			return nil, err
 		}
+		sl := binary.LittleEndian.Uint32(rec[:])
 		if sl > 1<<26 {
 			return nil, fmt.Errorf("history: implausible series length %d", sl)
 		}

@@ -96,26 +96,19 @@ func refFinalize(cal *timeslot.Calendar, numRoads int, base *DB, adds []refAdd) 
 		sort.Slice(sm, func(i, j int) bool { return sm[i].slot < sm[j].slot })
 		var overallSum float64
 		classSum := make(map[int]float64)
-		classSq := make(map[int]float64)
 		classN := make(map[int]uint32)
 		for _, s := range sm {
 			cls := cal.ProfileClass(int(s.slot))
 			classSum[cls] += s.v
-			classSq[cls] += s.v * s.v
 			classN[cls]++
 			overallSum += s.v
 		}
 		db.overall[road] = float32(overallSum / float64(len(sm)))
+		ups := make(map[int]uint32)
 		for cls, n := range classN {
-			mean := classSum[cls] / float64(n)
-			variance := classSq[cls]/float64(n) - mean*mean
-			if variance < 0 {
-				variance = 0
-			}
 			cell := &db.profile[road*spw+cls]
-			cell.mean = float32(mean)
-			cell.std = float32(math.Sqrt(variance))
-			cell.n = n
+			cell.mean = float32(classSum[cls] / float64(n))
+			cell.n = uint16(min(n, math.MaxUint16))
 		}
 		var series []sample
 		for _, s := range sm {
@@ -130,8 +123,11 @@ func refFinalize(cal *timeslot.Calendar, numRoads int, base *DB, adds []refAdd) 
 			rel := float32(s.v / mean)
 			series = append(series, sample{slot: s.slot, rel: rel})
 			if rel >= 1 {
-				cell.nUp++
+				ups[cal.ProfileClass(int(s.slot))]++
 			}
+		}
+		for cls, up := range ups {
+			db.profile[road*spw+cls].nUp = uint16(min(up, math.MaxUint16))
 		}
 		db.series[road] = series
 	}
@@ -202,8 +198,7 @@ func sameDB(t *testing.T, label string, got *DB, want *refDB) {
 	spw := got.cal.NumProfileClasses()
 	for i := range want.profile {
 		g, w := got.profile[i/spw][i%spw], want.profile[i]
-		if math.Float32bits(g.mean) != math.Float32bits(w.mean) || math.Float32bits(g.std) != math.Float32bits(w.std) ||
-			g.n != w.n || g.nUp != w.nUp {
+		if math.Float32bits(g.mean) != math.Float32bits(w.mean) || g.n != w.n || g.nUp != w.nUp {
 			t.Fatalf("%s: profile cell %d is %+v, reference %+v", label, i, g, w)
 		}
 	}

@@ -1,9 +1,12 @@
 //go:build ignore
 
 // Generates the checked-in seed corpus for FuzzReadDB under
-// testdata/fuzz/FuzzReadDB: a valid encoded database plus the adversarial
-// shapes the decoder must reject cheaply (truncation, bad magic, a
-// decompression-bomb header). Run from this directory:
+// testdata/fuzz/FuzzReadDB: a valid database in the current codec version
+// plus the adversarial shapes the decoder must reject cheaply (truncation,
+// bad magic, a decompression-bomb header), named seed-v2-*. The seed-*
+// entries without a version are the same shapes in version 1, written by
+// its encoder; they are kept so the fuzzer keeps exercising the version-1
+// decoder. Run from this directory:
 //
 //	go run gencorpus.go
 package main
@@ -48,10 +51,10 @@ func main() {
 	bomb[24], bomb[25], bomb[26], bomb[27] = 0xff, 0xff, 0xff, 0x00
 
 	entries := map[string][]byte{
-		"seed-valid":     valid,
-		"seed-truncated": valid[:len(valid)/2],
-		"seed-bad-magic": append([]byte("XHDB"), valid[4:]...),
-		"seed-bomb":      bomb,
+		"seed-v2-valid":     valid,
+		"seed-v2-truncated": valid[:len(valid)/2],
+		"seed-v2-bad-magic": append([]byte("XHDB"), valid[4:]...),
+		"seed-v2-bomb":      bomb,
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzReadDB")
 	if err := os.MkdirAll(dir, 0o755); err != nil {

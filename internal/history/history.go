@@ -35,17 +35,22 @@ import (
 // encoding, or a non-finite/non-positive speed. Callers use
 // errors.Is against it (mirroring core.ErrInvalidInput one layer up) to
 // separate bad crowd reports from internal failures; without the explicit
-// rejection a single NaN report would poison the profile means and stds
-// every downstream estimate is computed from.
+// rejection a single NaN report would poison the profile means every
+// downstream estimate is computed from.
 var ErrInvalidObservation = errors.New("invalid observation")
 
-// profileCell holds the per-(road, profile-class) statistics.
+// profileCell holds the per-(road, profile-class) statistics. It is 8
+// bytes, so a road's cells at 10-minute slots fill one 2,304 B allocation,
+// an exact size class. The counts saturate at math.MaxUint16 (see
+// saturate16): a class gains at most one sample a day.
 type profileCell struct {
 	mean float32 // mean observed speed, m/s
-	std  float32 // observed standard deviation
-	n    uint32  // number of slot-level samples
-	nUp  uint32  // samples at or above the mean
+	n    uint16  // number of slot-level samples
+	nUp  uint16  // samples at or above the mean
 }
+
+// saturate16 returns n, or math.MaxUint16 when n is larger.
+func saturate16(n uint32) uint16 { return uint16(min(n, math.MaxUint16)) }
 
 // DB is the immutable historical database. Each road's series has at most
 // one sample per slot: a rel, the mean observed speed in an absolute slot
@@ -127,20 +132,6 @@ func (db *DB) Mean(road roadnet.RoadID, slot int) (mean float64, ok bool) {
 	}
 	if db.overall[road] > 0 {
 		return float64(db.overall[road]), true
-	}
-	return 0, false
-}
-
-// Std returns the historical standard deviation for the slot's profile
-// class. It is 0 when the class holds fewer than two samples: there is no
-// road-overall fallback, unlike Mean's. ok mirrors Mean.
-func (db *DB) Std(road roadnet.RoadID, slot int) (std float64, ok bool) {
-	c := db.cell(road, slot)
-	if c.n > 1 {
-		return float64(c.std), true
-	}
-	if _, haveAny := db.Mean(road, slot); haveAny {
-		return 0, true
 	}
 	return 0, false
 }
@@ -419,7 +410,6 @@ func (b *Builder) Finalize() *DB {
 	}
 	var scratch []observation // a touched road's recovered samples and arrivals
 	classSum := make([]float64, spw)
-	classSq := make([]float64, spw)
 	classN := make([]uint32, spw)
 	for road, log := range b.log {
 		if log == nil && b.base != nil {
@@ -462,11 +452,10 @@ func (b *Builder) Finalize() *DB {
 			means = append(means, observation{slot: slot, class: int32(b.cal.ProfileClass(int(slot))), v: sum / float64(n)})
 		}
 
-		// Per-class mean/std and the road-overall mean.
+		// Per-class means and the road-overall mean.
 		var overallSum float64
 		for _, s := range means {
 			classSum[s.class] += s.v
-			classSq[s.class] += s.v * s.v
 			classN[s.class]++
 			overallSum += s.v
 		}
@@ -476,18 +465,9 @@ func (b *Builder) Finalize() *DB {
 			if n == 0 {
 				continue
 			}
-			mean := classSum[cls] / float64(n)
-			variance := classSq[cls]/float64(n) - mean*mean
-			if variance < 0 {
-				variance = 0
-			}
-			cell := &cells[cls]
-			cell.mean = float32(mean)
-			cell.std = float32(math.Sqrt(variance))
-			cell.n = n
+			cells[cls] = profileCell{mean: float32(classSum[cls] / float64(n)), n: saturate16(n)}
 		}
 		clear(classSum)
-		clear(classSq)
 		clear(classN)
 
 		// Relative series and up-counts against the finished profiles.
@@ -503,7 +483,7 @@ func (b *Builder) Finalize() *DB {
 			}
 			rel := float32(s.v / mean)
 			series.add(s.slot, rel)
-			if rel >= 1 {
+			if rel >= 1 && cell.nUp < math.MaxUint16 {
 				cell.nUp++
 			}
 		}

@@ -77,9 +77,6 @@ func TestProfileMeansPerSlotOfWeek(t *testing.T) {
 	if _, ok := db.Mean(1, 0); ok {
 		t.Error("road with no history reported a mean")
 	}
-	if _, ok := db.Std(1, 0); ok {
-		t.Error("road with no history reported a std")
-	}
 }
 
 func TestSlotLevelAveraging(t *testing.T) {
@@ -97,23 +94,6 @@ func TestSlotLevelAveraging(t *testing.T) {
 	}
 	if got := db.ObservationCount(); got != 1 {
 		t.Errorf("ObservationCount = %d, want 1 slot-level sample", got)
-	}
-}
-
-func TestStdComputation(t *testing.T) {
-	c := cal(t)
-	b, _ := NewBuilder(c, 1)
-	spw := c.SlotsPerWeek()
-	// Same class over 4 weeks: 8, 10, 10, 12 → std = sqrt(2).
-	for week, v := range []float64{8, 10, 10, 12} {
-		if err := b.Add(0, week*spw, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db := b.Finalize()
-	std, ok := db.Std(0, 0)
-	if !ok || math.Abs(std-math.Sqrt(2)) > 1e-6 {
-		t.Errorf("Std = %v/%v, want sqrt(2)", std, ok)
 	}
 }
 
@@ -135,6 +115,49 @@ func TestPUpSmoothing(t *testing.T) {
 	// A cell with no data is exactly 0.5.
 	if got := db.PUp(0, 5); got != 0.5 {
 		t.Errorf("empty-cell PUp = %v", got)
+	}
+}
+
+// TestCountsSaturate: a profile cell's counts stop at math.MaxUint16
+// instead of wrapping, so a class fed 70,000 samples, 69,000 of them up,
+// still reads as observed and mostly up. A class gains at most one sample a
+// day, so only centuries of history reach the bound.
+func TestCountsSaturate(t *testing.T) {
+	c := cal(t)
+	b, err := NewBuilder(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const samples = 70000
+	var slot int
+	for i := range samples {
+		speed := 11.0
+		if i%70 == 0 {
+			speed = 1
+		}
+		if err := b.Add(0, slot, speed); err != nil {
+			t.Fatal(err)
+		}
+		// The same time of day on the next weekday: every sample lands in
+		// the class of slot 0, a Monday's first.
+		slot += c.SlotsPerDay()
+		if c.ProfileClass(slot) != 0 {
+			slot += 2 * c.SlotsPerDay()
+		}
+	}
+	db := b.Finalize()
+	if got := len(db.Rels(0)); got != samples {
+		t.Fatalf("%d samples stored, want %d", got, samples)
+	}
+	cell := db.profile[0][0]
+	if cell.n != math.MaxUint16 || cell.nUp != math.MaxUint16 {
+		t.Errorf("n %d, nUp %d after %d samples, want both %d", cell.n, cell.nUp, samples, math.MaxUint16)
+	}
+	if p := db.PUp(0, 0); !(p > 0 && p < 1) {
+		t.Errorf("PUp %v, want in (0, 1)", p)
+	}
+	if m, ok := db.Mean(0, 0); !ok || math.Abs(m-(69000*11.0+1000)/samples) > 1e-5 {
+		t.Errorf("Mean %v/%v", m, ok)
 	}
 }
 
@@ -472,8 +495,7 @@ func TestBuilderValidationSentinel(t *testing.T) {
 }
 
 // TestBuilderRejectsSpeedBeyondFloat32: the DB stores float32 profiles, so
-// a finite speed above math.MaxFloat32 would become a +Inf mean and a NaN
-// std. Add rejects it as an invalid observation and accepts the largest
+// a finite speed above math.MaxFloat32 would become a +Inf mean. Add rejects it as an invalid observation and accepts the largest
 // speed the DB can hold.
 func TestBuilderRejectsSpeedBeyondFloat32(t *testing.T) {
 	b, err := NewBuilder(cal(t), 1)

@@ -124,7 +124,8 @@ func (c *Calendar) HourOfSlot(s int) int {
 
 // ProfileClass returns the historical-profile class of absolute slot s.
 // Profiles are keyed by slot-of-day crossed with a weekday/weekend flag:
-// Tuesday 08:30 pools with every other weekday at 08:30. Pooling weekdays
+// Tuesday 08:30 pools with every other weekday at 08:30. Weekday classes
+// are the slot of day; weekend classes add SlotsPerDay. Pooling weekdays
 // (rather than keying by full slot-of-week) gives each class several samples
 // per fortnight of history, which slot-of-week keying cannot.
 //
@@ -147,47 +148,6 @@ func (c *Calendar) ProfileClass(s int) int {
 
 // NumProfileClasses returns the number of distinct ProfileClass values.
 func (c *Calendar) NumProfileClasses() int { return 2 * c.SlotsPerDay() }
-
-// PeakKind classifies a slot as morning peak, evening peak or off-peak.
-type PeakKind int
-
-// Peak classifications, per the conventional urban rush-hour windows.
-const (
-	OffPeak PeakKind = iota
-	MorningPeak
-	EveningPeak
-)
-
-// String implements fmt.Stringer.
-func (k PeakKind) String() string {
-	switch k {
-	case MorningPeak:
-		return "morning-peak"
-	case EveningPeak:
-		return "evening-peak"
-	default:
-		return "off-peak"
-	}
-}
-
-// Peak returns the peak classification of absolute slot s, using the
-// conventional 07:00–09:30 and 17:00–19:30 windows on weekdays.
-func (c *Calendar) Peak(s int) PeakKind {
-	start := c.Start(s)
-	wd := start.Weekday()
-	if wd == time.Saturday || wd == time.Sunday {
-		return OffPeak
-	}
-	min := start.Hour()*60 + start.Minute()
-	switch {
-	case min >= 7*60 && min < 9*60+30:
-		return MorningPeak
-	case min >= 17*60 && min < 19*60+30:
-		return EveningPeak
-	default:
-		return OffPeak
-	}
-}
 
 // Range returns the absolute slot indices covering [from, to), suitable for
 // iterating a history window.

@@ -111,40 +111,6 @@ func TestHourOfSlot(t *testing.T) {
 	}
 }
 
-func TestPeakClassification(t *testing.T) {
-	t.Parallel()
-	c := MustCalendar(epoch, 10*time.Minute)
-	at := func(day, hour, min int) int {
-		return c.Slot(time.Date(2016, 3, 7+day, hour, min, 0, 0, time.UTC))
-	}
-	if got := c.Peak(at(0, 8, 0)); got != MorningPeak {
-		t.Errorf("Mon 08:00 = %v", got)
-	}
-	if got := c.Peak(at(0, 9, 20)); got != MorningPeak {
-		t.Errorf("Mon 09:20 = %v", got)
-	}
-	if got := c.Peak(at(0, 9, 30)); got != OffPeak {
-		t.Errorf("Mon 09:30 = %v", got)
-	}
-	if got := c.Peak(at(0, 18, 0)); got != EveningPeak {
-		t.Errorf("Mon 18:00 = %v", got)
-	}
-	if got := c.Peak(at(0, 13, 0)); got != OffPeak {
-		t.Errorf("Mon 13:00 = %v", got)
-	}
-	// Saturday rush hours are off-peak.
-	if got := c.Peak(at(5, 8, 0)); got != OffPeak {
-		t.Errorf("Sat 08:00 = %v", got)
-	}
-}
-
-func TestPeakString(t *testing.T) {
-	t.Parallel()
-	if OffPeak.String() != "off-peak" || MorningPeak.String() != "morning-peak" || EveningPeak.String() != "evening-peak" {
-		t.Error("PeakKind.String wrong")
-	}
-}
-
 func TestRange(t *testing.T) {
 	t.Parallel()
 	c := MustCalendar(epoch, 10*time.Minute)

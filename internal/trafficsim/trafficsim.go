@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"repro/internal/roadnet"
 	"repro/internal/timeslot"
@@ -428,12 +429,13 @@ func DiurnalFactor(cal *timeslot.Calendar, slot int, class roadnet.RoadClass) fl
 }
 
 // diurnalClock returns the hour of day at the slot's start, fractional, and
-// whether the slot falls on a weekend.
+// whether the slot falls on a weekend. It reads the time of day from the
+// slot of day and the weekend from the slot's profile class, which counts
+// weekdays in 24-hour days, so the clock repeats every week for every int
+// slot: a time.Time past 2⁶³ ns from the epoch would overflow.
 func diurnalClock(cal *timeslot.Calendar, slot int) (h float64, weekend bool) {
-	start := cal.Start(slot)
-	h = float64(start.Hour()) + float64(start.Minute())/60
-	wd := start.Weekday()
-	return h, wd == 0 || wd == 6 // Sunday or Saturday
+	minute := int(time.Duration(cal.SlotOfDay(slot)) * cal.Width() / time.Minute)
+	return float64(minute/60) + float64(minute%60)/60, cal.ProfileClass(slot) >= cal.SlotsPerDay()
 }
 
 // rushDepth returns the class's peak fractional speed loss at rush hour.

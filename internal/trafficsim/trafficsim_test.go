@@ -148,6 +148,37 @@ func TestDiurnalFactorShape(t *testing.T) {
 	}
 }
 
+// TestDiurnalClockWeekly: the diurnal clock reads the wall clock at every
+// slot of six weeks around the epoch, on 10-minute and 2-hour calendars,
+// and repeats every week for every slot below 2³¹. Read through a
+// time.Time, it overflowed 2⁶³ ns past slot 15,372,286 at 10-minute slots,
+// so the week at slot 15,374,016 (week 15,252) got garbage.
+func TestDiurnalClockWeekly(t *testing.T) {
+	for _, width := range []time.Duration{10 * time.Minute, 2 * time.Hour} {
+		cal := timeslot.MustCalendar(time.Date(2016, 3, 7, 0, 0, 0, 0, time.UTC), width)
+		week := cal.SlotsPerWeek()
+		for s := -2 * week; s < 4*week; s++ {
+			start := cal.Start(s)
+			wantH := float64(start.Hour()) + float64(start.Minute())/60
+			wantWeekend := start.Weekday() == time.Saturday || start.Weekday() == time.Sunday
+			if h, weekend := diurnalClock(cal, s); h != wantH || weekend != wantWeekend {
+				t.Fatalf("%v slots, slot %d (%v): clock %v, weekend %v; want %v, %v", width, s, start, h, weekend, wantH, wantWeekend)
+			}
+		}
+	}
+	cal := testCal(t)
+	week := cal.SlotsPerWeek()
+	for _, first := range []int{15374016, (math.MaxInt32/week - 1) * week} {
+		for s := first; s < first+week; s++ {
+			h, weekend := diurnalClock(cal, s)
+			wantH, wantWeekend := diurnalClock(cal, s-first)
+			if h != wantH || weekend != wantWeekend {
+				t.Fatalf("slot %d: clock %v, weekend %v; slot %d reads %v, %v", s, h, weekend, s-first, wantH, wantWeekend)
+			}
+		}
+	}
+}
+
 // TestDiurnalFactorAllocs: the simulator evaluates the diurnal profile for
 // every road at every step, so it must not allocate.
 func TestDiurnalFactorAllocs(t *testing.T) {
