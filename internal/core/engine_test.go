@@ -3,31 +3,35 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/mrf"
+	"repro/internal/obs"
+	"repro/internal/roadnet"
 )
 
-func mustFastBPEngine(t *testing.T) mrf.Engine {
+func mustJacobiEngine(t *testing.T) mrf.Engine {
 	t.Helper()
-	eng, err := mrf.NewEngine("fastbp", mrf.DefaultBPConfig())
+	eng, err := mrf.NewEngine("jacobi", mrf.DefaultBPConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng
 }
 
-// engineUpdateRatioFloor is how many times FastBP's message updates Jacobi
-// must spend on the 12×10-block city, where the residual schedule's advantage
-// is structural rather than constant-dominated.
+// engineUpdateRatioFloor is how many times the served engine's message
+// updates Jacobi must spend on the 12×10-block city, where the residual
+// schedule's advantage is structural rather than constant-dominated.
 const engineUpdateRatioFloor = 3.0
 
-// TestFastBPEngineWithinBoundK1 is the system-level FastBP acceptance gate:
-// on the default options, a round inferred with the residual-scheduled
-// engine must land within the serving bounds of the Jacobi reference round,
-// on the 6×5-block city and on the 12×10-block one, where Jacobi must also
-// need at least engineUpdateRatioFloor times FastBP's message updates.
-func TestFastBPEngineWithinBoundK1(t *testing.T) {
+// TestServedEngineWithinBoundK1 is the system-level gate on the served BP
+// engine: on the default options, a served round must land within the
+// serving bounds of the same round under the Jacobi reference, on the
+// 6×5-block city and on the 12×10-block one, where Jacobi must also need at
+// least engineUpdateRatioFloor times the served engine's message updates.
+func TestServedEngineWithinBoundK1(t *testing.T) {
 	for _, tc := range []struct {
 		blocksX, blocksY int
 		gateUpdates      bool
@@ -46,32 +50,106 @@ func TestFastBPEngineWithinBoundK1(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := mrf.MessageUpdatesTotal()
-			want, err := v.Estimate(ctx, slot, seeds)
+			want, err := v.EstimateWith(ctx, slot, seeds, EstimateOptions{Engine: mustJacobiEngine(t)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			jacobiUpdates := mrf.MessageUpdatesTotal() - before
 			before = mrf.MessageUpdatesTotal()
-			got, err := v.EstimateWith(ctx, slot, seeds, EstimateOptions{Engine: mustFastBPEngine(t)})
+			got, err := v.Estimate(ctx, slot, seeds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fastUpdates := mrf.MessageUpdatesTotal() - before
+			servedUpdates := mrf.MessageUpdatesTotal() - before
 
 			checkServingBounds(t, got, want)
-			ratio := jacobiUpdates / fastUpdates
-			t.Logf("%d roads: Jacobi spends %.0f message updates, FastBP %.0f (%.4f×)",
-				d.Net.NumRoads(), jacobiUpdates, fastUpdates, ratio)
+			ratio := jacobiUpdates / servedUpdates
+			t.Logf("%d roads: Jacobi spends %.0f message updates, the served engine %.0f (%.4f×)",
+				d.Net.NumRoads(), jacobiUpdates, servedUpdates, ratio)
 			if tc.gateUpdates && !(ratio >= engineUpdateRatioFloor) {
-				t.Errorf("Jacobi spends %.4f× FastBP's message updates (%.0f vs %.0f), below the %.1f× floor",
-					ratio, jacobiUpdates, fastUpdates, engineUpdateRatioFloor)
+				t.Errorf("Jacobi spends %.4f× the served engine's message updates (%.0f vs %.0f), below the %.1f× floor",
+					ratio, jacobiUpdates, servedUpdates, engineUpdateRatioFloor)
 			}
 		})
 	}
 }
 
+// TestServedEngineWithinBoundOfJacobiServedCity holds the served engine to
+// the serving bounds of the Jacobi reference on the city speedserver serves
+// (servedCity), on the bench's two estimate mixes: for every 7–10 am frame,
+// one request of 40 random roads and one on the 40 seeds View.SelectSeeds
+// picks, both with log-normal σ 0.15 reports. Every served round must
+// converge: trendspeed_bp_nonconverged_total may not move while they run.
+//
+// The reference is Jacobi run to its fixed point (servedCityReference), and
+// it must converge too. At the served Tolerance, Jacobi's stop on a small
+// per-round change is not closeness to the fixed point: on this city it
+// stops up to 0.26 m/s short of it, so a served round within the bounds of
+// the fixed point can be outside them of that stopped Jacobi round.
+//
+// It takes a few seconds, far longer under the race detector, so it is
+// skipped there; CI runs it in a non-race step.
+func TestServedEngineWithinBoundOfJacobiServedCity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("slow under the race detector; CI runs it without -race")
+	}
+	ctx := context.Background()
+	d, estimateFrames, _ := servedCity(t)
+	v, err := NewView(d.Net, d.DB, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds, err := v.SelectSeeds(ctx, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jacobi, err := mrf.NewJacobi(servedCityReference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonConverged := obs.Default().Counter("trendspeed_bp_nonconverged_total", "")
+
+	rng := rand.New(rand.NewSource(13))
+	var servedMisses, jacobiMisses, rounds float64
+	for _, f := range estimateFrames {
+		seeded := map[roadnet.RoadID]float64{}
+		for _, r := range seeds {
+			seeded[r] = f.truth[r] * math.Exp(0.15*rng.NormFloat64())
+		}
+		for _, req := range []map[roadnet.RoadID]float64{adhocRequest(rng, f.truth, 40, 0.15), seeded} {
+			before := nonConverged.Value()
+			got, err := v.Estimate(ctx, f.slot, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			servedMisses += nonConverged.Value() - before
+			before = nonConverged.Value()
+			want, err := v.EstimateWith(ctx, f.slot, req, EstimateOptions{Engine: jacobi})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jacobiMisses += nonConverged.Value() - before
+			rounds++
+			checkServingBounds(t, got, want)
+		}
+	}
+	t.Logf("%.0f rounds: the served engine left %.0f unconverged, Jacobi %.0f", rounds, servedMisses, jacobiMisses)
+	if servedMisses != 0 {
+		t.Errorf("the served engine left %.0f of %.0f rounds unconverged, want 0", servedMisses, rounds)
+	}
+	if jacobiMisses != 0 {
+		t.Errorf("the Jacobi reference left %.0f of %.0f rounds unconverged, so the bounds are undefined there", jacobiMisses, rounds)
+	}
+}
+
+// servedCityReference is the Jacobi configuration of the served-city gate:
+// the served damping, run to the Tolerance of the mrf package's
+// BP-versus-Jacobi property test, three orders below the served one.
+var servedCityReference = mrf.BPConfig{MaxIterations: 5000, Damping: 0.3, Tolerance: 1e-7}
+
 // TestEngineOptionConstruction: Options.Engine built through the factory
-// replaces the default engine for every round of the model's life.
+// replaces the default engine for every round of the model's life, and the
+// replacement takes effect: the Jacobi round differs from the served one.
 func TestEngineOptionConstruction(t *testing.T) {
 	ctx := context.Background()
 	d := buildCity(t, 6, 5)
@@ -79,7 +157,7 @@ func TestEngineOptionConstruction(t *testing.T) {
 	seeds := spreadSeeds(d, truth, 10)
 
 	opts := DefaultOptions()
-	eng, err := mrf.NewEngine("fastbp", opts.BP)
+	eng, err := mrf.NewEngine("jacobi", opts.BP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,5 +183,12 @@ func TestEngineOptionConstruction(t *testing.T) {
 		if viaOpts.PUp[r] != viaOverride.PUp[r] {
 			t.Fatalf("road %d: Options.Engine marginal %v != per-call override %v (same engine, same inputs)", r, viaOpts.PUp[r], viaOverride.PUp[r])
 		}
+	}
+	served, err := ref.Estimate(ctx, slot, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if differingRoads(viaOpts, served) == 0 {
+		t.Error("the Jacobi round equals the served round on every road: the engine option did not take effect")
 	}
 }

@@ -242,34 +242,23 @@ func TestIncrementalSuccessorIgnoresPredecessorTraffic(t *testing.T) {
 	}
 }
 
-// TestStoreIncrementalMatchesFullServedCity holds an incremental rebuild of
-// the city speedserver serves (dataset.DefaultConfig) to the serving bounds
-// of a full rebuild of the same history, on ad-hoc requests like the
-// bench's: 40 random roads with log-normal σ 0.15 reports on each 7–10 am
-// frame of the first day after the history. The delta is four batches of
-// 120 observations on the first tenth of the road IDs from the 4–7 am
-// frames (σ 0.10), the mix TestServedLoadAcrossIncrementalRebuilds sends,
-// and the incremental store serves one request before it rebuilds. It takes
-// a few seconds, far longer under the race detector, so it is skipped there;
-// CI runs it in a non-race step.
-func TestStoreIncrementalMatchesFullServedCity(t *testing.T) {
-	if raceEnabled {
-		t.Skip("slow under the race detector; CI runs it without -race")
-	}
-	ctx := context.Background()
+// servedFrame is one simulated slot of the served city with its true speeds.
+type servedFrame struct {
+	slot  int
+	truth []float64
+}
+
+// servedCity builds the city speedserver serves (dataset.DefaultConfig, 884
+// roads) and the frames bench/tsbench scores and ingests: hours 7–10 and 4–7
+// of the first simulated day after the history.
+func servedCity(t *testing.T) (d *dataset.Dataset, estimateFrames, ingestFrames []servedFrame) {
+	t.Helper()
 	d, err := dataset.Build(dataset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The frames bench/tsbench scores and ingests: hours 7–10 and 4–7 of the
-	// first simulated day after the history.
-	type frame struct {
-		slot  int
-		truth []float64
-	}
-	var estimateFrames, ingestFrames []frame
 	for i := 0; i < d.Cal.SlotsPerDay(); i++ {
-		f := frame{slot: d.Slot(), truth: append([]float64(nil), d.Truth()...)}
+		f := servedFrame{slot: d.Slot(), truth: append([]float64(nil), d.Truth()...)}
 		switch h := d.Cal.HourOfSlot(f.slot); {
 		case h >= 4 && h < 7:
 			ingestFrames = append(ingestFrames, f)
@@ -281,6 +270,25 @@ func TestStoreIncrementalMatchesFullServedCity(t *testing.T) {
 	if len(estimateFrames) == 0 || len(ingestFrames) == 0 {
 		t.Fatal("no slot of hours 4..10 within one simulated day")
 	}
+	return d, estimateFrames, ingestFrames
+}
+
+// TestStoreIncrementalMatchesFullServedCity holds an incremental rebuild of
+// the served city (servedCity) to the serving bounds of a full rebuild of
+// the same history, on ad-hoc requests like the bench's: 40 random roads
+// with log-normal σ 0.15 reports on each 7–10 am frame of the first day
+// after the history. The delta is four batches of
+// 120 observations on the first tenth of the road IDs from the 4–7 am
+// frames (σ 0.10), the mix TestServedLoadAcrossIncrementalRebuilds sends,
+// and the incremental store serves one request before it rebuilds. It takes
+// a few seconds, far longer under the race detector, so it is skipped there;
+// CI runs it in a non-race step.
+func TestStoreIncrementalMatchesFullServedCity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("slow under the race detector; CI runs it without -race")
+	}
+	ctx := context.Background()
+	d, estimateFrames, ingestFrames := servedCity(t)
 
 	stInc, err := NewStore(d.Net, d.DB, DefaultOptions())
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/mrf"
 	"repro/internal/roadnet"
 	"repro/internal/seedsel"
 )
@@ -37,10 +38,10 @@ func spreadSeeds(d *dataset.Dataset, truth []float64, stride int) map[roadnet.Ro
 	return seeds
 }
 
-// Serving bounds: how far a served variant's round (FastBP instead of Jacobi,
-// an incremental instead of a full rebuild) may move any road's estimate from
-// the reference round's: BP's convergence tolerance plus the variant's own
-// approximation.
+// Serving bounds: how far a served variant's round (the residual BP schedule
+// instead of Jacobi, an incremental instead of a full rebuild) may move any
+// road's estimate from the reference round's: BP's convergence tolerance
+// plus the variant's own approximation.
 const (
 	servingSpeedBound = 0.05 // m/s
 	servingTrendBound = 0.01 // P(up)
@@ -74,8 +75,9 @@ type goldenRound struct {
 
 // TestViewK1Golden pins the estimation round bit for bit: a view must
 // reproduce the recorded round on the 6×5-block city's first truth slot with
-// spreadSeeds(…, 10), for the default and the trend-free round. Every float
-// is compared exactly: a change to the round's arithmetic must re-record the
+// spreadSeeds(…, 10), for the default (served) round, the same round under
+// the Jacobi reference engine and the trend-free round. Every float is
+// compared exactly: a change to the round's arithmetic must re-record the
 // fixture on purpose.
 func TestViewK1Golden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/k1_golden.json")
@@ -86,6 +88,7 @@ func TestViewK1Golden(t *testing.T) {
 		Slot      int         `json:"slot"`
 		Seeds     int         `json:"seeds"`
 		Default   goldenRound `json:"default"`
+		Jacobi    goldenRound `json:"jacobi"`
 		TrendFree goldenRound `json:"trend_free"`
 	}
 	if err := json.Unmarshal(raw, &golden); err != nil {
@@ -101,12 +104,17 @@ func TestViewK1Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	jacobi, err := mrf.NewJacobi(DefaultOptions().BP)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		opts EstimateOptions
 		want goldenRound
 	}{
 		{"default", EstimateOptions{}, golden.Default},
+		{"jacobi", EstimateOptions{Engine: jacobi}, golden.Jacobi},
 		{"trend-free", EstimateOptions{TrendFree: true}, golden.TrendFree},
 	} {
 		got, err := v.EstimateWith(context.Background(), slot, seeds, tc.opts)

@@ -35,7 +35,6 @@ import (
 	"repro/internal/corr"
 	"repro/internal/history"
 	"repro/internal/linalg"
-	"repro/internal/par"
 	"repro/internal/roadnet"
 )
 
@@ -204,26 +203,22 @@ func (m *Model) Estimate(req *Request) ([]float64, error) {
 	groupDev := m.seedGroupDevs(req)
 
 	if req.Flat {
-		// Flat-mode predictions are independent (each road reads only its
-		// neighbours' trend-expected rels, never running estimates), so the
-		// per-road regression/fusion loop fans out across the worker pool.
-		par.For(n, 0, func(start, end int) {
-			for r := start; r < end; r++ {
-				if known[r] {
-					continue
-				}
-				rel[r] = m.predictRoad(roadnet.RoadID(r), req, nil, nil, groupDev)
+		// Flat-mode predictions are independent: each road reads only its
+		// neighbours' trend-expected rels, never running estimates.
+		for r := 0; r < n; r++ {
+			if known[r] {
+				continue
 			}
-		})
+			rel[r] = m.predictRoad(roadnet.RoadID(r), req, nil, nil, groupDev)
+		}
 		return rel, nil
 	}
 
 	// Hierarchical schedule: BFS order over the correlation graph from the
 	// seed set; a road may use the running estimate of any neighbour
 	// scheduled before it, so observed magnitudes propagate outward with
-	// learned per-pair shrinkage. This loop is inherently sequential — each
-	// prediction feeds the next — which is why the trend-free pre-pass and
-	// the seed-conditional pass carry the parallelism instead.
+	// learned per-pair shrinkage. This loop is inherently sequential: each
+	// prediction feeds the next.
 	order := m.bfsOrder(req.SeedRels)
 	for _, r := range order {
 		if known[r] {
@@ -232,15 +227,12 @@ func (m *Model) Estimate(req *Request) ([]float64, error) {
 		rel[r] = m.predictRoad(r, req, rel, known, groupDev)
 		known[r] = true
 	}
-	// Roads unreachable from any seed fall back to the trend prior; these
-	// are independent, so the fusion loop fans out.
-	par.For(n, 0, func(start, end int) {
-		for r := start; r < end; r++ {
-			if !known[r] {
-				rel[r] = m.priorRel(roadnet.RoadID(r), req)
-			}
+	// Roads unreachable from any seed fall back to the trend prior.
+	for r := 0; r < n; r++ {
+		if !known[r] {
+			rel[r] = m.priorRel(roadnet.RoadID(r), req)
 		}
-	})
+	}
 	return rel, nil
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/linalg"
-	"repro/internal/par"
 	"repro/internal/roadnet"
 )
 
@@ -198,42 +197,37 @@ func (sm *SeedModel) Estimate(req *Request) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(base)
-	// Each road's seed regression reads only the request and writes only its
-	// own slot, so the fusion loop fans out across the worker pool.
-	par.For(n, 0, func(start, end int) {
-		x := make([]float64, maxSeedFeatures) // per-chunk scratch
-		for r := start; r < end; r++ {
-			srm := &sm.roads[r]
-			if len(srm.feats) == 0 {
-				continue
-			}
-			if _, isSeed := req.SeedRels[roadnet.RoadID(r)]; isSeed {
-				continue
-			}
-			x = x[:len(srm.feats)]
-			reported := 0
-			for i, f := range srm.feats {
-				if v, ok := req.SeedRels[f]; ok {
-					x[i] = clampRel(v)
-					reported++
-				} else {
-					x[i] = srm.impute[i]
-				}
-			}
-			if reported == 0 {
-				continue // nothing observed: keep the generic estimate
-			}
-			pred, _, ok := srm.mix(req, roadnet.RoadID(r), func(reg *linalg.RidgeModel) (float64, float64, bool) {
-				v, err := reg.Predict(x)
-				return v, 0, err == nil
-			})
-			if !ok {
-				continue
-			}
-			// A fitted seed regression replaces the generic estimate outright.
-			base[r] = clampRel(pred)
+	x := make([]float64, maxSeedFeatures)
+	for r := range base {
+		srm := &sm.roads[r]
+		if len(srm.feats) == 0 {
+			continue
 		}
-	})
+		if _, isSeed := req.SeedRels[roadnet.RoadID(r)]; isSeed {
+			continue
+		}
+		x = x[:len(srm.feats)]
+		reported := 0
+		for i, f := range srm.feats {
+			if v, ok := req.SeedRels[f]; ok {
+				x[i] = clampRel(v)
+				reported++
+			} else {
+				x[i] = srm.impute[i]
+			}
+		}
+		if reported == 0 {
+			continue // nothing observed: keep the generic estimate
+		}
+		pred, _, ok := srm.mix(req, roadnet.RoadID(r), func(reg *linalg.RidgeModel) (float64, float64, bool) {
+			v, err := reg.Predict(x)
+			return v, 0, err == nil
+		})
+		if !ok {
+			continue
+		}
+		// A fitted seed regression replaces the generic estimate outright.
+		base[r] = clampRel(pred)
+	}
 	return base, nil
 }

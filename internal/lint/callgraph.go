@@ -14,7 +14,7 @@ import (
 // Granularity is the function *scope*: every top-level FuncDecl and every
 // FuncLit is its own node, with literals attributed to their lexically
 // enclosing declaration (a literal created by a hot function is itself hot —
-// that is how par.ForCtx bodies and timePhase closures inherit hotness).
+// that is how timePhase closures inherit hotness).
 //
 // Resolution is deliberately conservative in one direction only:
 //

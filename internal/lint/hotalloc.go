@@ -40,29 +40,15 @@ type rootSpec struct {
 	pkg, recv, fn string
 }
 
-// hotRoots is the hot-path registry. par.ForCtx/ForMaxCtx literal bodies are
-// implicit additional roots (see parBodyRoots): the loop body handed to the
-// worker pool is the innermost hot code there is.
+// hotRoots is the hot-path registry.
 var hotRoots = []rootSpec{
 	{"core", "View", "Estimate"},
 	{"core", "View", "EstimateWith"},
 	{"mrf", "Engine", "Infer"},
-	{"par", "", "ForCtx"},
-	{"par", "", "ForMaxCtx"},
 }
 
-// parLoopFuncs are the worker-pool entry points whose function-literal
-// arguments are implicitly hot: the ctx-aware index loops run once per chunk
-// per inference round. par.For bodies are deliberately NOT implicit roots —
-// training and rebuild fan-outs use them off the serving path, and sweeping
-// those in would drown the signal (rebuild-path functions still go hot when
-// an explicit root reaches them).
-var parLoopFuncs = map[string]bool{
-	"ForCtx": true, "ForMaxCtx": true,
-}
-
-// hotScopes computes the package's hot scope set: explicit roots, implicit
-// par-body roots, and everything the callgraph reaches from them.
+// hotScopes computes the package's hot scope set: the roots and everything
+// the callgraph reaches from them.
 func hotScopes(p *Pass, g *callGraph) map[*scope]bool {
 	var roots []*scope
 	pkgName := p.Pkg.Name()
@@ -72,7 +58,6 @@ func hotScopes(p *Pass, g *callGraph) map[*scope]bool {
 		}
 		roots = append(roots, matchRoot(p, g, spec)...)
 	}
-	roots = append(roots, parBodyRoots(p, g)...)
 	return g.reachable(roots)
 }
 
@@ -119,37 +104,6 @@ func interfaceRootScopes(p *Pass, g *callGraph, tn *types.TypeName, method strin
 		if types.Implements(rt, iface) || types.Implements(types.NewPointer(rt), iface) {
 			out = append(out, s)
 		}
-	}
-	return out
-}
-
-// parBodyRoots finds function literals passed directly to the par worker
-// pool in any package: their bodies run once per chunk per round.
-func parBodyRoots(p *Pass, g *callGraph) []*scope {
-	litScope := make(map[ast.Node]*scope, len(g.scopes))
-	for _, s := range g.scopes {
-		litScope[s.node] = s
-	}
-	var out []*scope
-	for _, s := range g.scopes {
-		inspectShallow(s.body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(p, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "par" || !parLoopFuncs[fn.Name()] {
-				return true
-			}
-			for _, arg := range call.Args {
-				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-					if ls := litScope[lit]; ls != nil {
-						out = append(out, ls)
-					}
-				}
-			}
-			return true
-		})
 	}
 	return out
 }

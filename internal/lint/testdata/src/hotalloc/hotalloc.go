@@ -7,8 +7,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/par"
 )
 
 // View mirrors the published snapshot whose Estimate is a hot root.
@@ -27,7 +25,6 @@ func (m *View) Estimate(ctx context.Context, n int) ([]float64, error) {
 	}
 	tags := map[string]int{"roads": n} // want `map literal allocates on the hot path \(View\.Estimate\)`
 	_ = tags
-	m.fanOut(ctx, n)
 	m.logStats(float64(n))
 	_ = m.label("main")
 	_ = m.retry(n)
@@ -51,18 +48,6 @@ func (m *View) scale(out []float64) []float64 {
 		doubled = append(doubled, 2*v) // want `append without capacity evidence on the hot path \(View\.scale\)`
 	}
 	return doubled
-}
-
-// fanOut hands a literal to the ctx-aware worker pool: the body is an
-// implicit hot root, so its fmt call is flagged even though the literal
-// captures nothing.
-func (m *View) fanOut(ctx context.Context, n int) {
-	_ = par.ForCtx(ctx, n, 0, func(start, end int) {
-		for i := start; i < end; i++ {
-			s := fmt.Sprintf("road-%d", i) // want `fmt\.Sprintf allocates on the hot path`
-			_ = s
-		}
-	})
 }
 
 // sink mirrors an any-accepting helper; passing a concrete float boxes it.

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// TestBPConvergenceResidualUndamped pins the damping/Tolerance interaction:
-// the stopping criterion must compare the *undamped* message change against
-// Tolerance. The stored step is (1−d)·|new − old|, so a criterion measured
+// TestBPConvergenceResidualUndamped pins the damping/Tolerance interaction
+// on the Jacobi schedule, which damps every round: the stopping criterion
+// must compare the *undamped* message change against Tolerance. The stored step is (1−d)·|new − old|, so a criterion measured
 // after damping stops once the true change has only shrunk to
 // Tolerance/(1−d) — at d = 0.95 a 20× looser threshold, which on a
 // slow-mixing chain leaves visibly unconverged marginals. The reference is
@@ -22,7 +22,7 @@ func TestBPConvergenceResidualUndamped(t *testing.T) {
 	priors := uniformPriors(n, 0.5)
 	ev := []Evidence{{Road: 0, Up: true}}
 
-	ref, err := NewBP(BPConfig{MaxIterations: 20000, Damping: 0, Tolerance: 1e-10, Workers: 1})
+	ref, err := NewJacobi(BPConfig{MaxIterations: 20000, Damping: 0, Tolerance: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestBPConvergenceResidualUndamped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	damped, err := NewBP(BPConfig{MaxIterations: 20000, Damping: 0.95, Tolerance: 1e-3, Workers: 1})
+	damped, err := NewJacobi(BPConfig{MaxIterations: 20000, Damping: 0.95, Tolerance: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,9 @@ func TestBPFinalResidualObservedPerRun(t *testing.T) {
 // iteration histogram, and increments trendspeed_bp_cancelled_total.
 // Before the fix, Infer returned on the cancellation path with no
 // accounting at all, so under deadline pressure the iteration histogram
-// silently dropped exactly the slow runs an operator needs to see.
+// silently dropped exactly the slow runs an operator needs to see. The run
+// here is Jacobi's, cancelled a few rounds in; TestFastBPCancelMidSchedule
+// holds the served schedule to the same contract.
 func TestBPCancelledRunsAccounted(t *testing.T) {
 	m := mustModel(t, chainGraph(t, 40, 0.9), uniformPriors(40, 0.5))
 	runsBefore := bpRuns.Value()
@@ -104,12 +106,12 @@ func TestBPCancelledRunsAccounted(t *testing.T) {
 	itersBefore := bpIterations.Count()
 
 	ctx := &countdownCtx{Context: context.Background(), after: 3}
-	res, err := mustBP(t).Infer(ctx, m, []Evidence{{Road: 0, Up: true}}, nil)
+	res, err := mustJacobi(t).Infer(ctx, m, []Evidence{{Road: 0, Up: true}}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if res != nil {
-		t.Fatal("BP returned a result despite mid-run cancellation")
+		t.Fatal("Jacobi returned a result despite mid-run cancellation")
 	}
 
 	if got := bpRuns.Value() - runsBefore; got != 1 {

@@ -31,7 +31,7 @@ func TestEnginesCancelledAtEntry(t *testing.T) {
 	m := mustModel(t, chainGraph(t, 6, 0.8), uniformPriors(6, 0.5))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	engines := []Engine{mustBP(t), mustFastBP(t), Exact{}, ICM{}, Gibbs{Burn: 5, Samples: 10, Seed: 1}, PriorOnly{}}
+	engines := []Engine{mustBP(t), mustJacobi(t), Exact{}, ICM{}, Gibbs{Burn: 5, Samples: 10, Seed: 1}, PriorOnly{}}
 	for _, eng := range engines {
 		res, err := eng.Infer(ctx, m, []Evidence{{Road: 0, Up: true}}, nil)
 		if !errors.Is(err, context.Canceled) {
@@ -44,45 +44,42 @@ func TestEnginesCancelledAtEntry(t *testing.T) {
 }
 
 // TestBPCancelMidInference cancels deterministically after a handful of
-// context polls — i.e. a few Jacobi rounds in — and asserts BP abandons the
-// schedule with an error chaining to context.Canceled rather than running to
-// convergence, and still releases its pooled run state, exactly once.
+// context polls — a few Jacobi rounds in — and asserts the Jacobi reference
+// abandons the schedule with an error chaining to context.Canceled rather
+// than running to convergence. TestFastBPCancelMidSchedule does the same
+// for the served schedule, which polls every 1024 node updates.
 func TestBPCancelMidInference(t *testing.T) {
 	m := mustModel(t, chainGraph(t, 40, 0.9), uniformPriors(40, 0.5))
-	bp := mustBP(t)
-	releasedBefore := bp.pool.released.Load()
 	ctx := &countdownCtx{Context: context.Background(), after: 3}
-	res, err := bp.Infer(ctx, m, []Evidence{{Road: 0, Up: true}}, nil)
+	res, err := mustJacobi(t).Infer(ctx, m, []Evidence{{Road: 0, Up: true}}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if res != nil {
-		t.Fatal("BP returned a result despite mid-run cancellation")
-	}
-	// Counted at the teardown: see TestFastBPCancelMidSchedule.
-	if got := bp.pool.released.Load() - releasedBefore; got != 1 {
-		t.Errorf("cancelled run released its state %d times, want exactly 1", got)
+		t.Fatal("Jacobi returned a result despite mid-run cancellation")
 	}
 }
 
 // TestBPCompletesOnLiveContext guards the inverse: a context that stays live
-// must not perturb the result (cancellation plumbing is observation-free on
-// the happy path).
+// must not perturb either schedule's result (cancellation plumbing is
+// observation-free on the happy path).
 func TestBPCompletesOnLiveContext(t *testing.T) {
 	m := mustModel(t, chainGraph(t, 8, 0.8), uniformPriors(8, 0.5))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	want, err := mustBP(t).Infer(context.Background(), m, []Evidence{{Road: 0, Up: true}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := mustBP(t).Infer(ctx, m, []Evidence{{Road: 0, Up: true}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.PUp {
-		if got.PUp[i] != want.PUp[i] {
-			t.Fatalf("road %d: PUp %v with live ctx, %v with Background", i, got.PUp[i], want.PUp[i])
+	for _, eng := range bpSchedules(t) {
+		want, err := eng.Infer(context.Background(), m, []Evidence{{Road: 0, Up: true}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Infer(ctx, m, []Evidence{{Road: 0, Up: true}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.PUp {
+			if got.PUp[i] != want.PUp[i] {
+				t.Fatalf("%s road %d: PUp %v with live ctx, %v with Background", eng.Name(), i, got.PUp[i], want.PUp[i])
+			}
 		}
 	}
 }

@@ -259,19 +259,19 @@ func (gb Gibbs) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Bel
 
 // EngineNames lists the names NewEngine accepts, in help-text order.
 func EngineNames() []string {
-	return []string{"bp", "fastbp", "icm", "gibbs", "exact", "prior"}
+	return []string{"bp", "jacobi", "icm", "gibbs", "exact", "prior"}
 }
 
 // NewEngine returns the trend-inference engine registered under name. The
-// message-passing engines (bp, fastbp) take their parameters from cfg; the
+// message-passing engines (bp, jacobi) take their parameters from cfg; the
 // ablation engines (icm, gibbs, exact, prior) use their zero-value defaults.
 // Tests and comparison harnesses use it to build engines by name.
 func NewEngine(name string, cfg BPConfig) (Engine, error) {
 	switch name {
 	case "bp":
 		return NewBP(cfg)
-	case "fastbp":
-		return NewFastBP(cfg)
+	case "jacobi":
+		return NewJacobi(cfg)
 	case "icm":
 		return ICM{}, nil
 	case "gibbs":

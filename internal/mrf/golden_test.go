@@ -20,10 +20,9 @@ func hashFloats(h hash.Hash, vs []float64) {
 	}
 }
 
-// convergedMessages drives a Jacobi run in-package the way Infer does —
-// newBPRun, then rounds until Tolerance or MaxIterations — and returns a
-// copy of its converged message store.
-func convergedMessages(t *testing.T, bp *BP, m *Model, evidence []Evidence) []float64 {
+// jacobiMessages runs the Jacobi schedule in-package the way Infer does and
+// returns its converged message store.
+func jacobiMessages(t *testing.T, j *Jacobi, m *Model, evidence []Evidence) []float64 {
 	t.Helper()
 	ev, err := evidenceMap(m, evidence)
 	if err != nil {
@@ -33,37 +32,54 @@ func convergedMessages(t *testing.T, bp *BP, m *Model, evidence []Evidence) []fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newBPRun(bp, m, topo, ev)
-	defer r.release(bp)
-	for iter := 0; iter < bp.cfg.MaxIterations; iter++ {
-		d, err := r.round(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d < bp.cfg.Tolerance {
-			break
-		}
+	msg, err := j.run(context.Background(), m, topo, ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg
+}
+
+// bpMessages runs the residual schedule in-package the way Infer does and
+// returns a copy of its converged message store.
+func bpMessages(t *testing.T, bp *BP, m *Model, evidence []Evidence) []float64 {
+	t.Helper()
+	ev, err := evidenceMap(m, evidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := m.topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bp.getRun(topo.NumDirectedEdges(), m.NumRoads())
+	defer bp.release(r)
+	if err := r.schedule(context.Background(), &bp.cfg, m, topo, ev); err != nil {
+		t.Fatal(err)
 	}
 	return append([]float64(nil), r.msg...)
 }
 
 // TestEnginesBitIdenticalGolden pins the exact output bits of the engines
-// whose numbers must never move under a refactor: Jacobi BP (marginals and
-// converged messages), Gibbs and ICM. The digests were recorded from the
-// code before BP's arithmetic was shared between the two message-passing
-// schedules; FastBP is deliberately absent, as its numbers are only bounded
-// against Jacobi (TestFastBPMatchesJacobiRandomGraphs). Like
+// whose numbers must never move under a refactor: both BP schedules
+// (marginals and converged messages), Gibbs and ICM. The jacobi, gibbs and
+// icm digests were recorded from the code before BP's arithmetic was shared
+// between the two message-passing schedules, and the bp digests from the
+// residual schedule before it became the served engine. Like
 // internal/hlm/testdata/train_golden.json, the digests are for linux/amd64,
 // the platform CI runs on: math.Log and math.Exp have per-architecture
 // implementations, so another platform may differ in the last bit.
 func TestEnginesBitIdenticalGolden(t *testing.T) {
 	want := map[string]string{
-		"bp/random/pup":        "d3a1ee568509eeaea5770447e17f63e0526200c7e99799b86b3b06991833fef6",
-		"bp/random/beliefs":    "e92c42f8b27d28dfdcb9c84431f155190851db8857ee67214cd2e65b8e3b4a7c",
-		"bp/lattice/cold/pup":  "0af79d408a212990ddd16248a34545e2bf19cc17afa612f09b93eb2d16a0f5c6",
-		"bp/lattice/cold/msgs": "55e16fceadb706bdbeb758668e11e48bd5f3ab78dc07b583c75035ebf8dfc421",
-		"gibbs/random/pup":     "913391bf2bb1ba522b37a9dba9f9895476095294261394c963c3a2b9bda8c03b",
-		"icm/random/pup":       "bd3d9d99da900d2724038b26439d26fc8c4472952714c345e6378463a751edd8",
+		"jacobi/random/pup":        "d3a1ee568509eeaea5770447e17f63e0526200c7e99799b86b3b06991833fef6",
+		"jacobi/random/beliefs":    "e92c42f8b27d28dfdcb9c84431f155190851db8857ee67214cd2e65b8e3b4a7c",
+		"jacobi/lattice/cold/pup":  "0af79d408a212990ddd16248a34545e2bf19cc17afa612f09b93eb2d16a0f5c6",
+		"jacobi/lattice/cold/msgs": "55e16fceadb706bdbeb758668e11e48bd5f3ab78dc07b583c75035ebf8dfc421",
+		"bp/random/pup":            "4f05ecad2992da3b9e07a7c522c146386d3b291fb4569bab0e75b5522317b636",
+		"bp/random/beliefs":        "85b358d95e106d61e409a3066553ab2faca3cf4c7d74c9614eefad1f8be55b82",
+		"bp/lattice/cold/pup":      "9d529d0cbe17f9a8accd6a764c356638357d85e1402bf298b18947bf2e7e6610",
+		"bp/lattice/cold/msgs":     "f10ef80c906a76e2ce5b8295f3437a55810893f3711f4e6675b820e3d3293d23",
+		"gibbs/random/pup":         "913391bf2bb1ba522b37a9dba9f9895476095294261394c963c3a2b9bda8c03b",
+		"icm/random/pup":           "bd3d9d99da900d2724038b26439d26fc8c4472952714c345e6378463a751edd8",
 	}
 	got := map[string]hash.Hash{}
 	for name := range want {
@@ -71,19 +87,31 @@ func TestEnginesBitIdenticalGolden(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// The 50 random graphs, at the tolerance of the FastBP equivalence test.
-	bp, err := NewBP(BPConfig{MaxIterations: 500, Damping: 0.3, Tolerance: 1e-7, Workers: 1})
+	// The 50 random graphs, at the tolerance of the BP-versus-Jacobi
+	// equivalence test.
+	cfg := BPConfig{MaxIterations: 500, Damping: 0.3, Tolerance: 1e-7}
+	jacobi, err := NewJacobi(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := NewBP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 50; seed++ {
 		m, ev := randomEquivalenceCase(t, seed)
-		res, err := bp.Infer(ctx, m, ev, nil)
+		res, err := jacobi.Infer(ctx, m, ev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashFloats(got["jacobi/random/pup"], res.PUp)
+		hashFloats(got["jacobi/random/beliefs"], jacobiMessages(t, jacobi, m, ev))
+		res, err = bp.Infer(ctx, m, ev, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		hashFloats(got["bp/random/pup"], res.PUp)
-		hashFloats(got["bp/random/beliefs"], convergedMessages(t, bp, m, ev))
+		hashFloats(got["bp/random/beliefs"], bpMessages(t, bp, m, ev))
 		gibbs, err := Gibbs{Seed: 1}.Infer(ctx, m, ev, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -96,8 +124,7 @@ func TestEnginesBitIdenticalGolden(t *testing.T) {
 		hashFloats(got["icm/random/pup"], icm.PUp)
 	}
 
-	// The 384-road BenchmarkBPInfer lattice on the default, fanned-out
-	// configuration.
+	// The 384-road BenchmarkBPInfer lattice on the default configuration.
 	g, priors, err := gridForBench(24, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +133,11 @@ func TestEnginesBitIdenticalGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lattice, err := NewBP(DefaultBPConfig())
+	latticeJacobi, err := NewJacobi(DefaultBPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	latticeBP, err := NewBP(DefaultBPConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +149,18 @@ func TestEnginesBitIdenticalGolden(t *testing.T) {
 	if err := m.SetEdgeTemper(0.2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := lattice.Infer(ctx, m, ev, nil)
+	res, err := latticeJacobi.Infer(ctx, m, ev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashFloats(got["jacobi/lattice/cold/pup"], res.PUp)
+	hashFloats(got["jacobi/lattice/cold/msgs"], jacobiMessages(t, latticeJacobi, m, ev))
+	res, err = latticeBP.Infer(ctx, m, ev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hashFloats(got["bp/lattice/cold/pup"], res.PUp)
-	hashFloats(got["bp/lattice/cold/msgs"], convergedMessages(t, lattice, m, ev))
+	hashFloats(got["bp/lattice/cold/msgs"], bpMessages(t, latticeBP, m, ev))
 
 	for name, w := range want {
 		if sum := hex.EncodeToString(got[name].Sum(nil)); sum != w {

@@ -1,21 +1,17 @@
 package mrf
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // This file holds everything the two message-passing engines share. BP
-// (Jacobi) and FastBP (residual) compute the same damped sum-product update
-// over the same float64 message store in the Topology's CSR layout: slot i
-// in [off[u], off[u+1]) is the message from neighbour to[i] into u, as
-// P(up). They differ only in their schedule — which messages are recomputed
-// when, and where the results are written — so the arithmetic of one node,
-// the uniform start and the pooled-state teardown each exist once, here,
-// and the run accounting once, beside the metrics it feeds in bp.go.
-// Jacobi is the reference schedule, and TestEnginesBitIdenticalGolden pins
-// its numbers bit for bit.
+// (residual, served) and Jacobi (synchronous, the reference) compute the
+// same damped sum-product update over the same float64 message store in the
+// Topology's CSR layout: slot i in [off[u], off[u+1]) is the message from
+// neighbour to[i] into u, as P(up). They differ only in their schedule —
+// which messages are recomputed when, and where the results are written —
+// so the arithmetic of one node, the uniform start and the marginal readout
+// each exist once, here, and the run accounting once, beside the metrics it
+// feeds in bp.go. TestEnginesBitIdenticalGolden pins both schedules' numbers
+// bit for bit.
 
 // nodePotential returns the unnormalised (up, down) potential of a node
 // given its evidence state (-1 free, 0 down, 1 up) and prior, excluding
@@ -93,22 +89,24 @@ func seedMessages(msg []float64) {
 	}
 }
 
-// runPool recycles one engine's per-run state across Infer calls. put is
-// the engines' one teardown: every Infer hands its state back through it
-// exactly once, on every exit path, and released counts the hand-backs.
-// That count is what proves a release happened, since a later Get cannot:
-// sync.Pool may drop any Put, and under the race detector it drops some on
-// purpose.
-type runPool struct {
-	pool     sync.Pool
-	released atomic.Int64
+// marginals reads every node's posterior P(up) out of a run's final
+// message store.
+func marginals(m *Model, topo *Topology, ev []int8, msg []float64) []float64 {
+	out := make([]float64, m.NumRoads())
+	for u := range out {
+		out[u] = marginal(ev[u], m.prior[u], msg[topo.off[u]:topo.off[u+1]])
+	}
+	return out
 }
 
-// get returns a pooled run state, or nil when the pool is empty.
-func (p *runPool) get() any { return p.pool.Get() }
-
-// put returns a run state to the pool and counts the release.
-func (p *runPool) put(run any) {
-	p.released.Add(1)
-	p.pool.Put(run)
+// clamp01 keeps probabilities strictly inside (0, 1) for log safety.
+func clamp01(p float64) float64 {
+	const eps = 1e-9
+	if p < eps {
+		return eps
+	}
+	if p > 1-eps {
+		return 1 - eps
+	}
+	return p
 }

@@ -9,12 +9,12 @@
 // probability that its trend is up.
 //
 // Six inference engines are provided (EngineNames): loopy belief
-// propagation with a Jacobi schedule (BP, the default and the reference,
+// propagation under a residual-priority schedule (BP, the served engine,
 // matching the paper's use of approximate graphical-model inference), the
-// same message kernel under a residual-priority schedule (FastBP), exact
-// enumeration (a test oracle for tiny graphs), iterated conditional modes
-// and Gibbs sampling (ablation baselines), and the history-only prior
-// (PriorOnly).
+// same message kernel under the synchronous schedule (Jacobi, the serial
+// reference BP is bounded against), exact enumeration (a test oracle for
+// tiny graphs), iterated conditional modes and Gibbs sampling (ablation
+// baselines), and the history-only prior (PriorOnly).
 package mrf
 
 import (
@@ -129,10 +129,11 @@ func (r *Result) Up(id roadnet.RoadID) bool { return r.PUp[id] >= 0.5 }
 // Engine is a trend-inference algorithm.
 type Engine interface {
 	// Infer computes trend marginals given clamped seed evidence. Engines
-	// observe ctx at their natural work boundaries (BP message rounds,
-	// ICM/Gibbs sweeps, enumeration batches) and return ctx.Err() — possibly
-	// wrapped — once it is cancelled, so an abandoned estimation round stops
-	// burning CPU mid-inference instead of running to completion.
+	// observe ctx at their natural work boundaries (BP node-update batches,
+	// Jacobi rounds, ICM/Gibbs sweeps, enumeration batches) and return
+	// ctx.Err() — possibly wrapped — once it is cancelled, so an abandoned
+	// estimation round stops burning CPU mid-inference instead of running to
+	// completion.
 	//
 	// Every engine ignores warm and starts cold; callers pass nil.
 	Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error)

@@ -3,6 +3,7 @@ package mrf
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/corr"
@@ -65,6 +66,21 @@ func mustBP(t *testing.T) *BP {
 	return bp
 }
 
+func mustJacobi(t *testing.T) *Jacobi {
+	t.Helper()
+	j, err := NewJacobi(DefaultBPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// bpSchedules returns both message-passing engines on the default config:
+// the served residual schedule and the Jacobi reference.
+func bpSchedules(t *testing.T) []Engine {
+	return []Engine{mustBP(t), mustJacobi(t)}
+}
+
 func TestNewModelValidation(t *testing.T) {
 	g := chainGraph(t, 3, 0.8)
 	if _, err := NewModel(g, []float64{0.5}); err == nil {
@@ -108,7 +124,10 @@ func TestBPConfigValidation(t *testing.T) {
 	}
 	for i, cfg := range bad {
 		if _, err := NewBP(cfg); err == nil {
-			t.Errorf("config %d accepted", i)
+			t.Errorf("bp: config %d accepted", i)
+		}
+		if _, err := NewJacobi(cfg); err == nil {
+			t.Errorf("jacobi: config %d accepted", i)
 		}
 	}
 }
@@ -120,7 +139,7 @@ func TestEvidencePropagatesAlongChain(t *testing.T) {
 	n := 6
 	g := chainGraph(t, n, 0.9)
 	m := mustModel(t, g, uniformPriors(n, 0.5))
-	for _, eng := range []Engine{mustBP(t), Gibbs{Seed: 1, Samples: 2000, Burn: 200}} {
+	for _, eng := range append(bpSchedules(t), Gibbs{Seed: 1, Samples: 2000, Burn: 200}) {
 		res, err := eng.Infer(context.Background(), m, []Evidence{{Road: 0, Up: true}}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
@@ -150,20 +169,22 @@ func TestEvidencePropagatesAlongChain(t *testing.T) {
 func TestDownEvidencePullsDown(t *testing.T) {
 	g := chainGraph(t, 3, 0.85)
 	m := mustModel(t, g, uniformPriors(3, 0.5))
-	res, err := mustBP(t).Infer(context.Background(), m, []Evidence{{Road: 0, Up: false}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PUp[0] != 0 {
-		t.Errorf("clamped node = %v", res.PUp[0])
-	}
-	for i := 1; i < 3; i++ {
-		if res.PUp[i] >= 0.5 {
-			t.Errorf("node %d PUp = %v, want < 0.5", i, res.PUp[i])
+	for _, eng := range bpSchedules(t) {
+		res, err := eng.Infer(context.Background(), m, []Evidence{{Road: 0, Up: false}}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", eng.Name(), err)
 		}
-	}
-	if res.Up(1) {
-		t.Error("Up(1) should be false")
+		if res.PUp[0] != 0 {
+			t.Errorf("%s: clamped node = %v", eng.Name(), res.PUp[0])
+		}
+		for i := 1; i < 3; i++ {
+			if res.PUp[i] >= 0.5 {
+				t.Errorf("%s: node %d PUp = %v, want < 0.5", eng.Name(), i, res.PUp[i])
+			}
+		}
+		if res.Up(1) {
+			t.Errorf("%s: Up(1) should be false", eng.Name())
+		}
 	}
 }
 
@@ -178,13 +199,15 @@ func TestBPMatchesExactOnTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bpRes, err := mustBP(t).Infer(context.Background(), m, evidence, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if d := math.Abs(exact.PUp[i] - bpRes.PUp[i]); d > 1e-3 {
-			t.Errorf("node %d: exact %v vs BP %v", i, exact.PUp[i], bpRes.PUp[i])
+	for _, eng := range bpSchedules(t) {
+		bpRes, err := eng.Infer(context.Background(), m, evidence, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", eng.Name(), err)
+		}
+		for i := 0; i < n; i++ {
+			if d := math.Abs(exact.PUp[i] - bpRes.PUp[i]); d > 1e-3 {
+				t.Errorf("node %d: exact %v vs %s %v", i, exact.PUp[i], eng.Name(), bpRes.PUp[i])
+			}
 		}
 	}
 }
@@ -200,13 +223,15 @@ func TestBPCloseToExactOnLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bpRes, err := mustBP(t).Infer(context.Background(), m, evidence, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if d := math.Abs(exact.PUp[i] - bpRes.PUp[i]); d > 0.05 {
-			t.Errorf("node %d: exact %v vs BP %v", i, exact.PUp[i], bpRes.PUp[i])
+	for _, eng := range bpSchedules(t) {
+		bpRes, err := eng.Infer(context.Background(), m, evidence, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", eng.Name(), err)
+		}
+		for i := 0; i < 4; i++ {
+			if d := math.Abs(exact.PUp[i] - bpRes.PUp[i]); d > 0.05 {
+				t.Errorf("node %d: exact %v vs %s %v", i, exact.PUp[i], eng.Name(), bpRes.PUp[i])
+			}
 		}
 	}
 }
@@ -341,15 +366,45 @@ func TestIsolatedNodesKeepPrior(t *testing.T) {
 
 func TestEngineNames(t *testing.T) {
 	names := map[string]Engine{
-		"bp":    mustBP(t),
-		"icm":   ICM{},
-		"gibbs": Gibbs{},
-		"exact": Exact{},
-		"prior": PriorOnly{},
+		"bp":     mustBP(t),
+		"jacobi": mustJacobi(t),
+		"icm":    ICM{},
+		"gibbs":  Gibbs{},
+		"exact":  Exact{},
+		"prior":  PriorOnly{},
 	}
 	for want, eng := range names {
 		if got := eng.Name(); got != want {
 			t.Errorf("Name = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestNewEngineFactory covers the operator-facing construction point: the
+// six registered names, an unknown one — including the residual schedule's
+// retired name "fastbp" — and the message-passing engines' config check.
+func TestNewEngineFactory(t *testing.T) {
+	want := []string{"bp", "jacobi", "icm", "gibbs", "exact", "prior"}
+	if got := EngineNames(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("EngineNames() = %v, want %v", got, want)
+	}
+	for _, name := range EngineNames() {
+		eng, err := NewEngine(name, DefaultBPConfig())
+		if err != nil {
+			t.Fatalf("NewEngine(%q): %v", name, err)
+		}
+		if eng.Name() != name {
+			t.Errorf("NewEngine(%q).Name() = %q", name, eng.Name())
+		}
+	}
+	for _, name := range []string{"nope", "fastbp"} {
+		if _, err := NewEngine(name, DefaultBPConfig()); err == nil {
+			t.Errorf("unknown engine name %q accepted", name)
+		}
+	}
+	for _, name := range []string{"bp", "jacobi"} {
+		if _, err := NewEngine(name, BPConfig{}); err == nil {
+			t.Errorf("invalid BPConfig accepted for %s", name)
 		}
 	}
 }

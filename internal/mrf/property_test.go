@@ -54,56 +54,50 @@ func randomEquivalenceCase(t *testing.T, seed int64) (*Model, []Evidence) {
 	return m, ev
 }
 
-// Property: BP marginals are valid probabilities on random graphs and
-// priors, with and without evidence.
+// Property: both BP schedules' marginals are valid probabilities on random
+// graphs and priors, with and without evidence.
 func TestBPMarginalsAreProbabilities(t *testing.T) {
-	bp, err := NewBP(DefaultBPConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(10)
-		g, err := randomSmallGraph(rng, n)
-		if err != nil {
-			return false
-		}
-		priors := make([]float64, n)
-		for i := range priors {
-			priors[i] = rng.Float64()
-		}
-		m, err := NewModel(g, priors)
-		if err != nil {
-			return false
-		}
-		var ev []Evidence
-		if n > 2 {
-			ev = append(ev, Evidence{Road: roadnet.RoadID(rng.Intn(n)), Up: rng.Intn(2) == 0})
-		}
-		res, err := bp.Infer(context.Background(), m, ev, nil)
-		if err != nil {
-			return false
-		}
-		for _, p := range res.PUp {
-			if p < 0 || p > 1 || math.IsNaN(p) {
+	for _, eng := range bpSchedules(t) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			n := 3 + rng.Intn(10)
+			g, err := randomSmallGraph(rng, n)
+			if err != nil {
 				return false
 			}
+			priors := make([]float64, n)
+			for i := range priors {
+				priors[i] = rng.Float64()
+			}
+			m, err := NewModel(g, priors)
+			if err != nil {
+				return false
+			}
+			var ev []Evidence
+			if n > 2 {
+				ev = append(ev, Evidence{Road: roadnet.RoadID(rng.Intn(n)), Up: rng.Intn(2) == 0})
+			}
+			res, err := eng.Infer(context.Background(), m, ev, nil)
+			if err != nil {
+				return false
+			}
+			for _, p := range res.PUp {
+				if p < 0 || p > 1 || math.IsNaN(p) {
+					return false
+				}
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Errorf("%s: %v", eng.Name(), err)
+		}
 	}
 }
 
 // Property: the model is symmetric under global label flip — flipping every
 // prior p → 1−p and the evidence bit flips every marginal, for any engine.
 func TestGlobalFlipSymmetry(t *testing.T) {
-	bp, err := NewBP(DefaultBPConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := []Engine{bp, ICM{}, PriorOnly{}, Exact{}}
+	engines := append(bpSchedules(t), ICM{}, PriorOnly{}, Exact{})
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(8)

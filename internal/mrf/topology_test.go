@@ -130,22 +130,15 @@ func gridForBench(w, h int) (*corr.Graph, []float64, error) {
 
 // BenchmarkBPInfer measures one inference run over a lattice at two scales
 // with the topology shared across iterations — the estimator's per-round
-// configuration — for both the Jacobi reference and the residual-scheduled
-// engine. allocs/op is one headline (message structure must come from the
-// pool, not per-run rebuilds); msg-updates/op is the other: FastBP's
-// schedule must do several times fewer effective message updates than
-// Jacobi's full sweeps for the same fixed point.
+// configuration — for both the served residual schedule and the Jacobi
+// reference. allocs/op is one headline (the served engine's run state must
+// come from the pool, not per-run rebuilds); msg-updates/op is the other:
+// the residual schedule must do several times fewer effective message
+// updates than Jacobi's full sweeps for the same fixed point.
 func BenchmarkBPInfer(b *testing.B) {
-	engines := []struct {
-		name string
-		make func() (Engine, error)
-	}{
-		{"bp", func() (Engine, error) { return NewBP(DefaultBPConfig()) }},
-		{"fastbp", func() (Engine, error) { return NewFastBP(DefaultBPConfig()) }},
-	}
 	for _, sz := range []struct{ w, h int }{{24, 16}, {64, 48}} {
-		for _, e := range engines {
-			b.Run(fmt.Sprintf("roads=%d/%s", sz.w*sz.h, e.name), func(b *testing.B) {
+		for _, name := range []string{"bp", "jacobi"} {
+			b.Run(fmt.Sprintf("roads=%d/%s", sz.w*sz.h, name), func(b *testing.B) {
 				g, priors, err := gridForBench(sz.w, sz.h)
 				if err != nil {
 					b.Fatal(err)
@@ -154,7 +147,7 @@ func BenchmarkBPInfer(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				eng, err := e.make()
+				eng, err := NewEngine(name, DefaultBPConfig())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -64,20 +64,36 @@ func (c *Calendar) SlotsPerDay() int { return int((24 * time.Hour) / c.width) }
 // SlotsPerWeek returns the number of slot-of-week classes.
 func (c *Calendar) SlotsPerWeek() int { return 7 * c.SlotsPerDay() }
 
-// Slot returns the absolute slot index for instant t. Instants before the
-// epoch yield negative indices.
-func (c *Calendar) Slot(t time.Time) int {
-	d := t.Sub(c.epoch)
-	if d < 0 {
-		// Floor division for negative durations.
-		return -int((-d+c.width-1)/c.width) + 0
-	}
-	return int(d / c.width)
+// secondsPerDay is the length of a calendar day: slots count 24-hour days
+// from the epoch.
+const secondsPerDay = 24 * 60 * 60
+
+// dayStart returns the instant day whole days after the epoch (before it
+// for negative days). It counts in seconds, not a time.Duration, which
+// would overflow 292 years from the epoch.
+func (c *Calendar) dayStart(day int) time.Time {
+	return time.Unix(c.epoch.Unix()+int64(day)*secondsPerDay, 0).In(c.epoch.Location())
 }
 
-// Start returns the starting instant of absolute slot s.
+// Slot returns the absolute slot index for instant t. Instants before the
+// epoch yield negative indices. Like Start, it counts whole days and the
+// remainder, so it does not overflow where Start does not.
+func (c *Calendar) Slot(t time.Time) int {
+	// t.Unix() floors, so day is the floor of the day count, and the
+	// remainder within that day is in [0, 24h).
+	secs := t.Unix() - c.epoch.Unix()
+	day := secs / secondsPerDay
+	if secs%secondsPerDay < 0 {
+		day--
+	}
+	return int(day)*c.SlotsPerDay() + int(t.Sub(c.dayStart(int(day)))/c.width)
+}
+
+// Start returns the starting instant of absolute slot s. It counts whole
+// days and the slot of day, as ProfileClass does, so every int slot below
+// 2³¹ in magnitude has its instant.
 func (c *Calendar) Start(s int) time.Time {
-	return c.epoch.Add(time.Duration(s) * c.width)
+	return c.dayStart(c.DayOfSlot(s)).Add(time.Duration(c.SlotOfDay(s)) * c.width)
 }
 
 // SlotOfDay returns the within-day class of absolute slot s, in
@@ -112,14 +128,11 @@ func (c *Calendar) DayOfSlot(s int) int {
 	return s / n
 }
 
-// HourOfSlot returns the local hour-of-day (0..23) at the start of slot s.
+// HourOfSlot returns the hour-of-day (0..23) at the start of slot s, from
+// the slot of day alone: it is Start(s).Hour() on the UTC calendars this
+// repository builds, for every width and every slot.
 func (c *Calendar) HourOfSlot(s int) int {
-	perHour := int(time.Hour / c.width)
-	if perHour == 0 {
-		// Slots wider than an hour: derive from the start time instead.
-		return c.Start(s).Hour()
-	}
-	return c.SlotOfDay(s) / perHour
+	return int(time.Duration(c.SlotOfDay(s)) * c.width / time.Hour)
 }
 
 // ProfileClass returns the historical-profile class of absolute slot s.
@@ -148,14 +161,3 @@ func (c *Calendar) ProfileClass(s int) int {
 
 // NumProfileClasses returns the number of distinct ProfileClass values.
 func (c *Calendar) NumProfileClasses() int { return 2 * c.SlotsPerDay() }
-
-// Range returns the absolute slot indices covering [from, to), suitable for
-// iterating a history window.
-func (c *Calendar) Range(from, to time.Time) (first, last int) {
-	first = c.Slot(from)
-	last = c.Slot(to.Add(-time.Nanosecond))
-	if to.Sub(from) <= 0 {
-		return first, first - 1 // empty range
-	}
-	return first, last
-}

@@ -111,24 +111,35 @@ func TestHourOfSlot(t *testing.T) {
 	}
 }
 
-func TestRange(t *testing.T) {
+// TestHourOfSlotEveryWidth: a slot's hour is its start's wall-clock hour
+// on calendars whose slots divide an hour (10 and 16 minutes), divide a day
+// but not an hour (45 minutes) and span hours (2 hours). Histories accept
+// any slot below 2³¹, so in the last whole week below it the hours must
+// still repeat daily, the start must still be at that hour, and Slot must
+// still invert Start.
+func TestHourOfSlotEveryWidth(t *testing.T) {
 	t.Parallel()
-	c := MustCalendar(epoch, 10*time.Minute)
-	from := time.Date(2016, 3, 7, 0, 0, 0, 0, time.UTC)
-	to := from.Add(time.Hour)
-	first, last := c.Range(from, to)
-	if first != 0 || last != 5 {
-		t.Errorf("Range = [%d, %d], want [0, 5]", first, last)
-	}
-	// An exact slot boundary excludes the next slot.
-	first, last = c.Range(from, from.Add(10*time.Minute))
-	if first != 0 || last != 0 {
-		t.Errorf("Range 10m = [%d, %d], want [0, 0]", first, last)
-	}
-	// Empty range.
-	first, last = c.Range(from, from)
-	if last >= first {
-		t.Errorf("empty Range = [%d, %d]", first, last)
+	for _, width := range []time.Duration{10 * time.Minute, 16 * time.Minute, 45 * time.Minute, 2 * time.Hour} {
+		c := MustCalendar(epoch, width)
+		week := c.SlotsPerWeek()
+		for s := 0; s < 2*week; s++ {
+			if got, want := c.HourOfSlot(s), c.Start(s).Hour(); got != want {
+				t.Fatalf("%v calendar: HourOfSlot(%d) = %d, but slot %d starts at %v", width, s, got, s, c.Start(s))
+			}
+		}
+		last := (math.MaxInt32/week - 1) * week
+		for k := 0; k < week; k++ {
+			s := last + k
+			if got, want := c.HourOfSlot(s), c.HourOfSlot(k); got != want {
+				t.Fatalf("%v calendar: HourOfSlot(%d) = %d, a whole number of weeks after slot %d (hour %d)", width, s, got, k, want)
+			}
+			if got, want := c.Start(s).Hour(), c.HourOfSlot(k); got != want {
+				t.Fatalf("%v calendar: slot %d starts at %v, want hour %d", width, s, c.Start(s), want)
+			}
+			if got := c.Slot(c.Start(s)); got != s {
+				t.Fatalf("%v calendar: Slot(Start(%d)) = %d", width, s, got)
+			}
+		}
 	}
 }
 
