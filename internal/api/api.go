@@ -641,6 +641,12 @@ func (s *Server) seedsFor(ctx context.Context, v *core.View, k int) ([]roadnet.R
 		if seeds, ok := s.seedCache[key]; ok {
 			s.mu.Unlock()
 			seedCacheHits.Inc()
+			// A selection for another budget may have re-specialized v since
+			// this set was cached; estimates on these seeds need v
+			// specialized to them.
+			if err := s.store.PrepareSeeds(ctx, v, seeds); err != nil {
+				return nil, err
+			}
 			return seeds, nil
 		}
 		if c, ok := s.seedInflight[key]; ok {

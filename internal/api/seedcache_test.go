@@ -1,10 +1,89 @@
 package api
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"repro/internal/roadnet"
 )
+
+// TestSeedCacheHitRespecializes: a /v1/seeds cache hit serves its set on a
+// view specialized to that set. Request k=12, then k=3, whose selection
+// re-specializes the view to its own 3 seeds, then k=12 again from the
+// cache: an estimate on the 12 seeds must answer bit for bit as it did
+// right after the first k=12 request.
+func TestSeedCacheHitRespecializes(t *testing.T) {
+	d, st := freshStore(t)
+	srv, err := NewServer(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	slot, truth := d.Slot(), d.Truth()
+
+	seedsFor := func(k int) []roadnet.RoadID {
+		var body seedsResponse
+		if code := getJSON(t, fmt.Sprintf("%s/v1/seeds?k=%d", ts.URL, k), &body); code != http.StatusOK {
+			t.Fatalf("seeds k=%d: status %d", k, code)
+		}
+		return body.Seeds
+	}
+	estimateOn := func(seeds []roadnet.RoadID) estimateResponse {
+		reports := make([]seedReport, len(seeds))
+		for i, r := range seeds {
+			reports[i] = seedReport{Road: r, Speed: truth[r]}
+		}
+		payload, err := json.Marshal(estimateRequest{Slot: slot, Reports: reports})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/estimate", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("estimate: status %d", resp.StatusCode)
+		}
+		var body estimateResponse
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+
+	first := seedsFor(12)
+	want := estimateOn(first)
+	seedsFor(3)
+	hits := seedCacheHits.Value()
+	again := seedsFor(12)
+	if seedCacheHits.Value() == hits {
+		t.Fatal("the second k=12 request missed the cache")
+	}
+	if fmt.Sprint(again) != fmt.Sprint(first) {
+		t.Fatalf("cache hit served %v, first selection %v", again, first)
+	}
+	got := estimateOn(again)
+	differ, worst := 0, 0.0
+	for r := range want.Roads {
+		if got.Roads[r] != want.Roads[r] {
+			differ++
+			worst = math.Max(worst, math.Abs(got.Roads[r].SpeedMPS-want.Roads[r].SpeedMPS))
+		}
+	}
+	if differ > 0 {
+		t.Errorf("after a cache hit, %d of %d roads answer differently than after the first selection (up to %.3g m/s)",
+			differ, len(want.Roads), worst)
+	}
+}
 
 // TestSeedCacheNoStaleReinsertAfterSwap pins the swap-vs-selection race: a
 // /v1/seeds selection is mid-flight when a rebuild swaps the model. The

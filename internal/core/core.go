@@ -83,9 +83,8 @@ func timePhase(ctx context.Context, phase string, fn func() error) error {
 // Options configures model construction. The zero value is NOT valid;
 // start from DefaultOptions.
 type Options struct {
-	Corr    corr.Config
-	SeedSel seedsel.Config
-	BP      mrf.BPConfig
+	Corr corr.Config
+	BP   mrf.BPConfig
 
 	// Engine overrides the trend-inference engine (default: loopy BP with
 	// the BP config above).
@@ -113,9 +112,8 @@ const (
 // DefaultOptions returns the configuration used by the experiments.
 func DefaultOptions() Options {
 	return Options{
-		Corr:    corr.DefaultConfig(),
-		SeedSel: seedsel.DefaultConfig(),
-		BP:      mrf.DefaultBPConfig(),
+		Corr: corr.DefaultConfig(),
+		BP:   mrf.DefaultBPConfig(),
 	}
 }
 

@@ -64,8 +64,8 @@ type StoreConfig struct {
 	// IncrementalMaxDirtyFrac enables incremental (delta) rebuilds: when some
 	// roads' history changed since the published view and their fraction is
 	// at or below this value, the rebuild re-scores and retrains only around
-	// the delta (see buildIncremental). Larger deltas fall back to a full
-	// retrain. 0 (or negative) disables incremental rebuilds entirely.
+	// the delta (see build). Larger deltas fall back to a full retrain. 0 (or
+	// negative) disables incremental rebuilds entirely.
 	IncrementalMaxDirtyFrac float64
 }
 
@@ -121,7 +121,7 @@ type Store struct {
 // NewStore trains the version-1 view and returns a store publishing it.
 func NewStore(net *roadnet.Network, db *history.DB, opts Options) (*Store, error) {
 	//lint:ignore ctxflow NewStore is the documented ctx-less constructor; the initial build is offline and bounded by input size
-	v, err := build(context.Background(), net, db, opts, 1)
+	v, err := build(context.Background(), net, db, opts, 1, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -158,6 +158,22 @@ func (s *Store) SelectSeeds(ctx context.Context, v *View, k int) ([]roadnet.Road
 	}
 	s.rememberSeeds(seeds)
 	return seeds, nil
+}
+
+// PrepareSeeds specializes view v to a seed set selected earlier on it,
+// unless v's seed model already is specialized to that set, and then records
+// the set as SelectSeeds does, so rebuilds re-specialize it. API layers call
+// it when they serve a cached set: another set may have been prepared on v
+// since this one was selected.
+func (s *Store) PrepareSeeds(ctx context.Context, v *View, seeds []roadnet.RoadID) error {
+	if sm := v.seedModel.Load(); sm != nil && sm.SpecializedTo(seeds) {
+		return nil
+	}
+	if err := v.Prepare(ctx, seeds); err != nil {
+		return err
+	}
+	s.rememberSeeds(seeds)
+	return nil
 }
 
 func (s *Store) rememberSeeds(seeds []roadnet.RoadID) {
@@ -341,21 +357,18 @@ func (s *Store) successor(ctx context.Context, old *View, pending []Observation,
 	db := builder.Finalize()
 	version := old.Version() + 1
 
-	// Delta path: when the dirty fraction is small enough, rebuild around
-	// the delta. Its graph equals a full build's, so a failure there would
-	// fail a full build too: there is no fallback. An empty delta is the
-	// forced full refresh, which must also clear the stale group-level
+	// Delta path: when the dirty fraction is small enough, rebuild from old
+	// around the delta. Its graph equals a full build's, so a failure there
+	// would fail a full build too: there is no fallback. An empty delta is
+	// the forced full refresh, which must also clear the stale group-level
 	// predictors earlier delta rebuilds copied.
-	mode := "full"
-	var v *View
+	var prev *View
 	dirty := builder.Dirty()
-	if dirty != nil && len(dirty.Roads) > 0 && maxDirtyFrac > 0 &&
-		float64(len(dirty.Roads)) <= maxDirtyFrac*float64(db.NumRoads()) {
-		mode = "incremental"
-		v, err = buildIncremental(ctx, old, db, dirty, s.opts, version)
-	} else {
-		v, err = build(ctx, old.Net(), db, s.opts, version)
+	if len(dirty) > 0 && maxDirtyFrac > 0 && float64(len(dirty)) <= maxDirtyFrac*float64(db.NumRoads()) {
+		prev = old
 	}
+	mode := rebuildMode(prev)
+	v, err := build(ctx, old.Net(), db, s.opts, version, prev, dirty)
 	if err != nil {
 		return nil, mode, fmt.Errorf("core: rebuilding model: %w", err)
 	}

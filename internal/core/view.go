@@ -25,8 +25,8 @@ import (
 // round.go). Everything build produces is immutable, so estimation rounds
 // may run concurrently with each other — and with a Store swapping in a
 // successor, since a round in flight keeps the View it resolved at entry.
-// cmd/tslint's modelmut and pubsafe analyzers enforce this: build and
-// buildIncremental are the only constructors.
+// cmd/tslint's modelmut and pubsafe analyzers enforce this: build is the
+// only constructor.
 //
 // The one piece of mutable state is the seed-conditional specialization
 // retrained by Prepare/SelectSeeds. It is published as an immutable snapshot
@@ -63,8 +63,8 @@ type View struct {
 	seedModel atomic.Pointer[hlm.SeedModel]
 
 	// rebuildMode records how this view was built: "full" (from-scratch
-	// training, including version 1) or "incremental" (delta rebuild, see
-	// buildIncremental).
+	// training, including version 1) or "incremental" (delta rebuild from a
+	// predecessor, see build).
 	rebuildMode string
 }
 
@@ -73,7 +73,7 @@ type View struct {
 // want rebuilds use a Store.
 func NewView(net *roadnet.Network, db *history.DB, opts Options) (*View, error) {
 	//lint:ignore ctxflow NewView is the documented ctx-less offline constructor; Store rebuilds pass their lifetime ctx through build directly
-	return build(context.Background(), net, db, opts, 1)
+	return build(context.Background(), net, db, opts, 1, nil, nil)
 }
 
 // build builds the correlation graph, trains the HLM and prepares seed
@@ -81,7 +81,24 @@ func NewView(net *roadnet.Network, db *history.DB, opts Options) (*View, error) 
 // The Store mints successor views with it under its lifetime context, so
 // Close aborts an in-flight rebuild at the next stage boundary (via
 // timeStage's ctx check).
-func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Options, version uint64) (*View, error) {
+//
+// A nil prev trains from scratch. A predecessor makes it the delta rebuild
+// of prev for db, which differs from prev's history only on the dirty roads,
+// at a cost proportional to the delta rather than the city:
+//
+//   - the correlation graph is re-scored only around the dirty roads
+//     (corr.Rescore, of which corr.Build is the rescore of every road, so
+//     the graph equals a full build's),
+//   - the HLM re-fits only the roads the delta can reach (hlm.Retrain;
+//     copied roads' group-level predictors go stale, the one approximation
+//     of the delta path — see the Retrain doc and the equivalence test),
+//   - seed selection and the trend topology are derived in full either way.
+//
+// The predecessor alone picks the stages' functions, names and the view's
+// rebuild mode. The successor inherits nothing from the traffic its
+// predecessor served: like every view, it is a function of its history
+// alone.
+func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Options, version uint64, prev *View, dirty []roadnet.RoadID) (*View, error) {
 	if net == nil || db == nil {
 		return nil, fmt.Errorf("core: network and history are required")
 	}
@@ -89,29 +106,44 @@ func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Optio
 		return nil, fmt.Errorf("core: network has %d roads, history covers %d", net.NumRoads(), db.NumRoads())
 	}
 	start := time.Now()
-	ctx, buildSpan := obs.StartSpan(ctx, "core.new")
+	span, corrStage, hlmStage := "core.new", "corr_build", "hlm_train"
+	if prev != nil {
+		span, corrStage, hlmStage = "core.rebuild_incremental", "corr_rescore", "hlm_retrain"
+	}
+	ctx, buildSpan := obs.StartSpan(ctx, span)
 	defer buildSpan.End()
 	var graph *corr.Graph
-	if err := timeStage(ctx, "corr_build", func() (err error) {
-		graph, err = corr.Build(net, db, opts.Corr)
+	if err := timeStage(ctx, corrStage, func() (err error) {
+		if prev == nil {
+			graph, err = corr.Build(net, db, opts.Corr)
+		} else {
+			graph, err = corr.Rescore(prev.graph, net, db, dirty, opts.Corr)
+		}
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("core: building correlation graph: %w", err)
 	}
-	// The HLM's pooled levels: road class (same-class roads co-move
-	// city-wide), local area (congestion is spatially smooth) and the whole
-	// city (global demand swings).
-	hlmCfg := hlm.Config{Levels: poolingLevels(net)}
 	var model *hlm.Model
-	if err := timeStage(ctx, "hlm_train", func() (err error) {
-		model, err = hlm.Train(graph, db, hlmCfg)
+	if err := timeStage(ctx, hlmStage, func() (err error) {
+		if prev == nil {
+			// The HLM's pooled levels: road class (same-class roads
+			// co-move city-wide), local area (congestion is spatially
+			// smooth) and the whole city (global demand swings).
+			model, err = hlm.Train(graph, db, hlm.Config{Levels: poolingLevels(net)})
+			return err
+		}
+		mask := make([]bool, db.NumRoads())
+		for _, r := range dirty {
+			mask[r] = true
+		}
+		model, err = hlm.Retrain(prev.hlm, graph, db, mask)
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("core: training HLM: %w", err)
 	}
 	var problem *seedsel.Problem
 	if err := timeStage(ctx, "seedsel_prepare", func() (err error) {
-		problem, err = seedsel.NewProblem(graph, seedsel.BenefitWeights(net, db), opts.SeedSel)
+		problem, err = seedsel.NewProblem(graph, seedsel.BenefitWeights(net, db))
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("core: preparing seed selection: %w", err)
@@ -140,8 +172,17 @@ func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Optio
 		obsCount: db.ObservationCount(),
 		net:      net, db: db, graph: graph, hlm: model,
 		problem: problem, selector: selector, engine: engine,
-		trendTopo: trendTopo, rebuildMode: "full",
+		trendTopo: trendTopo, rebuildMode: rebuildMode(prev),
 	}, nil
+}
+
+// rebuildMode names the build a predecessor selects: a nil prev trains from
+// scratch ("full"), any other is a delta rebuild ("incremental").
+func rebuildMode(prev *View) string {
+	if prev == nil {
+		return "full"
+	}
+	return "incremental"
 }
 
 // Version returns the view's monotonically increasing version stamp: 1 for

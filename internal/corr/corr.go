@@ -156,75 +156,15 @@ func NewGraph(numRoads int, edges []EdgeSpec) (*Graph, error) {
 
 // Build estimates the correlation graph from history. The network provides
 // the spatial candidate structure; the history provides the trend series.
+// It is the rescore of every road over an edgeless graph, so Build and
+// Rescore share one pair enumeration, one list assembly and one prune.
 func Build(net *roadnet.Network, db *history.DB, cfg Config) (*Graph, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if net.NumRoads() != db.NumRoads() {
-		return nil, fmt.Errorf("corr: network has %d roads but history covers %d", net.NumRoads(), db.NumRoads())
-	}
 	n := net.NumRoads()
-
-	type scored struct {
-		u, v roadnet.RoadID
-		e    Edge // from u's perspective; To == v
+	all := make([]roadnet.RoadID, n)
+	for i := range all {
+		all[i] = roadnet.RoadID(i)
 	}
-	var accepted []scored
-
-	// Enumerate candidate pairs (u < v within MaxHops) via bounded BFS from
-	// each road.
-	visitBuf := make([]int, n)
-	for i := range visitBuf {
-		visitBuf[i] = -1
-	}
-	var queue []roadnet.RoadID
-	for u := 0; u < n; u++ {
-		uid := roadnet.RoadID(u)
-		queue = queue[:0]
-		queue = append(queue, uid)
-		visitBuf[u] = 0
-		reached := []roadnet.RoadID{uid}
-		for qi := 0; qi < len(queue); qi++ {
-			cur := queue[qi]
-			if visitBuf[cur] >= cfg.MaxHops {
-				continue
-			}
-			for _, nb := range net.Adjacent(cur) {
-				if visitBuf[nb] == -1 {
-					visitBuf[nb] = visitBuf[cur] + 1
-					queue = append(queue, nb)
-					reached = append(reached, nb)
-				}
-			}
-		}
-		for _, v := range reached {
-			if v <= uid {
-				continue // handle each unordered pair once
-			}
-			if e, ok := scorePair(db, uid, v, cfg); ok {
-				accepted = append(accepted, scored{u: uid, v: v, e: e})
-			}
-		}
-		for _, r := range reached { // reset scratch
-			visitBuf[r] = -1
-		}
-	}
-
-	raw := make([][]Edge, n)
-	for _, s := range accepted {
-		raw[s.u] = append(raw[s.u], s.e)
-		back := s.e
-		back.To = s.u
-		raw[s.v] = append(raw[s.v], back)
-	}
-	for i := range raw {
-		sortEdges(raw[i])
-	}
-	g := &Graph{edges: raw, raw: raw}
-	if cfg.MaxNeighbors > 0 {
-		g.edges = pruneToTopK(raw, cfg.MaxNeighbors)
-	}
-	return g, nil
+	return Rescore(&Graph{edges: make([][]Edge, n), raw: make([][]Edge, n)}, net, db, all, cfg)
 }
 
 // scorePair computes the trend agreement and relative-speed correlation of a

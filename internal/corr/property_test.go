@@ -81,17 +81,3 @@ func TestNewGraphSymmetryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

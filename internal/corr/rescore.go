@@ -2,7 +2,6 @@ package corr
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/history"
 	"repro/internal/roadnet"
@@ -11,7 +10,9 @@ import (
 // Rescore builds the correlation graph for an updated history by re-scoring
 // only the pairs incident to dirty roads — the roads whose aggregates (and
 // therefore whose whole relative-speed series) changed since g was built.
-// It is the delta path of Build: the two produce equal graphs whenever
+// It is the delta path of Build, and Build is its degenerate case: the
+// rescore of every road over an edgeless graph. The two produce equal
+// graphs whenever
 //
 //   - db differs from the history g was built from only on the dirty roads
 //     (history.Builder.Dirty reports exactly this set), and
@@ -20,9 +21,10 @@ import (
 // The equivalence is exact, not approximate: an edge between two clean
 // roads depends only on those two roads' series, so it is reused verbatim;
 // every pair with a dirty endpoint lies within MaxHops of a dirty road and
-// is re-scored with the same scorePair as Build; and the MaxNeighbors
-// pruning — a global rank decision — is replayed over the merged pre-prune
-// lists rather than patched locally.
+// is re-scored with the same scorePair; each touched list is re-sorted by
+// sortEdges, a total order, so the order pairs are scored in does not
+// matter; and the MaxNeighbors pruning — a global rank decision — is
+// replayed over the merged pre-prune lists rather than patched locally.
 //
 // Cost is proportional to the delta: a bounded BFS per dirty road, one
 // scorePair per candidate pair, and an O(edges) pruning sweep. g is not
@@ -33,7 +35,7 @@ func Rescore(g *Graph, net *roadnet.Network, db *history.DB, dirty []roadnet.Roa
 	}
 	n := g.NumRoads()
 	if net.NumRoads() != n || db.NumRoads() != n {
-		return nil, fmt.Errorf("corr: rescore over %d-road graph, %d-road network, %d-road history", n, net.NumRoads(), db.NumRoads())
+		return nil, fmt.Errorf("corr: %d-road graph over a %d-road network and a %d-road history", n, net.NumRoads(), db.NumRoads())
 	}
 	if g.raw == nil {
 		return nil, fmt.Errorf("corr: graph carries no pre-prune edge lists; rebuild it with Build or NewGraph")
@@ -49,30 +51,26 @@ func Rescore(g *Graph, net *roadnet.Network, db *history.DB, dirty []roadnet.Roa
 		return g, nil
 	}
 
-	// Candidate pairs: every unordered pair with a dirty endpoint within
-	// MaxHops — exactly the pairs Build would enumerate whose score may have
-	// changed. BFS from each dirty road; pairs of two dirty roads are
-	// deduplicated by only keeping d < v when v is dirty too.
-	type pairKey struct{ a, b roadnet.RoadID }
-	ordered := func(a, b roadnet.RoadID) pairKey {
-		if a > b {
-			a, b = b, a
-		}
-		return pairKey{a, b}
+	// Score every unordered pair with a dirty endpoint within MaxHops:
+	// exactly the candidate pairs whose score may have changed. BFS from
+	// each dirty road; a pair of two dirty roads is scored once, from its
+	// lower endpoint.
+	type scored struct {
+		u roadnet.RoadID
+		e Edge // from u's side; u < e.To
 	}
-	var pairs []pairKey
+	var accepted []scored
 	touched := make([]bool, n) // roads whose raw list may change
 	visitBuf := make([]int, n)
 	for i := range visitBuf {
 		visitBuf[i] = -1
 	}
-	var queue []roadnet.RoadID
+	var queue, reached []roadnet.RoadID
 	for _, d := range dirty {
 		touched[d] = true
-		queue = queue[:0]
-		queue = append(queue, d)
+		queue = append(queue[:0], d)
+		reached = append(reached[:0], d)
 		visitBuf[d] = 0
-		reached := []roadnet.RoadID{d}
 		for qi := 0; qi < len(queue); qi++ {
 			cur := queue[qi]
 			if visitBuf[cur] >= cfg.MaxHops {
@@ -90,17 +88,20 @@ func Rescore(g *Graph, net *roadnet.Network, db *history.DB, dirty []roadnet.Roa
 			if v == d || (dirtySet[v] && v < d) {
 				continue
 			}
-			pairs = append(pairs, ordered(d, v))
 			touched[v] = true
+			u, w := min(d, v), max(d, v)
+			if e, ok := scorePair(db, u, w, cfg); ok {
+				accepted = append(accepted, scored{u: u, e: e})
+			}
 		}
-		for _, r := range reached {
+		for _, r := range reached { // reset scratch
 			visitBuf[r] = -1
 		}
 	}
 
 	// Rebuild the touched roads' pre-prune lists: keep their clean-clean
 	// edges (unchanged by construction), drop every dirty-incident edge, and
-	// re-add the candidate pairs that still qualify under the new history.
+	// add the candidate pairs that qualify under the new history.
 	raw := make([][]Edge, n)
 	copy(raw, g.raw)
 	for u := range touched {
@@ -115,21 +116,11 @@ func Rescore(g *Graph, net *roadnet.Network, db *history.DB, dirty []roadnet.Roa
 		}
 		raw[u] = kept
 	}
-	sort.Slice(pairs, func(i, j int) bool { // deterministic scoring order
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
-	})
-	for _, p := range pairs {
-		e, ok := scorePair(db, p.a, p.b, cfg)
-		if !ok {
-			continue
-		}
-		raw[p.a] = append(raw[p.a], e)
-		back := e
-		back.To = p.a
-		raw[p.b] = append(raw[p.b], back)
+	for _, s := range accepted {
+		raw[s.u] = append(raw[s.u], s.e)
+		back := s.e
+		back.To = s.u
+		raw[s.e.To] = append(raw[s.e.To], back)
 	}
 	for u := range touched {
 		if touched[u] {

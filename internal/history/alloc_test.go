@@ -45,8 +45,8 @@ func allocated(fn func()) uint64 {
 // TestRollForwardAllocatesWhatItCreates: a roll-forward whose delta touches
 // every road must create every road's series and profile cells anew, and
 // NewBuilderFrom, Add and Finalize together allocate at most a quarter more
-// than those bytes. The rest is per-road headers, the delta's logs and
-// Dirty's sets, and one scratch log for recovering a road's base samples —
+// than those bytes. The rest is per-road headers, the delta's logs, the
+// dirty-road marks, and one scratch log for recovering a road's base samples —
 // not a recovered copy of every touched road's history.
 func TestRollForwardAllocatesWhatItCreates(t *testing.T) {
 	const numRoads = 40

@@ -144,29 +144,19 @@ func refFinalize(cal *timeslot.Calendar, numRoads int, base *DB, adds []refAdd) 
 	return db
 }
 
-// refDirty is the delta Dirty must report for a roll-forward builder.
-func refDirty(adds []refAdd) *Dirty {
-	slots := map[roadnet.RoadID]map[int32]bool{}
+// refDirty is the delta Dirty must report for a roll-forward builder: the
+// roads the adds touch, ascending.
+func refDirty(adds []refAdd) []roadnet.RoadID {
+	seen := map[roadnet.RoadID]bool{}
+	roads := []roadnet.RoadID{}
 	for _, a := range adds {
-		if slots[a.road] == nil {
-			slots[a.road] = map[int32]bool{}
+		if !seen[a.road] {
+			seen[a.road] = true
+			roads = append(roads, a.road)
 		}
-		slots[a.road][a.slot] = true
 	}
-	d := &Dirty{}
-	for road := range slots {
-		d.Roads = append(d.Roads, road)
-	}
-	sort.Slice(d.Roads, func(i, j int) bool { return d.Roads[i] < d.Roads[j] })
-	for _, road := range d.Roads {
-		var ss []int32
-		for s := range slots[road] {
-			ss = append(ss, s)
-		}
-		sort.Slice(ss, func(i, j int) bool { return ss[i] < ss[j] })
-		d.Slots = append(d.Slots, ss)
-	}
-	return d
+	sort.Slice(roads, func(i, j int) bool { return roads[i] < roads[j] })
+	return roads
 }
 
 // randomAdds draws observations over a few roads with slots repeating and
@@ -220,8 +210,8 @@ func sameDB(t *testing.T, label string, got *DB, want *refDB) {
 
 // TestFinalizeMatchesMapReference: random Add sequences, on fresh and on
 // roll-forward builders, finalise bit-identically to the map-based
-// reference, and a roll-forward builder's Dirty reports exactly the
-// (road, slot) pairs it received.
+// reference, and a roll-forward builder's Dirty reports exactly the roads
+// it received.
 func TestFinalizeMatchesMapReference(t *testing.T) {
 	c := cal(t)
 	rng := rand.New(rand.NewSource(5))

@@ -23,7 +23,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/roadnet"
@@ -320,9 +319,9 @@ func (db *DB) SlotRanks() *SlotRanks {
 // buffer it reuses road after road, so a rebuild holds no copy of the
 // history beside the base. Roads never touched are not recomputed —
 // Finalize shares their profile cells and series with the base — and the
-// set of touched (road, slot) aggregates is exposed through Dirty, so
-// downstream consumers (correlation rescoring, incremental retraining) can
-// work on the delta instead of the whole city.
+// touched roads are exposed through Dirty, so downstream consumers
+// (correlation rescoring, incremental retraining) can work on the delta
+// instead of the whole city.
 type Builder struct {
 	cal      *timeslot.Calendar
 	numRoads int
@@ -335,9 +334,9 @@ type Builder struct {
 	log [][]observation
 	// base is the DB this builder rolls forward, nil for fresh builders.
 	base *DB
-	// dirty[road] is the set of slots with new observations since base;
-	// nil entries mark clean roads. Only tracked when base != nil.
-	dirty []map[int32]struct{}
+	// dirty[road] marks a road with new observations since base. Only
+	// tracked when base != nil.
+	dirty []bool
 }
 
 // observation is one logged speed. Finalize reuses a road's log in place
@@ -378,10 +377,7 @@ func (b *Builder) Add(road roadnet.RoadID, slot int, speed float64) error {
 	b.mu.Lock()
 	b.log[road] = append(b.log[road], observation{slot: int32(slot), v: speed})
 	if b.dirty != nil {
-		if b.dirty[road] == nil {
-			b.dirty[road] = make(map[int32]struct{})
-		}
-		b.dirty[road][int32(slot)] = struct{}{}
+		b.dirty[road] = true
 	}
 	b.mu.Unlock()
 	return nil
@@ -494,47 +490,28 @@ func (b *Builder) Finalize() *DB {
 	return db
 }
 
-// Dirty describes the delta a roll-forward builder accumulated on top of
-// its base DB: the roads — and, per road, the slots — whose aggregates
-// changed since the base was finalised. A fresh builder (NewBuilder) has no
-// base to diff against and returns nil, which callers must read as "no
-// delta information", not "no changes".
+// Dirty returns the roads with new observations since the base DB,
+// ascending, or nil when the builder was not created by NewBuilderFrom: a
+// fresh builder has no base to diff against, so nil means "no delta
+// information", not "no changes". It reflects the observations added so far
+// and remains valid after Finalize.
 //
-// Dirty reflects the observations added so far; it remains valid after
-// Finalize. A changed (road, slot) aggregate invalidates the whole road's
-// profile and relative series (the road's per-class means shift, rescaling
-// every rel), which is why Roads — not individual slots — is the unit
-// downstream rescoring works in.
-type Dirty struct {
-	// Roads lists the roads with at least one changed aggregate, ascending.
-	Roads []roadnet.RoadID
-	// Slots[i] lists the changed slots of Roads[i], ascending.
-	Slots [][]int32
-}
-
-// Dirty returns the (road, slot) aggregates changed since the base DB, or
-// nil when the builder was not created by NewBuilderFrom. See type Dirty
-// for the contract.
-func (b *Builder) Dirty() *Dirty {
+// The road is the unit of the delta: one changed (road, slot) aggregate
+// shifts the road's per-class means, which rescales its whole relative
+// series, so downstream rescoring works on roads, not slots.
+func (b *Builder) Dirty() []roadnet.RoadID {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.dirty == nil {
 		return nil
 	}
-	d := &Dirty{}
-	for road, slots := range b.dirty {
-		if len(slots) == 0 {
-			continue
+	roads := []roadnet.RoadID{}
+	for road, d := range b.dirty {
+		if d {
+			roads = append(roads, roadnet.RoadID(road))
 		}
-		ss := make([]int32, 0, len(slots))
-		for s := range slots {
-			ss = append(ss, s)
-		}
-		sort.Slice(ss, func(i, j int) bool { return ss[i] < ss[j] })
-		d.Roads = append(d.Roads, roadnet.RoadID(road))
-		d.Slots = append(d.Slots, ss)
 	}
-	return d
+	return roads
 }
 
 // recoverRoad appends to dst the road's samples in db, each as one
@@ -575,13 +552,13 @@ func recoverRoad(dst []observation, db *DB, road roadnet.RoadID, arrivals []obse
 // preserved exactly; per-slot observation counts inside a slot are not, and
 // are not used by any consumer). Roads never touched are not recomputed at
 // all: Finalize shares their profile cells and series with the base DB, and
-// Dirty reports exactly the (road, slot) aggregates that changed.
+// Dirty reports exactly the roads that received observations.
 func NewBuilderFrom(db *DB) (*Builder, error) {
 	b, err := NewBuilder(db.cal, db.numRoads)
 	if err != nil {
 		return nil, err
 	}
 	b.base = db
-	b.dirty = make([]map[int32]struct{}, db.numRoads)
+	b.dirty = make([]bool, db.numRoads)
 	return b, nil
 }

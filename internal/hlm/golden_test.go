@@ -122,7 +122,7 @@ func defaultLevels(net *roadnet.Network) [][]int {
 // goldenDelta rolls the history forward with a delta that exercises every
 // builder path: repeated observations of a stored slot, duplicate new
 // slots, and new slots arriving out of order, on a few roads.
-func goldenDelta(t testing.TB, db *history.DB) (*history.DB, *history.Dirty) {
+func goldenDelta(t testing.TB, db *history.DB) (*history.DB, []roadnet.RoadID) {
 	t.Helper()
 	b, err := history.NewBuilderFrom(db)
 	if err != nil {
@@ -275,13 +275,10 @@ func dbDigest(t testing.TB, db *history.DB) string {
 	return digest(buf.String())
 }
 
-func dirtyDump(di *history.Dirty) string {
+func dirtyDump(dirty []roadnet.RoadID) string {
 	var d goldenDump
-	for i, r := range di.Roads {
+	for _, r := range dirty {
 		d.i("road", int(r))
-		for _, s := range di.Slots[i] {
-			d.i("slot", int(s))
-		}
 	}
 	return d.String()
 }
@@ -305,16 +302,16 @@ func recordGolden(t *testing.T) (trainGolden, map[string][]string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2, di := goldenDelta(t, d.DB)
-	if di == nil || len(di.Roads) == 0 {
+	db2, dirty := goldenDelta(t, d.DB)
+	if len(dirty) == 0 {
 		t.Fatal("the delta dirtied no road")
 	}
-	g2, err := corr.Rescore(g, d.Net, db2, di.Roads, corr.DefaultConfig())
+	g2, err := corr.Rescore(g, d.Net, db2, dirty, corr.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	mask := make([]bool, n)
-	for _, r := range di.Roads {
+	for _, r := range dirty {
 		mask[r] = true
 	}
 	m2, err := Retrain(m, g2, db2, mask)
@@ -356,7 +353,7 @@ func recordGolden(t *testing.T) (trainGolden, map[string][]string) {
 		RolledSamples: db2.ObservationCount(),
 		RolledDB:      dbDigest(t, db2),
 		RolledSeries:  digests("rolled_series"),
-		Dirty:         digest(dirtyDump(di)),
+		Dirty:         digest(dirtyDump(dirty)),
 		Rescored:      digests("rescored"),
 		Retrain:       digests("retrain"),
 		Specialize:    digests("specialize"),

@@ -389,7 +389,7 @@ func SpeedsOf(db *history.DB, slot int, rel []float64) []float64 {
 }
 
 // DebugSlopes returns the pooled slope of every pairwise regression; a
-// training diagnostic used by cmd/diag and tests.
+// training diagnostic that tests read.
 func (m *Model) DebugSlopes() []float64 {
 	var out []float64
 	for i := range m.roads {

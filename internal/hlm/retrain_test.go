@@ -49,10 +49,10 @@ func TestRetrainMatchesTrain(t *testing.T) {
 	}
 	db2 := b.Finalize()
 	di := b.Dirty()
-	if di == nil || len(di.Roads) != 3 {
-		t.Fatalf("dirty set = %+v, want the 3 perturbed roads", di)
+	if len(di) != 3 {
+		t.Fatalf("dirty set = %v, want the 3 perturbed roads", di)
 	}
-	g2, err := corr.Rescore(g, d.Net, db2, di.Roads, corr.DefaultConfig())
+	g2, err := corr.Rescore(g, d.Net, db2, di, corr.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRetrainMatchesTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirty := make([]bool, n)
-	for _, r := range di.Roads {
+	for _, r := range di {
 		dirty[r] = true
 	}
 	inc, err := Retrain(old, g2, db2, dirty)

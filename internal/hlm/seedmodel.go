@@ -51,6 +51,20 @@ type SeedModel struct {
 // SeedSet reports whether road s belongs to the specialised seed set.
 func (sm *SeedModel) SeedSet(s roadnet.RoadID) bool { return sm.seedSet[s] }
 
+// SpecializedTo reports whether sm was specialised to exactly the roads of
+// seeds, a set of distinct roads in any order.
+func (sm *SeedModel) SpecializedTo(seeds []roadnet.RoadID) bool {
+	if len(seeds) != len(sm.seedSet) {
+		return false
+	}
+	for _, s := range seeds {
+		if !sm.seedSet[s] {
+			return false
+		}
+	}
+	return true
+}
+
 // Coverage returns the fraction of roads with a seed-conditional regression.
 func (sm *SeedModel) Coverage() float64 {
 	n := 0

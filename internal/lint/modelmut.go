@@ -25,10 +25,10 @@ type protectedType struct {
 	constructors map[string]bool
 }
 
-// protectedTypes is the snapshot registry: the version-stamping builders
+// protectedTypes is the snapshot registry: the version-stamping builder
 // each type shares with the Store.
 var protectedTypes = []protectedType{
-	{"core", "View", map[string]bool{"build": true, "buildIncremental": true}},
+	{"core", "View", map[string]bool{"build": true}},
 }
 
 func runModelMut(p *Pass) error {

@@ -16,10 +16,11 @@ func build(version uint64) *View {
 	return v
 }
 
-// buildIncremental is the allowed delta-rebuild builder path.
+// buildIncremental is named like a builder, but only build may write a
+// View's fields: a delta rebuild is build given a predecessor.
 func buildIncremental(old *View) *View {
 	v := build(old.Version + 1)
-	v.Speeds = old.Speeds
+	v.Speeds = old.Speeds // want `write to core\.View field Speeds outside its constructor`
 	return v
 }
 
@@ -43,7 +44,7 @@ func Suppressed(v *View) {
 }
 
 // newView is named like a constructor, but the allow-list names exactly
-// build and buildIncremental.
+// build.
 func newView(v *View) {
 	v.Version = 9 // want `write to core\.View field Version outside its constructor`
 }

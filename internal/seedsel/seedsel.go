@@ -7,8 +7,8 @@
 // Each road s exerts an influence inf(s → r) ∈ [0, 1] on every road r,
 // derived from the correlation graph: the strongest correlation path from s
 // to r, where an edge with trend agreement a contributes factor 2a−1 (the
-// information an observation carries beyond chance) and paths are cut off at
-// MaxHops. The benefit of a seed set S is expected weighted coverage,
+// information an observation carries beyond chance) and paths are cut off
+// after three hops. The benefit of a seed set S is expected weighted coverage,
 //
 //	B(S) = Σ_r w_r · (1 − Π_{s∈S} (1 − inf(s → r))),
 //
@@ -38,30 +38,14 @@ import (
 	"repro/internal/roadnet"
 )
 
-// Config parameterises the influence model.
-type Config struct {
-	// MaxHops bounds influence propagation along correlation paths.
-	MaxHops int
-	// MinInfluence prunes influence entries below this threshold, bounding
+// The influence model's constants.
+const (
+	// maxHops bounds influence propagation along correlation paths.
+	maxHops = 3
+	// minInfluence prunes influence entries below this threshold, bounding
 	// memory and time.
-	MinInfluence float64
-}
-
-// DefaultConfig returns the influence model used by the experiments.
-func DefaultConfig() Config {
-	return Config{MaxHops: 3, MinInfluence: 0.02}
-}
-
-// Validate rejects unusable configurations.
-func (c *Config) Validate() error {
-	if c.MaxHops < 1 {
-		return fmt.Errorf("seedsel: MaxHops must be ≥ 1, got %d", c.MaxHops)
-	}
-	if c.MinInfluence <= 0 || c.MinInfluence >= 1 {
-		return fmt.Errorf("seedsel: MinInfluence must be in (0,1), got %v", c.MinInfluence)
-	}
-	return nil
-}
+	minInfluence = 0.02
+)
 
 // infEntry is one (target road, influence) pair in a seed's influence list.
 type infEntry struct {
@@ -79,10 +63,7 @@ type Problem struct {
 
 // NewProblem precomputes influence lists over the correlation graph.
 // weights[r] is road r's importance; len(weights) must match the graph.
-func NewProblem(g *corr.Graph, weights []float64, cfg Config) (*Problem, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func NewProblem(g *corr.Graph, weights []float64) (*Problem, error) {
 	if len(weights) != g.NumRoads() {
 		return nil, fmt.Errorf("seedsel: %d weights for %d roads", len(weights), g.NumRoads())
 	}
@@ -94,7 +75,7 @@ func NewProblem(g *corr.Graph, weights []float64, cfg Config) (*Problem, error) 
 	n := g.NumRoads()
 	p := &Problem{weights: weights, infl: make([][]infEntry, n), graph: g}
 	// Best-path influence via bounded Dijkstra on -log(influence); with ≤
-	// MaxHops hops a simple label-correcting BFS over hop layers is simpler
+	// maxHops hops a simple label-correcting BFS over hop layers is simpler
 	// and exact: best[h][r] = max over ≤h-hop paths.
 	best := make([]float64, n)
 	hops := make([]int, n)
@@ -107,15 +88,15 @@ func NewProblem(g *corr.Graph, weights []float64, cfg Config) (*Problem, error) 
 		for len(frontier) > 0 {
 			var next []roadnet.RoadID
 			for _, u := range frontier {
-				if hops[u] >= cfg.MaxHops {
+				if hops[u] >= maxHops {
 					continue
 				}
 				for _, e := range g.Neighbors(u) {
 					f := best[u] * edgeInfluence(e.Agreement)
-					if f < cfg.MinInfluence {
+					if f < minInfluence {
 						continue
 					}
-					//lint:ignore floateq exact zero marks an unvisited node; reachable influences are at least MinInfluence > 0
+					//lint:ignore floateq exact zero marks an unvisited node; reachable influences are at least minInfluence > 0
 					if best[e.To] == 0 {
 						touched = append(touched, e.To)
 						hops[e.To] = hops[u] + 1

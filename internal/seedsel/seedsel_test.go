@@ -35,7 +35,7 @@ func randomProblem(t *testing.T, seed int64, n int) *Problem {
 	for i := range weights {
 		weights[i] = 0.5 + rng.Float64()*3
 	}
-	p, err := NewProblem(g, weights, DefaultConfig())
+	p, err := NewProblem(g, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,24 +55,11 @@ func datasetProblem(t *testing.T) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProblem(g, BenefitWeights(d.Net, d.DB), DefaultConfig())
+	p, err := NewProblem(g, BenefitWeights(d.Net, d.DB))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
-}
-
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{MaxHops: 0, MinInfluence: 0.1},
-		{MaxHops: 2, MinInfluence: 0},
-		{MaxHops: 2, MinInfluence: 1},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %d accepted", i)
-		}
-	}
 }
 
 func TestNewProblemValidation(t *testing.T) {
@@ -80,13 +67,13 @@ func TestNewProblemValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewProblem(g, []float64{1}, DefaultConfig()); err == nil {
+	if _, err := NewProblem(g, []float64{1}); err == nil {
 		t.Error("weight length mismatch accepted")
 	}
-	if _, err := NewProblem(g, []float64{1, -1, 1}, DefaultConfig()); err == nil {
+	if _, err := NewProblem(g, []float64{1, -1, 1}); err == nil {
 		t.Error("negative weight accepted")
 	}
-	if _, err := NewProblem(g, []float64{1, math.NaN(), 1}, DefaultConfig()); err == nil {
+	if _, err := NewProblem(g, []float64{1, math.NaN(), 1}); err == nil {
 		t.Error("NaN weight accepted")
 	}
 }
@@ -333,13 +320,11 @@ func TestPartitionHandlesKSmallerThanParts(t *testing.T) {
 
 func TestInfluenceListsBounded(t *testing.T) {
 	p := datasetProblem(t)
-	cfg := DefaultConfig()
 	for s := 0; s < p.NumRoads(); s++ {
 		sz := p.InfluenceSize(roadnet.RoadID(s))
 		if sz < 1 {
 			t.Fatalf("road %d has empty influence list (must at least cover itself)", s)
 		}
-		_ = cfg
 	}
 }
 
@@ -437,7 +422,7 @@ func TestCostAwarePrefersCheapSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProblem(g, []float64{1, 1, 1, 1}, DefaultConfig())
+	p, err := NewProblem(g, []float64{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +452,7 @@ func TestCostAwareSingleExpensiveSeedGuard(t *testing.T) {
 	for i := range weights {
 		weights[i] = 1
 	}
-	p, err := NewProblem(g, weights, DefaultConfig())
+	p, err := NewProblem(g, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
