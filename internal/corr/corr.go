@@ -16,9 +16,12 @@ import (
 )
 
 // Edge is a directed copy of an undirected correlation edge; every edge
-// appears in both endpoints' neighbour lists.
+// appears in both endpoints' neighbour lists. It is 24 bytes: the two
+// 4-byte fields share one word ahead of the two floats.
 type Edge struct {
 	To roadnet.RoadID
+	// N is the number of co-observed slots behind the estimate.
+	N int32
 	// Agreement is the Laplace-smoothed probability that the two roads'
 	// trends are equal, in (0, 1); edges only exist with Agreement above the
 	// build threshold, so in practice > 0.5.
@@ -26,8 +29,6 @@ type Edge struct {
 	// RelCorr is the Pearson correlation of the two roads' relative speeds
 	// over co-observed slots; used to weight regression neighbours.
 	RelCorr float64
-	// N is the number of co-observed slots behind the estimate.
-	N int
 }
 
 // Config parameterises graph construction.
@@ -118,7 +119,7 @@ type EdgeSpec struct {
 	U, V      roadnet.RoadID
 	Agreement float64
 	RelCorr   float64
-	N         int
+	N         int32
 }
 
 // NewGraph builds a correlation graph from explicit edges; used by tests and
@@ -197,7 +198,9 @@ func scorePair(db *history.DB, u, v roadnet.RoadID, cfg Config) (Edge, bool) {
 	if varU > 1e-12 && varV > 1e-12 {
 		relCorr = cov / math.Sqrt(varU*varV)
 	}
-	return Edge{To: v, Agreement: agreement, RelCorr: relCorr, N: n}, true
+	// n counts slots below 2³¹, so it overflows an int32 only when both
+	// roads hold every one of them.
+	return Edge{To: v, N: int32(min(n, math.MaxInt32)), Agreement: agreement, RelCorr: relCorr}, true
 }
 
 func sortEdges(es []Edge) {
@@ -210,35 +213,42 @@ func sortEdges(es []Edge) {
 	})
 }
 
-// pruneToTopK returns fresh neighbour lists keeping an edge when either
-// endpoint ranks it within its top k by agreement, preserving symmetry. The
-// input lists (each sorted by sortEdges) are left untouched: they are the
-// graph's raw view, which Rescore replays pruning from.
+// pruneToTopK returns the pruned neighbour lists, keeping an edge when
+// either endpoint ranks it within its top k by agreement, preserving
+// symmetry. The input lists (each sorted by sortEdges) are left untouched:
+// they are the graph's raw view, which Rescore replays pruning from. A list
+// that loses no edge is shared with raw; every other is a fresh list of
+// exact capacity.
 func pruneToTopK(raw [][]Edge, k int) [][]Edge {
-	type pair struct{ a, b roadnet.RoadID }
-	keep := make(map[pair]bool)
-	key := func(a, b roadnet.RoadID) pair {
-		if a > b {
-			a, b = b, a
-		}
-		return pair{a, b}
-	}
-	for u := range raw {
-		for rank, e := range raw[u] {
-			if rank < k {
-				keep[key(roadnet.RoadID(u), e.To)] = true
+	// ranks reports whether v ranks its edge to u within its top k.
+	ranks := func(v, u roadnet.RoadID) bool {
+		for _, e := range raw[v][:min(k, len(raw[v]))] {
+			if e.To == u {
+				return true
 			}
 		}
+		return false
 	}
 	pruned := make([][]Edge, len(raw))
-	for u := range raw {
-		var kept []Edge
-		for _, e := range raw[u] {
-			if keep[key(roadnet.RoadID(u), e.To)] {
-				kept = append(kept, e)
+	for u, es := range raw {
+		id := roadnet.RoadID(u)
+		kept := min(k, len(es))
+		for _, e := range es[kept:] {
+			if ranks(e.To, id) {
+				kept++
 			}
 		}
-		pruned[u] = kept
+		if kept == len(es) {
+			pruned[u] = es
+			continue
+		}
+		list := append(make([]Edge, 0, kept), es[:k]...)
+		for _, e := range es[k:] {
+			if ranks(e.To, id) {
+				list = append(list, e)
+			}
+		}
+		pruned[u] = list
 	}
 	return pruned
 }

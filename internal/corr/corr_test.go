@@ -1,7 +1,9 @@
 package corr
 
 import (
+	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/history"
@@ -95,7 +97,7 @@ func TestGraphStructure(t *testing.T) {
 			if e.Agreement < cfg.MinAgreement {
 				t.Fatalf("edge below agreement threshold: %v", e.Agreement)
 			}
-			if e.N < cfg.MinCoObserved {
+			if int(e.N) < cfg.MinCoObserved {
 				t.Fatalf("edge below co-observation threshold: %d", e.N)
 			}
 		}
@@ -209,13 +211,7 @@ func TestAdjacentRoadsAgreeMoreThanThreshold(t *testing.T) {
 // clear the co-observation and agreement thresholds, the only ones whose
 // samples are read for the correlation sums.
 func BenchmarkCorrBuild(b *testing.B) {
-	cfg := dataset.DefaultConfig()
-	cfg.Net.BlocksX, cfg.Net.BlocksY = 6, 5
-	cfg.HistoryDays = 4
-	d, err := dataset.Build(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := goldenCity(b)
 	cc := DefaultConfig()
 	candidates := 0
 	for u := 0; u < d.Net.NumRoads(); u++ {
@@ -229,6 +225,7 @@ func BenchmarkCorrBuild(b *testing.B) {
 	b.ResetTimer()
 	var g *Graph
 	for i := 0; i < b.N; i++ {
+		var err error
 		if g, err = Build(d.Net, d.DB, cc); err != nil {
 			b.Fatal(err)
 		}
@@ -240,4 +237,62 @@ func BenchmarkCorrBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(candidates), "candidate-pairs/op")
 	b.ReportMetric(float64(scored/2), "scored-pairs/op")
+}
+
+// goldenCity builds the 6×5-block, 4-day city (162 roads) hlm's golden test
+// trains on.
+func goldenCity(tb testing.TB) *dataset.Dataset {
+	tb.Helper()
+	cfg := dataset.DefaultConfig()
+	cfg.Net.BlocksX, cfg.Net.BlocksY = 6, 5
+	cfg.HistoryDays = 4
+	d, err := dataset.Build(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// TestEdgeListsExactlySized: an Edge is 24 bytes, and on the golden city
+// every pre-prune and pruned list that Build makes, and that a Rescore of a
+// perturbed history makes, has capacity equal to its length. A road whose
+// pruning drops nothing shares its pre-prune list.
+func TestEdgeListsExactlySized(t *testing.T) {
+	t.Parallel()
+	if got := unsafe.Sizeof(Edge{}); got != 24 {
+		t.Errorf("an Edge is %d bytes, want 24", got)
+	}
+	d := goldenCity(t)
+	cfg := DefaultConfig()
+	g, err := Build(d.Net, d.DB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, dirty := perturb(t, rand.New(rand.NewSource(5)), d.DB, []int{3, 17, 29, 64, 101, 150})
+	g2, err := Rescore(g, d.Net, db, dirty, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		label string
+		g     *Graph
+	}{{"Build", g}, {"Rescore", g2}} {
+		pruned := 0
+		for r := range c.g.raw {
+			raw, es := c.g.raw[r], c.g.edges[r]
+			if cap(raw) != len(raw) || cap(es) != len(es) {
+				t.Fatalf("%s road %d: pre-prune list of %d edges has capacity %d, pruned list of %d has %d",
+					c.label, r, len(raw), cap(raw), len(es), cap(es))
+			}
+			switch {
+			case len(es) < len(raw):
+				pruned++
+			case len(es) > 0 && &es[0] != &raw[0]:
+				t.Errorf("%s road %d: pruning dropped none of its %d edges but copied the list", c.label, r, len(es))
+			}
+		}
+		if pruned == 0 {
+			t.Errorf("%s: pruning dropped no edge; the test checks no pruned list", c.label)
+		}
+	}
 }

@@ -101,20 +101,34 @@ func Rescore(g *Graph, net *roadnet.Network, db *history.DB, dirty []roadnet.Roa
 
 	// Rebuild the touched roads' pre-prune lists: keep their clean-clean
 	// edges (unchanged by construction), drop every dirty-incident edge, and
-	// add the candidate pairs that qualify under the new history.
+	// add the candidate pairs that qualify under the new history. Each list
+	// is counted first, so it is allocated once at exact capacity.
+	size := make([]int, n)
+	for _, s := range accepted {
+		size[s.u]++
+		size[s.e.To]++
+	}
+	keep := func(u int, e Edge) bool { return !dirtySet[u] && !dirtySet[e.To] }
 	raw := make([][]Edge, n)
 	copy(raw, g.raw)
 	for u := range touched {
 		if !touched[u] {
 			continue
 		}
-		var kept []Edge
 		for _, e := range g.raw[u] {
-			if !dirtySet[u] && !dirtySet[e.To] {
-				kept = append(kept, e)
+			if keep(u, e) {
+				size[u]++
 			}
 		}
-		raw[u] = kept
+		raw[u] = nil
+		if size[u] > 0 {
+			raw[u] = make([]Edge, 0, size[u])
+		}
+		for _, e := range g.raw[u] {
+			if keep(u, e) {
+				raw[u] = append(raw[u], e)
+			}
+		}
 	}
 	for _, s := range accepted {
 		raw[s.u] = append(raw[s.u], s.e)

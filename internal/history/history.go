@@ -23,7 +23,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/roadnet"
 	"repro/internal/timeslot"
@@ -309,9 +308,10 @@ func (db *DB) SlotRanks() *SlotRanks {
 	return &SlotRanks{db: db, numSlots: int(numSlots), keys: keys, held: held, first: first}
 }
 
-// Builder accumulates observations and produces a DB. Add is safe for
-// concurrent use, so a server can fold in crowd reports from many request
-// goroutines; Finalize must not run concurrently with further Adds.
+// Builder accumulates observations and produces a DB. It has one owner: it
+// takes no lock, so its methods must not run concurrently. Every caller
+// feeds it from one goroutine — a dataset build, a model rebuild folding in
+// the buffered crowd reports, a corpus generator.
 //
 // A Builder made by NewBuilderFrom is a *roll-forward* builder: it carries
 // its base DB and logs only the new observations. Finalize recovers a
@@ -326,7 +326,6 @@ type Builder struct {
 	cal      *timeslot.Calendar
 	numRoads int
 
-	mu sync.Mutex
 	// log[road] lists the road's new observations in arrival order;
 	// Finalize sorts it by slot and sums each slot's speeds in that order.
 	// nil means the road received none, which in a roll-forward builder
@@ -374,18 +373,15 @@ func (b *Builder) Add(road roadnet.RoadID, slot int, speed float64) error {
 	if !(speed > 0 && speed <= math.MaxFloat32) {
 		return fmt.Errorf("history: invalid speed %v for road %d: %w", speed, road, ErrInvalidObservation)
 	}
-	b.mu.Lock()
 	b.log[road] = append(b.log[road], observation{slot: int32(slot), v: speed})
 	if b.dirty != nil {
 		b.dirty[road] = true
 	}
-	b.mu.Unlock()
 	return nil
 }
 
 // Finalize computes profiles and relative-speed series and returns the
-// immutable DB. The Builder must not be used afterwards, and no Add may
-// still be in flight when Finalize runs.
+// immutable DB. The Builder must not be used afterwards, except for Dirty.
 //
 // A roll-forward builder recomputes only the roads that received new
 // observations; every clean road's profile cells and series are shared with
@@ -394,8 +390,6 @@ func (b *Builder) Add(road roadnet.RoadID, slot int, speed float64) error {
 // the touched roads' cells and series and a header per road — plus one
 // scratch log it recovers each touched road into in turn.
 func (b *Builder) Finalize() *DB {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	spw := b.cal.NumProfileClasses()
 	db := &DB{
 		cal:      b.cal,
@@ -500,8 +494,6 @@ func (b *Builder) Finalize() *DB {
 // shifts the road's per-class means, which rescales its whole relative
 // series, so downstream rescoring works on roads, not slots.
 func (b *Builder) Dirty() []roadnet.RoadID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.dirty == nil {
 		return nil
 	}
@@ -518,8 +510,7 @@ func (b *Builder) Dirty() []roadnet.RoadID {
 // observation at its recorded mean speed (see NewBuilderFrom for why that
 // reconstruction is sound), merged in slot order with arrivals, which must
 // be sorted by slot. A slot's recovered sample comes before its arrivals,
-// and the arrivals keep their order. The caller holds the builder lock or
-// owns the builder exclusively.
+// and the arrivals keep their order.
 func recoverRoad(dst []observation, db *DB, road roadnet.RoadID, arrivals []observation) []observation {
 	dst = slices.Grow(dst, len(db.Rels(road))+len(arrivals))
 	i := 0

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -514,53 +513,5 @@ func TestBuilderRejectsSpeedBeyondFloat32(t *testing.T) {
 	mean, ok := db.Mean(0, 1)
 	if !ok || math.IsInf(mean, 0) || math.IsNaN(mean) {
 		t.Errorf("mean %v (ok %v) after the largest accepted speed", mean, ok)
-	}
-}
-
-// TestBuilderConcurrentAdd races many goroutines into one builder (run with
-// -race) and checks the final database matches a serial build: the server's
-// ingestion path folds crowd reports in from concurrent request handlers.
-func TestBuilderConcurrentAdd(t *testing.T) {
-	c := cal(t)
-	const roads, perG, workers = 6, 200, 8
-	conc, _ := NewBuilder(c, roads)
-	serial, _ := NewBuilder(c, roads)
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				road := roadnet.RoadID((g + i) % roads)
-				slot := (g*perG + i) % 500
-				if err := conc.Add(road, slot, 5+float64(i%20)); err != nil {
-					t.Errorf("concurrent Add: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 0; g < workers; g++ {
-		for i := 0; i < perG; i++ {
-			road := roadnet.RoadID((g + i) % roads)
-			slot := (g*perG + i) % 500
-			if err := serial.Add(road, slot, 5+float64(i%20)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	got, want := conc.Finalize(), serial.Finalize()
-	if got.ObservationCount() != want.ObservationCount() {
-		t.Fatalf("observation counts differ: %d vs %d", got.ObservationCount(), want.ObservationCount())
-	}
-	for r := 0; r < roads; r++ {
-		for slot := 0; slot < 500; slot += 11 {
-			mg, okG := got.Mean(roadnet.RoadID(r), slot)
-			mw, okW := want.Mean(roadnet.RoadID(r), slot)
-			if okG != okW || math.Abs(mg-mw) > 1e-9 {
-				t.Fatalf("road %d slot %d: mean %v/%v vs %v/%v", r, slot, mg, okG, mw, okW)
-			}
-		}
 	}
 }

@@ -11,12 +11,12 @@ import (
 // refFitTrend is fitTrend as it was before the branch-free partition, kept
 // as the reference: it copies each row into the up or the down buffer with
 // a branch, then fits every class with linalg.RidgeFit.
-func refFitTrend(x []float64, p int, y []float64, minSamples int, lambda float64) (pm pairModel, ok bool) {
+func refFitTrend(x []float64, p int, y []float64, minSamples int, lambda float64) (pm trio[*linalg.RidgeModel], ok bool) {
 	if len(y) < minSamples {
-		return pairModel{}, false
+		return pm, false
 	}
 	if pm.pooled = refFit(x, p, y, lambda); pm.pooled == nil {
-		return pairModel{}, false
+		return trio[*linalg.RidgeModel]{}, false
 	}
 	var upX, upY, downX, downY []float64
 	for i, v := range y {
@@ -66,7 +66,10 @@ func sameRidge(a, b *linalg.RidgeModel) bool {
 // regressions bit for bit, for one feature and for three, over random
 // designs that include all-up and all-down rows, a class below
 // minSamples/2, constant x, rows exactly at y = 1, and rows holding +Inf or
-// NaN. One fitBuf serves every trial, so stale buffer contents are covered.
+// NaN. With one feature it is checked both as the generic model fits it,
+// into Lines held by value whose N = 0 marks an absent class, and as the
+// seed model fits it, through linalg.RidgeFit. One fitBuf serves every
+// trial, so stale buffer contents are covered.
 func TestFitTrendMatchesCopyThenRidgeFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var b fitBuf
@@ -127,17 +130,32 @@ func TestFitTrendMatchesCopyThenRidgeFit(t *testing.T) {
 		}
 		lambda := lambdas[rng.Intn(len(lambdas))]
 
-		got, gotOK := b.fitTrend(x, p, y, minSamples, lambda)
 		want, wantOK := refFitTrend(x, p, y, minSamples, lambda)
-		if gotOK != wantOK || !sameRidge(got.pooled, want.pooled) || !sameRidge(got.up, want.up) || !sameRidge(got.down, want.down) {
+		got, gotOK := fitTrend(&b, x, p, y, minSamples, lambda, linalg.RidgeFit)
+		if gotOK != wantOK || !sameTrio(&got, &want) {
 			t.Fatalf("trial %d (mode %d, p=%d, n=%d, minSamples=%d, lambda=%v): ok %v, reference %v\ngot  %s\nwant %s",
-				trial, mode, p, n, minSamples, lambda, gotOK, wantOK, pairString(&got), pairString(&want))
+				trial, mode, p, n, minSamples, lambda, gotOK, wantOK, trioString(&got), trioString(&want))
+		}
+		if p != 1 {
+			continue
+		}
+		line, lineOK := fitTrend(&b, x, p, y, minSamples, lambda, fitLine)
+		lineRegs := trio[*linalg.RidgeModel]{up: lineModel(line.up), down: lineModel(line.down), pooled: lineModel(line.pooled)}
+		if lineOK != wantOK || !sameTrio(&lineRegs, &want) || (!lineOK && line != trio[linalg.Line]{}) {
+			t.Fatalf("trial %d (mode %d, n=%d, minSamples=%d, lambda=%v): Lines ok %v, reference %v\ngot  %s\nwant %s",
+				trial, mode, n, minSamples, lambda, lineOK, wantOK, trioString(&lineRegs), trioString(&want))
 		}
 	}
 }
 
-func pairString(pm *pairModel) string {
+func sameTrio(a, b *trio[*linalg.RidgeModel]) bool {
+	return sameRidge(a.pooled, b.pooled) && sameRidge(a.up, b.up) && sameRidge(a.down, b.down)
+}
+
+func trioString(pm *trio[*linalg.RidgeModel]) string {
 	var d goldenDump
-	d.pair("", pm)
+	d.reg("up", pm.up)
+	d.reg("down", pm.down)
+	d.reg("pooled", pm.pooled)
 	return d.String()
 }

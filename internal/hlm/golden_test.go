@@ -178,14 +178,26 @@ func (d *goldenDump) reg(label string, m *linalg.RidgeModel) {
 	d.i(label+" n", m.N)
 }
 
-func (d *goldenDump) pair(label string, pm *pairModel) {
-	if pm == nil {
+// pair dumps a one-feature trio in the recorded format: each Line as the
+// one-feature RidgeModel it equals, and an unfitted trio or class (N = 0)
+// as nil, so digests recorded from RidgeModels still hold.
+func (d *goldenDump) pair(label string, pm *trio[linalg.Line]) {
+	if !pm.fitted() {
 		d.i(label+" nil", 1)
 		return
 	}
-	d.reg(label+" up", pm.up)
-	d.reg(label+" down", pm.down)
-	d.reg(label+" pooled", pm.pooled)
+	d.reg(label+" up", lineModel(pm.up))
+	d.reg(label+" down", lineModel(pm.down))
+	d.reg(label+" pooled", lineModel(pm.pooled))
+}
+
+// lineModel returns the one-feature RidgeModel equal to l, or nil for the
+// zero Line.
+func lineModel(l linalg.Line) *linalg.RidgeModel {
+	if l.N == 0 {
+		return nil
+	}
+	return &linalg.RidgeModel{Intercept: l.Intercept, Coef: []float64{l.Slope}, RMSE: l.RMSE, N: l.N}
 }
 
 func digest(s string) string {
@@ -228,7 +240,7 @@ func graphDumps(g *corr.Graph) []string {
 			d.i(fmt.Sprintf("edge%d to", k), int(e.To))
 			d.f(fmt.Sprintf("edge%d agreement", k), e.Agreement)
 			d.f(fmt.Sprintf("edge%d relcorr", k), e.RelCorr)
-			d.i(fmt.Sprintf("edge%d n", k), e.N)
+			d.i(fmt.Sprintf("edge%d n", k), int(e.N))
 		}
 	})
 }
@@ -247,8 +259,8 @@ func modelDumps(m *Model) []string {
 			d.pair(fmt.Sprintf("pair%d", k), &rm.pairs[k])
 		}
 		d.i("levels", len(rm.levelPairs))
-		for l, pm := range rm.levelPairs {
-			d.pair(fmt.Sprintf("level%d", l), pm)
+		for l := range rm.levelPairs {
+			d.pair(fmt.Sprintf("level%d", l), &rm.levelPairs[l])
 		}
 	})
 }

@@ -62,11 +62,20 @@ type Config struct {
 	Levels [][]int
 }
 
-// pairModel holds a road's trend-conditioned regressions: pooled over every
-// training row, and up and down over the rows of each trend.
-type pairModel struct {
-	up, down *linalg.RidgeModel // may be nil when one trend class is scarce
-	pooled   *linalg.RidgeModel // never nil in a fitted pair
+// trio holds one predictor's trend-conditioned regressions: pooled over
+// every training row, and up and down over the rows of each trend. The
+// generic model's pairwise and level predictors have one feature and are
+// stored inline as trio[linalg.Line], 96 bytes without a pointer; the
+// seed-conditional regressions, of up to maxSeedFeatures features, are
+// trio[*linalg.RidgeModel]. The zero M — a Line with N = 0, a nil model —
+// marks a trend class too scarce to fit, and a fitted trio's pooled
+// regression is never zero.
+type trio[M comparable] struct{ up, down, pooled M }
+
+// fitted reports whether the trio holds a pooled regression.
+func (t *trio[M]) fitted() bool {
+	var zero M
+	return t.pooled != zero
 }
 
 // mix evaluates the regressions through eval, which returns one
@@ -75,12 +84,12 @@ type pairModel struct {
 // regressions, each falling back to pooled, are blended by the road's
 // marginal: committing to the likelier trend would amplify step-1 mistakes.
 // ok is false when no regression evaluates.
-func (pm *pairModel) mix(req *Request, r roadnet.RoadID, eval func(*linalg.RidgeModel) (pred, weight float64, ok bool)) (pred, weight float64, ok bool) {
+func (t *trio[M]) mix(req *Request, r roadnet.RoadID, eval func(M) (pred, weight float64, ok bool)) (pred, weight float64, ok bool) {
 	if req.PUp == nil {
-		return eval(pm.pooled)
+		return eval(t.pooled)
 	}
-	upPred, upW, upOK := eval(cmp.Or(pm.up, pm.pooled))
-	downPred, downW, downOK := eval(cmp.Or(pm.down, pm.pooled))
+	upPred, upW, upOK := eval(cmp.Or(t.up, t.pooled))
+	downPred, downW, downOK := eval(cmp.Or(t.down, t.pooled))
 	switch {
 	case upOK && downOK:
 		p := req.PUp[r]
@@ -94,26 +103,26 @@ func (pm *pairModel) mix(req *Request, r roadnet.RoadID, eval func(*linalg.Ridge
 	}
 }
 
-// predict evaluates a one-feature pair at x for road r of req, with its
-// combination weight: inverse residual variance.
-func (pm *pairModel) predict(req *Request, r roadnet.RoadID, x float64) (pred, weight float64, ok bool) {
-	return pm.mix(req, r, func(reg *linalg.RidgeModel) (float64, float64, bool) {
-		v, err := reg.Predict1(x)
-		if err != nil {
-			return 0, 0, false
-		}
-		return v, 1 / (reg.RMSE*reg.RMSE + 1e-4), true
+// predictPair evaluates a fitted one-feature trio at x for road r of req,
+// with its combination weight: inverse residual variance.
+func predictPair(pm *trio[linalg.Line], req *Request, r roadnet.RoadID, x float64) (pred, weight float64) {
+	pred, weight, _ = pm.mix(req, r, func(l linalg.Line) (float64, float64, bool) {
+		return l.At(x), 1 / (l.RMSE*l.RMSE + 1e-4), true
 	})
+	return pred, weight
 }
 
 // blend mixes a road's up and down predictions by its trend marginal p. At
 // p = 1 it returns up exactly and at p = 0 down exactly.
 func blend(p, up, down float64) float64 { return p*up + (1-p)*down }
 
-// roadModel holds one road's trained estimators.
+// roadModel holds one road's trained estimators. Its slices are exactly
+// sized, and the regression slices hold no pointer, so the garbage collector
+// never scans them.
 type roadModel struct {
+	// pairs[i] regresses the road's rel on the rel of neighbors[i].
 	neighbors []roadnet.RoadID
-	pairs     []pairModel
+	pairs     []trio[linalg.Line]
 	// expRelUp/expRelDown are the road's mean historical rel conditioned on
 	// its own trend, with varUp/varDown the matching variances; together the
 	// regression-free prior predictor.
@@ -123,8 +132,8 @@ type roadModel struct {
 	// pre-passes.
 	expRelAll, varAll float64
 	// levelPairs[l] predicts the road's rel from its level-l group's mean
-	// deviation; nil entries mark insufficient data.
-	levelPairs []*pairModel
+	// deviation; an unfitted trio marks insufficient data.
+	levelPairs []trio[linalg.Line]
 }
 
 // Model is the trained hierarchical linear model.
@@ -136,18 +145,6 @@ type Model struct {
 
 // NumRoads returns the number of roads covered.
 func (m *Model) NumRoads() int { return len(m.roads) }
-
-// RegressionCoverage returns the fraction of roads with at least one usable
-// pairwise regression; a training-quality diagnostic.
-func (m *Model) RegressionCoverage() float64 {
-	n := 0
-	for i := range m.roads {
-		if len(m.roads[i].pairs) > 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(m.roads))
-}
 
 // Train fits the model from history over the correlation graph.
 func Train(graph *corr.Graph, db *history.DB, cfg Config) (*Model, error) {
@@ -316,28 +313,23 @@ func (m *Model) predictRoad(r roadnet.RoadID, req *Request, rel []float64, known
 		default:
 			continue
 		}
-		pred, w, ok := rm.pairs[i].predict(req, r, x)
-		if !ok {
-			continue
-		}
+		pred, w := predictPair(&rm.pairs[i], req, r, x)
 		acc += w * pred
 		wsum += w
 	}
 
 	// Pooled predictors: one per level, fed the mean deviation of the
 	// road's group-mates among the seeds.
-	for l, pm := range rm.levelPairs {
-		if pm == nil || groupDev == nil {
+	for l := range rm.levelPairs {
+		pm := &rm.levelPairs[l]
+		if !pm.fitted() || groupDev == nil {
 			continue
 		}
-		x, okDev := groupDev[l][m.levels[l][r]]
-		if !okDev {
-			continue
-		}
-		pred, w, ok := pm.predict(req, r, x)
+		x, ok := groupDev[l][m.levels[l][r]]
 		if !ok {
 			continue
 		}
+		pred, w := predictPair(pm, req, r, x)
 		acc += w * pred
 		wsum += w
 	}
@@ -383,20 +375,6 @@ func SpeedsOf(db *history.DB, slot int, rel []float64) []float64 {
 	for r := range rel {
 		if mean, ok := db.Mean(roadnet.RoadID(r), slot); ok {
 			out[r] = rel[r] * mean
-		}
-	}
-	return out
-}
-
-// DebugSlopes returns the pooled slope of every pairwise regression; a
-// training diagnostic that tests read.
-func (m *Model) DebugSlopes() []float64 {
-	var out []float64
-	for i := range m.roads {
-		for _, p := range m.roads[i].pairs {
-			if p.pooled != nil && len(p.pooled.Coef) == 1 {
-				out = append(out, p.pooled.Coef[0])
-			}
 		}
 	}
 	return out

@@ -79,12 +79,32 @@ func TestTrainProducesRegressions(t *testing.T) {
 	if m.NumRoads() != d.Net.NumRoads() {
 		t.Fatalf("model covers %d roads", m.NumRoads())
 	}
-	if cov := m.RegressionCoverage(); cov < 0.5 {
+	if cov := regressionCoverage(m); cov < 0.5 {
 		t.Errorf("regression coverage %v too low; training data should support most roads", cov)
 	}
-	if slopes := m.DebugSlopes(); len(slopes) == 0 {
+	slopes := 0
+	for i := range m.roads {
+		for _, pm := range m.roads[i].pairs {
+			if pm.pooled.N > 0 {
+				slopes++
+			}
+		}
+	}
+	if slopes == 0 {
 		t.Error("no pairwise slopes trained")
 	}
+}
+
+// regressionCoverage returns the fraction of m's roads with at least one
+// pairwise regression.
+func regressionCoverage(m *Model) float64 {
+	n := 0
+	for i := range m.roads {
+		if len(m.roads[i].pairs) > 0 {
+			n++
+		}
+	}
+	return float64(n) / float64(len(m.roads))
 }
 
 func TestEstimateValidatesInputs(t *testing.T) {
@@ -228,7 +248,7 @@ func TestHierarchyPropagatesSeedInformation(t *testing.T) {
 		for _, e := range g.Neighbors(rid) {
 			nb := &m.roads[e.To]
 			for i, feat := range nb.neighbors {
-				if feat == rid && nb.pairs[i].pooled != nil {
+				if feat == rid && nb.pairs[i].fitted() {
 					seed = rid
 				}
 			}

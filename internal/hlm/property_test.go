@@ -105,8 +105,8 @@ func TestTrainOnEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.RegressionCoverage() != 0 {
-		t.Errorf("coverage %v on an empty graph", m.RegressionCoverage())
+	if cov := regressionCoverage(m); cov != 0 {
+		t.Errorf("coverage %v on an empty graph", cov)
 	}
 	rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{0: 1.4}, PUp: make([]float64, m.NumRoads())})
 	if err != nil {

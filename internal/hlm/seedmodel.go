@@ -27,12 +27,12 @@ const (
 	minSeedCorr = 0.15
 )
 
-// seedRoadModel is one road's seed-conditional regressions: a pairModel
-// whose regressions take one feature per seed in feats.
+// seedRoadModel is one road's seed-conditional regressions: a trio whose
+// regressions take one feature per seed in feats.
 type seedRoadModel struct {
 	feats  []roadnet.RoadID // seed roads used as features
 	impute []float64        // fallback feature value per seed (its mean rel)
-	pairModel
+	trio[*linalg.RidgeModel]
 }
 
 // SeedModel is a Model specialised to a fixed seed set: every road that has
@@ -177,7 +177,7 @@ func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, see
 		}
 		buf.x, buf.y = alignedSeedRows(db, r, srm.feats, buf.x[:0], buf.y[:0])
 		var ok bool
-		if srm.pairModel, ok = buf.fitTrend(buf.x, k, buf.y, minSeedSamples, lambda); ok {
+		if srm.trio, ok = fitTrend(buf, buf.x, k, buf.y, minSeedSamples, lambda, linalg.RidgeFit); ok {
 			return srm
 		}
 	}

@@ -97,36 +97,39 @@ func (t *trainer) road(graph *corr.Graph, db *history.DB, r roadnet.RoadID) road
 		rm.varDown = math.Max(downSq/float64(downN)-rm.expRelDown*rm.expRelDown, 1e-4)
 	}
 
-	// Pairwise regressions against the strongest-agreeing neighbours.
+	// Pairwise regressions against the strongest-agreeing neighbours,
+	// fitted on the stack and then copied into exactly sized slices.
+	var neighbors [maxNeighbors]roadnet.RoadID
+	var pairs [maxNeighbors]trio[linalg.Line]
+	k := 0
 	candidates := graph.Neighbors(r)
-	k := min(maxNeighbors, len(candidates))
-	if k > 0 {
-		rm.neighbors = make([]roadnet.RoadID, 0, k)
-		rm.pairs = make([]pairModel, 0, k)
-	}
-	for _, e := range candidates[:k] {
+	for _, e := range candidates[:min(maxNeighbors, len(candidates))] {
 		x, y := t.x[:0], t.y[:0]
 		db.CoObserved(r, e.To, func(_ int32, relR, relNb float32) {
 			x = append(x, float64(relNb))
 			y = append(y, float64(relR))
 		})
 		t.x, t.y = x, y
-		pm, ok := t.fitTrend(x, 1, y, minSamples, lambda)
+		pm, ok := fitTrend(&t.fitBuf, x, 1, y, minSamples, lambda, fitLine)
 		if !ok {
 			continue
 		}
-		rm.neighbors = append(rm.neighbors, e.To)
-		rm.pairs = append(rm.pairs, pm)
+		neighbors[k], pairs[k] = e.To, pm
+		k++
 	}
-	rm.levelPairs = make([]*pairModel, t.numLevels)
+	if k > 0 {
+		rm.neighbors = append(make([]roadnet.RoadID, 0, k), neighbors[:k]...)
+		rm.pairs = append(make([]trio[linalg.Line], 0, k), pairs[:k]...)
+	}
+	rm.levelPairs = make([]trio[linalg.Line], t.numLevels)
 	return rm
 }
 
 // levelPair fits road r's level-l group predictor: its rel from the mean
 // deviation of the other observed roads in its group, per slot. t.rank must
 // hold r's slot ranks. Slots where fewer than three other group members were
-// observed are skipped.
-func (t *trainer) levelPair(db *history.DB, lt *levelTable, l int, r roadnet.RoadID) *pairModel {
+// observed are skipped; the trio is unfitted when too few slots remain.
+func (t *trainer) levelPair(db *history.DB, lt *levelTable, l int, r roadnet.RoadID) trio[linalg.Line] {
 	base := lt.base(l, r)
 	x, y := t.x[:0], t.y[:0]
 	for k, rel := range db.Rels(r) {
@@ -140,11 +143,8 @@ func (t *trainer) levelPair(db *history.DB, lt *levelTable, l int, r roadnet.Roa
 		y = append(y, float64(rel))
 	}
 	t.x, t.y = x, y
-	pm, ok := t.fitTrend(x, 1, y, minSamples, lambda)
-	if !ok {
-		return nil
-	}
-	return &pm
+	pm, _ := fitTrend(&t.fitBuf, x, 1, y, minSamples, lambda, fitLine)
+	return pm
 }
 
 // fitBuf holds the reusable design and response buffers of one training
@@ -155,39 +155,43 @@ type fitBuf struct {
 }
 
 // fitTrend fits the trend-conditioned regressions of y on the row-major n×p
-// design x: pooled over every row, and up (y ≥ 1) and down (y < 1) over the
-// matching rows when each class holds at least minSamples/2 of them. ok is
-// false when fewer than minSamples rows exist or the pooled fit fails.
-func (b *fitBuf) fitTrend(x []float64, p int, y []float64, minSamples int, lambda float64) (pm pairModel, ok bool) {
+// design x with fit: pooled over every row, and up (y ≥ 1) and down (y < 1)
+// over the matching rows when each class holds at least minSamples/2 of
+// them; a class that is scarcer or fails to fit is left zero. ok is false,
+// and the trio zero, when fewer than minSamples rows exist or the pooled fit
+// fails. fit is linalg.RidgeFit or, for one feature stored by value,
+// fitLine.
+func fitTrend[M comparable](b *fitBuf, x []float64, p int, y []float64, minSamples int, lambda float64,
+	fit func(x []float64, p int, y []float64, lambda float64) (M, error)) (pm trio[M], ok bool) {
 	n := len(y)
 	if n < minSamples {
-		return pairModel{}, false
+		return pm, false
 	}
-	// One feature, which covers every fit Train and Retrain make, fits the
-	// three models into one allocation.
-	var pooled, up, down *linalg.Ridge1
-	if p == 1 {
-		fits := new(trendFits)
-		pooled, up, down = &fits.pooled, &fits.up, &fits.down
-	}
-	if pm.pooled = fitOrNil(pooled, x, p, y, lambda); pm.pooled == nil {
-		return pairModel{}, false
+	var err error
+	if pm.pooled, err = fit(x, p, y, lambda); err != nil {
+		return trio[M]{}, false
 	}
 	b.upX, b.downX = resize(b.upX, n*p), resize(b.downX, n*p)
 	b.upY, b.downY = resize(b.upY, n), resize(b.downY, n)
 	nUp := partition(x, p, y, b.upX, b.upY, b.downX, b.downY)
 	if nUp >= minSamples/2 {
-		pm.up = fitOrNil(up, b.upX[:nUp*p], p, b.upY[:nUp], lambda)
+		if m, err := fit(b.upX[:nUp*p], p, b.upY[:nUp], lambda); err == nil {
+			pm.up = m
+		}
 	}
 	if n-nUp >= minSamples/2 {
-		pm.down = fitOrNil(down, b.downX[:(n-nUp)*p], p, b.downY[:n-nUp], lambda)
+		if m, err := fit(b.downX[:(n-nUp)*p], p, b.downY[:n-nUp], lambda); err == nil {
+			pm.down = m
+		}
 	}
 	return pm, true
 }
 
-// trendFits holds one pair's three one-feature regressions in a single
-// allocation.
-type trendFits struct{ pooled, up, down linalg.Ridge1 }
+// fitLine is linalg.RidgeLine in linalg.RidgeFit's signature, for fitTrend;
+// p is always 1.
+func fitLine(x []float64, _ int, y []float64, lambda float64) (linalg.Line, error) {
+	return linalg.RidgeLine(x, y, lambda)
+}
 
 // partition writes the rows with y ≥ 1 to the front of upX and upY and the
 // others to the front of downX and downY, and returns the number of up rows.
@@ -231,22 +235,6 @@ func b2i(b bool) int {
 
 // resize returns buf with length n, reallocating only when it is too short.
 func resize(buf []float64, n int) []float64 { return slices.Grow(buf[:0], n)[:n] }
-
-// fitOrNil fits y on the n×p design x, into r when r is not nil (one
-// feature), and returns nil when the fit fails.
-func fitOrNil(r *linalg.Ridge1, x []float64, p int, y []float64, lambda float64) *linalg.RidgeModel {
-	var m *linalg.RidgeModel
-	var err error
-	if r != nil {
-		m, err = r.Fit(x, y, lambda)
-	} else {
-		m, err = linalg.RidgeFit(x, p, y, lambda)
-	}
-	if err != nil {
-		return nil
-	}
-	return m
-}
 
 // levelTable aggregates every pooling level: the sum and count of observed
 // rel deviations per (level, group, slot). A level's groups are its distinct

