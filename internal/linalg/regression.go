@@ -154,19 +154,94 @@ type Line struct {
 // At evaluates the line at x.
 func (l Line) At(x float64) float64 { return l.Intercept + l.Slope*x }
 
-// RidgeLine is RidgeFit(x, 1, y, lambda) as a value: the same numbers, bit
-// for bit, and the same errors.
-func RidgeLine(x, y []float64, lambda float64) (Line, error) {
-	if err := checkFit(x, 1, y, lambda); err != nil {
-		return Line{}, err
-	}
-	return ridgeLine(x, y, lambda)
+// LineSums gathers the rows of a one-feature ridge fit in one pass and holds
+// no row: the count and the sums of x, y, x², xy and y², each row taken as
+// its offset from the first row added. Its Line is RidgeFit(x, 1, y, λ)
+// over the same rows, solved in closed form and equal to within rounding.
+// The shift keeps the centred sums clear of the cancellation that
+// Σx² − (Σx)²/n suffers on data far from zero. The zero LineSums holds no
+// row; it carries no pointer.
+type LineSums struct {
+	n             int
+	x0, y0        float64 // the shift: the first row
+	sx, sy        float64
+	sxx, sxy, syy float64
 }
 
-// ridgeLine is ridgeFit for p = 1 — every pairwise and pooled regression the
-// HLM trains — without the matrix and vector scaffolding. It performs the
-// general path's floating-point operations in the general path's order, so
-// both return bit-identical models: the means sum x and y in one loop but
+// Add adds the row (x, y).
+func (s *LineSums) Add(x, y float64) {
+	if s.n == 0 {
+		s.x0, s.y0 = x, y
+	}
+	x -= s.x0
+	y -= s.y0
+	s.n++
+	s.sx += x
+	s.sy += y
+	s.sxx += x * x
+	s.sxy += x * y
+	s.syy += y * y
+}
+
+// N returns the number of rows added.
+func (s *LineSums) N() int { return s.n }
+
+// Merge adds o's rows to s. o's sums are moved to s's shift first: each of
+// its offsets grows by the difference of the two shifts.
+func (s *LineSums) Merge(o *LineSums) {
+	switch {
+	case o.n == 0:
+		return
+	case s.n == 0:
+		*s = *o
+		return
+	}
+	dx, dy, fn := o.x0-s.x0, o.y0-s.y0, float64(o.n)
+	s.sxx += o.sxx + dx*(2*o.sx+fn*dx)
+	s.sxy += o.sxy + dx*o.sy + dy*o.sx + fn*dx*dy
+	s.syy += o.syy + dy*(2*o.sy+fn*dy)
+	s.sx += o.sx + fn*dx
+	s.sy += o.sy + fn*dy
+	s.n += o.n
+}
+
+// Line solves the ridge line of the rows added, with penalty lambda on the
+// slope: w = Sxy / (Sxx + λ + 1e-9) over the centred sums, the jitter being
+// RidgeFit's. It fails where RidgeFit does: on no row, on a negative
+// penalty, and, as the solve does, when a non-finite x leaves Sxx NaN. A
+// non-finite y gives a Line whose RMSE is NaN, as it gives RidgeFit's.
+func (s *LineSums) Line(lambda float64) (Line, error) {
+	if s.n == 0 {
+		return Line{}, ErrNoSamples
+	}
+	if lambda < 0 {
+		return Line{}, fmt.Errorf("linalg: negative ridge penalty %v", lambda)
+	}
+	fn := float64(s.n)
+	mx, my := s.sx/fn, s.sy/fn // the means' offsets from the shift
+	// A centred sum of squares is never negative; rounding may leave it a
+	// hair below zero. max keeps a NaN.
+	sxx := max(s.sxx-s.sx*mx, 0)
+	syy := max(s.syy-s.sy*my, 0)
+	sxy := s.sxy - s.sx*my
+	d := sxx + lambda + 1e-9 // positive unless NaN
+	if math.IsNaN(d) {
+		return Line{}, fmt.Errorf("linalg: ridge solve failed: %w", ErrNotPositiveDefinite)
+	}
+	w := sxy / d
+	return Line{
+		Intercept: (s.y0 + my) - w*(s.x0+mx),
+		Slope:     w,
+		// The residuals' sum of squares, Σ(yc − w·xc)², from the sums.
+		RMSE: rmseOf(syy-w*(2*sxy-w*sxx), s.n),
+		N:    s.n,
+	}, nil
+}
+
+// ridgeLine is ridgeFit for p = 1 without the matrix and vector
+// scaffolding. It performs the general path's floating-point operations in
+// the general path's order, so both return bit-identical models: the means
+// sum x and y in one loop but
 // each in its own accumulator, the 1×1 Cholesky solve divides by
 // √(Sxx+λ+1e-9) twice rather than once by Sxx+λ+1e-9, and every Dot starts
 // from a zero accumulator.

@@ -114,9 +114,6 @@ func (m *Model) NumRoads() int { return len(m.prior) }
 // Graph returns the underlying correlation graph.
 func (m *Model) Graph() *corr.Graph { return m.graph }
 
-// Prior returns the clipped up-trend prior of a road.
-func (m *Model) Prior(id roadnet.RoadID) float64 { return m.prior[id] }
-
 // Result holds inferred trend marginals.
 type Result struct {
 	// PUp[r] is the posterior probability that road r's trend is up.

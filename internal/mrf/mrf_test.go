@@ -94,7 +94,7 @@ func TestNewModelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Prior(0) <= 0 || m.Prior(1) >= 1 {
+	if m.prior[0] <= 0 || m.prior[1] >= 1 {
 		t.Error("priors not clipped into the open interval")
 	}
 }

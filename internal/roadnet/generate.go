@@ -2,7 +2,6 @@ package roadnet
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/geo"
@@ -260,40 +259,4 @@ func checkConnected(n *Network) error {
 		}
 	}
 	return nil
-}
-
-// ClassCounts returns the number of segments of each class; useful for the
-// dataset-statistics table.
-func ClassCounts(n *Network) map[RoadClass]int {
-	counts := make(map[RoadClass]int, int(numClasses))
-	for i := range n.roads {
-		counts[n.roads[i].Class]++
-	}
-	return counts
-}
-
-// MeanSegmentLength returns the average segment length in metres.
-func MeanSegmentLength(n *Network) float64 {
-	if n.NumRoads() == 0 {
-		return 0
-	}
-	return n.TotalLength() / float64(n.NumRoads())
-}
-
-// Degrees returns the min, mean and max road-level adjacency degree.
-func Degrees(n *Network) (min int, mean float64, max int) {
-	min = math.MaxInt32
-	var sum int
-	for i := range n.roads {
-		d := len(n.adj[i])
-		sum += d
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	mean = float64(sum) / float64(len(n.roads))
-	return min, mean, max
 }

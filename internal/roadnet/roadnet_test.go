@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/geo"
@@ -126,7 +127,7 @@ func TestGenerateDefault(t *testing.T) {
 	if n.NumRoads() < 500 {
 		t.Errorf("default city has only %d roads", n.NumRoads())
 	}
-	counts := ClassCounts(n)
+	counts := classCounts(n)
 	for _, class := range []RoadClass{Highway, Arterial, Collector, Local} {
 		if counts[class] == 0 {
 			t.Errorf("no %v roads generated", class)
@@ -209,12 +210,12 @@ func TestGenerateCityConfigsScale(t *testing.T) {
 
 func TestStatsHelpers(t *testing.T) {
 	n := tinyNetwork(t)
-	if MeanSegmentLength(n) <= 0 {
-		t.Error("MeanSegmentLength should be positive")
+	if meanSegmentLength(n) <= 0 {
+		t.Error("mean segment length should be positive")
 	}
-	min, mean, max := Degrees(n)
+	min, mean, max := degrees(n)
 	if min <= 0 || max < min || mean < float64(min) || mean > float64(max) {
-		t.Errorf("Degrees = %d/%v/%d", min, mean, max)
+		t.Errorf("degrees = %d/%v/%d", min, mean, max)
 	}
 	if n.TotalLength() <= 0 {
 		t.Error("TotalLength should be positive")
@@ -310,4 +311,39 @@ func TestJSONPreservesShapedGeometry(t *testing.T) {
 	if back.Road(0).Length() != n.Road(0).Length() {
 		t.Error("shaped length changed")
 	}
+}
+
+// classCounts returns the number of segments of each class.
+func classCounts(n *Network) map[RoadClass]int {
+	counts := make(map[RoadClass]int, int(numClasses))
+	for i := range n.roads {
+		counts[n.roads[i].Class]++
+	}
+	return counts
+}
+
+// meanSegmentLength returns the average segment length in metres.
+func meanSegmentLength(n *Network) float64 {
+	if n.NumRoads() == 0 {
+		return 0
+	}
+	return n.TotalLength() / float64(n.NumRoads())
+}
+
+// degrees returns the min, mean and max road-level adjacency degree.
+func degrees(n *Network) (min int, mean float64, max int) {
+	min = math.MaxInt32
+	var sum int
+	for i := range n.roads {
+		d := len(n.adj[i])
+		sum += d
+		if d < min {
+			min = d
+		}
+		if d > max {
+			max = d
+		}
+	}
+	mean = float64(sum) / float64(len(n.roads))
+	return min, mean, max
 }

@@ -661,12 +661,3 @@ func (ca CostAware) Select(p *Problem, k int) ([]roadnet.RoadID, error) {
 	}
 	return seeds, nil
 }
-
-// UniformCosts returns a cost table charging every road the same price.
-func UniformCosts(n int, price float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = price
-	}
-	return out
-}

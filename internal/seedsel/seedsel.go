@@ -140,9 +140,6 @@ func (p *Problem) NumRoads() int { return len(p.weights) }
 // Weights returns the road weights; callers must not modify the slice.
 func (p *Problem) Weights() []float64 { return p.weights }
 
-// InfluenceSize returns the length of road s's influence list (diagnostics).
-func (p *Problem) InfluenceSize(s roadnet.RoadID) int { return len(p.infl[s]) }
-
 // Benefit evaluates B(S) exactly.
 func (p *Problem) Benefit(seeds []roadnet.RoadID) float64 {
 	uncovered := p.newUncovered()

@@ -321,7 +321,7 @@ func TestPartitionHandlesKSmallerThanParts(t *testing.T) {
 func TestInfluenceListsBounded(t *testing.T) {
 	p := datasetProblem(t)
 	for s := 0; s < p.NumRoads(); s++ {
-		sz := p.InfluenceSize(roadnet.RoadID(s))
+		sz := len(p.infl[s])
 		if sz < 1 {
 			t.Fatalf("road %d has empty influence list (must at least cover itself)", s)
 		}
@@ -350,18 +350,18 @@ func TestNaiveGreedyMatchesGreedy(t *testing.T) {
 
 func TestCostAwareValidation(t *testing.T) {
 	p := randomProblem(t, 13, 12)
-	if _, err := (CostAware{Costs: UniformCosts(12, 1), Budget: 5}).Select(p, 0); err == nil {
+	if _, err := (CostAware{Costs: uniformCosts(12, 1), Budget: 5}).Select(p, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := (CostAware{Costs: UniformCosts(3, 1), Budget: 5}).Select(p, 5); err == nil {
+	if _, err := (CostAware{Costs: uniformCosts(3, 1), Budget: 5}).Select(p, 5); err == nil {
 		t.Error("wrong cost length accepted")
 	}
-	costs := UniformCosts(12, 1)
+	costs := uniformCosts(12, 1)
 	costs[3] = -1
 	if _, err := (CostAware{Costs: costs, Budget: 5}).Select(p, 5); err == nil {
 		t.Error("negative cost accepted")
 	}
-	if _, err := (CostAware{Costs: UniformCosts(12, 1), Budget: 0}).Select(p, 5); err == nil {
+	if _, err := (CostAware{Costs: uniformCosts(12, 1), Budget: 0}).Select(p, 5); err == nil {
 		t.Error("zero budget accepted")
 	}
 }
@@ -403,7 +403,7 @@ func TestCostAwareMatchesLazyUnderUniformCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caSeeds, err := (CostAware{Costs: UniformCosts(25, 2), Budget: float64(k) * 2}).Select(p, 25)
+	caSeeds, err := (CostAware{Costs: uniformCosts(25, 2), Budget: float64(k) * 2}).Select(p, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestCostAwareSingleExpensiveSeedGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := UniformCosts(12, 1)
+	costs := uniformCosts(12, 1)
 	costs[0] = 10 // hub price == budget
 	seeds, err := (CostAware{Costs: costs, Budget: 10}).Select(p, 12)
 	if err != nil {
@@ -467,4 +467,13 @@ func TestCostAwareSingleExpensiveSeedGuard(t *testing.T) {
 	if b < hubOnly-1e-9 {
 		t.Errorf("cost-aware benefit %v below hub-only %v; guard failed", b, hubOnly)
 	}
+}
+
+// uniformCosts returns a cost table charging every road the same price.
+func uniformCosts(n int, price float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = price
+	}
+	return out
 }

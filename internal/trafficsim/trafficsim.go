@@ -361,9 +361,6 @@ func (s *Simulator) expireIncidents() {
 	s.incidents = alive
 }
 
-// ActiveIncidents returns the number of incidents currently in effect.
-func (s *Simulator) ActiveIncidents() int { return len(s.incidents) }
-
 // drawSlot prepares the current slot's speed inputs: the incident
 // multipliers, the diurnal factors and one noise draw per road, in road
 // order. The draws are the slot's last use of the RNG, so evaluating speeds

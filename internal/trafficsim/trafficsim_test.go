@@ -295,15 +295,15 @@ func TestIncidentsDepressLocalSpeed(t *testing.T) {
 	if after > before*0.6 {
 		t.Errorf("incident speed %v not clearly below %v", after, before)
 	}
-	if sim.ActiveIncidents() != 1 {
-		t.Errorf("ActiveIncidents = %d", sim.ActiveIncidents())
+	if len(sim.incidents) != 1 {
+		t.Errorf("active incidents = %d", len(sim.incidents))
 	}
 	// Expiry.
 	for i := 0; i < 12; i++ {
 		sim.Step()
 	}
-	if sim.ActiveIncidents() != 0 {
-		t.Errorf("incident did not expire: %d active", sim.ActiveIncidents())
+	if len(sim.incidents) != 0 {
+		t.Errorf("incident did not expire: %d active", len(sim.incidents))
 	}
 }
 
@@ -319,7 +319,7 @@ func TestIncidentSpawningRate(t *testing.T) {
 	var total int
 	for i := 0; i < 300; i++ {
 		sim.Step()
-		total += sim.ActiveIncidents()
+		total += len(sim.incidents)
 	}
 	if total == 0 {
 		t.Error("no incidents ever active at rate 2/slot")
