@@ -170,12 +170,6 @@ type seedCall struct {
 	err   error
 }
 
-// NewServer returns a Server for a model store with metrics exposed; use
-// NewServerWith to choose.
-func NewServer(store *core.Store) (*Server, error) {
-	return NewServerWith(store, Config{Metrics: true})
-}
-
 // NewServerWith returns a Server for a model store.
 func NewServerWith(store *core.Store, cfg Config) (*Server, error) {
 	if store == nil {

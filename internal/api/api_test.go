@@ -62,10 +62,15 @@ func freshStore(t testing.TB) (*dataset.Dataset, *core.Store) {
 	return d, st
 }
 
+// newServer returns a Server for a model store with metrics exposed.
+func newServer(store *core.Store) (*Server, error) {
+	return NewServerWith(store, Config{Metrics: true})
+}
+
 func newTestServer(t *testing.T) (*httptest.Server, *dataset.Dataset) {
 	t.Helper()
 	d, st := fixtures(t)
-	srv, err := NewServer(st)
+	srv, err := newServer(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +95,7 @@ func getJSON(t *testing.T, url string, out any) int {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(nil); err == nil {
+	if _, err := newServer(nil); err == nil {
 		t.Error("nil store accepted")
 	}
 }

@@ -77,7 +77,7 @@ func TestConcurrentSeedsAndEstimate(t *testing.T) {
 // selection run instead of re-running it behind the lock.
 func TestSeedSingleflight(t *testing.T) {
 	_, st := fixtures(t)
-	srv, err := NewServer(st)
+	srv, err := newServer(st)
 	if err != nil {
 		t.Fatal(err)
 	}

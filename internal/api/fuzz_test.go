@@ -27,7 +27,7 @@ func assertNo5xx(t *testing.T, srv *Server, path string, body []byte) {
 
 func FuzzEstimateRequest(f *testing.F) {
 	_, st := fixtures(f)
-	srv, err := NewServer(st)
+	srv, err := newServer(st)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func FuzzObservationsRequest(f *testing.F) {
 	// A private store: ingestion mutates the rebuild buffer, which must not
 	// drift under the shared read-only fixture's tests.
 	_, st := freshStore(f)
-	srv, err := NewServer(st)
+	srv, err := newServer(st)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 func newLifecycleServer(t *testing.T) (*httptest.Server, *Server, *dataset.Dataset, *core.Store) {
 	t.Helper()
 	d, st := freshStore(t)
-	srv, err := NewServer(st)
+	srv, err := newServer(st)
 	if err != nil {
 		t.Fatal(err)
 	}

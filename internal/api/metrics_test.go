@@ -138,7 +138,7 @@ func TestSeedCacheBounded(t *testing.T) {
 		t.Skip("runs seed selection seedCacheMax+2 times")
 	}
 	_, st := fixtures(t)
-	srv, err := NewServer(st)
+	srv, err := newServer(st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // right after the first k=12 request.
 func TestSeedCacheHitRespecializes(t *testing.T) {
 	d, st := freshStore(t)
-	srv, err := NewServer(st)
+	srv, err := newServer(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSeedCacheHitRespecializes(t *testing.T) {
 // FIFO slot and inflates the entries gauge on a key no lookup can hit.
 func TestSeedCacheNoStaleReinsertAfterSwap(t *testing.T) {
 	_, st := freshStore(t)
-	srv, err := NewServer(st)
+	srv, err := newServer(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSeedCacheNoStaleReinsertAfterSwap(t *testing.T) {
 // seedVersion/cache bookkeeping is data-race free.
 func TestSeedCacheSwapRace(t *testing.T) {
 	_, st := freshStore(t)
-	srv, err := NewServer(st)
+	srv, err := newServer(st)
 	if err != nil {
 		t.Fatal(err)
 	}

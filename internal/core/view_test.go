@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -73,14 +76,85 @@ type goldenRound struct {
 	TrendUp []bool    `json:"trend_up"`
 }
 
+const k1GoldenPath = "testdata/k1_golden.json"
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite "+k1GoldenPath+" from the current code")
+
+// writeK1Golden writes the fixture in its committed layout: the slot and
+// seed count, then each round under its key with one line per field, each
+// field's array on its line as encoding/json writes it.
+func writeK1Golden(t *testing.T, slot, seeds int, keys []string, rounds []goldenRound) {
+	t.Helper()
+	comma := func(more bool) string {
+		if more {
+			return ","
+		}
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "{\n\"slot\":%d,\n\"seeds\":%d,\n", slot, seeds)
+	for i, r := range rounds {
+		fmt.Fprintf(&b, "%q: {\n", keys[i])
+		fields := []struct {
+			key string
+			v   any
+		}{{"speeds", r.Speeds}, {"rels", r.Rels}, {"p_up", r.PUp}, {"trend_up", r.TrendUp}}
+		for j, f := range fields {
+			raw, err := json.Marshal(f.v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "\t%q:%s%s\n", f.key, raw, comma(j < len(fields)-1))
+		}
+		fmt.Fprintf(&b, "}%s\n", comma(i < len(rounds)-1))
+	}
+	b.WriteString("}\n")
+	if err := os.WriteFile(k1GoldenPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestViewK1Golden pins the estimation round bit for bit: a view must
 // reproduce the recorded round on the 6×5-block city's first truth slot with
 // spreadSeeds(…, 10), for the default (served) round, the same round under
 // the Jacobi reference engine and the trend-free round. Every float is
 // compared exactly: a change to the round's arithmetic must re-record the
-// fixture on purpose.
+// fixture on purpose, with -update-golden.
 func TestViewK1Golden(t *testing.T) {
-	raw, err := os.ReadFile("testdata/k1_golden.json")
+	d := buildCity(t, 6, 5)
+	slot, truth := d.NextTruth()
+	seeds := spreadSeeds(d, truth, 10)
+	v, err := NewView(d.Net, d.DB, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jacobi, err := mrf.NewJacobi(DefaultOptions().BP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, key string
+		opts      EstimateOptions
+	}{
+		{"default", "default", EstimateOptions{}},
+		{"jacobi", "jacobi", EstimateOptions{Engine: jacobi}},
+		{"trend-free", "trend_free", EstimateOptions{TrendFree: true}},
+	}
+	keys := make([]string, len(cases))
+	rounds := make([]goldenRound, len(cases))
+	for i, tc := range cases {
+		got, err := v.EstimateWith(context.Background(), slot, seeds, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i], rounds[i] = tc.key, goldenRound{Speeds: got.Speeds, Rels: got.Rels, PUp: got.PUp, TrendUp: got.TrendUp}
+	}
+	if *updateGolden {
+		writeK1Golden(t, slot, len(seeds), keys, rounds)
+		return
+	}
+
+	raw, err := os.ReadFile(k1GoldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,42 +168,20 @@ func TestViewK1Golden(t *testing.T) {
 	if err := json.Unmarshal(raw, &golden); err != nil {
 		t.Fatal(err)
 	}
-	d := buildCity(t, 6, 5)
-	slot, truth := d.NextTruth()
-	seeds := spreadSeeds(d, truth, 10)
 	if slot != golden.Slot || len(seeds) != golden.Seeds {
 		t.Fatalf("dataset drifted from the fixture: slot %d with %d seeds, recorded %d with %d", slot, len(seeds), golden.Slot, golden.Seeds)
 	}
-	v, err := NewView(d.Net, d.DB, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jacobi, err := mrf.NewJacobi(DefaultOptions().BP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		opts EstimateOptions
-		want goldenRound
-	}{
-		{"default", EstimateOptions{}, golden.Default},
-		{"jacobi", EstimateOptions{Engine: jacobi}, golden.Jacobi},
-		{"trend-free", EstimateOptions{TrendFree: true}, golden.TrendFree},
-	} {
-		got, err := v.EstimateWith(context.Background(), slot, seeds, tc.opts)
-		if err != nil {
-			t.Fatal(err)
+	for i, want := range []goldenRound{golden.Default, golden.Jacobi, golden.TrendFree} {
+		name, got := cases[i].name, rounds[i]
+		if len(got.Speeds) != len(want.Speeds) {
+			t.Fatalf("%s: %d roads, fixture has %d", name, len(got.Speeds), len(want.Speeds))
 		}
-		if len(got.Speeds) != len(tc.want.Speeds) {
-			t.Fatalf("%s: %d roads, fixture has %d", tc.name, len(got.Speeds), len(tc.want.Speeds))
-		}
-		for r := range tc.want.Speeds {
-			if got.Speeds[r] != tc.want.Speeds[r] || got.Rels[r] != tc.want.Rels[r] ||
-				got.PUp[r] != tc.want.PUp[r] || got.TrendUp[r] != tc.want.TrendUp[r] {
+		for r := range want.Speeds {
+			if got.Speeds[r] != want.Speeds[r] || got.Rels[r] != want.Rels[r] ||
+				got.PUp[r] != want.PUp[r] || got.TrendUp[r] != want.TrendUp[r] {
 				t.Fatalf("%s road %d diverges from the fixture: speed %v vs %v, rel %v vs %v, pUp %v vs %v, up %v vs %v",
-					tc.name, r, got.Speeds[r], tc.want.Speeds[r], got.Rels[r], tc.want.Rels[r],
-					got.PUp[r], tc.want.PUp[r], got.TrendUp[r], tc.want.TrendUp[r])
+					name, r, got.Speeds[r], want.Speeds[r], got.Rels[r], want.Rels[r],
+					got.PUp[r], want.PUp[r], got.TrendUp[r], want.TrendUp[r])
 			}
 		}
 	}

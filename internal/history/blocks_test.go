@@ -1,9 +1,12 @@
 package history
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/roadnet"
@@ -50,14 +53,61 @@ func refSlotRanks(series [][]sample) (numSlots int, ranks [][]int32) {
 	return len(slots), ranks
 }
 
-// relAtScan is RelAt's reference: a linear scan of the series.
-func relAtScan(s []sample, slot int32) (float32, bool) {
-	for _, x := range s {
-		if x.slot == slot {
-			return x.rel, true
+// alignedRow is one EachAligned callback, rels by their bits.
+type alignedRow struct {
+	slot int32
+	rel  uint32
+	rels string // the prefix's rels' bits, "%08x" each
+}
+
+// refAligned is EachAligned's reference: every sample of series[r] in slot
+// order, each feature's rel looked up sample by sample in its series, kept
+// where feats[0] has the slot, with the longest prefix of feats that has it.
+func refAligned(series [][]sample, r int, feats []roadnet.RoadID) []alignedRow {
+	var out []alignedRow
+	for _, x := range series[r] {
+		var rels strings.Builder
+		for _, f := range feats {
+			i, ok := slices.BinarySearchFunc(series[f], x.slot, func(s sample, slot int32) int { return cmp.Compare(s.slot, slot) })
+			if !ok {
+				break
+			}
+			fmt.Fprintf(&rels, "%08x", math.Float32bits(series[f][i].rel))
+		}
+		if rels.Len() > 0 {
+			out = append(out, alignedRow{x.slot, math.Float32bits(x.rel), rels.String()})
 		}
 	}
-	return 0, false
+	return out
+}
+
+// checkAligned checks EachAligned for road r against refAligned, for feats
+// and each of its non-empty prefixes.
+func checkAligned(t *testing.T, label string, db *DB, series [][]sample, r int, feats []roadnet.RoadID) {
+	t.Helper()
+	for k := 1; k <= len(feats); k++ {
+		var got []alignedRow
+		db.EachAligned(roadnet.RoadID(r), feats[:k], func(slot int32, rel float32, rels []float32) {
+			var b strings.Builder
+			for _, v := range rels {
+				fmt.Fprintf(&b, "%08x", math.Float32bits(v))
+			}
+			got = append(got, alignedRow{slot, math.Float32bits(rel), b.String()})
+		})
+		if want := refAligned(series, r, feats[:k]); !slices.Equal(got, want) {
+			t.Fatalf("%s: road %d EachAligned(%v) rows %v, per-sample lookup %v", label, r, feats[:k], got, want)
+		}
+	}
+}
+
+// rotation returns the n roads in ID order starting after r, so r comes
+// last.
+func rotation(r, n int) []roadnet.RoadID {
+	out := make([]roadnet.RoadID, n)
+	for i := range out {
+		out[i] = roadnet.RoadID((r + 1 + i) % n)
+	}
+	return out
 }
 
 // coCall is one CoObserved callback, rels by their bits.
@@ -91,8 +141,9 @@ func checkCoObserved(t *testing.T, label string, db *DB, u, v roadnet.RoadID, re
 
 // checkBlockIndex checks every reader of db's block index against each
 // road's reference series: EachSample, Rels, CoObserved and CoCounts for
-// every ordered pair, RelAt at each probe slot, and SlotRanks.
-func checkBlockIndex(t *testing.T, label string, db *DB, ref [][]sample, probes []int32) {
+// every ordered pair, EachAligned over every other road and then the road
+// itself, and SlotRanks.
+func checkBlockIndex(t *testing.T, label string, db *DB, ref [][]sample) {
 	t.Helper()
 	if db.NumRoads() != len(ref) {
 		t.Fatalf("%s: %d roads, reference %d", label, db.NumRoads(), len(ref))
@@ -108,13 +159,7 @@ func checkBlockIndex(t *testing.T, label string, db *DB, ref [][]sample, probes 
 		for v := range ref {
 			checkCoObserved(t, label, db, id, roadnet.RoadID(v), ref[r], ref[v])
 		}
-		for _, slot := range probes {
-			got, ok := db.RelAt(id, slot)
-			want, wantOK := relAtScan(ref[r], slot)
-			if ok != wantOK || math.Float32bits(got) != math.Float32bits(want) {
-				t.Fatalf("%s: road %d RelAt(%d) = %v, %v; scan %v, %v", label, r, slot, got, ok, want, wantOK)
-			}
-		}
+		checkAligned(t, label, db, ref, r, rotation(r, len(ref)))
 	}
 	numSlots, ranks := refSlotRanks(ref)
 	sr := db.SlotRanks()
@@ -192,18 +237,6 @@ func zipSeries(t *testing.T, db *DB, slots [][]int32) [][]sample {
 	return ref
 }
 
-// probeSlots returns every slot any road holds, its neighbours, the edge
-// slots and a few slots no road can hold.
-func probeSlots(ref [][]sample) []int32 {
-	probes := append([]int32{-1, -64, math.MinInt32}, edgeSlots...)
-	for _, s := range ref {
-		for _, x := range s {
-			probes = append(probes, x.slot, x.slot-1, x.slot+1) // MaxInt32+1 wraps to a negative probe
-		}
-	}
-	return probes
-}
-
 // TestCoObservedMatchesMergeJoin checks the block index against per-sample
 // references on random histories built through Builder — slots on both
 // sides of block edges, sparse slots up to 2³¹−1, empty and one-sample
@@ -223,7 +256,7 @@ func TestCoObservedMatchesMergeJoin(t *testing.T) {
 		}
 		db := b.Finalize()
 		ref := zipSeries(t, db, slots)
-		checkBlockIndex(t, "finalized", db, ref, probeSlots(ref))
+		checkBlockIndex(t, "finalized", db, ref)
 
 		rb, err := NewBuilderFrom(db)
 		if err != nil {
@@ -241,6 +274,6 @@ func TestCoObservedMatchesMergeJoin(t *testing.T) {
 		}
 		rolled := rb.Finalize()
 		rolledRef := zipSeries(t, rolled, rolledSlots)
-		checkBlockIndex(t, "rolled forward", rolled, rolledRef, probeSlots(rolledRef))
+		checkBlockIndex(t, "rolled forward", rolled, rolledRef)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -114,18 +115,18 @@ func FuzzReadDB(f *testing.F) {
 	})
 }
 
-// fuzzSeries decodes two roads' series from fuzz bytes, three bytes a
-// sample: which road, how far past the road's previous slot (a few slots, a
-// few blocks, or most of the slot range) and the rel, a multiple of 1/128
-// so that rels at exactly 1 occur. Slots stay below 2³¹, strictly
-// increasing per road.
-func fuzzSeries(data []byte) [][]sample {
-	series := make([][]sample, 2)
-	next := []int64{0, 0}
+// fuzzSeries decodes the series of the given number of roads from fuzz
+// bytes, three bytes a sample: which road and how far past the road's
+// previous slot (a few slots, a few blocks, or most of the slot range), and
+// the rel, a multiple of 1/128 so that rels at exactly 1 occur. Slots stay
+// below 2³¹, strictly increasing per road.
+func fuzzSeries(data []byte, roads int) [][]sample {
+	series := make([][]sample, roads)
+	next := make([]int64, roads)
 	for ; len(data) >= 3; data = data[3:] {
-		r := data[0] & 1
+		r := int(data[0]) % roads
 		gap := int64(data[1])
-		switch data[0] >> 1 & 3 {
+		switch int(data[0]) / roads & 3 {
 		case 0:
 			gap %= 4
 		case 2:
@@ -155,7 +156,7 @@ func FuzzCoObserved(f *testing.F) {
 	}
 	f.Add([]byte{0, 63, 128, 1, 64, 128, 4, 0, 127, 5, 1, 129, 6, 255, 64, 7, 255, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		series := fuzzSeries(data)
+		series := fuzzSeries(data, 2)
 		db, err := ReadDB(bytes.NewReader(encodeSeries(t, series)))
 		if err != nil {
 			t.Fatalf("well-formed series %v rejected: %v", series, err)
@@ -164,6 +165,44 @@ func FuzzCoObserved(f *testing.F) {
 			for v := range series {
 				checkCoObserved(t, "fuzz", db, roadnet.RoadID(u), roadnet.RoadID(v), series[u], series[v])
 			}
+		}
+	})
+}
+
+// FuzzEachAligned checks EachAligned against EachSample with a per-sample
+// lookup of each feature's rel, on four fuzz-decoded series: for each road,
+// the other three and then the road itself as the features, and each
+// prefix of that list. Every row must match in slot order and bit for bit.
+func FuzzEachAligned(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{0, 3, 60, 300, 1200} {
+		seed := make([]byte, 3*n)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	// Four roads at slots 0, 63, 64 and 127, on both sides of a block edge,
+	// with rels below, at and above 1; road 3 skips slot 64, so its last
+	// slot is 126.
+	var edge []byte
+	for i, gap := range []byte{0, 62, 0, 62} { // each slot is one past the last plus the gap
+		for r := range byte(4) {
+			if r != 3 || i != 2 {
+				edge = append(edge, 4+r, gap, 126+r) // 4+r: road r, a gap of up to 255
+			}
+		}
+	}
+	f.Add(edge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		series := fuzzSeries(data, 4)
+		db, err := ReadDB(bytes.NewReader(encodeSeries(t, series)))
+		if err != nil {
+			t.Fatalf("well-formed series %v rejected: %v", series, err)
+		}
+		for r := range series {
+			if got := samplesOf(db, roadnet.RoadID(r)); !slices.Equal(got, series[r]) {
+				t.Fatalf("road %d EachSample %v, decoded %v", r, got, series[r])
+			}
+			checkAligned(t, "fuzz", db, series, r, rotation(r, len(series)))
 		}
 	})
 }

@@ -157,20 +157,48 @@ func (db *DB) EachSample(road roadnet.RoadID, fn func(slot int32, rel float32)) 
 	}
 }
 
-// RelAt returns the road's rel at slot, and whether the road has a sample
-// there.
-func (db *DB) RelAt(road roadnet.RoadID, slot int32) (float32, bool) {
-	s := &db.series[road]
-	i, ok := slices.BinarySearchFunc(s.blocks, slot>>6, func(b block, key int32) int { return cmp.Compare(b.key, key) })
-	if !ok {
-		return 0, false
+// EachAligned calls fn, in ascending slot order, for every sample of road r
+// whose slot also holds a sample of feats[0], with r's rel and the rels of
+// the longest prefix of feats observed in that slot: rels[i] is feats[i]'s
+// rel, and len(rels) ≥ 1. It reads them from the AND of the roads' block
+// bitmaps, with no search per sample. fn must not keep rels, which the next
+// call overwrites.
+func (db *DB) EachAligned(r roadnet.RoadID, feats []roadnet.RoadID, fn func(slot int32, rel float32, rels []float32)) {
+	if len(feats) == 0 {
+		return
 	}
-	b := &s.blocks[i]
-	bit := int(slot & 63)
-	if b.obs&(1<<bit) == 0 {
-		return 0, false
+	s := &db.series[r]
+	// Each feature's first block not yet passed, and its block in the
+	// current window, nil if it has none there.
+	cur := make([]struct {
+		next int
+		blk  *block
+	}, len(feats))
+	rels := make([]float32, len(feats))
+	for bi := range s.blocks {
+		b := &s.blocks[bi]
+		for i, f := range feats {
+			fb, c := db.series[f].blocks, &cur[i]
+			for c.next < len(fb) && fb[c.next].key < b.key {
+				c.next++
+			}
+			c.blk = nil
+			if c.next < len(fb) && fb[c.next].key == b.key {
+				c.blk = &fb[c.next]
+			}
+		}
+		if cur[0].blk == nil {
+			continue
+		}
+		for m := b.obs & cur[0].blk.obs; m != 0; m &= m - 1 {
+			bit := bits.TrailingZeros64(m)
+			n := 0
+			for ; n < len(feats) && cur[n].blk != nil && cur[n].blk.obs&(1<<bit) != 0; n++ {
+				rels[n] = db.series[feats[n]].relOf(cur[n].blk, bit)
+			}
+			fn(b.key<<6|int32(bit), s.relOf(b, bit), rels[:n])
+		}
 	}
-	return s.relOf(b, bit), true
 }
 
 // ObservationCount returns the total number of slot-level samples stored.

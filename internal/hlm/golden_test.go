@@ -22,7 +22,8 @@ import (
 	"repro/internal/roadnet"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/train_golden.json from the current code")
+var updateGolden = flag.String("update-golden", "",
+	"re-record the named comma-separated keys of testdata/train_golden.json (e.g. specialize) from the current code; every other key must still match")
 
 const goldenPath = "testdata/train_golden.json"
 
@@ -189,40 +190,36 @@ func (d *goldenDump) f(label string, v float64) {
 
 func (d *goldenDump) i(label string, v int) { fmt.Fprintf(d, "%s %d\n", label, v) }
 
-func (d *goldenDump) reg(label string, m *linalg.RidgeModel) {
+// reg dumps one regression, or "nil" for an unfitted one.
+func (d *goldenDump) reg(label string, m *refModel) {
 	if m == nil {
 		d.i(label+" nil", 1)
 		return
 	}
-	d.f(label+" intercept", m.Intercept)
-	d.i(label+" p", len(m.Coef))
-	for j, c := range m.Coef {
+	d.f(label+" intercept", m.intercept)
+	d.i(label+" p", len(m.coef))
+	for j, c := range m.coef {
 		d.f(fmt.Sprintf("%s coef%d", label, j), c)
 	}
-	d.f(label+" rmse", m.RMSE)
-	d.i(label+" n", m.N)
+	d.f(label+" rmse", m.rmse)
+	d.i(label+" n", m.n)
 }
 
-// pair dumps a one-feature trio in the recorded format: each Line as the
-// one-feature RidgeModel it equals, and an unfitted trio or class (N = 0)
-// as nil, so digests recorded from RidgeModels still hold.
+// trio dumps a trio's classes, an unfitted class as nil.
+func (d *goldenDump) trio(label string, pm *trio[*refModel]) {
+	d.reg(label+"up", pm.up)
+	d.reg(label+"down", pm.down)
+	d.reg(label+"pooled", pm.pooled)
+}
+
+// pair dumps a one-feature trio in the recorded format: an unfitted trio as
+// one nil line, and each fitted class as the one-feature regression it is.
 func (d *goldenDump) pair(label string, pm *trio[linalg.Line]) {
 	if !pm.fitted() {
 		d.i(label+" nil", 1)
 		return
 	}
-	d.reg(label+" up", lineModel(pm.up))
-	d.reg(label+" down", lineModel(pm.down))
-	d.reg(label+" pooled", lineModel(pm.pooled))
-}
-
-// lineModel returns the one-feature RidgeModel equal to l, or nil for the
-// zero Line.
-func lineModel(l linalg.Line) *linalg.RidgeModel {
-	if l.N == 0 {
-		return nil
-	}
-	return &linalg.RidgeModel{Intercept: l.Intercept, Coef: []float64{l.Slope}, RMSE: l.RMSE, N: l.N}
+	d.trio(label+" ", lineTrio(pm))
 }
 
 func digest(s string) string {
@@ -289,13 +286,11 @@ func modelDumps(m *Model) []string {
 func seedModelDumps(sm *SeedModel) []string {
 	return roadDumps(len(sm.roads), func(d *goldenDump, r int) {
 		srm := &sm.roads[r]
-		for k, f := range srm.feats {
+		for k, f := range srm.feats[:srm.k] {
 			d.i(fmt.Sprintf("feat%d", k), int(f))
 			d.f(fmt.Sprintf("feat%d impute", k), srm.impute[k])
 		}
-		d.reg("up", srm.up)
-		d.reg("down", srm.down)
-		d.reg("pooled", srm.pooled)
+		d.trio("", fitTrio(&srm.trio, srm.k))
 	})
 }
 
@@ -407,24 +402,106 @@ func readGolden(t *testing.T) trainGolden {
 	return g
 }
 
-// writeGolden rewrites the fields set rewrites, keeping the others as
-// recorded, so each golden test re-records only its own city.
-func writeGolden(t *testing.T, set func(g *trainGolden)) {
+// jsonFields returns v's JSON object, field by field.
+func jsonFields(t *testing.T, v any) map[string]json.RawMessage {
 	t.Helper()
-	var g trainGolden
-	if raw, err := os.ReadFile(goldenPath); err == nil {
-		if err := json.Unmarshal(raw, &g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	set(&g)
-	raw, err := json.MarshalIndent(g, "", " ")
+	raw, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(goldenPath, append(raw, '\n'), 0o644); err != nil {
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
 		t.Fatal(err)
 	}
+	return fields
+}
+
+// goldenUpdates returns the keys -update-golden names, nil when it names
+// none, and fails t on a name that is no key of the fixture.
+func goldenUpdates(t *testing.T) map[string]bool {
+	t.Helper()
+	if *updateGolden == "" {
+		return nil
+	}
+	known := jsonFields(t, trainGolden{})
+	names := map[string]bool{}
+	for _, key := range strings.Split(*updateGolden, ",") {
+		key = strings.TrimSpace(key)
+		if _, ok := known[key]; !ok {
+			t.Fatalf("-update-golden: %q is no key of %s", key, goldenPath)
+		}
+		names[key] = true
+	}
+	return names
+}
+
+// rerecordGolden writes the live values of the keys in names among live's
+// keys, the ones this test records, into the fixture. Every other key of
+// live must equal the fixture's, or it fails without writing: a run
+// re-records only what it is told to. The file keeps its committed layout.
+func rerecordGolden(t *testing.T, live map[string]json.RawMessage, names map[string]bool) {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixture map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fixture); err != nil {
+		t.Fatal(err)
+	}
+	var moved, written []string
+	for key, v := range live {
+		switch {
+		case names[key]:
+			fixture[key] = v
+			written = append(written, key)
+		case !sameJSON(t, v, fixture[key]):
+			moved = append(moved, key)
+		}
+	}
+	if len(moved) > 0 {
+		sort.Strings(moved)
+		t.Fatalf("-update-golden: %s moved but not named; nothing written", strings.Join(moved, ", "))
+	}
+	if len(written) == 0 {
+		return
+	}
+	merged, err := json.Marshal(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g trainGolden
+	dec := json.NewDecoder(bytes.NewReader(merged))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&g); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.MarshalIndent(g, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(written)
+	t.Logf("re-recorded %s in %s", strings.Join(written, ", "), goldenPath)
+}
+
+// sameJSON reports whether two JSON values are the same bytes once
+// compacted; a missing value is never the same.
+func sameJSON(t *testing.T, a, b json.RawMessage) bool {
+	t.Helper()
+	if a == nil || b == nil {
+		return false
+	}
+	var ca, cb bytes.Buffer
+	if err := json.Compact(&ca, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&cb, b); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ca.Bytes(), cb.Bytes())
 }
 
 // compareDigests reports every road whose digest differs from the fixture,
@@ -453,17 +530,22 @@ func compareDigests(t *testing.T, key string, got, want, dumps []string) {
 // TestTrainGolden pins the offline phase bit for bit against a fixture
 // recorded before training moved to flat arrays: the history DB, the
 // correlation graph, Train, one Retrain over a roll-forward delta, and one
-// Specialize. Regenerate with -update-golden only for an intended change of
-// the trained numbers; the one-pass trio fits re-recorded the model digests
-// once TestTrainTriosMatchThreePass and its served-city twin held every fit
-// within lineTol of the three-pass fits the fixture recorded.
+// Specialize. Re-record only an intended change of the trained numbers,
+// and only the keys it moves: -update-golden=specialize rewrites that key
+// and fails without writing if any other key moved. The one-pass trio fits
+// re-recorded the model digests once TestTrainTriosMatchThreePass and its
+// served-city twin held every fit within lineTol of the three-pass fits the
+// fixture recorded; the aligned walk and the p-feature sums re-recorded
+// specialize once TestSpecializeMatchesReference and its served-city twin
+// held every seed model to the three-pass reference the same way.
 func TestTrainGolden(t *testing.T) {
 	got, dumps := recordGolden(t)
-	if *updateGolden {
-		writeGolden(t, func(g *trainGolden) {
-			got.servedGolden = g.servedGolden
-			*g = got
-		})
+	if names := goldenUpdates(t); names != nil {
+		live := jsonFields(t, got)
+		for key := range jsonFields(t, servedGolden{}) {
+			delete(live, key) // TestTrainGoldenServedCity's
+		}
+		rerecordGolden(t, live, names)
 		return
 	}
 	want := readGolden(t)
@@ -521,8 +603,8 @@ func TestTrainGoldenServedCity(t *testing.T) {
 	for r, s := range dumps {
 		got.ServedTrain[r] = digest(s)
 	}
-	if *updateGolden {
-		writeGolden(t, func(g *trainGolden) { g.servedGolden = got })
+	if names := goldenUpdates(t); names != nil {
+		rerecordGolden(t, jsonFields(t, got), names)
 		return
 	}
 	want := readGolden(t)

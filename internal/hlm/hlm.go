@@ -66,10 +66,10 @@ type Config struct {
 // every training row, and up and down over the rows of each trend. The
 // generic model's pairwise and level predictors have one feature and are
 // stored inline as trio[linalg.Line], 96 bytes without a pointer; the
-// seed-conditional regressions, of up to maxSeedFeatures features, are
-// trio[*linalg.RidgeModel]. The zero M — a Line with N = 0, a nil model —
-// marks a trend class too scarce to fit, and a fitted trio's pooled
-// regression is never zero.
+// seed-conditional regressions, of up to maxSeedFeatures features, as
+// trio[linalg.Fit], 168 bytes without a pointer. The zero M — a Line or Fit
+// with N = 0 — marks a trend class too scarce to fit, and a fitted trio's
+// pooled regression is never zero.
 type trio[M comparable] struct{ up, down, pooled M }
 
 // fitted reports whether the trio holds a pooled regression.

@@ -3,7 +3,6 @@ package hlm
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/history"
@@ -15,8 +14,8 @@ import (
 // the generic model.
 const (
 	// maxSeedFeatures caps the number of seed roads used as regressors per
-	// road.
-	maxSeedFeatures = 4
+	// road: four, as many as a linalg.Sums fits.
+	maxSeedFeatures = linalg.MaxFeatures
 	// maxSeedCandidates caps how many candidate seeds are correlation-scored
 	// per road before the top maxSeedFeatures are kept.
 	maxSeedCandidates = 12
@@ -29,11 +28,13 @@ const (
 )
 
 // seedRoadModel is one road's seed-conditional regressions: a trio whose
-// regressions take one feature per seed in feats.
+// regressions take one feature per seed in feats[:k]. It holds no pointer,
+// so the garbage collector never scans a SeedModel's roads.
 type seedRoadModel struct {
-	feats  []roadnet.RoadID // seed roads used as features
-	impute []float64        // fallback feature value per seed (its mean rel)
-	trio[*linalg.RidgeModel]
+	k      int                             // features used; 0 falls back to the generic model
+	feats  [maxSeedFeatures]roadnet.RoadID // seed roads used as features
+	impute [maxSeedFeatures]float64        // fallback feature value per seed (its mean rel)
+	trio[linalg.Fit]
 }
 
 // SeedModel is a Model specialised to a fixed seed set: every road that has
@@ -46,7 +47,7 @@ type seedRoadModel struct {
 type SeedModel struct {
 	base    *Model
 	seedSet map[roadnet.RoadID]bool
-	roads   []seedRoadModel // empty feats → fall back to base
+	roads   []seedRoadModel // k = 0 → fall back to base
 }
 
 // SeedSet reports whether road s belongs to the specialised seed set.
@@ -70,7 +71,7 @@ func (sm *SeedModel) SpecializedTo(seeds []roadnet.RoadID) bool {
 func (sm *SeedModel) Coverage() float64 {
 	n := 0
 	for i := range sm.roads {
-		if len(sm.roads[i].feats) > 0 {
+		if sm.roads[i].k > 0 {
 			n++
 		}
 	}
@@ -97,7 +98,6 @@ func (m *Model) Specialize(db *history.DB, seeds []roadnet.RoadID, candidates fu
 		}
 		sm.seedSet[s] = true
 	}
-	var buf fitBuf
 	for r := 0; r < n; r++ {
 		id := roadnet.RoadID(r)
 		if sm.seedSet[id] {
@@ -107,7 +107,7 @@ func (m *Model) Specialize(db *history.DB, seeds []roadnet.RoadID, candidates fu
 		if len(cands) > maxSeedCandidates {
 			cands = cands[:maxSeedCandidates]
 		}
-		sm.roads[r] = trainSeedRoad(db, id, cands, sm.seedSet, &buf)
+		sm.roads[r] = trainSeedRoad(db, id, cands, sm.seedSet)
 	}
 	return sm, nil
 }
@@ -119,9 +119,46 @@ type corrStat struct {
 	mean float64 // seed's mean rel over co-observed slots (for imputation)
 }
 
-// trainSeedRoad scores candidates, keeps the strongest, and fits the
+// trainSeedRoad keeps the strongest-correlated candidates and fits the
 // trend-conditioned regressions on aligned history.
-func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, seedSet map[roadnet.RoadID]bool, buf *fitBuf) seedRoadModel {
+func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, seedSet map[roadnet.RoadID]bool) seedRoadModel {
+	scored := scoreSeeds(db, r, cands, seedSet)
+	kmax := min(maxSeedFeatures, len(scored))
+	var feats [maxSeedFeatures]roadnet.RoadID
+	for i := range kmax {
+		feats[i] = scored[i].seed
+	}
+
+	// Adaptive feature count: a k-feature row needs the road and its first
+	// k seeds co-observed, so each slot's row joins the sums of every k up
+	// to the longest prefix of seeds observed there, and the largest k
+	// whose trio fits wins.
+	var sums [maxSeedFeatures]seedTrioSums // sums[k-1] fits k features
+	var x [maxSeedFeatures]float64
+	db.EachAligned(r, feats[:kmax], func(_ int32, rel float32, rels []float32) {
+		for i, v := range rels {
+			x[i] = float64(v)
+		}
+		for k := range rels {
+			sums[k].add(x[:k+1], float64(rel))
+		}
+	})
+	for k := kmax; k >= 1; k-- {
+		if pm, ok := sums[k-1].fit(); ok {
+			srm := seedRoadModel{k: k, trio: pm}
+			for i := range k {
+				srm.feats[i], srm.impute[i] = scored[i].seed, scored[i].mean
+			}
+			return srm
+		}
+	}
+	return seedRoadModel{}
+}
+
+// scoreSeeds returns the candidates that are seeds other than r, hold at
+// least minSeedSamples slots co-observed with r and correlate with it at
+// least minSeedCorr strongly, strongest first.
+func scoreSeeds(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, seedSet map[roadnet.RoadID]bool) []corrStat {
 	var scored []corrStat
 	for _, c := range cands {
 		if !seedSet[c] || c == r {
@@ -154,9 +191,6 @@ func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, see
 		}
 		scored = append(scored, corrStat{seed: c, corr: corr, mean: sx / fn})
 	}
-	if len(scored) == 0 {
-		return seedRoadModel{}
-	}
 	sort.Slice(scored, func(i, j int) bool {
 		//lint:ignore floateq sort tie-break: exact equality falls through to the seed order, an epsilon would break strict weak ordering
 		if math.Abs(scored[i].corr) != math.Abs(scored[j].corr) {
@@ -164,115 +198,38 @@ func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, see
 		}
 		return scored[i].seed < scored[j].seed
 	})
-
-	// Adaptive feature count: aligned rows need all features co-observed
-	// with the road, so shrink until enough rows exist.
-	for k := min(maxSeedFeatures, len(scored)); k >= 1; k-- {
-		srm := seedRoadModel{
-			feats:  make([]roadnet.RoadID, k),
-			impute: make([]float64, k),
-		}
-		for i := 0; i < k; i++ {
-			srm.feats[i] = scored[i].seed
-			srm.impute[i] = scored[i].mean
-		}
-		buf.x, buf.y = alignedSeedRows(db, r, srm.feats, buf.x[:0], buf.y[:0])
-		var ok bool
-		if srm.trio, ok = fitTrend(buf, buf.x, k, buf.y, minSeedSamples, lambda); ok {
-			return srm
-		}
-	}
-	return seedRoadModel{}
+	return scored
 }
 
-// fitBuf holds the reusable design and response buffers of one
-// specialisation; it is not safe for concurrent use.
-type fitBuf struct {
-	x, y                   []float64
-	upX, upY, downX, downY []float64
-}
+// seedTrioSums gathers a seed trio's rows in one pass, as trioSums does for
+// one feature: the sums of its down rows (y < 1) at index 0 and of its up
+// rows at index 1.
+type seedTrioSums [2]linalg.Sums
 
-// fitTrend fits the trend-conditioned regressions of y on the row-major n×p
-// design x with linalg.RidgeFit: pooled over every row, and up (y ≥ 1) and
-// down (y < 1) over the matching rows when each class holds at least
-// minSamples/2 of them; a class that is scarcer or fails to fit is left
-// nil. ok is false, and the trio zero, when fewer than minSamples rows exist
-// or the pooled fit fails.
-func fitTrend(b *fitBuf, x []float64, p int, y []float64, minSamples int, lambda float64) (pm trio[*linalg.RidgeModel], ok bool) {
-	n := len(y)
-	if n < minSamples {
+func (s *seedTrioSums) add(x []float64, y float64) { s[b2i(y >= 1)].Add(x, y) }
+
+// fit solves the trio under the seed model's rules: pooled over every row,
+// and up and down over each class's rows when the class holds at least
+// minSeedSamples/2 of them; a class that is scarcer or fails to fit is left
+// zero. ok is false, and the trio zero, when fewer than minSeedSamples rows
+// exist or the pooled fit fails.
+func (s *seedTrioSums) fit() (pm trio[linalg.Fit], ok bool) {
+	pooled := s[1]
+	pooled.Merge(&s[0])
+	if pooled.N() < minSeedSamples {
 		return pm, false
 	}
 	var err error
-	if pm.pooled, err = linalg.RidgeFit(x, p, y, lambda); err != nil {
-		return trio[*linalg.RidgeModel]{}, false
+	if pm.pooled, err = pooled.Fit(lambda); err != nil {
+		return trio[linalg.Fit]{}, false
 	}
-	b.upX, b.downX = resize(b.upX, n*p), resize(b.downX, n*p)
-	b.upY, b.downY = resize(b.upY, n), resize(b.downY, n)
-	nUp := partition(x, p, y, b.upX, b.upY, b.downX, b.downY)
-	if nUp >= minSamples/2 {
-		if m, err := linalg.RidgeFit(b.upX[:nUp*p], p, b.upY[:nUp], lambda); err == nil {
-			pm.up = m
-		}
+	if s[1].N() >= minSeedSamples/2 {
+		pm.up, _ = s[1].Fit(lambda) // the zero Fit on failure
 	}
-	if n-nUp >= minSamples/2 {
-		if m, err := linalg.RidgeFit(b.downX[:(n-nUp)*p], p, b.downY[:n-nUp], lambda); err == nil {
-			pm.down = m
-		}
+	if s[0].N() >= minSeedSamples/2 {
+		pm.down, _ = s[0].Fit(lambda)
 	}
 	return pm, true
-}
-
-// partition writes the rows with y ≥ 1 to the front of upX and upY and the
-// others to the front of downX and downY, and returns the number of up rows.
-// Which class a row joins is a coin flip, so there is no branch on it: each
-// row is written to both classes and only its own class's cursor advances.
-// The partition is stable, so each class fits its rows in row order. Every
-// buffer must hold len(y) rows.
-func partition(x []float64, p int, y, upX, upY, downX, downY []float64) (up int) {
-	if p == 1 {
-		// The loop below for one feature, without its column loop, which
-		// doubles its cost there.
-		x = x[:len(y)]
-		for i, v := range y {
-			upX[up], upY[up] = x[i], v
-			downX[i-up], downY[i-up] = x[i], v
-			up += b2i(v >= 1)
-		}
-		return up
-	}
-	x = x[:len(y)*p]
-	for i, v := range y {
-		row := x[i*p : (i+1)*p]
-		u, d := upX[up*p:(up+1)*p], downX[(i-up)*p:(i-up+1)*p]
-		for k, xv := range row {
-			u[k], d[k] = xv, xv
-		}
-		upY[up], downY[i-up] = v, v
-		up += b2i(v >= 1)
-	}
-	return up
-}
-
-// resize returns buf with length n, reallocating only when it is too short.
-func resize(buf []float64, n int) []float64 { return slices.Grow(buf[:0], n)[:n] }
-
-// alignedSeedRows appends to x (row-major, one column per feature seed) and
-// y the slots where the road and every feature seed were co-observed.
-func alignedSeedRows(db *history.DB, r roadnet.RoadID, feats []roadnet.RoadID, x, y []float64) ([]float64, []float64) {
-	db.EachSample(r, func(slot int32, rel float32) {
-		row := len(x)
-		for _, f := range feats {
-			v, ok := db.RelAt(f, slot)
-			if !ok {
-				x = x[:row]
-				return
-			}
-			x = append(x, float64(v))
-		}
-		y = append(y, float64(rel))
-	})
-	return x, y
 }
 
 // Estimate runs seed-conditional estimation: roads with seed regressions
@@ -284,18 +241,18 @@ func (sm *SeedModel) Estimate(req *Request) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := make([]float64, maxSeedFeatures)
+	var xs [maxSeedFeatures]float64
 	for r := range base {
 		srm := &sm.roads[r]
-		if len(srm.feats) == 0 {
+		if srm.k == 0 {
 			continue
 		}
 		if _, isSeed := req.SeedRels[roadnet.RoadID(r)]; isSeed {
 			continue
 		}
-		x = x[:len(srm.feats)]
+		x := xs[:srm.k]
 		reported := 0
-		for i, f := range srm.feats {
+		for i, f := range srm.feats[:srm.k] {
 			if v, ok := req.SeedRels[f]; ok {
 				x[i] = clampRel(v)
 				reported++
@@ -306,13 +263,9 @@ func (sm *SeedModel) Estimate(req *Request) ([]float64, error) {
 		if reported == 0 {
 			continue // nothing observed: keep the generic estimate
 		}
-		pred, _, ok := srm.mix(req, roadnet.RoadID(r), func(reg *linalg.RidgeModel) (float64, float64, bool) {
-			v, err := reg.Predict(x)
-			return v, 0, err == nil
+		pred, _, _ := srm.mix(req, roadnet.RoadID(r), func(f linalg.Fit) (float64, float64, bool) {
+			return f.At(x), 0, true
 		})
-		if !ok {
-			continue
-		}
 		// A fitted seed regression replaces the generic estimate outright.
 		base[r] = clampRel(pred)
 	}

@@ -144,11 +144,10 @@ type trioSums [2]linalg.LineSums
 
 func (s *trioSums) add(x, y float64) { s[b2i(y >= 1)].Add(x, y) }
 
-// fit solves the trio as fitTrend fits it from the rows: pooled over every
-// row, and up and down over each class's rows when the class holds at least
-// minSamples/2 of them; a class that is scarcer or fails to fit is left
-// zero. ok is false, and the trio zero, when fewer than minSamples rows
-// exist or the pooled fit fails.
+// fit solves the trio: pooled over every row, and up and down over each
+// class's rows when the class holds at least minSamples/2 of them; a class
+// that is scarcer or fails to fit is left zero. ok is false, and the trio
+// zero, when fewer than minSamples rows exist or the pooled fit fails.
 func (s *trioSums) fit() (pm trio[linalg.Line], ok bool) {
 	pooled := s[0]
 	pooled.Merge(&s[1])

@@ -37,14 +37,24 @@ func TestTrainAllocs(t *testing.T) {
 // TestPairTrioInlineWithoutPointer: the generic model stores each pairwise
 // and level predictor inline, as a trio of one-feature Lines that holds no
 // pointer and takes at most 96 bytes, so the garbage collector never scans
-// a road's regressions; every road's slices are exactly sized.
+// a road's regressions; every road's slices are exactly sized. A seed
+// road's model, its feature seeds, imputed means and trio of Fits, holds
+// no pointer either and takes at most 224 bytes.
 func TestPairTrioInlineWithoutPointer(t *testing.T) {
-	typ := reflect.TypeFor[trio[linalg.Line]]()
-	if path, ok := pointerIn(typ, typ.String()); ok {
-		t.Errorf("the generic pair trio holds a pointer at %s", path)
-	}
-	if typ.Size() > 96 {
-		t.Errorf("the generic pair trio is %d bytes, want at most 96", typ.Size())
+	for _, c := range []struct {
+		what string
+		typ  reflect.Type
+		size uintptr
+	}{
+		{"the generic pair trio", reflect.TypeFor[trio[linalg.Line]](), 96},
+		{"a seed road's model", reflect.TypeFor[seedRoadModel](), 224},
+	} {
+		if path, ok := pointerIn(c.typ, c.typ.String()); ok {
+			t.Errorf("%s holds a pointer at %s", c.what, path)
+		}
+		if c.typ.Size() > c.size {
+			t.Errorf("%s is %d bytes, want at most %d", c.what, c.typ.Size(), c.size)
+		}
 	}
 	d, g, cfg := goldenCity(t)
 	m, err := Train(g, d.DB, cfg)

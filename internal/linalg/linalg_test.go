@@ -11,15 +11,15 @@ import (
 
 // fromRows builds a matrix from row slices, which must all have equal
 // length.
-func fromRows(rows [][]float64) (*Matrix, error) {
+func fromRows(rows [][]float64) (*matrix, error) {
 	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
+		return newMatrix(0, 0), nil
 	}
 	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
+	m := newMatrix(len(rows), cols)
 	for i, r := range rows {
 		if len(r) != cols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(r), cols)
+			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", errShape, i, len(r), cols)
 		}
 		copy(m.data[i*cols:(i+1)*cols], r)
 	}
@@ -27,11 +27,11 @@ func fromRows(rows [][]float64) (*Matrix, error) {
 }
 
 // mul returns m × b.
-func (m *Matrix) mul(b *Matrix) (*Matrix, error) {
+func (m *matrix) mul(b *matrix) (*matrix, error) {
 	if m.cols != b.rows {
-		return nil, fmt.Errorf("%w: (%dx%d) x (%dx%d)", ErrShape, m.rows, m.cols, b.rows, b.cols)
+		return nil, fmt.Errorf("%w: (%dx%d) x (%dx%d)", errShape, m.rows, m.cols, b.rows, b.cols)
 	}
-	out := NewMatrix(m.rows, b.cols)
+	out := newMatrix(m.rows, b.cols)
 	for i := 0; i < m.rows; i++ {
 		for k := 0; k < m.cols; k++ {
 			a := m.data[i*m.cols+k]
@@ -44,15 +44,15 @@ func (m *Matrix) mul(b *Matrix) (*Matrix, error) {
 }
 
 // clone returns a deep copy of m.
-func (m *Matrix) clone() *Matrix {
-	c := NewMatrix(m.rows, m.cols)
+func (m *matrix) clone() *matrix {
+	c := newMatrix(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
 }
 
 // transpose returns the transpose of m as a new matrix.
-func (m *Matrix) transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
+func (m *matrix) transpose() *matrix {
+	t := newMatrix(m.cols, m.rows)
 	for i := 0; i < m.rows; i++ {
 		for j := 0; j < m.cols; j++ {
 			t.data[j*t.cols+i] = m.data[i*m.cols+j]
@@ -62,20 +62,20 @@ func (m *Matrix) transpose() *Matrix {
 }
 
 // mulVec returns m × v for a column vector v.
-func (m *Matrix) mulVec(v []float64) ([]float64, error) {
+func (m *matrix) mulVec(v []float64) ([]float64, error) {
 	if m.cols != len(v) {
-		return nil, fmt.Errorf("%w: (%dx%d) x vec(%d)", ErrShape, m.rows, m.cols, len(v))
+		return nil, fmt.Errorf("%w: (%dx%d) x vec(%d)", errShape, m.rows, m.cols, len(v))
 	}
 	out := make([]float64, m.rows)
 	for i := range out {
-		out[i] = Dot(m.data[i*m.cols:(i+1)*m.cols], v)
+		out[i] = dot(m.data[i*m.cols:(i+1)*m.cols], v)
 	}
 	return out, nil
 }
 
 func TestMatrixBasics(t *testing.T) {
 	t.Parallel()
-	m := NewMatrix(2, 3)
+	m := newMatrix(2, 3)
 	if m.rows != 2 || m.cols != 3 {
 		t.Fatalf("dims = %dx%d", m.rows, m.cols)
 	}
@@ -140,7 +140,7 @@ func TestMul(t *testing.T) {
 			}
 		}
 	}
-	if _, err := a.mul(NewMatrix(3, 3)); !errors.Is(err, ErrShape) {
+	if _, err := a.mul(newMatrix(3, 3)); !errors.Is(err, errShape) {
 		t.Error("shape mismatch not reported")
 	}
 }
@@ -155,7 +155,7 @@ func TestMulVec(t *testing.T) {
 	if v[0] != 3 || v[1] != 7 {
 		t.Errorf("mulVec = %v", v)
 	}
-	if _, err := a.mulVec([]float64{1}); !errors.Is(err, ErrShape) {
+	if _, err := a.mulVec([]float64{1}); !errors.Is(err, errShape) {
 		t.Error("shape mismatch not reported")
 	}
 }
@@ -167,7 +167,7 @@ func TestCholeskyKnown(t *testing.T) {
 		{12, 37, -43},
 		{-16, -43, 98},
 	})
-	l, err := Cholesky(a)
+	l, err := cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +184,10 @@ func TestCholeskyKnown(t *testing.T) {
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	t.Parallel()
 	a, _ := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3 and -1
-	if _, err := Cholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
+	if _, err := cholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Errorf("indefinite matrix: err = %v", err)
 	}
-	if _, err := Cholesky(NewMatrix(2, 3)); !errors.Is(err, ErrShape) {
+	if _, err := cholesky(newMatrix(2, 3)); !errors.Is(err, errShape) {
 		t.Error("non-square accepted")
 	}
 }
@@ -198,7 +198,7 @@ func TestSolveRoundTrip(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(6)
 		// Build SPD A = BᵀB + I.
-		b := NewMatrix(n, n)
+		b := newMatrix(n, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				b.Set(i, j, rng.NormFloat64())
@@ -212,7 +212,7 @@ func TestSolveRoundTrip(t *testing.T) {
 			xTrue[i] = rng.NormFloat64()
 		}
 		rhs, _ := a.mulVec(xTrue)
-		x, err := Solve(a, rhs)
+		x, err := solve(a, rhs)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -227,21 +227,21 @@ func TestSolveRoundTrip(t *testing.T) {
 func TestSolveCholeskyShapeError(t *testing.T) {
 	t.Parallel()
 	a, _ := fromRows([][]float64{{4, 0}, {0, 4}})
-	l, _ := Cholesky(a)
-	if _, err := SolveCholesky(l, []float64{1}); !errors.Is(err, ErrShape) {
+	l, _ := cholesky(a)
+	if _, err := solveCholesky(l, []float64{1}); !errors.Is(err, errShape) {
 		t.Error("rhs length mismatch accepted")
 	}
 }
 
 func TestDotMean(t *testing.T) {
 	t.Parallel()
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
+	if dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Error("Dot wrong")
 	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
+	if mean(nil) != 0 {
+		t.Error("mean(nil) != 0")
 	}
-	if Mean([]float64{2, 4}) != 3 {
+	if mean([]float64{2, 4}) != 3 {
 		t.Error("Mean wrong")
 	}
 }
@@ -259,9 +259,9 @@ func TestRidgeRecoversExactLinearModel(t *testing.T) {
 		for j := range row {
 			row[j] = rng.NormFloat64()
 		}
-		y[i] = intercept + Dot(wTrue, row)
+		y[i] = intercept + dot(wTrue, row)
 	}
-	m, err := RidgeFit(x, p, y, 0)
+	m, err := refRidgeFit(x, p, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +292,8 @@ func TestRidgeShrinksCoefficients(t *testing.T) {
 		x[i] = v
 		y[i] = 3*v + rng.NormFloat64()*0.1
 	}
-	loose, _ := RidgeFit(x, 1, y, 0)
-	tight, _ := RidgeFit(x, 1, y, 1000)
+	loose, _ := refRidgeFit(x, 1, y, 0)
+	tight, _ := refRidgeFit(x, 1, y, 1000)
 	if math.Abs(tight.Coef[0]) >= math.Abs(loose.Coef[0]) {
 		t.Errorf("lambda=1000 coef %v not shrunk vs %v", tight.Coef[0], loose.Coef[0])
 	}
@@ -304,7 +304,7 @@ func TestRidgeHandlesCollinearFeatures(t *testing.T) {
 	// Two identical columns would make OLS singular; ridge must cope.
 	x := []float64{1, 1, 2, 2, 3, 3, 4, 4}
 	y := []float64{2, 4, 6, 8}
-	m, err := RidgeFit(x, 2, y, 1e-6)
+	m, err := refRidgeFit(x, 2, y, 1e-6)
 	if err != nil {
 		t.Fatalf("collinear fit failed: %v", err)
 	}
@@ -316,7 +316,7 @@ func TestRidgeHandlesCollinearFeatures(t *testing.T) {
 
 func TestRidgeInterceptOnly(t *testing.T) {
 	t.Parallel()
-	m, err := RidgeFit(nil, 0, []float64{1, 2, 3}, 0)
+	m, err := refRidgeFit(nil, 0, []float64{1, 2, 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,27 +330,27 @@ func TestRidgeInterceptOnly(t *testing.T) {
 
 func TestRidgeErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := RidgeFit(nil, 1, nil, 0); !errors.Is(err, ErrNoSamples) {
+	if _, err := refRidgeFit(nil, 1, nil, 0); !errors.Is(err, ErrNoSamples) {
 		t.Error("empty fit accepted")
 	}
-	if _, err := RidgeFit([]float64{1}, 1, []float64{1, 2}, 0); !errors.Is(err, ErrShape) {
+	if _, err := refRidgeFit([]float64{1}, 1, []float64{1, 2}, 0); !errors.Is(err, errShape) {
 		t.Error("length mismatch accepted")
 	}
 	// Ragged rows: three design values for two one-feature responses.
-	if _, err := RidgeFit([]float64{1, 1, 2}, 1, []float64{1, 2}, 0); !errors.Is(err, ErrShape) {
+	if _, err := refRidgeFit([]float64{1, 1, 2}, 1, []float64{1, 2}, 0); !errors.Is(err, errShape) {
 		t.Error("ragged design accepted")
 	}
-	if _, err := RidgeFit([]float64{1, 1, 2}, 2, []float64{1, 2}, 0); !errors.Is(err, ErrShape) {
+	if _, err := refRidgeFit([]float64{1, 1, 2}, 2, []float64{1, 2}, 0); !errors.Is(err, errShape) {
 		t.Error("short design accepted")
 	}
-	if _, err := RidgeFit(nil, -1, []float64{1}, 0); !errors.Is(err, ErrShape) {
+	if _, err := refRidgeFit(nil, -1, []float64{1}, 0); !errors.Is(err, errShape) {
 		t.Error("negative feature count accepted")
 	}
-	if _, err := RidgeFit([]float64{1}, 1, []float64{1}, -1); err == nil {
+	if _, err := refRidgeFit([]float64{1}, 1, []float64{1}, -1); err == nil {
 		t.Error("negative lambda accepted")
 	}
-	m, _ := RidgeFit([]float64{1, 2}, 1, []float64{1, 2}, 0)
-	if _, err := m.Predict([]float64{1, 2}); !errors.Is(err, ErrShape) {
+	m, _ := refRidgeFit([]float64{1, 2}, 1, []float64{1, 2}, 0)
+	if _, err := m.Predict([]float64{1, 2}); !errors.Is(err, errShape) {
 		t.Error("Predict with wrong feature count accepted")
 	}
 }
@@ -368,7 +368,7 @@ func TestOLSResidualOrthogonality(t *testing.T) {
 			x[i*p], x[i*p+1] = r.NormFloat64(), r.NormFloat64()
 			y[i] = 1 + 2*x[i*p] - x[i*p+1] + r.NormFloat64()
 		}
-		m, err := RidgeFit(x, p, y, 0)
+		m, err := refRidgeFit(x, p, y, 0)
 		if err != nil {
 			return false
 		}
@@ -403,7 +403,7 @@ func TestCholeskyRoundTripProperty(t *testing.T) {
 		if n < 1 {
 			n = 1
 		}
-		b := NewMatrix(n, n)
+		b := newMatrix(n, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				b.Set(i, j, r.NormFloat64())
@@ -411,7 +411,7 @@ func TestCholeskyRoundTripProperty(t *testing.T) {
 		}
 		a, _ := b.transpose().mul(b)
 		a.AddDiagonal(0.5)
-		l, err := Cholesky(a)
+		l, err := cholesky(a)
 		if err != nil {
 			return false
 		}

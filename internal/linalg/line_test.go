@@ -43,7 +43,7 @@ func lineRows(rng *rand.Rand, trial int) (x, y []float64, lambda float64) {
 	return x, y, lambdas[rng.Intn(len(lambdas))]
 }
 
-// TestRidgeFit1MatchesGeneral: RidgeFit's one-feature path, ridgeLine,
+// TestRidgeFit1MatchesGeneral: refRidgeFit's one-feature path, ridgeLine,
 // returns the general path's model bit for bit — intercept, coefficient,
 // RMSE and N — and the same error, over random designs including constant x
 // (only the ridge jitter keeps the system solvable), a single sample,
@@ -54,7 +54,7 @@ func TestRidgeFit1MatchesGeneral(t *testing.T) {
 	for trial := 0; trial < 4000; trial++ {
 		x, y, lambda := lineRows(rng, trial)
 		n := len(y)
-		got, gotErr := RidgeFit(x, 1, y, lambda)
+		got, gotErr := refRidgeFit(x, 1, y, lambda)
 		want, wantErr := ridgeFit(x, 1, y, lambda)
 		if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && !errors.Is(gotErr, ErrNotPositiveDefinite)) {
 			t.Fatalf("trial %d: error %v, general path %v", trial, gotErr, wantErr)
@@ -75,7 +75,7 @@ func TestRidgeFit1MatchesGeneral(t *testing.T) {
 }
 
 // sameLine reports whether l equals the one-feature model m bit for bit.
-func sameLine(l Line, m *RidgeModel) bool {
+func sameLine(l Line, m *ridgeModel) bool {
 	return len(m.Coef) == 1 &&
 		math.Float64bits(l.Intercept) == math.Float64bits(m.Intercept) &&
 		math.Float64bits(l.Slope) == math.Float64bits(m.Coef[0]) &&
@@ -166,7 +166,7 @@ func near(a, b float64) bool { return math.Abs(a-b) <= 1e-9*max(1, math.Abs(b)) 
 // nearRMSE reports whether the RMSE a is within 1e-9 of b, or both lie
 // below the sums' resolution: 1e-7 times the standard deviation of y.
 func nearRMSE(a, b float64, y []float64) bool {
-	mean := Mean(y)
+	mean := mean(y)
 	var ss float64
 	for _, v := range y {
 		ss += (v - mean) * (v - mean)

@@ -1,143 +1,9 @@
 package linalg
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// ErrNoSamples is returned by RidgeFit when no training rows are supplied.
-var ErrNoSamples = errors.New("linalg: no training samples")
-
-// RidgeModel is a fitted linear model y ≈ Intercept + Σ Coef[j]·x[j].
-type RidgeModel struct {
-	Intercept float64
-	Coef      []float64
-	// RMSE is the root-mean-squared training residual; callers use it to
-	// weigh this model against fallbacks.
-	RMSE float64
-	// N is the number of training samples.
-	N int
-}
-
-// Predict evaluates the model at x, which must have len(Coef) features.
-func (m *RidgeModel) Predict(x []float64) (float64, error) {
-	if len(x) != len(m.Coef) {
-		return 0, fmt.Errorf("%w: model has %d features, input has %d", ErrShape, len(m.Coef), len(x))
-	}
-	return m.Intercept + Dot(m.Coef, x), nil
-}
-
-// RidgeFit fits y ≈ w₀ + Σ wⱼ xⱼ with an L2 penalty lambda on the weights
-// (the intercept is not penalised, implemented by centring). x is the n×p
-// design matrix, row-major and flat (row i is x[i*p:(i+1)*p]); y has n
-// responses. lambda must be ≥ 0; a small positive lambda also guarantees the
-// normal equations are solvable when features are collinear, which happens
-// constantly with neighbouring road speeds.
-func RidgeFit(x []float64, p int, y []float64, lambda float64) (*RidgeModel, error) {
-	if err := checkFit(x, p, y, lambda); err != nil {
-		return nil, err
-	}
-	if p == 1 {
-		l, err := ridgeLine(x, y, lambda)
-		if err != nil {
-			return nil, err
-		}
-		return &RidgeModel{Intercept: l.Intercept, Coef: []float64{l.Slope}, RMSE: l.RMSE, N: l.N}, nil
-	}
-	return ridgeFit(x, p, y, lambda)
-}
-
-// checkFit validates RidgeFit's inputs.
-func checkFit(x []float64, p int, y []float64, lambda float64) error {
-	n := len(y)
-	if p < 0 || len(x) != n*p {
-		return fmt.Errorf("%w: %d design values for %d responses of %d features", ErrShape, len(x), n, p)
-	}
-	if n == 0 {
-		return ErrNoSamples
-	}
-	if lambda < 0 {
-		return fmt.Errorf("linalg: negative ridge penalty %v", lambda)
-	}
-	return nil
-}
-
-// ridgeFit is the general path of RidgeFit over validated inputs.
-func ridgeFit(x []float64, p int, y []float64, lambda float64) (*RidgeModel, error) {
-	n := len(y)
-	if p == 0 {
-		// Intercept-only model.
-		m := &RidgeModel{Intercept: Mean(y), Coef: nil, N: n}
-		var sse float64
-		for _, yv := range y {
-			d := yv - m.Intercept
-			sse += d * d
-		}
-		m.RMSE = rmseOf(sse, n)
-		return m, nil
-	}
-
-	// Centre features and response so the intercept absorbs the means and
-	// stays unpenalised.
-	xMean := make([]float64, p)
-	for i := 0; i < n; i++ {
-		for j, v := range x[i*p : (i+1)*p] {
-			xMean[j] += v
-		}
-	}
-	for j := range xMean {
-		xMean[j] /= float64(n)
-	}
-	yMean := Mean(y)
-
-	// Normal equations on centred data: (XᵀX + λI)·w = Xᵀy.
-	xtx := NewMatrix(p, p)
-	xty := make([]float64, p)
-	cr := make([]float64, p)
-	for i := 0; i < n; i++ {
-		for j, v := range x[i*p : (i+1)*p] {
-			cr[j] = v - xMean[j]
-		}
-		cy := y[i] - yMean
-		for a := 0; a < p; a++ {
-			//lint:ignore floateq exact-zero sparsity skip: only terms contributing exactly nothing are skipped
-			if cr[a] == 0 {
-				continue
-			}
-			xty[a] += cr[a] * cy
-			for b := a; b < p; b++ {
-				xtx.data[a*p+b] += cr[a] * cr[b]
-			}
-		}
-	}
-	for a := 0; a < p; a++ { // mirror the upper triangle
-		for b := a + 1; b < p; b++ {
-			xtx.data[b*p+a] = xtx.data[a*p+b]
-		}
-	}
-	// Always add a tiny jitter on top of lambda so exactly-collinear columns
-	// (duplicate neighbour speeds) do not break the factorisation.
-	xtx.AddDiagonal(lambda + 1e-9)
-
-	w, err := Solve(xtx, xty)
-	if err != nil {
-		return nil, fmt.Errorf("linalg: ridge solve failed: %w", err)
-	}
-	m := &RidgeModel{
-		Intercept: yMean - Dot(w, xMean),
-		Coef:      w,
-		N:         n,
-	}
-	var sse float64
-	for i := 0; i < n; i++ {
-		pred, _ := m.Predict(x[i*p : (i+1)*p])
-		d := y[i] - pred
-		sse += d * d
-	}
-	m.RMSE = rmseOf(sse, n)
-	return m, nil
-}
 
 // Line is a fitted one-feature ridge model y ≈ Intercept + Slope·x, held
 // by value: it carries no pointer, so a caller can store many of them inline
@@ -156,9 +22,10 @@ func (l Line) At(x float64) float64 { return l.Intercept + l.Slope*x }
 
 // LineSums gathers the rows of a one-feature ridge fit in one pass and holds
 // no row: the count and the sums of x, y, x², xy and y², each row taken as
-// its offset from the first row added. Its Line is RidgeFit(x, 1, y, λ)
-// over the same rows, solved in closed form and equal to within rounding.
-// The shift keeps the centred sums clear of the cancellation that
+// its offset from the first row added. Its Line is the ridge line of those
+// rows, solved in closed form, and equal to within rounding to the
+// three-pass fit that centres the rows first (the tests keep it as the
+// reference). The shift keeps the centred sums clear of the cancellation that
 // Σx² − (Σx)²/n suffers on data far from zero. The zero LineSums holds no
 // row; it carries no pointer.
 type LineSums struct {
@@ -206,10 +73,10 @@ func (s *LineSums) Merge(o *LineSums) {
 }
 
 // Line solves the ridge line of the rows added, with penalty lambda on the
-// slope: w = Sxy / (Sxx + λ + 1e-9) over the centred sums, the jitter being
-// RidgeFit's. It fails where RidgeFit does: on no row, on a negative
-// penalty, and, as the solve does, when a non-finite x leaves Sxx NaN. A
-// non-finite y gives a Line whose RMSE is NaN, as it gives RidgeFit's.
+// slope: w = Sxy / (Sxx + λ + 1e-9) over the centred sums; the jitter keeps
+// a constant x solvable. It fails on no row, on a negative penalty, and
+// when a non-finite x leaves Sxx NaN. A non-finite y gives a Line whose
+// RMSE is NaN.
 func (s *LineSums) Line(lambda float64) (Line, error) {
 	if s.n == 0 {
 		return Line{}, ErrNoSamples
@@ -238,54 +105,188 @@ func (s *LineSums) Line(lambda float64) (Line, error) {
 	}, nil
 }
 
-// ridgeLine is ridgeFit for p = 1 without the matrix and vector
-// scaffolding. It performs the general path's floating-point operations in
-// the general path's order, so both return bit-identical models: the means
-// sum x and y in one loop but
-// each in its own accumulator, the 1×1 Cholesky solve divides by
-// √(Sxx+λ+1e-9) twice rather than once by Sxx+λ+1e-9, and every Dot starts
-// from a zero accumulator.
-func ridgeLine(x, y []float64, lambda float64) (Line, error) {
-	n := len(y)
-	y = y[:len(x)]
-	var xSum, ySum float64
-	for i, v := range x {
-		xSum += v
-		ySum += y[i]
-	}
-	xMean := xSum / float64(n)
-	yMean := ySum / float64(n)
+// MaxFeatures is the most features a Sums fits.
+const MaxFeatures = 4
 
-	var sxx, sxy float64
-	for i, v := range x {
-		c := v - xMean
-		cy := y[i] - yMean
-		//lint:ignore floateq exact-zero sparsity skip, as in ridgeFit: only terms contributing exactly nothing are skipped
-		if c == 0 {
-			continue
-		}
-		sxy += c * cy
-		sxx += c * c
-	}
-	sxx += lambda + 1e-9
-	if sxx <= 0 || math.IsNaN(sxx) {
-		return Line{}, fmt.Errorf("linalg: ridge solve failed: %w", ErrNotPositiveDefinite)
-	}
-	l := math.Sqrt(sxx)
-	w := sxy / l / l
+// Fit is a fitted ridge model y ≈ Intercept + Σ Coef[j]·x[j] of at most
+// MaxFeatures features, held by value like Line: it carries no pointer.
+// Coef is zero past the features fitted. Every fitted Fit has N ≥ 1, so the
+// zero Fit can mark "no fit".
+type Fit struct {
+	Intercept float64
+	Coef      [MaxFeatures]float64
+	// RMSE is the root-mean-squared training residual.
+	RMSE float64
+	// N is the number of training samples.
+	N int
+}
 
+// At evaluates the fit at x, one value per feature fitted.
+func (f Fit) At(x []float64) float64 {
 	var dot float64
-	dot += w * xMean
-	line := Line{Intercept: yMean - dot, Slope: w, N: n}
-	var sse float64
-	for i, v := range x {
-		var wx float64
-		wx += w * v
-		d := y[i] - (line.Intercept + wx)
-		sse += d * d
+	for j, v := range x {
+		dot += f.Coef[j] * v
 	}
-	line.RMSE = rmseOf(sse, n)
-	return line, nil
+	return f.Intercept + dot
+}
+
+// Sums is LineSums for up to MaxFeatures features: it gathers the rows of a
+// ridge fit in one pass and holds no row, only the count and the sums of x,
+// y, the upper triangle of xxᵀ, xy and y², each row taken as its offset
+// from the first row added. Every row of one Sums has the same number of
+// features, p. The zero Sums holds no row; it carries no pointer.
+type Sums struct {
+	n, p int
+	x0   [MaxFeatures]float64 // the shift: the first row
+	y0   float64
+	sx   [MaxFeatures]float64
+	sy   float64
+	sxx  [MaxFeatures * (MaxFeatures + 1) / 2]float64 // row by row, from the diagonal on
+	sxy  [MaxFeatures]float64
+	syy  float64
+}
+
+// Add adds the row (x, y); x holds one value per feature.
+func (s *Sums) Add(x []float64, y float64) {
+	if s.n == 0 {
+		s.p = len(x)
+		copy(s.x0[:], x)
+		s.y0 = y
+	}
+	var d [MaxFeatures]float64
+	for j := range s.p {
+		d[j] = x[j] - s.x0[j]
+	}
+	y -= s.y0
+	s.n++
+	s.sy += y
+	s.syy += y * y
+	k := 0
+	for i := range s.p {
+		s.sx[i] += d[i]
+		s.sxy[i] += d[i] * y
+		for j := i; j < s.p; j++ {
+			s.sxx[k] += d[i] * d[j]
+			k++
+		}
+	}
+}
+
+// N returns the number of rows added.
+func (s *Sums) N() int { return s.n }
+
+// Merge adds o's rows, of as many features as s's, to s. o's sums are moved
+// to s's shift first, as LineSums.Merge moves them.
+func (s *Sums) Merge(o *Sums) {
+	switch {
+	case o.n == 0:
+		return
+	case s.n == 0:
+		*s = *o
+		return
+	}
+	var dx [MaxFeatures]float64
+	for j := range s.p {
+		dx[j] = o.x0[j] - s.x0[j]
+	}
+	dy, fn := o.y0-s.y0, float64(o.n)
+	k := 0
+	for i := range s.p {
+		for j := i; j < s.p; j++ {
+			s.sxx[k] += o.sxx[k] + dx[i]*o.sx[j] + dx[j]*o.sx[i] + fn*dx[i]*dx[j]
+			k++
+		}
+		s.sxy[i] += o.sxy[i] + dx[i]*o.sy + dy*o.sx[i] + fn*dx[i]*dy
+		s.sx[i] += o.sx[i] + fn*dx[i]
+	}
+	s.syy += o.syy + dy*(2*o.sy+fn*dy)
+	s.sy += o.sy + fn*dy
+	s.n += o.n
+}
+
+// Fit solves the ridge regression of the rows added, with penalty lambda on
+// the coefficients and none on the intercept: w = (Sxx + (λ + 1e-9)·I)⁻¹·Sxy
+// over the centred sums, by a Cholesky factorisation in place. The jitter
+// keeps constant and collinear features solvable. It fails on no row, on a
+// negative penalty, and when a non-finite x leaves a pivot NaN. A
+// non-finite y gives a Fit that holds a NaN.
+func (s *Sums) Fit(lambda float64) (Fit, error) {
+	if s.n == 0 {
+		return Fit{}, ErrNoSamples
+	}
+	if lambda < 0 {
+		return Fit{}, fmt.Errorf("linalg: negative ridge penalty %v", lambda)
+	}
+	p, fn := s.p, float64(s.n)
+	var mx [MaxFeatures]float64 // the means' offsets from the shift
+	for j := range p {
+		mx[j] = s.sx[j] / fn
+	}
+	my := s.sy / fn
+	// The centred sums: g = Sxx, b = Sxy. A centred sum of squares is never
+	// negative; rounding may leave it a hair below zero. max keeps a NaN.
+	var g [MaxFeatures][MaxFeatures]float64
+	var b [MaxFeatures]float64
+	k := 0
+	for i := range p {
+		for j := i; j < p; j++ {
+			g[i][j] = s.sxx[k] - s.sx[i]*mx[j]
+			g[j][i] = g[i][j]
+			k++
+		}
+		g[i][i] = max(g[i][i], 0)
+		b[i] = s.sxy[i] - s.sx[i]*my
+	}
+
+	// Factor a = g + (λ+1e-9)·I = L·Lᵀ in place, L in a's lower triangle,
+	// then solve L·Lᵀ·w = b.
+	a := g
+	for i := range p {
+		a[i][i] += lambda + 1e-9
+		for j := 0; j <= i; j++ {
+			sum := a[i][j]
+			for k := range j {
+				sum -= a[i][k] * a[j][k]
+			}
+			switch {
+			case i > j:
+				a[i][j] = sum / a[j][j]
+			case sum > 0:
+				a[i][i] = math.Sqrt(sum)
+			default: // a NaN pivot
+				return Fit{}, fmt.Errorf("linalg: ridge solve failed: %w", ErrNotPositiveDefinite)
+			}
+		}
+	}
+	var w [MaxFeatures]float64
+	for i := range p {
+		sum := b[i]
+		for k := range i {
+			sum -= a[i][k] * w[k]
+		}
+		w[i] = sum / a[i][i]
+	}
+	for i := p - 1; i >= 0; i-- {
+		sum := w[i]
+		for k := i + 1; k < p; k++ {
+			sum -= a[k][i] * w[k]
+		}
+		w[i] = sum / a[i][i]
+	}
+
+	// The residuals' sum of squares, Σ(yc − w·xc)² = Syy − wᵀ(2·Sxy − Sxx·w),
+	// from the sums.
+	sse := max(s.syy-s.sy*my, 0)
+	var dot float64
+	for i := range p {
+		var gw float64
+		for j := range p {
+			gw += g[i][j] * w[j]
+		}
+		sse -= w[i] * (2*b[i] - gw)
+		dot += w[i] * (s.x0[i] + mx[i])
+	}
+	return Fit{Intercept: (s.y0 + my) - dot, Coef: w, RMSE: rmseOf(sse, s.n), N: s.n}, nil
 }
 
 func rmseOf(sse float64, n int) float64 {

