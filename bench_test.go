@@ -369,15 +369,14 @@ func BenchmarkFigF10InferenceScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkFigF11TrendEngines regenerates Figure 11's rows: each trend
-// engine inside a full estimation round, reporting trend accuracy.
+// BenchmarkFigF11TrendEngines regenerates Figure 11's rows: the served BP
+// engine and the history-only prior, each inside a full estimation round,
+// reporting trend accuracy.
 func BenchmarkFigF11TrendEngines(b *testing.B) {
 	ctx := context.Background()
 	f := getFixture(b)
 	engines := map[string]mrf.Engine{
 		"bp":    nil, // default engine
-		"icm":   mrf.ICM{},
-		"gibbs": mrf.Gibbs{Seed: 1, Burn: 20, Samples: 60},
 		"prior": mrf.PriorOnly{},
 	}
 	for name, eng := range engines {

@@ -39,7 +39,7 @@ var experiments = []experiment{
 	{"F8", "Figure 8 — seed-selection quality", runF8},
 	{"F9", "Figure 9 — seed-selection efficiency", runF9},
 	{"F10", "Figure 10 — inference efficiency vs network size", runF10},
-	{"F11", "Figure 11 — trend-inference accuracy by engine", runF11},
+	{"F11", "Figure 11 — trend-inference accuracy: served BP round vs history-only prior", runF11},
 	{"A1", "Ablation A1 — trends on/off", runA1},
 	{"A2", "Ablation A2 — hierarchy on/off", runA2},
 	{"A3", "Ablation A3 — correlation threshold τ", runA3},

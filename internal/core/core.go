@@ -105,7 +105,8 @@ const (
 	// when converting its estimates to trend priors.
 	preTrendNoise = 0.12
 	// trendTemper scales the MRF edge potentials toward neutrality to
-	// compensate loopy BP's evidence double-counting.
+	// compensate loopy BP's evidence double-counting; each view's trend
+	// topology applies it once.
 	trendTemper = 0.2
 )
 

@@ -39,7 +39,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("nil history accepted")
 	}
 	bad := DefaultOptions()
-	bad.Corr.MaxHops = 0
+	bad.Corr.MinAgreement = 0.4
 	if _, err := NewView(d.Net, d.DB, bad); err == nil {
 		t.Error("invalid corr config accepted")
 	}

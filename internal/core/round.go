@@ -209,12 +209,9 @@ func (v *View) inferTrends(ctx context.Context, priors []float64, engineOverride
 	var trends *mrf.Result
 	//lint:hotpath-ok one span-bracketing thunk per phase per round (not per index); timePhase needs a closure to time and the round does O(roads) work inside it
 	if err := timePhase(ctx, "trend", func() error {
-		model, err := mrf.NewModelWithTopology(v.trendTopo, priors)
+		model, err := mrf.NewModel(v.trendTopo, priors)
 		if err != nil {
 			return fmt.Errorf("building trend model: %w", err)
-		}
-		if err := model.SetEdgeTemper(trendTemper); err != nil {
-			return fmt.Errorf("tempering trend model: %w", err)
 		}
 		engine := engineOverride
 		if engine == nil {

@@ -35,8 +35,8 @@ import (
 // snapshot at entry and uses only that. Rounds leave nothing behind, so a
 // view, and any successor an incremental rebuild mints from it, answers as
 // a function of its history and seed set alone, never of the traffic it
-// served. The remaining caveat is caller-configured engines with internal
-// randomness (e.g. Gibbs), which are only as safe as the engine itself.
+// served. A caller-configured engine (EstimateOptions.Engine) is only as
+// safe as the engine itself.
 type View struct {
 	version  uint64
 	builtAt  time.Time
@@ -52,9 +52,9 @@ type View struct {
 	selector seedsel.Selector
 	engine   mrf.Engine
 
-	// trendTopo is the BP message-passing structure of the correlation
-	// graph, built once here so per-round trend models skip the O(E·deg)
-	// rebuild.
+	// trendTopo is the trend MRF's message-passing structure over the
+	// correlation graph, its edges tempered by trendTemper. It is built once
+	// here, so per-round trend models skip the O(E·deg) rebuild.
 	trendTopo *mrf.Topology
 
 	// seedModel is the snapshot of the model specialised to the last
@@ -150,7 +150,7 @@ func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Optio
 	}
 	var trendTopo *mrf.Topology
 	if err := timeStage(ctx, "trend_topology", func() (err error) {
-		trendTopo, err = mrf.NewTopology(graph)
+		trendTopo, err = mrf.NewTopology(graph, trendTemper)
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("core: building trend topology: %w", err)

@@ -30,18 +30,22 @@ type Edge struct {
 	Agreement float64
 }
 
-// Config parameterises graph construction.
-type Config struct {
-	// MaxHops bounds candidate pairs to roads within this many hops in the
+// Graph construction's fixed limits.
+const (
+	// maxHops bounds candidate pairs to roads within this many hops in the
 	// road-adjacency graph (the paper's insight is spatial: correlated roads
 	// are nearby).
-	MaxHops int
+	maxHops = 2
+	// minCoObserved is the minimum number of co-observed slots for an edge
+	// to be trusted.
+	minCoObserved = 24
+)
+
+// Config parameterises graph construction.
+type Config struct {
 	// MinAgreement is the τ threshold; pairs agreeing less often are not
 	// connected.
 	MinAgreement float64
-	// MinCoObserved is the minimum number of co-observed slots for an edge
-	// to be trusted.
-	MinCoObserved int
 	// MaxNeighbors caps each road's neighbour list, keeping the strongest
 	// edges (0 = unlimited). The final graph keeps an edge if either
 	// endpoint ranks it within its cap, preserving symmetry.
@@ -50,19 +54,13 @@ type Config struct {
 
 // DefaultConfig returns the thresholds used by the experiments.
 func DefaultConfig() Config {
-	return Config{MaxHops: 2, MinAgreement: 0.65, MinCoObserved: 24, MaxNeighbors: 8}
+	return Config{MinAgreement: 0.65, MaxNeighbors: 8}
 }
 
 // Validate rejects unusable configurations.
 func (c *Config) Validate() error {
-	if c.MaxHops < 1 {
-		return fmt.Errorf("corr: MaxHops must be ≥ 1, got %d", c.MaxHops)
-	}
 	if c.MinAgreement < 0.5 || c.MinAgreement >= 1 {
 		return fmt.Errorf("corr: MinAgreement must be in [0.5, 1), got %v", c.MinAgreement)
-	}
-	if c.MinCoObserved < 1 {
-		return fmt.Errorf("corr: MinCoObserved must be ≥ 1, got %d", c.MinCoObserved)
 	}
 	if c.MaxNeighbors < 0 {
 		return fmt.Errorf("corr: MaxNeighbors must be ≥ 0, got %d", c.MaxNeighbors)
@@ -172,7 +170,7 @@ func Build(net *roadnet.Network, db *history.DB, cfg Config) (*Graph, error) {
 // an edge.
 func scorePair(db *history.DB, u, v roadnet.RoadID, cfg Config) (Edge, bool) {
 	n, agree := db.CoCounts(u, v)
-	if n < cfg.MinCoObserved {
+	if n < minCoObserved {
 		return Edge{}, false
 	}
 	agreement := (float64(agree) + 1) / (float64(n) + 2)

@@ -29,11 +29,9 @@ func buildDataset(t *testing.T) *dataset.Dataset {
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
 	bad := []Config{
-		{MaxHops: 0, MinAgreement: 0.6, MinCoObserved: 1},
-		{MaxHops: 1, MinAgreement: 0.4, MinCoObserved: 1},
-		{MaxHops: 1, MinAgreement: 1.0, MinCoObserved: 1},
-		{MaxHops: 1, MinAgreement: 0.6, MinCoObserved: 0},
-		{MaxHops: 1, MinAgreement: 0.6, MinCoObserved: 1, MaxNeighbors: -1},
+		{MinAgreement: 0.4},
+		{MinAgreement: 1.0},
+		{MinAgreement: 0.6, MaxNeighbors: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -97,7 +95,7 @@ func TestGraphStructure(t *testing.T) {
 			if e.Agreement < cfg.MinAgreement {
 				t.Fatalf("edge below agreement threshold: %v", e.Agreement)
 			}
-			if int(e.N) < cfg.MinCoObserved {
+			if int(e.N) < minCoObserved {
 				t.Fatalf("edge below co-observation threshold: %d", e.N)
 			}
 		}
@@ -121,15 +119,15 @@ func TestMostEdgesJoinNearbyRoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// By construction every edge joins roads within MaxHops.
+	// By construction every edge joins roads within maxHops.
 	for u := 0; u < g.NumRoads(); u++ {
 		if g.Degree(roadnet.RoadID(u)) == 0 {
 			continue
 		}
-		hops := d.Net.Hops([]roadnet.RoadID{roadnet.RoadID(u)}, cfg.MaxHops)
+		hops := d.Net.Hops([]roadnet.RoadID{roadnet.RoadID(u)}, maxHops)
 		for _, e := range g.Neighbors(roadnet.RoadID(u)) {
 			if hops[e.To] == -1 {
-				t.Fatalf("edge %d-%d spans more than %d hops", u, e.To, cfg.MaxHops)
+				t.Fatalf("edge %d-%d spans more than %d hops", u, e.To, maxHops)
 			}
 		}
 		if u > 40 {
@@ -175,9 +173,7 @@ func TestMaxNeighborsCap(t *testing.T) {
 			over++
 		}
 	}
-	uncapped, _ := Build(d.Net, d.DB, Config{
-		MaxHops: cfg.MaxHops, MinAgreement: cfg.MinAgreement, MinCoObserved: cfg.MinCoObserved,
-	})
+	uncapped, _ := Build(d.Net, d.DB, Config{MinAgreement: cfg.MinAgreement})
 	if g.NumEdges() >= uncapped.NumEdges() {
 		t.Errorf("cap did not reduce edges: %d vs %d", g.NumEdges(), uncapped.NumEdges())
 	}
@@ -207,7 +203,7 @@ func TestAdjacentRoadsAgreeMoreThanThreshold(t *testing.T) {
 
 // BenchmarkCorrBuild builds the correlation graph of the 6×5-block, 4-day
 // city hlm's golden test trains on. candidate-pairs/op counts the road
-// pairs within MaxHops that Build scores; scored-pairs/op counts those that
+// pairs within maxHops that Build scores; scored-pairs/op counts those that
 // clear the co-observation and agreement thresholds, the only ones whose
 // samples are read for the correlation sums.
 func BenchmarkCorrBuild(b *testing.B) {
@@ -215,7 +211,7 @@ func BenchmarkCorrBuild(b *testing.B) {
 	cc := DefaultConfig()
 	candidates := 0
 	for u := 0; u < d.Net.NumRoads(); u++ {
-		hops := d.Net.Hops([]roadnet.RoadID{roadnet.RoadID(u)}, cc.MaxHops)
+		hops := d.Net.Hops([]roadnet.RoadID{roadnet.RoadID(u)}, maxHops)
 		for v := u + 1; v < len(hops); v++ {
 			if hops[v] >= 0 {
 				candidates++

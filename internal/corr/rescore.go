@@ -20,7 +20,7 @@ import (
 //
 // The equivalence is exact, not approximate: an edge between two clean
 // roads depends only on those two roads' series, so it is reused verbatim;
-// every pair with a dirty endpoint lies within MaxHops of a dirty road and
+// every pair with a dirty endpoint lies within maxHops of a dirty road and
 // is re-scored with the same scorePair; each touched list is re-sorted by
 // sortEdges, a total order, so the order pairs are scored in does not
 // matter; and the MaxNeighbors pruning — a global rank decision — is
@@ -51,7 +51,7 @@ func Rescore(g *Graph, net *roadnet.Network, db *history.DB, dirty []roadnet.Roa
 		return g, nil
 	}
 
-	// Score every unordered pair with a dirty endpoint within MaxHops:
+	// Score every unordered pair with a dirty endpoint within maxHops:
 	// exactly the candidate pairs whose score may have changed. BFS from
 	// each dirty road; a pair of two dirty roads is scored once, from its
 	// lower endpoint.
@@ -73,7 +73,7 @@ func Rescore(g *Graph, net *roadnet.Network, db *history.DB, dirty []roadnet.Roa
 		visitBuf[d] = 0
 		for qi := 0; qi < len(queue); qi++ {
 			cur := queue[qi]
-			if visitBuf[cur] >= cfg.MaxHops {
+			if visitBuf[cur] >= maxHops {
 				continue
 			}
 			for _, nb := range net.Adjacent(cur) {

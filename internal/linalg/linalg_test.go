@@ -246,6 +246,49 @@ func TestDotMean(t *testing.T) {
 	}
 }
 
+// fitter fits the n×p row-major design x to y with ridge penalty lambda.
+type fitter struct {
+	name string
+	fit  func(x []float64, p int, y []float64, lambda float64) (*ridgeModel, error)
+}
+
+// fitters returns every fit a test of p features holds to one expectation:
+// the reference refRidgeFit, the program's Sums.Fit and, where p = 1,
+// LineSums.Line, each read out as a ridgeModel.
+func fitters(p int) []fitter {
+	fs := []fitter{{"refRidgeFit", refRidgeFit}, {"Sums.Fit", sumsFit}}
+	if p == 1 {
+		fs = append(fs, fitter{"LineSums.Line", lineSumsFit})
+	}
+	return fs
+}
+
+// sumsFit adds the rows to one Sums and fits them.
+func sumsFit(x []float64, p int, y []float64, lambda float64) (*ridgeModel, error) {
+	var s Sums
+	for i := range y {
+		s.Add(x[i*p:(i+1)*p], y[i])
+	}
+	f, err := s.Fit(lambda)
+	if err != nil {
+		return nil, err
+	}
+	return &ridgeModel{Intercept: f.Intercept, Coef: append([]float64(nil), f.Coef[:p]...), RMSE: f.RMSE, N: f.N}, nil
+}
+
+// lineSumsFit adds the one-feature rows to one LineSums and fits its line.
+func lineSumsFit(x []float64, _ int, y []float64, lambda float64) (*ridgeModel, error) {
+	var s LineSums
+	for i := range y {
+		s.Add(x[i], y[i])
+	}
+	l, err := s.Line(lambda)
+	if err != nil {
+		return nil, err
+	}
+	return &ridgeModel{Intercept: l.Intercept, Coef: []float64{l.Slope}, RMSE: l.RMSE, N: l.N}, nil
+}
+
 func TestRidgeRecoversExactLinearModel(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
@@ -261,23 +304,25 @@ func TestRidgeRecoversExactLinearModel(t *testing.T) {
 		}
 		y[i] = intercept + dot(wTrue, row)
 	}
-	m, err := refRidgeFit(x, p, y, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.Intercept-intercept) > 1e-6 {
-		t.Errorf("intercept = %v", m.Intercept)
-	}
-	for j := range wTrue {
-		if math.Abs(m.Coef[j]-wTrue[j]) > 1e-6 {
-			t.Errorf("coef[%d] = %v, want %v", j, m.Coef[j], wTrue[j])
+	for _, f := range fitters(p) {
+		m, err := f.fit(x, p, y, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
 		}
-	}
-	if m.RMSE > 1e-6 {
-		t.Errorf("RMSE = %v on noiseless data", m.RMSE)
-	}
-	if m.N != n {
-		t.Errorf("N = %d", m.N)
+		if math.Abs(m.Intercept-intercept) > 1e-6 {
+			t.Errorf("%s: intercept = %v", f.name, m.Intercept)
+		}
+		for j := range wTrue {
+			if math.Abs(m.Coef[j]-wTrue[j]) > 1e-6 {
+				t.Errorf("%s: coef[%d] = %v, want %v", f.name, j, m.Coef[j], wTrue[j])
+			}
+		}
+		if m.RMSE > 1e-6 {
+			t.Errorf("%s: RMSE = %v on noiseless data", f.name, m.RMSE)
+		}
+		if m.N != n {
+			t.Errorf("%s: N = %d", f.name, m.N)
+		}
 	}
 }
 
@@ -292,10 +337,18 @@ func TestRidgeShrinksCoefficients(t *testing.T) {
 		x[i] = v
 		y[i] = 3*v + rng.NormFloat64()*0.1
 	}
-	loose, _ := refRidgeFit(x, 1, y, 0)
-	tight, _ := refRidgeFit(x, 1, y, 1000)
-	if math.Abs(tight.Coef[0]) >= math.Abs(loose.Coef[0]) {
-		t.Errorf("lambda=1000 coef %v not shrunk vs %v", tight.Coef[0], loose.Coef[0])
+	for _, f := range fitters(1) {
+		loose, err := f.fit(x, 1, y, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		tight, err := f.fit(x, 1, y, 1000)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if math.Abs(tight.Coef[0]) >= math.Abs(loose.Coef[0]) {
+			t.Errorf("%s: lambda=1000 coef %v not shrunk vs %v", f.name, tight.Coef[0], loose.Coef[0])
+		}
 	}
 }
 
@@ -304,13 +357,15 @@ func TestRidgeHandlesCollinearFeatures(t *testing.T) {
 	// Two identical columns would make OLS singular; ridge must cope.
 	x := []float64{1, 1, 2, 2, 3, 3, 4, 4}
 	y := []float64{2, 4, 6, 8}
-	m, err := refRidgeFit(x, 2, y, 1e-6)
-	if err != nil {
-		t.Fatalf("collinear fit failed: %v", err)
-	}
-	pred, _ := m.Predict([]float64{5, 5})
-	if math.Abs(pred-10) > 1e-3 {
-		t.Errorf("prediction on collinear model = %v, want 10", pred)
+	for _, f := range fitters(2) {
+		m, err := f.fit(x, 2, y, 1e-6)
+		if err != nil {
+			t.Fatalf("%s: collinear fit failed: %v", f.name, err)
+		}
+		pred, _ := m.Predict([]float64{5, 5})
+		if math.Abs(pred-10) > 1e-3 {
+			t.Errorf("%s: prediction on collinear model = %v, want 10", f.name, pred)
+		}
 	}
 }
 
@@ -355,7 +410,8 @@ func TestRidgeErrors(t *testing.T) {
 	}
 }
 
-// Property: OLS (lambda→0) residuals are orthogonal to every centred feature.
+// Property: OLS (lambda→0) residuals are orthogonal to every centred
+// feature, for the reference and the program's fit alike.
 func TestOLSResidualOrthogonality(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(99))
@@ -368,22 +424,24 @@ func TestOLSResidualOrthogonality(t *testing.T) {
 			x[i*p], x[i*p+1] = r.NormFloat64(), r.NormFloat64()
 			y[i] = 1 + 2*x[i*p] - x[i*p+1] + r.NormFloat64()
 		}
-		m, err := refRidgeFit(x, p, y, 0)
-		if err != nil {
-			return false
-		}
-		for j := 0; j < p; j++ {
-			var dot, mean float64
-			for i := range y {
-				mean += x[i*p+j]
-			}
-			mean /= float64(n)
-			for i := range y {
-				pred, _ := m.Predict(x[i*p : (i+1)*p])
-				dot += (y[i] - pred) * (x[i*p+j] - mean)
-			}
-			if math.Abs(dot) > 1e-5 {
+		for _, fit := range fitters(p) {
+			m, err := fit.fit(x, p, y, 0)
+			if err != nil {
 				return false
+			}
+			for j := 0; j < p; j++ {
+				var dot, mean float64
+				for i := range y {
+					mean += x[i*p+j]
+				}
+				mean /= float64(n)
+				for i := range y {
+					pred, _ := m.Predict(x[i*p : (i+1)*p])
+					dot += (y[i] - pred) * (x[i*p+j] - mean)
+				}
+				if math.Abs(dot) > 1e-5 {
+					return false
+				}
 			}
 		}
 		return true

@@ -317,7 +317,7 @@ func (r *residualRun) processNode(u int, damping, tol float64) {
 	logUp, logDown := logProduct(0, 0, r.msg[lo:hi])
 	var maxD float64
 	for i := lo; i < hi; i++ {
-		newMsg := cavityMessage(phiUp, phiDown, logUp, logDown, r.msg[i], r.m.agreement(r.topo.agree[i]))
+		newMsg := cavityMessage(phiUp, phiDown, logUp, logDown, r.msg[i], r.topo.agree[i])
 		slot := r.topo.rev[i]
 		old := r.msg[slot]
 		r.msg[slot] = (1-damping)*newMsg + damping*old
@@ -373,8 +373,8 @@ func (r *residualRun) effectiveRounds() float64 {
 // runs the residual schedule to convergence or budget, polling ctx every
 // 1024 node updates. It accounts the run either way; on cancellation it
 // returns an error wrapping ctx.Err() and r.msg is void.
-func (r *residualRun) schedule(ctx context.Context, cfg *BPConfig, m *Model, topo *Topology, ev []int8) error {
-	n := m.NumRoads()
+func (r *residualRun) schedule(ctx context.Context, cfg *BPConfig, m *Model, ev []int8) error {
+	n, topo := m.NumRoads(), m.topo
 	r.m, r.topo, r.ev, r.n = m, topo, ev, n
 	r.processed, r.updates, r.cursor = 0, 0, 0
 	for i := range r.head {
@@ -441,16 +441,12 @@ func (b *BP) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Belief
 	if err != nil {
 		return nil, err
 	}
-	topo, err := m.topology()
-	if err != nil {
-		return nil, err
-	}
-	r := b.getRun(topo.NumDirectedEdges(), m.NumRoads())
+	r := b.getRun(m.topo.NumDirectedEdges(), m.NumRoads())
 	defer b.release(r)
-	if err := r.schedule(ctx, &b.cfg, m, topo, ev); err != nil {
+	if err := r.schedule(ctx, &b.cfg, m, ev); err != nil {
 		return nil, err
 	}
-	return &Result{PUp: marginals(m, topo, ev, r.msg)}, nil
+	return &Result{PUp: marginals(m, ev, r.msg)}, nil
 }
 
 // runPool recycles BP's per-run state across Infer calls. put is the

@@ -41,7 +41,7 @@ func TestBPMatchesJacobiRandomGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 50; seed++ {
-		m, ev := randomEquivalenceCase(t, seed)
+		m, ev, temper := randomEquivalenceCase(t, seed)
 		want, err := jacobi.Infer(context.Background(), m, ev, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -52,7 +52,7 @@ func TestBPMatchesJacobiRandomGraphs(t *testing.T) {
 		}
 		if d := maxMarginalDiff(got, want); d > bpEquivalenceBound {
 			t.Errorf("seed %d (n=%d, temper=%.2f, %d evidence): max |ΔPUp| = %.3g exceeds %.2g",
-				seed, m.NumRoads(), m.temper, len(ev), d, bpEquivalenceBound)
+				seed, m.NumRoads(), temper, len(ev), d, bpEquivalenceBound)
 		}
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
-
-	"repro/internal/roadnet"
 )
 
 // cancelCheckMasks is how many joint assignments Exact enumerates between
@@ -50,7 +47,7 @@ func (e Exact) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beli
 	}
 	upMass := make([]float64, n)
 	var z float64
-	g := m.graph
+	topo := m.topo
 	for mask := 0; mask < 1<<len(free); mask++ {
 		if mask%cancelCheckMasks == 0 {
 			if err := ctx.Err(); err != nil {
@@ -76,11 +73,12 @@ func (e Exact) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beli
 			}
 		}
 		for u := 0; u < n; u++ {
-			for _, edge := range g.Neighbors(roadnet.RoadID(u)) {
-				if int(edge.To) <= u {
+			for i := topo.off[u]; i < topo.off[u+1]; i++ {
+				v := int(topo.to[i])
+				if v <= u {
 					continue // each undirected edge once
 				}
-				logp += math.Log(edgePotential(m.agreement(edge.Agreement), state[u] == state[edge.To]))
+				logp += math.Log(edgePotential(topo.agree[i], state[u] == state[v]))
 			}
 		}
 		w := math.Exp(logp)
@@ -101,170 +99,14 @@ func (e Exact) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beli
 	return &Result{PUp: out}, nil
 }
 
-// localConditional returns the unnormalised log-probabilities of road u
-// being up and down given its prior and its neighbours' current states: the
-// local conditional ICM maximises and Gibbs samples from.
-func localConditional(m *Model, state []bool, u int) (logUp, logDown float64) {
-	logUp = math.Log(clamp01(m.prior[u]))
-	logDown = math.Log(clamp01(1 - m.prior[u]))
-	for _, e := range m.graph.Neighbors(roadnet.RoadID(u)) {
-		a := m.agreement(e.Agreement)
-		logUp += math.Log(edgePotential(a, state[e.To]))
-		logDown += math.Log(edgePotential(a, !state[e.To]))
-	}
-	return logUp, logDown
-}
-
-// ICM is iterated conditional modes: greedy coordinate-wise MAP refinement
-// starting from the prior assignment. It returns hard labels encoded as
-// probabilities pushed to the model's clipping bounds, and is the fastest
-// (and crudest) engine.
-type ICM struct {
-	// MaxSweeps bounds the full passes over all nodes (default 20).
-	MaxSweeps int
-}
-
-// Name implements Engine.
-func (ICM) Name() string { return "icm" }
-
-// Infer implements Engine. ctx is polled once per sweep.
-func (ic ICM) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beliefs) (*Result, error) {
-	sweeps := ic.MaxSweeps
-	if sweeps == 0 {
-		sweeps = 20
-	}
-	ev, err := evidenceMap(m, evidence)
-	if err != nil {
-		return nil, err
-	}
-	n := m.NumRoads()
-	state := make([]bool, n)
-	for i := 0; i < n; i++ {
-		switch ev[i] {
-		case 1:
-			state[i] = true
-		case 0:
-			state[i] = false
-		default:
-			state[i] = m.prior[i] >= 0.5
-		}
-	}
-	for sweep := 0; sweep < sweeps; sweep++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mrf: icm interrupted at sweep %d: %w", sweep, err)
-		}
-		changed := false
-		for u := 0; u < n; u++ {
-			if ev[u] != -1 {
-				continue
-			}
-			logUp, logDown := localConditional(m, state, u)
-			best := logUp >= logDown
-			if best != state[u] {
-				state[u] = best
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		switch {
-		case ev[i] == 1:
-			out[i] = 1
-		case ev[i] == 0:
-			out[i] = 0
-		case state[i]:
-			out[i] = 0.999
-		default:
-			out[i] = 0.001
-		}
-	}
-	return &Result{PUp: out}, nil
-}
-
-// Gibbs estimates marginals by single-site Gibbs sampling.
-type Gibbs struct {
-	// Burn is the number of discarded warm-up sweeps (default 50).
-	Burn int
-	// Samples is the number of retained sweeps (default 200).
-	Samples int
-	// Seed drives the sampler; the engine is deterministic for a seed.
-	Seed int64
-}
-
-// Name implements Engine.
-func (Gibbs) Name() string { return "gibbs" }
-
-// Infer implements Engine. ctx is polled once per sweep.
-func (gb Gibbs) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beliefs) (*Result, error) {
-	burn, samples := gb.Burn, gb.Samples
-	if burn == 0 {
-		burn = 50
-	}
-	if samples == 0 {
-		samples = 200
-	}
-	ev, err := evidenceMap(m, evidence)
-	if err != nil {
-		return nil, err
-	}
-	n := m.NumRoads()
-	rng := rand.New(rand.NewSource(gb.Seed + 1))
-	state := make([]bool, n)
-	for i := 0; i < n; i++ {
-		switch ev[i] {
-		case 1:
-			state[i] = true
-		case 0:
-			state[i] = false
-		default:
-			state[i] = rng.Float64() < m.prior[i]
-		}
-	}
-	upCount := make([]int, n)
-	for sweep := 0; sweep < burn+samples; sweep++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mrf: gibbs interrupted at sweep %d: %w", sweep, err)
-		}
-		for u := 0; u < n; u++ {
-			if ev[u] != -1 {
-				continue
-			}
-			state[u] = rng.Float64() < probUp(localConditional(m, state, u))
-		}
-		if sweep >= burn {
-			for u := 0; u < n; u++ {
-				if state[u] {
-					upCount[u]++
-				}
-			}
-		}
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		switch ev[i] {
-		case 1:
-			out[i] = 1
-		case 0:
-			out[i] = 0
-		default:
-			out[i] = float64(upCount[i]) / float64(samples)
-		}
-	}
-	return &Result{PUp: out}, nil
-}
-
 // EngineNames lists the names NewEngine accepts, in help-text order.
 func EngineNames() []string {
-	return []string{"bp", "jacobi", "icm", "gibbs", "exact", "prior"}
+	return []string{"bp", "jacobi", "exact", "prior"}
 }
 
 // NewEngine returns the trend-inference engine registered under name. The
 // message-passing engines (bp, jacobi) take their parameters from cfg; the
-// ablation engines (icm, gibbs, exact, prior) use their zero-value defaults.
+// oracle and the lower bound (exact, prior) use their zero-value defaults.
 // Tests and comparison harnesses use it to build engines by name.
 func NewEngine(name string, cfg BPConfig) (Engine, error) {
 	switch name {
@@ -272,10 +114,6 @@ func NewEngine(name string, cfg BPConfig) (Engine, error) {
 		return NewBP(cfg)
 	case "jacobi":
 		return NewJacobi(cfg)
-	case "icm":
-		return ICM{}, nil
-	case "gibbs":
-		return Gibbs{}, nil
 	case "exact":
 		return Exact{}, nil
 	case "prior":

@@ -36,8 +36,8 @@ func (*Jacobi) Name() string { return "jacobi" }
 
 // sweep is one Jacobi round: it reads msg, writes every slot of next (each
 // sender has ≥ 1 neighbour) and returns the round's largest message change.
-func (j *Jacobi) sweep(m *Model, topo *Topology, ev []int8, msg, next []float64) float64 {
-	damping := j.cfg.Damping
+func (j *Jacobi) sweep(m *Model, ev []int8, msg, next []float64) float64 {
+	topo, damping := m.topo, j.cfg.Damping
 	var maxDelta float64
 	for u := 0; u < m.NumRoads(); u++ {
 		lo, hi := int(topo.off[u]), int(topo.off[u+1])
@@ -47,7 +47,7 @@ func (j *Jacobi) sweep(m *Model, topo *Topology, ev []int8, msg, next []float64)
 		phiUp, phiDown := nodePotential(ev[u], m.prior[u])
 		logUp, logDown := logProduct(0, 0, msg[lo:hi])
 		for i := lo; i < hi; i++ {
-			newMsg := cavityMessage(phiUp, phiDown, logUp, logDown, msg[i], m.agreement(topo.agree[i]))
+			newMsg := cavityMessage(phiUp, phiDown, logUp, logDown, msg[i], topo.agree[i])
 			slot := topo.rev[i]
 			old := msg[slot]
 			next[slot] = (1-damping)*newMsg + damping*old
@@ -67,8 +67,8 @@ func (j *Jacobi) sweep(m *Model, topo *Topology, ev []int8, msg, next []float64)
 // MaxIterations, accounting the run either way. It returns the final
 // message store, or an error wrapping ctx.Err() if ctx is cancelled
 // before a round.
-func (j *Jacobi) run(ctx context.Context, m *Model, topo *Topology, ev []int8) ([]float64, error) {
-	nEdges := topo.NumDirectedEdges()
+func (j *Jacobi) run(ctx context.Context, m *Model, ev []int8) ([]float64, error) {
+	nEdges := m.topo.NumDirectedEdges()
 	msg, next := make([]float64, nEdges), make([]float64, nEdges)
 	seedMessages(msg)
 	rounds := 0
@@ -78,7 +78,7 @@ func (j *Jacobi) run(ctx context.Context, m *Model, topo *Topology, ev []int8) (
 			accountCancelledRun(float64(rounds), float64(rounds*nEdges))
 			return nil, fmt.Errorf("mrf: jacobi cancelled after %d rounds: %w", rounds, err)
 		}
-		lastDelta = j.sweep(m, topo, ev, msg, next)
+		lastDelta = j.sweep(m, ev, msg, next)
 		msg, next = next, msg
 		rounds++
 		if lastDelta < j.cfg.Tolerance {
@@ -97,13 +97,9 @@ func (j *Jacobi) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Be
 	if err != nil {
 		return nil, err
 	}
-	topo, err := m.topology()
+	msg, err := j.run(ctx, m, ev)
 	if err != nil {
 		return nil, err
 	}
-	msg, err := j.run(ctx, m, topo, ev)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{PUp: marginals(m, topo, ev, msg)}, nil
+	return &Result{PUp: marginals(m, ev, msg)}, nil
 }

@@ -38,7 +38,7 @@ func logProduct(logUp, logDown float64, in []float64) (float64, float64) {
 }
 
 // cavityMessage returns the undamped message, as P(up), that a node sends
-// along one directed edge of effective agreement a. phiUp/phiDown is the
+// along one directed edge of tempered agreement a. phiUp/phiDown is the
 // node's potential, logUp/logDown the log product of all its incoming
 // messages, and pIn the receiving neighbour's own message into the node,
 // which the cavity divides back out.
@@ -91,8 +91,8 @@ func seedMessages(msg []float64) {
 
 // marginals reads every node's posterior P(up) out of a run's final
 // message store.
-func marginals(m *Model, topo *Topology, ev []int8, msg []float64) []float64 {
-	out := make([]float64, m.NumRoads())
+func marginals(m *Model, ev []int8, msg []float64) []float64 {
+	topo, out := m.topo, make([]float64, m.NumRoads())
 	for u := range out {
 		out[u] = marginal(ev[u], m.prior[u], msg[topo.off[u]:topo.off[u+1]])
 	}

@@ -4,17 +4,18 @@
 //
 // Node potentials come from the historical trend prior of each road for the
 // current slot; edge potentials encode the trend-agreement probability of
-// each correlation edge; crowdsourced seed roads are clamped to their
-// observed trend. Inference yields, for every non-seed road, the posterior
-// probability that its trend is up.
+// each correlation edge, tempered once when the Topology is built;
+// crowdsourced seed roads are clamped to their observed trend. Inference
+// yields, for every non-seed road, the posterior probability that its trend
+// is up.
 //
-// Six inference engines are provided (EngineNames): loopy belief
+// Four inference engines are provided (EngineNames): loopy belief
 // propagation under a residual-priority schedule (BP, the served engine,
 // matching the paper's use of approximate graphical-model inference), the
 // same message kernel under the synchronous schedule (Jacobi, the serial
 // reference BP is bounded against), exact enumeration (a test oracle for
-// tiny graphs), iterated conditional modes and Gibbs sampling (ablation
-// baselines), and the history-only prior (PriorOnly).
+// tiny graphs), and the history-only prior (PriorOnly, the lower bound the
+// experiments score the graph against).
 package mrf
 
 import (
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/corr"
 	"repro/internal/roadnet"
 )
 
@@ -32,20 +32,21 @@ type Evidence struct {
 	Up   bool
 }
 
-// Model is an MRF instance for one time slot.
+// Model is an MRF instance for one time slot: per-road node priors over a
+// shared, immutable Topology.
 type Model struct {
-	graph  *corr.Graph
-	topo   *Topology // message-passing structure; lazily built when absent
-	prior  []float64 // P(x_r = up) per road, from history
-	temper float64   // edge-potential temper in (0, 1]
+	topo  *Topology
+	prior []float64 // P(x_r = up) per road, from history
 }
 
-// NewModel builds a model over the correlation graph with the given per-road
-// up-trend priors. Priors are clipped into [eps, 1-eps] so no state is
-// impossible a priori.
-func NewModel(graph *corr.Graph, prior []float64) (*Model, error) {
-	if graph.NumRoads() != len(prior) {
-		return nil, fmt.Errorf("mrf: graph has %d roads but %d priors given", graph.NumRoads(), len(prior))
+// NewModel builds a model over the topology with the given per-road up-trend
+// priors. Priors are clipped into [eps, 1-eps] so no state is impossible a
+// priori. The topology is shared, not copied: callers that run many models
+// over one graph (one per estimation round) build it once, so per-round
+// model construction allocates only the clipped priors.
+func NewModel(topo *Topology, prior []float64) (*Model, error) {
+	if n := len(topo.off) - 1; n != len(prior) {
+		return nil, fmt.Errorf("mrf: topology has %d roads but %d priors given", n, len(prior))
 	}
 	const eps = 1e-3
 	p := make([]float64, len(prior))
@@ -61,58 +62,11 @@ func NewModel(graph *corr.Graph, prior []float64) (*Model, error) {
 		}
 		p[i] = v
 	}
-	return &Model{graph: graph, prior: p, temper: 1}, nil
-}
-
-// NewModelWithTopology is NewModel for callers that run many models over the
-// same immutable graph (one per estimation round): the precomputed topology
-// is shared, so per-round model construction allocates only the clipped
-// priors.
-func NewModelWithTopology(topo *Topology, prior []float64) (*Model, error) {
-	m, err := NewModel(topo.Graph(), prior)
-	if err != nil {
-		return nil, err
-	}
-	m.topo = topo
-	return m, nil
-}
-
-// topology returns the model's message-passing structure, building and
-// memoising it on first use. A Model belongs to a single inference round (one
-// goroutine), so the lazy write is unsynchronised by design.
-func (m *Model) topology() (*Topology, error) {
-	if m.topo == nil {
-		t, err := NewTopology(m.graph)
-		if err != nil {
-			return nil, err
-		}
-		m.topo = t
-	}
-	return m.topo, nil
-}
-
-// SetEdgeTemper scales every edge potential's pull toward agreement:
-// a' = 0.5 + (a − 0.5)·t for t in (0, 1]. Loopy graphs double-count
-// evidence around cycles, making marginals overconfident; tempering the
-// edges compensates. t = 1 leaves the potentials untouched.
-func (m *Model) SetEdgeTemper(t float64) error {
-	if t <= 0 || t > 1 {
-		return fmt.Errorf("mrf: edge temper must be in (0, 1], got %v", t)
-	}
-	m.temper = t
-	return nil
-}
-
-// agreement returns the (possibly tempered) effective agreement of an edge.
-func (m *Model) agreement(a float64) float64 {
-	return 0.5 + (a-0.5)*m.temper
+	return &Model{topo: topo, prior: p}, nil
 }
 
 // NumRoads returns the number of nodes in the model.
 func (m *Model) NumRoads() int { return len(m.prior) }
-
-// Graph returns the underlying correlation graph.
-func (m *Model) Graph() *corr.Graph { return m.graph }
 
 // Result holds inferred trend marginals.
 type Result struct {
@@ -120,17 +74,13 @@ type Result struct {
 	PUp []float64
 }
 
-// Up reports the MAP trend of road r under the marginals.
-func (r *Result) Up(id roadnet.RoadID) bool { return r.PUp[id] >= 0.5 }
-
 // Engine is a trend-inference algorithm.
 type Engine interface {
 	// Infer computes trend marginals given clamped seed evidence. Engines
 	// observe ctx at their natural work boundaries (BP node-update batches,
-	// Jacobi rounds, ICM/Gibbs sweeps, enumeration batches) and return
-	// ctx.Err() — possibly wrapped — once it is cancelled, so an abandoned
-	// estimation round stops burning CPU mid-inference instead of running to
-	// completion.
+	// Jacobi rounds, enumeration batches) and return ctx.Err() — possibly
+	// wrapped — once it is cancelled, so an abandoned estimation round stops
+	// burning CPU mid-inference instead of running to completion.
 	//
 	// Every engine ignores warm and starts cold; callers pass nil.
 	Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error)

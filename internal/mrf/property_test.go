@@ -30,8 +30,8 @@ func randomSmallGraph(rng *rand.Rand, n int) (*corr.Graph, error) {
 // randomEquivalenceCase draws the seed-th random model of the engine
 // property suites: a 4–13 node graph, priors in [0.1, 0.9], an edge temper
 // between the serving configuration's 0.2 and the raw 1.0, and up to two
-// evidence clamps.
-func randomEquivalenceCase(t *testing.T, seed int64) (*Model, []Evidence) {
+// evidence clamps. It returns the temper beside the model and evidence.
+func randomEquivalenceCase(t *testing.T, seed int64) (*Model, []Evidence, float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 4 + rng.Intn(10)
@@ -43,15 +43,13 @@ func randomEquivalenceCase(t *testing.T, seed int64) (*Model, []Evidence) {
 	for i := range priors {
 		priors[i] = 0.1 + 0.8*rng.Float64()
 	}
-	m := mustModel(t, g, priors)
-	if err := m.SetEdgeTemper(0.2 + 0.8*rng.Float64()); err != nil {
-		t.Fatal(err)
-	}
+	temper := 0.2 + 0.8*rng.Float64()
+	m := mustTemperedModel(t, g, temper, priors)
 	var ev []Evidence
 	for e := rng.Intn(3); e > 0; e-- {
 		ev = append(ev, Evidence{Road: roadnet.RoadID(rng.Intn(n)), Up: rng.Intn(2) == 0})
 	}
-	return m, ev
+	return m, ev, temper
 }
 
 // Property: both BP schedules' marginals are valid probabilities on random
@@ -69,10 +67,7 @@ func TestBPMarginalsAreProbabilities(t *testing.T) {
 			for i := range priors {
 				priors[i] = rng.Float64()
 			}
-			m, err := NewModel(g, priors)
-			if err != nil {
-				return false
-			}
+			m := mustModel(t, g, priors)
 			var ev []Evidence
 			if n > 2 {
 				ev = append(ev, Evidence{Road: roadnet.RoadID(rng.Intn(n)), Up: rng.Intn(2) == 0})
@@ -97,7 +92,7 @@ func TestBPMarginalsAreProbabilities(t *testing.T) {
 // Property: the model is symmetric under global label flip — flipping every
 // prior p → 1−p and the evidence bit flips every marginal, for any engine.
 func TestGlobalFlipSymmetry(t *testing.T) {
-	engines := append(bpSchedules(t), ICM{}, PriorOnly{}, Exact{})
+	engines := append(bpSchedules(t), PriorOnly{}, Exact{})
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(8)
@@ -112,15 +107,8 @@ func TestGlobalFlipSymmetry(t *testing.T) {
 			flipped[i] = 1 - priors[i]
 		}
 		evRoad := roadnet.RoadID(rng.Intn(n))
+		m1, m2 := mustModel(t, g, priors), mustModel(t, g, flipped)
 		for _, eng := range engines {
-			m1, err := NewModel(g, priors)
-			if err != nil {
-				return false
-			}
-			m2, err := NewModel(g, flipped)
-			if err != nil {
-				return false
-			}
 			r1, err := eng.Infer(context.Background(), m1, []Evidence{{Road: evRoad, Up: true}}, nil)
 			if err != nil {
 				return false
@@ -159,13 +147,7 @@ func TestTemperLimitsApproachPrior(t *testing.T) {
 	}
 	ev := []Evidence{{Road: 0, Up: true}}
 
-	model, err := NewModel(g, priors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := model.SetEdgeTemper(0.01); err != nil {
-		t.Fatal(err)
-	}
+	model := mustTemperedModel(t, g, 0.01, priors)
 	res, err := bp.Infer(context.Background(), model, ev, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -176,10 +158,9 @@ func TestTemperLimitsApproachPrior(t *testing.T) {
 		}
 	}
 	// Invalid temper values are rejected.
-	if err := model.SetEdgeTemper(0); err == nil {
-		t.Error("temper 0 accepted")
-	}
-	if err := model.SetEdgeTemper(1.5); err == nil {
-		t.Error("temper 1.5 accepted")
+	for _, temper := range []float64{0, -0.5, 1.5, math.NaN()} {
+		if _, err := NewTopology(g, temper); err == nil {
+			t.Errorf("temper %v accepted", temper)
+		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 	"repro/internal/roadnet"
 )
 
-// TestTopologyInvariants asserts the CSR structure mirrors the graph and the
+// TestTopologyInvariants asserts the CSR structure mirrors the graph, each
+// slot holds its edge's agreement tempered by the topology's temper, and the
 // reverse-edge index is a true involution: rev[rev[i]] == i and following
 // rev lands on the opposite endpoint's slot.
 func TestTopologyInvariants(t *testing.T) {
@@ -19,13 +20,14 @@ func TestTopologyInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, err := NewTopology(g)
+	const temper = 0.2
+	topo, err := NewTopology(g, temper)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := g.NumRoads()
-	if topo.Graph() != g {
-		t.Error("topology does not retain its graph")
+	if len(topo.off) != n+1 {
+		t.Errorf("%d offsets for %d roads", len(topo.off), n)
 	}
 	total := 0
 	for u := 0; u < n; u++ {
@@ -40,8 +42,8 @@ func TestTopologyInvariants(t *testing.T) {
 			if topo.to[i] != int32(e.To) {
 				t.Fatalf("slot %d: to=%d want %d", i, topo.to[i], e.To)
 			}
-			if topo.agree[i] != e.Agreement {
-				t.Fatalf("slot %d: agree=%v want %v", i, topo.agree[i], e.Agreement)
+			if want := 0.5 + (e.Agreement-0.5)*temper; topo.agree[i] != want {
+				t.Fatalf("slot %d: agree=%v want %v", i, topo.agree[i], want)
 			}
 			r := topo.rev[i]
 			// The reverse slot lives in the neighbour's range and points back.
@@ -58,47 +60,6 @@ func TestTopologyInvariants(t *testing.T) {
 	}
 	if topo.NumDirectedEdges() != total {
 		t.Errorf("NumDirectedEdges = %d, want %d", topo.NumDirectedEdges(), total)
-	}
-}
-
-// TestModelWithTopologyMatchesFresh asserts BP produces identical marginals
-// whether the topology is shared (the estimator's per-round path) or built
-// lazily inside Infer.
-func TestModelWithTopologyMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g, err := randomSmallGraph(rng, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	priors := make([]float64, g.NumRoads())
-	for i := range priors {
-		priors[i] = 0.2 + 0.6*rng.Float64()
-	}
-	topo, err := NewTopology(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp := mustBP(t)
-	fresh, err := NewModel(g, priors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := NewModelWithTopology(topo, priors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := bp.Infer(context.Background(), fresh, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := bp.Infer(context.Background(), shared, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rf.PUp {
-		if rf.PUp[i] != rs.PUp[i] {
-			t.Fatalf("road %d: shared-topology marginal %v != fresh %v", i, rs.PUp[i], rf.PUp[i])
-		}
 	}
 }
 
@@ -143,7 +104,7 @@ func BenchmarkBPInfer(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				topo, err := NewTopology(g)
+				topo, err := NewTopology(g, 0.2)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -155,11 +116,8 @@ func BenchmarkBPInfer(b *testing.B) {
 				updatesBefore := MessageUpdatesTotal()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m, err := NewModelWithTopology(topo, priors)
+					m, err := NewModel(topo, priors)
 					if err != nil {
-						b.Fatal(err)
-					}
-					if err := m.SetEdgeTemper(0.2); err != nil {
 						b.Fatal(err)
 					}
 					if _, err := eng.Infer(context.Background(), m, nil, nil); err != nil {
