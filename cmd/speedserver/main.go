@@ -18,8 +18,8 @@
 // interrupting requests. Both default to off, which freezes the model at
 // version 1 (the pre-lifecycle behaviour). When the buffered delta touches
 // at most -incremental-max-dirty-frac of the network's roads, the rebuild
-// runs incrementally (delta re-score + retrain) instead of from scratch;
-// set the fraction to 0 to force full rebuilds.
+// runs incrementally (the HLM re-fits only the roads the delta reaches)
+// instead of from scratch; set the fraction to 0 to force full rebuilds.
 //
 // Observability: -metrics (default true) exposes GET /metrics on the main
 // address; -debug-addr starts a second listener with /metrics, pprof,

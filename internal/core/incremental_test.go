@@ -135,9 +135,8 @@ func TestStoreIncrementalMatchesFull(t *testing.T) {
 					t.Errorf("observation counts diverge: incremental=%d full=%d", mInc.ObservationCount(), mFull.ObservationCount())
 				}
 
-				// Graph topology must agree exactly: corr.Rescore promises
-				// bitwise equality with a full corr.Build over the same
-				// rolled-forward history.
+				// Graph topology must agree exactly: both modes build the
+				// graph with corr.Build over the same rolled-forward history.
 				gi, gf := mInc.Graph(), mFull.Graph()
 				if gi.NumRoads() != gf.NumRoads() || gi.NumEdges() != gf.NumEdges() {
 					t.Fatalf("graph shape diverges: incremental %d roads / %d edges, full %d roads / %d edges",

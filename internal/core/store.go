@@ -63,8 +63,8 @@ type StoreConfig struct {
 	RebuildMinObs int
 	// IncrementalMaxDirtyFrac enables incremental (delta) rebuilds: when some
 	// roads' history changed since the published view and their fraction is
-	// at or below this value, the rebuild re-scores and retrains only around
-	// the delta (see build). Larger deltas fall back to a full retrain. 0 (or
+	// at or below this value, the rebuild re-fits the HLM only around the
+	// delta (see build). Larger deltas fall back to a full retrain. 0 (or
 	// negative) disables incremental rebuilds entirely.
 	IncrementalMaxDirtyFrac float64
 }
@@ -358,10 +358,11 @@ func (s *Store) successor(ctx context.Context, old *View, pending []Observation,
 	version := old.Version() + 1
 
 	// Delta path: when the dirty fraction is small enough, rebuild from old
-	// around the delta. Its graph equals a full build's, so a failure there
-	// would fail a full build too: there is no fallback. An empty delta is
-	// the forced full refresh, which must also clear the stale group-level
-	// predictors earlier delta rebuilds copied.
+	// around the delta. Only its HLM stage differs from a full build's (its
+	// graph is a full build's), so a failure there would fail a full build
+	// too: there is no fallback. An empty delta is the forced full refresh,
+	// which must also clear the stale group-level predictors earlier delta
+	// rebuilds copied.
 	var prev *View
 	dirty := builder.Dirty()
 	if len(dirty) > 0 && maxDirtyFrac > 0 && float64(len(dirty)) <= maxDirtyFrac*float64(db.NumRoads()) {

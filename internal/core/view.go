@@ -83,21 +83,19 @@ func NewView(net *roadnet.Network, db *history.DB, opts Options) (*View, error) 
 // timeStage's ctx check).
 //
 // A nil prev trains from scratch. A predecessor makes it the delta rebuild
-// of prev for db, which differs from prev's history only on the dirty roads,
-// at a cost proportional to the delta rather than the city:
+// of prev for db, which differs from prev's history only on the dirty roads:
 //
-//   - the correlation graph is re-scored only around the dirty roads
-//     (corr.Rescore, of which corr.Build is the rescore of every road, so
-//     the graph equals a full build's),
 //   - the HLM re-fits only the roads the delta can reach (hlm.Retrain;
 //     copied roads' group-level predictors go stale, the one approximation
 //     of the delta path — see the Retrain doc and the equivalence test),
-//   - seed selection and the trend topology are derived in full either way.
+//   - the correlation graph (corr.Build), seed selection and the trend
+//     topology are derived in full either way, so the delta path's graph is
+//     a full build's.
 //
-// The predecessor alone picks the stages' functions, names and the view's
-// rebuild mode. The successor inherits nothing from the traffic its
-// predecessor served: like every view, it is a function of its history
-// alone.
+// The predecessor alone picks the HLM stage's function and name, the build
+// span and the view's rebuild mode. The successor inherits nothing from the
+// traffic its predecessor served: like every view, it is a function of its
+// history alone.
 func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Options, version uint64, prev *View, dirty []roadnet.RoadID) (*View, error) {
 	if net == nil || db == nil {
 		return nil, fmt.Errorf("core: network and history are required")
@@ -106,19 +104,15 @@ func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Optio
 		return nil, fmt.Errorf("core: network has %d roads, history covers %d", net.NumRoads(), db.NumRoads())
 	}
 	start := time.Now()
-	span, corrStage, hlmStage := "core.new", "corr_build", "hlm_train"
+	span, hlmStage := "core.new", "hlm_train"
 	if prev != nil {
-		span, corrStage, hlmStage = "core.rebuild_incremental", "corr_rescore", "hlm_retrain"
+		span, hlmStage = "core.rebuild_incremental", "hlm_retrain"
 	}
 	ctx, buildSpan := obs.StartSpan(ctx, span)
 	defer buildSpan.End()
 	var graph *corr.Graph
-	if err := timeStage(ctx, corrStage, func() (err error) {
-		if prev == nil {
-			graph, err = corr.Build(net, db, opts.Corr)
-		} else {
-			graph, err = corr.Rescore(prev.graph, net, db, dirty, opts.Corr)
-		}
+	if err := timeStage(ctx, "corr_build", func() (err error) {
+		graph, err = corr.Build(net, db, opts.Corr)
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("core: building correlation graph: %w", err)

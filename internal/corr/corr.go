@@ -39,6 +39,10 @@ const (
 	// minCoObserved is the minimum number of co-observed slots for an edge
 	// to be trusted.
 	minCoObserved = 24
+	// maxNeighbors caps each road's neighbour list, keeping the strongest
+	// edges. The graph keeps an edge if either endpoint ranks it within its
+	// cap, preserving symmetry.
+	maxNeighbors = 8
 )
 
 // Config parameterises graph construction.
@@ -46,15 +50,11 @@ type Config struct {
 	// MinAgreement is the τ threshold; pairs agreeing less often are not
 	// connected.
 	MinAgreement float64
-	// MaxNeighbors caps each road's neighbour list, keeping the strongest
-	// edges (0 = unlimited). The final graph keeps an edge if either
-	// endpoint ranks it within its cap, preserving symmetry.
-	MaxNeighbors int
 }
 
 // DefaultConfig returns the thresholds used by the experiments.
 func DefaultConfig() Config {
-	return Config{MinAgreement: 0.65, MaxNeighbors: 8}
+	return Config{MinAgreement: 0.65}
 }
 
 // Validate rejects unusable configurations.
@@ -62,22 +62,13 @@ func (c *Config) Validate() error {
 	if c.MinAgreement < 0.5 || c.MinAgreement >= 1 {
 		return fmt.Errorf("corr: MinAgreement must be in [0.5, 1), got %v", c.MinAgreement)
 	}
-	if c.MaxNeighbors < 0 {
-		return fmt.Errorf("corr: MaxNeighbors must be ≥ 0, got %d", c.MaxNeighbors)
-	}
 	return nil
 }
 
 // Graph is the immutable correlation graph. Node IDs coincide with road IDs.
+// It holds the pruned neighbour lists alone, each at exact capacity.
 type Graph struct {
 	edges [][]Edge
-	// raw holds the pre-prune neighbour lists (every pair that cleared the
-	// agreement thresholds, before MaxNeighbors truncation). Rescore needs
-	// them because pruning is a *global* rank decision: re-scoring a single
-	// pair can change which of its endpoints' other edges survive, and that
-	// can only be replayed from the unpruned lists. When no pruning applied,
-	// raw and edges are the same slices.
-	raw [][]Edge
 }
 
 // NumRoads returns the number of nodes.
@@ -147,21 +138,81 @@ func NewGraph(numRoads int, edges []EdgeSpec) (*Graph, error) {
 	for i := range g.edges {
 		sortEdges(g.edges[i])
 	}
-	g.raw = g.edges
 	return g, nil
 }
 
 // Build estimates the correlation graph from history. The network provides
 // the spatial candidate structure; the history provides the trend series.
-// It is the rescore of every road over an edgeless graph, so Build and
-// Rescore share one pair enumeration, one list assembly and one prune.
+// A bounded BFS from each road scores every pair within maxHops once, from
+// the pair's lower endpoint. Each list is counted before it is allocated at
+// exact capacity, then sorted by sortEdges and pruned by pruneToTopK.
 func Build(net *roadnet.Network, db *history.DB, cfg Config) (*Graph, error) {
-	n := net.NumRoads()
-	all := make([]roadnet.RoadID, n)
-	for i := range all {
-		all[i] = roadnet.RoadID(i)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	return Rescore(&Graph{edges: make([][]Edge, n), raw: make([][]Edge, n)}, net, db, all, cfg)
+	n := net.NumRoads()
+	if db.NumRoads() != n {
+		return nil, fmt.Errorf("corr: %d-road network and %d-road history", n, db.NumRoads())
+	}
+	type scored struct {
+		u roadnet.RoadID
+		e Edge // from u's side; u < e.To
+	}
+	var accepted []scored
+	size := make([]int, n)
+	hops := make([]int, n)
+	for i := range hops {
+		hops[i] = -1
+	}
+	var reached []roadnet.RoadID // the BFS queue, kept whole
+	for i := range n {
+		u := roadnet.RoadID(i)
+		reached = append(reached[:0], u)
+		hops[u] = 0
+		for qi := 0; qi < len(reached); qi++ {
+			cur := reached[qi]
+			if hops[cur] >= maxHops {
+				continue
+			}
+			for _, nb := range net.Adjacent(cur) {
+				if hops[nb] == -1 {
+					hops[nb] = hops[cur] + 1
+					reached = append(reached, nb)
+				}
+			}
+		}
+		for _, v := range reached {
+			if v <= u {
+				continue
+			}
+			if e, ok := scorePair(db, u, v, cfg); ok {
+				accepted = append(accepted, scored{u: u, e: e})
+				size[u]++
+				size[v]++
+			}
+		}
+		for _, r := range reached { // reset scratch
+			hops[r] = -1
+		}
+	}
+
+	edges := make([][]Edge, n)
+	for u, k := range size {
+		if k > 0 {
+			edges[u] = make([]Edge, 0, k)
+		}
+	}
+	for _, s := range accepted {
+		edges[s.u] = append(edges[s.u], s.e)
+		back := s.e
+		back.To = s.u
+		edges[s.e.To] = append(edges[s.e.To], back)
+	}
+	for _, es := range edges {
+		sortEdges(es)
+	}
+	pruneToTopK(edges, maxNeighbors)
+	return &Graph{edges: edges}, nil
 }
 
 // scorePair computes the trend agreement of a pair from the history's
@@ -192,24 +243,23 @@ func sortEdges(es []Edge) {
 	})
 }
 
-// pruneToTopK returns the pruned neighbour lists, keeping an edge when
-// either endpoint ranks it within its top k by agreement, preserving
-// symmetry. The input lists (each sorted by sortEdges) are left untouched:
-// they are the graph's raw view, which Rescore replays pruning from. A list
-// that loses no edge is shared with raw; every other is a fresh list of
-// exact capacity.
-func pruneToTopK(raw [][]Edge, k int) [][]Edge {
+// pruneToTopK prunes the neighbour lists (each sorted by sortEdges) in
+// place, keeping an edge when either endpoint ranks it within its top k by
+// agreement, preserving symmetry. A list that loses no edge stays as it is;
+// every other is replaced by a fresh list of exact capacity. A list's first
+// k entries are always kept, so the ranks read off a replaced list are
+// those of the list it replaced.
+func pruneToTopK(lists [][]Edge, k int) {
 	// ranks reports whether v ranks its edge to u within its top k.
 	ranks := func(v, u roadnet.RoadID) bool {
-		for _, e := range raw[v][:min(k, len(raw[v]))] {
+		for _, e := range lists[v][:min(k, len(lists[v]))] {
 			if e.To == u {
 				return true
 			}
 		}
 		return false
 	}
-	pruned := make([][]Edge, len(raw))
-	for u, es := range raw {
+	for u, es := range lists {
 		id := roadnet.RoadID(u)
 		kept := min(k, len(es))
 		for _, e := range es[kept:] {
@@ -218,7 +268,6 @@ func pruneToTopK(raw [][]Edge, k int) [][]Edge {
 			}
 		}
 		if kept == len(es) {
-			pruned[u] = es
 			continue
 		}
 		list := append(make([]Edge, 0, kept), es[:k]...)
@@ -227,7 +276,6 @@ func pruneToTopK(raw [][]Edge, k int) [][]Edge {
 				list = append(list, e)
 			}
 		}
-		pruned[u] = list
+		lists[u] = list
 	}
-	return pruned
 }

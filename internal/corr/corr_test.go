@@ -31,7 +31,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{MinAgreement: 0.4},
 		{MinAgreement: 1.0},
-		{MinAgreement: 0.6, MaxNeighbors: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -141,7 +140,6 @@ func TestHigherThresholdSparsifies(t *testing.T) {
 	d := buildDataset(t)
 	loose, strict := DefaultConfig(), DefaultConfig()
 	loose.MinAgreement, strict.MinAgreement = 0.55, 0.8
-	loose.MaxNeighbors, strict.MaxNeighbors = 0, 0
 	gl, err := Build(d.Net, d.DB, loose)
 	if err != nil {
 		t.Fatal(err)
@@ -153,34 +151,6 @@ func TestHigherThresholdSparsifies(t *testing.T) {
 	if gs.NumEdges() >= gl.NumEdges() {
 		t.Errorf("τ=0.8 graph (%d edges) not sparser than τ=0.55 (%d)", gs.NumEdges(), gl.NumEdges())
 	}
-}
-
-func TestMaxNeighborsCap(t *testing.T) {
-	t.Parallel()
-	d := buildDataset(t)
-	cfg := DefaultConfig()
-	cfg.MinAgreement = 0.55
-	cfg.MaxNeighbors = 3
-	g, err := Build(d.Net, d.DB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Degrees may exceed the cap (symmetric union) but not wildly: each
-	// road keeps its own top 3 plus edges other roads insisted on.
-	over := 0
-	for u := 0; u < g.NumRoads(); u++ {
-		if g.Degree(roadnet.RoadID(u)) > 3 {
-			over++
-		}
-	}
-	uncapped, _ := Build(d.Net, d.DB, Config{MinAgreement: cfg.MinAgreement})
-	if g.NumEdges() >= uncapped.NumEdges() {
-		t.Errorf("cap did not reduce edges: %d vs %d", g.NumEdges(), uncapped.NumEdges())
-	}
-	if g.MeanDegree() > 6.5 {
-		t.Errorf("mean degree %v far above cap", g.MeanDegree())
-	}
-	_ = over
 }
 
 func TestAdjacentRoadsAgreeMoreThanThreshold(t *testing.T) {
@@ -204,8 +174,8 @@ func TestAdjacentRoadsAgreeMoreThanThreshold(t *testing.T) {
 // BenchmarkCorrBuild builds the correlation graph of the 6×5-block, 4-day
 // city hlm's golden test trains on. candidate-pairs/op counts the road
 // pairs within maxHops that Build scores; scored-pairs/op counts those that
-// clear the co-observation and agreement thresholds, the only ones whose
-// samples are read for the correlation sums.
+// clear the co-observation and agreement thresholds, the edges before
+// pruning.
 func BenchmarkCorrBuild(b *testing.B) {
 	d := goldenCity(b)
 	cc := DefaultConfig()
@@ -219,16 +189,15 @@ func BenchmarkCorrBuild(b *testing.B) {
 		}
 	}
 	b.ResetTimer()
-	var g *Graph
 	for i := 0; i < b.N; i++ {
-		var err error
-		if g, err = Build(d.Net, d.DB, cc); err != nil {
+		if _, err := Build(d.Net, d.DB, cc); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
+	unpruned, _ := referenceLists(d.Net, d.DB, cc)
 	scored := 0
-	for _, es := range g.raw {
+	for _, es := range unpruned {
 		scored += len(es)
 	}
 	b.ReportMetric(float64(candidates), "candidate-pairs/op")
@@ -250,9 +219,8 @@ func goldenCity(tb testing.TB) *dataset.Dataset {
 }
 
 // TestEdgeListsExactlySized: an Edge is 16 bytes, and on the golden city
-// every pre-prune and pruned list that Build makes, and that a Rescore of a
-// perturbed history makes, has capacity equal to its length. A road whose
-// pruning drops nothing shares its pre-prune list.
+// and on a perturbed roll-forward of it every list Build makes, pruned or
+// not, has capacity equal to its length.
 func TestEdgeListsExactlySized(t *testing.T) {
 	t.Parallel()
 	if got := unsafe.Sizeof(Edge{}); got != 16 {
@@ -260,31 +228,23 @@ func TestEdgeListsExactlySized(t *testing.T) {
 	}
 	d := goldenCity(t)
 	cfg := DefaultConfig()
-	g, err := Build(d.Net, d.DB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, dirty := perturb(t, rand.New(rand.NewSource(5)), d.DB, []int{3, 17, 29, 64, 101, 150})
-	g2, err := Rescore(g, d.Net, db, dirty, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rolled := perturb(t, rand.New(rand.NewSource(5)), d.DB, []int{3, 17, 29, 64, 101, 150})
 	for _, c := range []struct {
 		label string
-		g     *Graph
-	}{{"Build", g}, {"Rescore", g2}} {
+		db    *history.DB
+	}{{"golden", d.DB}, {"rolled", rolled}} {
+		g, err := Build(d.Net, c.db, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unpruned, _ := referenceLists(d.Net, c.db, cfg)
 		pruned := 0
-		for r := range c.g.raw {
-			raw, es := c.g.raw[r], c.g.edges[r]
-			if cap(raw) != len(raw) || cap(es) != len(es) {
-				t.Fatalf("%s road %d: pre-prune list of %d edges has capacity %d, pruned list of %d has %d",
-					c.label, r, len(raw), cap(raw), len(es), cap(es))
+		for r, es := range g.edges {
+			if cap(es) != len(es) {
+				t.Fatalf("%s road %d: list of %d edges has capacity %d", c.label, r, len(es), cap(es))
 			}
-			switch {
-			case len(es) < len(raw):
+			if len(es) < len(unpruned[r]) {
 				pruned++
-			case len(es) > 0 && &es[0] != &raw[0]:
-				t.Errorf("%s road %d: pruning dropped none of its %d edges but copied the list", c.label, r, len(es))
 			}
 		}
 		if pruned == 0 {

@@ -348,9 +348,9 @@ func (db *DB) SlotRanks() *SlotRanks {
 // buffer it reuses road after road, so a rebuild holds no copy of the
 // history beside the base. Roads never touched are not recomputed —
 // Finalize shares their profile cells and series with the base — and the
-// touched roads are exposed through Dirty, so downstream consumers
-// (correlation rescoring, incremental retraining) can work on the delta
-// instead of the whole city.
+// touched roads are exposed through Dirty, so a downstream consumer
+// (incremental HLM retraining) can work on the delta instead of the whole
+// city.
 type Builder struct {
 	cal      *timeslot.Calendar
 	numRoads int
@@ -521,7 +521,7 @@ func (b *Builder) Finalize() *DB {
 //
 // The road is the unit of the delta: one changed (road, slot) aggregate
 // shifts the road's per-class means, which rescales its whole relative
-// series, so downstream rescoring works on roads, not slots.
+// series, so downstream retraining works on roads, not slots.
 func (b *Builder) Dirty() []roadnet.RoadID {
 	if b.dirty == nil {
 		return nil

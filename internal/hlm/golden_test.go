@@ -44,6 +44,8 @@ type trainGolden struct {
 	Train    []string `json:"train"`
 
 	// The roll-forward delta (goldenDelta) on top of the full build.
+	// Rescored is corr.Build over the rolled history, the graph Retrain fits
+	// on; its key keeps its recorded name, so the fixture stays as it is.
 	RolledSamples int      `json:"rolled_samples"`
 	RolledDB      string   `json:"rolled_db"`
 	RolledSeries  []string `json:"rolled_series"`
@@ -334,7 +336,7 @@ func recordGolden(t *testing.T) (trainGolden, map[string][]string) {
 	if len(dirty) == 0 {
 		t.Fatal("the delta dirtied no road")
 	}
-	g2, err := corr.Rescore(g, d.Net, db2, dirty, corr.DefaultConfig())
+	g2, err := corr.Build(d.Net, db2, corr.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,15 @@ import (
 // the delta can reach and copying every other road's trained state from old.
 // dirty[r] marks the roads whose history series changed since old was
 // trained (history.Builder.Dirty reports exactly this set); graph is the
-// correlation graph over the new history (corr.Rescore output).
+// correlation graph corr.Build makes from the new history.
 //
 // A road must be re-fit when its training inputs changed:
 //
 //   - it is dirty (its own series feeds the prior moments, every pairwise
 //     regression response, and the level predictors), or
 //   - its regression neighbour list — the first maxNeighbors entries of its
-//     correlation list — differs from old's (re-scored agreements can
-//     reorder or replace them), or
+//     correlation list — differs from old's (the new history's agreements
+//     can reorder or replace them), or
 //   - any regression neighbour is dirty (the pair's co-observed samples
 //     changed).
 //

@@ -52,7 +52,7 @@ func TestRetrainMatchesTrain(t *testing.T) {
 	if len(di) != 3 {
 		t.Fatalf("dirty set = %v, want the 3 perturbed roads", di)
 	}
-	g2, err := corr.Rescore(g, d.Net, db2, di, corr.DefaultConfig())
+	g2, err := corr.Build(d.Net, db2, corr.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

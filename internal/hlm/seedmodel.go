@@ -67,17 +67,6 @@ func (sm *SeedModel) SpecializedTo(seeds []roadnet.RoadID) bool {
 	return true
 }
 
-// Coverage returns the fraction of roads with a seed-conditional regression.
-func (sm *SeedModel) Coverage() float64 {
-	n := 0
-	for i := range sm.roads {
-		if sm.roads[i].k > 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(sm.roads))
-}
-
 // Specialize trains seed-conditional regressions for every road. candidates
 // must return, for a road, the seed roads worth correlation-scoring for it —
 // typically the spatially nearest seeds plus the nearest same-class seeds;

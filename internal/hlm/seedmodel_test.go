@@ -13,6 +13,17 @@ func allSeedsProvider(seeds []roadnet.RoadID) func(roadnet.RoadID) []roadnet.Roa
 	return func(roadnet.RoadID) []roadnet.RoadID { return seeds }
 }
 
+// coverage returns the fraction of roads with a seed-conditional regression.
+func coverage(sm *SeedModel) float64 {
+	n := 0
+	for i := range sm.roads {
+		if sm.roads[i].k > 0 {
+			n++
+		}
+	}
+	return float64(n) / float64(len(sm.roads))
+}
+
 func TestSpecializeValidation(t *testing.T) {
 	d, g := buildFixtures(t)
 	m, err := Train(g, d.DB, Config{})
@@ -42,7 +53,7 @@ func TestSpecializeCoversRoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cov := sm.Coverage(); cov < 0.4 {
+	if cov := coverage(sm); cov < 0.4 {
 		t.Errorf("seed-model coverage %v too low", cov)
 	}
 	for _, s := range seeds {

@@ -385,8 +385,26 @@ func TestRidgeInterceptOnly(t *testing.T) {
 
 func TestRidgeErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := refRidgeFit(nil, 1, nil, 0); !errors.Is(err, ErrNoSamples) {
-		t.Error("empty fit accepted")
+	rng := rand.New(rand.NewSource(3))
+	for _, p := range []int{1, 4} {
+		// Rows spread so widely that a penalty of −1 leaves the system
+		// positive definite: only the penalty check can refuse it.
+		const n = 20
+		x, y := make([]float64, n*p), make([]float64, n)
+		for i := range x {
+			x[i] = 10 * rng.NormFloat64()
+		}
+		for i := range y {
+			y[i] = rng.NormFloat64()
+		}
+		for _, f := range fitters(p) {
+			if _, err := f.fit(nil, p, nil, 0); !errors.Is(err, ErrNoSamples) {
+				t.Errorf("%s, %d features: empty fit accepted", f.name, p)
+			}
+			if _, err := f.fit(x, p, y, -1); err == nil {
+				t.Errorf("%s, %d features: negative lambda accepted", f.name, p)
+			}
+		}
 	}
 	if _, err := refRidgeFit([]float64{1}, 1, []float64{1, 2}, 0); !errors.Is(err, errShape) {
 		t.Error("length mismatch accepted")
@@ -400,9 +418,6 @@ func TestRidgeErrors(t *testing.T) {
 	}
 	if _, err := refRidgeFit(nil, -1, []float64{1}, 0); !errors.Is(err, errShape) {
 		t.Error("negative feature count accepted")
-	}
-	if _, err := refRidgeFit([]float64{1}, 1, []float64{1}, -1); err == nil {
-		t.Error("negative lambda accepted")
 	}
 	m, _ := refRidgeFit([]float64{1, 2}, 1, []float64{1, 2}, 0)
 	if _, err := m.Predict([]float64{1, 2}); !errors.Is(err, errShape) {

@@ -137,9 +137,6 @@ func edgeInfluence(a float64) float64 {
 // NumRoads returns the instance size.
 func (p *Problem) NumRoads() int { return len(p.weights) }
 
-// Weights returns the road weights; callers must not modify the slice.
-func (p *Problem) Weights() []float64 { return p.weights }
-
 // Benefit evaluates B(S) exactly.
 func (p *Problem) Benefit(seeds []roadnet.RoadID) float64 {
 	uncovered := p.newUncovered()

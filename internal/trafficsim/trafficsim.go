@@ -416,15 +416,6 @@ func (s *Simulator) response(i int, f float64) float64 {
 	return math.Copysign(s.gamma[i].of(norm)*sigma*s.sens[i], f)
 }
 
-// DiurnalFactor returns the deterministic time-of-day speed multiplier for a
-// road class at the given absolute slot: 1.0 free-flow at night, pronounced
-// dips at the weekday rush hours, a gentler midday dip at weekends. Major
-// roads suffer deeper rush-hour dips, matching urban reality.
-func DiurnalFactor(cal *timeslot.Calendar, slot int, class roadnet.RoadClass) float64 {
-	h, weekend := diurnalClock(cal, slot)
-	return diurnalFactor(h, weekend, class)
-}
-
 // diurnalClock returns the hour of day at the slot's start, fractional, and
 // whether the slot falls on a weekend. It reads the time of day from the
 // slot of day and the weekend from the slot's profile class, which counts
@@ -451,7 +442,11 @@ func rushDepth(class roadnet.RoadClass) float64 {
 	}
 }
 
-// diurnalFactor is DiurnalFactor at a clock reading.
+// diurnalFactor returns the deterministic time-of-day speed multiplier for a
+// road class at hour h of the day (fractional, as diurnalClock reads it):
+// 1.0 free-flow at night, pronounced dips at the weekday rush hours, a
+// gentler afternoon dip at weekends. Major roads suffer deeper rush-hour
+// dips, matching urban reality.
 func diurnalFactor(h float64, weekend bool, class roadnet.RoadClass) float64 {
 	depth := rushDepth(class)
 	dip := func(center, width float64) float64 {

@@ -126,9 +126,9 @@ func TestRushHourSlowdown(t *testing.T) {
 func TestDiurnalFactorShape(t *testing.T) {
 	cal := testCal(t)
 	at := func(h, m int) int { return cal.Slot(time.Date(2016, 3, 7, h, m, 0, 0, time.UTC)) }
-	night := DiurnalFactor(cal, at(3, 0), roadnet.Arterial)
-	rushAM := DiurnalFactor(cal, at(8, 15), roadnet.Arterial)
-	rushPM := DiurnalFactor(cal, at(18, 0), roadnet.Arterial)
+	night := diurnalFactorAt(cal, at(3, 0), roadnet.Arterial)
+	rushAM := diurnalFactorAt(cal, at(8, 15), roadnet.Arterial)
+	rushPM := diurnalFactorAt(cal, at(18, 0), roadnet.Arterial)
 	if !(night > rushAM && night > rushPM) {
 		t.Errorf("night %v should exceed rush %v/%v", night, rushAM, rushPM)
 	}
@@ -136,14 +136,14 @@ func TestDiurnalFactorShape(t *testing.T) {
 		t.Errorf("factors out of range: night=%v rush=%v", night, rushAM)
 	}
 	// Major roads dip deeper than locals at rush hour.
-	hw := DiurnalFactor(cal, at(8, 15), roadnet.Highway)
-	lc := DiurnalFactor(cal, at(8, 15), roadnet.Local)
+	hw := diurnalFactorAt(cal, at(8, 15), roadnet.Highway)
+	lc := diurnalFactorAt(cal, at(8, 15), roadnet.Local)
 	if hw >= lc {
 		t.Errorf("highway rush factor %v should be below local %v", hw, lc)
 	}
 	// Saturday (2016-03-12) has no sharp morning rush.
 	sat := cal.Slot(time.Date(2016, 3, 12, 8, 15, 0, 0, time.UTC))
-	if DiurnalFactor(cal, sat, roadnet.Arterial) < DiurnalFactor(cal, at(8, 15), roadnet.Arterial) {
+	if diurnalFactorAt(cal, sat, roadnet.Arterial) < diurnalFactorAt(cal, at(8, 15), roadnet.Arterial) {
 		t.Error("weekend morning should be faster than weekday rush")
 	}
 }
@@ -179,20 +179,27 @@ func TestDiurnalClockWeekly(t *testing.T) {
 	}
 }
 
-// TestDiurnalFactorAllocs: the simulator evaluates the diurnal profile for
-// every road at every step, so it must not allocate.
+// diurnalFactorAt returns the simulator's diurnal speed multiplier for class
+// at the start of slot.
+func diurnalFactorAt(cal *timeslot.Calendar, slot int, class roadnet.RoadClass) float64 {
+	h, weekend := diurnalClock(cal, slot)
+	return diurnalFactor(h, weekend, class)
+}
+
+// TestDiurnalFactorAllocs: the simulator reads the diurnal clock and
+// evaluates the profile at every step, so neither may allocate.
 func TestDiurnalFactorAllocs(t *testing.T) {
 	cal := testCal(t)
 	slot := cal.Slot(time.Date(2016, 3, 7, 8, 15, 0, 0, time.UTC))
 	var sink float64
 	allocs := testing.AllocsPerRun(100, func() {
-		sink += DiurnalFactor(cal, slot, roadnet.Collector)
+		sink += diurnalFactorAt(cal, slot, roadnet.Collector)
 	})
 	if allocs != 0 {
-		t.Errorf("DiurnalFactor allocates %v times per call", allocs)
+		t.Errorf("the diurnal profile allocates %v times per call", allocs)
 	}
 	if sink <= 0 {
-		t.Error("DiurnalFactor returned no factor")
+		t.Error("the diurnal profile returned no factor")
 	}
 }
 
