@@ -5,7 +5,7 @@
 //	GET  /health              liveness probe
 //	GET  /v1/info             network and model statistics
 //	GET  /v1/model            current model version, build metadata, staleness
-//	GET  /v1/seeds?k=NN       select a seed set of size k (cached per (k, model version))
+//	GET  /v1/seeds?k=NN       select a seed set of size k on the current model
 //	GET  /v1/roads/{id}       road metadata + historical profile for a slot
 //	POST /v1/estimate         run one estimation round from crowd reports
 //	POST /v1/observations     ingest crowd observations for the next model rebuild
@@ -24,12 +24,11 @@
 // model version from the store at entry and runs entirely on that immutable
 // artifact; /v1/estimate and /v1/seeds report the version they ran on as
 // model_version. Background rebuilds triggered by ingested observations
-// swap a successor model in without blocking any request in flight. Seed
-// selection is deduplicated per (budget k, model version) in single-flight
-// style — concurrent requests for the same key share one selection run —
-// and cached entries for superseded model versions are dropped the moment
-// a rebuild swaps, so /v1/seeds can never serve seeds computed against a
-// stale model.
+// swap a successor model in without blocking any request in flight. Every
+// /v1/seeds request selects on the view it resolved (core.Store.SelectSeeds)
+// and re-specialises that view only when it holds another set, so
+// concurrent requests for one budget specialise once and /v1/seeds can
+// never serve seeds computed against a stale model.
 //
 // # Deadlines and load shedding
 //
@@ -62,7 +61,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -94,22 +92,6 @@ const (
 // genuinely overloaded server sheds within one client RTT instead of
 // building a queue.
 const defaultAdmitWait = 10 * time.Millisecond
-
-// seedCacheMax bounds the seed cache: each entry can hold thousands of
-// road IDs and retrains the seed model to produce, so an unbounded map is
-// a memory leak under adversarial ?k= scans. Eviction is FIFO — seed sets
-// are deterministic per model version, so recomputing an evicted entry is
-// only a cost, never a correctness issue. Entries for superseded model
-// versions are additionally dropped on every swap.
-const seedCacheMax = 32
-
-// seedKey identifies one cached seed selection: the budget and the model
-// version it was computed against. Versioned keys are what keep /v1/seeds
-// from serving a set selected on a pre-rebuild (or pre-Prepare) model.
-type seedKey struct {
-	k       int
-	version uint64
-}
 
 // Config toggles the operational endpoints of a Server.
 type Config struct {
@@ -147,27 +129,6 @@ type Server struct {
 	// being shed: defaultAdmitWait, which tests may reset before serving.
 	admitWait  time.Duration
 	estTimeout time.Duration
-
-	// mu guards only the cache bookkeeping below; it is never held across
-	// seed selection, so one slow /v1/seeds cannot serialize the API.
-	mu             sync.Mutex
-	seedCache      map[seedKey][]roadnet.RoadID
-	seedCacheOrder []seedKey // insertion order for FIFO eviction
-	seedInflight   map[seedKey]*seedCall
-	seedVersion    uint64 // latest published model version, maintained by the swap hook
-
-	// onSeedSelected, when set, runs after a seed selection completes and
-	// before its result is considered for caching. Test seam: lets a test
-	// interleave a model swap into that window deterministically.
-	onSeedSelected func()
-}
-
-// seedCall is one in-flight seed selection; duplicate requests for the same
-// k wait on done instead of re-running the selection.
-type seedCall struct {
-	done  chan struct{}
-	seeds []roadnet.RoadID
-	err   error
 }
 
 // NewServerWith returns a Server for a model store.
@@ -176,14 +137,11 @@ func NewServerWith(store *core.Store, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("api: model store is required")
 	}
 	s := &Server{
-		store:        store,
-		mux:          http.NewServeMux(),
-		log:          cfg.Logger,
-		admitWait:    defaultAdmitWait,
-		estTimeout:   cfg.EstimateTimeout,
-		seedCache:    map[seedKey][]roadnet.RoadID{},
-		seedInflight: map[seedKey]*seedCall{},
-		seedVersion:  store.View().Version(),
+		store:      store,
+		mux:        http.NewServeMux(),
+		log:        cfg.Logger,
+		admitWait:  defaultAdmitWait,
+		estTimeout: cfg.EstimateTimeout,
 	}
 	if s.log == nil {
 		s.log = obs.NopLogger()
@@ -192,10 +150,6 @@ func NewServerWith(store *core.Store, cfg Config) (*Server, error) {
 	if cfg.MaxInflightEstimates > 0 {
 		s.estSem = make(chan struct{}, cfg.MaxInflightEstimates)
 	}
-	// Drop seed sets selected against superseded views as soon as a
-	// rebuild swaps; lookups are version-keyed anyway, so this is purely
-	// reclaiming memory and keeping the entries gauge honest.
-	store.OnSwap(func(_, v *core.View) { s.dropStaleSeeds(v.Version()) })
 	s.handle("GET", "/health", s.handleHealth)
 	s.handle("GET", "/v1/info", s.handleInfo)
 	s.handle("GET", "/v1/model", s.handleModel)
@@ -591,7 +545,7 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "k must be an integer in [1, %d]", v.Net().NumRoads())
 		return
 	}
-	seeds, err := s.seedsFor(r.Context(), v, k)
+	seeds, err := s.store.SelectSeeds(r.Context(), v, k)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -608,134 +562,6 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		K: k, Seeds: seeds, Benefit: v.SeedBenefit(seeds), ModelVersion: v.Version(),
 	})
 }
-
-// seedsFor caches seed sets per (budget, model version): selection retrains
-// the seed-conditional model, which is too expensive per request. The cache
-// is capped at seedCacheMax entries with FIFO eviction so a ?k= scan cannot
-// grow memory without bound, and entries for superseded versions are
-// dropped by the store's swap hook.
-//
-// Selection runs outside the lock in single-flight-per-key style: concurrent
-// requests for the same (k, version) share one selection run, and requests
-// for different keys proceed in parallel (the seed-selection Problem is
-// read-only during Select, and the model publishes the retrained seed
-// model atomically).
-//
-// The shared selection runs under the *initiating* request's context. Two
-// cancellation cases follow. A waiter whose own ctx dies stops waiting and
-// returns, leaving the selection running for the others. And when the
-// initiator disconnects mid-selection it takes the shared run down with it —
-// any still-live waiter then retries the loop, finding the cache, a newer
-// in-flight call, or becoming the fresh initiator itself, so one impatient
-// client can never poison the result for patient ones.
-func (s *Server) seedsFor(ctx context.Context, v *core.View, k int) ([]roadnet.RoadID, error) {
-	key := seedKey{k: k, version: v.Version()}
-	for {
-		s.mu.Lock()
-		if seeds, ok := s.seedCache[key]; ok {
-			s.mu.Unlock()
-			seedCacheHits.Inc()
-			// A selection for another budget may have re-specialized v since
-			// this set was cached; estimates on these seeds need v
-			// specialized to them.
-			if err := s.store.PrepareSeeds(ctx, v, seeds); err != nil {
-				return nil, err
-			}
-			return seeds, nil
-		}
-		if c, ok := s.seedInflight[key]; ok {
-			s.mu.Unlock()
-			seedSingleflightWaits.Inc()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if c.err != nil && ctx.Err() == nil &&
-				(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
-				continue // the initiator's ctx died, not ours: retry
-			}
-			return c.seeds, c.err
-		}
-		break
-	}
-	c := &seedCall{done: make(chan struct{})}
-	s.seedInflight[key] = c
-	s.mu.Unlock()
-
-	seedCacheMisses.Inc()
-	c.seeds, c.err = s.store.SelectSeeds(ctx, v, k)
-	if s.onSeedSelected != nil {
-		s.onSeedSelected()
-	}
-	close(c.done)
-
-	s.mu.Lock()
-	delete(s.seedInflight, key)
-	// Cache only results for the still-published version: if a rebuild
-	// swapped while this selection ran, dropStaleSeeds already purged the
-	// superseded generation, and inserting this entry afterwards would
-	// resurrect a (k, oldVersion) key no lookup can ever hit — wasting one
-	// of the seedCacheMax slots and inflating the entries gauge until FIFO
-	// eviction happens to reach it. The waiters still get the result below,
-	// correctly labelled with the version they asked for.
-	if c.err == nil && key.version == s.seedVersion {
-		if len(s.seedCacheOrder) >= seedCacheMax {
-			oldest := s.seedCacheOrder[0]
-			s.seedCacheOrder = s.seedCacheOrder[1:]
-			delete(s.seedCache, oldest)
-			seedCacheEvictions.Inc()
-		}
-		s.seedCache[key] = c.seeds
-		s.seedCacheOrder = append(s.seedCacheOrder, key)
-		seedCacheSize.Set(float64(len(s.seedCache)))
-	} else if c.err == nil {
-		seedCacheStaleInserts.Inc()
-	}
-	s.mu.Unlock()
-	return c.seeds, c.err
-}
-
-// dropStaleSeeds removes cached seed sets whose model version is not
-// current. Runs from the store's swap hook, so the cache never retains
-// selections for models no request can resolve anymore. In-flight
-// selections are left alone: their waiters hold the old *View and get a
-// correctly-labelled result — but the completed selection is not cached,
-// because seedsFor rechecks the version recorded here before inserting.
-func (s *Server) dropStaleSeeds(current uint64) {
-	s.mu.Lock()
-	s.seedVersion = current
-	kept := s.seedCacheOrder[:0]
-	for _, key := range s.seedCacheOrder {
-		if key.version == current {
-			kept = append(kept, key)
-			continue
-		}
-		delete(s.seedCache, key)
-		seedCacheInvalidations.Inc()
-	}
-	s.seedCacheOrder = kept
-	seedCacheSize.Set(float64(len(s.seedCache)))
-	s.mu.Unlock()
-}
-
-// Seed-cache observability.
-var (
-	seedCacheHits = obs.Default().Counter("trendspeed_api_seed_cache_hits_total",
-		"Seed-set cache hits on /v1/seeds.")
-	seedCacheMisses = obs.Default().Counter("trendspeed_api_seed_cache_misses_total",
-		"Seed-set cache misses on /v1/seeds (each one runs seed selection).")
-	seedCacheEvictions = obs.Default().Counter("trendspeed_api_seed_cache_evictions_total",
-		"Seed-set cache FIFO evictions.")
-	seedCacheSize = obs.Default().Gauge("trendspeed_api_seed_cache_entries",
-		"Seed-set cache entries currently held.")
-	seedSingleflightWaits = obs.Default().Counter("trendspeed_api_seed_singleflight_waits_total",
-		"Requests that waited on an in-flight seed selection for the same k instead of re-running it.")
-	seedCacheInvalidations = obs.Default().Counter("trendspeed_api_seed_cache_invalidations_total",
-		"Seed-set cache entries dropped because a model rebuild superseded their version.")
-	seedCacheStaleInserts = obs.Default().Counter("trendspeed_api_seed_cache_stale_inserts_total",
-		"Completed seed selections not cached because a rebuild superseded their model version mid-selection.")
-)
 
 // roadResponse describes one road.
 type roadResponse struct {

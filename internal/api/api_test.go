@@ -223,12 +223,12 @@ func TestSeeds(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/seeds?k=999999", nil); code != http.StatusBadRequest {
 		t.Errorf("huge k → %d", code)
 	}
-	// Cached second call returns the identical set.
+	// A second call selects the identical set.
 	var again seedsResponse
 	getJSON(t, fmt.Sprintf("%s/v1/seeds?k=%d", ts.URL, k), &again)
 	for i := range body.Seeds {
 		if body.Seeds[i] != again.Seeds[i] {
-			t.Fatal("seed cache returned a different set")
+			t.Fatal("a second request selected a different set")
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 // while /v1/estimate rounds are mid-flight. On the pre-snapshot estimator
 // this fails under -race (Prepare wrote a plain field Estimate was reading);
 // now every round finishes on the snapshot it loaded at entry. Distinct k
-// values on purpose: each one misses the cache and forces a republish.
+// values on purpose: each one selects another set and forces a republish.
 func TestConcurrentSeedsAndEstimate(t *testing.T) {
 	ts, d := newTestServer(t)
 	truth := d.Truth()
@@ -70,50 +70,6 @@ func TestConcurrentSeedsAndEstimate(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestSeedSingleflight: concurrent requests for the same budget share one
-// selection run instead of re-running it behind the lock.
-func TestSeedSingleflight(t *testing.T) {
-	_, st := fixtures(t)
-	srv, err := newServer(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := st.View()
-	missesBefore := seedCacheMisses.Value()
-	const k = 5
-	var wg sync.WaitGroup
-	results := make([][]roadnet.RoadID, 6)
-	for i := 0; i < len(results); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			seeds, err := srv.seedsFor(context.Background(), m, k)
-			if err != nil {
-				t.Errorf("seedsFor: %v", err)
-				return
-			}
-			results[i] = seeds
-		}(i)
-	}
-	wg.Wait()
-	// Every caller sees the same selected set.
-	for i := 1; i < len(results); i++ {
-		if len(results[i]) != len(results[0]) {
-			t.Fatalf("caller %d got %d seeds, caller 0 got %d", i, len(results[i]), len(results[0]))
-		}
-		for j := range results[i] {
-			if results[i][j] != results[0][j] {
-				t.Fatalf("caller %d seed set differs at %d", i, j)
-			}
-		}
-	}
-	// At most one miss per concurrent burst for a single k (exactly one here,
-	// since k=5 was not cached on this fresh server).
-	if got := seedCacheMisses.Value() - missesBefore; got != 1 {
-		t.Errorf("cache misses for one k = %v, want 1 (selection re-ran %v times)", got, got)
 	}
 }
 

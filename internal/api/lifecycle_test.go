@@ -16,7 +16,7 @@ import (
 
 // newLifecycleServer builds a server over a private store so rebuilds do
 // not disturb the shared fixture.
-func newLifecycleServer(t *testing.T) (*httptest.Server, *Server, *dataset.Dataset, *core.Store) {
+func newLifecycleServer(t *testing.T) (*httptest.Server, *dataset.Dataset, *core.Store) {
 	t.Helper()
 	d, st := freshStore(t)
 	srv, err := newServer(st)
@@ -25,7 +25,7 @@ func newLifecycleServer(t *testing.T) (*httptest.Server, *Server, *dataset.Datas
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return ts, srv, d, st
+	return ts, d, st
 }
 
 func postJSON(t *testing.T, url string, payload any, out any) int {
@@ -48,7 +48,7 @@ func postJSON(t *testing.T, url string, payload any, out any) int {
 }
 
 func TestObservationsEndpoint(t *testing.T) {
-	ts, _, d, st := newLifecycleServer(t)
+	ts, d, st := newLifecycleServer(t)
 	slot := d.Slot()
 	req := observationsRequest{Observations: []observationReport{
 		{Road: 0, Slot: slot, Speed: 9.5},
@@ -70,7 +70,7 @@ func TestObservationsEndpoint(t *testing.T) {
 }
 
 func TestObservationsValidation(t *testing.T) {
-	ts, _, d, st := newLifecycleServer(t)
+	ts, d, st := newLifecycleServer(t)
 	post := func(body string) int {
 		resp, err := http.Post(ts.URL+"/v1/observations", "application/json", bytes.NewBufferString(body))
 		if err != nil {
@@ -96,6 +96,15 @@ func TestObservationsValidation(t *testing.T) {
 	if code := post(`{"observations":[{"road":999999,"slot":0,"speed_mps":10}]}`); code != http.StatusBadRequest {
 		t.Errorf("out-of-range road → %d", code)
 	}
+	// A speed past four times its class's free-flow speed is no report.
+	for r := 0; r < d.Net.NumRoads(); r++ {
+		if d.Net.Road(roadnet.RoadID(r)).Class == roadnet.Local {
+			if code := post(fmt.Sprintf(`{"observations":[{"road":%d,"slot":%d,"speed_mps":1e9}]}`, r, d.Slot())); code != http.StatusBadRequest {
+				t.Errorf("1e9 m/s on local road %d → %d", r, code)
+			}
+			break
+		}
+	}
 	if got := st.BufferedObservations(); got != 0 {
 		t.Errorf("%d observations buffered after rejected batches", got)
 	}
@@ -106,7 +115,7 @@ func TestObservationsValidation(t *testing.T) {
 // answers 429 with Retry-After and buffers nothing: no rebuild is armed, so
 // the buffer would otherwise grow with every POST.
 func TestObservationsBufferFull(t *testing.T) {
-	ts, _, d, st := newLifecycleServer(t)
+	ts, d, st := newLifecycleServer(t)
 	limit := st.View().ObservationCount()
 	fill := make([]core.Observation, limit)
 	for i := range fill {
@@ -138,7 +147,7 @@ func TestObservationsBufferFull(t *testing.T) {
 // every surface agree on the new version — /v1/model, /v1/estimate's
 // model_version, and /v1/seeds recomputed for the new artifact.
 func TestRebuildBumpsVersionAcrossAPI(t *testing.T) {
-	ts, srv, d, st := newLifecycleServer(t)
+	ts, d, st := newLifecycleServer(t)
 	k := d.Net.NumRoads() / 10
 
 	var seedsV1 seedsResponse
@@ -173,20 +182,6 @@ func TestRebuildBumpsVersionAcrossAPI(t *testing.T) {
 		t.Errorf("%d observations still buffered after rebuild", model.BufferedPending)
 	}
 
-	// The swap hook dropped the version-1 cache entry; the next request
-	// selects fresh on version 2.
-	srv.mu.Lock()
-	for key := range srv.seedCache {
-		if key.version != 2 && key.version != 0 {
-			t.Errorf("stale cache entry %+v survived the swap", key)
-		}
-	}
-	stale := len(srv.seedCache)
-	srv.mu.Unlock()
-	if stale != 0 {
-		t.Errorf("cache holds %d entries right after swap, want 0", stale)
-	}
-
 	var seedsV2 seedsResponse
 	if code := getJSON(t, fmt.Sprintf("%s/v1/seeds?k=%d", ts.URL, k), &seedsV2); code != http.StatusOK {
 		t.Fatalf("seeds status %d", code)
@@ -205,34 +200,5 @@ func TestRebuildBumpsVersionAcrossAPI(t *testing.T) {
 	}
 	if est.ModelVersion != 2 {
 		t.Errorf("estimate ran on version %d, want 2", est.ModelVersion)
-	}
-}
-
-// TestSeedCacheVersioned: the same k is cached separately per model
-// version, so a lookup after a rebuild misses and re-selects instead of
-// serving the stale set.
-func TestSeedCacheVersioned(t *testing.T) {
-	_, srv, d, st := newLifecycleServer(t)
-	const k = 4
-	m1 := st.View()
-	if _, err := srv.seedsFor(context.Background(), m1, k); err != nil {
-		t.Fatal(err)
-	}
-	missesBefore := seedCacheMisses.Value()
-	if _, err := st.Ingest(core.Observation{Road: roadnet.RoadID(1), Slot: d.Slot(), Speed: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Rebuild(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	m2 := st.View()
-	if m2.Version() == m1.Version() {
-		t.Fatal("rebuild did not bump the version")
-	}
-	if _, err := srv.seedsFor(context.Background(), m2, k); err != nil {
-		t.Fatal(err)
-	}
-	if got := seedCacheMisses.Value() - missesBefore; got != 1 {
-		t.Errorf("same k on the new version caused %v misses, want exactly 1", got)
 	}
 }

@@ -2,7 +2,6 @@ package api
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -128,43 +127,6 @@ func TestEstimateRejectsDuplicateRoads(t *testing.T) {
 	// The middleware classed it as a 4xx.
 	if got := httpRequests("/v1/estimate", "4xx").Value(); got != before+1 {
 		t.Errorf("4xx counter %v → %v, want +1", before, got)
-	}
-}
-
-// TestSeedCacheBounded drives seedsFor past the cap and checks FIFO
-// eviction keeps the cache at seedCacheMax entries.
-func TestSeedCacheBounded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs seed selection seedCacheMax+2 times")
-	}
-	_, st := fixtures(t)
-	srv, err := newServer(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := st.View()
-	for k := 1; k <= seedCacheMax+2; k++ {
-		if _, err := srv.seedsFor(context.Background(), m, k); err != nil {
-			t.Fatalf("seedsFor(%d): %v", k, err)
-		}
-	}
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	if len(srv.seedCache) != seedCacheMax || len(srv.seedCacheOrder) != seedCacheMax {
-		t.Fatalf("cache holds %d entries (order %d), want %d",
-			len(srv.seedCache), len(srv.seedCacheOrder), seedCacheMax)
-	}
-	// The two oldest budgets were evicted, the newest survive.
-	v := m.Version()
-	for _, evicted := range []int{1, 2} {
-		if _, ok := srv.seedCache[seedKey{k: evicted, version: v}]; ok {
-			t.Errorf("k=%d should have been evicted", evicted)
-		}
-	}
-	for _, kept := range []int{3, seedCacheMax + 2} {
-		if _, ok := srv.seedCache[seedKey{k: kept, version: v}]; !ok {
-			t.Errorf("k=%d should still be cached", kept)
-		}
 	}
 }
 

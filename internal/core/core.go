@@ -90,8 +90,9 @@ type Options struct {
 	// the BP config above).
 	Engine mrf.Engine
 	// Selector overrides the seed-selection algorithm (default: lazy
-	// greedy).
-	Selector seedsel.Selector
+	// greedy). It must be cancellable, so a request that goes away stops
+	// the selection it started.
+	Selector seedsel.ContextSelector
 }
 
 // The estimation round's trend-evidence constants.

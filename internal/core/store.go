@@ -86,6 +86,10 @@ type Store struct {
 	opts Options
 	cur  atomic.Pointer[View]
 
+	// seedTurn is a one-slot semaphore held across SelectSeeds, so seed
+	// selections and the specialisations they run happen one at a time.
+	seedTurn chan struct{}
+
 	// mu guards the ingest buffer, the last prepared seed set, the swap
 	// hooks and the loop bookkeeping; it is never held across a rebuild.
 	mu        sync.Mutex
@@ -131,6 +135,7 @@ func NewStore(net *roadnet.Network, db *history.DB, opts Options) (*Store, error
 		opts:     opts,
 		lifetime: lifetime,
 		cancel:   cancel,
+		seedTurn: make(chan struct{}, 1),
 		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -145,48 +150,45 @@ func NewStore(net *roadnet.Network, db *history.DB, opts Options) (*Store, error
 // selected against) should resolve the view once and use it throughout.
 func (s *Store) View() *View { return s.cur.Load() }
 
-// SelectSeeds selects k seeds on view v and records the set so rebuilds
-// re-specialize it on successor models. API layers pass the view they
-// resolved for the request, so the seed set and the version they cache it
-// under come from the same view even if a swap lands mid-request. A
-// cancelled selection records nothing, so rebuilds keep re-specializing the
-// last complete set.
+// SelectSeeds selects k seeds on view v, specialising v to them unless it
+// already is, and records the set so rebuilds re-specialize it on successor
+// models. API layers pass the view they resolved for the request, so the
+// seed set and the version they report come from the same view even if a
+// swap lands mid-request. Selections run one at a time: concurrent requests
+// for one set specialise once, and different sets specialise one after
+// another, the last leaving v specialised to its set. Waiting for the turn
+// honours ctx. A cancelled selection records nothing, so rebuilds
+// keep re-specializing the last complete set.
 func (s *Store) SelectSeeds(ctx context.Context, v *View, k int) ([]roadnet.RoadID, error) {
+	select {
+	case s.seedTurn <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-s.seedTurn }()
 	seeds, err := v.SelectSeeds(ctx, k)
 	if err != nil {
 		return nil, err
 	}
-	s.rememberSeeds(seeds)
-	return seeds, nil
-}
-
-// PrepareSeeds specializes view v to a seed set selected earlier on it,
-// unless v's seed model already is specialized to that set, and then records
-// the set as SelectSeeds does, so rebuilds re-specialize it. API layers call
-// it when they serve a cached set: another set may have been prepared on v
-// since this one was selected.
-func (s *Store) PrepareSeeds(ctx context.Context, v *View, seeds []roadnet.RoadID) error {
-	if sm := v.seedModel.Load(); sm != nil && sm.SpecializedTo(seeds) {
-		return nil
-	}
-	if err := v.Prepare(ctx, seeds); err != nil {
-		return err
-	}
-	s.rememberSeeds(seeds)
-	return nil
-}
-
-func (s *Store) rememberSeeds(seeds []roadnet.RoadID) {
 	cp := append([]roadnet.RoadID(nil), seeds...)
 	s.mu.Lock()
 	s.lastSeeds = cp
 	s.mu.Unlock()
+	return seeds, nil
 }
+
+// maxFreeFlowFactor caps an ingested speed at this multiple of its road
+// class's free-flow speed: 33.3 m/s on a local road, 100 m/s on a highway.
+// No vehicle reports more, and one report past it would rescale its road's
+// history, and every speed served on that road, after the next rebuild.
+const maxFreeFlowFactor = 4
 
 // Ingest validates and buffers observations for the next rebuild. The whole
 // batch is rejected on the first invalid observation (the error matches
-// ErrInvalidInput, so HTTP layers answer 400). It returns the number of
-// observations buffered after the append and never blocks on a rebuild.
+// ErrInvalidInput, so HTTP layers answer 400): a road or slot out of range,
+// or a speed that is not positive or passes maxFreeFlowFactor times its road
+// class's free-flow speed. It returns the number of observations buffered
+// after the append and never blocks on a rebuild.
 //
 // The buffer holds at most as many observations as the published view's
 // history holds samples, or one per road when the history holds fewer, so
@@ -203,10 +205,12 @@ func (s *Store) Ingest(observations ...Observation) (int, error) {
 		if o.Slot < 0 || o.Slot > math.MaxInt32 {
 			return 0, fmt.Errorf("core: observation slot %d out of range: %w", o.Slot, ErrInvalidInput)
 		}
-		// The history's profiles are float32, and Builder.Add rejects a
-		// larger speed: buffering one would fail every later rebuild.
-		if !(o.Speed > 0 && o.Speed <= math.MaxFloat32) {
-			return 0, fmt.Errorf("core: invalid observation speed %v on road %d: %w", o.Speed, o.Road, ErrInvalidInput)
+		// The ceiling also keeps every speed within the float32 range that
+		// Builder.Add accepts, so a buffered observation cannot fail a
+		// rebuild.
+		ceiling := maxFreeFlowFactor * v.Net().Road(o.Road).Class.FreeFlowSpeed()
+		if !(o.Speed > 0 && o.Speed <= ceiling) {
+			return 0, fmt.Errorf("core: invalid observation speed %v on road %d (want (0, %.4g] m/s): %w", o.Speed, o.Road, ceiling, ErrInvalidInput)
 		}
 	}
 	limit := max(v.ObservationCount(), n)
@@ -243,9 +247,8 @@ func (s *Store) BufferedObservations() int {
 }
 
 // OnSwap registers a hook called after each successful swap with the view
-// that was replaced and the one now published (caches keyed by view version
-// use it to drop stale entries). Hooks run on the rebuilding goroutine and
-// must not block.
+// that was replaced and the one now published (speedserver logs each swap
+// with it). Hooks run on the rebuilding goroutine and must not block.
 func (s *Store) OnSwap(fn func(old, new *View)) {
 	s.mu.Lock()
 	s.onSwap = append(s.onSwap, fn)

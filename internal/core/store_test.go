@@ -138,18 +138,21 @@ func TestStoreIngestBufferBounded(t *testing.T) {
 // TestStoreIngestRejectsSpeedBeyondFloat32: the history keeps float32
 // profiles, so one huge but finite report used to become a +Inf profile
 // mean after the next rebuild, and the round then served its road at +Inf
-// m/s. Ingest rejects such a speed as invalid input; the largest speed the
-// history can hold is accepted and keeps every estimate finite.
+// m/s. Ingest rejects such a speed, math.MaxFloat32 included, as invalid
+// input; the class ceiling is accepted and keeps every estimate finite.
 func TestStoreIngestRejectsSpeedBeyondFloat32(t *testing.T) {
 	ctx := context.Background()
 	d, st := buildStore(t)
 	defer st.Close()
 	const road = 7
-	if _, err := st.Ingest(Observation{Road: road, Slot: d.Slot(), Speed: 1e300}); !errors.Is(err, ErrInvalidInput) {
-		t.Errorf("Ingest of 1e300 m/s: error %v, want ErrInvalidInput", err)
+	for _, speed := range []float64{1e300, math.MaxFloat32} {
+		if _, err := st.Ingest(Observation{Road: road, Slot: d.Slot(), Speed: speed}); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("Ingest of %g m/s: error %v, want ErrInvalidInput", speed, err)
+		}
 	}
-	if _, err := st.Ingest(Observation{Road: road, Slot: d.Slot(), Speed: math.MaxFloat32}); err != nil {
-		t.Fatalf("Ingest of math.MaxFloat32 m/s: %v", err)
+	ceiling := maxFreeFlowFactor * d.Net.Road(road).Class.FreeFlowSpeed()
+	if _, err := st.Ingest(Observation{Road: road, Slot: d.Slot(), Speed: ceiling}); err != nil {
+		t.Fatalf("Ingest of the %.4g m/s ceiling: %v", ceiling, err)
 	}
 	if _, err := st.Rebuild(ctx); err != nil {
 		t.Fatal(err)
@@ -162,6 +165,38 @@ func TestStoreIngestRejectsSpeedBeyondFloat32(t *testing.T) {
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			t.Errorf("road %d served at %v m/s", r, v)
 		}
+	}
+}
+
+// TestStoreIngestRefusesImplausibleSpeed: on a road of every class, Ingest
+// accepts maxFreeFlowFactor times the class's free-flow speed and refuses
+// the next float above it and a 1e9 m/s report, which a rebuild would fold
+// into the road's history and serve from then on.
+func TestStoreIngestRefusesImplausibleSpeed(t *testing.T) {
+	d, st := buildStore(t)
+	defer st.Close()
+	seen := map[roadnet.RoadClass]bool{}
+	for r := 0; r < d.Net.NumRoads(); r++ {
+		road := d.Net.Road(roadnet.RoadID(r))
+		if seen[road.Class] {
+			continue
+		}
+		seen[road.Class] = true
+		ceiling := maxFreeFlowFactor * road.Class.FreeFlowSpeed()
+		for _, speed := range []float64{math.Nextafter(ceiling, math.Inf(1)), 1e9} {
+			if _, err := st.Ingest(Observation{Road: road.ID, Slot: d.Slot(), Speed: speed}); !errors.Is(err, ErrInvalidInput) {
+				t.Errorf("%s road %d: Ingest of %g m/s: error %v, want ErrInvalidInput", road.Class, r, speed, err)
+			}
+		}
+		if _, err := st.Ingest(Observation{Road: road.ID, Slot: d.Slot(), Speed: ceiling}); err != nil {
+			t.Errorf("%s road %d: Ingest of the %.4g m/s ceiling: %v", road.Class, r, ceiling, err)
+		}
+	}
+	if !seen[roadnet.Local] || !seen[roadnet.Highway] {
+		t.Fatalf("test city lacks a local or a highway road: classes %v", seen)
+	}
+	if got, want := st.BufferedObservations(), len(seen); got != want {
+		t.Errorf("%d observations buffered, want the %d ceilings", got, want)
 	}
 }
 

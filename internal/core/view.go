@@ -49,7 +49,7 @@ type View struct {
 	hlm   *hlm.Model
 
 	problem  *seedsel.Problem
-	selector seedsel.Selector
+	selector seedsel.ContextSelector
 	engine   mrf.Engine
 
 	// trendTopo is the trend MRF's message-passing structure over the
@@ -213,24 +213,17 @@ func (v *View) HLM() *hlm.Model { return v.hlm }
 func (v *View) Problem() *seedsel.Problem { return v.problem }
 
 // SelectSeeds chooses k seed roads with the configured selector and
-// prepares the seed-conditional inference model for them. Selectors
-// implementing seedsel.ContextSelector stop between marginal-gain
-// evaluations once ctx is cancelled, and the seed-conditional specialization
-// is skipped entirely. Plain selectors run to completion; ctx is still
-// honoured at the stage boundaries around them.
+// prepares the seed-conditional inference model for them, unless v's seed
+// model already is specialised to that set: Prepare would publish the same
+// model again. The selector stops between marginal-gain evaluations once
+// ctx is cancelled, and the specialization is then skipped entirely.
 func (v *View) SelectSeeds(ctx context.Context, k int) ([]roadnet.RoadID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var seeds []roadnet.RoadID
-	var err error
-	if cs, ok := v.selector.(seedsel.ContextSelector); ok {
-		seeds, err = cs.SelectCtx(ctx, v.problem, k)
-	} else {
-		seeds, err = v.selector.Select(v.problem, k)
-	}
+	seeds, err := v.selector.SelectCtx(ctx, v.problem, k)
 	if err != nil {
 		return nil, err
+	}
+	if sm := v.seedModel.Load(); sm != nil && sm.SpecializedTo(seeds) {
+		return seeds, nil
 	}
 	if err := v.Prepare(ctx, seeds); err != nil {
 		return nil, err

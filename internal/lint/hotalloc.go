@@ -18,8 +18,8 @@ import (
 // never sized with a 3-arg make in the same declaration), slice/map composite
 // literals, interface boxing at call sites, fmt.* calls and non-constant
 // string concatenation, and closures that capture enclosing variables (a
-// capturing closure is heap-allocated whenever it escapes, and everything
-// passed to a worker pool escapes).
+// capturing closure is heap-allocated whenever it escapes, as one stored or
+// passed to a function the compiler does not inline does).
 //
 // Suppression uses the dedicated //lint:hotpath-ok <reason> directive (an
 // alias for //lint:ignore hotalloc <reason>): a construct that allocates

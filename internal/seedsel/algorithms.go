@@ -35,10 +35,9 @@ type Selector interface {
 }
 
 // ContextSelector is implemented by selectors that can abandon a selection
-// early when the caller's context is cancelled. Selection over a city-scale
-// candidate set is the slowest online operation after a model swap, so
-// serving layers prefer this interface when the selector offers it (see
-// core.View.SelectSeeds); Select remains the uncancellable fallback.
+// early when the caller's context is cancelled. Serving layers require it
+// (core.Options.Selector), so a request that goes away stops the selection
+// it started; Select remains for offline callers.
 type ContextSelector interface {
 	Selector
 	// SelectCtx is Select bounded by ctx: it returns an error wrapping
