@@ -370,22 +370,32 @@ func BenchmarkFigF10InferenceScaling(b *testing.B) {
 }
 
 // BenchmarkFigF11TrendEngines regenerates Figure 11's rows: the served BP
-// engine and the history-only prior, each inside a full estimation round,
-// reporting trend accuracy.
+// engine and the history-only prior, each inside a full estimation round on
+// a view built with it and specialised to the fixture's seeds, reporting
+// trend accuracy.
 func BenchmarkFigF11TrendEngines(b *testing.B) {
 	ctx := context.Background()
 	f := getFixture(b)
-	engines := map[string]mrf.Engine{
-		"bp":    nil, // default engine
-		"prior": mrf.PriorOnly{},
+	opts := core.DefaultOptions()
+	opts.Engine = mrf.PriorOnly{}
+	prior, err := core.NewView(f.d.Net, f.d.DB, opts)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for name, eng := range engines {
+	if err := prior.Prepare(ctx, f.seeds); err != nil {
+		b.Fatal(err)
+	}
+	views := map[string]*core.View{
+		"bp":    f.est, // default engine
+		"prior": prior,
+	}
+	for name, v := range views {
 		b.Run(name, func(b *testing.B) {
 			s := f.snaps[0]
 			reports := f.reports(s)
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				res, err := f.est.EstimateWith(ctx, s.slot, reports, core.EstimateOptions{Engine: eng})
+				res, err := v.Estimate(ctx, s.slot, reports)
 				if err != nil {
 					b.Fatal(err)
 				}

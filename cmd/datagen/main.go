@@ -1,6 +1,7 @@
-// Command datagen generates and persists a synthetic benchmark dataset: the
-// road network (JSON) and the historical speed database (binary), ready for
-// cmd/trafficest and offline experimentation.
+// Command datagen generates and persists a synthetic benchmark dataset as a
+// dataset directory (dataset.Save): the road network (JSON) and the
+// historical speed database (binary), ready for cmd/trafficest,
+// cmd/speedserver and offline experimentation.
 //
 // Usage:
 //
@@ -12,11 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 
 	"repro/internal/dataset"
-	"repro/internal/roadnet"
 )
 
 func main() {
@@ -59,36 +57,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	if err := dataset.Save(*out, d.Net, d.DB); err != nil {
 		log.Fatal(err)
 	}
-
-	netPath := filepath.Join(*out, "network.json")
-	f, err := os.Create(netPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := roadnet.WriteJSON(f, d.Net); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-
-	dbPath := filepath.Join(*out, "history.thdb")
-	f, err = os.Create(dbPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := d.DB.WriteTo(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("network: %s (%d roads, %d junctions, %.1f km)\n",
-		netPath, d.Net.NumRoads(), d.Net.NumNodes(), d.Net.TotalLength()/1000)
-	fmt.Printf("history: %s (%d slot-level samples, %.0f%% road coverage)\n",
-		dbPath, d.DB.ObservationCount(), d.DB.Coverage(10)*100)
+	fmt.Printf("dataset: %s\n", *out)
+	fmt.Printf("network: %d roads, %d junctions, %.1f km\n",
+		d.Net.NumRoads(), d.Net.NumNodes(), d.Net.TotalLength()/1000)
+	fmt.Printf("history: %d slot-level samples, %.0f%% road coverage\n",
+		d.DB.ObservationCount(), d.DB.Coverage(10)*100)
 }

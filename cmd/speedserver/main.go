@@ -41,7 +41,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -97,7 +96,7 @@ func main() {
 	if *data != "" {
 		dataWhat = "loaded"
 		var err error
-		net, db, err = load(*data)
+		net, db, err = dataset.Load(*data)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -223,26 +222,4 @@ func main() {
 		store.Close()
 	}
 	log.Printf("final metrics:\n%s", obs.Default().Render())
-}
-
-func load(dir string) (*roadnet.Network, *history.DB, error) {
-	f, err := os.Open(filepath.Join(dir, "network.json"))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	net, err := roadnet.ReadJSON(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := os.Open(filepath.Join(dir, "history.thdb"))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer g.Close()
-	db, err := history.ReadDB(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	return net, db, nil
 }

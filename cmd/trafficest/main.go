@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/baselines"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/crowd"
 	"repro/internal/dataset"
 	"repro/internal/eval"
-	"repro/internal/history"
 	"repro/internal/render"
 	"repro/internal/roadnet"
 )
@@ -157,7 +155,10 @@ func main() {
 // round's summary statistics instead of accuracy.
 func runPersisted(dir string, budget float64) {
 	ctx := context.Background()
-	net, db := loadDataset(dir)
+	net, db, err := dataset.Load(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
 	est, err := core.NewView(net, db, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -193,26 +194,4 @@ func runPersisted(dir string, budget float64) {
 		}
 	}
 	fmt.Printf("estimated %d roads (%d without history) for slot %d\n", estN, est0, slot)
-}
-
-func loadDataset(dir string) (*roadnet.Network, *history.DB) {
-	f, err := os.Open(filepath.Join(dir, "network.json"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	net, err := roadnet.ReadJSON(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	g, err := os.Open(filepath.Join(dir, "history.thdb"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer g.Close()
-	db, err := history.ReadDB(g)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return net, db
 }

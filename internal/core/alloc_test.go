@@ -34,11 +34,12 @@ func TestFuseTrendsAllocs(t *testing.T) {
 
 // The estimate round's allocation budget on the 8×6-block city:
 // estimateAllocsBaseline allocations, the count recorded when the budget was
-// last set (109; 110 under the race detector), plus estimateAllocsHeadroom.
-// Allocation counts are near-deterministic, unlike timings, so 10% absorbs
-// map-growth jitter without letting a per-road allocation slip through.
+// last set (108; 108–110 under the race detector, whose sync.Pool drops some
+// releases), plus estimateAllocsHeadroom. Allocation counts are
+// near-deterministic, unlike timings, so 10% absorbs map-growth jitter
+// without letting a per-road allocation slip through.
 const (
-	estimateAllocsBaseline = 109
+	estimateAllocsBaseline = 108
 	estimateAllocsHeadroom = 0.10
 )
 

@@ -36,8 +36,9 @@ func (e blockingEngine) Infer(ctx context.Context, m *mrf.Model, ev []mrf.Eviden
 // bumps trendspeed_estimate_canceled_total, and (d) leaks no span — started
 // minus ended on the default tracer is unchanged once the round returns.
 func TestEstimateCtxCancelPromptReturn(t *testing.T) {
-	d, st := buildStore(t)
+	d := buildCity(t, 5, 4)
 	eng := newBlockingEngine()
+	v := viewWithEngine(t, d, eng)
 
 	s0, e0 := obs.DefaultTracer().Counts()
 	canceled0 := estimateCanceled.Value()
@@ -49,7 +50,7 @@ func TestEstimateCtxCancelPromptReturn(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := st.View().EstimateWith(ctx, d.Slot(), nil, EstimateOptions{Engine: eng})
+		res, err := v.Estimate(ctx, d.Slot(), nil)
 		done <- outcome{res, err}
 	}()
 
@@ -87,13 +88,13 @@ func TestEstimateCtxCancelPromptReturn(t *testing.T) {
 // TestEstimateCtxDeadlineCountsCanceled asserts deadline expiry is folded into
 // the same canceled counter as explicit cancellation.
 func TestEstimateCtxDeadlineCountsCanceled(t *testing.T) {
-	d, st := buildStore(t)
-	eng := newBlockingEngine()
+	d := buildCity(t, 5, 4)
+	v := viewWithEngine(t, d, newBlockingEngine())
 	canceled0 := estimateCanceled.Value()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := st.View().EstimateWith(ctx, d.Slot(), nil, EstimateOptions{Engine: eng})
+	_, err := v.Estimate(ctx, d.Slot(), nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

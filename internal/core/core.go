@@ -27,7 +27,6 @@ import (
 	"repro/internal/corr"
 	"repro/internal/mrf"
 	"repro/internal/obs"
-	"repro/internal/roadnet"
 	"repro/internal/seedsel"
 )
 
@@ -154,32 +153,4 @@ func trendEvidence(rel, sigma float64) float64 {
 		return 0
 	}
 	return 0.5 * math.Erfc(-(rel-1)/(sigma*math.Sqrt2))
-}
-
-// poolingLevels builds the default HLM pooled groupings for a network:
-// road class, spatial cells at three nested scales, and city-wide. The
-// nested scales let the inverse-variance combiner use the finest area that
-// actually contains seeds.
-func poolingLevels(net *roadnet.Network) [][]int {
-	n := net.NumRoads()
-	class := make([]int, n)
-	city := make([]int, n)
-	levels := [][]int{class, city}
-	bounds := net.Bounds()
-	for _, cell := range []float64{600, 1200, 2400} {
-		area := make([]int, n)
-		cols := int(bounds.Width()/cell) + 1
-		for r := 0; r < n; r++ {
-			road := net.Road(roadnet.RoadID(r))
-			mid := road.Geometry.At(road.Length() / 2)
-			cx := int((mid.X - bounds.Min.X) / cell)
-			cy := int((mid.Y - bounds.Min.Y) / cell)
-			area[r] = cy*cols + cx
-		}
-		levels = append(levels, area)
-	}
-	for r := 0; r < n; r++ {
-		class[r] = int(net.Road(roadnet.RoadID(r)).Class)
-	}
-	return levels
 }

@@ -211,6 +211,10 @@ func TestTrendInferenceBeatsPriorOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	priorView := viewWithEngine(t, d, mrf.PriorOnly{})
+	if err := priorView.Prepare(ctx, seeds); err != nil {
+		t.Fatal(err)
+	}
 	var bpCorrect, priorCorrect, histCorrect, total int
 	for round := 0; round < 5; round++ {
 		slot, truth := d.NextTruth()
@@ -227,7 +231,7 @@ func TestTrendInferenceBeatsPriorOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resPrior, err := est.EstimateWith(ctx, slot, seedSpeeds, EstimateOptions{Engine: mrf.PriorOnly{}})
+		resPrior, err := priorView.Estimate(ctx, slot, seedSpeeds)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,8 +44,6 @@ type EstimateOptions struct {
 	// the generic propagation model (ablation A2: the value of the
 	// hierarchy's seed level).
 	NoSeedModel bool
-	// Engine overrides the trend engine for this call only.
-	Engine mrf.Engine
 }
 
 // validateSeedSpeeds rejects out-of-range roads and unusable speeds up front.
@@ -140,7 +138,7 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 		if err != nil {
 			return nil, err
 		}
-		trends, err := v.inferTrends(ctx, v.trendPriors(slot, seedRels), opts.Engine)
+		trends, err := v.inferTrends(ctx, v.trendPriors(slot, seedRels))
 		if err != nil {
 			return nil, err
 		}
@@ -204,8 +202,8 @@ func (v *View) trendPriors(slot int, seedRels map[roadnet.RoadID]float64) []floa
 }
 
 // inferTrends is step 1: trend inference over the MRF with the given node
-// priors, started cold like every other inference.
-func (v *View) inferTrends(ctx context.Context, priors []float64, engineOverride mrf.Engine) (*mrf.Result, error) {
+// priors, its only input, on the view's engine.
+func (v *View) inferTrends(ctx context.Context, priors []float64) (*mrf.Result, error) {
 	var trends *mrf.Result
 	//lint:hotpath-ok one span-bracketing thunk per phase per round (not per index); timePhase needs a closure to time and the round does O(roads) work inside it
 	if err := timePhase(ctx, "trend", func() error {
@@ -213,11 +211,7 @@ func (v *View) inferTrends(ctx context.Context, priors []float64, engineOverride
 		if err != nil {
 			return fmt.Errorf("building trend model: %w", err)
 		}
-		engine := engineOverride
-		if engine == nil {
-			engine = v.engine
-		}
-		trends, err = engine.Infer(ctx, model, nil, nil)
+		trends, err = v.engine.Infer(ctx, model, nil, nil)
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("core: trend inference: %w", err)

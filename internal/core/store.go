@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -154,11 +155,14 @@ func (s *Store) View() *View { return s.cur.Load() }
 // already is, and records the set so rebuilds re-specialize it on successor
 // models. API layers pass the view they resolved for the request, so the
 // seed set and the version they report come from the same view even if a
-// swap lands mid-request. Selections run one at a time: concurrent requests
-// for one set specialise once, and different sets specialise one after
-// another, the last leaving v specialised to its set. Waiting for the turn
-// honours ctx. A cancelled selection records nothing, so rebuilds
-// keep re-specializing the last complete set.
+// swap lands mid-request. When a swap has landed, the published view is
+// specialised to the set as well: a rebuild that read the previous set
+// before this one was recorded built its successor for that set. Selections
+// run one at a time: concurrent requests for one set specialise once, and
+// different sets specialise one after another, the last leaving v
+// specialised to its set. Waiting for the turn honours ctx. A cancelled
+// selection records nothing, so rebuilds keep re-specializing the last
+// complete set.
 func (s *Store) SelectSeeds(ctx context.Context, v *View, k int) ([]roadnet.RoadID, error) {
 	select {
 	case s.seedTurn <- struct{}{}:
@@ -174,6 +178,14 @@ func (s *Store) SelectSeeds(ctx context.Context, v *View, k int) ([]roadnet.Road
 	s.mu.Lock()
 	s.lastSeeds = cp
 	s.mu.Unlock()
+	// Record before reading the published view: a rebuild publishes before
+	// it re-reads the set (see rebuild), so either this load sees its view
+	// or that rebuild sees this set.
+	if cur := s.cur.Load(); cur != v {
+		if err := cur.specialize(ctx, cp); err != nil {
+			return nil, err
+		}
+	}
 	return seeds, nil
 }
 
@@ -258,11 +270,13 @@ func (s *Store) OnSwap(fn func(old, new *View)) {
 // Rebuild retrains immediately: it drains the buffered observations into a
 // roll-forward of the published history snapshot, builds the successor view
 // off to the side, re-specializes the last prepared seed set, and swaps the
-// successor in last-write-wins. Estimation rounds in flight keep the view
-// they resolved at entry; new rounds see the new version as soon as the swap
-// lands. With an empty buffer the rebuild still runs (a forced full
-// refresh). On error the old view stays published and the observations stay
-// buffered for the next attempt. Returns the view published.
+// successor in last-write-wins. A set selected while the successor was
+// building is specialised on it right after the swap. Estimation rounds in
+// flight keep the view they resolved at entry; new rounds see the new
+// version as soon as the swap lands. With an empty buffer the rebuild still
+// runs (a forced full refresh). On error the old view stays published and
+// the observations stay buffered for the next attempt. Returns the view
+// published.
 //
 // The rebuild is bounded by ctx in addition to the store lifetime: whichever
 // of the two is cancelled first aborts the retrain at its next build-stage
@@ -335,12 +349,36 @@ func (s *Store) rebuild(ctx context.Context) (*View, string, error) {
 
 	// Drop the consumed prefix of the buffer: Ingest only appends, so the
 	// first len(pending) entries are exactly what this rebuild folded in.
+	// A set recorded since seeds was read was specialised on the view its
+	// selection ran on, not on v, so v catches up to it.
 	s.mu.Lock()
 	s.buf = append([]Observation(nil), s.buf[len(pending):]...)
 	buffered := len(s.buf)
+	stale := !slices.Equal(s.lastSeeds, seeds)
 	s.mu.Unlock()
 	ingestBuffered.Set(float64(buffered))
+	if stale {
+		s.catchUpSeeds(ctx, v)
+	}
 	return v, mode, nil
+}
+
+// catchUpSeeds specialises the published view v to the last recorded seed
+// set, under the seed turn, unless it already is. The wait for the turn
+// honours ctx. v is published either way, so a cancelled or failed catch-up
+// only leaves v on its previous seed model until the next selection or
+// rebuild specialises it.
+func (s *Store) catchUpSeeds(ctx context.Context, v *View) {
+	select {
+	case s.seedTurn <- struct{}{}:
+	case <-ctx.Done():
+		return
+	}
+	defer func() { <-s.seedTurn }()
+	s.mu.Lock()
+	seeds := s.lastSeeds
+	s.mu.Unlock()
+	_ = v.specialize(ctx, seeds) // v serves either way; see above
 }
 
 // successor trains the view that follows old with the pending observations

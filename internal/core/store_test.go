@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/roadnet"
+	"repro/internal/seedsel"
 )
 
 // buildStore makes a small dataset and a store over it.
@@ -516,5 +517,97 @@ func TestStoreCloseDrainsRebuild(t *testing.T) {
 	// Whatever the loop managed before Close, the published model is intact.
 	if _, err := st.View().Estimate(ctx, d.Slot(), nil); err != nil {
 		t.Errorf("estimate after Close: %v", err)
+	}
+}
+
+// gatedSelector is lazy greedy behind a gate: while closed is set, SelectCtx
+// announces itself on entered and waits for open to be closed before it
+// selects, so a test can park a selection at a known point.
+type gatedSelector struct {
+	seedsel.Lazy
+	closed  atomic.Bool
+	entered chan struct{}
+	open    chan struct{}
+}
+
+func (g *gatedSelector) SelectCtx(ctx context.Context, p *seedsel.Problem, k int) ([]roadnet.RoadID, error) {
+	if g.closed.Load() {
+		g.entered <- struct{}{}
+		<-g.open
+	}
+	return g.Lazy.SelectCtx(ctx, p, k)
+}
+
+// TestSeedSetSelectedDuringRebuildReachesSuccessor: a seed set whose
+// selection runs on version 1 while a rebuild builds version 2 reaches
+// version 2, whichever side finishes last. If the selection completes after
+// the publish, SelectSeeds specialises the published view too; if it
+// completes after the rebuild read the recorded set but before the publish,
+// the rebuild catches its successor up. A gated selector parks the
+// selection, and the failRebuild seam, which runs after the rebuild read the
+// set, completes it mid-build; nothing sleeps.
+func TestSeedSetSelectedDuringRebuildReachesSuccessor(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		duringBuild bool
+	}{
+		{"selection completes after publish", false},
+		{"selection completes during build", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			d := buildCity(t, 5, 4)
+			sel := &gatedSelector{entered: make(chan struct{}), open: make(chan struct{})}
+			opts := DefaultOptions()
+			opts.Selector = sel
+			st, err := NewStore(d.Net, d.DB, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if _, err := st.SelectSeeds(ctx, st.View(), 5); err != nil {
+				t.Fatal(err)
+			}
+
+			type result struct {
+				seeds []roadnet.RoadID
+				err   error
+			}
+			done := make(chan result, 1)
+			v1 := st.View()
+			sel.closed.Store(true)
+			go func() {
+				seeds, err := st.SelectSeeds(ctx, v1, 12)
+				done <- result{seeds, err}
+			}()
+			<-sel.entered
+			var second result
+			finish := func() {
+				close(sel.open)
+				second = <-done
+			}
+			if tc.duringBuild {
+				st.failRebuild = func() error { finish(); return nil }
+			}
+			v2, err := st.Rebuild(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.duringBuild {
+				finish()
+			}
+			if second.err != nil {
+				t.Fatal(second.err)
+			}
+			if v2.Version() != 2 || st.View() != v2 {
+				t.Fatalf("published version %d, rebuild returned version %d", st.View().Version(), v2.Version())
+			}
+			if sm := v2.seedModel.Load(); sm == nil || !sm.SpecializedTo(second.seeds) {
+				t.Errorf("version 2 is not specialised to the %d-seed set selected during its rebuild", len(second.seeds))
+			}
+			if sm := v1.seedModel.Load(); sm == nil || !sm.SpecializedTo(second.seeds) {
+				t.Errorf("version 1, the view the selection ran on, is not specialised to its %d seeds", len(second.seeds))
+			}
+		})
 	}
 }

@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/corr"
-	"repro/internal/geo"
 	"repro/internal/history"
 	"repro/internal/hlm"
 	"repro/internal/mrf"
@@ -35,8 +33,8 @@ import (
 // snapshot at entry and uses only that. Rounds leave nothing behind, so a
 // view, and any successor an incremental rebuild mints from it, answers as
 // a function of its history and seed set alone, never of the traffic it
-// served. A caller-configured engine (EstimateOptions.Engine) is only as
-// safe as the engine itself.
+// served. A view runs one trend engine, Options.Engine or the served BP;
+// a caller-configured one is only as safe as the engine itself.
 type View struct {
 	version  uint64
 	builtAt  time.Time
@@ -120,10 +118,7 @@ func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Optio
 	var model *hlm.Model
 	if err := timeStage(ctx, hlmStage, func() (err error) {
 		if prev == nil {
-			// The HLM's pooled levels: road class (same-class roads
-			// co-move city-wide), local area (congestion is spatially
-			// smooth) and the whole city (global demand swings).
-			model, err = hlm.Train(graph, db, hlm.Config{Levels: poolingLevels(net)})
+			model, err = hlm.Train(graph, db, hlm.Config{Levels: hlm.PoolingLevels(net)})
 			return err
 		}
 		mask := make([]bool, db.NumRoads())
@@ -222,13 +217,19 @@ func (v *View) SelectSeeds(ctx context.Context, k int) ([]roadnet.RoadID, error)
 	if err != nil {
 		return nil, err
 	}
-	if sm := v.seedModel.Load(); sm != nil && sm.SpecializedTo(seeds) {
-		return seeds, nil
-	}
-	if err := v.Prepare(ctx, seeds); err != nil {
+	if err := v.specialize(ctx, seeds); err != nil {
 		return nil, err
 	}
 	return seeds, nil
+}
+
+// specialize runs Prepare for seeds unless v's seed model already is
+// specialised to that set, so it would publish the same model again.
+func (v *View) specialize(ctx context.Context, seeds []roadnet.RoadID) error {
+	if sm := v.seedModel.Load(); sm != nil && sm.SpecializedTo(seeds) {
+		return nil
+	}
+	return v.Prepare(ctx, seeds)
 }
 
 // Prepare trains the seed-conditional regressions for a fixed seed set (the
@@ -251,68 +252,13 @@ func (v *View) Prepare(ctx context.Context, seeds []roadnet.RoadID) error {
 	}
 	var sm *hlm.SeedModel
 	if err := timeStage(ctx, "seed_specialize", func() (err error) {
-		sm, err = v.hlm.Specialize(v.db, seeds, v.seedCandidates(seeds))
+		sm, err = v.hlm.Specialize(v.db, seeds, hlm.SeedCandidates(v.net, seeds))
 		return err
 	}); err != nil {
 		return fmt.Errorf("core: specialising to seed set: %w", err)
 	}
 	v.seedModel.Store(sm)
 	return nil
-}
-
-// seedCandidates returns a provider of correlation-scoring candidates for
-// Specialize: the spatially nearest seeds plus the nearest seeds of the
-// road's own class (same-class roads co-move even when far apart).
-func (v *View) seedCandidates(seeds []roadnet.RoadID) func(roadnet.RoadID) []roadnet.RoadID {
-	type seedPos struct {
-		id    roadnet.RoadID
-		pos   geo.Point
-		class roadnet.RoadClass
-	}
-	positions := make([]seedPos, len(seeds))
-	for i, s := range seeds {
-		road := v.net.Road(s)
-		positions[i] = seedPos{id: s, pos: road.Geometry.At(road.Length() / 2), class: road.Class}
-	}
-	return func(r roadnet.RoadID) []roadnet.RoadID {
-		road := v.net.Road(r)
-		mid := road.Geometry.At(road.Length() / 2)
-		type cand struct {
-			id   roadnet.RoadID
-			dist float64
-		}
-		var all, same []cand
-		for _, sp := range positions {
-			c := cand{id: sp.id, dist: mid.Dist(sp.pos)}
-			all = append(all, c)
-			if sp.class == road.Class {
-				same = append(same, c)
-			}
-		}
-		byDist := func(cs []cand) {
-			sort.Slice(cs, func(i, j int) bool {
-				if cs[i].dist != cs[j].dist {
-					return cs[i].dist < cs[j].dist
-				}
-				return cs[i].id < cs[j].id
-			})
-		}
-		byDist(all)
-		byDist(same)
-		seen := map[roadnet.RoadID]bool{}
-		var out []roadnet.RoadID
-		take := func(cs []cand, n int) {
-			for i := 0; i < len(cs) && i < n; i++ {
-				if !seen[cs[i].id] {
-					seen[cs[i].id] = true
-					out = append(out, cs[i].id)
-				}
-			}
-		}
-		take(all, 8)
-		take(same, 6)
-		return out
-	}
 }
 
 // SeedBenefit evaluates the benefit function on a seed set (diagnostics and

@@ -116,8 +116,9 @@ func writeK1Golden(t *testing.T, slot, seeds int, keys []string, rounds []golden
 
 // TestViewK1Golden pins the estimation round bit for bit: a view must
 // reproduce the recorded round on the 6×5-block city's first truth slot with
-// spreadSeeds(…, 10), for the default (served) round, the same round under
-// the Jacobi reference engine and the trend-free round. Every float is
+// spreadSeeds(…, 10), for the default (served) round, the same round on a
+// view built with the Jacobi reference engine (Options.Engine) and the
+// trend-free round. Every float is
 // compared exactly: a change to the round's arithmetic must re-record the
 // fixture on purpose, with -update-golden.
 func TestViewK1Golden(t *testing.T) {
@@ -134,16 +135,17 @@ func TestViewK1Golden(t *testing.T) {
 	}
 	cases := []struct {
 		name, key string
+		view      *View
 		opts      EstimateOptions
 	}{
-		{"default", "default", EstimateOptions{}},
-		{"jacobi", "jacobi", EstimateOptions{Engine: jacobi}},
-		{"trend-free", "trend_free", EstimateOptions{TrendFree: true}},
+		{"default", "default", v, EstimateOptions{}},
+		{"jacobi", "jacobi", viewWithEngine(t, d, jacobi), EstimateOptions{}},
+		{"trend-free", "trend_free", v, EstimateOptions{TrendFree: true}},
 	}
 	keys := make([]string, len(cases))
 	rounds := make([]goldenRound, len(cases))
 	for i, tc := range cases {
-		got, err := v.EstimateWith(context.Background(), slot, seeds, tc.opts)
+		got, err := tc.view.EstimateWith(context.Background(), slot, seeds, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -93,7 +93,7 @@ func goldenCity(t testing.TB) (*dataset.Dataset, *corr.Graph, Config) {
 			panic(err)
 		}
 		hc := Config{}
-		hc.Levels = defaultLevels(d.Net)
+		hc.Levels = PoolingLevels(d.Net)
 		goldenData, goldenGraph, goldenCfg = d, g, hc
 	})
 	return goldenData, goldenGraph, goldenCfg
@@ -107,7 +107,8 @@ var (
 
 // servedCity builds the city speedserver serves, dataset.DefaultConfig()
 // (884 roads, 14 days of history), with its default correlation graph, and
-// returns a training config carrying core's pooling levels.
+// returns a training config carrying the served pooling levels
+// (PoolingLevels).
 func servedCity(t testing.TB) (*dataset.Dataset, *corr.Graph, Config) {
 	t.Helper()
 	servedOnce.Do(func() {
@@ -121,30 +122,7 @@ func servedCity(t testing.TB) (*dataset.Dataset, *corr.Graph, Config) {
 		}
 		servedData, servedGraph = d, g
 	})
-	return servedData, servedGraph, Config{Levels: defaultLevels(servedData.Net)}
-}
-
-// defaultLevels mirrors core's pooling levels: road class, the whole city,
-// and spatial cells at three nested scales.
-func defaultLevels(net *roadnet.Network) [][]int {
-	n := net.NumRoads()
-	class, city := make([]int, n), make([]int, n)
-	levels := [][]int{class, city}
-	bounds := net.Bounds()
-	for _, cell := range []float64{600, 1200, 2400} {
-		area := make([]int, n)
-		cols := int(bounds.Width()/cell) + 1
-		for r := 0; r < n; r++ {
-			road := net.Road(roadnet.RoadID(r))
-			mid := road.Geometry.At(road.Length() / 2)
-			area[r] = int((mid.Y-bounds.Min.Y)/cell)*cols + int((mid.X-bounds.Min.X)/cell)
-		}
-		levels = append(levels, area)
-	}
-	for r := 0; r < n; r++ {
-		class[r] = int(net.Road(roadnet.RoadID(r)).Class)
-	}
-	return levels
+	return servedData, servedGraph, Config{Levels: PoolingLevels(servedData.Net)}
 }
 
 // goldenDelta rolls the history forward with a delta that exercises every
@@ -583,7 +561,7 @@ func TestTrainGolden(t *testing.T) {
 // TestTrainGoldenServedCity pins the city speedserver builds and the bench
 // scores: dataset.DefaultConfig() (884 roads, 14 days of history), its
 // history DB and every road's trained numbers under the default correlation
-// and HLM configs with core's pooling levels. It takes about a second, ten
+// and HLM configs with the served pooling levels. It takes about a second, ten
 // times that under the race detector, so it is skipped there; CI runs it in
 // a non-race step.
 func TestTrainGoldenServedCity(t *testing.T) {

@@ -1,12 +1,10 @@
 package hlm
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"testing"
 
-	"repro/internal/geo"
 	"repro/internal/history"
 	"repro/internal/linalg"
 	"repro/internal/roadnet"
@@ -258,37 +256,6 @@ func everyNth(n, stride int) []roadnet.RoadID {
 	return seeds
 }
 
-// spatialSeeds mirrors core's candidate provider: the eight seeds nearest
-// the road's midpoint, then the six nearest of its class not among them.
-func spatialSeeds(net *roadnet.Network, seeds []roadnet.RoadID) func(roadnet.RoadID) []roadnet.RoadID {
-	mid := func(r roadnet.RoadID) geo.Point {
-		road := net.Road(r)
-		return road.Geometry.At(road.Length() / 2)
-	}
-	mids := make(map[roadnet.RoadID]geo.Point, len(seeds))
-	for _, s := range seeds {
-		mids[s] = mid(s)
-	}
-	return func(r roadnet.RoadID) []roadnet.RoadID {
-		p, class := mid(r), net.Road(r).Class
-		byDist := slices.Clone(seeds)
-		slices.SortFunc(byDist, func(a, b roadnet.RoadID) int {
-			return cmp.Or(cmp.Compare(p.Dist(mids[a]), p.Dist(mids[b])), cmp.Compare(a, b))
-		})
-		out := slices.Clone(byDist[:min(8, len(byDist))])
-		same := 0
-		for _, s := range byDist {
-			if same < 6 && net.Road(s).Class == class {
-				same++
-				if !slices.Contains(out, s) {
-					out = append(out, s)
-				}
-			}
-		}
-		return out
-	}
-}
-
 // TestSpecializeMatchesReference: on the golden city with every tenth road a
 // seed, as TestTrainGolden specializes it, every road's seed model from the
 // aligned walk and the one-pass sums is the three-pass reference's
@@ -305,7 +272,7 @@ func TestSpecializeMatchesReference(t *testing.T) {
 
 // TestSpecializeMatchesReferenceServedCity is TestSpecializeMatchesReference
 // on the served city, with every 22nd, 10th and 5th road a seed (41, 89 and
-// 177 seeds) and core's spatial candidates. With the city built it takes
+// 177 seeds) and the served candidates (SeedCandidates). With the city built it takes
 // about two seconds, far longer under the race detector, so it is skipped
 // there; CI runs it in a non-race step.
 func TestSpecializeMatchesReferenceServedCity(t *testing.T) {
@@ -319,6 +286,6 @@ func TestSpecializeMatchesReferenceServedCity(t *testing.T) {
 	}
 	for _, stride := range []int{22, 10, 5} {
 		seeds := everyNth(m.NumRoads(), stride)
-		checkSpecializeMatchesReference(t, m, d.DB, seeds, spatialSeeds(d.Net, seeds))
+		checkSpecializeMatchesReference(t, m, d.DB, seeds, SeedCandidates(d.Net, seeds))
 	}
 }

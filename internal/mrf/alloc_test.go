@@ -7,17 +7,17 @@ import (
 
 // warmInferAllocs runs bp.Infer once to warm the run pool, then returns the
 // allocations per Infer and the message updates per Infer over 50 runs.
-func warmInferAllocs(t *testing.T, bp *BP, m *Model, evidence []Evidence) (allocs, updates float64) {
+func warmInferAllocs(t *testing.T, bp *BP, m *Model) (allocs, updates float64) {
 	t.Helper()
 	ctx := context.Background()
-	if _, err := bp.Infer(ctx, m, evidence, nil); err != nil {
+	if _, err := bp.Infer(ctx, m, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	const runs = 50
 	var inferErr error
 	before := MessageUpdatesTotal()
 	allocs = testing.AllocsPerRun(runs, func() {
-		if _, err := bp.Infer(ctx, m, evidence, nil); err != nil {
+		if _, err := bp.Infer(ctx, m, nil, nil); err != nil {
 			inferErr = err
 		}
 	})
@@ -30,8 +30,8 @@ func warmInferAllocs(t *testing.T, bp *BP, m *Model, evidence []Evidence) (alloc
 
 // TestBPInferWarmPathAllocs bounds the served engine's full Infer on a warm
 // run pool: with the pooled buffers reused, an Infer allocates only its
-// fixed per-run state (evidence map, readout, result) — independent of how
-// long the schedule runs. The grid is loopy and the Tolerance far below
+// fixed per-run state (the readout slice and the result, 2 allocations) —
+// independent of how long the schedule runs. The grid is loopy and the Tolerance far below
 // reach, so the schedule spends its whole budget, and an eightfold budget
 // must do more work under the same fixed bound. The bound is not an exact
 // count because under the race detector sync.Pool drops some releases.
@@ -40,15 +40,14 @@ func TestBPInferWarmPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mustModel(t, g, priors)
-	evidence := []Evidence{{Road: 0, Up: true}, {Road: 119, Up: false}}
+	m := mustModel(t, g, nearCertain(nearCertain(priors, 0, true), 119, false))
 	var allocs, updates [2]float64
 	for i, maxIter := range []int{5, 40} {
 		bp, err := NewBP(BPConfig{MaxIterations: maxIter, Damping: 0.3, Tolerance: 1e-12})
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs[i], updates[i] = warmInferAllocs(t, bp, m, evidence)
+		allocs[i], updates[i] = warmInferAllocs(t, bp, m)
 		t.Logf("BP Infer at MaxIterations %d: %.0f allocations, %.0f message updates per run",
 			maxIter, allocs[i], updates[i])
 	}
@@ -78,10 +77,11 @@ func TestFastBPInferWarmPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mustModel(t, chainGraph(t, n, 0.8), uniformPriors(n, 0.5))
-	allocs, _ := warmInferAllocs(t, bp, m, nil)
-	// Fixed per-run state: evidence map, readout slice, result struct. The
-	// bound is loose on the fixed cost and tight on scaling: one allocation
-	// per node update would need ≫ 20.
+	allocs, _ := warmInferAllocs(t, bp, m)
+	// Fixed per-run state: the readout slice and the result struct, 2
+	// allocations on a warm pool. The bound is loose on the fixed cost, since
+	// sync.Pool drops some releases under the race detector, and tight on
+	// scaling: one allocation per node update would need ≫ 20.
 	const maxFixed = 20
 	t.Logf("BP Infer: %.0f allocations per run", allocs)
 	if allocs > maxFixed {

@@ -158,7 +158,6 @@ func (*BP) Name() string { return "bp" }
 type residualRun struct {
 	m    *Model
 	topo *Topology
-	ev   []int8
 	n    int
 
 	// msg is the directed-edge message store (see kernel.go). Unlike the
@@ -232,7 +231,7 @@ func (b *BP) getRun(nEdges, n int) *residualRun {
 // dropping its references to this run's model; the engine is sequential, so
 // no other goroutine can still touch it.
 func (b *BP) release(r *residualRun) {
-	r.m, r.topo, r.ev = nil, nil, nil
+	r.m, r.topo = nil, nil
 	b.pool.put(r)
 }
 
@@ -313,7 +312,7 @@ func (r *residualRun) processNode(u int, damping, tol float64) {
 	if lo == hi {
 		return
 	}
-	phiUp, phiDown := nodePotential(r.ev[u], r.m.prior[u])
+	phiUp, phiDown := r.m.prior[u], 1-r.m.prior[u]
 	logUp, logDown := logProduct(0, 0, r.msg[lo:hi])
 	var maxD float64
 	for i := lo; i < hi; i++ {
@@ -373,9 +372,9 @@ func (r *residualRun) effectiveRounds() float64 {
 // runs the residual schedule to convergence or budget, polling ctx every
 // 1024 node updates. It accounts the run either way; on cancellation it
 // returns an error wrapping ctx.Err() and r.msg is void.
-func (r *residualRun) schedule(ctx context.Context, cfg *BPConfig, m *Model, ev []int8) error {
+func (r *residualRun) schedule(ctx context.Context, cfg *BPConfig, m *Model) error {
 	n, topo := m.NumRoads(), m.topo
-	r.m, r.topo, r.ev, r.n = m, topo, ev, n
+	r.m, r.topo, r.n = m, topo, n
 	r.processed, r.updates, r.cursor = 0, 0, 0
 	for i := range r.head {
 		r.head[i] = -1
@@ -434,19 +433,18 @@ func (r *residualRun) schedule(ctx context.Context, cfg *BPConfig, m *Model, ev 
 }
 
 // Infer implements Engine. See the type comment for the schedule; messages
-// start uniform (warm is ignored), ctx is polled every 1024 node updates,
-// and the pooled run state is returned on every exit path.
-func (b *BP) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beliefs) (*Result, error) {
-	ev, err := evidenceMap(m, evidence)
-	if err != nil {
+// start uniform, ctx is polled every 1024 node updates, and the pooled run
+// state is returned on every exit path.
+func (b *BP) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error) {
+	if err := refuseInputs(evidence, warm); err != nil {
 		return nil, err
 	}
 	r := b.getRun(m.topo.NumDirectedEdges(), m.NumRoads())
 	defer b.release(r)
-	if err := r.schedule(ctx, &b.cfg, m, ev); err != nil {
+	if err := r.schedule(ctx, &b.cfg, m); err != nil {
 		return nil, err
 	}
-	return &Result{PUp: marginals(m, ev, r.msg)}, nil
+	return &Result{PUp: marginals(m, r.msg)}, nil
 }
 
 // runPool recycles BP's per-run state across Infer calls. put is the

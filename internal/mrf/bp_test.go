@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/roadnet"
 )
 
 // bpEquivalenceBound is the marginal-agreement bound between the served
@@ -26,7 +24,7 @@ func maxMarginalDiff(a, b *Result) float64 {
 }
 
 // TestBPMatchesJacobiRandomGraphs is the cold-start equivalence property:
-// over random graphs, priors, tempers and evidence mixes, the served BP
+// over random graphs, priors and tempers, the served BP
 // engine's marginals agree with the Jacobi reference within the serving
 // bound. Both engines run at a Tolerance well below the bound so the
 // comparison measures schedule/precision divergence, not convergence slop.
@@ -41,24 +39,25 @@ func TestBPMatchesJacobiRandomGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 50; seed++ {
-		m, ev, temper := randomEquivalenceCase(t, seed)
-		want, err := jacobi.Infer(context.Background(), m, ev, nil)
+		m, temper := randomEquivalenceCase(t, seed)
+		want, err := jacobi.Infer(context.Background(), m, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := bp.Infer(context.Background(), m, ev, nil)
+		got, err := bp.Infer(context.Background(), m, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := maxMarginalDiff(got, want); d > bpEquivalenceBound {
-			t.Errorf("seed %d (n=%d, temper=%.2f, %d evidence): max |ΔPUp| = %.3g exceeds %.2g",
-				seed, m.NumRoads(), temper, len(ev), d, bpEquivalenceBound)
+			t.Errorf("seed %d (n=%d, temper=%.2f): max |ΔPUp| = %.3g exceeds %.2g",
+				seed, m.NumRoads(), temper, d, bpEquivalenceBound)
 		}
 	}
 }
 
 // TestFastBPMarginalsAreProbabilities checks the residual schedule's
-// marginals are probabilities on a fixed run of 30 random graphs and priors.
+// marginals are probabilities on a fixed run of 30 random graphs and priors,
+// one of them near-certain.
 func TestFastBPMarginalsAreProbabilities(t *testing.T) {
 	bp := mustBP(t)
 	for seed := int64(100); seed < 130; seed++ {
@@ -72,8 +71,8 @@ func TestFastBPMarginalsAreProbabilities(t *testing.T) {
 		for i := range priors {
 			priors[i] = rng.Float64()
 		}
-		m := mustModel(t, g, priors)
-		res, err := bp.Infer(context.Background(), m, []Evidence{{Road: roadnet.RoadID(rng.Intn(n)), Up: rng.Intn(2) == 0}}, nil)
+		m := mustModel(t, g, nearCertain(priors, rng.Intn(n), rng.Intn(2) == 0))
+		res, err := bp.Infer(context.Background(), m, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,14 +89,13 @@ func TestFastBPMarginalsAreProbabilities(t *testing.T) {
 // bitwise-identical marginals run to run — the property that keeps served
 // results reproducible even though BP is not bitwise-equal to Jacobi.
 func TestFastBPDeterministic(t *testing.T) {
-	m := mustModel(t, loopGraph(t, 0.9), uniformPriors(4, 0.3))
+	m := mustModel(t, loopGraph(t, 0.9), nearCertain(uniformPriors(4, 0.3), 0, true))
 	bp := mustBP(t)
-	ev := []Evidence{{Road: 0, Up: true}}
-	a, err := bp.Infer(context.Background(), m, ev, nil)
+	a, err := bp.Infer(context.Background(), m, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := bp.Infer(context.Background(), m, ev, nil)
+	b, err := bp.Infer(context.Background(), m, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +113,14 @@ func TestFastBPDeterministic(t *testing.T) {
 func TestFastBPCancelMidSchedule(t *testing.T) {
 	// Big enough that the initial sweep crosses the 1024-update ctx poll.
 	const n = 3000
-	m := mustModel(t, chainGraph(t, n, 0.9), uniformPriors(n, 0.5))
+	m := mustModel(t, chainGraph(t, n, 0.9), nearCertain(uniformPriors(n, 0.5), 0, true))
 	bp := mustBP(t)
 
 	runsBefore := bpRuns.Value()
 	cancelledBefore := bpCancelled.Value()
 	releasedBefore := bp.pool.released.Load()
 	ctx := &countdownCtx{Context: context.Background(), after: 1}
-	res, err := bp.Infer(ctx, m, []Evidence{{Road: 0, Up: true}}, nil)
+	res, err := bp.Infer(ctx, m, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -19,14 +19,13 @@ import (
 func TestBPConvergenceResidualUndamped(t *testing.T) {
 	const n = 60
 	g := chainGraph(t, n, 0.95)
-	priors := uniformPriors(n, 0.5)
-	ev := []Evidence{{Road: 0, Up: true}}
+	priors := nearCertain(uniformPriors(n, 0.5), 0, true)
 
 	ref, err := NewJacobi(BPConfig{MaxIterations: 20000, Damping: 0, Tolerance: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Infer(context.Background(), mustModel(t, g, priors), ev, nil)
+	want, err := ref.Infer(context.Background(), mustModel(t, g, priors), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +34,7 @@ func TestBPConvergenceResidualUndamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := damped.Infer(context.Background(), mustModel(t, g, priors), ev, nil)
+	got, err := damped.Infer(context.Background(), mustModel(t, g, priors), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestBPFinalResidualObservedPerRun(t *testing.T) {
 	const k = 8
 	models := make([]*Model, k)
 	for i := range models {
-		models[i] = mustModel(t, chainGraph(t, 20+i, 0.9), uniformPriors(20+i, 0.5))
+		models[i] = mustModel(t, chainGraph(t, 20+i, 0.9), nearCertain(uniformPriors(20+i, 0.5), 0, true))
 	}
 	bp := mustBP(t)
 	before := bpFinalResidual.Count()
@@ -76,7 +75,7 @@ func TestBPFinalResidualObservedPerRun(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = bp.Infer(context.Background(), models[i], []Evidence{{Road: 0, Up: true}}, nil)
+			_, errs[i] = bp.Infer(context.Background(), models[i], nil, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -100,13 +99,13 @@ func TestBPFinalResidualObservedPerRun(t *testing.T) {
 // here is Jacobi's, cancelled a few rounds in; TestFastBPCancelMidSchedule
 // holds the served schedule to the same contract.
 func TestBPCancelledRunsAccounted(t *testing.T) {
-	m := mustModel(t, chainGraph(t, 40, 0.9), uniformPriors(40, 0.5))
+	m := mustModel(t, chainGraph(t, 40, 0.9), nearCertain(uniformPriors(40, 0.5), 0, true))
 	runsBefore := bpRuns.Value()
 	cancelledBefore := bpCancelled.Value()
 	itersBefore := bpIterations.Count()
 
 	ctx := &countdownCtx{Context: context.Background(), after: 3}
-	res, err := mustJacobi(t).Infer(ctx, m, []Evidence{{Road: 0, Up: true}}, nil)
+	res, err := mustJacobi(t).Infer(ctx, m, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -10,11 +10,12 @@ import (
 // ctx polls; a power of two so the check is a cheap mask test.
 const cancelCheckMasks = 1 << 12
 
-// Exact computes marginals by enumerating every joint assignment of the free
-// (unclamped) nodes. It exists as a correctness oracle for the approximate
+// Exact computes marginals by enumerating every joint assignment of the
+// model's nodes. It exists as a correctness oracle for the approximate
 // engines; MaxFreeNodes bounds the 2^n blow-up.
 type Exact struct {
-	// MaxFreeNodes caps the number of unclamped nodes (default 20).
+	// MaxFreeNodes caps the number of nodes enumerated (default 20); no node
+	// is clamped, so every node of the model is free and counts.
 	MaxFreeNodes int
 }
 
@@ -22,54 +23,38 @@ type Exact struct {
 func (Exact) Name() string { return "exact" }
 
 // Infer implements Engine. ctx is polled every cancelCheckMasks assignments.
-func (e Exact) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beliefs) (*Result, error) {
+func (e Exact) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error) {
+	if err := refuseInputs(evidence, warm); err != nil {
+		return nil, err
+	}
 	maxFree := e.MaxFreeNodes
 	if maxFree == 0 {
 		maxFree = 20
 	}
-	ev, err := evidenceMap(m, evidence)
-	if err != nil {
-		return nil, err
-	}
-	free := make([]int, 0, len(ev))
-	for i, v := range ev {
-		if v == -1 {
-			free = append(free, i)
-		}
-	}
-	if len(free) > maxFree {
-		return nil, fmt.Errorf("mrf: exact inference over %d free nodes exceeds the %d-node cap", len(free), maxFree)
-	}
 	n := m.NumRoads()
-	state := make([]bool, n)
-	for i, v := range ev {
-		state[i] = v == 1
+	if n > maxFree {
+		return nil, fmt.Errorf("mrf: exact inference over %d nodes exceeds the %d-node cap", n, maxFree)
 	}
+	state := make([]bool, n)
 	upMass := make([]float64, n)
 	var z float64
 	topo := m.topo
-	for mask := 0; mask < 1<<len(free); mask++ {
+	for mask := 0; mask < 1<<n; mask++ {
 		if mask%cancelCheckMasks == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("mrf: exact enumeration interrupted at mask %d: %w", mask, err)
 			}
 		}
-		for bit, node := range free {
-			state[node] = mask&(1<<bit) != 0
+		for i := range state {
+			state[i] = mask&(1<<i) != 0
 		}
 		// Unnormalised joint probability.
 		logp := 0.0
-		for i := 0; i < n; i++ {
-			p := m.prior[i]
-			if ev[i] == 1 {
-				p = 1
-			} else if ev[i] == 0 {
-				p = 0
-			}
+		for i, p := range m.prior {
 			if state[i] {
-				logp += math.Log(clamp01(p))
+				logp += math.Log(p)
 			} else {
-				logp += math.Log(clamp01(1 - p))
+				logp += math.Log(1 - p)
 			}
 		}
 		for u := 0; u < n; u++ {

@@ -22,13 +22,9 @@ func hashFloats(h hash.Hash, vs []float64) {
 
 // jacobiMessages runs the Jacobi schedule in-package the way Infer does and
 // returns its converged message store.
-func jacobiMessages(t *testing.T, j *Jacobi, m *Model, evidence []Evidence) []float64 {
+func jacobiMessages(t *testing.T, j *Jacobi, m *Model) []float64 {
 	t.Helper()
-	ev, err := evidenceMap(m, evidence)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, err := j.run(context.Background(), m, ev)
+	msg, err := j.run(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,46 +33,51 @@ func jacobiMessages(t *testing.T, j *Jacobi, m *Model, evidence []Evidence) []fl
 
 // bpMessages runs the residual schedule in-package the way Infer does and
 // returns a copy of its converged message store.
-func bpMessages(t *testing.T, bp *BP, m *Model, evidence []Evidence) []float64 {
+func bpMessages(t *testing.T, bp *BP, m *Model) []float64 {
 	t.Helper()
-	ev, err := evidenceMap(m, evidence)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := bp.getRun(m.topo.NumDirectedEdges(), m.NumRoads())
 	defer bp.release(r)
-	if err := r.schedule(context.Background(), &bp.cfg, m, ev); err != nil {
+	if err := r.schedule(context.Background(), &bp.cfg, m); err != nil {
 		t.Fatal(err)
 	}
 	return append([]float64(nil), r.msg...)
 }
 
-// TestEnginesBitIdenticalGolden pins the exact output bits of the engines
-// whose numbers must never move under a refactor: both BP schedules'
-// marginals and converged messages. The jacobi digests were recorded from
-// the code before BP's arithmetic was shared between the two
-// message-passing schedules, and the bp digests from the residual schedule
-// before it became the served engine; both held when the edge temper moved
-// from every message update into the Topology. Like
-// internal/hlm/testdata/train_golden.json, the digests are for linux/amd64,
-// the platform CI runs on: math.Log and math.Exp have per-architecture
-// implementations, so another platform may differ in the last bit.
+// TestEnginesBitIdenticalGolden pins the exact output bits of every engine
+// on models whose node priors are their only input: both BP schedules'
+// marginals and converged messages, and the oracle's and the lower bound's
+// marginals. The digests were recorded from the code that still carried
+// hard-evidence clamps, run without evidence, and held when the clamps were
+// deleted. Like internal/hlm/testdata/train_golden.json, the digests are for
+// linux/amd64, the platform CI runs on: math.Log and math.Exp have
+// per-architecture implementations, so another platform may differ in the
+// last bit.
 func TestEnginesBitIdenticalGolden(t *testing.T) {
 	want := map[string]string{
-		"jacobi/random/pup":        "d3a1ee568509eeaea5770447e17f63e0526200c7e99799b86b3b06991833fef6",
-		"jacobi/random/beliefs":    "e92c42f8b27d28dfdcb9c84431f155190851db8857ee67214cd2e65b8e3b4a7c",
-		"jacobi/lattice/cold/pup":  "0af79d408a212990ddd16248a34545e2bf19cc17afa612f09b93eb2d16a0f5c6",
-		"jacobi/lattice/cold/msgs": "55e16fceadb706bdbeb758668e11e48bd5f3ab78dc07b583c75035ebf8dfc421",
-		"bp/random/pup":            "4f05ecad2992da3b9e07a7c522c146386d3b291fb4569bab0e75b5522317b636",
-		"bp/random/beliefs":        "85b358d95e106d61e409a3066553ab2faca3cf4c7d74c9614eefad1f8be55b82",
-		"bp/lattice/cold/pup":      "9d529d0cbe17f9a8accd6a764c356638357d85e1402bf298b18947bf2e7e6610",
-		"bp/lattice/cold/msgs":     "f10ef80c906a76e2ce5b8295f3437a55810893f3711f4e6675b820e3d3293d23",
+		"jacobi/random/pup":   "92111b426c8e920e133a9f8740e49bb3b953c198a692d60fe722a9e1ed975e93",
+		"jacobi/random/msgs":  "7beb01336dc41a327e3588a53775232b2455c47440abf31602d308f4a7ad8e9e",
+		"bp/random/pup":       "e01a5a6a5fd0c11721117321fd6efdfaaf57af30af464ede75cb2e2d6b573814",
+		"bp/random/msgs":      "1e2dc12edfdae699f604e7e2d692a3ccff17d0c482eff1767f992044295df33f",
+		"jacobi/lattice/pup":  "d745e09b0a4b7b7ea70a1a793b94a5b1b7979c8eceeb96d68a8dece5c25c53ab",
+		"jacobi/lattice/msgs": "962ede3cbfe42e24775c66402117f0438009eaf420085944b86e487eec31e7d4",
+		"bp/lattice/pup":      "0aa93cf9d1ef4ebebb43b8f02fde9892600b35d2ca07548cdd9a03b4e96f4129",
+		"bp/lattice/msgs":     "10e4d6d63adc9cd65c8d8714bb474d647e5e9db3ef41b737005879f0817a391d",
+		"exact/random/pup":    "842bbb110850c506a19b54e594a765ad82cc1375aa2a7dea5b2d395f775c782a",
+		"prior/random/pup":    "65ed0d5f1f7f9e54b063186c876169035bccace1ad896c1d80ca5fa0e75f81fb",
 	}
 	got := map[string]hash.Hash{}
 	for name := range want {
 		got[name] = sha256.New()
 	}
 	ctx := context.Background()
+	infer := func(key string, eng Engine, m *Model) {
+		t.Helper()
+		res, err := eng.Infer(ctx, m, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashFloats(got[key], res.PUp)
+	}
 
 	// The 50 random graphs, at the tolerance of the BP-versus-Jacobi
 	// equivalence test.
@@ -90,19 +91,13 @@ func TestEnginesBitIdenticalGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 50; seed++ {
-		m, ev, _ := randomEquivalenceCase(t, seed)
-		res, err := jacobi.Infer(ctx, m, ev, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hashFloats(got["jacobi/random/pup"], res.PUp)
-		hashFloats(got["jacobi/random/beliefs"], jacobiMessages(t, jacobi, m, ev))
-		res, err = bp.Infer(ctx, m, ev, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hashFloats(got["bp/random/pup"], res.PUp)
-		hashFloats(got["bp/random/beliefs"], bpMessages(t, bp, m, ev))
+		m, _ := randomEquivalenceCase(t, seed)
+		infer("jacobi/random/pup", jacobi, m)
+		hashFloats(got["jacobi/random/msgs"], jacobiMessages(t, jacobi, m))
+		infer("bp/random/pup", bp, m)
+		hashFloats(got["bp/random/msgs"], bpMessages(t, bp, m))
+		infer("exact/random/pup", Exact{}, m)
+		infer("prior/random/pup", PriorOnly{}, m)
 	}
 
 	// The 384-road BenchmarkBPInfer lattice on the default configuration.
@@ -118,20 +113,11 @@ func TestEnginesBitIdenticalGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := []Evidence{{Road: 5, Up: true}, {Road: 200, Up: false}, {Road: 377, Up: true}}
 	m := mustTemperedModel(t, g, 0.2, priors)
-	res, err := latticeJacobi.Infer(ctx, m, ev, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashFloats(got["jacobi/lattice/cold/pup"], res.PUp)
-	hashFloats(got["jacobi/lattice/cold/msgs"], jacobiMessages(t, latticeJacobi, m, ev))
-	res, err = latticeBP.Infer(ctx, m, ev, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashFloats(got["bp/lattice/cold/pup"], res.PUp)
-	hashFloats(got["bp/lattice/cold/msgs"], bpMessages(t, latticeBP, m, ev))
+	infer("jacobi/lattice/pup", latticeJacobi, m)
+	hashFloats(got["jacobi/lattice/msgs"], jacobiMessages(t, latticeJacobi, m))
+	infer("bp/lattice/pup", latticeBP, m)
+	hashFloats(got["bp/lattice/msgs"], bpMessages(t, latticeBP, m))
 
 	for name, w := range want {
 		if sum := hex.EncodeToString(got[name].Sum(nil)); sum != w {

@@ -13,8 +13,8 @@ import (
 // a round's messages depend on nothing but the last round's, so the answer
 // is independent of the order nodes are visited in.
 //
-// Nothing serves Jacobi. Tests, and callers that pass it as
-// core.EstimateOptions.Engine, reach it as they reach Exact. A run is serial,
+// Nothing serves Jacobi. Tests, and views built with it as
+// core.Options.Engine, reach it as they reach Exact. A run is serial,
 // allocates its two message buffers, and polls ctx between rounds.
 type Jacobi struct {
 	cfg BPConfig
@@ -36,7 +36,7 @@ func (*Jacobi) Name() string { return "jacobi" }
 
 // sweep is one Jacobi round: it reads msg, writes every slot of next (each
 // sender has ≥ 1 neighbour) and returns the round's largest message change.
-func (j *Jacobi) sweep(m *Model, ev []int8, msg, next []float64) float64 {
+func (j *Jacobi) sweep(m *Model, msg, next []float64) float64 {
 	topo, damping := m.topo, j.cfg.Damping
 	var maxDelta float64
 	for u := 0; u < m.NumRoads(); u++ {
@@ -44,7 +44,7 @@ func (j *Jacobi) sweep(m *Model, ev []int8, msg, next []float64) float64 {
 		if lo == hi {
 			continue
 		}
-		phiUp, phiDown := nodePotential(ev[u], m.prior[u])
+		phiUp, phiDown := m.prior[u], 1-m.prior[u]
 		logUp, logDown := logProduct(0, 0, msg[lo:hi])
 		for i := lo; i < hi; i++ {
 			newMsg := cavityMessage(phiUp, phiDown, logUp, logDown, msg[i], topo.agree[i])
@@ -67,7 +67,7 @@ func (j *Jacobi) sweep(m *Model, ev []int8, msg, next []float64) float64 {
 // MaxIterations, accounting the run either way. It returns the final
 // message store, or an error wrapping ctx.Err() if ctx is cancelled
 // before a round.
-func (j *Jacobi) run(ctx context.Context, m *Model, ev []int8) ([]float64, error) {
+func (j *Jacobi) run(ctx context.Context, m *Model) ([]float64, error) {
 	nEdges := m.topo.NumDirectedEdges()
 	msg, next := make([]float64, nEdges), make([]float64, nEdges)
 	seedMessages(msg)
@@ -78,7 +78,7 @@ func (j *Jacobi) run(ctx context.Context, m *Model, ev []int8) ([]float64, error
 			accountCancelledRun(float64(rounds), float64(rounds*nEdges))
 			return nil, fmt.Errorf("mrf: jacobi cancelled after %d rounds: %w", rounds, err)
 		}
-		lastDelta = j.sweep(m, ev, msg, next)
+		lastDelta = j.sweep(m, msg, next)
 		msg, next = next, msg
 		rounds++
 		if lastDelta < j.cfg.Tolerance {
@@ -91,15 +91,14 @@ func (j *Jacobi) run(ctx context.Context, m *Model, ev []int8) ([]float64, error
 
 // Infer implements Engine. Messages are represented by their "up"
 // probability; with binary states the "down" component is implied.
-// Messages start uniform; warm is ignored.
-func (j *Jacobi) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beliefs) (*Result, error) {
-	ev, err := evidenceMap(m, evidence)
+// Messages start uniform.
+func (j *Jacobi) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error) {
+	if err := refuseInputs(evidence, warm); err != nil {
+		return nil, err
+	}
+	msg, err := j.run(ctx, m)
 	if err != nil {
 		return nil, err
 	}
-	msg, err := j.run(ctx, m, ev)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{PUp: marginals(m, ev, msg)}, nil
+	return &Result{PUp: marginals(m, msg)}, nil
 }

@@ -13,20 +13,6 @@ import "math"
 // feeds in bp.go. TestEnginesBitIdenticalGolden pins both schedules' numbers
 // bit for bit.
 
-// nodePotential returns the unnormalised (up, down) potential of a node
-// given its evidence state (-1 free, 0 down, 1 up) and prior, excluding
-// incoming messages.
-func nodePotential(ev int8, prior float64) (up, down float64) {
-	switch ev {
-	case 1:
-		return 1, 0
-	case 0:
-		return 0, 1
-	default:
-		return prior, 1 - prior
-	}
-}
-
 // logProduct adds the logs of the incoming messages in onto (logUp,
 // logDown): the product of a node's inbox, in log space for stability.
 func logProduct(logUp, logDown float64, in []float64) (float64, float64) {
@@ -39,9 +25,9 @@ func logProduct(logUp, logDown float64, in []float64) (float64, float64) {
 
 // cavityMessage returns the undamped message, as P(up), that a node sends
 // along one directed edge of tempered agreement a. phiUp/phiDown is the
-// node's potential, logUp/logDown the log product of all its incoming
-// messages, and pIn the receiving neighbour's own message into the node,
-// which the cavity divides back out.
+// node's potential, its prior and one minus it; logUp/logDown the log
+// product of all its incoming messages, and pIn the receiving neighbour's
+// own message into the node, which the cavity divides back out.
 func cavityMessage(phiUp, phiDown, logUp, logDown, pIn, a float64) float64 {
 	cUp := logUp - math.Log(clamp01(pIn))
 	cDown := logDown - math.Log(clamp01(1-pIn))
@@ -55,23 +41,6 @@ func cavityMessage(phiUp, phiDown, logUp, logDown, pIn, a float64) float64 {
 		return 0.5
 	}
 	return mUp / z
-}
-
-// marginal returns the posterior P(up) of one node from its evidence
-// state, its prior and its incoming messages in. A zero potential maps to
-// log-domain -Inf, so a clamped node reads out exactly 0 or 1.
-func marginal(ev int8, prior float64, in []float64) float64 {
-	phiUp, phiDown := nodePotential(ev, prior)
-	logUp, logDown := math.Log(clamp01(phiUp)), math.Log(clamp01(phiDown))
-	//lint:ignore floateq exact zero is the log-domain sentinel: a clamped potential of 0 must map to -Inf
-	if phiUp == 0 {
-		logUp = math.Inf(-1)
-	}
-	//lint:ignore floateq exact zero is the log-domain sentinel: a clamped potential of 0 must map to -Inf
-	if phiDown == 0 {
-		logDown = math.Inf(-1)
-	}
-	return probUp(logProduct(logUp, logDown, in))
 }
 
 // probUp normalises an unnormalised log-domain (up, down) pair into P(up),
@@ -90,11 +59,12 @@ func seedMessages(msg []float64) {
 }
 
 // marginals reads every node's posterior P(up) out of a run's final
-// message store.
-func marginals(m *Model, ev []int8, msg []float64) []float64 {
+// message store: its prior times its incoming messages, normalised.
+// NewModel keeps every prior inside (0, 1), so both logs are finite.
+func marginals(m *Model, msg []float64) []float64 {
 	topo, out := m.topo, make([]float64, m.NumRoads())
-	for u := range out {
-		out[u] = marginal(ev[u], m.prior[u], msg[topo.off[u]:topo.off[u+1]])
+	for u, p := range m.prior {
+		out[u] = probUp(logProduct(math.Log(p), math.Log(1-p), msg[topo.off[u]:topo.off[u+1]]))
 	}
 	return out
 }

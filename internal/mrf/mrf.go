@@ -2,12 +2,14 @@
 // binary Markov Random Field over the road correlation graph whose states
 // are traffic trends (up/down relative to the historical average).
 //
-// Node potentials come from the historical trend prior of each road for the
-// current slot; edge potentials encode the trend-agreement probability of
-// each correlation edge, tempered once when the Topology is built;
-// crowdsourced seed roads are clamped to their observed trend. Inference
-// yields, for every non-seed road, the posterior probability that its trend
-// is up.
+// A model's node priors are its only input. Each comes from the road's
+// historical trend prior for the current slot or, on a crowdsourced seed
+// road, from the probability that its trend is up given the noisy report:
+// a report is an observation, not a certainty, so no road is ever clamped
+// to a trend. Edge potentials encode the trend-agreement probability of
+// each correlation edge, tempered once when the Topology is built.
+// Inference yields, for every road, the posterior probability that its
+// trend is up.
 //
 // Four inference engines are provided (EngineNames): loopy belief
 // propagation under a residual-priority schedule (BP, the served engine,
@@ -20,16 +22,31 @@ package mrf
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/roadnet"
 )
 
-// Evidence clamps one road's trend to an observed value.
+// Evidence is the element type of Engine.Infer's evidence argument, a hard
+// clamp of one road's trend, which every engine refuses with ErrPriorsOnly.
 type Evidence struct {
 	Road roadnet.RoadID
 	Up   bool
+}
+
+// ErrPriorsOnly is the error every engine returns when Infer is passed a
+// non-empty evidence slice or a non-nil warm: a model's node priors are its
+// only input.
+var ErrPriorsOnly = errors.New("mrf: node priors are the only input; evidence and warm must be empty")
+
+// refuseInputs returns ErrPriorsOnly unless evidence is empty and warm nil.
+func refuseInputs(evidence []Evidence, warm *Beliefs) error {
+	if len(evidence) > 0 || warm != nil {
+		return ErrPriorsOnly
+	}
+	return nil
 }
 
 // Model is an MRF instance for one time slot: per-road node priors over a
@@ -41,9 +58,9 @@ type Model struct {
 
 // NewModel builds a model over the topology with the given per-road up-trend
 // priors. Priors are clipped into [eps, 1-eps] so no state is impossible a
-// priori. The topology is shared, not copied: callers that run many models
-// over one graph (one per estimation round) build it once, so per-round
-// model construction allocates only the clipped priors.
+// priori and no engine takes the log of zero. The topology is shared, not
+// copied: callers that run many models over one graph (one per round) build
+// it once, so per-round model construction allocates only the clipped priors.
 func NewModel(topo *Topology, prior []float64) (*Model, error) {
 	if n := len(topo.off) - 1; n != len(prior) {
 		return nil, fmt.Errorf("mrf: topology has %d roads but %d priors given", n, len(prior))
@@ -76,44 +93,25 @@ type Result struct {
 
 // Engine is a trend-inference algorithm.
 type Engine interface {
-	// Infer computes trend marginals given clamped seed evidence. Engines
+	// Infer computes the trend marginals of m from its node priors. Engines
 	// observe ctx at their natural work boundaries (BP node-update batches,
 	// Jacobi rounds, enumeration batches) and return ctx.Err() — possibly
 	// wrapped — once it is cancelled, so an abandoned estimation round stops
 	// burning CPU mid-inference instead of running to completion.
 	//
-	// Every engine ignores warm and starts cold; callers pass nil.
+	// evidence and warm must be empty: every engine refuses a non-empty
+	// evidence slice or a non-nil warm with ErrPriorsOnly, and every run
+	// starts from uniform messages. The two parameters remain only because
+	// the benchmark's traced server (bench/tracedserver) implements this
+	// signature to time the engine it wraps; they go once it stops doing so.
 	Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error)
 	// Name identifies the engine in experiment output.
 	Name() string
 }
 
 // Beliefs is the type of Engine.Infer's warm argument, which every engine
-// ignores: each trend inference starts from uniform messages.
+// refuses with ErrPriorsOnly.
 type Beliefs struct{}
-
-// evidenceMap validates evidence and converts it to a lookup table:
-// -1 unobserved, 0 down, 1 up.
-func evidenceMap(m *Model, evidence []Evidence) ([]int8, error) {
-	ev := make([]int8, m.NumRoads())
-	for i := range ev {
-		ev[i] = -1
-	}
-	for _, e := range evidence {
-		if int(e.Road) < 0 || int(e.Road) >= m.NumRoads() {
-			return nil, fmt.Errorf("mrf: evidence road %d out of range", e.Road)
-		}
-		val := int8(0)
-		if e.Up {
-			val = 1
-		}
-		if ev[e.Road] != -1 && ev[e.Road] != val {
-			return nil, fmt.Errorf("mrf: conflicting evidence for road %d", e.Road)
-		}
-		ev[e.Road] = val
-	}
-	return ev, nil
-}
 
 // edgePotential returns ψ(x_u, x_v) for agreement a: a when states match,
 // 1-a otherwise.
@@ -124,8 +122,8 @@ func edgePotential(a float64, same bool) float64 {
 	return 1 - a
 }
 
-// PriorOnly is the degenerate engine that ignores the graph and evidence
-// except for clamped nodes; it is the "history only" lower bound in the
+// PriorOnly is the degenerate engine that ignores the graph: it returns the
+// node priors as the marginals, the "history only" lower bound in the
 // experiments.
 type PriorOnly struct{}
 
@@ -134,22 +132,14 @@ func (PriorOnly) Name() string { return "prior" }
 
 // Infer implements Engine. The prior readout is a single pass, so ctx is
 // only consulted at entry.
-func (PriorOnly) Infer(ctx context.Context, m *Model, evidence []Evidence, _ *Beliefs) (*Result, error) {
-	if err := ctx.Err(); err != nil {
+func (PriorOnly) Infer(ctx context.Context, m *Model, evidence []Evidence, warm *Beliefs) (*Result, error) {
+	if err := refuseInputs(evidence, warm); err != nil {
 		return nil, err
 	}
-	ev, err := evidenceMap(m, evidence)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	out := make([]float64, m.NumRoads())
 	copy(out, m.prior)
-	for i, v := range ev {
-		if v == 0 {
-			out[i] = 0
-		} else if v == 1 {
-			out[i] = 1
-		}
-	}
 	return &Result{PUp: out}, nil
 }

@@ -2,6 +2,7 @@ package mrf
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -46,6 +47,17 @@ func uniformPriors(n int, p float64) []float64 {
 		out[i] = p
 	}
 	return out
+}
+
+// nearCertain sets road's prior to 1 (up) or 0 (down), which NewModel clips
+// to 1 − 1e-3 or 1e-3: the strongest soft prior a model holds. It returns
+// priors.
+func nearCertain(priors []float64, road int, up bool) []float64 {
+	priors[road] = 0
+	if up {
+		priors[road] = 1
+	}
+	return priors
 }
 
 // mustModel builds a model over g's untempered topology.
@@ -116,19 +128,29 @@ func TestNewModelValidation(t *testing.T) {
 	}
 }
 
-func TestEvidenceValidation(t *testing.T) {
-	g := chainGraph(t, 3, 0.8)
-	m := mustModel(t, g, uniformPriors(3, 0.5))
-	bp := mustBP(t)
-	if _, err := bp.Infer(context.Background(), m, []Evidence{{Road: 99, Up: true}}, nil); err == nil {
-		t.Error("out-of-range evidence accepted")
+// TestEnginesRefuseEvidenceAndWarm: node priors are a model's only input,
+// so every engine answers ErrPriorsOnly, with no result, to a non-empty
+// evidence slice and to a non-nil warm.
+func TestEnginesRefuseEvidenceAndWarm(t *testing.T) {
+	m := mustModel(t, chainGraph(t, 3, 0.8), uniformPriors(3, 0.5))
+	cases := []struct {
+		name     string
+		evidence []Evidence
+		warm     *Beliefs
+	}{
+		{"evidence", []Evidence{{Road: 0, Up: true}}, nil},
+		{"warm", nil, &Beliefs{}},
 	}
-	if _, err := bp.Infer(context.Background(), m, []Evidence{{Road: 0, Up: true}, {Road: 0, Up: false}}, nil); err == nil {
-		t.Error("conflicting evidence accepted")
-	}
-	// Duplicate consistent evidence is fine.
-	if _, err := bp.Infer(context.Background(), m, []Evidence{{Road: 0, Up: true}, {Road: 0, Up: true}}, nil); err != nil {
-		t.Errorf("consistent duplicate evidence rejected: %v", err)
+	for _, eng := range []Engine{mustBP(t), mustJacobi(t), Exact{}, PriorOnly{}} {
+		for _, c := range cases {
+			res, err := eng.Infer(context.Background(), m, c.evidence, c.warm)
+			if !errors.Is(err, ErrPriorsOnly) {
+				t.Errorf("%s with %s: err = %v, want ErrPriorsOnly", eng.Name(), c.name, err)
+			}
+			if res != nil {
+				t.Errorf("%s with %s: returned a result", eng.Name(), c.name)
+			}
+		}
 	}
 }
 
@@ -150,19 +172,19 @@ func TestBPConfigValidation(t *testing.T) {
 }
 
 func TestEvidencePropagatesAlongChain(t *testing.T) {
-	// Clamp one end of a strongly-agreeing chain "up": every node's
-	// posterior must rise above its 0.5 prior, monotonically fading with
-	// distance.
+	// Give one end of a strongly-agreeing chain near-certain "up" evidence,
+	// as a prior: every other node's posterior must rise above its 0.5
+	// prior, monotonically fading with distance.
 	n := 6
 	g := chainGraph(t, n, 0.9)
-	m := mustModel(t, g, uniformPriors(n, 0.5))
+	m := mustModel(t, g, nearCertain(uniformPriors(n, 0.5), 0, true))
 	for _, eng := range bpSchedules(t) {
-		res, err := eng.Infer(context.Background(), m, []Evidence{{Road: 0, Up: true}}, nil)
+		res, err := eng.Infer(context.Background(), m, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
-		if res.PUp[0] != 1 {
-			t.Errorf("%s: clamped node PUp = %v", eng.Name(), res.PUp[0])
+		if res.PUp[0] < 0.99 {
+			t.Errorf("%s: near-certain node PUp = %v, want ≥ 0.99", eng.Name(), res.PUp[0])
 		}
 		for i := 1; i < n; i++ {
 			if res.PUp[i] <= 0.5 {
@@ -179,16 +201,18 @@ func TestEvidencePropagatesAlongChain(t *testing.T) {
 	}
 }
 
+// TestDownEvidencePullsDown: near-certain "down" evidence at one end of a
+// chain, as a prior, pulls its neighbours below 0.5.
 func TestDownEvidencePullsDown(t *testing.T) {
 	g := chainGraph(t, 3, 0.85)
-	m := mustModel(t, g, uniformPriors(3, 0.5))
+	m := mustModel(t, g, nearCertain(uniformPriors(3, 0.5), 0, false))
 	for _, eng := range bpSchedules(t) {
-		res, err := eng.Infer(context.Background(), m, []Evidence{{Road: 0, Up: false}}, nil)
+		res, err := eng.Infer(context.Background(), m, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
-		if res.PUp[0] != 0 {
-			t.Errorf("%s: clamped node = %v", eng.Name(), res.PUp[0])
+		if res.PUp[0] > 0.01 {
+			t.Errorf("%s: near-certain node PUp = %v, want ≤ 0.01", eng.Name(), res.PUp[0])
 		}
 		for i := 1; i < 3; i++ {
 			if res.PUp[i] >= 0.5 {
@@ -206,14 +230,13 @@ func TestBPMatchesExactOnTree(t *testing.T) {
 	n := 5
 	g := chainGraph(t, n, 0.8)
 	priors := []float64{0.3, 0.6, 0.5, 0.7, 0.4}
-	m := mustModel(t, g, priors)
-	evidence := []Evidence{{Road: 2, Up: true}}
-	exact, err := Exact{}.Infer(context.Background(), m, evidence, nil)
+	m := mustModel(t, g, nearCertain(priors, 2, true))
+	exact, err := Exact{}.Infer(context.Background(), m, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, eng := range bpSchedules(t) {
-		bpRes, err := eng.Infer(context.Background(), m, evidence, nil)
+		bpRes, err := eng.Infer(context.Background(), m, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
@@ -230,14 +253,13 @@ func TestBPCloseToExactOnLoop(t *testing.T) {
 	// one.
 	g := loopGraph(t, 0.75)
 	priors := []float64{0.4, 0.5, 0.6, 0.5}
-	m := mustModel(t, g, priors)
-	evidence := []Evidence{{Road: 0, Up: true}}
-	exact, err := Exact{}.Infer(context.Background(), m, evidence, nil)
+	m := mustModel(t, g, nearCertain(priors, 0, true))
+	exact, err := Exact{}.Infer(context.Background(), m, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, eng := range bpSchedules(t) {
-		bpRes, err := eng.Infer(context.Background(), m, evidence, nil)
+		bpRes, err := eng.Infer(context.Background(), m, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
@@ -250,51 +272,49 @@ func TestBPCloseToExactOnLoop(t *testing.T) {
 }
 
 // TestBPPropagatesAgainstDownLeaningPrior: on a strongly agreeing chain
-// whose priors all lean down, clamping one end up must still lift its
-// neighbour above 0.5. A greedy single-site update stops at that neighbour,
-// whose own prior and still-down other neighbour outvote the clamp; BP
-// weighs the evidence instead.
+// whose priors all lean down, a near-certain "up" prior at one end must
+// still lift its neighbour above 0.5. A greedy single-site update stops at
+// that neighbour, whose own prior and still-down other neighbour outvote
+// the end; BP weighs the evidence instead.
 func TestBPPropagatesAgainstDownLeaningPrior(t *testing.T) {
 	n := 5
 	g := chainGraph(t, n, 0.9)
-	m := mustModel(t, g, uniformPriors(n, 0.45))
-	res, err := mustBP(t).Infer(context.Background(), m, []Evidence{{Road: 0, Up: true}}, nil)
+	m := mustModel(t, g, nearCertain(uniformPriors(n, 0.45), 0, true))
+	res, err := mustBP(t).Infer(context.Background(), m, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.PUp[1] <= 0.5 {
-		t.Errorf("BP did not carry the clamp past the down-leaning prior: PUp[1]=%v", res.PUp[1])
+		t.Errorf("BP did not carry the near-certain end past the down-leaning prior: PUp[1]=%v", res.PUp[1])
 	}
 }
 
 func TestExactRefusesLargeProblems(t *testing.T) {
-	g := chainGraph(t, 30, 0.8)
-	m := mustModel(t, g, uniformPriors(30, 0.5))
+	m := mustModel(t, chainGraph(t, 30, 0.8), uniformPriors(30, 0.5))
 	if _, err := (Exact{}).Infer(context.Background(), m, nil, nil); err == nil {
-		t.Error("exact inference over 30 free nodes accepted")
+		t.Error("exact inference over 30 nodes accepted")
 	}
-	// Clamping most nodes brings the free count under a raised cap.
-	var ev []Evidence
-	for i := 0; i < 20; i++ {
-		ev = append(ev, Evidence{Road: roadnet.RoadID(i), Up: true})
+	// A raised cap admits a model of its size and refuses one node more.
+	capped := Exact{MaxFreeNodes: 12}
+	if _, err := capped.Infer(context.Background(), mustModel(t, chainGraph(t, 12, 0.8), uniformPriors(12, 0.5)), nil, nil); err != nil {
+		t.Errorf("12 nodes under a 12-node cap rejected: %v", err)
 	}
-	if _, err := (Exact{MaxFreeNodes: 12}).Infer(context.Background(), m, ev, nil); err != nil {
-		t.Errorf("10 free nodes under a 12-node cap rejected: %v", err)
+	if _, err := capped.Infer(context.Background(), mustModel(t, chainGraph(t, 13, 0.8), uniformPriors(13, 0.5)), nil, nil); err == nil {
+		t.Error("13 nodes under a 12-node cap accepted")
 	}
 }
 
 func TestPriorOnlyEngine(t *testing.T) {
 	g := chainGraph(t, 3, 0.9)
 	m := mustModel(t, g, []float64{0.2, 0.5, 0.8})
-	res, err := PriorOnly{}.Infer(context.Background(), m, []Evidence{{Road: 1, Up: true}}, nil)
+	res, err := PriorOnly{}.Infer(context.Background(), m, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PUp[1] != 1 {
-		t.Error("evidence not applied")
-	}
-	if math.Abs(res.PUp[0]-0.2) > 1e-2 || math.Abs(res.PUp[2]-0.8) > 1e-2 {
-		t.Error("priors not passed through")
+	for i, want := range []float64{0.2, 0.5, 0.8} {
+		if res.PUp[i] != want {
+			t.Errorf("road %d: PUp %v, want its prior %v", i, res.PUp[i], want)
+		}
 	}
 }
 
@@ -304,8 +324,8 @@ func TestIsolatedNodesKeepPrior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mustModel(t, g, []float64{0.5, 0.5, 0.7})
-	res, err := mustBP(t).Infer(context.Background(), m, []Evidence{{Road: 0, Up: true}}, nil)
+	m := mustModel(t, g, nearCertain([]float64{0.5, 0.5, 0.7}, 0, true))
+	res, err := mustBP(t).Infer(context.Background(), m, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +333,7 @@ func TestIsolatedNodesKeepPrior(t *testing.T) {
 		t.Errorf("isolated node moved to %v", res.PUp[2])
 	}
 	if res.PUp[1] <= 0.5 {
-		t.Errorf("connected node ignored evidence: %v", res.PUp[1])
+		t.Errorf("connected node ignored its neighbour's near-certain prior: %v", res.PUp[1])
 	}
 }
 

@@ -28,10 +28,10 @@ func randomSmallGraph(rng *rand.Rand, n int) (*corr.Graph, error) {
 }
 
 // randomEquivalenceCase draws the seed-th random model of the engine
-// property suites: a 4–13 node graph, priors in [0.1, 0.9], an edge temper
-// between the serving configuration's 0.2 and the raw 1.0, and up to two
-// evidence clamps. It returns the temper beside the model and evidence.
-func randomEquivalenceCase(t *testing.T, seed int64) (*Model, []Evidence, float64) {
+// property suites: a 4–13 node graph, priors in [0.1, 0.9] and an edge
+// temper between the serving configuration's 0.2 and the raw 1.0. It
+// returns the temper beside the model.
+func randomEquivalenceCase(t *testing.T, seed int64) (*Model, float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 4 + rng.Intn(10)
@@ -44,16 +44,11 @@ func randomEquivalenceCase(t *testing.T, seed int64) (*Model, []Evidence, float6
 		priors[i] = 0.1 + 0.8*rng.Float64()
 	}
 	temper := 0.2 + 0.8*rng.Float64()
-	m := mustTemperedModel(t, g, temper, priors)
-	var ev []Evidence
-	for e := rng.Intn(3); e > 0; e-- {
-		ev = append(ev, Evidence{Road: roadnet.RoadID(rng.Intn(n)), Up: rng.Intn(2) == 0})
-	}
-	return m, ev, temper
+	return mustTemperedModel(t, g, temper, priors), temper
 }
 
 // Property: both BP schedules' marginals are valid probabilities on random
-// graphs and priors, with and without evidence.
+// graphs and priors, one of them near-certain.
 func TestBPMarginalsAreProbabilities(t *testing.T) {
 	for _, eng := range bpSchedules(t) {
 		f := func(seed int64) bool {
@@ -67,12 +62,9 @@ func TestBPMarginalsAreProbabilities(t *testing.T) {
 			for i := range priors {
 				priors[i] = rng.Float64()
 			}
+			nearCertain(priors, rng.Intn(n), rng.Intn(2) == 0)
 			m := mustModel(t, g, priors)
-			var ev []Evidence
-			if n > 2 {
-				ev = append(ev, Evidence{Road: roadnet.RoadID(rng.Intn(n)), Up: rng.Intn(2) == 0})
-			}
-			res, err := eng.Infer(context.Background(), m, ev, nil)
+			res, err := eng.Infer(context.Background(), m, nil, nil)
 			if err != nil {
 				return false
 			}
@@ -90,7 +82,8 @@ func TestBPMarginalsAreProbabilities(t *testing.T) {
 }
 
 // Property: the model is symmetric under global label flip — flipping every
-// prior p → 1−p and the evidence bit flips every marginal, for any engine.
+// prior p → 1−p, a near-certain one included, flips every marginal, for any
+// engine.
 func TestGlobalFlipSymmetry(t *testing.T) {
 	engines := append(bpSchedules(t), PriorOnly{}, Exact{})
 	f := func(seed int64) bool {
@@ -106,14 +99,16 @@ func TestGlobalFlipSymmetry(t *testing.T) {
 			priors[i] = 0.1 + 0.8*rng.Float64()
 			flipped[i] = 1 - priors[i]
 		}
-		evRoad := roadnet.RoadID(rng.Intn(n))
+		sure := rng.Intn(n)
+		nearCertain(priors, sure, true)
+		nearCertain(flipped, sure, false)
 		m1, m2 := mustModel(t, g, priors), mustModel(t, g, flipped)
 		for _, eng := range engines {
-			r1, err := eng.Infer(context.Background(), m1, []Evidence{{Road: evRoad, Up: true}}, nil)
+			r1, err := eng.Infer(context.Background(), m1, nil, nil)
 			if err != nil {
 				return false
 			}
-			r2, err := eng.Infer(context.Background(), m2, []Evidence{{Road: evRoad, Up: false}}, nil)
+			r2, err := eng.Infer(context.Background(), m2, nil, nil)
 			if err != nil {
 				return false
 			}
@@ -145,10 +140,8 @@ func TestTemperLimitsApproachPrior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := []Evidence{{Road: 0, Up: true}}
-
-	model := mustTemperedModel(t, g, 0.01, priors)
-	res, err := bp.Infer(context.Background(), model, ev, nil)
+	model := mustTemperedModel(t, g, 0.01, nearCertain(append([]float64(nil), priors...), 0, true))
+	res, err := bp.Infer(context.Background(), model, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
