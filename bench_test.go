@@ -27,11 +27,12 @@ import (
 	"repro/internal/seedsel"
 )
 
-// benchFixture is the shared, lazily-built benchmark dataset and frozen view.
+// benchFixture is the shared, lazily-built benchmark dataset and the frozen
+// view specialised to its seeds.
 type benchFixture struct {
 	d     *dataset.Dataset
 	est   *core.View
-	seeds []roadnet.RoadID // 10% budget, prepared
+	seeds []roadnet.RoadID // 10% budget, est's seed set
 	snaps []benchSnap
 }
 
@@ -61,7 +62,7 @@ func getFixture(b *testing.B) *benchFixture {
 		if err != nil {
 			panic(err)
 		}
-		seeds, err := est.SelectSeeds(ctx, d.Net.NumRoads()/10)
+		est, seeds, err := est.SelectSeeds(ctx, d.Net.NumRoads()/10)
 		if err != nil {
 			panic(err)
 		}
@@ -169,7 +170,7 @@ func BenchmarkEstimateStoreRebuilt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := st.SelectSeeds(ctx, st.View(), len(f.seeds)); err != nil {
+	if _, _, err := st.SelectSeeds(ctx, len(f.seeds)); err != nil {
 		b.Fatal(err)
 	}
 	s := f.snaps[0]
@@ -230,7 +231,7 @@ func BenchmarkFigF6AccuracyVsBudget(b *testing.B) {
 			if k < 1 {
 				k = 1
 			}
-			seeds, err := f.est.SelectSeeds(ctx, k)
+			v, seeds, err := f.est.SelectSeeds(ctx, k)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -241,15 +242,11 @@ func BenchmarkFigF6AccuracyVsBudget(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.est.Estimate(ctx, s.slot, reports); err != nil {
+				if _, err := v.Estimate(ctx, s.slot, reports); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-	// Restore the fixture's prepared 10% seed set for later benchmarks.
-	if err := f.est.Prepare(ctx, f.seeds); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -349,7 +346,7 @@ func BenchmarkFigF10InferenceScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		seeds, err := est.SelectSeeds(ctx, d.Net.NumRoads()/10)
+		est, seeds, err := est.SelectSeeds(ctx, d.Net.NumRoads()/10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -382,7 +379,7 @@ func BenchmarkFigF11TrendEngines(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := prior.Prepare(ctx, f.seeds); err != nil {
+	if prior, err = prior.WithSeeds(ctx, f.seeds); err != nil {
 		b.Fatal(err)
 	}
 	views := map[string]*core.View{

@@ -22,7 +22,7 @@ type Context struct {
 	cities map[string]*city
 }
 
-// city bundles one dataset with its trained view.
+// city bundles one dataset with its trained, unspecialised view.
 type city struct {
 	name string
 	d    *dataset.Dataset
@@ -97,17 +97,27 @@ func (ct *city) window(slots int) []snapshot {
 	return out
 }
 
-// seedsAt selects (and prepares) a budget of seeds on the city.
-func (ct *city) seedsAt(frac float64) []roadnet.RoadID {
+// seedsAt selects a budget of seeds on the city and returns the view
+// specialised to them with the seeds.
+func (ct *city) seedsAt(frac float64) (*core.View, []roadnet.RoadID) {
 	k := int(frac * float64(ct.d.Net.NumRoads()))
 	if k < 1 {
 		k = 1
 	}
-	seeds, err := ct.est.SelectSeeds(context.Background(), k)
+	v, seeds, err := ct.est.SelectSeeds(context.Background(), k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return seeds
+	return v, seeds
+}
+
+// withSeeds returns v specialised to seeds (nil: the unspecialised view).
+func withSeeds(v *core.View, seeds []roadnet.RoadID) *core.View {
+	sv, err := v.WithSeeds(context.Background(), seeds)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return sv
 }
 
 // perfectReports maps each seed to its true speed (isolates inference
@@ -120,16 +130,15 @@ func perfectReports(seeds []roadnet.RoadID, truth []float64) map[roadnet.RoadID]
 	return out
 }
 
-// scoreTrendSpeed runs the estimator over the window and accumulates
-// non-seed MAE.
-func scoreTrendSpeed(ct *city, seeds []roadnet.RoadID, window []snapshot, opts core.EstimateOptions) eval.Metrics {
+// scoreTrendSpeed runs view v over the window and accumulates non-seed MAE.
+func scoreTrendSpeed(v *core.View, seeds []roadnet.RoadID, window []snapshot, opts core.EstimateOptions) eval.Metrics {
 	exclude := map[roadnet.RoadID]bool{}
 	for _, s := range seeds {
 		exclude[s] = true
 	}
 	var acc eval.Accumulator
 	for _, snap := range window {
-		res, err := ct.est.EstimateWith(context.Background(), snap.slot, perfectReports(seeds, snap.truth), opts)
+		res, err := v.EstimateWith(context.Background(), snap.slot, perfectReports(seeds, snap.truth), opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -185,13 +194,13 @@ func runT2(ctx *Context) []*eval.Table {
 	var tables []*eval.Table
 	for _, name := range []string{"B", "T"} {
 		ct := ctx.City(name)
-		seeds := ct.seedsAt(0.10)
+		v, seeds := ct.seedsAt(0.10)
 		window := ct.window(ctx.evalSlots())
 		tab := eval.NewTable(fmt.Sprintf("%s-City, K = 10%% (%d seeds): accuracy and per-slot latency", name, len(seeds)),
 			"method", "MAE (m/s)", "RMSE", "MAPE", "ms/slot", "vs static")
 
 		t0 := time.Now()
-		ours := scoreTrendSpeed(ct, seeds, window, core.EstimateOptions{})
+		ours := scoreTrendSpeed(v, seeds, window, core.EstimateOptions{})
 		oursMS := float64(time.Since(t0).Milliseconds()) / float64(len(window))
 
 		staticM := scoreBaseline(ct, baselines.Static{}, seeds, window)
@@ -222,8 +231,8 @@ func runF6(ctx *Context) []*eval.Table {
 		tab := eval.NewTable(fmt.Sprintf("%s-City: MAE (m/s) vs seed budget K", name),
 			"K", "trendspeed", "knn", "idw", "labelprop", "static")
 		for _, b := range budgets {
-			seeds := ct.seedsAt(b)
-			ours := scoreTrendSpeed(ct, seeds, window, core.EstimateOptions{})
+			v, seeds := ct.seedsAt(b)
+			ours := scoreTrendSpeed(v, seeds, window, core.EstimateOptions{})
 			knn := scoreBaseline(ct, baselines.KNN{}, seeds, window)
 			idw := scoreBaseline(ct, baselines.IDW{}, seeds, window)
 			lp := scoreBaseline(ct, baselines.LabelProp{}, seeds, window)
@@ -239,7 +248,7 @@ func runF6(ctx *Context) []*eval.Table {
 
 func runF7(ctx *Context) []*eval.Table {
 	ct := ctx.City("T")
-	seeds := ct.seedsAt(0.10)
+	v, seeds := ct.seedsAt(0.10)
 	exclude := map[roadnet.RoadID]bool{}
 	for _, s := range seeds {
 		exclude[s] = true
@@ -262,7 +271,7 @@ func runF7(ctx *Context) []*eval.Table {
 				snap = snapshot{slot: slot, truth: cp}
 			}
 		}
-		res, err := ct.est.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
+		res, err := v.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -310,26 +319,11 @@ func runF8(ctx *Context) []*eval.Table {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := ct.est.Prepare(context.Background(), seeds); err != nil {
-			log.Fatal(err)
-		}
-		m := scoreTrendSpeed(ct, seeds, window, core.EstimateOptions{})
+		m := scoreTrendSpeed(withSeeds(ct.est, seeds), seeds, window, core.EstimateOptions{})
 		tab.AddRowf(sel.Name(), fmt.Sprintf("%.1f", ct.est.SeedBenefit(seeds)),
 			m.MAE, fmt.Sprintf("%.1f%%", m.MAPE*100))
 	}
-	// Restore the default prepared seeds for later experiments.
-	if err := ct.est.Prepare(context.Background(), mustSelect(ct, k)); err != nil {
-		log.Fatal(err)
-	}
 	return []*eval.Table{tab}
-}
-
-func mustSelect(ct *city, k int) []roadnet.RoadID {
-	seeds, err := seedsel.Lazy{}.Select(ct.est.Problem(), k)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return seeds
 }
 
 // ---------------------------------------------------------------- F9
@@ -406,7 +400,7 @@ func runF10(ctx *Context) []*eval.Table {
 		}
 		trainT := time.Since(t0)
 		t0 = time.Now()
-		seeds, err := est.SelectSeeds(context.Background(), d.Net.NumRoads()/10)
+		est, seeds, err := est.SelectSeeds(context.Background(), d.Net.NumRoads()/10)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -440,14 +434,14 @@ func runF11(ctx *Context) []*eval.Table {
 	tab := eval.NewTable("T-City: non-seed trend accuracy vs K (full system vs history-only prior)",
 		"K", "trendspeed", "history-only")
 	for _, b := range budgets {
-		seeds := ct.seedsAt(b)
+		v, seeds := ct.seedsAt(b)
 		exclude := map[roadnet.RoadID]bool{}
 		for _, s := range seeds {
 			exclude[s] = true
 		}
 		var sysOK, histOK, total int
 		for _, snap := range window {
-			res, err := ct.est.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
+			res, err := v.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -485,10 +479,10 @@ func runA1(ctx *Context) []*eval.Table {
 	tab := eval.NewTable("T-City: the trend step on vs off across budgets (speed MAE, m/s) and the trend products themselves",
 		"K", "with trends", "trend-free", "Δ", "trend accuracy")
 	for _, b := range []float64{0.02, 0.05, 0.10} {
-		seeds := ct.seedsAt(b)
-		full := scoreTrendSpeed(ct, seeds, window, core.EstimateOptions{})
-		noTrend := scoreTrendSpeed(ct, seeds, window, core.EstimateOptions{TrendFree: true})
-		acc := trendAccuracy(ct, seeds, window)
+		v, seeds := ct.seedsAt(b)
+		full := scoreTrendSpeed(v, seeds, window, core.EstimateOptions{})
+		noTrend := scoreTrendSpeed(v, seeds, window, core.EstimateOptions{TrendFree: true})
+		acc := trendAccuracy(ct, v, seeds, window)
 		tab.AddRowf(fmt.Sprintf("%.0f%%", b*100), full.MAE, noTrend.MAE,
 			fmt.Sprintf("%+.1f%%", 100*(noTrend.MAE-full.MAE)/noTrend.MAE),
 			fmt.Sprintf("%.1f%%", acc*100))
@@ -496,15 +490,16 @@ func runA1(ctx *Context) []*eval.Table {
 	return []*eval.Table{tab}
 }
 
-// trendAccuracy scores the full system's non-seed trend predictions.
-func trendAccuracy(ct *city, seeds []roadnet.RoadID, window []snapshot) float64 {
+// trendAccuracy scores the full system's non-seed trend predictions on view v
+// of the city.
+func trendAccuracy(ct *city, v *core.View, seeds []roadnet.RoadID, window []snapshot) float64 {
 	exclude := map[roadnet.RoadID]bool{}
 	for _, s := range seeds {
 		exclude[s] = true
 	}
 	var ok, total int
 	for _, snap := range window {
-		res, err := ct.est.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
+		res, err := v.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -530,11 +525,12 @@ func trendAccuracy(ct *city, seeds []roadnet.RoadID, window []snapshot) float64 
 
 func runA2(ctx *Context) []*eval.Table {
 	ct := ctx.City("T")
-	seeds := ct.seedsAt(0.10)
+	v, seeds := ct.seedsAt(0.10)
 	window := ct.window(ctx.evalSlots())
-	full := scoreTrendSpeed(ct, seeds, window, core.EstimateOptions{})
-	noSeed := scoreTrendSpeed(ct, seeds, window, core.EstimateOptions{NoSeedModel: true})
-	noSeedFlat := scoreTrendSpeed(ct, seeds, window, core.EstimateOptions{NoSeedModel: true, FlatHLM: true})
+	generic := withSeeds(v, nil)
+	full := scoreTrendSpeed(v, seeds, window, core.EstimateOptions{})
+	noSeed := scoreTrendSpeed(generic, seeds, window, core.EstimateOptions{})
+	noSeedFlat := scoreTrendSpeed(generic, seeds, window, core.EstimateOptions{FlatHLM: true})
 	tab := eval.NewTable("T-City, K = 10%: dismantling the hierarchy level by level",
 		"variant", "MAE (m/s)", "MAPE")
 	tab.AddRowf("full hierarchy (seed-conditional level)", full.MAE, fmt.Sprintf("%.1f%%", full.MAPE*100))
@@ -558,7 +554,7 @@ func runA3(ctx *Context) []*eval.Table {
 		if err != nil {
 			log.Fatal(err)
 		}
-		seeds, err := est.SelectSeeds(context.Background(), ct.d.Net.NumRoads()/10)
+		sv, seeds, err := est.SelectSeeds(context.Background(), ct.d.Net.NumRoads()/10)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -568,7 +564,7 @@ func runA3(ctx *Context) []*eval.Table {
 		}
 		var acc eval.Accumulator
 		for _, snap := range window {
-			res, err := est.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
+			res, err := sv.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -585,7 +581,7 @@ func runA3(ctx *Context) []*eval.Table {
 
 func runA4(ctx *Context) []*eval.Table {
 	ct := ctx.City("T")
-	seeds := ct.seedsAt(0.10)
+	v, seeds := ct.seedsAt(0.10)
 	window := ct.window(ctx.evalSlots())
 	exclude := map[roadnet.RoadID]bool{}
 	for _, s := range seeds {
@@ -620,7 +616,7 @@ func runA4(ctx *Context) []*eval.Table {
 			}
 			answers += stats.Answers
 			queries += stats.Queries
-			res, err := ct.est.EstimateFromCrowd(context.Background(), snap.slot, reports)
+			res, err := v.EstimateFromCrowd(context.Background(), snap.slot, reports)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -637,7 +633,7 @@ func runA4(ctx *Context) []*eval.Table {
 
 func runE1(ctx *Context) []*eval.Table {
 	ct := ctx.City("T")
-	seeds := ct.seedsAt(0.10)
+	v, seeds := ct.seedsAt(0.10)
 	window := ct.window(ctx.evalSlots())
 	exclude := map[roadnet.RoadID]bool{}
 	for _, s := range seeds {
@@ -659,7 +655,7 @@ func runE1(ctx *Context) []*eval.Table {
 		seedShare[ct.d.Net.Road(s).Class]++
 	}
 	for _, snap := range window {
-		res, err := ct.est.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
+		res, err := v.Estimate(context.Background(), snap.slot, perfectReports(seeds, snap.truth))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -717,10 +713,7 @@ func runE2(ctx *Context) []*eval.Table {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := ct.est.Prepare(context.Background(), ca); err != nil {
-			log.Fatal(err)
-		}
-		caM := scoreTrendSpeed(ct, ca, window, core.EstimateOptions{})
+		caM := scoreTrendSpeed(withSeeds(ct.est, ca), ca, window, core.EstimateOptions{})
 
 		// Count-based: pick seeds by plain lazy greedy until the same money
 		// runs out.
@@ -740,15 +733,8 @@ func runE2(ctx *Context) []*eval.Table {
 		if len(cb) == 0 {
 			continue
 		}
-		if err := ct.est.Prepare(context.Background(), cb); err != nil {
-			log.Fatal(err)
-		}
-		cbM := scoreTrendSpeed(ct, cb, window, core.EstimateOptions{})
+		cbM := scoreTrendSpeed(withSeeds(ct.est, cb), cb, window, core.EstimateOptions{})
 		tab.AddRowf(fmt.Sprintf("%.0f", budget), len(ca), caM.MAE, len(cb), cbM.MAE)
-	}
-	// Restore a standard prepared seed set.
-	if err := ct.est.Prepare(context.Background(), mustSelect(ct, n/10)); err != nil {
-		log.Fatal(err)
 	}
 	return []*eval.Table{tab}
 }

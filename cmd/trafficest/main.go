@@ -75,7 +75,7 @@ func main() {
 		k = 1
 	}
 	t0 = time.Now()
-	seeds, err := est.SelectSeeds(ctx, k)
+	est, seeds, err := est.SelectSeeds(ctx, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func runPersisted(dir string, budget float64) {
 	if k < 1 {
 		k = 1
 	}
-	seeds, err := est.SelectSeeds(ctx, k)
+	est, seeds, err := est.SelectSeeds(ctx, k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func main() {
 		if k < 1 {
 			k = 1
 		}
-		seeds, err := est.SelectSeeds(ctx, k)
+		seeded, seeds, err := est.SelectSeeds(ctx, k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func main() {
 				log.Fatal(err)
 			}
 			cost += stats.Cost
-			res, err := est.EstimateFromCrowd(ctx, snap.slot, reports)
+			res, err := seeded.EstimateFromCrowd(ctx, snap.slot, reports)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seeds, err := est.SelectSeeds(ctx, d.Net.NumRoads()/10)
+	seeded, seeds, err := est.SelectSeeds(ctx, d.Net.NumRoads()/10)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func main() {
 		for _, s := range seeds {
 			seedSpeeds[s] = truth[s]
 		}
-		res, err := est.Estimate(ctx, slot, seedSpeeds)
+		res, err := seeded.Estimate(ctx, slot, seedSpeeds)
 		if err != nil {
 			log.Fatal(err)
 		}

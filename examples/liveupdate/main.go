@@ -40,9 +40,10 @@ func main() {
 	fmt.Printf("store publishes model v%d over %d roads\n",
 		st.View().Version(), d.Net.NumRoads())
 
-	// 2. Seed selection and a crowd round on version 1.
+	// 2. Seed selection, which publishes version 1 specialised to the
+	//    seeds, and a crowd round on it.
 	k := d.Net.NumRoads() / 10
-	seeds, err := st.SelectSeeds(ctx, st.View(), k)
+	_, seeds, err := st.SelectSeeds(ctx, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +81,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 5. The next round resolves the successor automatically.
+	// 5. The next round resolves the successor, specialised to the same
+	//    seeds, automatically.
 	slot2, truth2 := d.NextTruth()
 	reports2, _, err := crowd.QuerySeeds(seeds, truth2)
 	if err != nil {

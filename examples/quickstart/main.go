@@ -40,11 +40,11 @@ func main() {
 
 	// 3. Pick a crowdsourcing budget: 10%% of roads become seeds.
 	k := d.Net.NumRoads() / 10
-	seeds, err := est.SelectSeeds(ctx, k)
+	seeded, seeds, err := est.SelectSeeds(ctx, k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("selected %d seeds, benefit %.1f\n", len(seeds), est.SeedBenefit(seeds))
+	fmt.Printf("selected %d seeds, benefit %.1f\n", len(seeds), seeded.SeedBenefit(seeds))
 
 	// 4. One real-time round: crowd answers on the seeds, inference fills in
 	// the rest.
@@ -60,7 +60,7 @@ func main() {
 	fmt.Printf("crowd: %d answers from %d queries (cost %.0f)\n",
 		stats.Answers, stats.Queries, stats.Cost)
 
-	res, err := est.EstimateFromCrowd(ctx, slot, reports)
+	res, err := seeded.EstimateFromCrowd(ctx, slot, reports)
 	if err != nil {
 		log.Fatal(err)
 	}

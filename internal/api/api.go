@@ -21,14 +21,15 @@
 // is recovered into a 500 so the gauge and counters stay truthful.
 //
 // The handler is safe for concurrent use. Each request resolves exactly one
-// model version from the store at entry and runs entirely on that immutable
-// artifact; /v1/estimate and /v1/seeds report the version they ran on as
-// model_version. Background rebuilds triggered by ingested observations
-// swap a successor model in without blocking any request in flight. Every
-// /v1/seeds request selects on the view it resolved (core.Store.SelectSeeds)
-// and re-specialises that view only when it holds another set, so
-// concurrent requests for one budget specialise once and /v1/seeds can
-// never serve seeds computed against a stale model.
+// immutable view from the store and runs entirely on it; /v1/estimate and
+// /v1/seeds report the version they ran on as model_version. Background
+// rebuilds triggered by ingested observations swap a successor in without
+// blocking any request in flight. Every /v1/seeds request selects on the
+// published view and publishes the view specialised to its set
+// (core.Store.SelectSeeds), which specialises only when the published view
+// holds another set, so concurrent requests for one budget specialise once,
+// and estimates on the last set served run on its model. It reports the
+// benefit and version of the view it published.
 //
 // # Deadlines and load shedding
 //
@@ -64,6 +65,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/crowd"
 	"repro/internal/obs"
 	"repro/internal/render"
 	"repro/internal/roadnet"
@@ -531,21 +533,21 @@ type seedsResponse struct {
 }
 
 func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	// Resolve the view once: validation, selection, benefit scoring and the
-	// reported version all refer to the same artifact even if a rebuild
-	// swaps mid-request.
-	v := s.store.View()
 	kStr := r.URL.Query().Get("k")
 	if kStr == "" {
 		writeErr(w, http.StatusBadRequest, "missing query parameter k")
 		return
 	}
+	roads := s.store.View().Net().NumRoads()
 	k, err := strconv.Atoi(kStr)
-	if err != nil || k < 1 || k > v.Net().NumRoads() {
-		writeErr(w, http.StatusBadRequest, "k must be an integer in [1, %d]", v.Net().NumRoads())
+	if err != nil || k < 1 || k > roads {
+		writeErr(w, http.StatusBadRequest, "k must be an integer in [1, %d]", roads)
 		return
 	}
-	seeds, err := s.store.SelectSeeds(r.Context(), v, k)
+	// The benefit and the version reported are those of the view the seeds
+	// were selected on and published with, even if a rebuild swaps
+	// mid-request.
+	v, seeds, err := s.store.SelectSeeds(r.Context(), k)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -669,19 +671,14 @@ func (s *Server) runEstimate(w http.ResponseWriter, r *http.Request, v *core.Vie
 		writeErr(w, http.StatusBadRequest, "at least one seed report is required")
 		return estimateResult{}, false
 	}
-	seedSpeeds := make(map[roadnet.RoadID]float64, len(req.Reports))
-	for _, rep := range req.Reports {
-		// Duplicates would silently last-wins collapse in the map, letting a
-		// malformed crowd batch masquerade as a smaller seed set.
-		if _, dup := seedSpeeds[rep.Road]; dup {
-			writeErr(w, http.StatusBadRequest, "duplicate report for road %d", rep.Road)
-			return estimateResult{}, false
-		}
-		seedSpeeds[rep.Road] = rep.Speed
+	reports := make([]crowd.Report, len(req.Reports))
+	for i, rep := range req.Reports {
+		reports[i] = crowd.Report{Road: rep.Road, Speed: rep.Speed}
 	}
 	// The request context cancels BP rounds the moment the client
-	// disconnects or the deadline set by gated expires.
-	res, err := v.Estimate(r.Context(), req.Slot, seedSpeeds)
+	// disconnects or the deadline set by gated expires. A duplicate road
+	// is invalid input (400).
+	res, err := v.EstimateFromCrowd(r.Context(), req.Slot, reports)
 	if err != nil {
 		status := estimateStatus(err)
 		if status == http.StatusServiceUnavailable {
@@ -690,7 +687,7 @@ func (s *Server) runEstimate(w http.ResponseWriter, r *http.Request, v *core.Vie
 		writeErr(w, status, "estimation failed: %v", err)
 		return estimateResult{}, false
 	}
-	return estimateResult{Estimate: res, seeded: len(seedSpeeds)}, true
+	return estimateResult{Estimate: res, seeded: len(reports)}, true
 }
 
 // observationsRequest is a batch of crowd observations for ingestion.

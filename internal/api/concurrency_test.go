@@ -17,12 +17,11 @@ import (
 	"repro/internal/roadnet"
 )
 
-// TestConcurrentSeedsAndEstimate is the race regression for the seed-model
-// snapshot: /v1/seeds retrains and republishes the seed-conditional model
-// while /v1/estimate rounds are mid-flight. On the pre-snapshot estimator
-// this fails under -race (Prepare wrote a plain field Estimate was reading);
-// now every round finishes on the snapshot it loaded at entry. Distinct k
-// values on purpose: each one selects another set and forces a republish.
+// TestConcurrentSeedsAndEstimate is the race regression for seed
+// specialisation: /v1/seeds trains a seed-conditional model and publishes
+// the view specialised to it while /v1/estimate rounds are mid-flight, and
+// every round finishes on the view it resolved at entry. Distinct k values
+// on purpose: each one selects another set and forces a new view.
 func TestConcurrentSeedsAndEstimate(t *testing.T) {
 	ts, d := newTestServer(t)
 	truth := d.Truth()

@@ -142,10 +142,10 @@ func TestSeedsConcurrentSpecializeOnce(t *testing.T) {
 	}
 }
 
-// TestSeedCacheSwapRace serves /v1/seeds from several goroutines while
-// rebuilds swap the model. Run under -race this checks that selection,
+// TestSeedsSwapRace serves /v1/seeds from several goroutines while rebuilds
+// swap the model. Run under -race this checks that selection,
 // specialization and the swap share no unsynchronised state.
-func TestSeedCacheSwapRace(t *testing.T) {
+func TestSeedsSwapRace(t *testing.T) {
 	ts, _, st := newLifecycleServer(t)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -172,10 +172,10 @@ func TestSeedCacheSwapRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSeedCacheVersioned: after a rebuild swap, /v1/seeds selects on the new
-// version and leaves it specialized to the set it served, so selecting that
-// budget on it again specializes nothing.
-func TestSeedCacheVersioned(t *testing.T) {
+// TestSeedsAfterSwap: after a rebuild swap, /v1/seeds selects on the new
+// version and publishes it specialized to the set it served, so selecting
+// that budget again specializes nothing.
+func TestSeedsAfterSwap(t *testing.T) {
 	ts, d, st := newLifecycleServer(t)
 	const k = 4
 	m1 := st.View()
@@ -204,12 +204,15 @@ func TestSeedCacheVersioned(t *testing.T) {
 		t.Errorf("seeds after the swap answered on version %d, want %d", v2.ModelVersion, m2.Version())
 	}
 	before := specializations()
-	again, err := st.SelectSeeds(context.Background(), m2, k)
+	v, again, err := st.SelectSeeds(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := specializations() - before; got != 0 {
 		t.Errorf("selecting k=%d on version %d again ran %d seed_specialize stages, want 0", k, m2.Version(), got)
+	}
+	if v.Version() != m2.Version() {
+		t.Errorf("selecting k=%d again published version %d, want %d", k, v.Version(), m2.Version())
 	}
 	if fmt.Sprint(again) != fmt.Sprint(v2.Seeds) {
 		t.Errorf("version %d selects %v, /v1/seeds served %v", m2.Version(), again, v2.Seeds)

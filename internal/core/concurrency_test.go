@@ -49,14 +49,15 @@ func TestEstimateSeedSpeedValidation(t *testing.T) {
 	}
 }
 
-// TestConcurrentPrepareEstimate hammers Prepare and Estimate from separate
-// goroutines. Before the snapshot refactor the estimator stored the seed
-// model in a plain field, so this test fails under -race on the old code
-// (write in Prepare vs read in estimateRels); now every Estimate round loads
-// one immutable snapshot at entry and Prepare publishes off to the side. The
-// network is deliberately tiny and the iteration counts high: the racing
-// window is a few instructions wide, and the incidental synchronisation in
-// the metrics layer hides it from the detector at low interleaving pressure.
+// TestConcurrentPrepareEstimate: views derived from one base share what
+// build trained and change nothing of it. One goroutine derives views,
+// alternately from the base and from a view derived from it before the
+// hammer started, each time to a set that needs a fresh specialisation,
+// while rounds run on the base and on that derived view; every round must
+// answer bit for bit as the same round did before the hammer. Under -race
+// this also checks that deriving writes nothing a round reads. The network
+// is deliberately tiny and the iteration counts high, so derivations
+// overlap many rounds.
 func TestConcurrentPrepareEstimate(t *testing.T) {
 	ctx := context.Background()
 	cfg := dataset.DefaultConfig()
@@ -66,16 +67,16 @@ func TestConcurrentPrepareEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := NewView(d.Net, d.DB, DefaultOptions())
+	base, err := NewView(d.Net, d.DB, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := d.Net.NumRoads()
-	setA, err := est.SelectSeeds(ctx, n/10)
+	derived, setA, err := base.SelectSeeds(ctx, n/10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A disjoint-ish second set so the two published models differ.
+	// A disjoint-ish second set, so deriving from derived specialises anew.
 	setB := make([]roadnet.RoadID, len(setA))
 	for i, s := range setA {
 		setB[i] = roadnet.RoadID((int(s) + 7) % n)
@@ -85,6 +86,13 @@ func TestConcurrentPrepareEstimate(t *testing.T) {
 	for _, s := range setA {
 		seedSpeeds[s] = truth[s]
 	}
+	views := [2]*View{base, derived}
+	var want [2]*Estimate
+	for i, v := range views {
+		if want[i], err = v.Estimate(ctx, slot, seedSpeeds); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -92,23 +100,31 @@ func TestConcurrentPrepareEstimate(t *testing.T) {
 		defer wg.Done()
 		sets := [2][]roadnet.RoadID{setA, setB}
 		for i := 0; i < 40; i++ {
-			if err := est.Prepare(ctx, sets[i%2]); err != nil {
-				t.Errorf("Prepare: %v", err)
+			if _, err := views[i%2].WithSeeds(ctx, sets[i%2]); err != nil {
+				t.Errorf("WithSeeds: %v", err)
 				return
 			}
 		}
 	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func() {
+		go func(v *View, want *Estimate) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := est.Estimate(ctx, slot, seedSpeeds); err != nil {
+				got, err := v.Estimate(ctx, slot, seedSpeeds)
+				if err != nil {
 					t.Errorf("Estimate: %v", err)
 					return
 				}
+				for r := range want.Speeds {
+					if got.Speeds[r] != want.Speeds[r] || got.PUp[r] != want.PUp[r] {
+						t.Errorf("road %d moved from %v (P(up) %v) to %v (%v) while views were derived",
+							r, want.Speeds[r], want.PUp[r], got.Speeds[r], got.PUp[r])
+						return
+					}
+				}
 			}
-		}()
+		}(views[g%2], want[g%2])
 	}
 	wg.Wait()
 }

@@ -10,13 +10,15 @@
 //     round, the only code that sequences the phases.
 //   - Store (store.go) is the lifecycle handle: it publishes the current
 //     View through an atomic pointer, buffers crowd observations via Ingest,
-//     remembers the last selected seed set, and rebuilds + hot-swaps a
-//     successor View in the background without ever blocking a round.
+//     publishes the view specialised to each selected seed set, and
+//     rebuilds and hot-swaps a successor View in the background without
+//     ever blocking a round.
 //
 // The real-time loop is SelectSeeds(K) → crowdsource the seeds' speeds →
-// Estimate(slot, seedSpeeds) → network-wide speeds, where Estimate runs the
-// two-step trend→speed inference (internal/mrf + internal/hlm). Every round
-// resolves exactly one view version at entry and reports it in its result.
+// Estimate(slot, seedSpeeds) → network-wide speeds, where SelectSeeds
+// returns the view specialised to the seeds and Estimate runs the two-step
+// trend→speed inference (internal/mrf + internal/hlm) on it. Every round
+// resolves exactly one view at entry and reports its version in its result.
 package core
 
 import (

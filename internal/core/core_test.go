@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/baselines"
@@ -68,7 +70,7 @@ func TestSelectSeeds(t *testing.T) {
 	ctx := context.Background()
 	_, est := buildEstimator(t)
 	k := 20
-	seeds, err := est.SelectSeeds(ctx, k)
+	est, seeds, err := est.SelectSeeds(ctx, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestEstimateValidation(t *testing.T) {
 func TestEstimateShapes(t *testing.T) {
 	ctx := context.Background()
 	d, est := buildEstimator(t)
-	seeds, err := est.SelectSeeds(ctx, 15)
+	est, seeds, err := est.SelectSeeds(ctx, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestEstimateBeatsStaticAndKNN(t *testing.T) {
 	d, est := buildEstimator(t)
 	n := d.Net.NumRoads()
 	k := n / 10
-	seeds, err := est.SelectSeeds(ctx, k)
+	est, seeds, err := est.SelectSeeds(ctx, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +209,12 @@ func TestTrendInferenceBeatsPriorOnly(t *testing.T) {
 	ctx := context.Background()
 	d, est := buildEstimator(t)
 	n := d.Net.NumRoads()
-	seeds, err := est.SelectSeeds(ctx, n/10)
+	est, seeds, err := est.SelectSeeds(ctx, n/10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	priorView := viewWithEngine(t, d, mrf.PriorOnly{})
-	if err := priorView.Prepare(ctx, seeds); err != nil {
+	priorView, err := viewWithEngine(t, d, mrf.PriorOnly{}).WithSeeds(ctx, seeds)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var bpCorrect, priorCorrect, histCorrect, total int
@@ -276,7 +278,7 @@ func TestHierarchyAblation(t *testing.T) {
 	// slots (it usually wins; allow a tiny tolerance for noise).
 	d, est := buildEstimator(t)
 	n := d.Net.NumRoads()
-	seeds, err := est.SelectSeeds(ctx, n/8)
+	est, seeds, err := est.SelectSeeds(ctx, n/8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +312,7 @@ func TestHierarchyAblation(t *testing.T) {
 func TestEstimateFromCrowd(t *testing.T) {
 	ctx := context.Background()
 	d, est := buildEstimator(t)
-	seeds, err := est.SelectSeeds(ctx, 12)
+	est, seeds, err := est.SelectSeeds(ctx, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,10 +337,29 @@ func TestEstimateFromCrowd(t *testing.T) {
 	}
 }
 
+// TestEstimateFromCrowdRejectsDuplicateRoads: two reports for one road are
+// refused as invalid input that names the road, not collapsed into one.
+func TestEstimateFromCrowdRejectsDuplicateRoads(t *testing.T) {
+	ctx := context.Background()
+	d, est := buildEstimator(t)
+	slot, truth := d.NextTruth()
+	reports := []crowd.Report{{Road: 3, Speed: truth[3]}, {Road: 7, Speed: truth[7]}, {Road: 3, Speed: truth[3] + 1}}
+	_, err := est.EstimateFromCrowd(ctx, slot, reports)
+	if !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), "road 3") {
+		t.Fatalf("two reports for road 3: error %v, want ErrInvalidInput naming road 3", err)
+	}
+	if _, err := est.EstimateFromCrowd(ctx, slot, reports[:2]); err != nil {
+		t.Fatalf("distinct reports: %v", err)
+	}
+}
+
 func TestEstimatorDeterminism(t *testing.T) {
 	ctx := context.Background()
 	d, est := buildEstimator(t)
-	seeds, _ := est.SelectSeeds(ctx, 10)
+	est, seeds, err := est.SelectSeeds(ctx, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	slot, truth := d.NextTruth()
 	seedSpeeds := map[roadnet.RoadID]float64{}
 	for _, s := range seeds {
@@ -385,10 +406,18 @@ func TestTrendFreeOption(t *testing.T) {
 	}
 }
 
+// TestNoSeedModelOption: the unspecialised view, WithSeeds(ctx, nil), is the
+// round without the hierarchy's seed level (ablation A2). It answers
+// differently from the view specialised to the seeds, and bit for bit as
+// the view both were derived from, which deriving left unchanged.
 func TestNoSeedModelOption(t *testing.T) {
 	ctx := context.Background()
 	d, est := buildEstimator(t)
-	seeds, err := est.SelectSeeds(ctx, 20)
+	seeded, seeds, err := est.SelectSeeds(ctx, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	generic, err := seeded.WithSeeds(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,11 +426,15 @@ func TestNoSeedModelOption(t *testing.T) {
 	for _, s := range seeds {
 		seedSpeeds[s] = truth[s]
 	}
-	with, err := est.Estimate(ctx, slot, seedSpeeds)
+	with, err := seeded.Estimate(ctx, slot, seedSpeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := est.EstimateWith(ctx, slot, seedSpeeds, EstimateOptions{NoSeedModel: true})
+	without, err := generic.Estimate(ctx, slot, seedSpeeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := est.Estimate(ctx, slot, seedSpeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,9 +443,13 @@ func TestNoSeedModelOption(t *testing.T) {
 		if with.Speeds[r] != without.Speeds[r] {
 			differs++
 		}
+		if without.Speeds[r] != base.Speeds[r] || without.PUp[r] != base.PUp[r] {
+			t.Fatalf("road %d: the unspecialised view answers %v (P(up) %v), the view it was derived from %v (%v)",
+				r, without.Speeds[r], without.PUp[r], base.Speeds[r], base.PUp[r])
+		}
 	}
 	if differs == 0 {
-		t.Error("NoSeedModel produced identical estimates; the switch is dead")
+		t.Error("the seed-specialised and unspecialised views answer identically; the seed level is dead")
 	}
 }
 
@@ -444,11 +481,15 @@ func TestEstimateWithNoSeeds(t *testing.T) {
 	}
 }
 
+// TestPrepareWithExplicitSeeds: WithSeeds specialises a view to a set chosen
+// by hand, returns the view unchanged for the same set in another order,
+// and refuses an out-of-range road as invalid input.
 func TestPrepareWithExplicitSeeds(t *testing.T) {
 	ctx := context.Background()
 	d, est := buildEstimator(t)
 	seeds := []roadnet.RoadID{1, 5, 9, 13, 17, 21}
-	if err := est.Prepare(ctx, seeds); err != nil {
+	sv, err := est.WithSeeds(ctx, seeds)
+	if err != nil {
 		t.Fatal(err)
 	}
 	slot, truth := d.NextTruth()
@@ -456,10 +497,13 @@ func TestPrepareWithExplicitSeeds(t *testing.T) {
 	for _, s := range seeds {
 		seedSpeeds[s] = truth[s]
 	}
-	if _, err := est.Estimate(ctx, slot, seedSpeeds); err != nil {
+	if _, err := sv.Estimate(ctx, slot, seedSpeeds); err != nil {
 		t.Fatal(err)
 	}
-	if err := est.Prepare(ctx, []roadnet.RoadID{roadnet.RoadID(d.Net.NumRoads() + 1)}); err == nil {
-		t.Error("out-of-range seed accepted by Prepare")
+	if again, err := sv.WithSeeds(ctx, []roadnet.RoadID{21, 17, 13, 9, 5, 1}); err != nil || again != sv {
+		t.Errorf("WithSeeds on the view's own set = %p, %v; want the view itself", again, err)
+	}
+	if _, err := est.WithSeeds(ctx, []roadnet.RoadID{roadnet.RoadID(d.Net.NumRoads() + 1)}); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("out-of-range seed: error %v, want ErrInvalidInput", err)
 	}
 }

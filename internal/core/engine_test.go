@@ -126,7 +126,7 @@ func TestServedEngineWithinBoundOfJacobiServedCity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds, err := v.SelectSeeds(ctx, 40)
+	v, seeds, err := v.SelectSeeds(ctx, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,8 @@ func TestServedEngineWithinBoundOfJacobiServedCity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jv := viewWithEngine(t, d, jacobi)
-	if err := jv.Prepare(ctx, seeds); err != nil {
+	jv, err := viewWithEngine(t, d, jacobi).WithSeeds(ctx, seeds)
+	if err != nil {
 		t.Fatal(err)
 	}
 	nonConverged := obs.Default().Counter("trendspeed_bp_nonconverged_total", "")

@@ -628,7 +628,7 @@ func TestStoreIncrementalZeroDowntimeSwap(t *testing.T) {
 	d, st := buildStore(t)
 	st.Start(StoreConfig{IncrementalMaxDirtyFrac: 0.25})
 	defer st.Close()
-	seeds, err := st.SelectSeeds(ctx, st.View(), d.Net.NumRoads()/10)
+	_, seeds, err := st.SelectSeeds(ctx, d.Net.NumRoads()/10)
 	if err != nil {
 		t.Fatal(err)
 	}

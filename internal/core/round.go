@@ -40,10 +40,6 @@ type EstimateOptions struct {
 	// every regression uses its trend-agnostic variant (ablation A1 — the
 	// paper's core "from trends to speeds" claim is the gap this opens).
 	TrendFree bool
-	// NoSeedModel disables the seed-conditional regressions, leaving only
-	// the generic propagation model (ablation A2: the value of the
-	// hierarchy's seed level).
-	NoSeedModel bool
 }
 
 // validateSeedSpeeds rejects out-of-range roads and unusable speeds up front.
@@ -73,10 +69,15 @@ func (v *View) Estimate(ctx context.Context, slot int, seedSpeeds map[roadnet.Ro
 }
 
 // EstimateFromCrowd converts raw crowd reports into the seed-speed map and
-// runs Estimate; the convenience used by the real-time loop.
+// runs Estimate; the convenience used by the real-time loop. Two reports for
+// one road are refused as invalid input: collapsing them would let a
+// malformed crowd batch pass for a smaller seed set.
 func (v *View) EstimateFromCrowd(ctx context.Context, slot int, reports []crowd.Report) (*Estimate, error) {
 	seeds := make(map[roadnet.RoadID]float64, len(reports))
 	for _, r := range reports {
+		if _, dup := seeds[r.Road]; dup {
+			return nil, fmt.Errorf("core: duplicate report for road %d: %w", r.Road, ErrInvalidInput)
+		}
 		seeds[r.Road] = r.Speed
 	}
 	return v.Estimate(ctx, slot, seeds)
@@ -102,24 +103,17 @@ func (v *View) EstimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 // sequences the phases: seedRels, the trend-free pre-pass, trendPriors,
 // inferTrends, fuseTrends and the speed regression, or the trend-free
 // regression alone. ctx carries the round span so the per-phase spans nest
-// under it. The round loads the seed-model snapshot exactly once and
-// threads it through both regression passes, so a concurrent Prepare cannot
-// hand one round two different models (TestViewK1Golden pins the round bit
-// for bit).
+// under it. TestViewK1Golden pins the round bit for bit.
 func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
 	if err := validateSeedSpeeds(v.net.NumRoads(), seedSpeeds); err != nil {
 		return nil, err
-	}
-	seedModel := v.seedModel.Load()
-	if opts.NoSeedModel {
-		seedModel = nil
 	}
 	seedRels := v.seedRels(slot, seedSpeeds)
 	out := &Estimate{Slot: slot, ModelVersion: v.version}
 	if opts.TrendFree {
 		// Ablation A1: one trend-agnostic regression, timed as the speed
 		// phase.
-		rels, err := v.regress(ctx, "speed", &hlm.Request{Slot: slot, SeedRels: seedRels, Flat: opts.FlatHLM}, seedModel)
+		rels, err := v.regress(ctx, "speed", &hlm.Request{Slot: slot, SeedRels: seedRels, Flat: opts.FlatHLM})
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +128,7 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 		// rels carry trend evidence no binary propagation can recover (a
 		// road estimated at 0.8× its mean is almost surely trending down).
 		// It is fused with the graphical posterior after inference.
-		preRels, err := v.regress(ctx, "pre_pass", &hlm.Request{Slot: slot, SeedRels: seedRels}, seedModel)
+		preRels, err := v.regress(ctx, "pre_pass", &hlm.Request{Slot: slot, SeedRels: seedRels})
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +139,7 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 		out.PUp, out.TrendUp = v.fuseTrends(trends.PUp, preRels, seedRels)
 		// Step 2: the speed regression, conditioned on the fused marginals.
 		req := &hlm.Request{Slot: slot, SeedRels: seedRels, PUp: out.PUp, Flat: opts.FlatHLM}
-		if out.Rels, err = v.regress(ctx, "speed", req, seedModel); err != nil {
+		if out.Rels, err = v.regress(ctx, "speed", req); err != nil {
 			return nil, err
 		}
 	}
@@ -170,11 +164,11 @@ func (v *View) seedRels(slot int, seedSpeeds map[roadnet.RoadID]float64) map[roa
 
 // regress runs one HLM pass as the round phase named phase ("pre_pass" or
 // "speed") and wraps its error with the phase.
-func (v *View) regress(ctx context.Context, phase string, req *hlm.Request, seedModel *hlm.SeedModel) ([]float64, error) {
+func (v *View) regress(ctx context.Context, phase string, req *hlm.Request) ([]float64, error) {
 	var rels []float64
 	//lint:hotpath-ok one span-bracketing thunk per phase per round (not per index); timePhase needs a closure to time and the round does O(roads) work inside it
 	if err := timePhase(ctx, phase, func() (err error) {
-		rels, err = v.estimateRels(req, seedModel)
+		rels, err = v.estimateRels(req)
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("core: %s regression: %w", phase, err)
@@ -246,21 +240,19 @@ func (v *View) fuseTrendsInto(pUp []float64, trendUp []bool, trendPUp, preRels [
 	}
 }
 
-// estimateRels routes an HLM request through the given seed-conditional
-// snapshot when the request's seeds overlap it; otherwise (or when the
-// snapshot is nil) the generic propagation model runs. The snapshot is the
-// one the round loaded at entry, never re-read, so both regression passes of
-// a round agree on the model.
-func (v *View) estimateRels(req *hlm.Request, seedModel *hlm.SeedModel) ([]float64, error) {
-	if seedModel != nil {
+// estimateRels routes an HLM request through the view's seed-conditional
+// model when the request's seeds overlap its seed set; otherwise (or on an
+// unspecialised view) the generic propagation model runs.
+func (v *View) estimateRels(req *hlm.Request) ([]float64, error) {
+	if v.seedModel != nil {
 		overlap := 0
 		for r := range req.SeedRels {
-			if seedModel.SeedSet(r) {
+			if v.seedModel.SeedSet(r) {
 				overlap++
 			}
 		}
 		if overlap*2 >= len(req.SeedRels) && overlap > 0 {
-			return seedModel.Estimate(req)
+			return v.seedModel.Estimate(req)
 		}
 	}
 	return v.hlm.Estimate(req)

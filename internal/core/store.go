@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,40 +69,42 @@ type StoreConfig struct {
 	IncrementalMaxDirtyFrac float64
 }
 
-// Store is the lifecycle handle over a sequence of immutable view versions.
-// It publishes the current View through an atomic pointer, so View and the
-// rounds run on it never block on a rebuild in progress: a caller resolves
-// exactly one version with View and runs entirely on it, and a rebuild
-// trains the successor view off to the side before swapping it in. Estimation
-// itself is View's job; the Store only adds ingest, seed memory and the
-// rebuild lifecycle.
+// Store is the lifecycle handle over a sequence of immutable views. It
+// publishes the current View through an atomic pointer, so View and the
+// rounds run on it never block on a publication in progress: a caller
+// resolves exactly one view with View and runs entirely on it, and a
+// rebuild trains the successor view off to the side before swapping it in.
+// Estimation itself is View's job; the Store only adds ingest, seed
+// selection and the rebuild lifecycle.
 //
-// Ingest buffers observations; Rebuild (or the background loop started by
-// Start) rolls them into the history snapshot via history.NewBuilderFrom,
-// retrains, re-specializes the last prepared seed set so rounds do not
-// regress to the generic propagation model after a swap, and publishes the
-// new version. All methods are safe for concurrent use.
+// Every publication after NewStore runs under the Store's seed turn: a seed
+// selection publishes the published view specialised to the set it
+// selected, and a rebuild publishes its successor specialised to the set of
+// the view it replaces, so the published view always holds the last
+// selected set. Ingest buffers observations; Rebuild (or the background loop
+// started by Start) rolls them into the history snapshot via
+// history.NewBuilderFrom, retrains, and publishes the new version. All
+// methods are safe for concurrent use.
 type Store struct {
 	opts Options
 	cur  atomic.Pointer[View]
 
-	// seedTurn is a one-slot semaphore held across SelectSeeds, so seed
-	// selections and the specialisations they run happen one at a time.
+	// seedTurn is a one-slot semaphore held across every publication after
+	// NewStore, so selections and rebuild swaps publish one at a time.
 	seedTurn chan struct{}
 
-	// mu guards the ingest buffer, the last prepared seed set, the swap
-	// hooks and the loop bookkeeping; it is never held across a rebuild.
-	mu        sync.Mutex
-	buf       []Observation
-	lastSeeds []roadnet.RoadID
-	onSwap    []func(old, new *View)
-	cfg       StoreConfig
-	started   bool
-	closed    bool
-	// failRebuild is a test seam: when set, rebuild calls it after draining
-	// the buffer and aborts with its error, exercising the failure path
-	// (observations kept, no version consumed, loop retry) without a real
-	// build error.
+	// mu guards the ingest buffer, the swap hooks and the loop bookkeeping;
+	// it is never held across a rebuild.
+	mu      sync.Mutex
+	buf     []Observation
+	onSwap  []func(old, new *View)
+	cfg     StoreConfig
+	started bool
+	closed  bool
+	// failRebuild is a test seam: when set, rebuild calls it after reading
+	// the published view and draining the buffer and aborts with its error,
+	// exercising the failure path (observations kept, no version consumed,
+	// loop retry) without a real build error.
 	failRebuild func() error
 
 	// rebuildMu serializes rebuilds: concurrent Rebuild calls queue, and
@@ -147,46 +148,33 @@ func NewStore(net *roadnet.Network, db *history.DB, opts Options) (*Store, error
 }
 
 // View returns the currently published view. Callers that make several
-// dependent calls (e.g. select seeds, then report the version they were
-// selected against) should resolve the view once and use it throughout.
+// dependent calls (e.g. run a round, then report the version it ran on)
+// should resolve the view once and use it throughout; SelectSeeds returns
+// the view it published for the same reason.
 func (s *Store) View() *View { return s.cur.Load() }
 
-// SelectSeeds selects k seeds on view v, specialising v to them unless it
-// already is, and records the set so rebuilds re-specialize it on successor
-// models. API layers pass the view they resolved for the request, so the
-// seed set and the version they report come from the same view even if a
-// swap lands mid-request. When a swap has landed, the published view is
-// specialised to the set as well: a rebuild that read the previous set
-// before this one was recorded built its successor for that set. Selections
-// run one at a time: concurrent requests for one set specialise once, and
-// different sets specialise one after another, the last leaving v
-// specialised to its set. Waiting for the turn honours ctx. A cancelled
-// selection records nothing, so rebuilds keep re-specializing the last
-// complete set.
-func (s *Store) SelectSeeds(ctx context.Context, v *View, k int) ([]roadnet.RoadID, error) {
+// SelectSeeds selects k seeds on the published view and publishes that view
+// specialised to them (View.SelectSeeds), returning it with the seeds. It
+// holds the seed turn throughout, so selections run one at a time:
+// concurrent requests for one set specialise once, and different sets
+// specialise one after another. A rebuild that publishes meanwhile waits
+// for the turn and specialises its successor to the set published here.
+// Waiting for the turn honours ctx, and a cancelled selection publishes
+// nothing. The view published is of the same version: only rebuilds bump
+// the version and run the OnSwap hooks.
+func (s *Store) SelectSeeds(ctx context.Context, k int) (*View, []roadnet.RoadID, error) {
 	select {
 	case s.seedTurn <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 	defer func() { <-s.seedTurn }()
-	seeds, err := v.SelectSeeds(ctx, k)
+	v, seeds, err := s.cur.Load().SelectSeeds(ctx, k)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cp := append([]roadnet.RoadID(nil), seeds...)
-	s.mu.Lock()
-	s.lastSeeds = cp
-	s.mu.Unlock()
-	// Record before reading the published view: a rebuild publishes before
-	// it re-reads the set (see rebuild), so either this load sees its view
-	// or that rebuild sees this set.
-	if cur := s.cur.Load(); cur != v {
-		if err := cur.specialize(ctx, cp); err != nil {
-			return nil, err
-		}
-	}
-	return seeds, nil
+	s.cur.Store(v)
+	return v, seeds, nil
 }
 
 // maxFreeFlowFactor caps an ingested speed at this multiple of its road
@@ -258,9 +246,10 @@ func (s *Store) BufferedObservations() int {
 	return len(s.buf)
 }
 
-// OnSwap registers a hook called after each successful swap with the view
-// that was replaced and the one now published (speedserver logs each swap
-// with it). Hooks run on the rebuilding goroutine and must not block.
+// OnSwap registers a hook called after each successful rebuild swap with the
+// view that was replaced and the one now published (speedserver logs each
+// swap with it); a seed selection publishes a view of the same version and
+// runs no hooks. Hooks run on the rebuilding goroutine and must not block.
 func (s *Store) OnSwap(fn func(old, new *View)) {
 	s.mu.Lock()
 	s.onSwap = append(s.onSwap, fn)
@@ -269,9 +258,10 @@ func (s *Store) OnSwap(fn func(old, new *View)) {
 
 // Rebuild retrains immediately: it drains the buffered observations into a
 // roll-forward of the published history snapshot, builds the successor view
-// off to the side, re-specializes the last prepared seed set, and swaps the
-// successor in last-write-wins. A set selected while the successor was
-// building is specialised on it right after the swap. Estimation rounds in
+// off to the side, and then, under the seed turn, specialises it to the seed
+// set of the view it replaces and swaps it in. A set selected while the
+// successor was building is therefore the set it is published with, and a
+// selection requested during the swap waits for it. Estimation rounds in
 // flight keep the view they resolved at entry; new rounds see the new
 // version as soon as the swap lands. With an empty buffer the rebuild still
 // runs (a forced full refresh). On error the old view stays published and
@@ -315,9 +305,9 @@ func (s *Store) Rebuild(ctx context.Context) (*View, error) {
 // the mode it was built in (on error, the mode that was attempted, for metric
 // labels).
 func (s *Store) rebuild(ctx context.Context) (*View, string, error) {
+	old := s.cur.Load()
 	s.mu.Lock()
 	pending := append([]Observation(nil), s.buf...)
-	seeds := s.lastSeeds
 	maxDirtyFrac := s.cfg.IncrementalMaxDirtyFrac
 	fail := s.failRebuild
 	hooks := append([]func(old, new *View){}, s.onSwap...)
@@ -328,62 +318,56 @@ func (s *Store) rebuild(ctx context.Context) (*View, string, error) {
 		}
 	}
 
-	old := s.cur.Load()
-	v, mode, err := s.successor(ctx, old, pending, seeds, maxDirtyFrac)
-	if err == nil {
-		// A cancellation that raced the last stage must not publish: Close
-		// has already begun draining, and the caller asked for the work to
-		// stop.
-		if cerr := ctx.Err(); cerr != nil {
-			err = fmt.Errorf("core: rebuild aborted before publish: %w", cerr)
-		}
-	}
+	v, mode, err := s.successor(ctx, old, pending, maxDirtyFrac)
 	if err != nil {
 		return nil, mode, err
 	}
-	s.cur.Store(v)
+	v, replaced, err := s.publish(ctx, v)
+	if err != nil {
+		return nil, mode, err
+	}
 	modelVersionGauge.Set(float64(v.Version()))
 	for _, h := range hooks {
-		h(old, v)
+		h(replaced, v)
 	}
 
 	// Drop the consumed prefix of the buffer: Ingest only appends, so the
 	// first len(pending) entries are exactly what this rebuild folded in.
-	// A set recorded since seeds was read was specialised on the view its
-	// selection ran on, not on v, so v catches up to it.
 	s.mu.Lock()
 	s.buf = append([]Observation(nil), s.buf[len(pending):]...)
 	buffered := len(s.buf)
-	stale := !slices.Equal(s.lastSeeds, seeds)
 	s.mu.Unlock()
 	ingestBuffered.Set(float64(buffered))
-	if stale {
-		s.catchUpSeeds(ctx, v)
-	}
 	return v, mode, nil
 }
 
-// catchUpSeeds specialises the published view v to the last recorded seed
-// set, under the seed turn, unless it already is. The wait for the turn
-// honours ctx. v is published either way, so a cancelled or failed catch-up
-// only leaves v on its previous seed model until the next selection or
-// rebuild specialises it.
-func (s *Store) catchUpSeeds(ctx context.Context, v *View) {
+// publish swaps the successor v in under the seed turn, specialised to the
+// seed set of the view it replaces, and returns the view it published and
+// the one it replaced. The wait for the turn honours ctx, and a ctx
+// cancelled before the swap publishes nothing.
+func (s *Store) publish(ctx context.Context, v *View) (published, replaced *View, err error) {
 	select {
 	case s.seedTurn <- struct{}{}:
 	case <-ctx.Done():
-		return
+		return nil, nil, fmt.Errorf("core: rebuild aborted before publish: %w", ctx.Err())
 	}
 	defer func() { <-s.seedTurn }()
-	s.mu.Lock()
-	seeds := s.lastSeeds
-	s.mu.Unlock()
-	_ = v.specialize(ctx, seeds) // v serves either way; see above
+	replaced = s.cur.Load()
+	if v, err = v.WithSeeds(ctx, replaced.seeds); err != nil {
+		return nil, nil, fmt.Errorf("core: re-specializing seed set: %w", err)
+	}
+	// A cancellation that raced the last stage must not publish: Close has
+	// already begun draining, and the caller asked for the work to stop.
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("core: rebuild aborted before publish: %w", err)
+	}
+	s.cur.Store(v)
+	return v, replaced, nil
 }
 
 // successor trains the view that follows old with the pending observations
 // folded in, returning it and the mode it was built in.
-func (s *Store) successor(ctx context.Context, old *View, pending []Observation, seeds []roadnet.RoadID, maxDirtyFrac float64) (*View, string, error) {
+func (s *Store) successor(ctx context.Context, old *View, pending []Observation, maxDirtyFrac float64) (*View, string, error) {
 	builder, err := history.NewBuilderFrom(old.DB())
 	if err != nil {
 		return nil, "full", fmt.Errorf("core: rolling history forward: %w", err)
@@ -413,11 +397,6 @@ func (s *Store) successor(ctx context.Context, old *View, pending []Observation,
 	v, err := build(ctx, old.Net(), db, s.opts, version, prev, dirty)
 	if err != nil {
 		return nil, mode, fmt.Errorf("core: rebuilding model: %w", err)
-	}
-	if len(seeds) > 0 {
-		if err := v.Prepare(ctx, seeds); err != nil {
-			return nil, mode, fmt.Errorf("core: re-specializing seed set: %w", err)
-		}
 	}
 	return v, mode, nil
 }

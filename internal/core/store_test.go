@@ -203,11 +203,11 @@ func TestStoreIngestRefusesImplausibleSpeed(t *testing.T) {
 
 // TestStoreRebuildSwapsVersionAndFoldsObservations: a rebuild publishes a
 // higher version trained on the union of the old snapshot and the ingested
-// observations, and the prepared seed set survives the swap.
+// observations, and the selected seed set survives the swap.
 func TestStoreRebuildSwapsVersionAndFoldsObservations(t *testing.T) {
 	ctx := context.Background()
 	d, st := buildStore(t)
-	seeds, err := st.SelectSeeds(ctx, st.View(), d.Net.NumRoads()/10)
+	_, seeds, err := st.SelectSeeds(ctx, d.Net.NumRoads()/10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +229,9 @@ func TestStoreRebuildSwapsVersionAndFoldsObservations(t *testing.T) {
 	}
 	if m.Version() != before.Version()+1 {
 		t.Errorf("version %d after rebuild of %d", m.Version(), before.Version())
+	}
+	if m.seedModel == nil || !m.seedModel.SpecializedTo(seeds) {
+		t.Errorf("version %d is not specialised to the %d selected seeds", m.Version(), len(seeds))
 	}
 	if m.ObservationCount() < before.ObservationCount() {
 		t.Errorf("observation count shrank: %d → %d", before.ObservationCount(), m.ObservationCount())
@@ -301,7 +304,7 @@ func TestStoreAutoRebuildMinObs(t *testing.T) {
 func TestStoreZeroDowntimeSwap(t *testing.T) {
 	ctx := context.Background()
 	d, st := buildStore(t)
-	seeds, err := st.SelectSeeds(ctx, st.View(), d.Net.NumRoads()/10)
+	_, seeds, err := st.SelectSeeds(ctx, d.Net.NumRoads()/10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,20 +541,21 @@ func (g *gatedSelector) SelectCtx(ctx context.Context, p *seedsel.Problem, k int
 	return g.Lazy.SelectCtx(ctx, p, k)
 }
 
-// TestSeedSetSelectedDuringRebuildReachesSuccessor: a seed set whose
-// selection runs on version 1 while a rebuild builds version 2 reaches
-// version 2, whichever side finishes last. If the selection completes after
-// the publish, SelectSeeds specialises the published view too; if it
-// completes after the rebuild read the recorded set but before the publish,
-// the rebuild catches its successor up. A gated selector parks the
-// selection, and the failRebuild seam, which runs after the rebuild read the
-// set, completes it mid-build; nothing sleeps.
+// TestSeedSetSelectedDuringRebuildReachesSuccessor: a seed set selected on
+// version 1 while a rebuild builds version 2 reaches version 2. A gated
+// selector parks the selection while it holds the seed turn, so the
+// rebuild's publish waits for it, and the rebuild runs on its own
+// goroutine. The selection completes either while the successor builds
+// (the failRebuild seam, which runs after the rebuild read version 1,
+// completes it), or while the rebuild builds or waits for the turn; either
+// way the rebuild must specialise its successor to the set published by the
+// selection, not to the one its predecessor held. Nothing sleeps.
 func TestSeedSetSelectedDuringRebuildReachesSuccessor(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		duringBuild bool
 	}{
-		{"selection completes after publish", false},
+		{"rebuild waits for the selection", false},
 		{"selection completes during build", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -565,23 +569,23 @@ func TestSeedSetSelectedDuringRebuildReachesSuccessor(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			if _, err := st.SelectSeeds(ctx, st.View(), 5); err != nil {
+			if _, _, err := st.SelectSeeds(ctx, 5); err != nil {
 				t.Fatal(err)
 			}
 
-			type result struct {
+			type selection struct {
+				v     *View
 				seeds []roadnet.RoadID
 				err   error
 			}
-			done := make(chan result, 1)
-			v1 := st.View()
+			done := make(chan selection, 1)
 			sel.closed.Store(true)
 			go func() {
-				seeds, err := st.SelectSeeds(ctx, v1, 12)
-				done <- result{seeds, err}
+				v, seeds, err := st.SelectSeeds(ctx, 12)
+				done <- selection{v, seeds, err}
 			}()
 			<-sel.entered
-			var second result
+			var second selection
 			finish := func() {
 				close(sel.open)
 				second = <-done
@@ -589,24 +593,34 @@ func TestSeedSetSelectedDuringRebuildReachesSuccessor(t *testing.T) {
 			if tc.duringBuild {
 				st.failRebuild = func() error { finish(); return nil }
 			}
-			v2, err := st.Rebuild(ctx)
-			if err != nil {
-				t.Fatal(err)
+			type rebuilt struct {
+				v   *View
+				err error
 			}
+			rebuildDone := make(chan rebuilt, 1)
+			go func() {
+				v, err := st.Rebuild(ctx)
+				rebuildDone <- rebuilt{v, err}
+			}()
 			if !tc.duringBuild {
 				finish()
+			}
+			r := <-rebuildDone
+			if r.err != nil {
+				t.Fatal(r.err)
 			}
 			if second.err != nil {
 				t.Fatal(second.err)
 			}
+			v2 := r.v
 			if v2.Version() != 2 || st.View() != v2 {
 				t.Fatalf("published version %d, rebuild returned version %d", st.View().Version(), v2.Version())
 			}
-			if sm := v2.seedModel.Load(); sm == nil || !sm.SpecializedTo(second.seeds) {
+			if sm := v2.seedModel; sm == nil || !sm.SpecializedTo(second.seeds) {
 				t.Errorf("version 2 is not specialised to the %d-seed set selected during its rebuild", len(second.seeds))
 			}
-			if sm := v1.seedModel.Load(); sm == nil || !sm.SpecializedTo(second.seeds) {
-				t.Errorf("version 1, the view the selection ran on, is not specialised to its %d seeds", len(second.seeds))
+			if v1 := second.v; v1.Version() != 1 || v1.seedModel == nil || !v1.seedModel.SpecializedTo(second.seeds) {
+				t.Errorf("the selection returned version %d, want version 1 specialised to its %d seeds", v1.Version(), len(second.seeds))
 			}
 		})
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"repro/internal/corr"
@@ -19,23 +19,35 @@ import (
 // correlation graph, the hierarchical linear model, the seed-selection
 // problem and the trend topology, all derived from the history snapshot the
 // view was trained on, stamped with a monotonically increasing version and
-// build metadata, plus the phase methods an estimation round drives (see
-// round.go). Everything build produces is immutable, so estimation rounds
-// may run concurrently with each other — and with a Store swapping in a
-// successor, since a round in flight keeps the View it resolved at entry.
-// cmd/tslint's modelmut and pubsafe analyzers enforce this: build is the
-// only constructor.
+// build metadata, plus the seed set it is specialised to and the phase
+// methods an estimation round drives (see round.go). A View never changes
+// after construction, so estimation rounds may run concurrently with each
+// other — and with a Store publishing a successor, since a round in flight
+// keeps the View it resolved at entry. cmd/tslint's modelmut and pubsafe
+// analyzers enforce this: build is the only function that writes a View's
+// fields.
 //
-// The one piece of mutable state is the seed-conditional specialization
-// retrained by Prepare/SelectSeeds. It is published as an immutable snapshot
-// through an atomic pointer: Prepare builds the new specialization off to
-// the side and swaps it in, and every estimation round loads exactly one
-// snapshot at entry and uses only that. Rounds leave nothing behind, so a
-// view, and any successor an incremental rebuild mints from it, answers as
-// a function of its history and seed set alone, never of the traffic it
-// served. A view runs one trend engine, Options.Engine or the served BP;
-// a caller-configured one is only as safe as the engine itself.
+// Seed specialisation derives a new View rather than changing one: WithSeeds
+// and SelectSeeds return a View that shares everything build trained with
+// the receiver and carries its own seed set and seed-conditional model, and
+// WithSeeds(ctx, nil) is the unspecialised view. Rounds leave nothing
+// behind, so a view, and any successor an incremental rebuild mints from
+// it, answers as a function of its history and seed set alone, never of the
+// traffic it served. A view runs one trend engine, Options.Engine or the
+// served BP; a caller-configured one is only as safe as the engine itself.
 type View struct {
+	*trained
+
+	// seeds is the seed set the view is specialised to and seedModel the
+	// HLM's seed-conditional regressions for it; both are nil on an
+	// unspecialised view.
+	seeds     []roadnet.RoadID
+	seedModel *hlm.SeedModel
+}
+
+// trained is the part of a View that build trains. Every view WithSeeds
+// derives from one shares it.
+type trained struct {
 	version  uint64
 	builtAt  time.Time
 	buildDur time.Duration
@@ -54,11 +66,6 @@ type View struct {
 	// correlation graph, its edges tempered by trendTemper. It is built once
 	// here, so per-round trend models skip the O(E·deg) rebuild.
 	trendTopo *mrf.Topology
-
-	// seedModel is the snapshot of the model specialised to the last
-	// Prepare'd seed set; nil until Prepare (or SelectSeeds) runs. Rounds
-	// load it once at entry (see estimateWith).
-	seedModel atomic.Pointer[hlm.SeedModel]
 
 	// rebuildMode records how this view was built: "full" (from-scratch
 	// training, including version 1) or "incremental" (delta rebuild from a
@@ -156,13 +163,13 @@ func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Optio
 	if selector == nil {
 		selector = seedsel.Lazy{}
 	}
-	return &View{
+	return &View{trained: &trained{
 		version: version, builtAt: start, buildDur: time.Since(start),
 		obsCount: db.ObservationCount(),
 		net:      net, db: db, graph: graph, hlm: model,
 		problem: problem, selector: selector, engine: engine,
 		trendTopo: trendTopo, rebuildMode: rebuildMode(prev),
-	}, nil
+	}}, nil
 }
 
 // rebuildMode names the build a predecessor selects: a nil prev trains from
@@ -207,47 +214,40 @@ func (v *View) HLM() *hlm.Model { return v.hlm }
 // Problem returns the prepared seed-selection instance.
 func (v *View) Problem() *seedsel.Problem { return v.problem }
 
-// SelectSeeds chooses k seed roads with the configured selector and
-// prepares the seed-conditional inference model for them, unless v's seed
-// model already is specialised to that set: Prepare would publish the same
-// model again. The selector stops between marginal-gain evaluations once
-// ctx is cancelled, and the specialization is then skipped entirely.
-func (v *View) SelectSeeds(ctx context.Context, k int) ([]roadnet.RoadID, error) {
+// SelectSeeds chooses k seed roads with the configured selector and returns
+// the view specialised to them (see WithSeeds) with the seeds. The selector
+// stops between marginal-gain evaluations once ctx is cancelled, and the
+// specialisation is then skipped entirely.
+func (v *View) SelectSeeds(ctx context.Context, k int) (*View, []roadnet.RoadID, error) {
 	seeds, err := v.selector.SelectCtx(ctx, v.problem, k)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := v.specialize(ctx, seeds); err != nil {
-		return nil, err
+	sv, err := v.WithSeeds(ctx, seeds)
+	if err != nil {
+		return nil, nil, err
 	}
-	return seeds, nil
+	return sv, seeds, nil
 }
 
-// specialize runs Prepare for seeds unless v's seed model already is
-// specialised to that set, so it would publish the same model again.
-func (v *View) specialize(ctx context.Context, seeds []roadnet.RoadID) error {
-	if sm := v.seedModel.Load(); sm != nil && sm.SpecializedTo(seeds) {
-		return nil
+// WithSeeds returns the view specialised to a fixed seed set (the online
+// deployment step after seed selection): it shares everything build trained
+// with v, and its rounds regress through seed-conditional models trained
+// for seeds whenever a round's reports overlap the set. WithSeeds(ctx, nil)
+// is the unspecialised view, whose rounds use the generic propagation model
+// alone. v is returned as is when it already is specialised to a non-empty
+// set equal to seeds, so asking again trains nothing. ctx is checked at the
+// specialisation stage boundary.
+func (v *View) WithSeeds(ctx context.Context, seeds []roadnet.RoadID) (*View, error) {
+	if len(seeds) == 0 {
+		return &View{trained: v.trained}, nil
 	}
-	return v.Prepare(ctx, seeds)
-}
-
-// Prepare trains the seed-conditional regressions for a fixed seed set (the
-// online deployment step after seed selection). Rounds run before Prepare —
-// or with a seed set disjoint from the prepared one — use the generic
-// propagation model.
-//
-// Prepare is safe to call while rounds are in flight: the new specialization
-// is trained entirely off to the side and published atomically; rounds
-// already running keep the snapshot they loaded at entry. Concurrent Prepare
-// calls are individually safe and last-write-wins, matching the "model of the
-// last Prepare'd seed set" contract. ctx is checked at the specialization
-// stage boundary; a cancelled Prepare publishes nothing, so the previous
-// snapshot stays live.
-func (v *View) Prepare(ctx context.Context, seeds []roadnet.RoadID) error {
+	if v.seedModel != nil && v.seedModel.SpecializedTo(seeds) {
+		return v, nil
+	}
 	for _, s := range seeds {
 		if int(s) < 0 || int(s) >= v.net.NumRoads() {
-			return fmt.Errorf("core: seed road %d out of range [0,%d): %w", s, v.net.NumRoads(), ErrInvalidInput)
+			return nil, fmt.Errorf("core: seed road %d out of range [0,%d): %w", s, v.net.NumRoads(), ErrInvalidInput)
 		}
 	}
 	var sm *hlm.SeedModel
@@ -255,10 +255,9 @@ func (v *View) Prepare(ctx context.Context, seeds []roadnet.RoadID) error {
 		sm, err = v.hlm.Specialize(v.db, seeds, hlm.SeedCandidates(v.net, seeds))
 		return err
 	}); err != nil {
-		return fmt.Errorf("core: specialising to seed set: %w", err)
+		return nil, fmt.Errorf("core: specialising to seed set: %w", err)
 	}
-	v.seedModel.Store(sm)
-	return nil
+	return &View{trained: v.trained, seeds: slices.Clone(seeds), seedModel: sm}, nil
 }
 
 // SeedBenefit evaluates the benefit function on a seed set (diagnostics and

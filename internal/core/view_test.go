@@ -117,10 +117,11 @@ func writeK1Golden(t *testing.T, slot, seeds int, keys []string, rounds []golden
 // TestViewK1Golden pins the estimation round bit for bit: a view must
 // reproduce the recorded round on the 6×5-block city's first truth slot with
 // spreadSeeds(…, 10), for the default (served) round, the same round on a
-// view built with the Jacobi reference engine (Options.Engine) and the
-// trend-free round. Every float is
-// compared exactly: a change to the round's arithmetic must re-record the
-// fixture on purpose, with -update-golden.
+// view built with the Jacobi reference engine (Options.Engine), the
+// trend-free round, and the default round on the view specialised to the
+// reported roads (WithSeeds). Every float is compared exactly: a change to
+// the round's arithmetic must re-record the fixture on purpose, with
+// -update-golden.
 func TestViewK1Golden(t *testing.T) {
 	d := buildCity(t, 6, 5)
 	slot, truth := d.NextTruth()
@@ -133,6 +134,14 @@ func TestViewK1Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	roads := make([]roadnet.RoadID, 0, len(seeds))
+	for r := 0; r < d.Net.NumRoads(); r += 10 {
+		roads = append(roads, roadnet.RoadID(r))
+	}
+	seeded, err := v.WithSeeds(context.Background(), roads)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, key string
 		view      *View
@@ -141,6 +150,7 @@ func TestViewK1Golden(t *testing.T) {
 		{"default", "default", v, EstimateOptions{}},
 		{"jacobi", "jacobi", viewWithEngine(t, d, jacobi), EstimateOptions{}},
 		{"trend-free", "trend_free", v, EstimateOptions{TrendFree: true}},
+		{"seeded", "seeded", seeded, EstimateOptions{}},
 	}
 	keys := make([]string, len(cases))
 	rounds := make([]goldenRound, len(cases))
@@ -166,6 +176,7 @@ func TestViewK1Golden(t *testing.T) {
 		Default   goldenRound `json:"default"`
 		Jacobi    goldenRound `json:"jacobi"`
 		TrendFree goldenRound `json:"trend_free"`
+		Seeded    goldenRound `json:"seeded"`
 	}
 	if err := json.Unmarshal(raw, &golden); err != nil {
 		t.Fatal(err)
@@ -173,7 +184,7 @@ func TestViewK1Golden(t *testing.T) {
 	if slot != golden.Slot || len(seeds) != golden.Seeds {
 		t.Fatalf("dataset drifted from the fixture: slot %d with %d seeds, recorded %d with %d", slot, len(seeds), golden.Slot, golden.Seeds)
 	}
-	for i, want := range []goldenRound{golden.Default, golden.Jacobi, golden.TrendFree} {
+	for i, want := range []goldenRound{golden.Default, golden.Jacobi, golden.TrendFree, golden.Seeded} {
 		name, got := cases[i].name, rounds[i]
 		if len(got.Speeds) != len(want.Speeds) {
 			t.Fatalf("%s: %d roads, fixture has %d", name, len(got.Speeds), len(want.Speeds))
@@ -204,7 +215,7 @@ func TestViewSeedSelectionEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.SelectSeeds(ctx, k)
+	_, got, err := v.SelectSeeds(ctx, k)
 	if err != nil {
 		t.Fatal(err)
 	}

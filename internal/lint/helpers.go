@@ -45,7 +45,7 @@ func isNamedPath(t types.Type, pkgPath, typeName string) bool {
 }
 
 // exprString renders a chain of identifiers and field selections ("s.cur",
-// "m.seedModel") for use as a stable key and in messages. Expressions
+// "s.cfg.RebuildMinObs") for use as a stable key and in messages. Expressions
 // containing anything else (calls, indexing) render as "" and should be
 // treated as distinct.
 func exprString(e ast.Expr) string {

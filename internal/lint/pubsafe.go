@@ -8,11 +8,12 @@ import (
 
 // PubSafe generalizes modelmut from "no field writes outside constructors"
 // to "no writes after publication, interprocedurally". The pipeline's shared
-// artifacts — core.View and mrf.Beliefs — become visible to concurrent
-// readers the instant they are stored into an atomic.Pointer; from that
+// artifact, core.View, becomes visible to concurrent readers the instant it
+// is stored into its one publisher, the atomic.Pointer Store.cur; from that
 // statement on, *any* write through a retained alias is a data race, even
 // inside the constructor path that modelmut exempts (a Store must not touch
-// a view it already swapped in).
+// a view it already swapped in). mrf.Beliefs stays on the list, but nothing
+// publishes one any more: it goes with Infer's warm-start parameter.
 //
 // The analysis is flow-sensitive within one declaration and summary-based
 // across calls: per-function "mutates pointer parameter i" summaries are

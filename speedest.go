@@ -7,16 +7,18 @@
 // a context, which bounds it:
 //
 //	v, err := speedest.New(net, db, speedest.DefaultOptions())
-//	seeds, err := v.SelectSeeds(ctx, k)                 // budget-K seed selection
-//	reports := askYourCrowd(seeds)                      // crowdsource seed speeds
-//	res, err := v.EstimateFromCrowd(ctx, slot, reports) // network-wide speeds
+//	sv, seeds, err := v.SelectSeeds(ctx, k)              // budget-K seeds, and v specialised to them
+//	reports := askYourCrowd(seeds)                       // crowdsource seed speeds
+//	res, err := sv.EstimateFromCrowd(ctx, slot, reports) // network-wide speeds
 //
-// New returns a frozen View: one trained version, no lifecycle. A Store
-// publishes a versioned View and can fold new crowd observations into a
-// rebuilt successor without interrupting estimation; each round runs on the
-// View resolved at entry:
+// New returns a frozen View: one trained version, no lifecycle. A View never
+// changes; SelectSeeds and WithSeeds return a new one. A Store publishes a
+// versioned View and can fold new crowd observations into a rebuilt
+// successor without interrupting estimation; each round runs on the View
+// resolved at entry:
 //
 //	st, err := speedest.NewStore(net, db, speedest.DefaultOptions())
+//	_, seeds, err := st.SelectSeeds(ctx, k)              // publishes the view specialised to seeds
 //	st.Ingest(speedest.Observation{Road: 12, Slot: slot, Speed: 8.5})
 //	st.Start(speedest.StoreConfig{RebuildMinObs: 1000}) // background rebuilds
 //	defer st.Close()

@@ -22,7 +22,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := d.Net.NumRoads() / 10
-	seeds, err := est.SelectSeeds(ctx, k)
+	est, seeds, err := est.SelectSeeds(ctx, k)
 	if err != nil {
 		t.Fatal(err)
 	}
