@@ -17,9 +17,10 @@
 package baselines
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/history"
@@ -35,15 +36,23 @@ type Request struct {
 	SeedSpeeds map[roadnet.RoadID]float64
 }
 
-// validate checks the request and returns the seed rels.
-func (r *Request) validate() (map[roadnet.RoadID]float64, error) {
+// seed is one seed road with a usable historical mean, and its rel.
+type seed struct {
+	road roadnet.RoadID
+	rel  float64
+}
+
+// validate checks the request and returns its seeds with a usable historical
+// mean in ascending road order. Every method reads them in that order, so no
+// sum depends on the seed map's iteration order.
+func (r *Request) validate() ([]seed, error) {
 	if r.Net == nil || r.DB == nil {
 		return nil, fmt.Errorf("baselines: request needs Net and DB")
 	}
 	if r.Net.NumRoads() != r.DB.NumRoads() {
 		return nil, fmt.Errorf("baselines: network has %d roads, history %d", r.Net.NumRoads(), r.DB.NumRoads())
 	}
-	rels := make(map[roadnet.RoadID]float64, len(r.SeedSpeeds))
+	seeds := make([]seed, 0, len(r.SeedSpeeds))
 	for road, speed := range r.SeedSpeeds {
 		if int(road) < 0 || int(road) >= r.Net.NumRoads() {
 			return nil, fmt.Errorf("baselines: seed road %d out of range", road)
@@ -52,10 +61,11 @@ func (r *Request) validate() (map[roadnet.RoadID]float64, error) {
 			return nil, fmt.Errorf("baselines: invalid seed speed %v on road %d", speed, road)
 		}
 		if mean, ok := r.DB.Mean(road, r.Slot); ok && mean > 0 {
-			rels[road] = speed / mean
+			seeds = append(seeds, seed{road: road, rel: speed / mean})
 		}
 	}
-	return rels, nil
+	slices.SortFunc(seeds, func(a, b seed) int { return cmp.Compare(a.road, b.road) })
+	return seeds, nil
 }
 
 // Method is a speed-estimation baseline.
@@ -111,17 +121,17 @@ func (GlobalScale) Name() string { return "globalscale" }
 
 // Estimate implements Method.
 func (GlobalScale) Estimate(req *Request) ([]float64, error) {
-	seedRels, err := req.validate()
+	seeds, err := req.validate()
 	if err != nil {
 		return nil, err
 	}
 	factor := 1.0
-	if len(seedRels) > 0 {
+	if len(seeds) > 0 {
 		var sum float64
-		for _, rel := range seedRels {
-			sum += rel
+		for _, s := range seeds {
+			sum += s.rel
 		}
-		factor = sum / float64(len(seedRels))
+		factor = sum / float64(len(seeds))
 	}
 	rels := make([]float64, req.Net.NumRoads())
 	for i := range rels {
@@ -142,7 +152,7 @@ func (KNN) Name() string { return "knn" }
 
 // Estimate implements Method.
 func (k KNN) Estimate(req *Request) ([]float64, error) {
-	seedRels, err := req.validate()
+	seeds, err := req.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -151,14 +161,6 @@ func (k KNN) Estimate(req *Request) ([]float64, error) {
 		kk = 3
 	}
 	mids := midpoints(req.Net)
-	type seedPos struct {
-		pos geo.Point
-		rel float64
-	}
-	seeds := make([]seedPos, 0, len(seedRels))
-	for road, rel := range seedRels {
-		seeds = append(seeds, seedPos{pos: mids[road], rel: rel})
-	}
 	n := req.Net.NumRoads()
 	rels := make([]float64, n)
 	dists := make([]float64, len(seeds))
@@ -169,10 +171,12 @@ func (k KNN) Estimate(req *Request) ([]float64, error) {
 			continue
 		}
 		for i, s := range seeds {
-			dists[i] = mids[r].Dist(s.pos)
+			dists[i] = mids[r].Dist(mids[s.road])
 			idx[i] = i
 		}
-		sort.Slice(idx, func(a, b int) bool { return dists[idx[a]] < dists[idx[b]] })
+		// Seeds are in ascending road order, so a distance tie goes to the
+		// lower road ID.
+		slices.SortFunc(idx, func(a, b int) int { return cmp.Or(cmp.Compare(dists[a], dists[b]), cmp.Compare(a, b)) })
 		top := kk
 		if top > len(seeds) {
 			top = len(seeds)
@@ -200,7 +204,7 @@ func (IDW) Name() string { return "idw" }
 
 // Estimate implements Method.
 func (w IDW) Estimate(req *Request) ([]float64, error) {
-	seedRels, err := req.validate()
+	seeds, err := req.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -213,20 +217,12 @@ func (w IDW) Estimate(req *Request) ([]float64, error) {
 		radius = 3000
 	}
 	mids := midpoints(req.Net)
-	type seedPos struct {
-		pos geo.Point
-		rel float64
-	}
-	seeds := make([]seedPos, 0, len(seedRels))
-	for road, rel := range seedRels {
-		seeds = append(seeds, seedPos{pos: mids[road], rel: rel})
-	}
 	n := req.Net.NumRoads()
 	rels := make([]float64, n)
 	for r := 0; r < n; r++ {
 		var wsum, vsum float64
 		for _, s := range seeds {
-			d := mids[r].Dist(s.pos)
+			d := mids[r].Dist(mids[s.road])
 			if d > radius {
 				continue
 			}
@@ -262,7 +258,7 @@ func (LabelProp) Name() string { return "labelprop" }
 
 // Estimate implements Method.
 func (lp LabelProp) Estimate(req *Request) ([]float64, error) {
-	seedRels, err := req.validate()
+	seeds, err := req.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -277,20 +273,20 @@ func (lp LabelProp) Estimate(req *Request) ([]float64, error) {
 	n := req.Net.NumRoads()
 	rels := make([]float64, n)
 	next := make([]float64, n)
+	isSeed := make([]bool, n)
 	for i := range rels {
 		rels[i] = 1
 	}
-	for road, rel := range seedRels {
-		rels[road] = rel
+	for _, s := range seeds {
+		rels[s.road], isSeed[s.road] = s.rel, true
 	}
 	for it := 0; it < iters; it++ {
 		for r := 0; r < n; r++ {
-			id := roadnet.RoadID(r)
-			if _, isSeed := seedRels[id]; isSeed {
+			if isSeed[r] {
 				next[r] = rels[r]
 				continue
 			}
-			adj := req.Net.Adjacent(id)
+			adj := req.Net.Adjacent(roadnet.RoadID(r))
 			if len(adj) == 0 {
 				next[r] = rels[r]
 				continue

@@ -251,3 +251,33 @@ func TestSeededMethodsBeatStatic(t *testing.T) {
 		}
 	}
 }
+
+// TestMethodsRepeatable: every method answers 30 repeats of one request bit
+// for bit. Sums over the seeds run in ascending road order and KNN breaks
+// distance ties by road ID, so the seed map's iteration order decides
+// nothing.
+func TestMethodsRepeatable(t *testing.T) {
+	d := buildDataset(t)
+	req := &Request{Net: d.Net, DB: d.DB, Slot: d.Slot(), SeedSpeeds: seedEveryNth(d, 7)}
+	for _, m := range allMethods() {
+		first, err := m.Estimate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		differ := 0
+		for range 29 {
+			got, err := m.Estimate(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range got {
+				if math.Float64bits(got[r]) != math.Float64bits(first[r]) {
+					differ++
+				}
+			}
+		}
+		if differ > 0 {
+			t.Errorf("%s: %d road-answers over 29 repeats differ from the first answer", m.Name(), differ)
+		}
+	}
+}

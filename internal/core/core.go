@@ -40,7 +40,7 @@ import (
 var (
 	stageSeconds = func(stage string) *obs.Histogram {
 		return obs.Default().Histogram("trendspeed_core_stage_duration_seconds",
-			"Offline build stage wall time: corr_build, hlm_train, seedsel_prepare, trend_topology, seed_specialize; incremental rebuilds run hlm_retrain instead of hlm_train.",
+			"Offline build stage wall time: history_roll_forward (rebuilds only), corr_build, hlm_train, seedsel_prepare, trend_topology, seed_specialize; incremental rebuilds run hlm_retrain instead of hlm_train.",
 			obs.DefBuckets, "stage", stage)
 	}
 	// estimateSeconds is HDR-bucketed (~1% relative error up to p99.9), so

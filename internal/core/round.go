@@ -42,21 +42,6 @@ type EstimateOptions struct {
 	TrendFree bool
 }
 
-// validateSeedSpeeds rejects out-of-range roads and unusable speeds up front.
-// Non-finite speeds must be rejected here: a single +Inf seed would otherwise
-// poison Rels/Speeds network-wide through the regressions.
-func validateSeedSpeeds(n int, seedSpeeds map[roadnet.RoadID]float64) error {
-	for road, speed := range seedSpeeds {
-		if int(road) < 0 || int(road) >= n {
-			return fmt.Errorf("core: seed road %d out of range: %w", road, ErrInvalidInput)
-		}
-		if speed <= 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
-			return fmt.Errorf("core: invalid seed speed %v on road %d: %w", speed, road, ErrInvalidInput)
-		}
-	}
-	return nil
-}
-
 // Estimate runs one estimation round for one slot given crowdsourced seed
 // speeds (absolute, m/s). Seeds with no historical mean are ignored — their
 // relative speed is undefined. Cancellation or deadline expiry of ctx is
@@ -105,15 +90,15 @@ func (v *View) EstimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 // regression alone. ctx carries the round span so the per-phase spans nest
 // under it. TestViewK1Golden pins the round bit for bit.
 func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
-	if err := validateSeedSpeeds(v.net.NumRoads(), seedSpeeds); err != nil {
+	seedRels, err := v.seedRels(slot, seedSpeeds)
+	if err != nil {
 		return nil, err
 	}
-	seedRels := v.seedRels(slot, seedSpeeds)
 	out := &Estimate{Slot: slot, ModelVersion: v.version}
 	if opts.TrendFree {
 		// Ablation A1: one trend-agnostic regression, timed as the speed
 		// phase.
-		rels, err := v.regress(ctx, "speed", &hlm.Request{Slot: slot, SeedRels: seedRels, Flat: opts.FlatHLM})
+		rels, err := v.regress(ctx, "speed", &hlm.Request{Rel: seedRels, Flat: opts.FlatHLM})
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +113,7 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 		// rels carry trend evidence no binary propagation can recover (a
 		// road estimated at 0.8× its mean is almost surely trending down).
 		// It is fused with the graphical posterior after inference.
-		preRels, err := v.regress(ctx, "pre_pass", &hlm.Request{Slot: slot, SeedRels: seedRels})
+		preRels, err := v.regress(ctx, "pre_pass", &hlm.Request{Rel: seedRels})
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +123,7 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 		}
 		out.PUp, out.TrendUp = v.fuseTrends(trends.PUp, preRels, seedRels)
 		// Step 2: the speed regression, conditioned on the fused marginals.
-		req := &hlm.Request{Slot: slot, SeedRels: seedRels, PUp: out.PUp, Flat: opts.FlatHLM}
+		req := &hlm.Request{Rel: seedRels, PUp: out.PUp, Flat: opts.FlatHLM}
 		if out.Rels, err = v.regress(ctx, "speed", req); err != nil {
 			return nil, err
 		}
@@ -147,19 +132,30 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 	return out, nil
 }
 
-// seedRels converts validated absolute seed speeds into relative speeds
-// against each road's historical mean; seeds without a usable mean are
-// dropped — their relative speed is undefined.
-func (v *View) seedRels(slot int, seedSpeeds map[roadnet.RoadID]float64) map[roadnet.RoadID]float64 {
-	seedRels := make(map[roadnet.RoadID]float64, len(seedSpeeds))
-	for road, speed := range seedSpeeds {
-		mean, ok := v.db.Mean(road, slot)
-		if !ok || mean <= 0 {
-			continue
-		}
-		seedRels[road] = speed / mean
+// seedRels validates the absolute seed speeds and returns every road's
+// relative speed against its historical mean, the round's one report
+// vector: NaN on a road with no report, and on a seed without a usable mean,
+// whose relative speed is undefined. Out-of-range roads and unusable speeds
+// are refused as ErrInvalidInput: a single +Inf seed would otherwise poison
+// Rels/Speeds network-wide through the regressions.
+func (v *View) seedRels(slot int, seedSpeeds map[roadnet.RoadID]float64) ([]float64, error) {
+	n := v.net.NumRoads()
+	rels := make([]float64, n)
+	for r := range rels {
+		rels[r] = math.NaN()
 	}
-	return seedRels
+	for road, speed := range seedSpeeds {
+		if int(road) < 0 || int(road) >= n {
+			return nil, fmt.Errorf("core: seed road %d out of range: %w", road, ErrInvalidInput)
+		}
+		if speed <= 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
+			return nil, fmt.Errorf("core: invalid seed speed %v on road %d: %w", speed, road, ErrInvalidInput)
+		}
+		if mean, ok := v.db.Mean(road, slot); ok && mean > 0 {
+			rels[road] = speed / mean
+		}
+	}
+	return rels, nil
 }
 
 // regress runs one HLM pass as the round phase named phase ("pre_pass" or
@@ -183,14 +179,14 @@ func (v *View) regress(ctx context.Context, phase string, req *hlm.Request) ([]f
 // The spatially-correlated pre-pass evidence is fused after inference;
 // feeding it into the node priors would make BP double-count it around every
 // loop.
-func (v *View) trendPriors(slot int, seedRels map[roadnet.RoadID]float64) []float64 {
-	n := v.net.NumRoads()
-	priors := make([]float64, n)
-	for r := 0; r < n; r++ {
-		priors[r] = v.db.PUp(roadnet.RoadID(r), slot)
-	}
-	for road, rel := range seedRels {
-		priors[road] = trendEvidence(rel, seedTrendNoise)
+func (v *View) trendPriors(slot int, seedRels []float64) []float64 {
+	priors := make([]float64, len(seedRels))
+	for r, rel := range seedRels {
+		if math.IsNaN(rel) {
+			priors[r] = v.db.PUp(roadnet.RoadID(r), slot)
+		} else {
+			priors[r] = trendEvidence(rel, seedTrendNoise)
+		}
 	}
 	return priors
 }
@@ -217,7 +213,7 @@ func (v *View) inferTrends(ctx context.Context, priors []float64) (*mrf.Result, 
 // log-odds space: the two views — binary propagation and calibrated
 // magnitude interpolation — fail in different places. Seed roads keep their
 // own observation's evidence.
-func (v *View) fuseTrends(trendPUp, preRels []float64, seedRels map[roadnet.RoadID]float64) (pUp []float64, trendUp []bool) {
+func (v *View) fuseTrends(trendPUp, preRels, seedRels []float64) (pUp []float64, trendUp []bool) {
 	n := len(trendPUp)
 	pUp = make([]float64, n)
 	trendUp = make([]bool, n)
@@ -228,30 +224,34 @@ func (v *View) fuseTrends(trendPUp, preRels []float64, seedRels map[roadnet.Road
 // fuseTrendsInto is the allocation-free core of fuseTrends: it writes the
 // fused posterior into caller-provided slices (len(trendPUp) each), so the
 // per-road fusion loop itself allocates nothing (TestFuseTrendsAllocs).
-func (v *View) fuseTrendsInto(pUp []float64, trendUp []bool, trendPUp, preRels []float64, seedRels map[roadnet.RoadID]float64) {
+func (v *View) fuseTrendsInto(pUp []float64, trendUp []bool, trendPUp, preRels, seedRels []float64) {
 	for r := range trendPUp {
-		pUp[r] = combineOdds(trendPUp[r], trendEvidence(preRels[r], preTrendNoise))
+		if rel := seedRels[r]; math.IsNaN(rel) {
+			pUp[r] = combineOdds(trendPUp[r], trendEvidence(preRels[r], preTrendNoise))
+		} else {
+			pUp[r] = trendEvidence(rel, seedTrendNoise)
+		}
 		trendUp[r] = pUp[r] >= 0.5
-	}
-	for road, rel := range seedRels {
-		p := trendEvidence(rel, seedTrendNoise)
-		pUp[road] = p
-		trendUp[road] = p >= 0.5
 	}
 }
 
 // estimateRels routes an HLM request through the view's seed-conditional
-// model when the request's seeds overlap its seed set; otherwise (or on an
-// unspecialised view) the generic propagation model runs.
+// model when at least half the request's reports, and at least one, fall on
+// its seed set; otherwise (or on an unspecialised view) the generic
+// propagation model runs.
 func (v *View) estimateRels(req *hlm.Request) ([]float64, error) {
 	if v.seedModel != nil {
-		overlap := 0
-		for r := range req.SeedRels {
-			if v.seedModel.SeedSet(r) {
+		reported, overlap := 0, 0
+		for r, rel := range req.Rel {
+			if math.IsNaN(rel) {
+				continue
+			}
+			reported++
+			if v.seedModel.SeedSet(roadnet.RoadID(r)) {
 				overlap++
 			}
 		}
-		if overlap*2 >= len(req.SeedRels) && overlap > 0 {
+		if overlap*2 >= reported && overlap > 0 {
 			return v.seedModel.Estimate(req)
 		}
 	}

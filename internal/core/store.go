@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -358,7 +359,8 @@ func (s *Store) publish(ctx context.Context, v *View) (published, replaced *View
 	}
 	// A cancellation that raced the last stage must not publish: Close has
 	// already begun draining, and the caller asked for the work to stop.
-	if err := ctx.Err(); err != nil {
+	// Rebuild joins the lifetime to ctx on another goroutine, so read both.
+	if err := cmp.Or(ctx.Err(), s.lifetime.Err()); err != nil {
 		return nil, nil, fmt.Errorf("core: rebuild aborted before publish: %w", err)
 	}
 	s.cur.Store(v)
@@ -368,18 +370,24 @@ func (s *Store) publish(ctx context.Context, v *View) (published, replaced *View
 // successor trains the view that follows old with the pending observations
 // folded in, returning it and the mode it was built in.
 func (s *Store) successor(ctx context.Context, old *View, pending []Observation, maxDirtyFrac float64) (*View, string, error) {
-	builder, err := history.NewBuilderFrom(old.DB())
-	if err != nil {
+	var builder *history.Builder
+	var db *history.DB
+	if err := timeStage(ctx, "history_roll_forward", func() (err error) {
+		if builder, err = history.NewBuilderFrom(old.DB()); err != nil {
+			return err
+		}
+		for _, o := range pending {
+			// Validated at Ingest; a failure here means the builder and store
+			// disagree on validity and must abort the rebuild, not skip data.
+			if err := builder.Add(o.Road, o.Slot, o.Speed); err != nil {
+				return fmt.Errorf("folding in observation: %w", err)
+			}
+		}
+		db = builder.Finalize()
+		return nil
+	}); err != nil {
 		return nil, "full", fmt.Errorf("core: rolling history forward: %w", err)
 	}
-	for _, o := range pending {
-		// Validated at Ingest; a failure here means the builder and store
-		// disagree on validity and must abort the rebuild, not skip data.
-		if err := builder.Add(o.Road, o.Slot, o.Speed); err != nil {
-			return nil, "full", fmt.Errorf("core: folding in observation: %w", err)
-		}
-	}
-	db := builder.Finalize()
 	version := old.Version() + 1
 
 	// Delta path: when the dirty fraction is small enough, rebuild from old

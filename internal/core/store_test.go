@@ -254,6 +254,26 @@ func TestStoreRebuildSwapsVersionAndFoldsObservations(t *testing.T) {
 	}
 }
 
+// TestStoreRebuildTimesRollForward: folding the buffered observations into
+// the history is a build stage of its own, history_roll_forward, so that
+// part of a rebuild shows in the stage histogram.
+func TestStoreRebuildTimesRollForward(t *testing.T) {
+	ctx := context.Background()
+	d, st := buildStore(t)
+	slot, truth := d.NextTruth()
+	if _, err := st.Ingest(Observation{Road: 0, Slot: slot, Speed: truth[0]}); err != nil {
+		t.Fatal(err)
+	}
+	stage := stageSeconds("history_roll_forward")
+	before := stage.Count()
+	if _, err := st.Rebuild(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := stage.Count() - before; got != 1 {
+		t.Errorf("one rebuild added %d history_roll_forward observations, want 1", got)
+	}
+}
+
 // TestStoreOnSwapHook: swap hooks see the replaced and published models.
 func TestStoreOnSwapHook(t *testing.T) {
 	ctx := context.Background()

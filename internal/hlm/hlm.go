@@ -30,7 +30,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/corr"
 	"repro/internal/history"
@@ -137,7 +137,33 @@ type roadModel struct {
 type Model struct {
 	graph  *corr.Graph
 	roads  []roadModel
-	levels [][]int // nil when pooling is disabled
+	levels []poolLevel // empty when pooling is disabled
+}
+
+// poolLevel is one pooling level (Config.Levels) with its group IDs numbered
+// densely, in ascending ID order, once at training: group[r] is road r's
+// group number, in [0, numGroups).
+type poolLevel struct {
+	group     []int32
+	numGroups int
+}
+
+// numberGroups numbers each level's distinct group IDs densely in ascending
+// order.
+func numberGroups(levels [][]int) []poolLevel {
+	out := make([]poolLevel, len(levels))
+	for l, groups := range levels {
+		ids := slices.Clone(groups)
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		group := make([]int32, len(groups))
+		for r, g := range groups {
+			i, _ := slices.BinarySearch(ids, g)
+			group[r] = int32(i)
+		}
+		out[l] = poolLevel{group: group, numGroups: len(ids)}
+	}
+	return out
 }
 
 // NumRoads returns the number of roads covered.
@@ -154,16 +180,15 @@ func Train(graph *corr.Graph, db *history.DB, cfg Config) (*Model, error) {
 			return nil, fmt.Errorf("hlm: level %d has %d group assignments for %d roads", l, len(groups), n)
 		}
 	}
-	return fit(nil, graph, db, cfg.Levels, nil), nil
+	return fit(nil, graph, db, numberGroups(cfg.Levels), nil), nil
 }
 
 // Request carries the per-slot inputs for estimation.
 type Request struct {
-	// Slot is the absolute time slot being estimated.
-	Slot int
-	// SeedRels maps seed roads to their crowdsourced relative speeds
-	// (observed speed / historical mean).
-	SeedRels map[roadnet.RoadID]float64
+	// Rel holds every road's crowdsourced relative speed (observed speed /
+	// historical mean), NaN on a road with no report. Its length is the
+	// model's road count.
+	Rel []float64
 	// PUp is step 1's output: every road's trend marginal P(up), by which
 	// each trend-conditioned predictor blends its up and down variants. nil
 	// makes the request trend-free: every predictor reads its pooled
@@ -179,22 +204,27 @@ type Request struct {
 // convert to absolute speeds.
 func (m *Model) Estimate(req *Request) ([]float64, error) {
 	n := m.NumRoads()
+	if len(req.Rel) != n {
+		return nil, fmt.Errorf("hlm: Rel has %d entries, want %d", len(req.Rel), n)
+	}
 	if req.PUp != nil && len(req.PUp) != n {
 		return nil, fmt.Errorf("hlm: PUp has %d entries, want %d", len(req.PUp), n)
-	}
-	for r := range req.SeedRels {
-		if int(r) < 0 || int(r) >= n {
-			return nil, fmt.Errorf("hlm: seed road %d out of range", r)
-		}
 	}
 
 	rel := make([]float64, n)
 	known := make([]bool, n)
-	for r, v := range req.SeedRels {
-		rel[r] = clampRel(v)
-		known[r] = true
+	// order starts with the reporting roads in ascending ID order, the order
+	// every sum over them runs in; the hierarchical schedule walks on from
+	// them.
+	order := make([]roadnet.RoadID, 0, n)
+	for r, v := range req.Rel {
+		if math.IsNaN(v) {
+			continue
+		}
+		rel[r], known[r] = clampRel(v), true
+		order = append(order, roadnet.RoadID(r))
 	}
-	groupDev := m.seedGroupDevs(req)
+	groupDev := m.seedGroupDevs(rel, order)
 
 	if req.Flat {
 		// Flat-mode predictions are independent: each road reads only its
@@ -208,18 +238,25 @@ func (m *Model) Estimate(req *Request) ([]float64, error) {
 		return rel, nil
 	}
 
-	// Hierarchical schedule: BFS order over the correlation graph from the
-	// seed set; a road may use the running estimate of any neighbour
-	// scheduled before it, so observed magnitudes propagate outward with
-	// learned per-pair shrinkage. This loop is inherently sequential: each
-	// prediction feeds the next.
-	order := m.bfsOrder(req.SeedRels)
-	for _, r := range order {
-		if known[r] {
-			continue
+	// Hierarchical schedule: a breadth-first walk over the correlation graph
+	// from the seeds predicts each road as it takes it from the queue, so a
+	// road may use the running estimate of any neighbour taken before it,
+	// and observed magnitudes propagate outward with learned per-pair
+	// shrinkage. This loop is inherently sequential: each prediction feeds
+	// the next.
+	visited := slices.Clone(known)
+	for qi := 0; qi < len(order); qi++ {
+		r := order[qi]
+		if !known[r] {
+			rel[r] = m.predictRoad(r, req, rel, known, groupDev)
+			known[r] = true
 		}
-		rel[r] = m.predictRoad(r, req, rel, known, groupDev)
-		known[r] = true
+		for _, e := range m.graph.Neighbors(r) {
+			if !visited[e.To] {
+				visited[e.To] = true
+				order = append(order, e.To)
+			}
+		}
 	}
 	// Roads unreachable from any seed fall back to the trend prior.
 	for r := 0; r < n; r++ {
@@ -230,63 +267,26 @@ func (m *Model) Estimate(req *Request) ([]float64, error) {
 	return rel, nil
 }
 
-// bfsOrder returns all reachable roads in breadth-first order from the seeds
-// along correlation edges (seeds first, in ascending ID order).
-func (m *Model) bfsOrder(seeds map[roadnet.RoadID]float64) []roadnet.RoadID {
-	n := m.NumRoads()
-	visited := make([]bool, n)
-	queue := make([]roadnet.RoadID, 0, len(seeds))
-	for r := range seeds {
-		queue = append(queue, r)
-	}
-	for i := 1; i < len(queue); i++ { // insertion sort: seed sets are small
-		for j := i; j > 0 && queue[j] < queue[j-1]; j-- {
-			queue[j], queue[j-1] = queue[j-1], queue[j]
-		}
-	}
-	for _, r := range queue {
-		visited[r] = true
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
-		for _, e := range m.graph.Neighbors(cur) {
-			if !visited[e.To] {
-				visited[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return queue
-}
-
-// seedGroupDevs returns, per level and group, the mean rel deviation of the
-// seed roads in it. Nil when pooling is disabled.
-func (m *Model) seedGroupDevs(req *Request) []map[int]float64 {
-	if m.levels == nil || len(req.SeedRels) == 0 {
+// seedGroupDevs returns, per level and group number, the mean rel deviation
+// of the seeds in the group, NaN for a group with none. rel holds the seeds'
+// rels, and seeds lists them in ascending ID order, the order each group's
+// sum runs in. Nil when pooling is disabled or there is no seed.
+func (m *Model) seedGroupDevs(rel []float64, seeds []roadnet.RoadID) [][]float64 {
+	if len(m.levels) == 0 || len(seeds) == 0 {
 		return nil
 	}
-	// Iterate seeds in sorted order: summing floats in map-iteration order
-	// would make estimates differ across identical calls in the last bits.
-	seeds := make([]roadnet.RoadID, 0, len(req.SeedRels))
-	for r := range req.SeedRels {
-		seeds = append(seeds, r)
-	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-
-	out := make([]map[int]float64, len(m.levels))
-	for l, groups := range m.levels {
-		sum := make(map[int]float64)
-		cnt := make(map[int]int)
+	out := make([][]float64, len(m.levels))
+	for l, lv := range m.levels {
+		sum, cnt := make([]float64, lv.numGroups), make([]int32, lv.numGroups)
 		for _, r := range seeds {
-			g := groups[r]
-			sum[g] += clampRel(req.SeedRels[r]) - 1
+			g := lv.group[r]
+			sum[g] += rel[r] - 1
 			cnt[g]++
 		}
-		devs := make(map[int]float64, len(sum))
 		for g, c := range cnt {
-			devs[g] = sum[g] / float64(c)
+			sum[g] /= float64(c) // 0/0, NaN, for a group without seeds
 		}
-		out[l] = devs
+		out[l] = sum
 	}
 	return out
 }
@@ -296,7 +296,7 @@ func (m *Model) seedGroupDevs(req *Request) []map[int]float64 {
 // trend prior. known selects which neighbours' running estimates may be
 // used (nil = flat mode, which feeds every pair its neighbour's
 // trend-expected rel).
-func (m *Model) predictRoad(r roadnet.RoadID, req *Request, rel []float64, known []bool, groupDev []map[int]float64) float64 {
+func (m *Model) predictRoad(r roadnet.RoadID, req *Request, rel []float64, known []bool, groupDev [][]float64) float64 {
 	rm := &m.roads[r]
 	var wsum, acc float64
 
@@ -322,8 +322,8 @@ func (m *Model) predictRoad(r roadnet.RoadID, req *Request, rel []float64, known
 		if !pm.fitted() || groupDev == nil {
 			continue
 		}
-		x, ok := groupDev[l][m.levels[l][r]]
-		if !ok {
+		x := groupDev[l][m.levels[l].group[r]]
+		if math.IsNaN(x) {
 			continue
 		}
 		pred, w := predictPair(pm, req, r, x)

@@ -109,25 +109,39 @@ func regressionCoverage(m *Model) float64 {
 
 func TestEstimateValidatesInputs(t *testing.T) {
 	m := sharedModel(t)
+	n := m.NumRoads()
 	if _, err := m.Estimate(&Request{
+		Rel: relVector(n, nil),
 		PUp: make([]float64, 2),
 	}); err == nil {
 		t.Error("wrong PUp length accepted")
 	}
 	if _, err := m.Estimate(&Request{
-		PUp:      make([]float64, m.NumRoads()),
-		SeedRels: map[roadnet.RoadID]float64{roadnet.RoadID(m.NumRoads() + 5): 1},
+		Rel: relVector(n+5, nil),
+		PUp: make([]float64, n),
 	}); err == nil {
-		t.Error("out-of-range seed accepted")
+		t.Error("wrong Rel length accepted")
 	}
 }
 
+// relVector returns the Request.Rel of n roads on which the roads of seeds
+// report their rels and every other road reports nothing (NaN).
+func relVector(n int, seeds map[roadnet.RoadID]float64) []float64 {
+	rel := make([]float64, n)
+	for r := range rel {
+		rel[r] = math.NaN()
+	}
+	for r, v := range seeds {
+		rel[r] = v
+	}
+	return rel
+}
+
 func TestSeedRelsPassThrough(t *testing.T) {
-	d, _ := buildFixtures(t)
 	m := sharedModel(t)
 	seeds := map[roadnet.RoadID]float64{3: 1.2, 10: 0.7}
 	rel, err := m.Estimate(&Request{
-		Slot: d.Slot(), SeedRels: seeds, PUp: make([]float64, m.NumRoads()),
+		Rel: relVector(m.NumRoads(), seeds), PUp: make([]float64, m.NumRoads()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +151,7 @@ func TestSeedRelsPassThrough(t *testing.T) {
 	}
 	// Out-of-envelope seed observations are clamped.
 	rel, err = m.Estimate(&Request{
-		Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{0: 99}, PUp: make([]float64, m.NumRoads()),
+		Rel: relVector(m.NumRoads(), map[roadnet.RoadID]float64{0: 99}), PUp: make([]float64, m.NumRoads()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +162,6 @@ func TestSeedRelsPassThrough(t *testing.T) {
 }
 
 func TestAllRelsPhysical(t *testing.T) {
-	d, _ := buildFixtures(t)
 	m := sharedModel(t)
 	trend := make([]float64, m.NumRoads())
 	for i := range trend {
@@ -157,9 +170,8 @@ func TestAllRelsPhysical(t *testing.T) {
 		}
 	}
 	rel, err := m.Estimate(&Request{
-		Slot:     d.Slot(),
-		SeedRels: map[roadnet.RoadID]float64{0: 1.1, 50: 0.8},
-		PUp:      trend,
+		Rel: relVector(m.NumRoads(), map[roadnet.RoadID]float64{0: 1.1, 50: 0.8}),
+		PUp: trend,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +186,6 @@ func TestAllRelsPhysical(t *testing.T) {
 func TestTrendChangesEstimates(t *testing.T) {
 	// Flipping every trend from up to down must lower the average estimate:
 	// the model's whole point is that trends carry speed information.
-	d, _ := buildFixtures(t)
 	m := sharedModel(t)
 	n := m.NumRoads()
 	allUp, allDown := make([]float64, n), make([]float64, n)
@@ -182,11 +193,11 @@ func TestTrendChangesEstimates(t *testing.T) {
 		allUp[i] = 1
 	}
 	seeds := map[roadnet.RoadID]float64{0: 1.0}
-	relUp, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, PUp: allUp})
+	relUp, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), seeds), PUp: allUp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	relDown, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, PUp: allDown})
+	relDown, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), seeds), PUp: allDown})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +216,6 @@ func TestTrendChangesEstimates(t *testing.T) {
 func TestSoftPUpInterpolates(t *testing.T) {
 	// With PUp = 0.5 everywhere the estimate must lie between the all-up
 	// and all-down extremes.
-	d, _ := buildFixtures(t)
 	m := sharedModel(t)
 	n := m.NumRoads()
 	mk := func(p float64) []float64 {
@@ -217,7 +227,7 @@ func TestSoftPUpInterpolates(t *testing.T) {
 	}
 	seeds := map[roadnet.RoadID]float64{0: 1.0}
 	mean := func(pup []float64) float64 {
-		rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, PUp: pup})
+		rel, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), seeds), PUp: pup})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,9 +249,8 @@ func TestHierarchyPropagatesSeedInformation(t *testing.T) {
 	// A high seed rel must raise correlation-neighbour estimates relative
 	// to a low seed rel, for some neighbour with a trained pair model on
 	// the seed.
-	d, g := buildFixtures(t)
+	_, g := buildFixtures(t)
 	m := sharedModel(t)
-	_ = d
 	var seed roadnet.RoadID = -1
 	for r := 0; r < m.NumRoads() && seed < 0; r++ {
 		rid := roadnet.RoadID(r)
@@ -258,11 +267,11 @@ func TestHierarchyPropagatesSeedInformation(t *testing.T) {
 		t.Skip("no road is a pair feature of a neighbour")
 	}
 	trend := make([]float64, m.NumRoads())
-	relHigh, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{seed: 1.5}, PUp: trend})
+	relHigh, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), map[roadnet.RoadID]float64{seed: 1.5}), PUp: trend})
 	if err != nil {
 		t.Fatal(err)
 	}
-	relLow, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{seed: 0.5}, PUp: trend})
+	relLow, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), map[roadnet.RoadID]float64{seed: 0.5}), PUp: trend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +287,10 @@ func TestHierarchyPropagatesSeedInformation(t *testing.T) {
 }
 
 func TestFlatModeIgnoresSeedPropagation(t *testing.T) {
-	d, _ := buildFixtures(t)
 	m := sharedModel(t)
 	trend := make([]float64, m.NumRoads())
 	seeds := map[roadnet.RoadID]float64{5: 1.6}
-	flat, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, PUp: trend, Flat: true})
+	flat, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), seeds), PUp: trend, Flat: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +300,7 @@ func TestFlatModeIgnoresSeedPropagation(t *testing.T) {
 	// Flat estimates of non-seeds depend only on trends (no levels are
 	// configured in this test fixture), so two different seed values give
 	// identical non-seed estimates.
-	flat2, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{5: 0.5}, PUp: trend, Flat: true})
+	flat2, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), map[roadnet.RoadID]float64{5: 0.5}), PUp: trend, Flat: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +338,11 @@ func TestLevelsUseSeedGroupMeans(t *testing.T) {
 		seedsHigh[roadnet.RoadID(r)] = 1.3
 		seedsLow[roadnet.RoadID(r)] = 0.7
 	}
-	relHigh, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seedsHigh, Flat: true})
+	relHigh, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), seedsHigh), Flat: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	relLow, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seedsLow, Flat: true})
+	relLow, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), seedsLow), Flat: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,9 +361,8 @@ func TestLevelsUseSeedGroupMeans(t *testing.T) {
 }
 
 func TestNoSeedsFallsBackEverywhere(t *testing.T) {
-	d, _ := buildFixtures(t)
 	m := sharedModel(t)
-	rel, err := m.Estimate(&Request{Slot: d.Slot(), PUp: make([]float64, m.NumRoads())})
+	rel, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), nil), PUp: make([]float64, m.NumRoads())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +376,7 @@ func TestNoSeedsFallsBackEverywhere(t *testing.T) {
 func TestSpeedsOf(t *testing.T) {
 	d, _ := buildFixtures(t)
 	m := sharedModel(t)
-	rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{0: 1}, PUp: make([]float64, m.NumRoads())})
+	rel, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), map[roadnet.RoadID]float64{0: 1}), PUp: make([]float64, m.NumRoads())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +419,7 @@ func TestEstimationAccuracyBeatsHistoricalMean(t *testing.T) {
 				seedRels[roadnet.RoadID(r)] = truth[r] / mean
 			}
 		}
-		rel, err := m.Estimate(&Request{Slot: slot, SeedRels: seedRels, PUp: trend})
+		rel, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), seedRels), PUp: trend})
 		if err != nil {
 			t.Fatal(err)
 		}

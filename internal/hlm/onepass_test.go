@@ -17,7 +17,7 @@ import (
 // lineTol, with an equal N and the same fitted or unfitted outcome for each
 // class. A candidate neighbour that Train skipped must be one the reference
 // leaves unfitted too.
-func checkTriosMatchThreePass(t *testing.T, m *Model, db *history.DB, levels [][]int) {
+func checkTriosMatchThreePass(t *testing.T, m *Model, db *history.DB) {
 	t.Helper()
 	var x, y []float64
 	// check fits the rows in x and y with the reference, holds got to it
@@ -33,7 +33,7 @@ func checkTriosMatchThreePass(t *testing.T, m *Model, db *history.DB, levels [][
 
 	var lt levelTable
 	ranks := db.SlotRanks()
-	rank := lt.aggregate(db, ranks, levels, nil)
+	rank := lt.aggregate(db, ranks, m.levels, nil)
 	var worstPair, worstLevel float64
 	var pairs, fittedLevels int
 	for r := range m.roads {
@@ -65,7 +65,7 @@ func checkTriosMatchThreePass(t *testing.T, m *Model, db *history.DB, levels [][
 		}
 
 		rank = ranks.Road(rid, rank)
-		for l := range levels {
+		for l := range m.levels {
 			base := lt.base(l, rid)
 			x, y = x[:0], y[:0]
 			for k, rel := range db.Rels(rid) {
@@ -105,7 +105,7 @@ func TestTrainTriosMatchThreePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTriosMatchThreePass(t, m, d.DB, cfg.Levels)
+	checkTriosMatchThreePass(t, m, d.DB)
 }
 
 // TestTrainTriosMatchThreePassServedCity is TestTrainTriosMatchThreePass on
@@ -121,7 +121,7 @@ func TestTrainTriosMatchThreePassServedCity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTriosMatchThreePass(t, m, d.DB, cfg.Levels)
+	checkTriosMatchThreePass(t, m, d.DB)
 }
 
 // refSeedRoad is one road's seed model as the three-pass reference trains

@@ -29,7 +29,7 @@ func TestEstimateEnvelopeProperty(t *testing.T) {
 		for i := range pup {
 			pup[i] = rng.Float64()
 		}
-		rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: seeds, PUp: pup})
+		rel, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), seeds), PUp: pup})
 		if err != nil {
 			return false
 		}
@@ -75,9 +75,8 @@ func TestTrainDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &Request{
-		Slot:     d.Slot(),
-		SeedRels: map[roadnet.RoadID]float64{3: 1.3, 17: 0.6},
-		PUp:      make([]float64, m1.NumRoads()),
+		Rel: relVector(m1.NumRoads(), map[roadnet.RoadID]float64{3: 1.3, 17: 0.6}),
+		PUp: make([]float64, m1.NumRoads()),
 	}
 	r1, err := m1.Estimate(req)
 	if err != nil {
@@ -108,7 +107,7 @@ func TestTrainOnEmptyGraph(t *testing.T) {
 	if cov := regressionCoverage(m); cov != 0 {
 		t.Errorf("coverage %v on an empty graph", cov)
 	}
-	rel, err := m.Estimate(&Request{Slot: d.Slot(), SeedRels: map[roadnet.RoadID]float64{0: 1.4}, PUp: make([]float64, m.NumRoads())})
+	rel, err := m.Estimate(&Request{Rel: relVector(m.NumRoads(), map[roadnet.RoadID]float64{0: 1.4}), PUp: make([]float64, m.NumRoads())})
 	if err != nil {
 		t.Fatal(err)
 	}

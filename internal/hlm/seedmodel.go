@@ -236,13 +236,13 @@ func (sm *SeedModel) Estimate(req *Request) ([]float64, error) {
 		if srm.k == 0 {
 			continue
 		}
-		if _, isSeed := req.SeedRels[roadnet.RoadID(r)]; isSeed {
-			continue
+		if !math.IsNaN(req.Rel[r]) {
+			continue // a reported road keeps its own rel
 		}
 		x := xs[:srm.k]
 		reported := 0
 		for i, f := range srm.feats[:srm.k] {
-			if v, ok := req.SeedRels[f]; ok {
+			if v := req.Rel[f]; !math.IsNaN(v) {
 				x[i] = clampRel(v)
 				reported++
 			} else {

@@ -93,7 +93,7 @@ func TestSeedModelBeatsGenericModel(t *testing.T) {
 				seedRels[s] = truth[s] / mean
 			}
 		}
-		req := &Request{Slot: slot, SeedRels: seedRels}
+		req := &Request{Rel: relVector(m.NumRoads(), seedRels)}
 		gen, err := m.Estimate(req)
 		if err != nil {
 			t.Fatal(err)
@@ -147,7 +147,7 @@ func TestSeedModelToleratesMissingReports(t *testing.T) {
 			seedRels[s] = 1.2
 		}
 	}
-	rel, err := sm.Estimate(&Request{Slot: d.Slot(), SeedRels: seedRels, PUp: make([]float64, m.NumRoads())})
+	rel, err := sm.Estimate(&Request{Rel: relVector(m.NumRoads(), seedRels), PUp: make([]float64, m.NumRoads())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +170,8 @@ func TestSeedModelPassesSeedsThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel, err := sm.Estimate(&Request{
-		Slot:     d.Slot(),
-		SeedRels: map[roadnet.RoadID]float64{0: 1.3, 16: 0.8},
-		PUp:      make([]float64, m.NumRoads()),
+		Rel: relVector(m.NumRoads(), map[roadnet.RoadID]float64{0: 1.3, 16: 0.8}),
+		PUp: make([]float64, m.NumRoads()),
 	})
 	if err != nil {
 		t.Fatal(err)

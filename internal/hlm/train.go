@@ -1,8 +1,6 @@
 package hlm
 
 import (
-	"slices"
-
 	"repro/internal/corr"
 	"repro/internal/history"
 	"repro/internal/linalg"
@@ -20,9 +18,8 @@ import (
 //     per 64-slot window, and a road's ranks are computed into the
 //     trainer's reusable buffer when needed: once per road to aggregate,
 //     and once per re-fit road to fit all its level predictors;
-//   - a levelTable renumbers every pooling level's group IDs densely and
-//     sums the rel deviations per (level, group, slot), all levels in one
-//     road-major pass;
+//   - a levelTable sums the rel deviations per (level, group, slot) over
+//     the groups Train numbered, all levels in one road-major pass;
 //   - each regression's rows go straight into its trioSums as the walk that
 //     finds them meets them, so no row is buffered and each trend class is
 //     solved from its sums.
@@ -30,7 +27,7 @@ import (
 // fit trains the roads marked in refit, every road when refit is nil, and
 // takes the others' trained state from old. Train and Retrain share it, so a
 // re-fit road trains exactly as Train would train it.
-func fit(old *Model, graph *corr.Graph, db *history.DB, levels [][]int, refit []bool) *Model {
+func fit(old *Model, graph *corr.Graph, db *history.DB, levels []poolLevel, refit []bool) *Model {
 	m := &Model{graph: graph, roads: make([]roadModel, graph.NumRoads()), levels: levels}
 	t := trainer{numLevels: len(levels)}
 	var ranks *history.SlotRanks
@@ -177,11 +174,9 @@ func b2i(b bool) int {
 }
 
 // levelTable aggregates every pooling level: the sum and count of observed
-// rel deviations per (level, group, slot). A level's groups are its distinct
-// IDs renumbered densely in ascending order, so any group ID an int holds is
-// its own group, and road r's cells at level l start at bases[l·numRoads+r]
-// and run over the slot ranks. Memory is distinct slots × the levels' groups
-// summed.
+// rel deviations per (level, group, slot). Road r's cells at level l start
+// at bases[l·numRoads+r], its group's first cell, and run over the slot
+// ranks. Memory is distinct slots × the levels' groups summed.
 type levelTable struct {
 	numRoads int
 	bases    []int // first cell of each (level, road)
@@ -192,24 +187,19 @@ type levelTable struct {
 // base returns the first cell of road r's group at level l.
 func (lt *levelTable) base(l int, r roadnet.RoadID) int { return lt.bases[l*lt.numRoads+int(r)] }
 
-// aggregate builds the table for the levels' group assignments in one pass
-// over the roads, each cell summed in ascending road order. It computes
-// each road's slot ranks in rank and returns the buffer.
-func (lt *levelTable) aggregate(db *history.DB, ranks *history.SlotRanks, levels [][]int, rank []int32) []int32 {
+// aggregate builds the table for the numbered levels in one pass over the
+// roads, each cell summed in ascending road order. It computes each road's
+// slot ranks in rank and returns the buffer.
+func (lt *levelTable) aggregate(db *history.DB, ranks *history.SlotRanks, levels []poolLevel, rank []int32) []int32 {
 	numSlots := ranks.NumSlots()
 	lt.numRoads = db.NumRoads()
 	lt.bases = make([]int, 0, len(levels)*lt.numRoads)
-	var ids []int
 	size := 0
-	for _, groups := range levels {
-		ids = append(ids[:0], groups...)
-		slices.Sort(ids)
-		ids = slices.Compact(ids)
-		for _, g := range groups {
-			i, _ := slices.BinarySearch(ids, g)
-			lt.bases = append(lt.bases, size+i*numSlots)
+	for _, lv := range levels {
+		for _, g := range lv.group {
+			lt.bases = append(lt.bases, size+int(g)*numSlots)
 		}
-		size += len(ids) * numSlots
+		size += lv.numGroups * numSlots
 	}
 	lt.sum, lt.cnt = make([]float64, size), make([]int32, size)
 	for r := range lt.numRoads {

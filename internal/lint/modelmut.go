@@ -7,13 +7,14 @@ import (
 )
 
 // ModelMut enforces the snapshot contract on the pipeline's shared immutable
-// artifact, core.View: it is published across concurrent estimation rounds,
-// so no code may assign to its fields outside the constructor path of its
-// own package. Everything else must publish state by minting a successor
-// (method calls, not field writes).
+// artifact, core.View, and on core.trained, the part of it that build
+// trains and every view derived from it shares: they are published across
+// concurrent estimation rounds, so no code may assign to their fields
+// outside the constructor path of their own package. Everything else must
+// publish state by minting a successor (method calls, not field writes).
 var ModelMut = &Analyzer{
 	Name: "modelmut",
-	Doc: "disallow writes to core.View fields outside its constructors; " +
+	Doc: "disallow writes to core.View and core.trained fields outside their constructors; " +
 		"a View is an immutable snapshot shared across concurrent estimation rounds",
 	Run: runModelMut,
 }
@@ -29,6 +30,7 @@ type protectedType struct {
 // each type shares with the Store.
 var protectedTypes = []protectedType{
 	{"core", "View", map[string]bool{"build": true}},
+	{"core", "trained", map[string]bool{"build": true}},
 }
 
 func runModelMut(p *Pass) error {

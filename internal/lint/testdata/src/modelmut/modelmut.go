@@ -3,17 +3,35 @@
 // must reject.
 package core
 
-// View mirrors the immutable-snapshot contract of the real core.View.
+// View mirrors the immutable-snapshot contract of the real core.View,
+// including the trained part every derived view shares.
 type View struct {
+	*trained
 	Version uint64
 	Speeds  []float64
 }
 
+// trained mirrors the real core.trained: what build trains.
+type trained struct {
+	version  uint64
+	obsCount int
+}
+
 // build is the allowed version-stamping builder path.
 func build(version uint64) *View {
-	v := &View{}
+	v := &View{trained: &trained{}}
 	v.Version = version
+	v.trained.version = version
 	return v
+}
+
+// MutateTrained writes the trained part, directly and through a copy of the
+// shared pointer, and through the promoted field.
+func MutateTrained(v *View) {
+	v.trained.version = 7 // want `write to core\.trained field version outside its constructor`
+	t := v.trained
+	t.obsCount++  // want `write to core\.trained field obsCount outside its constructor`
+	v.version = 9 // want `write to core\.View field version outside its constructor`
 }
 
 // buildIncremental is named like a builder, but only build may write a

@@ -140,23 +140,42 @@ func (Lazy) SelectCtx(ctx context.Context, p *Problem, k int) ([]roadnet.RoadID,
 	if err := p.validateK(k); err != nil {
 		return nil, err
 	}
-	n := p.NumRoads()
-	uncovered := p.newUncovered()
-	h := make(lazyHeap, 0, n)
-	for s := 0; s < n; s++ {
-		if s%cancelCheckStride == 0 {
+	cands := make([]roadnet.RoadID, p.NumRoads())
+	for s := range cands {
+		cands[s] = roadnet.RoadID(s)
+	}
+	seeds, reevals, err := celf(ctx, p, cands, p.newUncovered(), k)
+	if err != nil {
+		return nil, err
+	}
+	lazySelections.Inc()
+	lazyReevaluations.Add(float64(reevals))
+	lazyLastK.Set(float64(k))
+	lazyLastReevals.Set(float64(reevals))
+	return seeds, nil
+}
+
+// celf is the lazy-greedy (CELF) loop: it chooses up to budget of cands, in
+// selection order, by marginal gain over the shared uncovered vector, which
+// it updates with each choice. It returns the seeds and how many stale gains
+// it re-evaluated. ctx is polled every cancelCheckStride gains during the
+// heap fill and on every heap iteration afterwards.
+func celf(ctx context.Context, p *Problem, cands []roadnet.RoadID, uncovered []float64, budget int) ([]roadnet.RoadID, int, error) {
+	h := make(lazyHeap, 0, len(cands))
+	for i, s := range cands {
+		if i%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("seedsel: lazy greedy cancelled during heap fill: %w", err)
+				return nil, 0, fmt.Errorf("seedsel: lazy greedy cancelled during heap fill: %w", err)
 			}
 		}
-		h = append(h, lazyItem{road: roadnet.RoadID(s), gain: p.gain(uncovered, roadnet.RoadID(s)), round: 0})
+		h = append(h, lazyItem{road: s, gain: p.gain(uncovered, s), round: 0})
 	}
 	heap.Init(&h)
-	seeds := make([]roadnet.RoadID, 0, k)
+	seeds := make([]roadnet.RoadID, 0, min(budget, len(cands)))
 	reevals := 0
-	for len(seeds) < k && h.Len() > 0 {
+	for len(seeds) < budget && h.Len() > 0 {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("seedsel: lazy greedy cancelled with %d/%d seeds chosen: %w", len(seeds), k, err)
+			return nil, 0, fmt.Errorf("seedsel: lazy greedy cancelled with %d/%d seeds chosen: %w", len(seeds), budget, err)
 		}
 		top := h.Peek()
 		if top.round == len(seeds) {
@@ -174,11 +193,7 @@ func (Lazy) SelectCtx(ctx context.Context, p *Problem, k int) ([]roadnet.RoadID,
 		h.ReplaceTop(top)
 		reevals++
 	}
-	lazySelections.Inc()
-	lazyReevaluations.Add(float64(reevals))
-	lazyLastK.Set(float64(k))
-	lazyLastReevals.Set(float64(reevals))
-	return seeds, nil
+	return seeds, reevals, nil
 }
 
 // Partition is the fast approximate selector: the road set is split into
@@ -241,38 +256,23 @@ func (pt Partition) Select(p *Problem, k int) ([]roadnet.RoadID, error) {
 		allocated++
 	}
 
+	// Lazy greedy restricted to each partition's candidates, but gains still
+	// measured over the global uncovered vector so partitions do not
+	// double-cover boundary roads.
+	cands := make([][]roadnet.RoadID, parts)
+	for r := 0; r < n; r++ {
+		cands[assign[r]] = append(cands[assign[r]], roadnet.RoadID(r))
+	}
 	var seeds []roadnet.RoadID
 	uncovered := p.newUncovered()
-	for part := 0; part < parts; part++ {
-		b := budget[part]
+	for part, b := range budget {
 		if b == 0 {
 			continue
 		}
-		// Lazy greedy restricted to this partition's candidates, but gains
-		// still measured over the global uncovered vector so partitions do
-		// not double-cover boundary roads.
-		var h lazyHeap
-		for r := 0; r < n; r++ {
-			if assign[r] != part {
-				continue
-			}
-			h = append(h, lazyItem{road: roadnet.RoadID(r), gain: p.gain(uncovered, roadnet.RoadID(r)), round: 0})
-		}
-		heap.Init(&h)
-		taken := 0
-		for taken < b && h.Len() > 0 {
-			top := h.Peek()
-			if top.round == taken {
-				heap.Pop(&h)
-				p.apply(uncovered, top.road)
-				seeds = append(seeds, top.road)
-				taken++
-				continue
-			}
-			top.gain = p.gain(uncovered, top.road)
-			top.round = taken
-			h.ReplaceTop(top)
-		}
+		// The background context is never cancelled, so celf cannot fail.
+		//lint:ignore ctxflow Selector.Select has no ctx by design; Partition offers no SelectCtx, so its selection runs to completion
+		chosen, _, _ := celf(context.Background(), p, cands[part], uncovered, b)
+		seeds = append(seeds, chosen...)
 	}
 	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
 	if len(seeds) > k {

@@ -3,6 +3,7 @@ package seedsel
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -315,6 +316,28 @@ func TestPartitionHandlesKSmallerThanParts(t *testing.T) {
 	}
 	if len(seeds) != 3 {
 		t.Errorf("got %d seeds", len(seeds))
+	}
+}
+
+// TestPartitionOnePartIsLazy: with one partition, Partition runs lazy greedy
+// over every road with the whole budget, so it returns Lazy's set sorted by
+// road ID.
+func TestPartitionOnePartIsLazy(t *testing.T) {
+	p := datasetProblem(t)
+	n := p.NumRoads()
+	for _, k := range []int{1, 10, n / 10, n} {
+		want, err := Lazy{}.Select(p, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(want)
+		got, err := Partition{Parts: 1}.Select(p, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("k=%d: Partition{Parts: 1} chose %v, Lazy %v", k, got, want)
+		}
 	}
 }
 
