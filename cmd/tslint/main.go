@@ -1,8 +1,8 @@
 // Command tslint runs the repo's static-analysis suite (internal/lint): the
 // analyzers that enforce the pipeline's concurrency, immutability and
 // observability invariants — modelmut, atomicload, spanend, metricname,
-// errwrap, floateq, plus the callgraph-aware hotalloc, ctxflow and pubsafe —
-// and directive hygiene for //lint:ignore / //lint:hotpath-ok suppressions.
+// errwrap, floateq, plus the callgraph-aware hotalloc and ctxflow — and
+// directive hygiene for //lint:ignore / //lint:hotpath-ok suppressions.
 //
 // Usage:
 //

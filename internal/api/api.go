@@ -319,8 +319,10 @@ func validRequestID(id string) bool {
 // panicking handler cannot leak the in-flight gauge or drop the request from
 // the counters; the panic itself is recovered into a 500 (counted under the
 // 5xx class) rather than re-raised, keeping one bad request from killing the
-// connection's error accounting.
+// connection's error accounting. The route's latency histogram is resolved
+// here, once per route, not on every request.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	latency := httpLatency(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		rid := requestID(r)
 		w.Header().Set("X-Request-Id", rid)
@@ -347,7 +349,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			}
 			elapsed := time.Since(start).Seconds()
 			httpInFlight.Dec()
-			httpLatency(route).Observe(elapsed)
+			latency.Observe(elapsed)
 			httpRequests(route, statusClass(sw.status)).Inc()
 			level := slog.LevelDebug
 			switch {

@@ -39,12 +39,12 @@ func TestFuseTrendsAllocs(t *testing.T) {
 
 // The estimate round's allocation budget on the 8×6-block city:
 // estimateAllocsBaseline allocations, the count recorded when the budget was
-// last set (75; 75–77 under the race detector, whose sync.Pool drops some
+// last set (51; 51–54 under the race detector, whose sync.Pool drops some
 // releases), plus estimateAllocsHeadroom. Allocation counts are
 // near-deterministic, unlike timings, so 10% absorbs map-growth jitter
 // without letting a per-road allocation slip through.
 const (
-	estimateAllocsBaseline = 75
+	estimateAllocsBaseline = 51
 	estimateAllocsHeadroom = 0.10
 )
 

@@ -50,6 +50,12 @@ var (
 			"Estimation round wall time split by phase (pre_pass, trend, speed, total), HDR-bucketed for tail quantiles.",
 			"phase", phase)
 	}
+	// The round's phases and its total, resolved once: a labelled lookup
+	// rebuilds its label key on every call.
+	prePassPhase   = newRoundPhase("pre_pass")
+	trendPhase     = newRoundPhase("trend")
+	speedPhase     = newRoundPhase("speed")
+	totalSeconds   = estimateSeconds("total")
 	estimateRounds = obs.Default().Counter("trendspeed_core_estimate_rounds_total",
 		"Completed estimation rounds.")
 	estimateCanceled = obs.Default().Counter("trendspeed_estimate_canceled_total",
@@ -69,15 +75,26 @@ func timeStage(ctx context.Context, stage string, fn func() error) error {
 	return err
 }
 
+// roundPhase is one timed phase of an estimation round: the name of its span
+// and phase label, and its estimateSeconds child.
+type roundPhase struct {
+	name    string
+	seconds *obs.HDRHistogram
+}
+
+func newRoundPhase(name string) roundPhase {
+	return roundPhase{name: name, seconds: estimateSeconds(name)}
+}
+
 // timePhase runs fn as a traced, metered estimation-round phase, with the
 // same cancel-before-span short-circuit as timeStage.
-func timePhase(ctx context.Context, phase string, fn func() error) error {
+func timePhase(ctx context.Context, phase roundPhase, fn func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	_, sp := obs.StartSpan(ctx, phase)
+	_, sp := obs.StartSpan(ctx, phase.name)
 	err := fn()
-	estimateSeconds(phase).Observe(sp.End().Seconds())
+	phase.seconds.Observe(sp.End().Seconds())
 	return err
 }
 

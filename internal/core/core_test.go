@@ -483,7 +483,8 @@ func TestEstimateWithNoSeeds(t *testing.T) {
 
 // TestPrepareWithExplicitSeeds: WithSeeds specialises a view to a set chosen
 // by hand, returns the view unchanged for the same set in another order,
-// and refuses an out-of-range road as invalid input.
+// and refuses an out-of-range road, and a road given twice, as invalid
+// input, whether or not the view is specialised.
 func TestPrepareWithExplicitSeeds(t *testing.T) {
 	ctx := context.Background()
 	d, est := buildEstimator(t)
@@ -505,5 +506,18 @@ func TestPrepareWithExplicitSeeds(t *testing.T) {
 	}
 	if _, err := est.WithSeeds(ctx, []roadnet.RoadID{roadnet.RoadID(d.Net.NumRoads() + 1)}); !errors.Is(err, ErrInvalidInput) {
 		t.Errorf("out-of-range seed: error %v, want ErrInvalidInput", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		view  *View
+		seeds []roadnet.RoadID
+	}{
+		{"generic view", est, []roadnet.RoadID{7, 7}},
+		{"specialised view, same set", sv, []roadnet.RoadID{1, 5, 9, 13, 17, 21, 21}},
+		{"specialised view, same size", sv, []roadnet.RoadID{1, 5, 9, 13, 17, 17}},
+	} {
+		if got, err := tc.view.WithSeeds(ctx, tc.seeds); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: WithSeeds(%v) = %p, %v; want ErrInvalidInput", tc.name, tc.seeds, got, err)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func (v *View) EstimateFromCrowd(ctx context.Context, slot int, reports []crowd.
 func (v *View) EstimateWith(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
 	ctx, roundSpan := obs.StartSpan(ctx, "core.estimate")
 	out, err := v.estimateWith(ctx, slot, seedSpeeds, opts)
-	estimateSeconds("total").Observe(roundSpan.End().Seconds())
+	totalSeconds.Observe(roundSpan.End().Seconds())
 	if err == nil {
 		estimateRounds.Inc()
 	} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -98,7 +98,7 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 	if opts.TrendFree {
 		// Ablation A1: one trend-agnostic regression, timed as the speed
 		// phase.
-		rels, err := v.regress(ctx, "speed", &hlm.Request{Rel: seedRels, Flat: opts.FlatHLM})
+		rels, err := v.regress(ctx, speedPhase, &hlm.Request{Rel: seedRels, Flat: opts.FlatHLM})
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 		// rels carry trend evidence no binary propagation can recover (a
 		// road estimated at 0.8× its mean is almost surely trending down).
 		// It is fused with the graphical posterior after inference.
-		preRels, err := v.regress(ctx, "pre_pass", &hlm.Request{Rel: seedRels})
+		preRels, err := v.regress(ctx, prePassPhase, &hlm.Request{Rel: seedRels})
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +124,7 @@ func (v *View) estimateWith(ctx context.Context, slot int, seedSpeeds map[roadne
 		out.PUp, out.TrendUp = v.fuseTrends(trends.PUp, preRels, seedRels)
 		// Step 2: the speed regression, conditioned on the fused marginals.
 		req := &hlm.Request{Rel: seedRels, PUp: out.PUp, Flat: opts.FlatHLM}
-		if out.Rels, err = v.regress(ctx, "speed", req); err != nil {
+		if out.Rels, err = v.regress(ctx, speedPhase, req); err != nil {
 			return nil, err
 		}
 	}
@@ -158,16 +158,16 @@ func (v *View) seedRels(slot int, seedSpeeds map[roadnet.RoadID]float64) ([]floa
 	return rels, nil
 }
 
-// regress runs one HLM pass as the round phase named phase ("pre_pass" or
-// "speed") and wraps its error with the phase.
-func (v *View) regress(ctx context.Context, phase string, req *hlm.Request) ([]float64, error) {
+// regress runs one HLM pass as the round phase phase (prePassPhase or
+// speedPhase) and wraps its error with the phase's name.
+func (v *View) regress(ctx context.Context, phase roundPhase, req *hlm.Request) ([]float64, error) {
 	var rels []float64
 	//lint:hotpath-ok one span-bracketing thunk per phase per round (not per index); timePhase needs a closure to time and the round does O(roads) work inside it
 	if err := timePhase(ctx, phase, func() (err error) {
 		rels, err = v.estimateRels(req)
 		return err
 	}); err != nil {
-		return nil, fmt.Errorf("core: %s regression: %w", phase, err)
+		return nil, fmt.Errorf("core: %s regression: %w", phase.name, err)
 	}
 	return rels, nil
 }
@@ -196,7 +196,7 @@ func (v *View) trendPriors(slot int, seedRels []float64) []float64 {
 func (v *View) inferTrends(ctx context.Context, priors []float64) (*mrf.Result, error) {
 	var trends *mrf.Result
 	//lint:hotpath-ok one span-bracketing thunk per phase per round (not per index); timePhase needs a closure to time and the round does O(roads) work inside it
-	if err := timePhase(ctx, "trend", func() error {
+	if err := timePhase(ctx, trendPhase, func() error {
 		model, err := mrf.NewModel(v.trendTopo, priors)
 		if err != nil {
 			return fmt.Errorf("building trend model: %w", err)

@@ -116,12 +116,12 @@ type Store struct {
 
 	// lifetime is cancelled by Close; every rebuild runs under a context
 	// joined to it, so shutdown aborts an in-flight retrain at its next
-	// stage boundary instead of waiting out the full build.
+	// stage boundary instead of waiting out the full build, and the
+	// background loop returns once it is done.
 	lifetime context.Context
 	cancel   context.CancelFunc
 
 	kick chan struct{}
-	stop chan struct{}
 	done chan struct{}
 }
 
@@ -140,7 +140,6 @@ func NewStore(net *roadnet.Network, db *history.DB, opts Options) (*Store, error
 		cancel:   cancel,
 		seedTurn: make(chan struct{}, 1),
 		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	s.cur.Store(v)
@@ -442,7 +441,7 @@ func (s *Store) loop(cfg StoreConfig) {
 	failures := 0
 	for {
 		select {
-		case <-s.stop:
+		case <-s.lifetime.Done():
 			return
 		case <-tick:
 		case <-s.kick:
@@ -461,7 +460,7 @@ func (s *Store) loop(cfg StoreConfig) {
 				backoff = 2 * time.Second
 			}
 			select {
-			case <-s.stop:
+			case <-s.lifetime.Done():
 				return
 			case <-time.After(backoff):
 			}
@@ -502,11 +501,10 @@ func (s *Store) Close() {
 	s.closed = true
 	started := s.started
 	s.mu.Unlock()
-	// Cancel before draining: an in-flight rebuild observes the cancelled
-	// lifetime at its next stage boundary and unwinds without publishing.
+	// Cancelling the lifetime stops the loop, and an in-flight rebuild
+	// observes it at its next stage boundary and unwinds without publishing.
 	s.cancel()
 	if started {
-		close(s.stop)
 		<-s.done
 	}
 	// Wait out any rebuild still running (e.g. one started by a direct

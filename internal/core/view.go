@@ -23,9 +23,10 @@ import (
 // methods an estimation round drives (see round.go). A View never changes
 // after construction, so estimation rounds may run concurrently with each
 // other — and with a Store publishing a successor, since a round in flight
-// keeps the View it resolved at entry. cmd/tslint's modelmut and pubsafe
-// analyzers enforce this: build is the only function that writes a View's
-// fields.
+// keeps the View it resolved at entry. cmd/tslint's modelmut analyzer
+// enforces this: build is the only function that writes through a View's
+// fields, and build publishes nothing, so no view is written once
+// published.
 //
 // Seed specialisation derives a new View rather than changing one: WithSeeds
 // and SelectSeeds return a View that shares everything build trained with
@@ -235,20 +236,27 @@ func (v *View) SelectSeeds(ctx context.Context, k int) (*View, []roadnet.RoadID,
 // with v, and its rounds regress through seed-conditional models trained
 // for seeds whenever a round's reports overlap the set. WithSeeds(ctx, nil)
 // is the unspecialised view, whose rounds use the generic propagation model
-// alone. v is returned as is when it already is specialised to a non-empty
-// set equal to seeds, so asking again trains nothing. ctx is checked at the
+// alone. A road out of range or given twice is refused as ErrInvalidInput,
+// as EstimateFromCrowd refuses a road reported twice. v is returned as is
+// when it already is specialised to a non-empty set equal to seeds, in any
+// order, so asking again trains nothing. ctx is checked at the
 // specialisation stage boundary.
 func (v *View) WithSeeds(ctx context.Context, seeds []roadnet.RoadID) (*View, error) {
 	if len(seeds) == 0 {
 		return &View{trained: v.trained}, nil
 	}
+	seen := make([]bool, v.net.NumRoads())
+	for _, s := range seeds {
+		if int(s) < 0 || int(s) >= len(seen) {
+			return nil, fmt.Errorf("core: seed road %d out of range [0,%d): %w", s, len(seen), ErrInvalidInput)
+		}
+		if seen[s] {
+			return nil, fmt.Errorf("core: duplicate seed road %d: %w", s, ErrInvalidInput)
+		}
+		seen[s] = true
+	}
 	if v.seedModel != nil && v.seedModel.SpecializedTo(seeds) {
 		return v, nil
-	}
-	for _, s := range seeds {
-		if int(s) < 0 || int(s) >= v.net.NumRoads() {
-			return nil, fmt.Errorf("core: seed road %d out of range [0,%d): %w", s, v.net.NumRoads(), ErrInvalidInput)
-		}
 	}
 	var sm *hlm.SeedModel
 	if err := timeStage(ctx, "seed_specialize", func() (err error) {

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the dataflow substrate shared by the callgraph-aware analyzers
-// (hotalloc, ctxflow, pubsafe): an intra-package static callgraph built from
-// the go/types info the loader already produces, with no dependency on
+// (hotalloc and ctxflow): an intra-package static callgraph built from the
+// go/types info the loader already produces, with no dependency on
 // golang.org/x/tools.
 //
 // Granularity is the function *scope*: every top-level FuncDecl and every

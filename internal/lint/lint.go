@@ -6,6 +6,7 @@
 //
 // PRs 1–3 made the serving system's correctness rest on conventions that
 // `go vet` and staticcheck cannot see: core.View is an immutable snapshot
+// that only its constructor writes and that the constructor never publishes
 // (modelmut), an estimation round loads a published atomic.Pointer exactly
 // once (atomicload), every obs span started is ended on all paths (spanend),
 // metric names are trendspeed_-prefixed and registered at one site
@@ -15,11 +16,10 @@
 // §9 maps analyzers to the PR that introduced the invariant.
 //
 // On top of the single-function checks sits an intra-package static
-// callgraph (callgraph.go) powering three dataflow analyzers: the estimation
-// hot path must not allocate (hotalloc), contexts must flow into every
-// cancellable callee (ctxflow), and published snapshots must never be
-// written through retained aliases (pubsafe). DESIGN.md §14 documents the
-// graph's construction and its soundness caveats.
+// callgraph (callgraph.go) powering two dataflow analyzers: the estimation
+// hot path must not allocate (hotalloc), and contexts must flow into every
+// cancellable callee (ctxflow). DESIGN.md §14 documents the graph's
+// construction and its soundness caveats.
 //
 // Diagnostics can be suppressed with a directive comment on the offending
 // line or the line directly above it:
@@ -68,7 +68,6 @@ func All() []*Analyzer {
 		HotAlloc,
 		MetricName,
 		ModelMut,
-		PubSafe,
 		SpanEnd,
 	}
 }

@@ -26,7 +26,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{HotAlloc, "hotalloc"},
 		{HotAlloc, "hotalloc_mrf"},
 		{CtxFlow, "ctxflow"},
-		{PubSafe, "pubsafe"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {

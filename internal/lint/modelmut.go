@@ -9,13 +9,24 @@ import (
 // ModelMut enforces the snapshot contract on the pipeline's shared immutable
 // artifact, core.View, and on core.trained, the part of it that build
 // trains and every view derived from it shares: they are published across
-// concurrent estimation rounds, so no code may assign to their fields
-// outside the constructor path of their own package. Everything else must
-// publish state by minting a successor (method calls, not field writes).
+// concurrent estimation rounds, so only build, their constructor, writes
+// them. Two rules keep it so:
+//
+//   - Outside build, no write may reach through a field of either type: an
+//     assignment or ++/-- whose target selects one anywhere in its chain
+//     (x.F, x.F[i], *x.F, x.F.G) is reported, and so is &x.F, a write permit
+//     in disguise.
+//   - Inside build, nothing may publish either type: a Store, Swap or
+//     CompareAndSwap on an atomic.Pointer to one is reported, because a
+//     constructor must not publish what it may still write.
+//
+// Together they rule out every write after publication: a write outside
+// build is reported wherever it happens, and build publishes nothing.
+// Everything else must publish state by minting a successor.
 var ModelMut = &Analyzer{
 	Name: "modelmut",
-	Doc: "disallow writes to core.View and core.trained fields outside their constructors; " +
-		"a View is an immutable snapshot shared across concurrent estimation rounds",
+	Doc: "disallow writes through core.View and core.trained fields outside their constructor, " +
+		"and publishing either type from it; a View is an immutable snapshot shared across concurrent estimation rounds",
 	Run: runModelMut,
 }
 
@@ -40,21 +51,16 @@ func runModelMut(p *Pass) error {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
-						checkProtectedWrite(p, name, lhs)
+						checkProtectedWrite(p, name, lhs, "write to")
 					}
 				case *ast.IncDecStmt:
-					checkProtectedWrite(p, name, n.X)
+					checkProtectedWrite(p, name, n.X, "write to")
 				case *ast.UnaryExpr:
-					// Taking the address of a field is a write permit in
-					// disguise: the pointer escapes the immutability
-					// contract.
 					if n.Op == token.AND {
-						if sel, ok := n.X.(*ast.SelectorExpr); ok {
-							if pt, ok := protectedField(p, sel); ok && !allowedIn(p, pt, name) {
-								p.Reportf(n.Pos(), "taking the address of %s.%s field %s leaks a mutable reference to an immutable snapshot", pt.pkg, pt.name, sel.Sel.Name)
-							}
-						}
+						checkProtectedWrite(p, name, n.X, "taking the address of")
 					}
+				case *ast.CallExpr:
+					checkPublish(p, name, n)
 				}
 				return true
 			})
@@ -69,18 +75,31 @@ func allowedIn(p *Pass, pt protectedType, fn string) bool {
 	return p.Pkg.Name() == pt.pkg && pt.constructors[fn]
 }
 
-// checkProtectedWrite reports lhs if it assigns to a field of a protected
-// snapshot type outside that type's constructor path.
-func checkProtectedWrite(p *Pass, fn string, lhs ast.Expr) {
-	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-	if !ok {
-		return
+// checkProtectedWrite reports target, written or addressed in function fn,
+// if its chain of selections, indexes and dereferences passes through a
+// field of a protected type outside that type's constructor. The field
+// nearest the write is named.
+func checkProtectedWrite(p *Pass, fn string, target ast.Expr, verb string) {
+	for e := ast.Unparen(target); ; {
+		switch t := e.(type) {
+		case *ast.SelectorExpr:
+			if pt, ok := protectedField(p, t); ok {
+				if !allowedIn(p, pt, fn) {
+					p.Reportf(target.Pos(), "%s %s.%s field %s outside its constructor; %s is an immutable snapshot (publish changes by building a successor)", verb, pt.pkg, pt.name, t.Sel.Name, pt.name)
+				}
+				return
+			}
+			e = ast.Unparen(t.X)
+		case *ast.IndexExpr:
+			e = ast.Unparen(t.X)
+		case *ast.SliceExpr:
+			e = ast.Unparen(t.X)
+		case *ast.StarExpr:
+			e = ast.Unparen(t.X)
+		default:
+			return
+		}
 	}
-	pt, ok := protectedField(p, sel)
-	if !ok || allowedIn(p, pt, fn) {
-		return
-	}
-	p.Reportf(lhs.Pos(), "write to %s.%s field %s outside its constructor; %s is an immutable snapshot (publish changes by building a successor)", pt.pkg, pt.name, sel.Sel.Name, pt.name)
 }
 
 // protectedField reports whether sel selects a field whose receiver is one
@@ -96,4 +115,32 @@ func protectedField(p *Pass, sel *ast.SelectorExpr) (protectedType, bool) {
 		}
 	}
 	return protectedType{}, false
+}
+
+// checkPublish reports call, made in function fn, if it stores into an
+// atomic.Pointer to a protected type from that type's constructor.
+func checkPublish(p *Pass, fn string, call *ast.CallExpr) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	switch sel.Sel.Name {
+	case "Store", "Swap", "CompareAndSwap":
+	default:
+		return
+	}
+	s, ok := p.Info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal || !isNamedPath(s.Recv(), "sync/atomic", "Pointer") {
+		return
+	}
+	args := namedType(s.Recv()).TypeArgs()
+	if args.Len() != 1 {
+		return
+	}
+	for _, pt := range protectedTypes {
+		if isNamed(args.At(0), pt.pkg, pt.name) && allowedIn(p, pt, fn) {
+			p.Reportf(call.Pos(), "%s publishes a %s.%s through atomic.Pointer.%s; a constructor must not publish what it may still write (publish what %s returns)", fn, pt.pkg, pt.name, sel.Sel.Name, fn)
+			return
+		}
+	}
 }

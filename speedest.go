@@ -12,7 +12,8 @@
 //	res, err := sv.EstimateFromCrowd(ctx, slot, reports) // network-wide speeds
 //
 // New returns a frozen View: one trained version, no lifecycle. A View never
-// changes; SelectSeeds and WithSeeds return a new one. A Store publishes a
+// changes; SelectSeeds and WithSeeds return a new one, and WithSeeds refuses
+// a seed road out of range or given twice. A Store publishes a
 // versioned View and can fold new crowd observations into a rebuilt
 // successor without interrupting estimation; each round runs on the View
 // resolved at entry:
