@@ -127,20 +127,30 @@ func Build(cfg Config) (*Dataset, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	historySlots := cfg.HistoryDays * cal.SlotsPerDay()
-	roads := net.Roads()
+	n := net.NumRoads()
+	coverage := make([]float64, n)
+	for i, r := range net.Roads() {
+		coverage[i] = min(cfg.CoveragePerSlot*classCoverageBoost(r.Class), 1)
+		builder.Grow(roadnet.RoadID(i), expectedSamples(historySlots, coverage[i]))
+	}
+	sampled := make([]roadnet.RoadID, 0, n)
+	noise := make([]float64, 0, n)
+	speeds := make([]float64, n)
 	for slot := 0; slot < historySlots; slot++ {
-		// The coverage draw comes first, so the simulator evaluates only
-		// the roads the history samples.
-		for i := range roads {
-			p := cfg.CoveragePerSlot * classCoverageBoost(roads[i].Class)
-			if p > 1 {
-				p = 1
-			}
+		// The slot's coverage and noise draws come first, so the simulator
+		// evaluates only the roads the history samples, in one call.
+		sampled, noise = sampled[:0], noise[:0]
+		for i, p := range coverage {
 			if rng.Float64() >= p {
 				continue
 			}
-			observed := sim.Speed(roadnet.RoadID(i)) * math.Exp(rng.NormFloat64()*cfg.ObsNoise)
-			if err := builder.Add(roadnet.RoadID(i), slot, observed); err != nil {
+			sampled = append(sampled, roadnet.RoadID(i))
+			noise = append(noise, rng.NormFloat64())
+		}
+		sim.SpeedsOf(sampled, speeds)
+		for k, id := range sampled {
+			observed := speeds[k] * math.Exp(noise[k]*cfg.ObsNoise)
+			if err := builder.Add(id, slot, observed); err != nil {
 				return nil, err
 			}
 		}
@@ -154,6 +164,14 @@ func Build(cfg Config) (*Dataset, error) {
 	}
 	copy(d.truth, sim.Speeds())
 	return d, nil
+}
+
+// expectedSamples returns how many of slots a road observed with
+// probability p per slot collects, four standard deviations above the
+// mean, so a road's log is sized once.
+func expectedSamples(slots int, p float64) int {
+	mean := float64(slots) * p
+	return int(mean+4*math.Sqrt(mean*(1-p))) + 1
 }
 
 // classCoverageBoost makes probe coverage denser on major roads, as taxi

@@ -1,8 +1,10 @@
 package history
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -146,5 +148,65 @@ func TestSlotRanksAllocatesPerWindow(t *testing.T) {
 		samples, blocks, sr.NumSlots(), got)
 	if limit := 16 * uint64(blocks); got > limit {
 		t.Errorf("SlotRanks allocated %d B for %d road-windows holding %d samples, over %d B", got, blocks, samples, limit)
+	}
+}
+
+// TestGrowPresizesLog: after Grow(road, n) the next n Adds to the road
+// allocate nothing, and the database finalises exactly as without Grow. In
+// a roll-forward, a road grown but given no Add is still untouched: it
+// shares its base series and cells, and Dirty leaves it out.
+func TestGrowPresizesLog(t *testing.T) {
+	const numRoads, adds = 6, 200
+	rng := rand.New(rand.NewSource(4))
+	base := denseHistory(t, rng, numRoads)
+	span := 2 * base.Cal().SlotsPerWeek()
+	var delta []refAdd
+	for range adds {
+		delta = append(delta, refAdd{road: 1, slot: int32(rng.Intn(span + 50)), speed: 5 + 10*rng.Float64()})
+	}
+	build := func(grow bool) (*DB, *Builder) {
+		b, err := NewBuilderFrom(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grow {
+			for road := range numRoads {
+				b.Grow(roadnet.RoadID(road), adds)
+			}
+		}
+		n := allocated(func() {
+			for _, a := range delta {
+				if err := b.Add(a.road, int(a.slot), a.speed); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if grow && n != 0 {
+			t.Errorf("%d Adds after Grow allocated %d B", adds, n)
+		}
+		return b.Finalize(), b
+	}
+	grown, b := build(true)
+	plain, _ := build(false)
+	var got, want bytes.Buffer
+	if _, err := grown.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("a grown builder finalised to a different database")
+	}
+	if dirty := b.Dirty(); !slices.Equal(dirty, []roadnet.RoadID{1}) {
+		t.Errorf("Dirty = %v, want [1]", dirty)
+	}
+	for road := range numRoads {
+		if road == 1 {
+			continue
+		}
+		if &grown.series[road].rel[0] != &base.series[road].rel[0] || &grown.profile[road][0] != &base.profile[road][0] {
+			t.Errorf("road %d, grown without an Add, does not share its base", road)
+		}
 	}
 }

@@ -357,8 +357,8 @@ type Builder struct {
 
 	// log[road] lists the road's new observations in arrival order;
 	// Finalize sorts it by slot and sums each slot's speeds in that order.
-	// nil means the road received none, which in a roll-forward builder
-	// means its base data is reused verbatim.
+	// An empty log means the road received none, which in a roll-forward
+	// builder means its base data is reused verbatim.
 	log [][]observation
 	// base is the DB this builder rolls forward, nil for fresh builders.
 	base *DB
@@ -409,6 +409,12 @@ func (b *Builder) Add(road roadnet.RoadID, slot int, speed float64) error {
 	return nil
 }
 
+// Grow makes room in the road's log for n more observations, so the next n
+// Adds to the road do not reallocate it. The road must be in range.
+func (b *Builder) Grow(road roadnet.RoadID, n int) {
+	b.log[road] = slices.Grow(b.log[road], n)
+}
+
 // Finalize computes profiles and relative-speed series and returns the
 // immutable DB. The Builder must not be used afterwards, except for Dirty.
 //
@@ -431,7 +437,7 @@ func (b *Builder) Finalize() *DB {
 	classSum := make([]float64, spw)
 	classN := make([]uint32, spw)
 	for road, log := range b.log {
-		if log == nil && b.base != nil {
+		if len(log) == 0 && b.base != nil {
 			// Untouched roll-forward road: per-road statistics depend only
 			// on the road's own observations, so it finalises to exactly
 			// its base values, which are shared verbatim.

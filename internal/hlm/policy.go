@@ -46,6 +46,9 @@ func PoolingLevels(net *roadnet.Network) [][]int {
 // served model specialises with (Specialize's candidates): for a road, the
 // eight seeds nearest its midpoint, then the six nearest seeds of its own
 // class not among them (same-class roads co-move even when far apart).
+// Distance ties go to the lower road ID. Each list is kept in a fixed array
+// as the seeds stream past, so a road costs one pass over the seeds, with
+// no sort and no map.
 func SeedCandidates(net *roadnet.Network, seeds []roadnet.RoadID) func(roadnet.RoadID) []roadnet.RoadID {
 	type seedPos struct {
 		id    roadnet.RoadID
@@ -60,35 +63,59 @@ func SeedCandidates(net *roadnet.Network, seeds []roadnet.RoadID) func(roadnet.R
 	return func(r roadnet.RoadID) []roadnet.RoadID {
 		road := net.Road(r)
 		mid := road.Geometry.At(road.Length() / 2)
-		type cand struct {
-			id   roadnet.RoadID
-			dist float64
-		}
-		var all, same []cand
+		var near [8]seedDist
+		var same [6]seedDist
+		nNear, nSame := 0, 0
 		for _, sp := range positions {
-			c := cand{id: sp.id, dist: mid.Dist(sp.pos)}
-			all = append(all, c)
+			c := seedDist{id: sp.id, dist: mid.Dist(sp.pos)}
+			nNear = keepNearest(near[:], nNear, c)
 			if sp.class == road.Class {
-				same = append(same, c)
+				nSame = keepNearest(same[:], nSame, c)
 			}
 		}
-		byDist := func(a, b cand) int {
-			return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.id, b.id))
-		}
-		slices.SortFunc(all, byDist)
-		slices.SortFunc(same, byDist)
-		seen := map[roadnet.RoadID]bool{}
-		var out []roadnet.RoadID
-		take := func(cs []cand, n int) {
-			for i := 0; i < len(cs) && i < n; i++ {
-				if !seen[cs[i].id] {
-					seen[cs[i].id] = true
-					out = append(out, cs[i].id)
+		out := make([]roadnet.RoadID, 0, nNear+nSame)
+		take := func(cs []seedDist) {
+			for _, c := range cs {
+				if !slices.Contains(out, c.id) {
+					out = append(out, c.id)
 				}
 			}
 		}
-		take(all, 8)
-		take(same, 6)
+		take(near[:nNear])
+		take(same[:nSame])
 		return out
 	}
+}
+
+// seedDist is a seed at its distance from a road.
+type seedDist struct {
+	id   roadnet.RoadID
+	dist float64
+}
+
+// before orders seeds by distance, then by ID, as cmp.Compare orders the
+// distances.
+func (a seedDist) before(b seedDist) bool {
+	if c := cmp.Compare(a.dist, b.dist); c != 0 {
+		return c < 0
+	}
+	return a.id < b.id
+}
+
+// keepNearest inserts c into the ascending list cs[:n] of the nearest seeds
+// met so far, dropping the farthest when len(cs) are kept, and returns the
+// list's new length.
+func keepNearest(cs []seedDist, n int, c seedDist) int {
+	if n == len(cs) {
+		if !c.before(cs[n-1]) {
+			return n
+		}
+		n--
+	}
+	i := n
+	for ; i > 0 && c.before(cs[i-1]); i-- {
+		cs[i] = cs[i-1]
+	}
+	cs[i] = c
+	return n + 1
 }

@@ -19,6 +19,9 @@ import (
 type Calendar struct {
 	epoch time.Time
 	width time.Duration
+	// slotsPerDay is 24h / width, computed once: every slot-of-day and
+	// profile-class lookup divides by it.
+	slotsPerDay int
 	// epochWeekday is the epoch day's weekday, from which ProfileClass
 	// counts.
 	epochWeekday time.Weekday
@@ -39,7 +42,12 @@ func NewCalendar(epoch time.Time, width time.Duration) (*Calendar, error) {
 		return nil, fmt.Errorf("timeslot: width %v must divide 24h evenly", width)
 	}
 	midnight := time.Date(epoch.Year(), epoch.Month(), epoch.Day(), 0, 0, 0, 0, epoch.Location())
-	return &Calendar{epoch: midnight, width: width, epochWeekday: midnight.Weekday()}, nil
+	return &Calendar{
+		epoch:        midnight,
+		width:        width,
+		slotsPerDay:  int((24 * time.Hour) / width),
+		epochWeekday: midnight.Weekday(),
+	}, nil
 }
 
 // MustCalendar is NewCalendar that panics on error; for tests and fixed
@@ -59,10 +67,10 @@ func (c *Calendar) Width() time.Duration { return c.width }
 func (c *Calendar) Epoch() time.Time { return c.epoch }
 
 // SlotsPerDay returns the number of slots in 24 hours.
-func (c *Calendar) SlotsPerDay() int { return int((24 * time.Hour) / c.width) }
+func (c *Calendar) SlotsPerDay() int { return c.slotsPerDay }
 
 // SlotsPerWeek returns the number of slot-of-week classes.
-func (c *Calendar) SlotsPerWeek() int { return 7 * c.SlotsPerDay() }
+func (c *Calendar) SlotsPerWeek() int { return 7 * c.slotsPerDay }
 
 // secondsPerDay is the length of a calendar day: slots count 24-hour days
 // from the epoch.
@@ -86,7 +94,7 @@ func (c *Calendar) Slot(t time.Time) int {
 	if secs%secondsPerDay < 0 {
 		day--
 	}
-	return int(day)*c.SlotsPerDay() + int(t.Sub(c.dayStart(int(day)))/c.width)
+	return int(day)*c.slotsPerDay + int(t.Sub(c.dayStart(int(day)))/c.width)
 }
 
 // Start returns the starting instant of absolute slot s. It counts whole
@@ -99,7 +107,7 @@ func (c *Calendar) Start(s int) time.Time {
 // SlotOfDay returns the within-day class of absolute slot s, in
 // [0, SlotsPerDay).
 func (c *Calendar) SlotOfDay(s int) int {
-	n := c.SlotsPerDay()
+	n := c.slotsPerDay
 	m := s % n
 	if m < 0 {
 		m += n
@@ -109,7 +117,7 @@ func (c *Calendar) SlotOfDay(s int) int {
 
 // DayOfSlot returns the day index (0 = epoch day) containing absolute slot s.
 func (c *Calendar) DayOfSlot(s int) int {
-	n := c.SlotsPerDay()
+	n := c.slotsPerDay
 	if s < 0 {
 		return -((-s + n - 1) / n)
 	}
@@ -136,7 +144,7 @@ func (c *Calendar) HourOfSlot(s int) int {
 // is the wall-clock weekday in any zone without daylight-saving shifts;
 // every calendar this repository builds is UTC.
 func (c *Calendar) ProfileClass(s int) int {
-	n := c.SlotsPerDay()
+	n := c.slotsPerDay
 	day, slot := s/n, s%n
 	if slot < 0 { // floor division for negative slots
 		day, slot = day-1, slot+n
@@ -148,4 +156,4 @@ func (c *Calendar) ProfileClass(s int) int {
 }
 
 // NumProfileClasses returns the number of distinct ProfileClass values.
-func (c *Calendar) NumProfileClasses() int { return 2 * c.SlotsPerDay() }
+func (c *Calendar) NumProfileClasses() int { return 2 * c.slotsPerDay }

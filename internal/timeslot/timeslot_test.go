@@ -2,6 +2,7 @@ package timeslot
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -232,6 +233,74 @@ func TestProfileClassWeekly(t *testing.T) {
 					t.Fatalf("epoch %v: ProfileClass(%d) = %d, a whole number of weeks after slot %d (class %d)",
 						e, start+k, got, k, want)
 				}
+			}
+		}
+	}
+}
+
+// TestSlotsPerDayStored: a calendar computes its slots per day once, and
+// SlotsPerDay, SlotOfDay, DayOfSlot, HourOfSlot and ProfileClass answer as
+// they did when each divided 24h by the width on every call. It checks
+// every whole-second width that divides 24h and a few sub-second ones, at
+// slots around the epoch and at random slots of either sign.
+func TestSlotsPerDayStored(t *testing.T) {
+	t.Parallel()
+	widths := []time.Duration{time.Nanosecond, time.Microsecond, 250 * time.Millisecond}
+	for sec := 1; sec <= 24*60*60; sec++ {
+		if (24*60*60)%sec == 0 {
+			widths = append(widths, time.Duration(sec)*time.Second)
+		}
+	}
+	if len(widths) != 3+96 {
+		t.Fatalf("%d whole-second widths divide a day, want 96", len(widths)-3)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, width := range widths {
+		c := MustCalendar(epoch, width)
+		n := int((24 * time.Hour) / width)
+		if c.SlotsPerDay() != n || c.SlotsPerWeek() != 7*n || c.NumProfileClasses() != 2*n {
+			t.Fatalf("%v: %d slots a day, %d a week, %d profile classes; want %d, %d, %d",
+				width, c.SlotsPerDay(), c.SlotsPerWeek(), c.NumProfileClasses(), n, 7*n, 2*n)
+		}
+		slotOfDay := func(s int) int {
+			m := s % n
+			if m < 0 {
+				m += n
+			}
+			return m
+		}
+		dayOfSlot := func(s int) int {
+			if s < 0 {
+				return -((-s + n - 1) / n)
+			}
+			return s / n
+		}
+		profileClass := func(s int) int {
+			day, slot := s/n, s%n
+			if slot < 0 {
+				day, slot = day-1, slot+n
+			}
+			if wd := time.Weekday((int(c.epochWeekday) + day%7 + 7) % 7); wd == time.Saturday || wd == time.Sunday {
+				return n + slot
+			}
+			return slot
+		}
+		for k := 0; k < 2000; k++ {
+			s := k - 1000
+			if k >= 200 {
+				s = int(rng.Int63n(1<<62)) - 1<<61
+			}
+			if got, want := c.SlotOfDay(s), slotOfDay(s); got != want {
+				t.Fatalf("%v: SlotOfDay(%d) = %d, want %d", width, s, got, want)
+			}
+			if got, want := c.DayOfSlot(s), dayOfSlot(s); got != want {
+				t.Fatalf("%v: DayOfSlot(%d) = %d, want %d", width, s, got, want)
+			}
+			if got, want := c.HourOfSlot(s), int(time.Duration(slotOfDay(s))*width/time.Hour); got != want {
+				t.Fatalf("%v: HourOfSlot(%d) = %d, want %d", width, s, got, want)
+			}
+			if got, want := c.ProfileClass(s), profileClass(s); got != want {
+				t.Fatalf("%v: ProfileClass(%d) = %d, want %d", width, s, got, want)
 			}
 		}
 	}

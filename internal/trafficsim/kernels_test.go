@@ -13,9 +13,11 @@ import (
 )
 
 // refSim is the simulator before speeds became lazy, kept as the reference
-// the kernels are checked against: every Step evaluates every road's speed
-// eagerly, drawing its noise as it goes, with math.Pow for the response
-// power and the diffusion sweep looping over each road's adjacency.
+// the kernels are checked against: every Step draws its own randomness,
+// smooths its one innovation vector by looping over each road's adjacency,
+// reaches an incident's roads through Network.Hops and evaluates every
+// road's speed eagerly, one road after another, drawing its noise as it
+// goes and with math.Pow for the response power.
 type refSim struct {
 	net *roadnet.Network
 	cal *timeslot.Calendar
@@ -127,21 +129,17 @@ func (s *refSim) spawnIncidents() {
 func (s *refSim) addIncident() {
 	origin := roadnet.RoadID(s.rng.Intn(s.net.NumRoads()))
 	duration := 1 + int(s.rng.ExpFloat64()*s.cfg.IncidentSlots)
-	inc := incident{
-		road:     origin,
-		endsSlot: s.slot + duration,
-		severity: s.cfg.IncidentSeverity * (0.6 + 0.8*s.rng.Float64()),
-		radius:   s.cfg.IncidentRadius,
+	inc := incident{endsSlot: s.slot + duration}
+	severity := s.cfg.IncidentSeverity * (0.6 + 0.8*s.rng.Float64())
+	if severity >= 0.95 {
+		severity = 0.95
 	}
-	if inc.severity >= 0.95 {
-		inc.severity = 0.95
-	}
-	hops := s.net.Hops([]roadnet.RoadID{origin}, inc.radius)
+	hops := s.net.Hops([]roadnet.RoadID{origin}, s.cfg.IncidentRadius)
 	for id, h := range hops {
 		if h < 0 {
 			continue
 		}
-		sev := inc.severity / math.Pow(2, float64(h))
+		sev := severity / math.Pow(2, float64(h))
 		inc.hitRoads = append(inc.hitRoads, roadnet.RoadID(id))
 		inc.hitFactor = append(inc.hitFactor, 1-sev)
 	}
@@ -198,11 +196,15 @@ func (s *refSim) response(i int, f float64) float64 {
 	return math.Copysign(math.Pow(norm, s.gamma[i])*sigma*s.sens[i], f)
 }
 
-// TestLazySpeedsMatchEager: over the property test's random configurations
-// and 200 steps, the lazy simulator serves the reference's eager speeds bit
-// for bit however it is read — not at all, road by road, the whole slot, or
-// both in either order — and its random stream ends where the reference's
-// does.
+// TestLazySpeedsMatchEager: the lazy simulator serves the reference's
+// eager speeds bit for bit, over 200 steps, however it is read: not at
+// all, through SpeedsOf on random roads (any order, repeats, none, any
+// count, so the kernel's last group of four is padded), the whole slot
+// through Speeds, or both in either order. It runs on the property test's
+// random configurations and on the edges: every DiffusionPasses from 0 to
+// 4, IncidentsPerSlot from 0 to above 1, and TrendScale 0. Every step is
+// read, so every position within a look-ahead block is; after the last
+// step, at a block boundary, both random streams continue alike.
 func TestLazySpeedsMatchEager(t *testing.T) {
 	cfgNet := roadnet.DefaultGenerateConfig()
 	cfgNet.BlocksX, cfgNet.BlocksY = 5, 4
@@ -212,13 +214,13 @@ func TestLazySpeedsMatchEager(t *testing.T) {
 	}
 	cal := timeslot.MustCalendar(time.Date(2016, 3, 7, 0, 0, 0, 0, time.UTC), 10*time.Minute)
 	n := net.NumRoads()
+	const steps = 200
+	if steps%lookAhead != 0 {
+		t.Fatalf("%d steps end inside a look-ahead block of %d", steps, lookAhead)
+	}
 
-	f := func(seed int64, a, b, c uint8, readSeed int64) bool {
-		cfg := DefaultConfig()
-		cfg.Seed = seed
-		cfg.TrendPersistence = 0.5 + float64(a%50)/100
-		cfg.TrendScale = 0.05 + float64(b%30)/100
-		cfg.IncidentsPerSlot = float64(c%4) / 2
+	check := func(cfg Config, readSeed int64) bool {
+		t.Helper()
 		sim, err := New(net, cal, cfg)
 		if err != nil {
 			t.Error(err)
@@ -228,15 +230,24 @@ func TestLazySpeedsMatchEager(t *testing.T) {
 		reads := rand.New(rand.NewSource(readSeed))
 		same := func(step, road int, got float64, how string) bool {
 			if want := ref.speeds[road]; math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("seed %d step %d road %d: %s read %v, eager %v", seed, step, road, how, got, want)
+				t.Errorf("%+v step %d road %d: %s read %v, eager %v", cfg, step, road, how, got, want)
 				return false
 			}
 			return true
 		}
 		readRoads := func(step int) bool {
-			for k := reads.Intn(n); k > 0; k-- {
-				r := reads.Intn(n)
-				if !same(step, r, sim.Speed(roadnet.RoadID(r)), "per-road") {
+			k := reads.Intn(n + 1)
+			if reads.Intn(3) == 0 {
+				k = reads.Intn(2*lanes + 1)
+			}
+			roads := make([]roadnet.RoadID, k)
+			for i := range roads {
+				roads[i] = roadnet.RoadID(reads.Intn(n))
+			}
+			out := make([]float64, k)
+			sim.SpeedsOf(roads, out)
+			for i, r := range roads {
+				if !same(step, int(r), out[i], "SpeedsOf") {
 					return false
 				}
 			}
@@ -244,13 +255,13 @@ func TestLazySpeedsMatchEager(t *testing.T) {
 		}
 		readSlot := func(step int) bool {
 			for r, v := range sim.Speeds() {
-				if !same(step, r, v, "whole-slot") {
+				if !same(step, r, v, "Speeds") {
 					return false
 				}
 			}
 			return true
 		}
-		for step := 0; step <= 200; step++ {
+		for step := 0; step <= steps; step++ {
 			ok := true
 			switch reads.Intn(4) {
 			case 0: // no read at all
@@ -265,25 +276,57 @@ func TestLazySpeedsMatchEager(t *testing.T) {
 				return false
 			}
 			if sim.Slot() != ref.slot {
-				t.Errorf("seed %d: slot %d, eager %d", seed, sim.Slot(), ref.slot)
+				t.Errorf("%+v: slot %d, eager %d", cfg, sim.Slot(), ref.slot)
 				return false
 			}
-			if step < 200 {
+			if step < steps {
 				sim.Step()
 				ref.Step()
 			}
 		}
 		for k := 0; k < 8; k++ {
 			if got, want := sim.rng.Int63(), ref.rng.Int63(); got != want {
-				t.Errorf("seed %d: random stream moved: draw %d is %d, eager %d", seed, k, got, want)
+				t.Errorf("%+v: random stream moved: draw %d is %d, eager %d", cfg, k, got, want)
 				return false
 			}
 		}
 		return true
 	}
+
+	f := func(seed int64, a, b, c, d uint8, readSeed int64) bool {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		cfg.TrendPersistence = 0.5 + float64(a%50)/100
+		cfg.TrendScale = 0.05 + float64(b%30)/100
+		cfg.IncidentsPerSlot = float64(c%6) / 2
+		cfg.DiffusionPasses = int(d % 5)
+		return check(cfg, readSeed)
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
+	for passes := 0; passes <= 4; passes++ {
+		cfg := DefaultConfig()
+		cfg.DiffusionPasses = passes
+		check(cfg, int64(passes))
+	}
+	for _, rate := range []float64{0, 0.3, 1, 2.5} {
+		cfg := DefaultConfig()
+		cfg.IncidentsPerSlot = rate
+		check(cfg, 11)
+	}
+	cfg := DefaultConfig()
+	cfg.TrendScale = 0
+	check(cfg, 12)
+}
+
+// powerOf returns x^g as the speed kernel computes it: from x's Log on the
+// split path, with math.Pow everywhere else.
+func powerOf(p power, x float64) float64 {
+	if p.split(x) {
+		return p.times(math.Exp(p.yf*math.Log(x)), x)
+	}
+	return math.Pow(x, p.g)
 }
 
 // TestPowerMatchesMathPow: the split-exponent power equals math.Pow bit for
@@ -296,12 +339,12 @@ func TestPowerMatchesMathPow(t *testing.T) {
 	check := func(x, g float64) {
 		t.Helper()
 		p := splitPower(g)
-		got, want := p.of(x), math.Pow(x, g)
+		got, want := powerOf(p, x), math.Pow(x, g)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("x=%v (%#x) g=%v (%#x): %v (%#x), math.Pow %v (%#x)",
 				x, math.Float64bits(x), g, math.Float64bits(g), got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-		if p.yi != 0 && x >= 0x1p-500 && x <= 0x1p500 && x != 1 {
+		if p.split(x) {
 			split++
 		}
 	}
@@ -381,8 +424,9 @@ func randomNetwork(t *testing.T, rng *rand.Rand) *roadnet.Network {
 }
 
 // TestStencilMatchesAdjacencyLoop: the flat sweep writes the adjacency
-// loop's pass bit for bit on random networks with degree-0 roads, and on
-// the default city.
+// loop's pass bit for bit in each of its lookAhead lanes, each lane a
+// vector of its own, on random networks with degree-0 roads and on the
+// default city.
 func TestStencilMatchesAdjacencyLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	isolated := 0
@@ -396,17 +440,23 @@ func TestStencilMatchesAdjacencyLoop(t *testing.T) {
 			}
 		}
 		n := net.NumRoads()
-		src, got, want := make([]float64, n), make([]float64, n), make([]float64, n)
+		src, got := make([]float64, n*lookAhead), make([]float64, n*lookAhead)
+		lane, want := make([]float64, n), make([]float64, n)
 		for pass := 0; pass < 3; pass++ {
 			for i := range src {
 				src[i] = rng.NormFloat64()
 			}
 			st.sweep(got, src)
-			refSweep(net, weights, want, src)
-			for r := range got {
-				if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
-					t.Fatalf("%d roads, road %d (degree %d): sweep %v, adjacency loop %v",
-						n, r, len(net.Adjacent(roadnet.RoadID(r))), got[r], want[r])
+			for l := 0; l < lookAhead; l++ {
+				for r := range lane {
+					lane[r] = src[r*lookAhead+l]
+				}
+				refSweep(net, weights, want, lane)
+				for r := range want {
+					if g := got[r*lookAhead+l]; math.Float64bits(g) != math.Float64bits(want[r]) {
+						t.Fatalf("%d roads, lane %d, road %d (degree %d): sweep %v, adjacency loop %v",
+							n, l, r, len(net.Adjacent(roadnet.RoadID(r))), g, want[r])
+					}
 				}
 			}
 		}

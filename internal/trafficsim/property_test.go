@@ -32,7 +32,7 @@ func TestSpeedsPhysicalAcrossConfigs(t *testing.T) {
 			return false
 		}
 		ok := true
-		sim.Run(40, func(_ int, speeds []float64) {
+		run(sim, 40, func(_ int, speeds []float64) {
 			for _, v := range speeds {
 				if v < 1.5 || v > 40 || math.IsNaN(v) || math.IsInf(v, 0) {
 					ok = false
@@ -61,9 +61,15 @@ func TestResponsePreservesSign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	response := func(i int, field float64) float64 {
+		id := roadnet.RoadID(i)
+		ids := [lanes]roadnet.RoadID{id, id, id, id}
+		f := [lanes]float64{field, field, field, field}
+		return sim.response4(&ids, &f)[0]
+	}
 	for i := 0; i < net.NumRoads(); i += 3 {
 		for _, field := range []float64{-0.4, -0.1, 0, 0.1, 0.4} {
-			got := sim.response(i, field)
+			got := response(i, field)
 			switch {
 			case field > 0 && got <= 0:
 				t.Fatalf("road %d: response(%v) = %v flipped sign", i, field, got)
@@ -74,7 +80,7 @@ func TestResponsePreservesSign(t *testing.T) {
 			}
 		}
 		// Monotone in |field|.
-		if math.Abs(sim.response(i, 0.4)) <= math.Abs(sim.response(i, 0.1)) {
+		if math.Abs(response(i, 0.4)) <= math.Abs(response(i, 0.1)) {
 			t.Fatalf("road %d: response not monotone in field magnitude", i)
 		}
 	}

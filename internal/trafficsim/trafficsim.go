@@ -20,15 +20,17 @@
 //
 // The simulator is deterministic for a given seed and advances one time slot
 // at a time. Step advances the congestion field, the incidents and the
-// per-road noise draws; speeds are evaluated on first read after Step, the
-// whole slot by Speeds and one road by Speed, so a caller that samples a
-// subset of roads pays only for the roads it reads.
+// per-road noise draws, drawing the randomness of eight steps at a time;
+// speeds are evaluated on first read after Step, the whole slot by Speeds
+// and a list of roads by SpeedsOf, so a caller that samples a subset of
+// roads pays only for the roads it reads.
 package trafficsim
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/roadnet"
@@ -102,13 +104,14 @@ func (c *Config) Validate() error {
 
 // incident is an active localised slowdown.
 type incident struct {
-	road      roadnet.RoadID
 	endsSlot  int
-	severity  float64
-	radius    int
-	hitRoads  []roadnet.RoadID // affected roads, including the origin
+	hitRoads  []roadnet.RoadID // affected roads, the origin first
 	hitFactor []float64        // speed multiplier per affected road
 }
+
+// lookAhead is how many steps' randomness Step draws at once. The
+// diffusion sweep writes out its eight lanes by hand.
+const lookAhead = 8
 
 // Simulator produces ground-truth speeds slot by slot.
 type Simulator struct {
@@ -117,11 +120,13 @@ type Simulator struct {
 	cfg Config
 	rng *rand.Rand
 
-	slot      int       // next slot to be produced by Step
-	field     []float64 // AR(1) congestion field, log-speed units
-	baseline  []float64 // per-road static factor (chronically slow roads)
-	sens      []float64 // per-road congestion sensitivity (response amplitude)
-	gamma     []power   // per-road response exponent (nonlinearity)
+	slot      int                 // slot of the speeds Speeds exposes
+	field     []float64           // AR(1) congestion field, log-speed units
+	free      []float64           // per road: its class's free-flow speed × its chronic factor
+	sens      []float64           // per-road congestion sensitivity (response amplitude)
+	gamma     []power             // per-road response exponent (nonlinearity)
+	class     []roadnet.RoadClass // per road
+	all       []roadnet.RoadID    // every road in order, what Speeds evaluates
 	incidents []incident
 
 	// classFactor is a per-road-class AR(1) common congestion factor:
@@ -131,18 +136,35 @@ type Simulator struct {
 	// diffusion is the congestion innovations' smoothing stencil.
 	diffusion stencil
 
-	// The current slot's speed inputs, set by Step: every road's noise
-	// draw (standard normal), its incident multiplier, and each class's
-	// diurnal factor. speeds holds every road's speed once evaluated is
-	// set.
+	// The look-ahead: the randomness of the steps after slot up to the
+	// end of the block drawAhead last drew. next is the block lane the
+	// next Step takes, lookAhead when the block is spent. Lane l holds
+	// innovations, smoothed, road-major in innov (road r's at
+	// r*lookAhead+l; smooth is the sweep's other buffer), the scale that
+	// keeps the field's variance, the class-factor draws, the incidents
+	// that start, and one noise draw per road in noiseAhead[l*n:(l+1)*n].
+	next          int
+	innov, smooth []float64
+	innovScale    [lookAhead]float64
+	classDraw     [lookAhead][4]float64
+	spawned       [lookAhead][]incident
+	noiseAhead    []float64
+
+	// The current slot's speed inputs: every road's noise draw (standard
+	// normal, a lane of noiseAhead), its incident multiplier, and each
+	// class's diurnal factor. speeds holds every road's speed once
+	// evaluated is set.
 	noise     []float64
 	mult      []float64
 	diurnal   [4]float64
 	speeds    []float64
 	evaluated bool
 
-	// scratch buffers reused across steps
-	innov, smooth []float64
+	// hop and walk are newIncident's breadth-first walk: hop[r] is road
+	// r's hop count from the origin while the walk has reached it, -1
+	// otherwise.
+	hop  []int32
+	walk []roadnet.RoadID
 }
 
 // New returns a Simulator starting at slot 0.
@@ -153,20 +175,29 @@ func New(net *roadnet.Network, cal *timeslot.Calendar, cfg Config) (*Simulator, 
 	n := net.NumRoads()
 	s := &Simulator{
 		net: net, cal: cal, cfg: cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		field:    make([]float64, n),
-		baseline: make([]float64, n),
-		sens:     make([]float64, n),
-		gamma:    make([]power, n),
-		noise:    make([]float64, n),
-		mult:     make([]float64, n),
-		speeds:   make([]float64, n),
-		innov:    make([]float64, n),
-		smooth:   make([]float64, n),
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		field:      make([]float64, n),
+		free:       make([]float64, n),
+		sens:       make([]float64, n),
+		gamma:      make([]power, n),
+		class:      make([]roadnet.RoadClass, n),
+		all:        make([]roadnet.RoadID, n),
+		next:       lookAhead,
+		innov:      make([]float64, n*lookAhead),
+		smooth:     make([]float64, n*lookAhead),
+		noiseAhead: make([]float64, n*lookAhead),
+		mult:       make([]float64, n),
+		speeds:     make([]float64, n),
+		hop:        make([]int32, n),
 	}
-	for i := range s.baseline {
-		// Chronic per-road factor in roughly [0.85, 1.05].
-		s.baseline[i] = math.Exp(s.rng.NormFloat64() * 0.05)
+	for i := range s.free {
+		class := net.Road(roadnet.RoadID(i)).Class
+		s.class[i] = class
+		s.all[i] = roadnet.RoadID(i)
+		s.hop[i] = -1
+		// The free-flow speed times a chronic per-road factor in roughly
+		// [0.85, 1.05].
+		s.free[i] = class.FreeFlowSpeed() * math.Exp(s.rng.NormFloat64()*0.05)
 		// Start the field at its stationary distribution.
 		s.field[i] = s.rng.NormFloat64() * cfg.TrendScale
 		// Heterogeneous congestion response: roads agree on the *direction*
@@ -178,7 +209,12 @@ func New(net *roadnet.Network, cal *timeslot.Calendar, cfg Config) (*Simulator, 
 		s.gamma[i] = splitPower(math.Exp((s.rng.Float64()*2 - 1) * math.Log(1.8))) // exponent in [1/1.8, 1.8]
 	}
 	s.diffusion = newStencil(net, buildDiffusionWeights(net))
-	s.drawSlot()
+	// Slot 0's noise takes lane 0; the first Step draws a block over it.
+	noise := s.noiseAhead[:n]
+	for i := range noise {
+		noise[i] = s.rng.NormFloat64()
+	}
+	s.prepareSlot(noise)
 	return s, nil
 }
 
@@ -232,49 +268,63 @@ func (s *Simulator) Slot() int { return s.slot }
 // callers that retain it must copy.
 func (s *Simulator) Speeds() []float64 {
 	if !s.evaluated {
-		for i := range s.speeds {
-			s.speeds[i] = s.speedOf(i)
-		}
+		s.speedsOf(s.all, s.speeds)
 		s.evaluated = true
 	}
 	return s.speeds
 }
 
-// Speed returns the current true speed of one road in m/s. Until Speeds
-// evaluates the slot, it evaluates this road alone.
-func (s *Simulator) Speed(id roadnet.RoadID) float64 {
-	if s.evaluated {
-		return s.speeds[id]
+// SpeedsOf writes the current true speed of roads[k], in m/s, to out[k]
+// for every k; out must be at least as long as roads. Until Speeds
+// evaluates the slot, it evaluates only the roads it is given, in any
+// order and with repeats.
+func (s *Simulator) SpeedsOf(roads []roadnet.RoadID, out []float64) {
+	out = out[:len(roads)]
+	if !s.evaluated {
+		s.speedsOf(roads, out)
+		return
 	}
-	return s.speedOf(int(id))
+	for k, id := range roads {
+		out[k] = s.speeds[id]
+	}
 }
 
-// Step advances the simulator to the next slot. It draws the slot's
-// randomness but evaluates no speed; Speeds and Speed do that on demand.
+// Step advances the simulator to the next slot. It evaluates no speed;
+// Speeds and SpeedsOf do that on demand. Every lookAhead steps it draws
+// the randomness of the next lookAhead in the order one step at a time
+// would: a step's innovations, its class-factor draws, its incident draws
+// and its noise, then the next step's. No draw depends on the field, so
+// drawing them early changes nothing.
 func (s *Simulator) Step() {
 	s.slot++
-	s.advanceField()
-	s.spawnIncidents()
-	s.expireIncidents()
-	s.drawSlot()
-}
-
-// Run advances through n slots, invoking fn after each step with the slot
-// index and the speeds for that slot (fn must not retain the slice).
-func (s *Simulator) Run(n int, fn func(slot int, speeds []float64)) {
-	for i := 0; i < n; i++ {
-		if fn != nil {
-			fn(s.slot, s.Speeds())
-		}
-		s.Step()
+	if s.next == lookAhead {
+		s.drawAhead()
 	}
+	l := s.next
+	s.next++
+	s.advanceField(l)
+	s.incidents = append(s.incidents, s.spawned[l]...)
+	s.expireIncidents()
+	n := len(s.field)
+	s.prepareSlot(s.noiseAhead[l*n : (l+1)*n])
 }
 
-// advanceField evolves the spatially-correlated AR(1) congestion field.
-func (s *Simulator) advanceField() {
+// drawAhead draws the randomness of slots slot … slot+lookAhead−1 into
+// the block's lanes and smooths the block's innovations.
+func (s *Simulator) drawAhead() {
 	n := len(s.field)
-	for i := 0; i < n; i++ {
-		s.innov[i] = s.rng.NormFloat64()
+	for l := range lookAhead {
+		for i := 0; i < n; i++ {
+			s.innov[i*lookAhead+l] = s.rng.NormFloat64()
+		}
+		for c := range s.classDraw[l] {
+			s.classDraw[l][c] = s.rng.NormFloat64()
+		}
+		s.spawned[l] = s.spawnIncidents(s.spawned[l][:0], s.slot+l)
+		noise := s.noiseAhead[l*n : (l+1)*n]
+		for i := range noise {
+			noise[i] = s.rng.NormFloat64()
+		}
 	}
 	// Spatial smoothing: repeated weighted neighbourhood averaging over the
 	// road adjacency. After k passes the innovation on a road mixes
@@ -288,29 +338,43 @@ func (s *Simulator) advanceField() {
 	}
 	// Smoothing shrinks the variance; rescale so the stationary field keeps
 	// TrendScale regardless of DiffusionPasses.
-	var sd float64
+	var sumSq [lookAhead]float64
 	for i := 0; i < n; i++ {
-		sd += s.innov[i] * s.innov[i]
-	}
-	sd = math.Sqrt(sd / float64(n))
-	if sd < 1e-12 {
-		sd = 1
+		v := (*[lookAhead]float64)(s.innov[i*lookAhead:])
+		for l := range sumSq {
+			sumSq[l] += v[l] * v[l]
+		}
 	}
 	a := s.cfg.TrendPersistence
-	innovScale := s.cfg.TrendScale * math.Sqrt(1-a*a) / sd
-	for i := 0; i < n; i++ {
-		s.field[i] = a*s.field[i] + s.innov[i]*innovScale
+	for l, sq := range sumSq {
+		sd := math.Sqrt(sq / float64(n))
+		if sd < 1e-12 {
+			sd = 1
+		}
+		s.innovScale[l] = s.cfg.TrendScale * math.Sqrt(1-a*a) / sd
+	}
+	s.next = 0
+}
+
+// advanceField evolves the spatially-correlated AR(1) congestion field by
+// lane l of the look-ahead.
+func (s *Simulator) advanceField(l int) {
+	a := s.cfg.TrendPersistence
+	innovScale := s.innovScale[l]
+	for i := range s.field {
+		s.field[i] = a*s.field[i] + s.innov[i*lookAhead+l]*innovScale
 	}
 	// Per-class common factor: roads of one class co-move city-wide (e.g.
 	// every expressway fills up together), independent of spatial proximity.
 	classScale := 0.5 * s.cfg.TrendScale
 	for c := range s.classFactor {
-		s.classFactor[c] = a*s.classFactor[c] + s.rng.NormFloat64()*classScale*math.Sqrt(1-a*a)
+		s.classFactor[c] = a*s.classFactor[c] + s.classDraw[l][c]*classScale*math.Sqrt(1-a*a)
 	}
 }
 
-// spawnIncidents draws new incidents from a Poisson-like process.
-func (s *Simulator) spawnIncidents() {
+// spawnIncidents appends to dst the incidents that start at slot, drawn
+// from a Poisson-like process.
+func (s *Simulator) spawnIncidents(dst []incident, slot int) []incident {
 	// Bernoulli thinning approximation of a Poisson process: expected count
 	// is IncidentsPerSlot.
 	expected := s.cfg.IncidentsPerSlot
@@ -320,35 +384,49 @@ func (s *Simulator) spawnIncidents() {
 			p = 1
 		}
 		if s.rng.Float64() < p {
-			s.addIncident()
+			dst = append(dst, s.newIncident(slot))
 		}
 		expected -= 1
 	}
+	return dst
 }
 
-func (s *Simulator) addIncident() {
+// newIncident draws an incident that starts at slot. It reaches the roads
+// within IncidentRadius hops of its origin by a breadth-first walk of that
+// neighbourhood alone.
+func (s *Simulator) newIncident(slot int) incident {
 	origin := roadnet.RoadID(s.rng.Intn(s.net.NumRoads()))
 	duration := 1 + int(s.rng.ExpFloat64()*s.cfg.IncidentSlots)
-	inc := incident{
-		road:     origin,
-		endsSlot: s.slot + duration,
-		severity: s.cfg.IncidentSeverity * (0.6 + 0.8*s.rng.Float64()),
-		radius:   s.cfg.IncidentRadius,
+	severity := s.cfg.IncidentSeverity * (0.6 + 0.8*s.rng.Float64())
+	if severity >= 0.95 {
+		severity = 0.95
 	}
-	if inc.severity >= 0.95 {
-		inc.severity = 0.95
-	}
-	hops := s.net.Hops([]roadnet.RoadID{origin}, inc.radius)
-	for id, h := range hops {
-		if h < 0 {
+	walk := append(s.walk[:0], origin)
+	s.hop[origin] = 0
+	for k := 0; k < len(walk); k++ {
+		h := s.hop[walk[k]]
+		if int(h) >= s.cfg.IncidentRadius {
 			continue
 		}
-		// Severity halves per hop away from the origin.
-		sev := inc.severity / math.Pow(2, float64(h))
-		inc.hitRoads = append(inc.hitRoads, roadnet.RoadID(id))
-		inc.hitFactor = append(inc.hitFactor, 1-sev)
+		for _, nb := range s.net.Adjacent(walk[k]) {
+			if s.hop[nb] < 0 {
+				s.hop[nb] = h + 1
+				walk = append(walk, nb)
+			}
+		}
 	}
-	s.incidents = append(s.incidents, inc)
+	inc := incident{
+		endsSlot:  slot + duration,
+		hitRoads:  slices.Clone(walk),
+		hitFactor: make([]float64, len(walk)),
+	}
+	for k, id := range walk {
+		// Severity halves per hop away from the origin.
+		inc.hitFactor[k] = 1 - severity/math.Pow(2, float64(s.hop[id]))
+		s.hop[id] = -1
+	}
+	s.walk = walk
+	return inc
 }
 
 func (s *Simulator) expireIncidents() {
@@ -361,11 +439,9 @@ func (s *Simulator) expireIncidents() {
 	s.incidents = alive
 }
 
-// drawSlot prepares the current slot's speed inputs: the incident
-// multipliers, the diurnal factors and one noise draw per road, in road
-// order. The draws are the slot's last use of the RNG, so evaluating speeds
-// later, in any order or not at all, leaves the random stream untouched.
-func (s *Simulator) drawSlot() {
+// prepareSlot sets the current slot's speed inputs: the incident
+// multipliers, the diurnal factors and the noise draws.
+func (s *Simulator) prepareSlot(noise []float64) {
 	// Incident multipliers (multiplicative across overlapping incidents).
 	for i := range s.mult {
 		s.mult[i] = 1
@@ -379,41 +455,8 @@ func (s *Simulator) drawSlot() {
 	for c := range s.diurnal {
 		s.diurnal[c] = diurnalFactor(h, weekend, roadnet.RoadClass(c))
 	}
-	for i := range s.noise {
-		s.noise[i] = s.rng.NormFloat64()
-	}
+	s.noise = noise
 	s.evaluated = false
-}
-
-// speedOf evaluates road i's speed for the current slot.
-func (s *Simulator) speedOf(i int) float64 {
-	class := s.net.Road(roadnet.RoadID(i)).Class
-	base := class.FreeFlowSpeed() * s.baseline[i] * s.diurnal[class]
-	noise := math.Exp(s.noise[i] * s.cfg.NoiseScale)
-	speed := base * math.Exp(s.response(i, s.field[i]+s.classFactor[class])) * s.mult[i] * noise
-	// Physical ceiling and floor: free-flowing traffic exceeds the nominal
-	// free-flow speed only slightly, and jams crawl rather than stopping
-	// forever.
-	if ceiling := class.FreeFlowSpeed() * 1.25; speed > ceiling {
-		speed = ceiling
-	}
-	if floor := 1.5; speed < floor { // ≈ 5.4 km/h
-		speed = floor
-	}
-	return speed
-}
-
-// response maps the shared congestion signal f to road i's log-speed
-// effect: sign-preserving (trend agreement intact) but with per-road
-// amplitude and curvature, so magnitudes decorrelate across roads even
-// where trends agree.
-func (s *Simulator) response(i int, f float64) float64 {
-	sigma := s.cfg.TrendScale
-	if sigma <= 0 {
-		return f * s.sens[i]
-	}
-	norm := math.Abs(f) / sigma
-	return math.Copysign(s.gamma[i].of(norm)*sigma*s.sens[i], f)
 }
 
 // diurnalClock returns the hour of day at the slot's start, fractional, and

@@ -20,6 +20,22 @@ func testNet(t *testing.T) *roadnet.Network {
 	return n
 }
 
+// run advances sim through n slots, invoking fn before each step with the
+// slot index and the speeds for that slot (fn must not retain the slice).
+func run(sim *Simulator, n int, fn func(slot int, speeds []float64)) {
+	for i := 0; i < n; i++ {
+		fn(sim.Slot(), sim.Speeds())
+		sim.Step()
+	}
+}
+
+// readSpeed returns road id's current speed, read through SpeedsOf.
+func readSpeed(sim *Simulator, id roadnet.RoadID) float64 {
+	out := make([]float64, 1)
+	sim.SpeedsOf([]roadnet.RoadID{id}, out)
+	return out[0]
+}
+
 func testCal(t *testing.T) *timeslot.Calendar {
 	t.Helper()
 	return timeslot.MustCalendar(time.Date(2016, 3, 7, 0, 0, 0, 0, time.UTC), 10*time.Minute)
@@ -46,7 +62,7 @@ func TestSpeedsArePhysical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run(200, func(slot int, speeds []float64) {
+	run(sim, 200, func(slot int, speeds []float64) {
 		for id, v := range speeds {
 			if v < 1.5 || v > 40 || math.IsNaN(v) {
 				t.Fatalf("slot %d road %d speed %v out of physical range", slot, id, v)
@@ -109,7 +125,7 @@ func TestRushHourSlowdown(t *testing.T) {
 	// Average network speed per slot over one weekday.
 	slotsPerDay := cal.SlotsPerDay()
 	meanAt := make([]float64, slotsPerDay)
-	sim.Run(slotsPerDay, func(slot int, speeds []float64) {
+	run(sim, slotsPerDay, func(slot int, speeds []float64) {
 		var sum float64
 		for _, v := range speeds {
 			sum += v
@@ -219,7 +235,7 @@ func TestSpatialTrendCorrelation(t *testing.T) {
 	for i := range series {
 		series[i] = make([]float64, 0, slots)
 	}
-	sim.Run(slots, func(_ int, speeds []float64) {
+	run(sim, slots, func(_ int, speeds []float64) {
 		for i, v := range speeds {
 			series[i] = append(series[i], v)
 		}
@@ -290,15 +306,14 @@ func TestIncidentsDepressLocalSpeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Step()
-	before := sim.Speed(0)
+	before := readSpeed(sim, 0)
 	// Inject an incident at road 0 by enabling incidents with certainty.
 	sim.cfg.IncidentsPerSlot = 0
 	sim.incidents = append(sim.incidents, incident{
-		road: 0, endsSlot: sim.slot + 10, severity: 0.5,
-		hitRoads: []roadnet.RoadID{0}, hitFactor: []float64{0.5},
+		endsSlot: sim.slot + 10, hitRoads: []roadnet.RoadID{0}, hitFactor: []float64{0.5},
 	})
-	sim.drawSlot()
-	after := sim.Speed(0)
+	sim.prepareSlot(sim.noise)
+	after := readSpeed(sim, 0)
 	if after > before*0.6 {
 		t.Errorf("incident speed %v not clearly below %v", after, before)
 	}
