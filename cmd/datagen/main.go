@@ -30,16 +30,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg dataset.Config
-	switch *city {
-	case "b":
-		cfg = dataset.BCity()
-	case "t":
-		cfg = dataset.TCity()
-	case "default":
-		cfg = dataset.DefaultConfig()
-	default:
-		log.Fatalf("unknown -city %q (want b, t or default)", *city)
+	cfg, err := dataset.Preset(*city)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *days > 0 {
 		cfg.HistoryDays = *days

@@ -101,16 +101,9 @@ func main() {
 			log.Fatal(err)
 		}
 	} else {
-		var cfg dataset.Config
-		switch *city {
-		case "b":
-			cfg = dataset.BCity()
-		case "t":
-			cfg = dataset.TCity()
-		case "default":
-			cfg = dataset.DefaultConfig()
-		default:
-			log.Fatalf("unknown -city %q", *city)
+		cfg, err := dataset.Preset(*city)
+		if err != nil {
+			log.Fatal(err)
 		}
 		log.Printf("building %s-city dataset...", *city)
 		d, err := dataset.Build(cfg)

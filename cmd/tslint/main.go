@@ -1,8 +1,8 @@
 // Command tslint runs the repo's static-analysis suite (internal/lint): the
-// analyzers that enforce the pipeline's concurrency, immutability and
-// observability invariants — modelmut, atomicload, spanend, metricname,
-// errwrap, floateq, plus the callgraph-aware hotalloc and ctxflow — and
-// directive hygiene for //lint:ignore / //lint:hotpath-ok suppressions.
+// seven analyzers that enforce the pipeline's concurrency, immutability and
+// observability invariants — modelmut, atomicload, metricname, errwrap,
+// floateq, plus the callgraph-aware hotalloc and ctxflow — and directive
+// hygiene for //lint:ignore / //lint:hotpath-ok suppressions.
 //
 // Usage:
 //
@@ -49,16 +49,11 @@ func main() {
 	var (
 		checks  = flag.String("checks", "", "comma-separated analyzer names to run (default: all)")
 		list    = flag.Bool("list", false, "list the analyzers and exit")
-		version = flag.Bool("version", false, "print the suite version and exit")
 		jsonOut = flag.Bool("json", false, "emit one JSON finding per line (suppressed findings included)")
 		hotpath = flag.String("hotpath-json", "", "write the hot-set manifest (lint.HotSet) to this file")
 	)
 	flag.Parse()
 
-	if *version {
-		fmt.Println("tslint", lint.Version)
-		return
-	}
 	if *list {
 		for _, a := range lint.All() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -82,6 +83,50 @@ func TestEstimateCtxCancelPromptReturn(t *testing.T) {
 	s1, e1 := obs.DefaultTracer().Counts()
 	if s1-e1 != s0-e0 {
 		t.Errorf("span leak: open spans went from %d to %d", s0-e0, s1-e1)
+	}
+}
+
+// panicEngine panics inside Infer, as a faulty trend engine would.
+type panicEngine struct{}
+
+func (panicEngine) Name() string { return "panic-test" }
+
+func (panicEngine) Infer(context.Context, *mrf.Model, []mrf.Evidence, *mrf.Beliefs) (*mrf.Result, error) {
+	panic("trend engine failed")
+}
+
+// TestPanickingRoundEndsItsSpans runs a round whose trend engine panics,
+// recovered as the API's instrumentation middleware recovers it, and asserts
+// the round leaks no span: the default tracer's books balance, and its ring
+// holds the round's phase spans up to the trend phase, then the round span,
+// under the request's ID.
+func TestPanickingRoundEndsItsSpans(t *testing.T) {
+	d := buildCity(t, 5, 4)
+	v := viewWithEngine(t, d, panicEngine{})
+	const reqID = "panicking-round"
+	ctx := obs.WithRequestID(context.Background(), reqID)
+
+	s0, e0 := obs.DefaultTracer().Counts()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the engine's panic did not reach the caller")
+			}
+		}()
+		_, _ = v.Estimate(ctx, d.Slot(), nil)
+	}()
+	s1, e1 := obs.DefaultTracer().Counts()
+	if s1-e1 != s0-e0 {
+		t.Errorf("span leak: open spans went from %d to %d", s0-e0, s1-e1)
+	}
+	var names []string
+	for _, sp := range obs.DefaultTracer().Spans() {
+		if sp.RequestID == reqID {
+			names = append(names, sp.Name)
+		}
+	}
+	if want := []string{"core.estimate/pre_pass", "core.estimate/trend", "core.estimate"}; !slices.Equal(names, want) {
+		t.Errorf("the panicking round recorded spans %q, want %q", names, want)
 	}
 }
 

@@ -35,7 +35,7 @@ import (
 // Core observability: the offline build stages and the online round latency
 // split by phase (pre-pass magnitude, trend inference, speed regression),
 // the decomposition behind the paper's real-time claim. Stage wall times
-// are also traced as spans (obs.StartSpan), so /debug/trace shows the exact
+// are also traced as spans (obs.Time), so /debug/trace shows the exact
 // sequence of a slow round.
 var (
 	stageSeconds = func(stage string) *obs.Histogram {
@@ -64,14 +64,13 @@ var (
 
 // timeStage runs fn as a traced, metered build stage. A context already
 // cancelled at the stage boundary short-circuits before the stage's span is
-// started, so cancellation never leaves a span open.
-func timeStage(ctx context.Context, stage string, fn func() error) error {
+// started.
+func timeStage(ctx context.Context, stage string, fn func(context.Context) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	_, sp := obs.StartSpan(ctx, stage)
-	err := fn()
-	stageSeconds(stage).Observe(sp.End().Seconds())
+	d, err := obs.Time(ctx, stage, fn)
+	stageSeconds(stage).Observe(d.Seconds())
 	return err
 }
 
@@ -88,13 +87,12 @@ func newRoundPhase(name string) roundPhase {
 
 // timePhase runs fn as a traced, metered estimation-round phase, with the
 // same cancel-before-span short-circuit as timeStage.
-func timePhase(ctx context.Context, phase roundPhase, fn func() error) error {
+func timePhase(ctx context.Context, phase roundPhase, fn func(context.Context) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	_, sp := obs.StartSpan(ctx, phase.name)
-	err := fn()
-	phase.seconds.Observe(sp.End().Seconds())
+	d, err := obs.Time(ctx, phase.name, fn)
+	phase.seconds.Observe(d.Seconds())
 	return err
 }
 

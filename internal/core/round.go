@@ -69,13 +69,17 @@ func (v *View) EstimateFromCrowd(ctx context.Context, slot int, reports []crowd.
 }
 
 // EstimateWith is Estimate with per-call overrides. The round span nests
-// under any span already on ctx and is ended on every path, including
-// cancellation; the round latency and the round/cancel counters are recorded
-// here once per round.
+// under any span already on ctx and ends on every path, including
+// cancellation and a panic; the round latency and the round/cancel counters
+// are recorded here once per round that returns.
 func (v *View) EstimateWith(ctx context.Context, slot int, seedSpeeds map[roadnet.RoadID]float64, opts EstimateOptions) (*Estimate, error) {
-	ctx, roundSpan := obs.StartSpan(ctx, "core.estimate")
-	out, err := v.estimateWith(ctx, slot, seedSpeeds, opts)
-	totalSeconds.Observe(roundSpan.End().Seconds())
+	var out *Estimate
+	//lint:hotpath-ok one span-bracketing thunk per round (not per index); obs.Time needs a closure to time and the round does O(roads) work inside it
+	d, err := obs.Time(ctx, "core.estimate", func(ctx context.Context) (err error) {
+		out, err = v.estimateWith(ctx, slot, seedSpeeds, opts)
+		return err
+	})
+	totalSeconds.Observe(d.Seconds())
 	if err == nil {
 		estimateRounds.Inc()
 	} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -163,7 +167,7 @@ func (v *View) seedRels(slot int, seedSpeeds map[roadnet.RoadID]float64) ([]floa
 func (v *View) regress(ctx context.Context, phase roundPhase, req *hlm.Request) ([]float64, error) {
 	var rels []float64
 	//lint:hotpath-ok one span-bracketing thunk per phase per round (not per index); timePhase needs a closure to time and the round does O(roads) work inside it
-	if err := timePhase(ctx, phase, func() (err error) {
+	if err := timePhase(ctx, phase, func(context.Context) (err error) {
 		rels, err = v.estimateRels(req)
 		return err
 	}); err != nil {
@@ -196,7 +200,7 @@ func (v *View) trendPriors(slot int, seedRels []float64) []float64 {
 func (v *View) inferTrends(ctx context.Context, priors []float64) (*mrf.Result, error) {
 	var trends *mrf.Result
 	//lint:hotpath-ok one span-bracketing thunk per phase per round (not per index); timePhase needs a closure to time and the round does O(roads) work inside it
-	if err := timePhase(ctx, trendPhase, func() error {
+	if err := timePhase(ctx, trendPhase, func(ctx context.Context) error {
 		model, err := mrf.NewModel(v.trendTopo, priors)
 		if err != nil {
 			return fmt.Errorf("building trend model: %w", err)

@@ -353,7 +353,7 @@ func (s *Store) publish(ctx context.Context, v *View) (published, replaced *View
 	}
 	defer func() { <-s.seedTurn }()
 	replaced = s.cur.Load()
-	if v, err = v.WithSeeds(ctx, replaced.seeds); err != nil {
+	if v, err = v.WithSeeds(ctx, replaced.seedModel.Seeds()); err != nil {
 		return nil, nil, fmt.Errorf("core: re-specializing seed set: %w", err)
 	}
 	// A cancellation that raced the last stage must not publish: Close has
@@ -371,7 +371,7 @@ func (s *Store) publish(ctx context.Context, v *View) (published, replaced *View
 func (s *Store) successor(ctx context.Context, old *View, pending []Observation, maxDirtyFrac float64) (*View, string, error) {
 	var builder *history.Builder
 	var db *history.DB
-	if err := timeStage(ctx, "history_roll_forward", func() (err error) {
+	if err := timeStage(ctx, "history_roll_forward", func(context.Context) (err error) {
 		if builder, err = history.NewBuilderFrom(old.DB()); err != nil {
 			return err
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/corr"
@@ -30,19 +29,19 @@ import (
 //
 // Seed specialisation derives a new View rather than changing one: WithSeeds
 // and SelectSeeds return a View that shares everything build trained with
-// the receiver and carries its own seed set and seed-conditional model, and
-// WithSeeds(ctx, nil) is the unspecialised view. Rounds leave nothing
-// behind, so a view, and any successor an incremental rebuild mints from
-// it, answers as a function of its history and seed set alone, never of the
-// traffic it served. A view runs one trend engine, Options.Engine or the
-// served BP; a caller-configured one is only as safe as the engine itself.
+// the receiver and carries its own seed-conditional model, which holds its
+// seed set, and WithSeeds(ctx, nil) is the unspecialised view. Rounds leave
+// nothing behind, so a view, and any successor an incremental rebuild mints
+// from it, answers as a function of its history and seed set alone, never
+// of the traffic it served. A view runs one trend engine, Options.Engine or
+// the served BP; a caller-configured one is only as safe as the engine
+// itself.
 type View struct {
 	*trained
 
-	// seeds is the seed set the view is specialised to and seedModel the
-	// HLM's seed-conditional regressions for it; both are nil on an
+	// seedModel is the HLM's seed-conditional regressions for the seed set
+	// the view is specialised to, and holds that set; it is nil on an
 	// unspecialised view.
-	seeds     []roadnet.RoadID
 	seedModel *hlm.SeedModel
 }
 
@@ -114,63 +113,66 @@ func build(ctx context.Context, net *roadnet.Network, db *history.DB, opts Optio
 	if prev != nil {
 		span, hlmStage = "core.rebuild_incremental", "hlm_retrain"
 	}
-	ctx, buildSpan := obs.StartSpan(ctx, span)
-	defer buildSpan.End()
-	var graph *corr.Graph
-	if err := timeStage(ctx, "corr_build", func() (err error) {
-		graph, err = corr.Build(net, db, opts.Corr)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: building correlation graph: %w", err)
-	}
-	var model *hlm.Model
-	if err := timeStage(ctx, hlmStage, func() (err error) {
-		if prev == nil {
-			model, err = hlm.Train(graph, db, hlm.Config{Levels: hlm.PoolingLevels(net)})
+	var v *View
+	_, err := obs.Time(ctx, span, func(ctx context.Context) error {
+		var graph *corr.Graph
+		if err := timeStage(ctx, "corr_build", func(context.Context) (err error) {
+			graph, err = corr.Build(net, db, opts.Corr)
 			return err
+		}); err != nil {
+			return fmt.Errorf("core: building correlation graph: %w", err)
 		}
-		mask := make([]bool, db.NumRoads())
-		for _, r := range dirty {
-			mask[r] = true
+		var model *hlm.Model
+		if err := timeStage(ctx, hlmStage, func(context.Context) (err error) {
+			if prev == nil {
+				model, err = hlm.Train(graph, db, hlm.Config{Levels: hlm.PoolingLevels(net)})
+				return err
+			}
+			mask := make([]bool, db.NumRoads())
+			for _, r := range dirty {
+				mask[r] = true
+			}
+			model, err = hlm.Retrain(prev.hlm, graph, db, mask)
+			return err
+		}); err != nil {
+			return fmt.Errorf("core: training HLM: %w", err)
 		}
-		model, err = hlm.Retrain(prev.hlm, graph, db, mask)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: training HLM: %w", err)
-	}
-	var problem *seedsel.Problem
-	if err := timeStage(ctx, "seedsel_prepare", func() (err error) {
-		problem, err = seedsel.NewProblem(graph, seedsel.BenefitWeights(net, db))
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: preparing seed selection: %w", err)
-	}
-	var trendTopo *mrf.Topology
-	if err := timeStage(ctx, "trend_topology", func() (err error) {
-		trendTopo, err = mrf.NewTopology(graph, trendTemper)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: building trend topology: %w", err)
-	}
-	engine := opts.Engine
-	if engine == nil {
-		bp, err := mrf.NewBP(opts.BP)
-		if err != nil {
-			return nil, fmt.Errorf("core: building BP engine: %w", err)
+		var problem *seedsel.Problem
+		if err := timeStage(ctx, "seedsel_prepare", func(context.Context) (err error) {
+			problem, err = seedsel.NewProblem(graph, seedsel.BenefitWeights(net, db))
+			return err
+		}); err != nil {
+			return fmt.Errorf("core: preparing seed selection: %w", err)
 		}
-		engine = bp
-	}
-	selector := opts.Selector
-	if selector == nil {
-		selector = seedsel.Lazy{}
-	}
-	return &View{trained: &trained{
-		version: version, builtAt: start, buildDur: time.Since(start),
-		obsCount: db.ObservationCount(),
-		net:      net, db: db, graph: graph, hlm: model,
-		problem: problem, selector: selector, engine: engine,
-		trendTopo: trendTopo, rebuildMode: rebuildMode(prev),
-	}}, nil
+		var trendTopo *mrf.Topology
+		if err := timeStage(ctx, "trend_topology", func(context.Context) (err error) {
+			trendTopo, err = mrf.NewTopology(graph, trendTemper)
+			return err
+		}); err != nil {
+			return fmt.Errorf("core: building trend topology: %w", err)
+		}
+		engine := opts.Engine
+		if engine == nil {
+			bp, err := mrf.NewBP(opts.BP)
+			if err != nil {
+				return fmt.Errorf("core: building BP engine: %w", err)
+			}
+			engine = bp
+		}
+		selector := opts.Selector
+		if selector == nil {
+			selector = seedsel.Lazy{}
+		}
+		v = &View{trained: &trained{
+			version: version, builtAt: start, buildDur: time.Since(start),
+			obsCount: db.ObservationCount(),
+			net:      net, db: db, graph: graph, hlm: model,
+			problem: problem, selector: selector, engine: engine,
+			trendTopo: trendTopo, rebuildMode: rebuildMode(prev),
+		}}
+		return nil
+	})
+	return v, err
 }
 
 // rebuildMode names the build a predecessor selects: a nil prev trains from
@@ -259,13 +261,13 @@ func (v *View) WithSeeds(ctx context.Context, seeds []roadnet.RoadID) (*View, er
 		return v, nil
 	}
 	var sm *hlm.SeedModel
-	if err := timeStage(ctx, "seed_specialize", func() (err error) {
+	if err := timeStage(ctx, "seed_specialize", func(context.Context) (err error) {
 		sm, err = v.hlm.Specialize(v.db, seeds, hlm.SeedCandidates(v.net, seeds))
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("core: specialising to seed set: %w", err)
 	}
-	return &View{trained: v.trained, seeds: slices.Clone(seeds), seedModel: sm}, nil
+	return &View{trained: v.trained, seedModel: sm}, nil
 }
 
 // SeedBenefit evaluates the benefit function on a seed set (diagnostics and

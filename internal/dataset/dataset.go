@@ -73,6 +73,20 @@ func TCity() Config {
 	return c
 }
 
+// Preset returns the named configuration, as the commands' -city flag names
+// it: "b" (BCity), "t" (TCity) or "default" (DefaultConfig).
+func Preset(name string) (Config, error) {
+	switch name {
+	case "b":
+		return BCity(), nil
+	case "t":
+		return TCity(), nil
+	case "default":
+		return DefaultConfig(), nil
+	}
+	return Config{}, fmt.Errorf("dataset: unknown city preset %q (want b, t or default)", name)
+}
+
 // Validate rejects unusable configurations.
 func (c *Config) Validate() error {
 	if c.HistoryDays < 1 {

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/roadnet"
@@ -119,5 +120,26 @@ func TestCityConfigsValidate(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s-City config invalid: %v", name, err)
 		}
+	}
+}
+
+// TestPreset: each -city name maps to its preset, and an unknown name is
+// refused.
+func TestPreset(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Config
+	}{
+		{"b", BCity()},
+		{"t", TCity()},
+		{"default", DefaultConfig()},
+	} {
+		got, err := Preset(tc.name)
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Preset(%q) = %+v, %v; want %+v", tc.name, got, err, tc.want)
+		}
+	}
+	if _, err := Preset("B"); err == nil {
+		t.Error(`Preset("B") accepted an unknown name`)
 	}
 }

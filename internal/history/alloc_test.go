@@ -35,8 +35,12 @@ func denseHistory(t *testing.T, rng *rand.Rand, numRoads int) *DB {
 	return b.Finalize()
 }
 
-// allocated returns the bytes fn allocates on the heap.
+// allocated returns the bytes fn allocates on the heap. It runs on one P:
+// ReadMemStats stops the world, and on a loaded machine restarting it can
+// start an OS thread for an idle P, whose runtime structures (about 5 KB)
+// the heap count would charge to fn.
 func allocated(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()

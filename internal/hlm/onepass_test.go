@@ -138,8 +138,8 @@ type refSeedRoad struct {
 // first k seeds were all observed, walking the road's samples and looking
 // each seed's rel up sample by sample, and fits them with refFitTrend; the
 // first k that fits wins.
-func refTrainSeedRoad(db *history.DB, ix *sampleIndex, r roadnet.RoadID, cands []roadnet.RoadID, seedSet map[roadnet.RoadID]bool) refSeedRoad {
-	scored := scoreSeeds(db, r, cands, seedSet)
+func refTrainSeedRoad(db *history.DB, ix *sampleIndex, r roadnet.RoadID, cands []roadnet.RoadID, isSeed []bool) refSeedRoad {
+	scored := scoreSeeds(db, r, cands, isSeed)
 	for k := min(maxSeedFeatures, len(scored)); k >= 1; k-- {
 		srm := refSeedRoad{feats: make([]roadnet.RoadID, k), impute: make([]float64, k)}
 		for i := range k {
@@ -209,14 +209,14 @@ func checkSpecializeMatchesReference(t *testing.T, m *Model, db *history.DB, see
 	var fitted, shrunk int
 	for r := range sm.roads {
 		rid, got := roadnet.RoadID(r), &sm.roads[r]
-		if sm.seedSet[rid] {
+		if sm.isSeed[rid] {
 			if *got != (seedRoadModel{}) {
 				t.Fatalf("seed road %d holds a seed model", r)
 			}
 			continue
 		}
 		cands := candidates(rid)
-		want := refTrainSeedRoad(db, ix, rid, cands[:min(maxSeedCandidates, len(cands))], sm.seedSet)
+		want := refTrainSeedRoad(db, ix, rid, cands[:min(maxSeedCandidates, len(cands))], sm.isSeed)
 		if got.k != len(want.feats) {
 			t.Fatalf("road %d: %d features, reference %d", r, got.k, len(want.feats))
 		}

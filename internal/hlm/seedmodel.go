@@ -3,6 +3,7 @@ package hlm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/history"
@@ -45,22 +46,33 @@ type seedRoadModel struct {
 // Training happens once per seed set (after seed selection) and inference
 // tolerates missing seed reports by imputing the seed's historical mean.
 type SeedModel struct {
-	base    *Model
-	seedSet map[roadnet.RoadID]bool
-	roads   []seedRoadModel // k = 0 → fall back to base
+	base   *Model
+	seeds  []roadnet.RoadID // the distinct seeds, in the order Specialize was given them
+	isSeed []bool           // road-indexed membership of seeds
+	roads  []seedRoadModel  // k = 0 → fall back to base
 }
 
-// SeedSet reports whether road s belongs to the specialised seed set.
-func (sm *SeedModel) SeedSet(s roadnet.RoadID) bool { return sm.seedSet[s] }
+// Seeds returns the distinct seeds sm was specialised to, in the order
+// Specialize was given them; a nil sm has none.
+func (sm *SeedModel) Seeds() []roadnet.RoadID {
+	if sm == nil {
+		return nil
+	}
+	return slices.Clone(sm.seeds)
+}
+
+// SeedSet reports whether road s, a road of the model, belongs to the
+// specialised seed set.
+func (sm *SeedModel) SeedSet(s roadnet.RoadID) bool { return sm.isSeed[s] }
 
 // SpecializedTo reports whether sm was specialised to exactly the roads of
 // seeds, a set of distinct roads in any order.
 func (sm *SeedModel) SpecializedTo(seeds []roadnet.RoadID) bool {
-	if len(seeds) != len(sm.seedSet) {
+	if len(seeds) != len(sm.seeds) {
 		return false
 	}
 	for _, s := range seeds {
-		if !sm.seedSet[s] {
+		if int(s) < 0 || int(s) >= len(sm.isSeed) || !sm.isSeed[s] {
 			return false
 		}
 	}
@@ -77,26 +89,30 @@ func (m *Model) Specialize(db *history.DB, seeds []roadnet.RoadID, candidates fu
 	}
 	n := m.NumRoads()
 	sm := &SeedModel{
-		base:    m,
-		seedSet: make(map[roadnet.RoadID]bool, len(seeds)),
-		roads:   make([]seedRoadModel, n),
+		base:   m,
+		seeds:  make([]roadnet.RoadID, 0, len(seeds)),
+		isSeed: make([]bool, n),
+		roads:  make([]seedRoadModel, n),
 	}
 	for _, s := range seeds {
 		if int(s) < 0 || int(s) >= n {
 			return nil, fmt.Errorf("hlm: seed road %d out of range", s)
 		}
-		sm.seedSet[s] = true
+		if !sm.isSeed[s] {
+			sm.isSeed[s] = true
+			sm.seeds = append(sm.seeds, s)
+		}
 	}
 	for r := 0; r < n; r++ {
 		id := roadnet.RoadID(r)
-		if sm.seedSet[id] {
+		if sm.isSeed[id] {
 			continue // seeds are observed directly
 		}
 		cands := candidates(id)
 		if len(cands) > maxSeedCandidates {
 			cands = cands[:maxSeedCandidates]
 		}
-		sm.roads[r] = trainSeedRoad(db, id, cands, sm.seedSet)
+		sm.roads[r] = trainSeedRoad(db, id, cands, sm.isSeed)
 	}
 	return sm, nil
 }
@@ -109,9 +125,10 @@ type corrStat struct {
 }
 
 // trainSeedRoad keeps the strongest-correlated candidates and fits the
-// trend-conditioned regressions on aligned history.
-func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, seedSet map[roadnet.RoadID]bool) seedRoadModel {
-	scored := scoreSeeds(db, r, cands, seedSet)
+// trend-conditioned regressions on aligned history. isSeed is the
+// road-indexed seed membership.
+func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, isSeed []bool) seedRoadModel {
+	scored := scoreSeeds(db, r, cands, isSeed)
 	kmax := min(maxSeedFeatures, len(scored))
 	var feats [maxSeedFeatures]roadnet.RoadID
 	for i := range kmax {
@@ -147,10 +164,10 @@ func trainSeedRoad(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, see
 // scoreSeeds returns the candidates that are seeds other than r, hold at
 // least minSeedSamples slots co-observed with r and correlate with it at
 // least minSeedCorr strongly, strongest first.
-func scoreSeeds(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, seedSet map[roadnet.RoadID]bool) []corrStat {
+func scoreSeeds(db *history.DB, r roadnet.RoadID, cands []roadnet.RoadID, isSeed []bool) []corrStat {
 	var scored []corrStat
 	for _, c := range cands {
-		if !seedSet[c] || c == r {
+		if !isSeed[c] || c == r {
 			continue
 		}
 		var n int

@@ -11,22 +11,21 @@ type HotFunc struct {
 }
 
 // HotManifest is the JSON document cmd/tslint -hotpath-json writes and CI
-// diffs against the committed lint/hotpath.json: the analyzer-suite version,
-// the root registry, and the full hot set. Any change to the reachable
-// frontier — a new allocation-sensitive function, a root added, a refactor
-// that splits a hot function — shows up as a manifest diff a reviewer must
-// accept by regenerating the committed copy.
+// diffs against the committed lint/hotpath.json: the root registry and the
+// full hot set. Any change to the reachable frontier — a new
+// allocation-sensitive function, a root added, a refactor that splits a hot
+// function — shows up as a manifest diff a reviewer must accept by
+// regenerating the committed copy.
 type HotManifest struct {
-	Version string    `json:"version"`
-	Roots   []string  `json:"roots"`
-	HotSet  []HotFunc `json:"hot_set"`
+	Roots  []string  `json:"roots"`
+	HotSet []HotFunc `json:"hot_set"`
 }
 
 // HotSet computes the hot-function manifest over the loaded packages: for
 // each package, the declarations whose scope (or any nested literal scope)
 // is reachable from the registered hot roots.
 func HotSet(pkgs []*Package) HotManifest {
-	man := HotManifest{Version: Version}
+	var man HotManifest
 	for _, r := range hotRoots {
 		if r.recv != "" {
 			man.Roots = append(man.Roots, r.pkg+"."+r.recv+"."+r.fn)

@@ -8,12 +8,13 @@
 // `go vet` and staticcheck cannot see: core.View is an immutable snapshot
 // that only its constructor writes and that the constructor never publishes
 // (modelmut), an estimation round loads a published atomic.Pointer exactly
-// once (atomicload), every obs span started is ended on all paths (spanend),
-// metric names are trendspeed_-prefixed and registered at one site
-// (metricname), validation errors cross the internal/api boundary wrapping a
-// sentinel via %w (errwrap), and inference code never compares floats with
-// == (floateq). Each analyzer documents the invariant it encodes; DESIGN.md
-// §9 maps analyzers to the PR that introduced the invariant.
+// once (atomicload), metric names are trendspeed_-prefixed and registered at
+// one site (metricname), validation errors cross the internal/api boundary
+// wrapping a sentinel via %w (errwrap), and inference code never compares
+// floats with == (floateq). Each analyzer documents the invariant it
+// encodes; DESIGN.md §9 maps analyzers to the PR that introduced the
+// invariant. Conventions the API can carry need no analyzer: obs spans end
+// by construction, since obs.Time is the only way to start one.
 //
 // On top of the single-function checks sits an intra-package static
 // callgraph (callgraph.go) powering two dataflow analyzers: the estimation
@@ -41,10 +42,6 @@ import (
 	"strings"
 )
 
-// Version identifies the analyzer suite (cmd/tslint -version prints it), so
-// a lint run is attributable to the exact invariant set it enforced.
-const Version = "1.0.0"
-
 // Analyzer is one named check. Run inspects a type-checked package through
 // the Pass and reports findings via Pass.Reportf.
 type Analyzer struct {
@@ -68,7 +65,6 @@ func All() []*Analyzer {
 		HotAlloc,
 		MetricName,
 		ModelMut,
-		SpanEnd,
 	}
 }
 

@@ -2,35 +2,73 @@ package lint
 
 import (
 	"fmt"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
 
+// fixtureCases pairs each analyzer with a fixture package under
+// testdata/src. TestAnalyzerFixtures runs them, and TestFixtureTableCoversSuite
+// keeps the table in step with All() and the fixture directories.
+var fixtureCases = []struct {
+	analyzer *Analyzer
+	dir      string
+}{
+	{ModelMut, "modelmut"},
+	{AtomicLoad, "atomicload"},
+	{MetricName, "metricname"},
+	{ErrWrap, "errwrap"},
+	{FloatEq, "floateq"},
+	{HotAlloc, "hotalloc"},
+	{HotAlloc, "hotalloc_mrf"},
+	{CtxFlow, "ctxflow"},
+}
+
 // TestAnalyzerFixtures is the golden-test harness: each analyzer runs over
 // its fixture package under testdata/src, and the surviving diagnostics must
 // match the `// want "regexp"` annotations in the fixture sources exactly —
 // one diagnostic per want, no extras, and nothing on suppressed lines.
 func TestAnalyzerFixtures(t *testing.T) {
-	cases := []struct {
-		analyzer *Analyzer
-		dir      string
-	}{
-		{ModelMut, "modelmut"},
-		{AtomicLoad, "atomicload"},
-		{SpanEnd, "spanend"},
-		{MetricName, "metricname"},
-		{ErrWrap, "errwrap"},
-		{FloatEq, "floateq"},
-		{HotAlloc, "hotalloc"},
-		{HotAlloc, "hotalloc_mrf"},
-		{CtxFlow, "ctxflow"},
-	}
-	for _, tc := range cases {
+	for _, tc := range fixtureCases {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {
 			runFixture(t, tc.analyzer, "./testdata/src/"+tc.dir)
 		})
+	}
+}
+
+// TestFixtureTableCoversSuite fails unless fixtureCases names every analyzer
+// in All(), only those, and every directory under testdata/src except
+// directive, which TestDirectiveHygiene runs: no analyzer goes without a
+// fixture, and no fixture outlives its analyzer.
+func TestFixtureTableCoversSuite(t *testing.T) {
+	inSuite := map[*Analyzer]bool{}
+	for _, a := range All() {
+		inSuite[a] = true
+	}
+	tested := map[*Analyzer]bool{}
+	dirs := map[string]bool{"directive": true}
+	for _, tc := range fixtureCases {
+		if !inSuite[tc.analyzer] {
+			t.Errorf("fixture %s runs %s, which All() does not list", tc.dir, tc.analyzer.Name)
+		}
+		tested[tc.analyzer] = true
+		dirs[tc.dir] = true
+	}
+	for _, a := range All() {
+		if !tested[a] {
+			t.Errorf("analyzer %s has no fixture in fixtureCases", a.Name)
+		}
+	}
+	entries, err := os.ReadDir("testdata/src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() && !dirs[e.Name()] {
+			t.Errorf("fixture directory testdata/src/%s is named by no fixtureCases entry", e.Name())
+		}
 	}
 }
 

@@ -93,12 +93,12 @@ func TestRequestIDFromEmpty(t *testing.T) {
 }
 
 func TestSpanCarriesRequestID(t *testing.T) {
-	tr := NewTracer(8)
+	tr := newTracer(8)
 	ctx := WithRequestID(context.Background(), "req-span-1")
-	ctx, parent := tr.StartSpan(ctx, "estimate")
-	_, child := tr.StartSpan(ctx, "knn")
-	child.End()
-	parent.End()
+	_, _ = tr.span(ctx, "estimate", func(ctx context.Context) error {
+		_, err := tr.span(ctx, "knn", func(context.Context) error { return nil })
+		return err
+	})
 
 	spans := tr.Spans()
 	if len(spans) != 2 {
@@ -115,14 +115,16 @@ func TestSpanCarriesRequestID(t *testing.T) {
 
 	// Spans without a request context keep the field empty (and omit it in
 	// JSON, keeping /debug/trace output compact).
-	_, s := tr.StartSpan(context.Background(), "background")
-	s.End()
+	_, _ = tr.span(context.Background(), "background", func(context.Context) error { return nil })
 	raw, err := tr.SpansJSON()
 	if err != nil {
 		t.Fatalf("SpansJSON: %v", err)
 	}
 	if !strings.Contains(string(raw), `"request_id": "req-span-1"`) {
 		t.Errorf("span dump missing request_id: %s", raw)
+	}
+	if bg := tr.Spans()[2]; bg.Name != "background" || bg.RequestID != "" {
+		t.Errorf("background span = %+v, want no request ID", bg)
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -141,7 +142,7 @@ func TestSnapshot(t *testing.T) {
 func TestConcurrency(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
-	tr := NewTracer(64)
+	tr := newTracer(64)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -151,8 +152,7 @@ func TestConcurrency(t *testing.T) {
 				r.Counter("trendspeed_conc_total", "", "worker", string(rune('a'+w))).Inc()
 				r.Gauge("trendspeed_conc_gauge", "").Add(1)
 				r.Histogram("trendspeed_conc_seconds", "", []float64{0.5, 1}).Observe(float64(i%3) / 2)
-				_, sp := tr.StartSpan(t.Context(), "conc")
-				sp.End()
+				_, _ = tr.span(t.Context(), "conc", func(context.Context) error { return nil })
 				if i%100 == 0 {
 					_ = r.Render()
 					_ = tr.Spans()

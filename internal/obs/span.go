@@ -20,13 +20,14 @@ type SpanRecord struct {
 }
 
 // Tracer records the last-N finished spans in a ring buffer, dumped as JSON
-// at /debug/trace. Span durations reach /metrics only through the callers
-// that time them, each into its own family (for example
+// at /debug/trace. Spans are started only through Time, which ends each one
+// whether its work returns or panics. Span durations reach /metrics only
+// through the callers that time them, each into its own family (for example
 // trendspeed_core_stage_duration_seconds and
 // trendspeed_core_estimate_duration_hdr_seconds).
 type Tracer struct {
-	// started counts StartSpan calls; ended mirrors the ring's total under
-	// its own atomic so leak checks (started == ended once work drains) do
+	// started counts spans begun; ended mirrors the ring's total under its
+	// own atomic so balance checks (started == ended once work drains) do
 	// not contend on mu.
 	started atomic.Uint64
 	ended   atomic.Uint64
@@ -37,17 +38,17 @@ type Tracer struct {
 	total uint64
 }
 
-// NewTracer returns a tracer keeping the last capacity spans.
-func NewTracer(capacity int) *Tracer {
+// newTracer returns a tracer keeping the last capacity spans.
+func newTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Tracer{ring: make([]SpanRecord, 0, capacity)}
 }
 
-var defaultTracer = NewTracer(256)
+var defaultTracer = newTracer(256)
 
-// DefaultTracer returns the process-wide tracer used by StartSpan.
+// DefaultTracer returns the process-wide tracer that Time records on.
 func DefaultTracer() *Tracer { return defaultTracer }
 
 // record stores one finished span in the ring.
@@ -65,10 +66,10 @@ func (t *Tracer) record(rec SpanRecord) {
 }
 
 // Counts returns how many spans were started and ended on this tracer.
-// After all in-flight work has drained the two must agree; cancellation
-// tests use the pair to assert no code path abandoned a span without
-// ending it. started ≥ ended always holds; the difference is the number of
-// spans currently open (or leaked).
+// started ≥ ended always holds, and the difference is the number of spans
+// still running. Time ends every span it starts, so once in-flight work has
+// drained, returned or panicked, the two agree; tests use the pair to
+// assert that.
 func (t *Tracer) Counts() (started, ended uint64) {
 	return t.started.Load(), t.ended.Load()
 }
@@ -98,48 +99,31 @@ func (t *Tracer) SpansJSON() ([]byte, error) {
 	}{TotalSpans: total, Spans: spans}, "", "  ")
 }
 
-// Span is an in-flight timed stage; call End exactly once.
-type Span struct {
-	tracer *Tracer
-	name   string
-	reqID  string
-	start  time.Time
-	ended  bool
-}
-
-// spanKey carries the enclosing span through a context for name nesting.
+// spanKey carries the enclosing span's name through a context for name
+// nesting.
 type spanKey struct{}
 
-// StartSpan begins a named stage on the default tracer. If ctx already
-// carries a span, the new span's name is prefixed with its parent's
-// ("core.new/corr_build"), so nested stages stay attributable. The returned
-// context carries the new span.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	return defaultTracer.StartSpan(ctx, name)
+// Time runs fn as a named span on the default tracer and returns the span's
+// duration with fn's error. If ctx already carries a span, the new span's
+// name is prefixed with its parent's ("core.new/corr_build"), so nested
+// stages stay attributable; fn receives a context carrying the new span, and
+// the span carries ctx's request ID. The span is recorded when fn returns
+// and also when it panics, so no span outlives its work.
+func Time(ctx context.Context, name string, fn func(context.Context) error) (time.Duration, error) {
+	return defaultTracer.span(ctx, name, fn)
 }
 
-// StartSpan begins a named stage on this tracer; see the package-level
-// StartSpan.
-func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
-		name = parent.name + "/" + name
+// span is Time on this tracer.
+func (t *Tracer) span(ctx context.Context, name string, fn func(context.Context) error) (d time.Duration, err error) {
+	if parent, ok := ctx.Value(spanKey{}).(string); ok {
+		name = parent + "/" + name
 	}
 	t.started.Add(1)
-	s := &Span{tracer: t, name: name, reqID: RequestIDFrom(ctx), start: time.Now()}
-	return context.WithValue(ctx, spanKey{}, s), s
-}
-
-// Name returns the (possibly parent-prefixed) span name.
-func (s *Span) Name() string { return s.name }
-
-// End finishes the span, records it and returns its duration. Calling End
-// more than once records nothing and returns the elapsed time since start.
-func (s *Span) End() time.Duration {
-	d := time.Since(s.start)
-	if s.ended {
-		return d
-	}
-	s.ended = true
-	s.tracer.record(SpanRecord{Name: s.name, Start: s.start, DurationSeconds: d.Seconds(), RequestID: s.reqID})
-	return d
+	rec := SpanRecord{Name: name, Start: time.Now(), RequestID: RequestIDFrom(ctx)}
+	defer func() {
+		d = time.Since(rec.Start)
+		rec.DurationSeconds = d.Seconds()
+		t.record(rec)
+	}()
+	return 0, fn(context.WithValue(ctx, spanKey{}, name)) // the deferred record sets d
 }
